@@ -11,7 +11,7 @@ GO ?= go
 # deletions or big untested subsystems.
 COVER_FLOOR ?= 75.9
 
-.PHONY: build test test-race vet fmt-check lint bench bench-smoke bench-json bench-compare fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
+.PHONY: build test test-race vet fmt-check lint bench bench-smoke bench-json bench-compare bench-pins fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
 
 build:
 	$(GO) build ./...
@@ -63,7 +63,7 @@ bench-smoke:
 # these artifacts): GOMAXPROCS is fixed so benchmark names carry no -N
 # procs suffix and scheduling is stable, and -benchtime is fixed at one
 # iteration. Override BENCH_PROCS only together with a fresh baseline.
-BENCH_JSON  ?= BENCH_PR10.json
+BENCH_JSON  ?= BENCH_PR14.json
 BENCH_PROCS ?= 1
 
 bench-json:
@@ -88,12 +88,29 @@ bench-json:
 # benchmark names prove it effectively ran at GOMAXPROCS=1 — so it is
 # comparable to the pinned runs; from PR 5 on, baselines and fresh runs
 # share identical settings by construction.
-BASE            ?= BENCH_PR6.json
+BASE            ?= BENCH_PR10.json
 BENCH_THRESHOLD ?= 0.15
-HOT_BENCHES     ?= BenchmarkFig5Homogeneous,BenchmarkFig6Heterogeneous,BenchmarkSimRun/warm,BenchmarkAdmissionThroughput/shards=1,BenchmarkMetroRound,BenchmarkWarmSlaveSteadySolve
+HOT_BENCHES     ?= BenchmarkFig5Homogeneous,BenchmarkFig6Heterogeneous,BenchmarkSimRun/warm,BenchmarkAdmissionThroughput/shards=1,BenchmarkMetroRound,BenchmarkMetroPodCold,BenchmarkWarmSlaveSteadySolve
 
 bench-compare:
 	$(GO) run ./cmd/benchjson compare -threshold $(BENCH_THRESHOLD) -hot '$(HOT_BENCHES)' $(BASE) $(BENCH_JSON)
+
+# bench-pins runs the end-to-end benchmark's six workloads once, at the seed
+# and size benchmark/fingerprints.json pins, and fails unless every pass
+# reports its decisions fingerprint-correct with no failed operation. It is
+# the cheap half of the benchmark (no timing judgement): a change that moves
+# one admission decision on any workload, or pushes an operation past the
+# 30 s watchdog, stops here.
+BENCH_WORKLOADS ?= steady-drift arrival-churn metro-cold online-durable crash-recover rest-stack
+
+bench-pins:
+	@set -e; for w in $(BENCH_WORKLOADS); do \
+		out=$$($(GO) run ./benchmark --workload $$w --seed 1 --seconds 15 --trace 0 | tail -n 1); \
+		echo "bench-pins: $$w $$out"; \
+		echo "$$out" | grep -q '"correct":true,"failed":0' || \
+			{ echo "bench-pins: $$w is not fingerprint-correct with 0 failed"; exit 1; }; \
+	done
+	@echo "bench-pins: six workloads fingerprint-correct"
 
 # fuzz-smoke gives each native fuzz target a short budget; crashes found in
 # CI reproduce locally via the corpus file Go writes on failure. The loop
@@ -211,4 +228,4 @@ cover:
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN{exit !(t>=f)}' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-ci: build vet fmt-check lint docs-check links-check test-race cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-json bench-compare
+ci: build vet fmt-check lint docs-check links-check test-race cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins bench-json bench-compare

@@ -229,3 +229,46 @@ func BenchmarkMetroRound(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N*topology.MetroPods)/b.Elapsed().Seconds(), "pod-rounds/s")
 }
+
+// BenchmarkMetroPodCold times the metro tier's cliff: one 24-BS pod added as
+// a fresh domain and taken through its first batch round — cold slave, cold
+// master re-solved on the dense tableau every Benders iteration, nothing
+// carried. It is what a metro cold start pays 44 times and what every
+// shape-changing round on a pod pays once. The decision table is asserted so
+// two runs provably timed the same work; it is in HOT_BENCHES.
+func BenchmarkMetroPodCold(b *testing.B) {
+	pod := topology.Metro(topology.MetroPodBS)
+	types := []slice.Type{slice.URLLC, slice.URLLC, slice.EMBB, slice.MMTC}
+	for i := 0; i < b.N; i++ {
+		e := New(Config{Shards: 1})
+		if err := e.AddDomain("pod", DomainConfig{Net: pod, KPaths: 1, Algorithm: "benders"}); err != nil {
+			b.Fatal(err)
+		}
+		if err := e.Start(); err != nil {
+			b.Fatal(err)
+		}
+		for k, ty := range types {
+			if _, err := e.Submit(Request{
+				Domain: "pod",
+				Name:   fmt.Sprintf("t%d", k),
+				SLA:    slice.SLA{Template: slice.Table1(ty), Duration: 1 << 20}.WithPenaltyFactor(1),
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		r, err := e.DecideRound("pod")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := fmt.Sprint(r.Admitted, r.Rejected, r.Decision.CU, r.Decision.Iterations); got != metroPodColdTable {
+			b.Fatalf("cold pod round decided %s, want %s", got, metroPodColdTable)
+		}
+		b.StopTimer()
+		e.Stop()
+		b.StartTimer()
+	}
+}
+
+// metroPodColdTable is the cold pod round's admitted names, rejected names,
+// per-tenant CU placement and Benders iteration count.
+const metroPodColdTable = "[t0 t1 t2 t3] [] [1 0 0 2] 9"

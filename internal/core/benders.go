@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/lp"
+	"repro/internal/milp"
 )
 
 // slaveProblem is the continuous subproblem P_S(x̄) of §4.1 (Problem 3):
@@ -143,8 +144,8 @@ func (m *model) buildSlave() *slaveProblem {
 		dR:   -1, dT: -1, dC: -1,
 	}
 	for idx, it := range m.items {
-		s.yVar[idx] = s.p.AddVar(fmt.Sprintf("y.%d", idx), it.yCoef)
-		s.zVar[idx] = s.p.AddVar(fmt.Sprintf("z.%d", idx), it.zCoef)
+		s.yVar[idx] = s.p.AddVar("", it.yCoef)
+		s.zVar[idx] = s.p.AddVar("", it.zCoef)
 	}
 	if m.inst.BigM > 0 {
 		s.dR = s.p.AddVar("deficit.radio", m.inst.BigM)
@@ -311,7 +312,7 @@ func solveDirectFallback(inst *Instance, benderErr error) (*Decision, error) {
 // scale (~1e4 × a capacity), and mixing such rows with the unit-coefficient
 // placement rows wrecks the master tableau's conditioning — the scaling is
 // mathematically neutral and keeps every pivot well-sized.
-func addOptCut(master *lp.Problem, name string, thetaVar int, xVar []int, bigTheta, constant float64, coefs []float64) {
+func addOptCut(master *lp.Problem, thetaVar int, xVar []int, bigTheta, constant float64, coefs []float64) {
 	s := 1.0
 	for _, cf := range coefs {
 		if a := math.Abs(cf); a > s {
@@ -324,12 +325,12 @@ func addOptCut(master *lp.Problem, name string, thetaVar int, xVar []int, bigThe
 			terms = append(terms, lp.T(xVar[idx], -cf/s))
 		}
 	}
-	master.AddNamedConstraint(name, lp.GE, (constant+bigTheta)/s, terms...)
+	master.AddConstraint(lp.GE, (constant+bigTheta)/s, terms...)
 }
 
 // addFeasCut installs Σ coefs·x ≤ −constant, scaled like addOptCut; it
 // reports false when the cut is degenerate (no x terms).
-func addFeasCut(master *lp.Problem, name string, xVar []int, constant float64, coefs []float64) bool {
+func addFeasCut(master *lp.Problem, xVar []int, constant float64, coefs []float64) bool {
 	s := 1.0
 	for _, cf := range coefs {
 		if a := math.Abs(cf); a > s {
@@ -345,7 +346,7 @@ func addFeasCut(master *lp.Problem, name string, xVar []int, constant float64, c
 	if len(terms) == 0 {
 		return false
 	}
-	master.AddNamedConstraint(name, lp.LE, -constant/s, terms...)
+	master.AddConstraint(lp.LE, -constant/s, terms...)
 	return true
 }
 
@@ -364,11 +365,17 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 		}
 	}
 
-	// Master skeleton: min Σ xCoef·x + θ subject to (5), (6), (13).
+	// The master is re-solved every iteration, one cut row larger each time:
+	// all of them run out of one borrowed LP workspace.
+	solver := solverPool.Get().(*milp.Solver)
+	defer solverPool.Put(solver)
+
+	// Master skeleton: min Σ xCoef·x + θ subject to (5), (6), (13). Variables
+	// and rows go unnamed: nothing reads an LP name, and this runs per round.
 	master := lp.New()
 	xVar := make([]int, len(m.items))
 	for idx, it := range m.items {
-		xVar[idx] = master.AddVar(fmt.Sprintf("x.%d", idx), it.xCoef)
+		xVar[idx] = master.AddVar("", it.xCoef)
 	}
 	thetaVar := master.AddVar("theta.shifted", 1) // θ = θ' − bigTheta
 	addPlacementRows(master, m, func(idx int) int { return xVar[idx] })
@@ -385,7 +392,7 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 				// Farkas rays live in the dual recession cone, which depends
 				// only on the constraint matrix — unchanged by construction
 				// (sameSolverShape) — so every carried ray still certifies.
-				if !addFeasCut(master, fmt.Sprintf("feascut.seed%d", len(kept)), xVar, constant, coefs) {
+				if !addFeasCut(master, xVar, constant, coefs) {
 					continue // degenerate under the new affine map: drop
 				}
 			} else {
@@ -394,7 +401,7 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 				if !slave.dualStillFeasible(sd.mu) {
 					continue
 				}
-				addOptCut(master, fmt.Sprintf("optcut.seed%d", len(kept)), thetaVar, xVar, bigTheta, constant, coefs)
+				addOptCut(master, thetaVar, xVar, bigTheta, constant, coefs)
 			}
 			kept = append(kept, sd)
 		}
@@ -443,7 +450,7 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 				sess.remember(false, ssol.Dual)
 			}
 			// θ ≥ constant + coefs·x  ⇒  θ' − coefs·x ≥ constant + bigTheta.
-			addOptCut(master, fmt.Sprintf("optcut.%d", iter), thetaVar, xVar, bigTheta, constant, coefs)
+			addOptCut(master, thetaVar, xVar, bigTheta, constant, coefs)
 
 		case lp.Infeasible:
 			// Line 6–8: the dual slave is unbounded along the Farkas ray;
@@ -454,7 +461,7 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 			}
 			// Infeasibility certificate: constant + coefs·x̄ > 0, so demand
 			// constant + coefs·x ≤ 0, i.e. Σ coefs·x ≤ −constant.
-			if !addFeasCut(master, fmt.Sprintf("feascut.%d", iter), xVar, constant, coefs) {
+			if !addFeasCut(master, xVar, constant, coefs) {
 				return fmt.Errorf("core: degenerate feasibility cut (ray has no x terms)")
 			}
 
@@ -489,7 +496,7 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 	for iter := 1; iter <= opts.MaxIterations; iter++ {
 		d.Iterations = iter
 
-		msol, err := milpSolve(master, xVar)
+		msol, err := milpSolve(solver, master, xVar)
 		if err != nil {
 			return nil, fmt.Errorf("core: Benders master (iter %d): %w", iter, err)
 		}

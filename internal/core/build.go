@@ -2,20 +2,11 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/lp"
 	"repro/internal/milp"
 )
-
-// Thin aliases so every solver in this package shares one branch-and-bound
-// configuration.
-type milpSolution = milp.Solution
-
-const statusInfeasible = milp.Infeasible
-
-func milpRun(p *lp.Problem, binaries []int) (*milp.Solution, error) {
-	return milp.Solve(p, binaries, milp.Options{MaxNodes: 100000})
-}
 
 // The unlimited-capacity marker: links at or above this capacity (the
 // emulated edge↔core interconnect) are not given capacity rows.
@@ -53,11 +44,12 @@ func (m *model) buildDirect() (*lp.Problem, *dirVars) {
 		z:  make([]int, len(m.items)),
 		dR: -1, dT: -1, dC: -1,
 	}
+	// Variables and rows go unnamed: nothing reads an LP name, and this
+	// runs once per round.
 	for idx, it := range m.items {
-		tag := fmt.Sprintf("t%d.b%d.c%d.p%d", it.tenant, it.bs, it.cu, it.path)
-		v.x[idx] = p.AddVar("x."+tag, it.xCoef)
-		v.y[idx] = p.AddVar("y."+tag, it.yCoef)
-		v.z[idx] = p.AddVar("z."+tag, it.zCoef)
+		v.x[idx] = p.AddVar("", it.xCoef)
+		v.y[idx] = p.AddVar("", it.yCoef)
+		v.z[idx] = p.AddVar("", it.zCoef)
 	}
 	bigM := m.inst.BigM
 	if bigM > 0 {
@@ -98,7 +90,7 @@ func addCapacityRows(p *lp.Problem, m *model, vars func(idx int) (z, x int), dR,
 		if dC >= 0 {
 			terms = append(terms, lp.T(dC, -1))
 		}
-		p.AddNamedConstraint(fmt.Sprintf("cap.cu%d", c), lp.LE, cu.CPUCores, terms...)
+		p.AddConstraint(lp.LE, cu.CPUCores, terms...)
 	}
 	// (15) transport links: Σ z·ηe·1_{e∈p} ≤ Ce + δb.
 	for _, l := range inst.Net.Links {
@@ -118,7 +110,7 @@ func addCapacityRows(p *lp.Problem, m *model, vars func(idx int) (z, x int), dR,
 		if dT >= 0 {
 			terms = append(terms, lp.T(dT, -1))
 		}
-		p.AddNamedConstraint(fmt.Sprintf("cap.link%d", l.ID), lp.LE, l.CapMbps, terms...)
+		p.AddConstraint(lp.LE, l.CapMbps, terms...)
 	}
 	// (16) radio: Σ z·ητ,b ≤ Cb + δr.
 	for b, bs := range inst.Net.BSs {
@@ -135,7 +127,7 @@ func addCapacityRows(p *lp.Problem, m *model, vars func(idx int) (z, x int), dR,
 		if dR >= 0 {
 			terms = append(terms, lp.T(dR, -1))
 		}
-		p.AddNamedConstraint(fmt.Sprintf("cap.bs%d", b), lp.LE, bs.CapMHz, terms...)
+		p.AddConstraint(lp.LE, bs.CapMHz, terms...)
 	}
 }
 
@@ -155,9 +147,9 @@ func addPlacementRows(p *lp.Problem, m *model, xv func(idx int) int) {
 				terms[i] = lp.T(xv(idx), 1)
 			}
 			if inst.Tenants[t].Committed {
-				p.AddNamedConstraint(fmt.Sprintf("commit.t%d.b%d", t, b), lp.EQ, 1, terms...)
+				p.AddConstraint(lp.EQ, 1, terms...)
 			} else {
-				p.AddNamedConstraint(fmt.Sprintf("onepath.t%d.b%d", t, b), lp.LE, 1, terms...)
+				p.AddConstraint(lp.LE, 1, terms...)
 			}
 		}
 		// (6): every BS of an accepted slice connects to the same CU.
@@ -185,7 +177,7 @@ func addPlacementRows(p *lp.Problem, m *model, xv func(idx int) int) {
 						terms = append(terms, lp.T(xv(idx), -1))
 					}
 					if len(terms) > 0 {
-						p.AddNamedConstraint(fmt.Sprintf("samecu.t%d.c%d.b%d", t, c, b), lp.LE, 0, terms...)
+						p.AddConstraint(lp.LE, 0, terms...)
 					}
 				}
 			}
@@ -215,7 +207,9 @@ func SolveDirect(inst *Instance) (*Decision, error) {
 		return nil, err
 	}
 	p, v := m.buildDirect()
-	sol, err := milpSolve(p, v.x)
+	solver := solverPool.Get().(*milp.Solver)
+	defer solverPool.Put(solver)
+	sol, err := milpSolve(solver, p, v.x)
 	if err != nil {
 		return nil, err
 	}
@@ -242,14 +236,30 @@ func SolveDirect(inst *Instance) (*Decision, error) {
 	return d, nil
 }
 
+// solverPool lends a milp.Solver — an LP workspace, nothing else — to
+// whoever is about to run MILP solves: a Benders loop for every iteration's
+// master, a direct solve for its one model. A Solver resets its basis before
+// every search, so which caller held it last cannot reach any result; what
+// the loan saves is allocating, zeroing and faulting in the root relaxation's
+// dense tableau (megabytes on a metro pod) per solve.
+//
+// A pool, not a field on BendersSession: with one Solver per session, 44
+// metro pod domains each kept their own ≈ 7 MB tableau — the resident set
+// grew by 200 MB, and because rounds visit domains in turn every round
+// streamed a different cold tableau through the cache (BenchmarkMetroRound
+// 15 → 28 ms, DESIGN.md §12). The pool's population follows the number of
+// solves in flight (shards), the same hot buffers serve every domain, and
+// an idle process's share is released by the garbage collector.
+var solverPool = sync.Pool{New: func() any { return new(milp.Solver) }}
+
 // milpSolve wraps the branch-and-bound with the solver options used
 // throughout; nil solution means integer-infeasible.
-func milpSolve(p *lp.Problem, binaries []int) (*milpSolution, error) {
-	s, err := milpRun(p, binaries)
+func milpSolve(solver *milp.Solver, p *lp.Problem, binaries []int) (*milp.Solution, error) {
+	s, err := solver.Solve(p, binaries, milp.Options{MaxNodes: 100000})
 	if err != nil {
 		return nil, err
 	}
-	if s.Status == statusInfeasible {
+	if s.Status == milp.Infeasible {
 		return nil, nil
 	}
 	if s.X == nil {

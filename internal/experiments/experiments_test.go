@@ -231,13 +231,21 @@ func TestSolverScalingShape(t *testing.T) {
 	// {3,6} rather than the minimal {2,4}: the A1 claim is about how the
 	// exact methods scale, and at the toy size warm-started Benders now
 	// finishes in microseconds, making sub-µs timing comparisons noise.
-	rows, err := SolverScaling([][2]int{{3, 6}}, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Each solve is a sub-millisecond one-shot, so one scheduler hiccup
+	// (a loaded CI box, a parallel package) can invert the comparison; the
+	// fastest of a few repetitions is what each method costs.
+	var rows []SolverTiming
 	byAlgo := map[string]SolverTiming{}
-	for _, r := range rows {
-		byAlgo[r.Algorithm] = r
+	for rep := 0; rep < 5; rep++ {
+		var err error
+		if rows, err = SolverScaling([][2]int{{3, 6}}, 42); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rows {
+			if best, ok := byAlgo[r.Algorithm]; !ok || r.Seconds < best.Seconds {
+				byAlgo[r.Algorithm] = r
+			}
+		}
 	}
 	if _, ok := byAlgo["benders"]; !ok {
 		t.Fatal("benders missing from the smallest size")

@@ -24,8 +24,9 @@
 // branch-and-bound fixing pattern) keeps every warm-start cache valid.
 // Internally the solver converts to equality standard form with slack and
 // artificial variables. One-shot solves (Solve) run a two-phase tableau
-// simplex — dense, flat strided storage — with Dantzig pricing and a
-// Bland's-rule fallback that guarantees termination. Re-solve sequences
+// simplex — dense, flat strided storage, pivots updating over the pivot
+// row's non-zero columns only — with Dantzig pricing and a Bland's-rule
+// fallback that guarantees termination. Re-solve sequences
 // (SolveFrom with a Basis) run a revised simplex over a sparse LU
 // factorization of the basis matrix maintained by Forrest–Tomlin row
 // updates (bounded fill, stability-tested, refactorizing in place when
@@ -35,7 +36,9 @@
 // branch-and-bound node loop — allocates nothing. Presolve/Postsolve
 // shrink a master problem deterministically before solving, and
 // Basis.FtranBatch pushes a round's independent RHS vectors through one
-// factor traversal. See DESIGN.md §7 for the factorization design and
-// determinism argument, and §11 for the metro-scale tier (FT updates,
-// bounded variables, presolve, batched ftran).
+// factor traversal; Basis.FactorStats counts factor updates, forced
+// refactorizations and cold fallbacks by cause. See DESIGN.md §7 for the
+// factorization design and determinism argument, §11 for the metro-scale
+// tier (FT updates, bounded variables, presolve, batched ftran) and §12 for
+// the cold path's sparse pivot kernel and workspace reuse.
 package lp

@@ -29,9 +29,10 @@ import "math"
 // from r.bs.cols (false means B is singular); ftran/btran solve against it
 // including any accumulated factor updates; update applies the pivot that
 // replaces the basic column at position leave with the column whose
-// transformed form is u = B⁻¹·A_enter, returning true when the caller must
+// transformed form is u = B⁻¹·A_enter, returning why the caller must now
 // refactorize (update budget exhausted, storage growth bound hit, or the
-// update failed its numerical stability test).
+// update failed its numerical stability test and was not committed), or
+// updateCommitted when it need not.
 //
 // Vector index conventions: "row-indexed" vectors live in the caller's
 // constraint-row space; "position-indexed" vectors are aligned with
@@ -46,7 +47,49 @@ type factorEngine interface {
 	// once per batch instead of once per vector, so the factor-index walk
 	// amortizes across the batch.
 	ftranBatch(rowIn []float64, k int, posOut []float64)
-	update(leave int, u []float64) bool
+	update(leave int, u []float64) updateOutcome
+}
+
+// updateOutcome is what a factor update asks of its caller.
+type updateOutcome int
+
+const (
+	updateCommitted  updateOutcome = iota // absorbed; keep going
+	refactorPeriodic                      // absorbed; refactorEvery updates accumulated
+	refactorFill                          // absorbed; storage grew past the fill bound
+	refactorUnstable                      // rejected by the stability test
+)
+
+// FactorStats counts what a Basis' factorization machinery did over the
+// life of its workspace (Reset keeps them): how many pivots were absorbed as
+// factor updates, why full refactorizations were forced, and which check
+// sent a warm attempt to the cold two-phase tableau. They answer "why was
+// this solve slow" without a profiler — a fill-bound count close to the
+// update count means the updates are not paying for themselves.
+type FactorStats struct {
+	Updates int // factor updates committed (Forrest–Tomlin, or dense product-form)
+
+	RefactorPeriodic int // refactorizations forced by the refactorEvery budget
+	RefactorFill     int // ... by the storage-growth bound (etaNNZPerRow)
+	RefactorUnstable int // ... by an update that failed ftStabilityTol
+	Singular         int // factorizations abandoned on a singular basis
+
+	// Warm attempts that fell back to the cold path, by the check that
+	// declined them.
+	ColdStaleBounds int // basis predates the problem's variable bounds
+	ColdSingular    int // basis matrix singular at factorization
+	ColdNotFeasible int // neither primal nor dual feasible, or a pinned slack off zero
+	ColdBailed      int // simplex loop gave up: pivot budget, stale pivot, singular refactor
+	ColdUnbounded   int // warm loop saw unboundedness; re-derived cold
+	ColdUnverified  int // result failed the post-solve verification
+}
+
+// FactorStats returns the counters accumulated on this Basis' workspace.
+func (b *Basis) FactorStats() FactorStats {
+	if b == nil || b.ws == nil {
+		return FactorStats{}
+	}
+	return b.ws.stats
 }
 
 // ftranBatchMax caps how many right-hand sides one ftranBatch call packs;
@@ -169,27 +212,27 @@ type sparseLU struct {
 
 func (f *sparseLU) reset(m int) {
 	f.m = m
-	f.lPtr = growI32(f.lPtr, m+1)
-	f.ucPtr = growI32(f.ucPtr, m)
-	f.ucLen = growI32(f.ucLen, m)
-	f.urPtr = growI32(f.urPtr, m)
-	f.urLen = growI32(f.urLen, m)
-	f.uDiag = growF64(f.uDiag, m)
-	f.prow = growI32(f.prow, m)
-	f.pinv = growI32(f.pinv, m)
-	f.qcol = growI32(f.qcol, m)
-	f.qinv = growI32(f.qinv, m)
-	f.uord = growI32(f.uord, m)
-	f.upos = growI32(f.upos, m)
-	f.work = growF64(f.work, m)
-	f.step = growF64(f.step, m)
-	f.spike = growF64(f.spike, m)
-	f.bwork = growF64(f.bwork, ftranBatchMax*m)
-	f.btmp = growF64(f.btmp, ftranBatchMax)
-	f.mark = growI32(f.mark, m)
-	f.nzRows = growI32(f.nzRows, m)
-	f.order = growI32(f.order, m)
-	f.cnt = growI32(f.cnt, m+2)
+	f.lPtr = grow(f.lPtr, m+1)
+	f.ucPtr = grow(f.ucPtr, m)
+	f.ucLen = grow(f.ucLen, m)
+	f.urPtr = grow(f.urPtr, m)
+	f.urLen = grow(f.urLen, m)
+	f.uDiag = grow(f.uDiag, m)
+	f.prow = grow(f.prow, m)
+	f.pinv = grow(f.pinv, m)
+	f.qcol = grow(f.qcol, m)
+	f.qinv = grow(f.qinv, m)
+	f.uord = grow(f.uord, m)
+	f.upos = grow(f.upos, m)
+	f.work = grow(f.work, m)
+	f.step = grow(f.step, m)
+	f.spike = grow(f.spike, m)
+	f.bwork = grow(f.bwork, ftranBatchMax*m)
+	f.btmp = grow(f.btmp, ftranBatchMax)
+	f.mark = grow(f.mark, m)
+	f.nzRows = grow(f.nzRows, m)
+	f.order = grow(f.order, m)
+	f.cnt = grow(f.cnt, m+2)
 	f.lIdx = f.lIdx[:0]
 	f.lVal = f.lVal[:0]
 	f.ucIdx = f.ucIdx[:0]
@@ -361,8 +404,8 @@ func (f *sparseLU) refactor(r *revised) bool {
 	// identity right after a refactorization; FT updates rotate it.
 	nnz := len(f.ucIdx)
 	f.nnzU0 = nnz
-	f.urIdx = growI32(f.urIdx, nnz)
-	f.urVal = growF64(f.urVal, nnz)
+	f.urIdx = grow(f.urIdx, nnz)
+	f.urVal = grow(f.urVal, nnz)
 	for i := 0; i < m; i++ {
 		f.urLen[i] = 0
 	}
@@ -562,12 +605,12 @@ func (f *sparseLU) addRowEntry(r, c int32, v float64) {
 // spiked U is eliminated against the rows after it in logical order; only
 // the multipliers survive, as one merged row eta, because the elimination
 // changes row s alone and row s ends up empty. U then keeps exact
-// triangular form with s moved to the last logical position. Returns true
-// when the caller must refactorize: the update count or arena growth hit
-// their bounds, or the new diagonal failed the stability test (in which
-// case any half-committed state is irrelevant — the rebuild starts from the
-// already-updated basis columns).
-func (f *sparseLU) update(leave int, u []float64) bool {
+// triangular form with s moved to the last logical position. A non-zero
+// outcome means the caller must refactorize: the update count or arena
+// growth hit their bounds, or the new diagonal failed the stability test (in
+// which case any half-committed state is irrelevant — the rebuild starts
+// from the already-updated basis columns).
+func (f *sparseLU) update(leave int, u []float64) updateOutcome {
 	m := f.m
 	s := int(f.qinv[leave])
 
@@ -642,7 +685,7 @@ func (f *sparseLU) update(leave int, u []float64) bool {
 	// to the spike it came from, means heavy cancellation — committing it
 	// would poison every later solve. Signal refactorization instead.
 	if a := math.Abs(newDiag); a <= singularPivotTol || a < ftStabilityTol*maxw {
-		return true
+		return refactorUnstable
 	}
 
 	// Commit. Stale row-s entries leave their columns, stale column-s
@@ -698,8 +741,13 @@ func (f *sparseLU) update(leave int, u []float64) bool {
 
 	f.nUpdates++
 	bound := f.nnzU0 + etaNNZPerRow*m + refactorEvery
-	return f.nUpdates >= refactorEvery ||
-		len(f.ucIdx) > bound || len(f.urIdx) > bound || len(f.ftIdx) > bound
+	switch {
+	case f.nUpdates >= refactorEvery:
+		return refactorPeriodic
+	case len(f.ucIdx) > bound || len(f.urIdx) > bound || len(f.ftIdx) > bound:
+		return refactorFill
+	}
+	return updateCommitted
 }
 
 // denseFactor is the explicit dense inverse B⁻¹ maintained by Gauss–Jordan
@@ -719,8 +767,8 @@ func (f *denseFactor) refactor(r *revised) bool {
 	m := r.m
 	f.m = m
 	f.updates = 0
-	f.binv = growF64(f.binv, m*m)
-	f.aug = growF64(f.aug, 2*m*m)
+	f.binv = grow(f.binv, m*m)
+	f.aug = grow(f.aug, 2*m*m)
 	aug := f.aug[: 2*m*m : 2*m*m]
 	for i := range aug {
 		aug[i] = 0
@@ -837,7 +885,7 @@ func (f *denseFactor) btran(posIn, rowOut []float64) {
 	}
 }
 
-func (f *denseFactor) update(leave int, u []float64) bool {
+func (f *denseFactor) update(leave int, u []float64) updateOutcome {
 	m := f.m
 	inv := 1 / u[leave]
 	rowL := f.binv[leave*m : (leave+1)*m]
@@ -858,5 +906,8 @@ func (f *denseFactor) update(leave int, u []float64) bool {
 		}
 	}
 	f.updates++
-	return f.updates >= refactorEvery
+	if f.updates >= refactorEvery {
+		return refactorPeriodic
+	}
+	return updateCommitted
 }

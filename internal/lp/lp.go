@@ -247,48 +247,63 @@ func (p *Problem) Solve() (*Solution, error) { return p.solveCold(nil) }
 
 // solveCold is the two-phase tableau path. When cap is non-nil, the final
 // basis is captured into it so a later SolveFrom can warm-start; outcomes
-// without a usable basis (iteration limit, unboundedness) reset it.
-// Bounded problems are dispatched to the bound-row expansion below — the
-// tableau itself only understands x ≥ 0.
+// without a usable basis (iteration limit, infeasibility, unboundedness)
+// reset it. A phase-1-terminal basis in particular is almost never dual
+// feasible for the real costs, so capturing it would make every later warm
+// attempt factorize B⁻¹ only to bail to cold; warm chains start from optimal
+// (or warm-infeasible) bases only.
+//
+// All working storage — the tableau, the pivot kernel's scratch, the
+// bound-row expansion — comes from cap's workspace, so cold fallbacks inside
+// a warm chain and a milp.Solver's successive masters do not re-pay the
+// allocation; a nil cap solves out of a throwaway scratch.
+//
+// The tableau itself only understands x ≥ 0. A problem with variable bounds
+// is solved through its bound-row expansion (x_j ≥ lo for lo > 0, x_j ≤ up
+// for finite up, appended after the original rows) and the result mapped
+// back: Dual and Ray are truncated to the original rows — bound-row duals
+// live on as nonbasic reduced costs in the bounded-variable warm path
+// (strong duality then reads Obj = Σ Dual·rhs + Σ_{nonbasic j} d_j·x_j), and
+// an infeasibility Ray is a box-Farkas certificate: Σ Ray·rhs exceeds the
+// slack the variable boxes can absorb (see revised.verifyRay). The expanded
+// basis is folded into a bounded-variable basis over the original rows by
+// captureBounded.
 func (p *Problem) solveCold(cap *Basis) (*Solution, error) {
-	if p.bounded() {
-		return p.solveColdBounded(cap)
-	}
-	// When a Basis is being (re)captured, its workspace donates the
-	// tableau's dense buffers, so warm-path fallbacks and re-captures do
-	// not re-pay the tableau allocation on every cold solve.
-	var ws *workspace
+	var cs *coldScratch
 	if cap != nil {
 		if cap.ws == nil {
 			cap.ws = &workspace{}
 		}
-		ws = cap.ws
+		cs = &cap.ws.cold
+	} else {
+		cs = new(coldScratch)
 	}
-	t := newTableau(p, ws)
+	m := len(p.rows)
+	q := p
+	if p.bounded() {
+		q = cs.expandBounds(p)
+	}
+	t := newTableau(q, cs)
 	sol := &Solution{}
+
+	fail := func(st Status, err error) (*Solution, error) {
+		sol.Status = st
+		if cap != nil {
+			cap.Reset()
+		}
+		return sol, err
+	}
 
 	// Phase 1: drive the artificial variables to zero.
 	status := t.iterate(true)
 	sol.Pivots += t.pivots
 	if status == IterLimit {
-		sol.Status = IterLimit
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, ErrIterLimit
+		return fail(IterLimit, ErrIterLimit)
 	}
 	if t.phase1Obj() > feasTol {
-		sol.Status = Infeasible
 		t.recomputeObjRow() // exact reduced costs for the certificate
-		sol.Ray = t.farkasRay()
-		// A phase-1-terminal basis is almost never dual feasible for the
-		// real costs, so capturing it would make every later warm attempt
-		// factorize B⁻¹ only to bail to cold. Drop it; warm chains start
-		// from optimal (or warm-infeasible) bases only.
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, nil
+		sol.Ray = t.farkasRay()[:m]
+		return fail(Infeasible, nil)
 	}
 	t.pivotOutArtificials()
 
@@ -298,129 +313,87 @@ func (p *Problem) solveCold(cap *Basis) (*Solution, error) {
 	sol.Pivots += t.pivots
 	switch status {
 	case IterLimit:
-		sol.Status = IterLimit
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, ErrIterLimit
+		return fail(IterLimit, ErrIterLimit)
 	case Unbounded:
-		sol.Status = Unbounded
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, nil
+		return fail(Unbounded, nil)
 	}
 
 	sol.Status = Optimal
 	sol.X = t.primal()
 	sol.Obj = t.objective()
 	t.recomputeObjRow() // exact reduced costs for the duals
-	sol.Dual = t.duals()
+	sol.Dual = t.duals()[:m]
 	if cap != nil {
-		cap.capture(t)
+		if p.bounded() {
+			cap.captureBounded(p, t)
+		} else {
+			cap.capture(t)
+		}
 	}
 	return sol, nil
 }
 
-// solveColdBounded is the cold path for problems with variable bounds: the
-// bounds are expanded into explicit rows (x_j ≥ lo for lo > 0, x_j ≤ up for
-// finite up), the two-phase tableau solves the expansion, and the result is
-// mapped back. Dual and Ray are truncated to the original rows: bound-row
-// duals live on as nonbasic reduced costs in the bounded-variable warm path
-// (strong duality then reads Obj = Σ Dual·rhs + Σ_{nonbasic j} d_j·x_j),
-// and an infeasibility Ray is a box-Farkas certificate — Σ Ray·rhs exceeds
-// the slack the variable boxes can absorb (see revised.verifyRay).
-//
-// When cap is non-nil the expanded basis is folded into a bounded-variable
-// basis over the original rows: a structural variable is basic iff it is
-// basic in the expansion with none of its bound rows tight, and every
-// nonbasic structural records which bound it sits at. The fold can land on
-// a singular column set in degenerate corners; the next warm attempt then
-// detects that and falls back cold, so it costs performance, never
-// correctness.
-func (p *Problem) solveColdBounded(cap *Basis) (*Solution, error) {
+// coldScratch is the cold path's reusable storage, owned by a Basis
+// workspace: the tableau's dense state, the pivot kernel's gather buffers,
+// and — for bounded problems — the bound-row expansion and the fold's
+// membership flags.
+type coldScratch struct {
+	tab   tableau
+	a     []float64
+	obj   []float64
+	cost  []float64
+	basis []int
+	sign  []float64
+	eq    []bool
+	flip  []float64
+	cb    []float64
+
+	// Pivot-row gather (see tableau.pivot): column indices and values of the
+	// scaled pivot row's non-zero entries, rhs last.
+	nzIdx []int32
+	nzVal []float64
+
+	// Bound-row expansion (see expandBounds). lbRow/ubRow[j] is the expanded
+	// row index of x_j's lower/upper bound row, -1 when it has none.
+	exp            Problem
+	expRows        []row
+	expTerms       []Term
+	lbRow, ubRow   []int
+	structBasic    []bool
+	expMarkerBasic []bool
+}
+
+// expandBounds builds p's bound-row expansion in scratch storage. Structural
+// columns, costs and the original rows are shared read-only with p; only the
+// bound rows are written. The result is valid until the next call.
+func (cs *coldScratch) expandBounds(p *Problem) *Problem {
 	m, n := len(p.rows), len(p.cost)
-
-	// Build the expansion. Structural columns, costs and the original rows
-	// are shared read-only with p; only the bound rows are fresh.
-	q := &Problem{cost: p.cost, names: p.names}
-	q.rows = make([]row, m, m+2*n)
-	copy(q.rows, p.rows)
-	lbRow := make([]int, n)
-	ubRow := make([]int, n)
-	for j := range lbRow {
-		lbRow[j], ubRow[j] = -1, -1
+	cs.expRows = grow(cs.expRows, m+2*n)
+	cs.expTerms = grow(cs.expTerms, 2*n)
+	cs.lbRow = grow(cs.lbRow, n)
+	cs.ubRow = grow(cs.ubRow, n)
+	rows := cs.expRows[:m]
+	copy(rows, p.rows)
+	boundRow := func(j int, sense Sense, rhs float64) int {
+		k := len(rows) - m
+		cs.expTerms[k] = Term{Var: j, Coef: 1}
+		rows = append(rows, row{terms: cs.expTerms[k : k+1 : k+1], sense: sense, rhs: rhs})
+		return len(rows) - 1
 	}
 	for j := 0; j < n; j++ {
+		cs.lbRow[j] = -1
 		if p.lo[j] > 0 {
-			lbRow[j] = len(q.rows)
-			q.rows = append(q.rows, row{terms: []Term{{Var: j, Coef: 1}}, sense: GE, rhs: p.lo[j]})
+			cs.lbRow[j] = boundRow(j, GE, p.lo[j])
 		}
 	}
 	for j := 0; j < n; j++ {
+		cs.ubRow[j] = -1
 		if !math.IsInf(p.up[j], 1) {
-			ubRow[j] = len(q.rows)
-			q.rows = append(q.rows, row{terms: []Term{{Var: j, Coef: 1}}, sense: LE, rhs: p.up[j]})
+			cs.ubRow[j] = boundRow(j, LE, p.up[j])
 		}
 	}
-
-	var ws *workspace
-	if cap != nil {
-		if cap.ws == nil {
-			cap.ws = &workspace{}
-		}
-		ws = cap.ws
-	}
-	t := newTableau(q, ws)
-	sol := &Solution{}
-
-	status := t.iterate(true)
-	sol.Pivots += t.pivots
-	if status == IterLimit {
-		sol.Status = IterLimit
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, ErrIterLimit
-	}
-	if t.phase1Obj() > feasTol {
-		sol.Status = Infeasible
-		t.recomputeObjRow()
-		sol.Ray = t.farkasRay()[:m]
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, nil
-	}
-	t.pivotOutArtificials()
-
-	t.loadPhase2Costs()
-	status = t.iterate(false)
-	sol.Pivots += t.pivots
-	switch status {
-	case IterLimit:
-		sol.Status = IterLimit
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, ErrIterLimit
-	case Unbounded:
-		sol.Status = Unbounded
-		if cap != nil {
-			cap.Reset()
-		}
-		return sol, nil
-	}
-
-	sol.Status = Optimal
-	sol.X = t.primal()
-	sol.Obj = t.objective()
-	t.recomputeObjRow()
-	sol.Dual = t.duals()[:m]
-	if cap != nil {
-		cap.captureBounded(p, t, lbRow, ubRow)
-	}
-	return sol, nil
+	cs.exp = Problem{cost: p.cost, names: p.names, rows: rows}
+	return &cs.exp
 }
 
 // tableau is the dense simplex working state. Columns are laid out as
@@ -456,6 +429,9 @@ type tableau struct {
 
 	cb []float64 // recomputeObjRow scratch
 
+	nzIdx []int32   // pivot scratch: non-zero columns of the scaled pivot row
+	nzVal []float64 // ... and their values, parallel to nzIdx
+
 	pivots   int
 	inPhase1 bool
 }
@@ -463,33 +439,28 @@ type tableau struct {
 // row returns row i of the matrix including its rhs entry.
 func (t *tableau) row(i int) []float64 { return t.a[i*t.w1 : (i+1)*t.w1 : (i+1)*t.w1] }
 
-func newTableau(p *Problem, ws *workspace) *tableau {
+func newTableau(p *Problem, cs *coldScratch) *tableau {
 	m := len(p.rows)
 	n := len(p.cost)
+	w1 := n + m + 1
 
-	t := &tableau{p: p, m: m, n: n, width: n + m, w1: n + m + 1}
-	if ws != nil {
-		ws.tabSign = growF64(ws.tabSign, m)
-		ws.tabEq = growBool(ws.tabEq, m)
-		ws.tabFlip = growF64(ws.tabFlip, m)
-		ws.tabBasis = growInt(ws.tabBasis, m)
-		ws.tabCost = growF64(ws.tabCost, t.width)
-		ws.tabA = growF64(ws.tabA, m*t.w1)
-		ws.tabObj = growF64(ws.tabObj, t.w1)
-		ws.tabCB = growF64(ws.tabCB, m)
-		t.markerSign, t.eqMarker, t.flip = ws.tabSign, ws.tabEq, ws.tabFlip
-		t.basis, t.cost = ws.tabBasis, ws.tabCost
-		t.a, t.obj, t.cb = ws.tabA, ws.tabObj, ws.tabCB
-	} else {
-		t.markerSign = make([]float64, m)
-		t.eqMarker = make([]bool, m)
-		t.flip = make([]float64, m)
-		t.basis = make([]int, m)
-		t.cost = make([]float64, t.width)
-		t.a = make([]float64, m*t.w1)
-		t.obj = make([]float64, t.w1)
-		t.cb = make([]float64, m)
+	cs.sign = grow(cs.sign, m)
+	cs.eq = grow(cs.eq, m)
+	cs.flip = grow(cs.flip, m)
+	cs.basis = grow(cs.basis, m)
+	cs.cost = grow(cs.cost, n+m)
+	cs.a = grow(cs.a, m*w1)
+	cs.obj = grow(cs.obj, w1)
+	cs.cb = grow(cs.cb, m)
+	cs.nzIdx = grow(cs.nzIdx, w1)
+	cs.nzVal = grow(cs.nzVal, w1)
+	cs.tab = tableau{
+		p: p, m: m, n: n, width: n + m, w1: w1,
+		a: cs.a, obj: cs.obj, cost: cs.cost, basis: cs.basis,
+		markerSign: cs.sign, eqMarker: cs.eq, flip: cs.flip, cb: cs.cb,
+		nzIdx: cs.nzIdx, nzVal: cs.nzVal,
 	}
+	t := &cs.tab
 
 	for i := range p.rows {
 		r := &p.rows[i]
@@ -633,14 +604,32 @@ func (t *tableau) chooseLeaving(enter int) int {
 	return leave
 }
 
-// pivot makes column enter basic in row leave.
+// pivot makes column enter basic in row leave. A tableau row is mostly
+// zeros (the Benders master's pivot rows are 2–5 % dense), and an entry the
+// scaled pivot row holds as zero leaves every other row's entry in that
+// column as it was, so the row updates run over the pivot row's non-zero
+// columns only, gathered once per pivot. Each visited entry gets exactly the
+// arithmetic the flat loop gave it: entering and leaving choices and every
+// non-zero value are bit-identical to the dense kernel (pinned by
+// TestSparsePivotRefinesDense). The one difference is a sign: the flat loop
+// turned a stored −0 into +0 whenever f·rowL[j] was −0, the gather leaves it
+// −0. Signed zeros compare, add and multiply alike, so no choice ever sees
+// it. The rhs column is always in the list.
 func (t *tableau) pivot(leave, enter int) {
 	t.pivots++
 	rowL := t.row(leave)
 	inv := 1 / rowL[enter]
-	for j := 0; j <= t.width; j++ {
-		rowL[j] *= inv
+	idx, val := t.nzIdx, t.nzVal
+	nz := 0
+	for j, v := range rowL {
+		v *= inv
+		rowL[j] = v
+		if v != 0 || j == t.width {
+			idx[nz], val[nz] = int32(j), v
+			nz++
+		}
 	}
+	idx, val = idx[:nz], val[:nz]
 	for i := 0; i < t.m; i++ {
 		if i == leave {
 			continue
@@ -650,17 +639,17 @@ func (t *tableau) pivot(leave, enter int) {
 		if f == 0 {
 			continue
 		}
-		for j := 0; j <= t.width; j++ {
-			ri[j] -= f * rowL[j]
+		for k, j := range idx {
+			ri[j] -= f * val[k]
 		}
 		ri[enter] = 0 // kill roundoff residue exactly
 	}
-	f := t.obj[enter]
-	if f != 0 {
-		for j := 0; j <= t.width; j++ {
-			t.obj[j] -= f * rowL[j]
+	if f := t.obj[enter]; f != 0 {
+		obj := t.obj
+		for k, j := range idx {
+			obj[j] -= f * val[k]
 		}
-		t.obj[enter] = 0
+		obj[enter] = 0
 	}
 	t.basis[leave] = enter
 }

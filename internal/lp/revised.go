@@ -81,8 +81,8 @@ func (b *Basis) Reset() {
 // singular and the next warm attempt will detect it and fall back.
 func (b *Basis) capture(t *tableau) {
 	b.m, b.n = t.m, t.n
-	b.cols = growInt(b.cols, t.m)
-	b.stat = growU8(b.stat, t.width) // all nonbasic columns sit at zero
+	b.cols = grow(b.cols, t.m)
+	b.stat = grow(b.stat, t.width) // all nonbasic columns sit at zero
 	for i, c := range t.basis {
 		if c >= t.width {
 			c = t.n + i
@@ -93,8 +93,8 @@ func (b *Basis) capture(t *tableau) {
 }
 
 // captureBounded folds the final basis of a bound-row expansion tableau
-// (see solveColdBounded) into a bounded-variable basis over the original m
-// rows. A structural variable joins the basic set iff it is basic in the
+// (see solveCold, coldScratch.expandBounds) into a bounded-variable basis
+// over the original m rows. A structural variable joins the basic set iff it is basic in the
 // expansion with every one of its bound-row markers also basic (a nonbasic
 // bound marker means that bound is tight, so the variable really sits at a
 // bound); original-row markers carry over directly. Nonbasic statuses are
@@ -107,10 +107,13 @@ func (b *Basis) capture(t *tableau) {
 // singular set, which the next warm attempt detects and resolves with a
 // cold solve. The construction reads only the deterministic tableau end
 // state, so recapture is reproducible bit for bit.
-func (b *Basis) captureBounded(p *Problem, t *tableau, lbRow, ubRow []int) {
+func (b *Basis) captureBounded(p *Problem, t *tableau) {
 	m, n := len(p.rows), len(p.cost)
-	structBasic := make([]bool, n)
-	markerBasic := make([]bool, t.m)
+	cs := &b.ws.cold
+	lbRow, ubRow := cs.lbRow, cs.ubRow
+	cs.structBasic = grow(cs.structBasic, n)
+	cs.expMarkerBasic = grow(cs.expMarkerBasic, t.m)
+	structBasic, markerBasic := cs.structBasic, cs.expMarkerBasic
 	for i, c := range t.basis {
 		if c >= t.width {
 			c = t.n + i // virtual artificial of a redundant row → its marker
@@ -123,8 +126,8 @@ func (b *Basis) captureBounded(p *Problem, t *tableau, lbRow, ubRow []int) {
 	}
 
 	b.m, b.n = m, n
-	b.cols = growInt(b.cols, m)[:0]
-	b.stat = growU8(b.stat, n+m)
+	b.cols = grow(b.cols, m)[:0]
+	b.stat = grow(b.stat, n+m)
 	for j := 0; j < n; j++ {
 		lbFree := lbRow[j] < 0 || markerBasic[lbRow[j]]
 		ubFree := ubRow[j] < 0 || markerBasic[ubRow[j]]
@@ -280,46 +283,57 @@ func (r *revised) fixedCol(j int) bool {
 // caller must fall back to a cold solve.
 func (p *Problem) solveWarm(bs *Basis) (*Solution, bool) {
 	r := bs.prepare(p)
+	st := &r.ws.stats
 	if r.bounded && r.stat == nil {
-		return nil, false // basis predates the bounds: recapture cold
+		st.ColdStaleBounds++ // basis predates the bounds: recapture cold
+		return nil, false
 	}
 	if !r.ensureFactorized() {
+		st.ColdSingular++
 		return nil, false
 	}
 	r.computeXB()
 	if r.pinnedViolated() {
+		st.ColdNotFeasible++
 		return nil, false
 	}
 	r.computeY()
 
-	var st warmStatus
+	var end warmStatus
 	switch {
 	case r.dualFeasible():
-		st = r.dualSimplex()
+		end = r.dualSimplex()
 	case r.primalFeasible():
-		st = r.primalSimplex()
+		end = r.primalSimplex()
 	default:
+		st.ColdNotFeasible++
 		return nil, false
 	}
 
-	switch st {
+	switch end {
 	case warmOptimal:
 		sol := r.optimalSolution()
 		if !r.verifyOptimal(sol) {
+			st.ColdUnverified++
 			return nil, false
 		}
 		return sol, true
 	case warmInfeasible:
 		if !r.verifyRay() {
+			st.ColdUnverified++
 			return nil, false
 		}
 		sol := &r.ws.sol
 		*sol = Solution{Status: Infeasible, Ray: r.ray, Pivots: r.pivots}
 		return sol, true
-	default:
+	case warmUnbounded:
 		// Unbounded is rare on the workloads that warm-start (bounded
 		// slave LPs); re-derive it from the cold path where the result is
 		// established by the tableau's own certificates.
+		st.ColdUnbounded++
+		return nil, false
+	default:
+		st.ColdBailed++
 		return nil, false
 	}
 }
@@ -432,6 +446,7 @@ func (r *revised) ensureFactorized() bool {
 		eng = &r.ws.lu
 	}
 	if !eng.refactor(r) {
+		r.ws.stats.Singular++
 		return false
 	}
 	r.bs.eng = eng
@@ -557,10 +572,22 @@ func (r *revised) pivotUpdate(leave, enter int, u []float64, theta, enterVal flo
 		r.stat[enter] = atLower // meaningless while basic; keep deterministic
 	}
 
-	if r.bs.eng.update(leave, u) {
-		return r.refactorize()
+	st := &r.ws.stats
+	outcome := r.bs.eng.update(leave, u)
+	if outcome != refactorUnstable {
+		st.Updates++
 	}
-	return true
+	switch outcome {
+	case updateCommitted:
+		return true
+	case refactorPeriodic:
+		st.RefactorPeriodic++
+	case refactorFill:
+		st.RefactorFill++
+	case refactorUnstable:
+		st.RefactorUnstable++
+	}
+	return r.refactorize()
 }
 
 // applyFlips pushes nf recorded bound flips (workspace flipJ/flipDir)

@@ -9,64 +9,17 @@
 // TestWarmSteadyStateZeroAllocs pin holds it there.
 package lp
 
-// growF64 returns a zeroed float slice of length n, reusing buf's backing
-// array when it is large enough.
-func growF64(buf []float64, n int) []float64 {
+// grow returns a zeroed slice of length n, reusing buf's backing array when
+// it is large enough. A fresh array gets a quarter more capacity than asked
+// for: the Benders master gains one cut row per iteration, and with exact
+// sizing every iteration's slightly larger tableau (m·w1 floats, megabytes on
+// a metro pod) would be a new allocation. Callers only ever see len == n.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]float64, n)
+		return make([]T, n, n+n/4)
 	}
 	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growI32 is growF64 for int32 index slices.
-func growI32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growInt is growF64 for int slices.
-func growInt(buf []int, n int) []int {
-	if cap(buf) < n {
-		return make([]int, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growU8 is growF64 for byte slices.
-func growU8(buf []uint8, n int) []uint8 {
-	if cap(buf) < n {
-		return make([]uint8, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = 0
-	}
-	return buf
-}
-
-// growBool is growF64 for bool slices.
-func growBool(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i] = false
-	}
+	clear(buf)
 	return buf
 }
 
@@ -129,18 +82,12 @@ type workspace struct {
 	r     revised
 	lu    sparseLU
 	dense denseFactor
+	stats FactorStats
 
-	// Cold-path tableau reuse: when SolveFrom falls back to the two-phase
-	// tableau, its dense state is carved out of these buffers instead of
-	// being reallocated per solve.
-	tabA     []float64
-	tabObj   []float64
-	tabCost  []float64
-	tabBasis []int
-	tabSign  []float64
-	tabEq    []bool
-	tabFlip  []float64
-	tabCB    []float64
+	// Cold-path reuse: when SolveFrom falls back to the two-phase tableau
+	// (or a reset Basis cold-starts, the milp.Solver pattern), its dense
+	// state is carved out of these buffers instead of being reallocated.
+	cold coldScratch
 }
 
 // prepare (re)binds the workspace to problem p and basis bs, rebuilding the
@@ -163,9 +110,9 @@ func (b *Basis) prepare(p *Problem) *revised {
 		for i := range p.rows {
 			nnz += len(p.rows[i].terms)
 		}
-		ws.colPtr = growI32(ws.colPtr, n+1)
-		ws.colRow = growI32(ws.colRow, nnz)
-		ws.colVal = growF64(ws.colVal, nnz)
+		ws.colPtr = grow(ws.colPtr, n+1)
+		ws.colRow = grow(ws.colRow, nnz)
+		ws.colVal = grow(ws.colVal, nnz)
 		for i := range p.rows {
 			for _, tm := range p.rows[i].terms {
 				ws.colPtr[tm.Var+1]++
@@ -174,7 +121,7 @@ func (b *Basis) prepare(p *Problem) *revised {
 		for j := 0; j < n; j++ {
 			ws.colPtr[j+1] += ws.colPtr[j]
 		}
-		ws.fillCur = growI32(ws.fillCur, n)
+		ws.fillCur = grow(ws.fillCur, n)
 		next := ws.fillCur
 		copy(next, ws.colPtr[:n])
 		for i := range p.rows {
@@ -186,8 +133,8 @@ func (b *Basis) prepare(p *Problem) *revised {
 			}
 		}
 
-		ws.sigma = growF64(ws.sigma, m)
-		ws.pinned = growBool(ws.pinned, m)
+		ws.sigma = grow(ws.sigma, m)
+		ws.pinned = grow(ws.pinned, m)
 		for i := range p.rows {
 			switch p.rows[i].sense {
 			case LE:
@@ -200,27 +147,27 @@ func (b *Basis) prepare(p *Problem) *revised {
 			}
 		}
 
-		ws.rhs = growF64(ws.rhs, m)
-		ws.brhs = growF64(ws.brhs, m)
-		ws.candJ = growInt(ws.candJ, n+m)
-		ws.candW = growF64(ws.candW, n+m)
-		ws.candRatio = growF64(ws.candRatio, n+m)
-		ws.flipJ = growInt(ws.flipJ, n+m)
-		ws.flipDir = growF64(ws.flipDir, n+m)
-		ws.batchIn = growF64(ws.batchIn, ftranBatchMax*m)
-		ws.batchOut = growF64(ws.batchOut, ftranBatchMax*m)
-		ws.inBasis = growBool(ws.inBasis, n+m)
-		ws.xB = growF64(ws.xB, m)
-		ws.y = growF64(ws.y, m)
-		ws.u = growF64(ws.u, m)
-		ws.rho = growF64(ws.rho, m)
-		ws.unit = growF64(ws.unit, m)
-		ws.scat = growF64(ws.scat, m)
-		ws.dwRow = growF64(ws.dwRow, m)
-		ws.dwCol = growF64(ws.dwCol, n+m)
-		ws.x = growF64(ws.x, n)
-		ws.dual = growF64(ws.dual, m)
-		ws.ray = growF64(ws.ray, m)
+		ws.rhs = grow(ws.rhs, m)
+		ws.brhs = grow(ws.brhs, m)
+		ws.candJ = grow(ws.candJ, n+m)
+		ws.candW = grow(ws.candW, n+m)
+		ws.candRatio = grow(ws.candRatio, n+m)
+		ws.flipJ = grow(ws.flipJ, n+m)
+		ws.flipDir = grow(ws.flipDir, n+m)
+		ws.batchIn = grow(ws.batchIn, ftranBatchMax*m)
+		ws.batchOut = grow(ws.batchOut, ftranBatchMax*m)
+		ws.inBasis = grow(ws.inBasis, n+m)
+		ws.xB = grow(ws.xB, m)
+		ws.y = grow(ws.y, m)
+		ws.u = grow(ws.u, m)
+		ws.rho = grow(ws.rho, m)
+		ws.unit = grow(ws.unit, m)
+		ws.scat = grow(ws.scat, m)
+		ws.dwRow = grow(ws.dwRow, m)
+		ws.dwCol = grow(ws.dwCol, n+m)
+		ws.x = grow(ws.x, n)
+		ws.dual = grow(ws.dual, m)
+		ws.ray = grow(ws.ray, m)
 	}
 
 	// Cheap per-solve refresh.

@@ -15,4 +15,11 @@
 // one shared lp.Basis via SolveFrom, a few dual-simplex pivots instead of
 // cloning the problem and cold-solving it (DESIGN.md §11). Exploration
 // order, branching and tie resolution are deterministic.
+//
+// Solve is one-shot. A caller that solves a sequence of related problems —
+// the Benders loop re-solves a master one cut row larger every iteration —
+// holds a Solver instead: it resets the basis before every search (no solver
+// state carries over, so results and pivot paths equal one-shot solves) but
+// keeps the LP workspace, above all the root relaxation's dense tableau
+// (DESIGN.md §12).
 package milp

@@ -105,6 +105,29 @@ func (q *nodeQueue) Pop() interface{} {
 	return it
 }
 
+// Solver runs branch-and-bound solves one after another out of one LP
+// workspace. Nothing but allocated memory carries from one Solve to the next
+// — the basis is reset before every search, so each solve takes exactly the
+// pivot path a fresh Solver would — but the memory is the point: a Benders
+// master is re-solved every iteration, one cut row larger each time, and its
+// root relaxation's dense tableau is megabytes on a metro pod. Whoever runs
+// a sequence of solves holds one Solver for all of them (a Benders loop
+// borrows one from core's pool for its masters). The zero value is ready to
+// use; a Solver is not safe for concurrent use.
+type Solver struct {
+	// basis is the shared warm-start state of one search: every node's
+	// relaxation re-enters from the previous node's final basis (a pure
+	// bound change, so the dual simplex path applies; anything it cannot
+	// certify falls back cold and recaptures — lp.SolveFrom's safety
+	// contract).
+	basis lp.Basis
+}
+
+// Solve is a one-shot solve on a fresh Solver.
+func Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
+	return new(Solver).Solve(p, binaries, opts)
+}
+
 // Solve minimizes the problem p with the listed variables restricted to
 // {0, 1}. Rows keeping those variables in [0, 1] are NOT required: the
 // binaries get native [0, 1] boxes (which double as the root-relaxation
@@ -113,8 +136,9 @@ func (q *nodeQueue) Pop() interface{} {
 // added, so the whole tree reuses one structural cache and one warm basis.
 //
 // p is not mutated.
-func Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
+func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
+	s.basis.Reset()
 	sol := &Solution{Status: Infeasible, Obj: math.Inf(1)}
 
 	root := p.Clone()
@@ -187,12 +211,6 @@ func Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
 	heap.Init(q)
 	heap.Push(q, &node{fixed: map[int]float64{}, bound: math.Inf(-1)})
 
-	// The shared warm-start state: every node's relaxation re-enters from
-	// the previous node's final basis (a pure bound change, so the dual
-	// simplex path applies; anything it cannot certify falls back cold and
-	// recaptures — lp.SolveFrom's safety contract).
-	var basis lp.Basis
-
 	var incumbent []float64
 	incumbentObj := math.Inf(1) // reduced-space objective
 	haveIncumbent := false
@@ -226,7 +244,7 @@ func Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, error) {
 		sol.Nodes++
 
 		applyNode(nd)
-		res, err := work.SolveFrom(&basis)
+		res, err := work.SolveFrom(&s.basis)
 		if err != nil {
 			return sol, err
 		}

@@ -3,6 +3,8 @@ package milp
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -227,5 +229,70 @@ func TestStatusString(t *testing.T) {
 	}
 	if Status(42).String() == "" {
 		t.Error("unknown status must print")
+	}
+}
+
+// growingMaster is a Benders-master-shaped MILP: n binaries in groups of
+// four under at-most-one rows, chained by "same choice" rows, with a
+// continuous θ bounded below by cuts. addCut appends one more cut row, the
+// way every Benders iteration does.
+func growingMaster(n int) (p *lp.Problem, bins []int, addCut func()) {
+	rng := rand.New(rand.NewSource(7))
+	p = lp.New()
+	for j := 0; j < n; j++ {
+		bins = append(bins, p.AddVar("", -1-rng.Float64()))
+	}
+	theta := p.AddVar("", 1)
+	for g := 0; g+4 <= n; g += 4 {
+		p.AddConstraint(lp.LE, 1, lp.T(g, 1), lp.T(g+1, 1), lp.T(g+2, 1), lp.T(g+3, 1))
+		if g+8 <= n {
+			p.AddConstraint(lp.LE, 0, lp.T(g, 1), lp.T(g+4, -1))
+			p.AddConstraint(lp.LE, 0, lp.T(g+1, 1), lp.T(g+5, -1))
+		}
+	}
+	addCut = func() {
+		terms := []lp.Term{lp.T(theta, 1)}
+		for j := 0; j < n; j += 1 + rng.Intn(6) {
+			terms = append(terms, lp.T(j, -0.01*rng.Float64()))
+		}
+		p.AddConstraint(lp.GE, 1+rng.Float64(), terms...)
+	}
+	addCut()
+	return p, bins, addCut
+}
+
+// TestSolverReusesWorkspaceAcrossGrowingMasters pins the cold path's
+// allocation contract: a Solver re-solving a master that gains one cut row
+// per call pays for the LP workspace — above all the root relaxation's dense
+// tableau — once. Every later call must allocate under 5 % of the first
+// call's bytes (what remains is the per-solve clone, presolve and the
+// returned solution), which exact-fit buffer sizing would fail on every call
+// because each master is one row larger than the last. Solutions must equal
+// a one-shot Solve's: the kept workspace carries memory, never state.
+func TestSolverReusesWorkspaceAcrossGrowingMasters(t *testing.T) {
+	p, bins, addCut := growingMaster(480)
+	var solver Solver
+	var ms runtime.MemStats
+	var first uint64
+	for call := 0; call < 10; call++ {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		got, err := solver.Solve(p, bins, Options{})
+		runtime.ReadMemStats(&ms)
+		bytes := ms.TotalAlloc - before
+		t.Logf("call %d: %d bytes, %d nodes", call, bytes, got.Nodes)
+		if err != nil || got.Status != Optimal {
+			t.Fatalf("call %d: %v %v", call, got.Status, err)
+		}
+		if call == 0 {
+			first = bytes
+		} else if bytes*20 >= first {
+			t.Errorf("call %d allocated %d bytes, want < 5%% of the first call's %d", call, bytes, first)
+		}
+		want, err := Solve(p, bins, Options{})
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("call %d: reused solver returned %+v, one-shot %+v (%v)", call, got, want, err)
+		}
+		addCut()
 	}
 }

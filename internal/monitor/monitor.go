@@ -1,10 +1,13 @@
 package monitor
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -31,7 +34,22 @@ const LoadMetric = "load_mbps"
 // and the key the closed-loop controller reads a slice's per-BS series
 // back under (ElementEpochSamples) to score them against the reservation
 // vector.
-func BSElement(b int) string { return fmt.Sprintf("bs%d", b) }
+func BSElement(b int) string {
+	if b >= 0 && b < len(bsElements) {
+		return bsElements[b]
+	}
+	return "bs" + strconv.Itoa(b)
+}
+
+// bsElements holds the first BSElement names ready-made: the settle and
+// observe phases ask for one per slice per BS per epoch.
+var bsElements = func() [256]string {
+	var names [256]string
+	for b := range names {
+		names[b] = "bs" + strconv.Itoa(b)
+	}
+	return names
+}()
 
 // Store is the in-memory time-series database. It retains a bounded number
 // of samples per series (ring retention) and supports the per-epoch
@@ -40,6 +58,11 @@ type Store struct {
 	mu     sync.RWMutex
 	retain int
 	series map[key][]Sample
+	// unordered marks the series that received a sample older than its
+	// predecessor. Agents report epoch by epoch, so none normally does, and
+	// an ordered series lets a per-epoch read stop at the epoch's first
+	// sample instead of scanning the retention window.
+	unordered map[key]bool
 }
 
 // NewStore creates a store retaining up to retain samples per series
@@ -56,7 +79,14 @@ func (s *Store) Add(sm Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := key{sm.Slice, sm.Metric, sm.Element}
-	ser := append(s.series[k], sm)
+	ser := s.series[k]
+	if n := len(ser); n > 0 && sm.Epoch < ser[n-1].Epoch {
+		if s.unordered == nil {
+			s.unordered = make(map[key]bool)
+		}
+		s.unordered[k] = true
+	}
+	ser = append(ser, sm)
 	if len(ser) > s.retain {
 		ser = ser[len(ser)-s.retain:]
 	}
@@ -88,24 +118,45 @@ func (s *Store) EpochPeak(slice, metric string, epoch int) (float64, bool) {
 // ElementEpochSamples returns the samples one (slice, metric, element)
 // series holds for the given epoch, sorted by (theta, value) so any
 // accounting folded over it is deterministic regardless of ingest
-// interleaving. It is a single series lookup, so per-slice accounting
-// loops — the closed loop's settle phase runs one per committed slice per
-// epoch — stay linear in that series' retained samples instead of
-// scanning every series in the store.
+// interleaving. It is a single series lookup, and on a series ingested in
+// epoch order (every in-tree agent's) it reads backwards from the newest
+// sample and stops at the first one older than the epoch, so per-slice
+// accounting loops — the closed loop's settle phase runs one per committed
+// slice per BS per epoch — cost the epoch's samples, not the series'
+// retention window.
 func (s *Store) ElementEpochSamples(slice, metric, element string, epoch int) []Sample {
+	k := key{slice, metric, element}
 	s.mu.RLock()
+	ser := s.series[k]
 	var out []Sample
-	for _, sm := range s.series[key{slice, metric, element}] {
-		if sm.Epoch == epoch {
-			out = append(out, sm)
+	if s.unordered[k] {
+		for _, sm := range ser {
+			if sm.Epoch == epoch {
+				out = append(out, sm)
+			}
 		}
+	} else {
+		hi := len(ser)
+		for hi > 0 && ser[hi-1].Epoch > epoch {
+			hi--
+		}
+		lo := hi
+		for lo > 0 && ser[lo-1].Epoch == epoch {
+			lo--
+		}
+		out = append(out, ser[lo:hi]...)
 	}
 	s.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Theta != out[j].Theta {
-			return out[i].Theta < out[j].Theta
+	slices.SortFunc(out, func(a, b Sample) int {
+		switch {
+		case a.Theta != b.Theta:
+			return cmp.Compare(a.Theta, b.Theta)
+		case a.Value < b.Value:
+			return -1
+		case b.Value < a.Value:
+			return 1
 		}
-		return out[i].Value < out[j].Value
+		return 0
 	})
 	return out
 }

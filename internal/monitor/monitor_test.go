@@ -1,6 +1,10 @@
 package monitor
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 )
@@ -183,5 +187,73 @@ func TestElementEpochSamples(t *testing.T) {
 	}
 	if got := s.ElementEpochSamples("u1", LoadMetric, BSElement(7), 3); len(got) != 0 {
 		t.Fatalf("samples for an element never written: %+v", got)
+	}
+}
+
+// elementEpochSamplesRef is ElementEpochSamples as it was before the
+// tail-scan: a full forward scan of the series and a reflection-based sort.
+// Kept as the reference the fast read must equal element for element.
+func elementEpochSamplesRef(s *Store, slice, metric, element string, epoch int) []Sample {
+	s.mu.RLock()
+	var out []Sample
+	for _, sm := range s.series[key{slice, metric, element}] {
+		if sm.Epoch == epoch {
+			out = append(out, sm)
+		}
+	}
+	s.mu.RUnlock()
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Theta != out[j].Theta {
+			return out[i].Theta < out[j].Theta
+		}
+		return out[i].Value < out[j].Value
+	})
+	return out
+}
+
+// TestElementEpochSamplesMatchesFullScan drives the tail-scan read and the
+// old full-scan read over the same stores — epoch-ordered series with
+// shuffled slots and tied (theta, value) pairs, a series trimmed by
+// retention, and series that received late samples for older epochs (which
+// must take the full-scan fallback) — and requires identical slices,
+// nil-ness included, for every epoch in and around the stored range.
+func TestElementEpochSamplesMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 60; trial++ {
+		s := NewStore(1 + rng.Intn(80))
+		lateEvery := 0 // 0: strictly epoch-ordered ingest
+		if trial%3 == 2 {
+			lateEvery = 2 + rng.Intn(9)
+		}
+		epochs := 1 + rng.Intn(12)
+		n := 0
+		for e := 0; e < epochs; e++ {
+			for k, slots := 0, rng.Intn(9); k < slots; k++ {
+				sm := Sample{Slice: "s", Metric: LoadMetric, Element: BSElement(trial % 2),
+					Epoch: e, Theta: rng.Intn(4), Value: float64(rng.Intn(3))}
+				if n++; lateEvery > 0 && n%lateEvery == 0 {
+					sm.Epoch = rng.Intn(e + 1)
+				}
+				s.Add(sm)
+			}
+		}
+		for e := -1; e <= epochs; e++ {
+			for _, el := range []string{"bs0", "bs1"} {
+				got := s.ElementEpochSamples("s", LoadMetric, el, e)
+				want := elementEpochSamplesRef(s, "s", LoadMetric, el, e)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d (retain %d, late every %d) %s epoch %d:\n got  %v\n want %v",
+						trial, s.retain, lateEvery, el, e, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestBSElementNames(t *testing.T) {
+	for _, b := range []int{0, 7, 23, len(bsElements) - 1, len(bsElements), 1055, -1} {
+		if got, want := BSElement(b), fmt.Sprintf("bs%d", b); got != want {
+			t.Errorf("BSElement(%d) = %q, want %q", b, got, want)
+		}
 	}
 }

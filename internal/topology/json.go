@@ -71,9 +71,11 @@ func (n *Network) validate() error {
 			return fmt.Errorf("topology: BS %d has non-positive radio parameters", i)
 		}
 	}
+	// A CU sits on a CU node or is co-located with a switch (Metro puts each
+	// pod's edge CU on the pod gateway); a radio site never hosts one.
 	for i, cu := range n.CUs {
-		if !inRange(cu.Node) || n.Nodes[cu.Node].Kind != CUNode {
-			return fmt.Errorf("topology: CU %d references node %d which is not a CU node", i, cu.Node)
+		if !inRange(cu.Node) || n.Nodes[cu.Node].Kind == BSNode {
+			return fmt.Errorf("topology: CU %d references node %d which is not a CU or switch node", i, cu.Node)
 		}
 		if cu.CPUCores <= 0 {
 			return fmt.Errorf("topology: CU %d has non-positive CPU pool", i)

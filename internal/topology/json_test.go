@@ -2,6 +2,7 @@ package topology
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,7 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 		"bad link":        `{"name":"x","nodes":[{"ID":0},{"ID":1}],"links":[{"ID":0,"A":0,"B":0,"CapMbps":5}]}`,
 		"zero capacity":   `{"name":"x","nodes":[{"ID":0},{"ID":1}],"links":[{"ID":0,"A":0,"B":1}]}`,
 		"bs wrong kind":   `{"name":"x","nodes":[{"ID":0,"Kind":0}],"base_stations":[{"Node":0,"CapMHz":20,"Eta":0.13}]}`,
+		"cu on bs node":   `{"name":"x","nodes":[{"ID":0,"Kind":1}],"computing_units":[{"Node":0,"CPUCores":4}]}`,
 		"cu out of range": `{"name":"x","nodes":[{"ID":0,"Kind":2}],"computing_units":[{"Node":5,"CPUCores":4}]}`,
 		"cu zero pool":    `{"name":"x","nodes":[{"ID":0,"Kind":2}],"computing_units":[{"Node":0,"CPUCores":0}]}`,
 	}
@@ -65,5 +67,31 @@ func TestReadJSONMinimalValid(t *testing.T) {
 	}
 	if got := len(n.Paths(2)[0][0]); got != 1 {
 		t.Errorf("expected 1 path through the minimal network, got %d", got)
+	}
+}
+
+// TestMetroJSONRoundTrip pins that the metro archetype survives its own wire
+// form — one pod (what a cluster worker is assigned) and a multi-pod network
+// with a partial last pod. Metro co-locates each pod's edge CU with the pod
+// gateway, a switch node.
+func TestMetroJSONRoundTrip(t *testing.T) {
+	for _, nBS := range []int{MetroPodBS, 2*MetroPodBS + 5} {
+		orig := Metro(nBS)
+		var buf bytes.Buffer
+		if err := orig.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("Metro(%d): %v", nBS, err)
+		}
+		if back.Name != orig.Name || !reflect.DeepEqual(back.Nodes, orig.Nodes) ||
+			!reflect.DeepEqual(back.Links, orig.Links) || !reflect.DeepEqual(back.BSs, orig.BSs) ||
+			!reflect.DeepEqual(back.CUs, orig.CUs) {
+			t.Fatalf("Metro(%d): round trip changed the network", nBS)
+		}
+		if !reflect.DeepEqual(back.Paths(1), orig.Paths(1)) {
+			t.Fatalf("Metro(%d): round trip changed the path sets", nBS)
+		}
 	}
 }
