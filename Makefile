@@ -11,7 +11,7 @@ GO ?= go
 # deletions or big untested subsystems.
 COVER_FLOOR ?= 75.9
 
-.PHONY: build test test-race vet fmt-check lint bench bench-smoke bench-json bench-compare bench-pins fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
+.PHONY: build test test-race vet fmt-check lint lines bench bench-smoke bench-json bench-compare bench-pins fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
 
 build:
 	$(GO) build ./...
@@ -42,6 +42,20 @@ lint:
 	else \
 		echo "lint: staticcheck $(STATICCHECK_VERSION) unfetchable (offline); skipping"; \
 	fi
+
+# lines reports the size ROADMAP aim 2 tracks: non-test Go lines under
+# internal/ + cmd/, and for the four packages of the round path. Report
+# only — each PR states which way the figures moved and why (CHANGES.md).
+LINES_PKGS ?= admission cluster wal ctrlplane
+
+lines:
+	@count() { find "$$@" -name '*.go' -not -name '*_test.go' | xargs cat | wc -l; }; \
+	printf 'non-test Go lines\n  %-22s %6d\n' 'internal/ + cmd/' $$(count internal cmd); \
+	sum=0; for p in $(LINES_PKGS); do \
+		n=$$(count internal/$$p); sum=$$((sum + n)); \
+		printf '  %-22s %6d\n' internal/$$p $$n; \
+	done; \
+	printf '  %-22s %6d\n' 'round path (the four)' $$sum
 
 # bench regenerates every figure/table artifact with real timing.
 bench:
@@ -228,4 +242,4 @@ cover:
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN{exit !(t>=f)}' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-ci: build vet fmt-check lint docs-check links-check test-race cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins bench-json bench-compare
+ci: build vet fmt-check lint lines docs-check links-check test-race cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins bench-json bench-compare

@@ -1,10 +1,12 @@
 // Command simctl regenerates the paper's simulation artifacts (Table 1,
-// Fig. 4, Fig. 5, Fig. 6 and the ablations) from the command line.
+// Fig. 4, Fig. 5, Fig. 6, the ablations and the §5 testbed day of Fig. 8)
+// from the command line.
 //
 // Usage:
 //
 //	simctl -experiment fig5 [-nbs 4] [-tenants 10] [-epochs 16] [-algo direct]
 //	simctl -experiment fig4 -full        # full 198/197/200-BS topologies
+//	simctl -experiment fig8 [-epochs 18] [-algo direct] [-seed 7]
 //	simctl -experiment all               # every artifact back to back
 //	simctl -experiment fig5 -cpuprofile cpu.out -memprofile mem.out
 //
@@ -25,6 +27,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/profiling"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -33,13 +36,13 @@ func main() {
 	log.SetPrefix("simctl: ")
 
 	var (
-		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | fig6 | sla | scaling | forecast | all")
+		experiment = flag.String("experiment", "all", "table1 | fig4 | fig5 | fig6 | fig8 | sla | scaling | forecast | all")
 		nbs        = flag.Int("nbs", 4, "BS count for scaled operator topologies")
 		tenants    = flag.Int("tenants", 8, "slice requests per scenario")
-		epochs     = flag.Int("epochs", 16, "decision epochs per run")
+		epochs     = flag.Int("epochs", 16, "decision epochs per run (fig8: 18, the emulated day)")
 		algoName   = flag.String("algo", "direct", "overbooking solver: direct | benders | kac")
 		full       = flag.Bool("full", false, "use the full published topology sizes (fig4; fig5/fig6 switch to the KAC solver)")
-		seed       = flag.Int64("seed", 42, "base RNG seed")
+		seed       = flag.Int64("seed", 42, "base RNG seed (fig8: 7)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
@@ -51,7 +54,7 @@ func main() {
 	}
 	defer stopProfiles()
 
-	algo, err := parseAlgo(*algoName)
+	algo, err := scenario.ParseAlgorithm(*algoName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -90,6 +93,30 @@ func main() {
 				log.Fatal(err)
 			}
 			experiments.PrintFig6(os.Stdout, pts)
+		case "fig8":
+			// The §5 proof of concept: nine heterogeneous requests arriving
+			// every two epochs on the emulated 2-BS / 2-CU testbed, once
+			// with overbooking and once with the no-overbooking baseline.
+			// The day has its own defaults unless the flags were given.
+			day := experiments.Fig8Config{Algorithm: algo, Epochs: 18, Seed: 7}
+			flag.Visit(func(f *flag.Flag) {
+				switch f.Name {
+				case "epochs":
+					day.Epochs = *epochs
+				case "seed":
+					day.Seed = *seed
+				}
+			})
+			ours, err := experiments.Fig8(day)
+			if err != nil {
+				log.Fatal(err)
+			}
+			day.Algorithm = sim.NoOverbooking
+			baseline, err := experiments.Fig8(day)
+			if err != nil {
+				log.Fatal(err)
+			}
+			experiments.PrintFig8(os.Stdout, ours, baseline)
 		case "sla":
 			rows, err := experiments.SLAViolationStudy(*nbs, *tenants, 2**epochs, *seed)
 			if err != nil {
@@ -110,23 +137,11 @@ func main() {
 	}
 
 	if *experiment == "all" {
-		for _, name := range []string{"table1", "fig4", "fig5", "fig6", "sla", "scaling", "forecast"} {
+		for _, name := range []string{"table1", "fig4", "fig5", "fig6", "fig8", "sla", "scaling", "forecast"} {
 			fmt.Println()
 			run(name)
 		}
 		return
 	}
 	run(*experiment)
-}
-
-func parseAlgo(s string) (sim.Algorithm, error) {
-	switch s {
-	case "direct":
-		return sim.Direct, nil
-	case "benders":
-		return sim.Benders, nil
-	case "kac":
-		return sim.KAC, nil
-	}
-	return 0, fmt.Errorf("unknown algorithm %q (want direct, benders or kac)", s)
 }

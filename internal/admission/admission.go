@@ -184,9 +184,10 @@ type DomainConfig struct {
 }
 
 // Normalized returns the config exactly as the engine will use it —
-// defaults applied, BigM sign resolved — or the validation error AddDomain
-// would return. The cluster layer normalizes a domain spec once here so
-// coordinator-side and worker-side solves assemble identical instances.
+// defaults applied, BigM sign resolved. The cluster layer normalizes a
+// domain spec once here so coordinator-side and worker-side solves assemble
+// identical instances. The algorithm name is checked where the solver is
+// built (NewLocalSolver, which AddDomain calls).
 func (dc DomainConfig) Normalized() (DomainConfig, error) { return dc.withDefaults() }
 
 func (dc DomainConfig) withDefaults() (DomainConfig, error) {
@@ -198,11 +199,6 @@ func (dc DomainConfig) withDefaults() (DomainConfig, error) {
 	}
 	if dc.Algorithm == "" {
 		dc.Algorithm = "benders"
-	}
-	switch dc.Algorithm {
-	case "benders", "direct", "kac", "no-overbooking":
-	default:
-		return dc, fmt.Errorf("admission: unknown algorithm %q", dc.Algorithm)
 	}
 	if dc.BigM == 0 {
 		dc.BigM = 1e4

@@ -27,7 +27,10 @@
 //  3. Warm sharded solving. Each operator domain is pinned to exactly one
 //     shard (round-robin in registration order, so the placement is
 //     deterministic and balanced), and every round of a domain executes serially on
-//     that shard against the domain's own core.BendersSession. Rounds that
+//     that shard through one Executor call: the domain's LocalSolver (path
+//     sets, live network, its own core.BendersSession), or a remote
+//     executor handed the same inputs (internal/cluster, whose workers
+//     host LocalSolvers too). Rounds that
 //     only drift forecasts therefore rebind the slave LP instead of
 //     rebuilding it (PR 1/2's sameSolverShape machinery); rounds that
 //     change the tenant set cold-rebuild, which is always correct. Shards

@@ -85,10 +85,13 @@ type member struct {
 // place two dmus are held at once is Handover, which always takes them in
 // domain-name order, so there is no ordering to get wrong elsewhere.
 type domain struct {
-	name   string
-	cfg    DomainConfig
-	shard  *shard
-	paths  [][][]topology.Path
+	name  string
+	cfg   DomainConfig
+	shard *shard
+	// solver is the domain's in-process Executor: path sets, warm solve
+	// function and the live network. Rounds solve through it unless
+	// cfg.Executor takes them remote; replay always does.
+	solver *LocalSolver
 	filter prefilter
 
 	// Guarded by Engine.mu.
@@ -99,13 +102,10 @@ type domain struct {
 	dmu       sync.Mutex
 	committed []*member
 	byName    map[string]*member
-	solveFn   func(*core.Instance) (*core.Decision, error)
 	rounds    uint64
-	// curNet is the network rounds currently solve against: cfg.Net with
-	// every ApplyTopology event folded in (topoEvents, in arrival order).
-	// A topology event swaps the pointer, which the warm solver treats as
-	// a shape change — the next round rebuilds cold, by design.
-	curNet     *topology.Network
+	// topoEvents is every ApplyTopology event in arrival order; each round
+	// hands the whole list to its Executor, which solves against cfg.Net
+	// with the list folded in.
 	topoEvents []topology.Event
 }
 
@@ -138,24 +138,17 @@ func (e *Engine) AddDomain(name string, dc DomainConfig) error {
 	if err != nil {
 		return err
 	}
+	solver, err := NewLocalSolver(dc)
+	if err != nil {
+		return err
+	}
 	d := &domain{
 		name:   name,
 		cfg:    dc,
-		paths:  dc.Net.Paths(dc.KPaths),
+		solver: solver,
+		filter: newPrefilter(dc, solver.Paths()),
 		names:  map[string]bool{},
 		byName: map[string]*member{},
-		curNet: dc.Net,
-	}
-	d.filter = newPrefilter(dc, d.paths)
-	switch dc.Algorithm {
-	case "benders":
-		d.solveFn = core.NewBendersSession(dc.Benders).Solve
-	case "direct", "no-overbooking":
-		d.solveFn = core.SolveDirect
-	case "kac":
-		d.solveFn = func(inst *core.Instance) (*core.Decision, error) {
-			return core.SolveKAC(inst, core.KACOptions{})
-		}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -184,6 +177,21 @@ func (e *Engine) SetExecutor(domainName string, exec Executor) error {
 	d.dmu.Lock()
 	d.cfg.Executor = exec
 	d.dmu.Unlock()
+	return nil
+}
+
+// SetLog installs the engine's durability hook after New — the seam a
+// standby is promoted through: it replays the leader's log with no log of
+// its own (nothing to re-describe), then gains the opened store before
+// Start. Only an engine that has not started takes a log: Start is what
+// publishes it to the shard goroutines.
+func (e *Engine) SetLog(log RoundLog) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.state != stateNew {
+		return fmt.Errorf("admission: SetLog on a started engine")
+	}
+	e.cfg.Log = log
 	return nil
 }
 
@@ -432,15 +440,20 @@ func (e *Engine) CommittedDetail(domainName string) ([]CommittedSlice, error) {
 	defer d.dmu.Unlock()
 	out := make([]CommittedSlice, len(d.committed))
 	for i, m := range d.committed {
-		out[i] = CommittedSlice{
-			Name: m.name, Tenant: m.tenant, SLA: m.sla,
-			LambdaHat: m.lambdaHat, Sigma: m.sigma,
-			Remaining: m.remaining, CU: m.cu,
-			Reserved: append([]float64(nil), m.reserved...),
-			PathIdx:  append([]int(nil), m.pathIdx...),
-		}
+		out[i] = m.detail()
 	}
 	return out, nil
+}
+
+// detail copies the member's state out.
+func (m *member) detail() CommittedSlice {
+	return CommittedSlice{
+		Name: m.name, Tenant: m.tenant, SLA: m.sla,
+		LambdaHat: m.lambdaHat, Sigma: m.sigma,
+		Remaining: m.remaining, CU: m.cu,
+		Reserved: append([]float64(nil), m.reserved...),
+		PathIdx:  append([]int(nil), m.pathIdx...),
+	}
 }
 
 // Advance ticks the domain's epoch clock: committed lifetimes decrement and
@@ -512,8 +525,9 @@ func (e *Engine) ApplyTopology(domainName string, events []topology.Event) error
 	merged := make([]topology.Event, 0, len(d.topoEvents)+len(events))
 	merged = append(merged, d.topoEvents...)
 	merged = append(merged, events...)
-	net, err := topology.Apply(d.cfg.Net, merged)
-	if err != nil {
+	// Validates the events and derives the live network once, here, outside
+	// any round.
+	if err := d.solver.SetTopology(merged); err != nil {
 		return fmt.Errorf("admission: %w", err)
 	}
 	if e.cfg.Log != nil {
@@ -528,7 +542,6 @@ func (e *Engine) ApplyTopology(domainName string, events []topology.Event) error
 		}
 	}
 	d.topoEvents = merged
-	d.curNet = net
 	return nil
 }
 
@@ -615,7 +628,7 @@ func (e *Engine) Handover(fromDomain, toDomain, name string) error {
 		return fail(fmt.Errorf("admission: handover %q: CU %d not present in domain %q", name, m.cu, toDomain))
 	}
 	for b, pi := range m.pathIdx {
-		if pi < 0 || pi >= len(to.paths[b][m.cu]) {
+		if pi < 0 || pi >= len(to.solver.Paths()[b][m.cu]) {
 			return fail(fmt.Errorf("admission: handover %q: path %d not available at BS %d in domain %q",
 				name, pi, b, toDomain))
 		}
@@ -654,7 +667,7 @@ func (e *Engine) Paths(domainName string) ([][][]topology.Path, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.paths, nil
+	return d.solver.Paths(), nil
 }
 
 // Committed lists the domain's committed slice names in admission order.
@@ -843,18 +856,16 @@ func (e *Engine) execRound(job *roundJob) {
 		// Logging failed; decide nothing.
 	case len(specs) == 0:
 		dec = &core.Decision{} // nothing to decide, nothing to re-optimize
-	case d.cfg.Executor != nil && !job.replay:
-		// Remote solve: the executor sees the same canonical inputs the
-		// local branch below would and is contractually bit-identical.
-		// Replay deliberately stays on the local branch — recovery must
-		// not depend on workers having rejoined.
-		dec, err = d.cfg.Executor.SolveRound(d.name, r.Seq, d.topoEvents, specs)
 	default:
-		inst := &core.Instance{
-			Net: d.curNet, Paths: d.paths, Tenants: specs,
-			Overbook: d.cfg.overbook(), BigM: d.cfg.BigM, RiskHorizon: d.cfg.RiskHorizon,
+		// One solve call: a remote executor sees the same canonical inputs
+		// the local solver does and is contractually bit-identical. Replay
+		// deliberately stays local — recovery must not depend on workers
+		// having rejoined.
+		exec := Executor(d.solver)
+		if d.cfg.Executor != nil && !job.replay {
+			exec = d.cfg.Executor
 		}
-		dec, err = d.solveFn(inst)
+		dec, err = exec.SolveRound(d.name, r.Seq, d.topoEvents, specs)
 	}
 
 	outcomes := make([]Outcome, len(job.batch))

@@ -42,13 +42,7 @@ func (e *Engine) ExportDomain(domainName string) (DomainState, error) {
 	st := DomainState{Name: d.name, Rounds: d.rounds,
 		TopoEvents: append([]topology.Event(nil), d.topoEvents...)}
 	for _, m := range d.committed {
-		st.Committed = append(st.Committed, CommittedSlice{
-			Name: m.name, Tenant: m.tenant, SLA: m.sla,
-			LambdaHat: m.lambdaHat, Sigma: m.sigma,
-			Remaining: m.remaining, CU: m.cu,
-			Reserved: append([]float64(nil), m.reserved...),
-			PathIdx:  append([]int(nil), m.pathIdx...),
-		})
+		st.Committed = append(st.Committed, m.detail())
 	}
 	return st, nil
 }
@@ -68,13 +62,11 @@ func (e *Engine) RestoreDomain(st DomainState) error {
 		return fmt.Errorf("admission: domain %q already has state; restore must precede serving", d.name)
 	}
 	if len(st.TopoEvents) > 0 {
-		net, err := topology.Apply(d.cfg.Net, st.TopoEvents)
-		if err != nil {
+		if err := d.solver.SetTopology(st.TopoEvents); err != nil {
 			d.dmu.Unlock()
 			return fmt.Errorf("admission: restore domain %q: %w", d.name, err)
 		}
 		d.topoEvents = append([]topology.Event(nil), st.TopoEvents...)
-		d.curNet = net
 	}
 	for _, cs := range st.Committed {
 		m := &member{

@@ -286,11 +286,16 @@ func (c *Coordinator) sweep() {
 func (c *Coordinator) Members() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	ids := c.memberIDsLocked()
+	sort.Strings(ids)
+	return ids
+}
+
+func (c *Coordinator) memberIDsLocked() []string {
 	ids := make([]string, 0, len(c.members))
 	for id := range c.members {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
 	return ids
 }
 
@@ -316,11 +321,7 @@ func (c *Coordinator) WaitMembers(ctx context.Context, n int) error {
 func (c *Coordinator) owner(domain string) *memberConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ids := make([]string, 0, len(c.members))
-	for id := range c.members {
-		ids = append(ids, id)
-	}
-	id, ok := placeDomain(c.opts.Seed, domain, ids)
+	id, ok := placeDomain(c.opts.Seed, domain, c.memberIDsLocked())
 	if !ok {
 		return nil
 	}
@@ -445,16 +446,7 @@ func (c *Coordinator) dispatch(m *memberConn, domain string, seq uint64, events 
 }
 
 // send writes one frame; safe for concurrent use.
-func (m *memberConn) send(msg *Message) error {
-	frame, err := encodeFrame(msg)
-	if err != nil {
-		return err
-	}
-	m.wmu.Lock()
-	defer m.wmu.Unlock()
-	_, err = m.conn.Write(frame)
-	return err
-}
+func (m *memberConn) send(msg *Message) error { return writeFrame(m.conn, &m.wmu, msg) }
 
 // Close shuts the listener and every worker connection down.
 func (c *Coordinator) Close() error {

@@ -16,11 +16,12 @@
 // worker's domains (rendezvous minimal movement), both pinned by tests.
 //
 // A worker (cmd/ovnes-worker, or an in-process loopback worker) hosts
-// warm per-domain solver state exactly as the engine's own shards do: it
-// receives each domain's full config once (an assign message carrying
-// the base topology as JSON), then solves round after round against a
-// warm core.BendersSession, re-deriving the live network from the
-// accumulated capacity events each round ships.
+// the engine's own in-process solver, one admission.LocalSolver per
+// domain (SolverHost): it receives each domain's full config once (an
+// assign message carrying the base topology as JSON, normalized on the
+// coordinator and used verbatim), then solves round after round, the
+// solver re-deriving the live network from the accumulated capacity
+// events each round ships.
 //
 // # Why cross-network determinism holds
 //
@@ -40,8 +41,8 @@
 //
 // # Wire protocol
 //
-// Messages travel as length-prefixed CRC-32C-checked JSON frames (the
-// internal/wal framing idiom) over one TCP connection per worker:
+// Messages travel as length-prefixed CRC-32C-checked JSON frames
+// (internal/frame, the codec the WAL uses) over one TCP connection per worker:
 // hello/welcome at join, assign (domain spec) lazily before a domain's
 // first round on a worker, round/reply correlated by ID, and ping as the
 // worker's heartbeat. A frame that fails its checks is a protocol error

@@ -121,18 +121,43 @@ func TestWorkerRejectsStaleWelcome(t *testing.T) {
 	}
 	gate := &EpochGate{}
 	gate.Admit(2)
+	coord.mu.Lock()
+	joined := coord.watch // closed by the next membership change: the join
+	coord.mu.Unlock()
 	stop, errc := startGatedWorker(t, coord, "w0", gate)
 	defer stop()
 
+	timeout := time.After(10 * time.Second)
 	select {
 	case err := <-errc:
 		if err == nil || !strings.Contains(err.Error(), "stale leader epoch") {
 			t.Fatalf("RunWorker = %v, want a stale-leader-epoch error", err)
 		}
-	case <-time.After(10 * time.Second):
+	case <-timeout:
 		t.Fatal("worker kept serving a stale leader")
 	}
+	// The coordinator publishes a member as soon as its welcome is written;
+	// the rejecting worker then drops the connection (as cmd/ovnes-worker
+	// does when RunWorker returns) and the read loop retires the member.
+	// Both are membership changes, so wait on the coordinator's own signal:
+	// first for the join, then for the leave.
+	stop()
+	select {
+	case <-joined:
+	case <-timeout:
+		t.Fatal("coordinator never published the worker it welcomed")
+	}
+	coord.mu.Lock()
+	n, left := len(coord.members), coord.watch // closed by the leave, if still to come
+	coord.mu.Unlock()
+	if n != 0 {
+		select {
+		case <-left:
+		case <-timeout:
+			t.Fatal("coordinator never saw the rejecting worker's connection close")
+		}
+	}
 	if members := coord.Members(); len(members) != 0 {
-		t.Fatalf("stale coordinator still gained members: %v", members)
+		t.Fatalf("stale coordinator kept members: %v", members)
 	}
 }

@@ -1,19 +1,19 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"sync"
+
+	"repro/internal/frame"
 )
 
-// The wire framing is the WAL's: a fixed header of uint32 payload length
-// plus uint32 CRC-32C (both little-endian) followed by a JSON payload.
-// The only difference is the failure contract: a WAL torn tail is
-// expected crash residue, while a bad frame on a live TCP stream is a
-// protocol violation that kills the connection.
+// The wire framing is the WAL's (internal/frame). The only difference is
+// the failure contract: a WAL torn tail is expected crash residue, while a
+// bad frame on a live TCP stream is a protocol violation that kills the
+// connection.
 
 // ErrBadFrame marks bytes that do not form a whole valid frame: short
 // header, oversized length, CRC mismatch, or a payload that is not a
@@ -25,25 +25,41 @@ var ErrBadFrame = errors.New("cluster: torn or corrupt frame")
 // length field.
 const maxFrameBytes = 64 << 20
 
-// frameHeaderBytes is the fixed prefix size.
-const frameHeaderBytes = 8
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // encodeFrame renders one message as a framed byte slice.
 func encodeFrame(m *Message) ([]byte, error) {
 	payload, err := json.Marshal(m)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encode message: %w", err)
 	}
-	if len(payload) > maxFrameBytes {
-		return nil, fmt.Errorf("cluster: message payload %d bytes exceeds cap %d", len(payload), maxFrameBytes)
+	out, err := frame.Encode(payload, maxFrameBytes)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	frame := make([]byte, frameHeaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeaderBytes:], payload)
-	return frame, nil
+	return out, nil
+}
+
+// writeFrame sends one message on a connection shared by several writers;
+// mu keeps whole frames from interleaving.
+func writeFrame(w io.Writer, mu *sync.Mutex, m *Message) error {
+	frame, err := encodeFrame(m)
+	if err != nil {
+		return err
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	_, err = w.Write(frame)
+	return err
+}
+
+// toMessage maps a framing result to the protocol's contract: a corrupt
+// frame, or a whole one whose payload is not a message, is ErrBadFrame;
+// io.EOF and stream errors pass through.
+func toMessage(payload []byte, err error) (Message, error) {
+	var m Message
+	if errors.Is(err, frame.ErrCorrupt) || (err == nil && json.Unmarshal(payload, &m) != nil) {
+		return Message{}, ErrBadFrame
+	}
+	return m, err
 }
 
 // DecodeFrame decodes the frame at the head of buf, returning the message
@@ -51,60 +67,17 @@ func encodeFrame(m *Message) ([]byte, error) {
 // means the bytes present do not form a whole valid frame. It never
 // panics on any input (FuzzClusterFrameDecode).
 func DecodeFrame(buf []byte) (Message, int, error) {
-	if len(buf) == 0 {
-		return Message{}, 0, io.EOF
+	payload, n, err := frame.Decode(buf, maxFrameBytes)
+	m, err := toMessage(payload, err)
+	if err != nil {
+		return Message{}, 0, err
 	}
-	if len(buf) < frameHeaderBytes {
-		return Message{}, 0, ErrBadFrame
-	}
-	n := binary.LittleEndian.Uint32(buf[0:4])
-	if n > maxFrameBytes {
-		return Message{}, 0, ErrBadFrame
-	}
-	end := frameHeaderBytes + int(n)
-	if len(buf) < end {
-		return Message{}, 0, ErrBadFrame
-	}
-	payload := buf[frameHeaderBytes:end]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return Message{}, 0, ErrBadFrame
-	}
-	var m Message
-	if err := json.Unmarshal(payload, &m); err != nil {
-		return Message{}, 0, ErrBadFrame
-	}
-	return m, end, nil
+	return m, n, nil
 }
 
-// readFrame reads exactly one frame from the stream. io.ReadFull never
-// over-reads, so interleaving callers on one conn stay frame-aligned. A
-// clean EOF between frames surfaces as io.EOF; a mid-frame EOF as
-// io.ErrUnexpectedEOF; a CRC or length violation as ErrBadFrame.
+// readFrame reads exactly one frame from the stream. A clean EOF between
+// frames surfaces as io.EOF; a mid-frame EOF as io.ErrUnexpectedEOF; a CRC
+// or length violation, or a payload that is not a message, as ErrBadFrame.
 func readFrame(r io.Reader) (Message, error) {
-	var hdr [frameHeaderBytes]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Message{}, io.EOF
-		}
-		return Message{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	if n > maxFrameBytes {
-		return Message{}, ErrBadFrame
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			return Message{}, io.ErrUnexpectedEOF
-		}
-		return Message{}, err
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-		return Message{}, ErrBadFrame
-	}
-	var m Message
-	if err := json.Unmarshal(payload, &m); err != nil {
-		return Message{}, ErrBadFrame
-	}
-	return m, nil
+	return toMessage(frame.Read(r, maxFrameBytes))
 }

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/topology"
 )
 
@@ -131,9 +131,13 @@ func overLength(frame []byte) []byte {
 // rawFrame frames arbitrary bytes with a correct length and CRC, so only
 // the JSON layer can object.
 func rawFrame(payload []byte) []byte {
-	out := make([]byte, frameHeaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(out[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(out[4:8], crc32.Checksum(payload, castagnoli))
-	copy(out[frameHeaderBytes:], payload)
+	out, err := frame.Encode(payload, maxFrameBytes)
+	if err != nil {
+		panic(err)
+	}
 	return out
 }
+
+// frameHeaderBytes names the codec's header size for the tests whose local
+// variables shadow the frame package.
+const frameHeaderBytes = frame.HeaderBytes

@@ -5,64 +5,46 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/topology"
 )
 
-// SolverHost is the worker-side mirror of the engine's per-domain solver
-// state: the base network, its precomputed path sets, a warm solve
-// function, and a cache of the live (event-scaled) network. It is what
-// both cmd/ovnes-worker and the coordinator's local-fallback path solve
-// through, so the two paths cannot diverge.
+// SolverHost holds one admission.LocalSolver per assigned domain — the very
+// type the engine solves through in-process — keyed by domain name. It is
+// what both cmd/ovnes-worker and the coordinator's local-fallback path
+// solve through.
 type SolverHost struct {
 	mu      sync.Mutex
-	domains map[string]*hostDomain
-}
-
-type hostDomain struct {
-	spec    DomainSpec
-	base    *topology.Network
-	paths   [][][]topology.Path
-	solveFn func(*core.Instance) (*core.Decision, error)
-
-	// curNet caches the base with the first nEvents capacity events
-	// folded in. Events are append-only on the coordinator and every
-	// round ships the full accumulated list, so the event count is a
-	// sufficient cache key — and after a re-dispatch the new owner
-	// rebuilds the same network from the same list.
-	curNet  *topology.Network
-	nEvents int
+	domains map[string]*admission.LocalSolver
 }
 
 // NewSolverHost returns an empty host; domains arrive via Register.
 func NewSolverHost() *SolverHost {
-	return &SolverHost{domains: map[string]*hostDomain{}}
+	return &SolverHost{domains: map[string]*admission.LocalSolver{}}
 }
 
-// Register installs (or reinstalls, idempotently) a domain. The spec is
-// already normalized coordinator-side; its values are used verbatim so
-// the worker cannot re-default differently. Mirrors engine.AddDomain:
-// paths come from the BASE network, and the solver is warm per domain.
+// Register installs (or reinstalls, idempotently) a domain. The spec was
+// normalized coordinator-side; its values are used verbatim so the worker
+// cannot re-default differently.
 func (h *SolverHost) Register(spec DomainSpec) error {
 	net, err := topology.ReadJSON(bytes.NewReader(spec.Net))
 	if err != nil {
 		return fmt.Errorf("cluster: domain %q topology: %w", spec.Name, err)
 	}
-	d := &hostDomain{spec: spec, base: net, paths: net.Paths(spec.KPaths), curNet: net}
-	switch spec.Algorithm {
-	case "benders":
-		d.solveFn = core.NewBendersSession(spec.Benders).Solve
-	case "direct", "no-overbooking":
-		d.solveFn = core.SolveDirect
-	case "kac":
-		d.solveFn = func(inst *core.Instance) (*core.Decision, error) {
-			return core.SolveKAC(inst, core.KACOptions{})
-		}
-	default:
-		return fmt.Errorf("cluster: domain %q: unknown algorithm %q", spec.Name, spec.Algorithm)
+	solver, err := admission.NewLocalSolver(admission.DomainConfig{
+		Net:         net,
+		KPaths:      spec.KPaths,
+		Algorithm:   spec.Algorithm,
+		BigM:        spec.BigM,
+		RiskHorizon: spec.RiskHorizon,
+		Benders:     spec.Benders,
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: domain %q: %w", spec.Name, err)
 	}
 	h.mu.Lock()
-	h.domains[spec.Name] = d
+	h.domains[spec.Name] = solver
 	h.mu.Unlock()
 	return nil
 }
@@ -74,11 +56,9 @@ func (h *SolverHost) Has(domain string) bool {
 	return h.domains[domain] != nil
 }
 
-// Solve runs one round: re-derive the live network from the accumulated
-// capacity events, assemble the instance exactly as engine.execRound
-// does, and solve. Safe for concurrent calls across domains; calls for
-// one domain are serialized by the per-domain lock the coordinator's
-// round loop already provides (one in-flight round per domain).
+// Solve runs one round on the domain's solver, which re-derives the live
+// network from the accumulated capacity events. Safe for concurrent calls;
+// one domain's solves are serialized by its solver.
 func (h *SolverHost) Solve(domain string, events []topology.Event, tenants []core.TenantSpec) (*core.Decision, error) {
 	h.mu.Lock()
 	d := h.domains[domain]
@@ -86,24 +66,5 @@ func (h *SolverHost) Solve(domain string, events []topology.Event, tenants []cor
 	if d == nil {
 		return nil, fmt.Errorf("cluster: domain %q not registered", domain)
 	}
-	cur := d.curNet
-	if len(events) != d.nEvents {
-		net, err := topology.Apply(d.base, events)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: domain %q events: %w", domain, err)
-		}
-		h.mu.Lock()
-		d.curNet, d.nEvents = net, len(events)
-		h.mu.Unlock()
-		cur = net
-	}
-	inst := &core.Instance{
-		Net:         cur,
-		Paths:       d.paths,
-		Tenants:     tenants,
-		Overbook:    d.spec.Algorithm != "no-overbooking",
-		BigM:        d.spec.BigM,
-		RiskHorizon: d.spec.RiskHorizon,
-	}
-	return d.solveFn(inst)
+	return d.SolveRound(domain, 0, events, tenants)
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -10,41 +11,89 @@ import (
 	"repro/internal/topology"
 )
 
-// TestSolverHostRegistersMetroPod takes one metro pod across the cluster
-// wire: its edge CU sits on the pod gateway, a switch node, which the
-// topology decoder used to refuse — so a worker could never be assigned a
-// pod. The host must register the spec and solve a round to the decision an
-// in-process session reaches on the original network.
-func TestSolverHostRegistersMetroPod(t *testing.T) {
-	pod := topology.Metro(topology.MetroPodBS)
-	spec, err := NewDomainSpec("pod0", admission.DomainConfig{Net: pod, KPaths: 1, Algorithm: "benders"})
-	if err != nil {
-		t.Fatal(err)
+// TestSolverHostMatchesInProcess takes a domain across the cluster wire —
+// NewDomainSpec, the topology as JSON, Register — and requires every round
+// to end exactly as it does on the in-process solver built from the same
+// config: the same decision, or the same solver error.
+//
+// The metro pod's edge CU sits on the pod gateway, a switch node, which the
+// topology decoder used to refuse, so a worker could never be assigned a
+// pod. The hard-capacity domain (BigM < 0, normalized to 0 on the
+// coordinator) is the case re-defaulting an already-normalized spec on the
+// worker would break silently: 0 would become big-M 1e4, and the second
+// round — committed slices over a degraded BS — would come back as a
+// deficit-priced decision instead of the infeasibility the engine reports.
+func TestSolverHostMatchesInProcess(t *testing.T) {
+	embb := slice.SLA{Template: slice.Table1(slice.EMBB), Duration: 8}.WithPenaltyFactor(1)
+	tenants := func(n int, committed bool) []core.TenantSpec {
+		var ts []core.TenantSpec
+		for i := 0; i < n; i++ {
+			ts = append(ts, core.TenantSpec{Name: fmt.Sprintf("t%d", i), SLA: embb,
+				LambdaHat: embb.RateMbps, Sigma: 1, RemainingEpochs: 8, Committed: committed})
+		}
+		return ts
 	}
-	host := NewSolverHost()
-	if err := host.Register(spec); err != nil {
-		t.Fatalf("register metro pod: %v", err)
+	type round struct {
+		events  []topology.Event
+		tenants []core.TenantSpec
+		wantErr bool
 	}
-	if !host.Has("pod0") {
-		t.Fatal("pod0 not registered")
+	halfBS0 := []topology.Event{{Kind: topology.EventBS, Index: 0, Factor: 0.5}}
+	cases := []struct {
+		name   string
+		dc     admission.DomainConfig
+		rounds []round
+	}{
+		{
+			name: "metro pod",
+			dc:   admission.DomainConfig{Net: topology.Metro(topology.MetroPodBS), KPaths: 1, Algorithm: "benders"},
+			rounds: []round{{tenants: []core.TenantSpec{
+				{Name: "t0", SLA: embb, LambdaHat: embb.RateMbps / 2, Sigma: 0.2, RemainingEpochs: 8},
+			}}},
+		},
+		{
+			name: "hard capacity",
+			dc:   admission.DomainConfig{Net: topology.Testbed(), Algorithm: "direct", BigM: -1},
+			rounds: []round{
+				{tenants: tenants(4, false)},
+				{events: halfBS0, tenants: tenants(2, true), wantErr: true},
+			},
+		},
 	}
-
-	sla := slice.SLA{Template: slice.Table1(slice.EMBB), Duration: 8}.WithPenaltyFactor(1)
-	tenants := []core.TenantSpec{
-		{Name: "t0", SLA: sla, LambdaHat: sla.RateMbps / 2, Sigma: 0.2, RemainingEpochs: 8},
-	}
-	got, err := host.Solve("pod0", nil, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := core.NewBendersSession(spec.Benders).Solve(&core.Instance{
-		Net: pod, Paths: pod.Paths(spec.KPaths), Tenants: tenants,
-		Overbook: true, BigM: spec.BigM, RiskHorizon: spec.RiskHorizon,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("pod decision over the wire form differs:\n got  %+v\n want %+v", got, want)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dc, err := tc.dc.Normalized()
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := admission.NewLocalSolver(dc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec, err := NewDomainSpec("d", tc.dc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			host := NewSolverHost()
+			if err := host.Register(spec); err != nil {
+				t.Fatalf("register: %v", err)
+			}
+			if !host.Has("d") {
+				t.Fatal("domain not registered")
+			}
+			for i, r := range tc.rounds {
+				want, wantErr := local.SolveRound("d", uint64(i), r.events, r.tenants)
+				got, gotErr := host.Solve("d", r.events, r.tenants)
+				if (wantErr != nil) != r.wantErr {
+					t.Fatalf("round %d in-process: err = %v, want error: %v", i, wantErr, r.wantErr)
+				}
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("round %d: over the wire form err = %v, in-process err = %v", i, gotErr, wantErr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("round %d: decision over the wire form differs:\n got  %+v\n want %+v", i, got, want)
+				}
+			}
+		})
 	}
 }

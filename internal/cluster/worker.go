@@ -85,16 +85,7 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	log := opts.Log.Str("worker", opts.ID)
 
 	var wmu sync.Mutex
-	send := func(m *Message) error {
-		frame, err := encodeFrame(m)
-		if err != nil {
-			return err
-		}
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err = conn.Write(frame)
-		return err
-	}
+	send := func(m *Message) error { return writeFrame(conn, &wmu, m) }
 
 	if err := send(&Message{Type: MsgHello, Worker: opts.ID}); err != nil {
 		return fmt.Errorf("cluster: hello: %w", err)

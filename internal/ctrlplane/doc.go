@@ -13,5 +13,12 @@
 //     interface modelled on ETSI GS NFV-IFA 005.
 //
 // All services speak JSON over net/http and are exercised end-to-end over
-// loopback in the package tests and the cmd/testbed experiment.
+// loopback in the package tests.
+//
+// An orchestrator core (engine, closed-loop controller, ledger) is built
+// with no log and no executor, and starts serving through one takeover:
+// install the opened WAL store, let a wal.Replayer finish over it, rebuild
+// the REST registry, install the executor, start the engine. A leader runs
+// it at start with a fresh replayer; a Standby, which has been feeding its
+// replayer from the leader's log all along, runs it at promotion.
 package ctrlplane

@@ -3,6 +3,7 @@ package ctrlplane
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -210,10 +211,40 @@ func TestFailoverStressRace(t *testing.T) {
 		}
 	}
 
-	// Second reign: the same storm against the promoted standby.
+	// Second reign: the same storm against the promoted standby, at once —
+	// its shard goroutines must log to the store installed at promotion.
+	lsn := orch2.wal.LSN()
 	raceEpochs(t, orch2, storeS, ledger, "p2", 4)
 	if t.Failed() {
 		t.Fatal("storm goroutine failed; see errors above")
+	}
+	if got := orch2.wal.LSN(); got < lsn+5 {
+		t.Fatalf("log moved from LSN %d to %d over 5 epochs of the second reign; rounds are not reaching the promoted store", lsn, got)
+	}
+	// And what they logged is the state: kill the promoted orchestrator, and
+	// a fresh recovery of the directory adopts exactly what it held.
+	held := map[string]bool{}
+	for _, s := range orch2.Statuses() {
+		if s.State == "active" {
+			held[s.Name] = true
+		}
+	}
+	orch2.Abort()
+	orch3, err := NewOrchestrator(OrchestratorConfig{
+		Net: topology.Testbed(), Algorithm: "benders", Store: monitor.NewStore(0),
+		RANAddr: ranS, TransportAddr: tnS, CloudAddr: cloudS,
+		DataDir: dir, SnapshotEvery: 2,
+	})
+	if err != nil {
+		t.Fatalf("recovering the second reign: %v", err)
+	}
+	defer orch3.Close() //nolint:errcheck // engine teardown
+	recovered := map[string]bool{}
+	for _, s := range orch3.Statuses() {
+		recovered[s.Name] = true
+	}
+	if !reflect.DeepEqual(recovered, held) {
+		t.Fatalf("recovery of the promoted orchestrator's log adopted %v, it held %v", recovered, held)
 	}
 
 	// Conservation across the crash: one decision per slice, ever.

@@ -139,32 +139,22 @@ type Orchestrator struct {
 }
 
 // buildCore constructs the orchestrator shell — engine (domain added, NOT
-// started), closed-loop controller, ledger, path sets — with lg as the
-// durability seam: nil for a memory-only orchestrator, a swapLog for both
-// the leader (inner store set before any append) and a standby (inner nil
-// while tail-replaying, set at promotion). Opening/recovering the WAL and
-// starting the engine are the caller's half.
-func buildCore(cfg OrchestratorConfig, lg *swapLog) (*Orchestrator, error) {
-	engCfg := admission.Config{
+// started, no executor), closed-loop controller, ledger, path sets — with
+// no log: whatever replay feeds it re-describes what is already durable.
+// takeover installs the log and the executor and starts the engine.
+func buildCore(cfg OrchestratorConfig) (*Orchestrator, error) {
+	ledger := yield.NewLedger()
+	eng := admission.New(admission.Config{
 		Shards:     cfg.Shards,
 		QueueDepth: cfg.QueueDepth,
 		TenantCap:  cfg.TenantCap,
 		Store:      cfg.Store,
-		Ledger:     nil, // set below
-	}
-	ledger := yield.NewLedger()
-	engCfg.Ledger = ledger
-	if lg != nil {
-		// Assigned only when non-nil: a nil concrete value in the
-		// interface field would read as "logging enabled" to the engine.
-		engCfg.Log = lg
-	}
-	eng := admission.New(engCfg)
+		Ledger:     ledger,
+	})
 	if err := eng.AddDomain(admission.DefaultDomain, admission.DomainConfig{
 		Net:       cfg.Net,
 		KPaths:    cfg.KPaths,
 		Algorithm: cfg.Algorithm,
-		Executor:  cfg.Executor,
 	}); err != nil {
 		return nil, fmt.Errorf("ctrlplane: %w", err)
 	}
@@ -190,20 +180,10 @@ func buildCore(cfg OrchestratorConfig, lg *swapLog) (*Orchestrator, error) {
 		HWPeriod: cfg.HWPeriod,
 		OnRound:  o.programRound,
 	}
-	if lg != nil {
-		loopCfg.Log = lg
-		loopCfg.SnapshotEvery = cfg.SnapshotEvery
-		loopCfg.Snapshot = func(cs reopt.ControllerState) error {
-			st := lg.store()
-			if st == nil {
-				return nil // standby: snapshots are the leader's job
-			}
-			snap, err := wal.BuildSnapshot(eng, []string{admission.DefaultDomain}, []reopt.ControllerState{cs}, ledger)
-			if err != nil {
-				return err
-			}
-			return st.WriteSnapshot(snap)
-		}
+	if cfg.DataDir != "" {
+		// Fires from Step only, so only once takeover has set o.wal: a
+		// replica that is still tailing never steps.
+		loopCfg.SnapshotEvery, loopCfg.Snapshot = cfg.SnapshotEvery, o.writeSnapshot
 	}
 	loop, err := reopt.New(loopCfg)
 	if err != nil {
@@ -211,6 +191,61 @@ func buildCore(cfg OrchestratorConfig, lg *swapLog) (*Orchestrator, error) {
 	}
 	o.loop = loop
 	return o, nil
+}
+
+// writeSnapshot persists the engine, ledger and given controller state at
+// the log's current position (and compacts the log behind it).
+func (o *Orchestrator) writeSnapshot(cs reopt.ControllerState) error {
+	snap, err := wal.BuildSnapshot(o.eng, []string{admission.DefaultDomain}, []reopt.ControllerState{cs}, o.ledger)
+	if err != nil {
+		return err
+	}
+	return o.wal.WriteSnapshot(snap)
+}
+
+// replayer builds the replay path into this (un-started) core, bootstrapped
+// from snap (nil: from empty state).
+func (o *Orchestrator) replayer(snap *wal.Snapshot) (*wal.Replayer, error) {
+	r, err := wal.NewReplayer(wal.Target{Engine: o.eng, Controller: o.loop, Ledger: o.ledger})
+	if err != nil {
+		return nil, err
+	}
+	if err := r.Bootstrap(snap); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// takeover is the one way a built core starts serving — at a leader's start
+// and at a standby's promotion alike. With a store (st, and the records its
+// Open found) it first makes the core the owner of the log: install it on
+// engine and controller, let the replayer ingest whatever it has not seen
+// (everything, for a leader's fresh replayer; normally nothing, for a
+// standby that tailed), truncate the previous writer's uncommitted residue
+// and complete a trailing half-step, then rebuild the REST registry. The
+// executor arrives last, so no replayed round ever waits on a worker. On
+// error the caller still owns st.
+func (o *Orchestrator) takeover(st *wal.Store, rec *wal.Recovered, r *wal.Replayer, exec admission.Executor) error {
+	if st != nil {
+		if err := o.eng.SetLog(st); err != nil {
+			return err
+		}
+		o.loop.SetLog(st)
+		rep, err := r.Finalize(st, rec.Records)
+		if err != nil {
+			return err
+		}
+		o.wal, o.recovery, o.epoch = st, rep, o.loop.Epoch()
+		if err := o.adoptCommitted(); err != nil {
+			return err
+		}
+	}
+	if exec != nil {
+		if err := o.eng.SetExecutor(admission.DefaultDomain, exec); err != nil {
+			return err
+		}
+	}
+	return o.eng.Start()
 }
 
 // adoptCommitted rebuilds the REST registry from the engine's recovered
@@ -244,56 +279,35 @@ func (o *Orchestrator) adoptCommitted() error {
 }
 
 // NewOrchestrator builds the orchestrator; it precomputes the P_{b,c} path
-// sets offline exactly as §2.1.2 prescribes, starts the admission engine,
-// and binds the closed-loop controller to it. Call Close to release the
-// engine's workers.
+// sets offline exactly as §2.1.2 prescribes, recovers whatever a previous
+// process left in DataDir, starts the admission engine, and binds the
+// closed-loop controller to it. Call Close to release the engine's workers.
 func NewOrchestrator(cfg OrchestratorConfig) (*Orchestrator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-
-	// Durability first: a previous process's log must be recovered before
-	// the engine starts serving, so replayed rounds run with no shard
-	// worker racing them.
-	var wstore *wal.Store
-	var recovered *wal.Recovered
-	var lg *swapLog
-	if cfg.DataDir != "" {
-		wstore, recovered, err = wal.Open(wal.Options{Dir: cfg.DataDir, Fence: cfg.WALFence})
-		if err != nil {
-			return nil, fmt.Errorf("ctrlplane: %w", err)
-		}
-		lg = &swapLog{}
-		lg.set(wstore)
-	}
-
-	o, err := buildCore(cfg, lg)
+	o, err := buildCore(cfg)
 	if err != nil {
-		if wstore != nil {
-			wstore.Close()
-		}
 		return nil, err
 	}
-	o.wal = wstore
-	if wstore != nil {
-		rep, err := wal.Recover(wstore, recovered, wal.Target{Engine: o.eng, Controller: o.loop, Ledger: o.ledger})
-		if err != nil {
-			wstore.Close()
-			return nil, fmt.Errorf("ctrlplane: recovery: %w", err)
-		}
-		o.recovery = rep
-		o.epoch = o.loop.Epoch()
-		if err := o.adoptCommitted(); err != nil {
-			wstore.Close()
+	if cfg.DataDir == "" {
+		if err := o.takeover(nil, nil, nil, cfg.Executor); err != nil {
 			return nil, err
 		}
+		return o, nil
 	}
-	if err := o.eng.Start(); err != nil {
-		if wstore != nil {
-			wstore.Close()
-		}
-		return nil, err
+	st, rec, err := wal.Open(wal.Options{Dir: cfg.DataDir, Fence: cfg.WALFence})
+	if err != nil {
+		return nil, fmt.Errorf("ctrlplane: %w", err)
+	}
+	r, err := o.replayer(rec.Snapshot)
+	if err == nil {
+		err = o.takeover(st, rec, r, cfg.Executor)
+	}
+	if err != nil {
+		st.Close()
+		return nil, fmt.Errorf("ctrlplane: recovery: %w", err)
 	}
 	return o, nil
 }
@@ -312,11 +326,7 @@ func (o *Orchestrator) Close() error {
 	err := o.eng.Drain(ctx)
 	o.eng.Stop()
 	if o.wal != nil {
-		snap, serr := wal.BuildSnapshot(o.eng, []string{admission.DefaultDomain},
-			[]reopt.ControllerState{o.loop.ExportState()}, o.ledger)
-		if serr == nil {
-			serr = o.wal.WriteSnapshot(snap)
-		}
+		serr := o.writeSnapshot(o.loop.ExportState())
 		if cerr := o.wal.Close(); serr == nil {
 			serr = cerr
 		}

@@ -8,110 +8,24 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/reopt"
-	"repro/internal/topology"
 	"repro/internal/wal"
-	"repro/internal/yield"
 )
 
-// swapLog is the durability seam between the engine/controller and the
-// WAL: a RoundLog + StepLog whose backing store can be installed late. A
-// standby replays the leader's log with no store of its own (appends made
-// by the replay code paths drop here — they re-describe what is being
-// replayed), then gains the real store at promotion. The leader uses it
-// too, with the store set before the engine starts, so both roles run the
-// identical logging plumbing.
-type swapLog struct {
-	mu sync.Mutex
-	st *wal.Store
-}
-
-func (l *swapLog) set(st *wal.Store) {
-	l.mu.Lock()
-	l.st = st
-	l.mu.Unlock()
-}
-
-func (l *swapLog) store() *wal.Store {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.st
-}
-
-func (l *swapLog) AppendRound(domain string, seq uint64, batch []admission.Request) error {
-	if st := l.store(); st != nil {
-		return st.AppendRound(domain, seq, batch)
-	}
-	return nil
-}
-
-func (l *swapLog) AppendForecasts(domain string, ups []admission.ForecastUpdate) error {
-	if st := l.store(); st != nil {
-		return st.AppendForecasts(domain, ups)
-	}
-	return nil
-}
-
-func (l *swapLog) AppendAdvance(domain string) error {
-	if st := l.store(); st != nil {
-		return st.AppendAdvance(domain)
-	}
-	return nil
-}
-
-func (l *swapLog) AppendTopology(domain string, events []topology.Event) error {
-	if st := l.store(); st != nil {
-		return st.AppendTopology(domain, events)
-	}
-	return nil
-}
-
-func (l *swapLog) AppendHandover(fromDomain, toDomain, name string) error {
-	if st := l.store(); st != nil {
-		return st.AppendHandover(fromDomain, toDomain, name)
-	}
-	return nil
-}
-
-func (l *swapLog) SyncRound() error {
-	if st := l.store(); st != nil {
-		return st.SyncRound()
-	}
-	return nil
-}
-
-func (l *swapLog) AppendSettle(domain string, epoch int, entries []yield.Entry) error {
-	if st := l.store(); st != nil {
-		return st.AppendSettle(domain, epoch, entries)
-	}
-	return nil
-}
-
-func (l *swapLog) AppendObserve(domain string, epoch int, alive []string, peaks []reopt.ObservedPeak) error {
-	if st := l.store(); st != nil {
-		return st.AppendObserve(domain, epoch, alive, peaks)
-	}
-	return nil
-}
-
 // Standby is a warm replica of a leader orchestrator: it tails the
-// leader's WAL directory read-only and continuously replays every
-// committed record through the same engine/controller code paths crash
-// recovery uses — so its state is bit-identical to what a fresh recovery
-// of that log would build, at every instant. When the leader dies,
-// Promote turns the replica into a serving Orchestrator without replaying
-// the log from scratch: it drains the tail, truncates the dead leader's
-// uncommitted residue, completes a trailing half-step, and starts the
-// engine.
+// leader's WAL directory read-only and feeds every record to the same
+// wal.Replayer a restarting leader feeds all at once — so its state is
+// bit-identical to what a fresh recovery of that log would build, at every
+// instant. When the leader dies, Promote turns the replica into a serving
+// Orchestrator without replaying the log from scratch: it drains the tail
+// and runs the orchestrator's takeover.
 //
-// The replica's Executor is always nil while tailing (replay must not
-// depend on workers having rejoined — same rule as crash recovery); the
-// promoted orchestrator's executor arrives as a Promote argument, carrying
-// the new leader's fencing epoch.
+// The replica has neither log nor executor while tailing (replay
+// re-describes what is already durable, and must not depend on workers
+// having rejoined); both arrive at promotion, the executor carrying the new
+// leader's fencing epoch.
 type Standby struct {
 	cfg OrchestratorConfig
 	o   *Orchestrator
-	lg  *swapLog
 
 	mu       sync.Mutex
 	tail     *wal.Tailer
@@ -127,30 +41,36 @@ func NewStandby(cfg OrchestratorConfig) (*Standby, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("ctrlplane: a standby needs the leader's DataDir")
 	}
-	cfg.Executor = nil
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	lg := &swapLog{} // no store while tailing: replay-path appends drop
-	o, err := buildCore(cfg, lg)
-	if err != nil {
+	s := &Standby{cfg: cfg}
+	if err := s.bootstrapLocked(); err != nil {
 		return nil, err
 	}
-	tail, err := wal.OpenTailer(cfg.DataDir)
+	return s, nil
+}
+
+// bootstrapLocked (re)builds the replica: a fresh core, a tail on the
+// leader's directory, and a replayer bootstrapped from the tail's newest
+// snapshot. The previous replica, if any, is discarded.
+func (s *Standby) bootstrapLocked() error {
+	o, err := buildCore(s.cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	replayer, err := wal.NewReplayer(wal.Target{Engine: o.eng, Controller: o.loop, Ledger: o.ledger})
+	tail, err := wal.OpenTailer(s.cfg.DataDir)
+	if err != nil {
+		return err
+	}
+	replayer, err := o.replayer(tail.Snapshot())
 	if err != nil {
 		tail.Close()
-		return nil, err
+		return err
 	}
-	if err := replayer.Bootstrap(tail.Snapshot()); err != nil {
-		tail.Close()
-		return nil, err
-	}
-	return &Standby{cfg: cfg, o: o, lg: lg, tail: tail, replayer: replayer}, nil
+	s.o, s.tail, s.replayer = o, tail, replayer
+	return nil
 }
 
 // Poll ingests every record that has become visible since the last call
@@ -185,9 +105,11 @@ func (s *Standby) pollLocked() (int, error) {
 			return n, err
 		}
 		stuck := s.tail.NextLSN()
-		if rerr := s.rebuildLocked(); rerr != nil {
+		s.tail.Close()
+		if rerr := s.bootstrapLocked(); rerr != nil {
 			return n, fmt.Errorf("ctrlplane: standby re-bootstrap after compaction gap: %w", rerr)
 		}
+		s.rebuilds++
 		if s.tail.NextLSN() <= stuck {
 			// No newer snapshot is readable (compaction without a usable
 			// snapshot would be a writer bug, or every snapshot is torn):
@@ -196,33 +118,6 @@ func (s *Standby) pollLocked() (int, error) {
 		}
 		n = 0 // records applied to the discarded replica don't count
 	}
-}
-
-// rebuildLocked discards the replica's engine/controller/ledger state and
-// re-bootstraps a fresh one from the newest snapshot in the leader's
-// directory, resuming the tail at its LSN.
-func (s *Standby) rebuildLocked() error {
-	s.tail.Close()
-	o, err := buildCore(s.cfg, s.lg)
-	if err != nil {
-		return err
-	}
-	tail, err := wal.OpenTailer(s.cfg.DataDir)
-	if err != nil {
-		return err
-	}
-	replayer, err := wal.NewReplayer(wal.Target{Engine: o.eng, Controller: o.loop, Ledger: o.ledger})
-	if err != nil {
-		tail.Close()
-		return err
-	}
-	if err := replayer.Bootstrap(tail.Snapshot()); err != nil {
-		tail.Close()
-		return err
-	}
-	s.o, s.tail, s.replayer = o, tail, replayer
-	s.rebuilds++
-	return nil
 }
 
 // Rebuilds reports how many times the replica healed a compaction gap by
@@ -272,12 +167,9 @@ func (s *Standby) Progress() (lsn uint64, rounds int) {
 // after taking the leader lease: the old leader must be dead or fenced
 // (exec should carry the new lease's epoch, fence its Check).
 //
-// The sequence mirrors crash recovery exactly, minus the bulk replay the
-// standby already did: drain the last visible records, open the directory
-// for writing (repairing any torn tail), feed the replayer whatever the
-// tail had not seen, truncate the dead leader's uncommitted step prefix,
-// complete a trailing round-without-advance (re-logged), rebuild the REST
-// registry, install the executor, start the engine. The returned
+// It drains the last visible records, opens the directory for writing
+// (repairing any torn tail) and runs the same takeover a starting leader
+// runs, with a replayer that has already seen the log. The returned
 // Orchestrator is bit-identical to one that had served the whole log
 // uninterrupted.
 func (s *Standby) Promote(exec admission.Executor, fence func() error) (*Orchestrator, error) {
@@ -293,49 +185,16 @@ func (s *Standby) Promote(exec admission.Executor, fence func() error) (*Orchest
 	}
 	s.tail.Close()
 
-	wstore, recovered, err := wal.Open(wal.Options{Dir: s.cfg.DataDir, Fence: fence})
+	st, rec, err := wal.Open(wal.Options{Dir: s.cfg.DataDir, Fence: fence})
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: promote: %w", err)
 	}
-	fail := func(e error) (*Orchestrator, error) {
-		wstore.Close()
-		return nil, e
-	}
-	// Ingest whatever Open sees that the tail had not delivered (normally
-	// nothing; Ingest skips below the replayer's high-water mark). Under
-	// BeginRecovery so replay-path appends stay suppressed even though the
-	// log is now installed.
-	s.lg.set(wstore)
-	wstore.BeginRecovery()
-	for _, pr := range recovered.Records {
-		if err := s.replayer.Ingest(pr); err != nil {
-			wstore.EndRecovery()
-			return fail(fmt.Errorf("ctrlplane: promote: %w", err))
-		}
-	}
-	wstore.EndRecovery()
-	rep, err := s.replayer.Finalize(wstore)
-	if err != nil {
-		return fail(fmt.Errorf("ctrlplane: promote: %w", err))
-	}
-
-	o := s.o
-	o.wal = wstore
-	o.recovery = rep
-	o.epoch = o.loop.Epoch()
-	if err := o.adoptCommitted(); err != nil {
-		return fail(err)
-	}
-	if exec != nil {
-		if err := o.eng.SetExecutor(admission.DefaultDomain, exec); err != nil {
-			return fail(err)
-		}
-	}
-	if err := o.eng.Start(); err != nil {
-		return fail(err)
+	if err := s.o.takeover(st, rec, s.replayer, exec); err != nil {
+		st.Close()
+		return nil, fmt.Errorf("ctrlplane: promote: %w", err)
 	}
 	s.promoted = true
-	return o, nil
+	return s.o, nil
 }
 
 // Close releases the standby's tail without promoting. No-op after

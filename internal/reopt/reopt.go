@@ -176,6 +176,18 @@ func New(cfg Config) (*Controller, error) {
 	return &Controller{cfg: cfg, trackers: map[string]*forecast.Adaptive{}}, nil
 }
 
+// SetLog installs the controller's durability hook after New, alongside
+// admission.Engine.SetLog on the same store: a promoted standby gains its
+// log once the directory is its own to write.
+func (c *Controller) SetLog(log StepLog) {
+	c.mu.Lock()
+	c.cfg.Log = log
+	c.mu.Unlock()
+}
+
+// Domain returns the engine domain the controller drives.
+func (c *Controller) Domain() string { return c.cfg.Domain }
+
 // Ledger returns the controller's yield account.
 func (c *Controller) Ledger() *yield.Ledger { return c.cfg.Ledger }
 

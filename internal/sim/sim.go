@@ -249,37 +249,21 @@ type tenantState struct {
 	done      bool
 }
 
-// epochSolver is the per-epoch decision engine. Stateful implementations
-// (the cross-epoch Benders session) carry cuts and simplex bases between
-// calls; stateless ones re-solve every instance from scratch.
-type epochSolver interface {
-	Solve(*core.Instance) (*core.Decision, error)
-}
-
-// solverFunc adapts a stateless solve function.
-type solverFunc func(*core.Instance) (*core.Decision, error)
-
-func (f solverFunc) Solve(inst *core.Instance) (*core.Decision, error) { return f(inst) }
-
-// newEpochSolver wires the configured algorithm, choosing the warm
-// cross-epoch session for Benders unless the config forces cold solves.
-func newEpochSolver(cfg Config) (epochSolver, error) {
-	switch cfg.Algorithm {
-	case Direct, NoOverbooking:
-		return solverFunc(core.SolveDirect), nil
-	case Benders:
-		if cfg.ColdSolver {
-			return solverFunc(func(inst *core.Instance) (*core.Decision, error) {
-				return core.SolveBenders(inst, core.BendersOptions{})
-			}), nil
-		}
-		return core.NewBendersSession(core.BendersOptions{}), nil
-	case KAC:
-		return solverFunc(func(inst *core.Instance) (*core.Decision, error) {
-			return core.SolveKAC(inst, core.KACOptions{})
-		}), nil
+// newEpochSolver resolves the configured algorithm through core's solver
+// table (stateful solvers — the cross-epoch Benders session — carry cuts
+// and simplex bases between epochs). The one solver it builds itself is
+// the ColdSolver reference: Benders from scratch every epoch.
+func newEpochSolver(cfg Config) (core.SolveFunc, error) {
+	if cfg.Algorithm == Benders && cfg.ColdSolver {
+		return func(inst *core.Instance) (*core.Decision, error) {
+			return core.SolveBenders(inst, core.BendersOptions{})
+		}, nil
 	}
-	return nil, fmt.Errorf("sim: unknown algorithm %v", cfg.Algorithm)
+	solve, err := core.NewSolver(cfg.Algorithm.String(), core.BendersOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	return solve, nil
 }
 
 // engine is one run's pipeline state.
@@ -288,7 +272,7 @@ type engine struct {
 	paths  [][][]topology.Path
 	nBS    int
 	states []*tenantState
-	solver epochSolver
+	solver core.SolveFunc
 	sched  *topology.Schedule // nil without Events
 
 	res             *Result
@@ -403,7 +387,7 @@ func (e *engine) step(t int) error {
 		Net: net, Paths: e.paths, Tenants: specs,
 		Overbook: e.cfg.Algorithm != NoOverbooking, BigM: 1e4,
 	}
-	dec, err := e.solver.Solve(inst)
+	dec, err := e.solver(inst)
 	if err != nil {
 		return fmt.Errorf("sim: epoch %d: %w", t, err)
 	}

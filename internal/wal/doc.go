@@ -28,8 +28,9 @@
 //
 // # Record format and group commit
 //
-// Each record is one frame: a little-endian uint32 payload length, a
-// uint32 CRC-32C (Castagnoli) of the payload, then the JSON payload. Go's
+// Each record is one frame (internal/frame): a little-endian uint32
+// payload length, a uint32 CRC-32C of the payload, then the JSON payload;
+// this package adds only the JSON and the mapping to ErrTorn. Go's
 // JSON float64 round-trip is exact for finite values, so encoding a
 // forecast view or yield entry cannot perturb a bit. Frames append to
 // segment files named wal-<firstLSN>.seg; the log-wide record index (LSN)
@@ -52,10 +53,19 @@
 //
 // On open, a torn frame in the final segment — the expected residue of a
 // crash mid-write — is truncated away; a torn frame in a sealed segment is
-// corruption and fails the open. Replay then applies the suffix with a
-// hold-back rule: a trailing settle/observe/forecasts run whose round
-// never made it durable was never acked to anyone, so it is physically
-// truncated and the interrupted step simply re-runs live. A trailing round
-// without its advance is completed deterministically (and re-logged) by
-// recovery, since the round's outcomes were already acked.
+// corruption and fails the open.
+//
+// # One replay path
+//
+// Replayer applies records to a Target in LSN order under the hold-back
+// rule: a step's settle/observe/forecasts prefix pends until the step's
+// round arrives behind it. Finalize, against the writable Store, physically
+// truncates a prefix whose round never made it durable (it was never acked
+// to anyone; the interrupted step re-runs live) and completes a trailing
+// round without its advance, re-logged (the round's outcomes were acked).
+// Recover is Bootstrap + Finalize over what Open found; a standby feeds
+// the same Replayer from a Tailer, a poll at a time, and finalizes at
+// promotion. An advance over a pending prefix, and a committed record
+// after another domain's uncommitted prefix, are refused: no correct
+// writer produces either.
 package wal

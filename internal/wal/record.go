@@ -1,14 +1,13 @@
 package wal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/admission"
+	"repro/internal/frame"
 	"repro/internal/reopt"
 	"repro/internal/topology"
 	"repro/internal/yield"
@@ -70,57 +69,32 @@ var ErrTorn = errors.New("wal: torn or corrupt record")
 // length field, not a real record (a round batch is a few KB).
 const maxRecordBytes = 16 << 20
 
-// frameHeaderBytes is the fixed prefix: uint32 payload length + uint32
-// CRC-32C, both little-endian.
-const frameHeaderBytes = 8
-
-// castagnoli is the CRC-32C table (the polynomial with hardware support on
-// both amd64 and arm64).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// encodeFrame renders one record as a length-prefixed, CRC-guarded frame.
+// encodeFrame renders one record as a frame (internal/frame) of its JSON.
 func encodeFrame(rec *Record) ([]byte, error) {
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return nil, fmt.Errorf("wal: encode record: %w", err)
 	}
-	if len(payload) > maxRecordBytes {
-		return nil, fmt.Errorf("wal: record payload %d bytes exceeds cap %d", len(payload), maxRecordBytes)
+	out, err := frame.Encode(payload, maxRecordBytes)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	frame := make([]byte, frameHeaderBytes+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[frameHeaderBytes:], payload)
-	return frame, nil
+	return out, nil
 }
 
 // decodeFrame decodes the frame at the head of buf, returning the record
 // and the frame's total size. io.EOF means buf is empty (a clean end);
 // ErrTorn means the bytes present do not form a whole valid frame.
 func decodeFrame(buf []byte) (Record, int, error) {
-	if len(buf) == 0 {
+	payload, n, err := frame.Decode(buf, maxRecordBytes)
+	if err == io.EOF {
 		return Record{}, 0, io.EOF
 	}
-	if len(buf) < frameHeaderBytes {
-		return Record{}, 0, ErrTorn
-	}
-	n := binary.LittleEndian.Uint32(buf[0:4])
-	if n > maxRecordBytes {
-		return Record{}, 0, ErrTorn
-	}
-	end := frameHeaderBytes + int(n)
-	if len(buf) < end {
-		return Record{}, 0, ErrTorn
-	}
-	payload := buf[frameHeaderBytes:end]
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return Record{}, 0, ErrTorn
-	}
 	var rec Record
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		// A CRC-valid frame that is not a record can only come from a
-		// writer bug or deliberate corruption; refuse it the same way.
+	// A CRC-valid frame that is not a record can only come from a writer
+	// bug or deliberate corruption; refuse it the same way.
+	if err != nil || json.Unmarshal(payload, &rec) != nil {
 		return Record{}, 0, ErrTorn
 	}
-	return rec, end, nil
+	return rec, n, nil
 }

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/admission"
 	"repro/internal/reopt"
@@ -16,12 +15,9 @@ import (
 type Target struct {
 	Engine *admission.Engine
 	// Controller receives controller state, settle/observe replay, and
-	// post-round bookkeeping for ControllerDomain. Optional (engine-only
-	// deployments log no settle/observe records).
+	// post-round bookkeeping for the domain it drives. Optional
+	// (engine-only deployments log no settle/observe records).
 	Controller *reopt.Controller
-	// ControllerDomain is the domain Controller drives; empty means
-	// admission.DefaultDomain.
-	ControllerDomain string
 	// Ledger is the shared yield account (also the controller's). Restored
 	// from the snapshot; replayed rounds and settles then re-book on top.
 	Ledger *yield.Ledger
@@ -43,17 +39,9 @@ type Report struct {
 	CompletedAdvance []string
 }
 
-// normalized applies Target defaults.
-func (t Target) normalized() Target {
-	if t.ControllerDomain == "" {
-		t.ControllerDomain = admission.DefaultDomain
-	}
-	return t
-}
-
 // ctrlFor resolves the controller replaying domain's records, if any.
 func (t Target) ctrlFor(domain string) *reopt.Controller {
-	if t.Controller != nil && domain == t.ControllerDomain {
+	if t.Controller != nil && domain == t.Controller.Domain() {
 		return t.Controller
 	}
 	return nil
@@ -71,7 +59,7 @@ func restoreSnapshot(t Target, snap *Snapshot) error {
 	}
 	if t.Controller != nil {
 		for _, cs := range snap.Controllers {
-			if cs.Domain == t.ControllerDomain {
+			if cs.Domain == t.Controller.Domain() {
 				if err := t.Controller.RestoreState(cs); err != nil {
 					return err
 				}
@@ -82,8 +70,7 @@ func restoreSnapshot(t Target, snap *Snapshot) error {
 }
 
 // replayOne applies one committed record through the same code paths a
-// live step runs. Shared by crash recovery (Recover) and the standby
-// tail-replay (Replayer) — one apply semantics, two feeding disciplines.
+// live step runs.
 func replayOne(t Target, r Record) error {
 	switch r.Kind {
 	case KindSettle:
@@ -132,106 +119,20 @@ func replayOne(t Target, r Record) error {
 	}
 }
 
-// Recover rebuilds live state from what Open found: restore the snapshot,
-// replay the committed log suffix through the real engine/controller code
-// paths, truncate the uncommitted tail, and deterministically complete a
-// trailing half-finished step. After it returns, the target serves exactly
-// as the crashed process would have.
+// Recover rebuilds live state from what Open found, by driving a Replayer
+// over it in one go: restore the snapshot, replay the committed log suffix
+// through the real engine/controller code paths, truncate the uncommitted
+// tail, and deterministically complete a trailing half-finished step. After
+// it returns, the target serves exactly as the crashed process would have.
 func Recover(s *Store, rec *Recovered, t Target) (*Report, error) {
-	if t.Engine == nil {
-		return nil, fmt.Errorf("wal: recovery needs an engine")
+	r, err := NewReplayer(t)
+	if err != nil {
+		return nil, err
 	}
-	t = t.normalized()
-	rep := &Report{}
-
-	if rec.Snapshot != nil {
-		rep.SnapshotLSN = rec.Snapshot.LSN
-		if err := restoreSnapshot(t, rec.Snapshot); err != nil {
-			return nil, err
-		}
+	if err := r.Bootstrap(rec.Snapshot); err != nil {
+		return nil, err
 	}
-
-	// Hold-back: settle/observe/forecasts records are a step's prefix; they
-	// commit only when the step's round made it durable behind them. A
-	// trailing prefix without its round was never acked to anyone — drop it
-	// physically, and the interrupted step re-runs live after recovery.
-	records := rec.Records
-	lastRound := make(map[string]int)
-	for i, pr := range records {
-		if pr.Rec.Kind == KindRound {
-			lastRound[pr.Rec.Domain] = i
-		}
-	}
-	heldBack := func(i int) bool {
-		switch records[i].Rec.Kind {
-		case KindSettle, KindObserve, KindForecasts:
-			li, ok := lastRound[records[i].Rec.Domain]
-			return !ok || li < i
-		}
-		return false // rounds are the commit points; advances follow their round
-	}
-	firstHeld := -1
-	for i := range records {
-		if heldBack(i) {
-			firstHeld = i
-			break
-		}
-	}
-	if firstHeld >= 0 {
-		for j := firstHeld; j < len(records); j++ {
-			if !heldBack(j) {
-				// Only possible when several domains interleave in one log
-				// and one domain's committed records landed after another's
-				// uncommitted prefix. The in-tree deployments are one
-				// domain per log, where the uncommitted prefix is always
-				// the physical tail.
-				return nil, fmt.Errorf("wal: committed record at LSN %d after uncommitted tail starting at LSN %d (multi-domain interleave); cannot truncate", records[j].LSN, records[firstHeld].LSN)
-			}
-		}
-		if err := s.TruncateTail(records[firstHeld].LSN); err != nil {
-			return nil, err
-		}
-		rep.HeldBack = len(records) - firstHeld
-		records = records[:firstHeld]
-	}
-
-	// Replay, through the same code paths a live step runs.
-	s.BeginRecovery()
-	lastKind := make(map[string]string)
-	for _, pr := range records {
-		if err := replayOne(t, pr.Rec); err != nil {
-			s.EndRecovery()
-			return nil, fmt.Errorf("wal: replay at LSN %d: %w", pr.LSN, err)
-		}
-		if pr.Rec.Kind == KindRound {
-			rep.Rounds++
-		}
-		lastKind[pr.Rec.Domain] = pr.Rec.Kind
-		rep.Applied++
-	}
-	s.EndRecovery()
-
-	// A trailing round without its advance: the round's outcomes were
-	// acked, so the step must finish — deterministically, and logged (the
-	// recovering flag is already cleared), exactly as the crashed process
-	// would have finished it.
-	var complete []string
-	for domain, k := range lastKind {
-		if k == KindRound {
-			complete = append(complete, domain)
-		}
-	}
-	sort.Strings(complete)
-	for _, domain := range complete {
-		if _, err := t.Engine.Advance(domain); err != nil {
-			return nil, fmt.Errorf("wal: completing advance for domain %q: %w", domain, err)
-		}
-		if c := t.ctrlFor(domain); c != nil {
-			c.ReplayAdvanced()
-		}
-		rep.CompletedAdvance = append(rep.CompletedAdvance, domain)
-	}
-	return rep, nil
+	return r.Finalize(s, rec.Records)
 }
 
 // BuildSnapshot composes the durable image of the running control plane:

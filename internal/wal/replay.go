@@ -5,21 +5,20 @@ import (
 	"sort"
 )
 
-// Replayer applies a live record stream (a Tailer's output) to a Target
-// incrementally, with the same hold-back semantics Recover applies in
-// batch: a step's settle/observe/forecasts prefix stays pending until the
-// step's round arrives behind it. That is what keeps a standby's state a
-// function of *committed* decisions only — a prefix whose round never
-// lands is a crashed leader's residue, and Finalize truncates it exactly
-// as crash recovery would.
+// Replayer is the one replay path: it applies a log's records to a Target
+// in LSN order, under the hold-back rule — a step's settle/observe/
+// forecasts prefix stays pending until the step's round arrives behind it.
+// That is what keeps the rebuilt state a function of *committed* decisions
+// only: a prefix whose round never lands is a crashed writer's residue, and
+// Finalize truncates it. A standby feeds it record by record as the leader
+// writes; crash recovery (Recover) feeds it the whole suffix at once.
 //
-// Feeding discipline: Bootstrap (optionally) with the tail's snapshot,
-// then Ingest every record in LSN order. Records below the high-water
-// mark are skipped, so at promotion the caller can replay Open's
-// Recovered.Records wholesale without tracking what the tail already
-// delivered. Finalize is promotion: truncate the pending residue and
-// complete a trailing round-without-advance, against the now-writable
-// Store.
+// Feeding discipline: Bootstrap (optionally) with a snapshot, then Ingest
+// every record in LSN order. Records below the high-water mark are skipped,
+// so at takeover the caller hands Finalize Open's Recovered.Records
+// wholesale without tracking what a tail already delivered. Finalize ends
+// the replay against the now-writable Store: ingest the rest, truncate the
+// pending residue, complete a trailing round-without-advance.
 type Replayer struct {
 	t       Target
 	pending map[string][]PositionedRecord
@@ -27,32 +26,30 @@ type Replayer struct {
 	last    map[string]string // last applied kind per domain
 
 	seen       uint64 // next unseen LSN
-	maxApplied uint64
-	anyApplied bool
+	maxApplied uint64 // newest applied LSN (0 while nothing is)
 	rep        Report
 }
 
 // NewReplayer builds a replayer over a freshly constructed, un-started
-// target (same contract as Recover: ReplayRound requires the engine to
-// have never run).
+// target (ReplayRound requires the engine to have never run).
 func NewReplayer(t Target) (*Replayer, error) {
 	if t.Engine == nil {
 		return nil, fmt.Errorf("wal: replayer needs an engine")
 	}
 	return &Replayer{
-		t:       t.normalized(),
+		t:       t,
 		pending: map[string][]PositionedRecord{},
 		last:    map[string]string{},
 	}, nil
 }
 
-// Bootstrap restores the tail's snapshot and positions the replayer at
-// its LSN. Call at most once, before any Ingest.
+// Bootstrap restores a snapshot (nil: start from empty state at LSN 0) and
+// positions the replayer at its LSN. Call at most once, before any Ingest.
 func (r *Replayer) Bootstrap(snap *Snapshot) error {
 	if snap == nil {
 		return nil
 	}
-	if r.seen != 0 || r.anyApplied {
+	if r.seen != 0 {
 		return fmt.Errorf("wal: replayer bootstrap after records were ingested")
 	}
 	if err := restoreSnapshot(r.t, snap); err != nil {
@@ -81,7 +78,7 @@ func (r *Replayer) apply(pr PositionedRecord) error {
 		r.rep.Rounds++
 	}
 	r.last[pr.Rec.Domain] = pr.Rec.Kind
-	r.maxApplied, r.anyApplied = pr.LSN, true
+	r.maxApplied = pr.LSN
 	r.rep.Applied++
 	return nil
 }
@@ -131,28 +128,45 @@ func (r *Replayer) Ingest(pr PositionedRecord) error {
 	}
 }
 
-// Finalize is the promotion step, run once the dead leader's log has been
-// fully ingested and s (the same directory, now opened for writing by the
-// about-to-be leader) is accepting appends. The pending residue — step
-// prefixes whose round never became durable — is physically truncated,
-// and a trailing round-without-advance is completed and re-logged, both
-// exactly as Recover does after a crash. The returned Report summarizes
-// the whole replay since Bootstrap.
-func (r *Replayer) Finalize(s *Store) (*Report, error) {
+// Finalize ends the replay and hands the log over for writing: s is the
+// directory opened by the process about to serve, rest what its Open found
+// (for a standby, normally nothing the tail had not delivered). The rest is
+// ingested with s's appends suppressed — replay drives the engine and
+// controller through their live paths, whose log hooks must not re-log
+// what is being replayed. Then the pending residue — step prefixes whose
+// round never became durable, never acked to anyone — is physically
+// truncated so the interrupted step re-runs live, and a trailing
+// round-without-advance is completed: its outcomes were acked, so the step
+// must finish, deterministically and logged, exactly as the dead writer
+// would have finished it. The Report summarizes the whole replay since
+// Bootstrap.
+func (r *Replayer) Finalize(s *Store, rest []PositionedRecord) (*Report, error) {
+	s.setRecovering(true)
+	var err error
+	for _, pr := range rest {
+		if err = r.Ingest(pr); err != nil {
+			break
+		}
+	}
+	s.setRecovering(false)
+	if err != nil {
+		return nil, err
+	}
+
 	if r.pend > 0 {
-		first := uint64(0)
-		got := false
+		// Each domain's pending list is in LSN order and never empty.
+		first := r.seen
 		for _, prs := range r.pending {
-			for _, pr := range prs {
-				if !got || pr.LSN < first {
-					first, got = pr.LSN, true
-				}
+			if prs[0].LSN < first {
+				first = prs[0].LSN
 			}
 		}
-		if r.anyApplied && r.maxApplied > first {
-			// Same refusal as Recover: committed records landed after an
-			// uncommitted prefix (multi-domain interleave), so the residue
-			// is not the physical tail and cannot be truncated.
+		if r.maxApplied > first {
+			// Only possible when several domains interleave in one log and
+			// one domain's committed records landed after another's
+			// uncommitted prefix: the residue is not the physical tail and
+			// cannot be truncated. The in-tree deployments are one domain
+			// per log.
 			return nil, fmt.Errorf("wal: committed record at LSN %d after uncommitted tail starting at LSN %d (multi-domain interleave); cannot truncate", r.maxApplied, first)
 		}
 		if err := s.TruncateTail(first); err != nil {

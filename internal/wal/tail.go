@@ -1,15 +1,10 @@
 package wal
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // Tailer is a read-only live reader over another process's log directory:
@@ -57,38 +52,13 @@ var ErrTailGap = errors.New("wal: tail gap: next record was compacted away (stan
 // the newest readable one bootstraps the tail: Snapshot returns it and
 // Poll starts at its LSN.
 func OpenTailer(dir string) (*Tailer, error) {
-	t := &Tailer{dir: dir}
-	names, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return t, nil
-	}
+	_, snaps, err := listDir(dir)
 	if err != nil {
-		return nil, fmt.Errorf("wal: tail: %w", err)
+		return nil, err
 	}
-	var snaps []snapInfo
-	for _, de := range names {
-		name := de.Name()
-		if strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json") {
-			lsn, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".json"), 16, 64)
-			if perr != nil {
-				return nil, fmt.Errorf("wal: tail: bad snapshot name %q", name)
-			}
-			snaps = append(snaps, snapInfo{path: filepath.Join(dir, name), lsn: lsn})
-		}
-	}
-	sort.Slice(snaps, func(i, j int) bool { return snaps[i].lsn < snaps[j].lsn })
-	for i := len(snaps) - 1; i >= 0; i-- {
-		data, rerr := os.ReadFile(snaps[i].path)
-		if rerr != nil {
-			continue
-		}
-		var snap Snapshot
-		if json.Unmarshal(data, &snap) != nil || snap.LSN != snaps[i].lsn {
-			continue
-		}
-		t.snap = &snap
-		t.next = snap.LSN
-		break
+	t := &Tailer{dir: dir, snap: newestSnapshot(snaps)}
+	if t.snap != nil {
+		t.next = t.snap.LSN
 	}
 	return t, nil
 }
@@ -103,26 +73,8 @@ func (t *Tailer) NextLSN() uint64 { return t.next }
 
 // segments lists the directory's segments, oldest first.
 func (t *Tailer) segments() ([]segInfo, error) {
-	names, err := os.ReadDir(t.dir)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("wal: tail: %w", err)
-	}
-	var segs []segInfo
-	for _, de := range names {
-		name := de.Name()
-		if strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg") {
-			base, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
-			if perr != nil {
-				return nil, fmt.Errorf("wal: tail: bad segment name %q", name)
-			}
-			segs = append(segs, segInfo{path: filepath.Join(t.dir, name), base: base})
-		}
-	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
-	return segs, nil
+	segs, _, err := listDir(t.dir)
+	return segs, err
 }
 
 // open positions the tailer at the segment containing LSN t.next, skipping

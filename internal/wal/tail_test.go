@@ -154,12 +154,7 @@ func TestStandbyTailPromotionMatchesUninterrupted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, pr := range recovered.Records {
-		if err := replayer.Ingest(pr); err != nil {
-			t.Fatalf("re-ingest LSN %d: %v", pr.LSN, err)
-		}
-	}
-	rep, err := replayer.Finalize(ws)
+	rep, err := replayer.Finalize(ws, recovered.Records)
 	if err != nil {
 		t.Fatalf("finalize: %v", err)
 	}

@@ -127,44 +127,10 @@ func Open(opt Options) (*Store, *Recovered, error) {
 	s := &Store{opt: opt}
 	rec := &Recovered{}
 
-	names, err := os.ReadDir(opt.Dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
+	if s.segs, s.snaps, err = listDir(opt.Dir); err != nil {
+		return nil, nil, err
 	}
-	for _, de := range names {
-		name := de.Name()
-		switch {
-		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
-			base, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
-			if perr != nil {
-				return nil, nil, fmt.Errorf("wal: bad segment name %q", name)
-			}
-			s.segs = append(s.segs, segInfo{path: filepath.Join(opt.Dir, name), base: base})
-		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
-			lsn, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".json"), 16, 64)
-			if perr != nil {
-				return nil, nil, fmt.Errorf("wal: bad snapshot name %q", name)
-			}
-			s.snaps = append(s.snaps, snapInfo{path: filepath.Join(opt.Dir, name), lsn: lsn})
-		}
-	}
-	sort.Slice(s.segs, func(i, j int) bool { return s.segs[i].base < s.segs[j].base })
-	sort.Slice(s.snaps, func(i, j int) bool { return s.snaps[i].lsn < s.snaps[j].lsn })
-
-	// Newest readable snapshot wins; an unreadable one falls back to the
-	// previous (compaction keeps a spare for exactly this).
-	for i := len(s.snaps) - 1; i >= 0; i-- {
-		data, rerr := os.ReadFile(s.snaps[i].path)
-		if rerr != nil {
-			continue
-		}
-		var snap Snapshot
-		if json.Unmarshal(data, &snap) != nil || snap.LSN != s.snaps[i].lsn {
-			continue
-		}
-		rec.Snapshot = &snap
-		break
-	}
+	rec.Snapshot = newestSnapshot(s.snaps)
 	snapLSN := uint64(0)
 	if rec.Snapshot != nil {
 		snapLSN = rec.Snapshot.LSN
@@ -234,6 +200,56 @@ func Open(opt Options) (*Store, *Recovered, error) {
 		s.w = bufio.NewWriterSize(f, writerBytes)
 	}
 	return s, rec, nil
+}
+
+// listDir returns a log directory's segments and snapshots, oldest first —
+// the one reading of the directory the writer (Open) and a read-only tail
+// share. A directory that does not exist yet lists as empty.
+func listDir(dir string) (segs []segInfo, snaps []snapInfo, err error) {
+	names, err := os.ReadDir(dir)
+	if os.IsNotExist(err) {
+		return nil, nil, nil
+	}
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: %w", err)
+	}
+	for _, de := range names {
+		name := de.Name()
+		switch {
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
+			base, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".seg"), 16, 64)
+			if perr != nil {
+				return nil, nil, fmt.Errorf("wal: bad segment name %q", name)
+			}
+			segs = append(segs, segInfo{path: filepath.Join(dir, name), base: base})
+		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".json"):
+			lsn, perr := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".json"), 16, 64)
+			if perr != nil {
+				return nil, nil, fmt.Errorf("wal: bad snapshot name %q", name)
+			}
+			snaps = append(snaps, snapInfo{path: filepath.Join(dir, name), lsn: lsn})
+		}
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].base < segs[j].base })
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].lsn < snaps[j].lsn })
+	return segs, snaps, nil
+}
+
+// newestSnapshot loads the newest readable snapshot of an oldest-first
+// list, nil when there is none. An unreadable one falls back to the
+// previous (compaction keeps a spare for exactly this).
+func newestSnapshot(snaps []snapInfo) *Snapshot {
+	for i := len(snaps) - 1; i >= 0; i-- {
+		data, err := os.ReadFile(snaps[i].path)
+		if err != nil {
+			continue
+		}
+		var snap Snapshot
+		if json.Unmarshal(data, &snap) == nil && snap.LSN == snaps[i].lsn {
+			return &snap
+		}
+	}
+	return nil
 }
 
 // openSegmentLocked creates a fresh segment whose first record will be LSN
@@ -497,19 +513,12 @@ func (s *Store) syncDir() {
 
 // --- recovery support ---
 
-// BeginRecovery suppresses appends while logged records are replayed
-// through the live engine/controller paths (whose WAL hooks would
-// otherwise re-log them).
-func (s *Store) BeginRecovery() {
+// setRecovering suppresses (or re-enables) appends and syncs while logged
+// records are replayed through the live engine/controller paths, whose WAL
+// hooks would otherwise re-log them.
+func (s *Store) setRecovering(on bool) {
 	s.mu.Lock()
-	s.recovering = true
-	s.mu.Unlock()
-}
-
-// EndRecovery re-enables appends.
-func (s *Store) EndRecovery() {
-	s.mu.Lock()
-	s.recovering = false
+	s.recovering = on
 	s.mu.Unlock()
 }
 
@@ -525,16 +534,14 @@ func (s *Store) TruncateTail(fromLSN uint64) error {
 	if fromLSN >= s.next {
 		return nil
 	}
+	// The active segment is reopened at the cut below.
+	s.w.Flush()
+	s.f.Close()
 	// Drop whole segments past the cut, newest first.
 	for len(s.segs) > 0 {
 		last := len(s.segs) - 1
 		if s.segs[last].base < fromLSN || last == 0 {
 			break
-		}
-		if s.f != nil {
-			s.w.Flush()
-			s.f.Close()
-			s.f, s.w = nil, nil
 		}
 		if err := os.Remove(s.segs[last].path); err != nil {
 			return fmt.Errorf("wal: %w", err)
@@ -543,11 +550,6 @@ func (s *Store) TruncateTail(fromLSN uint64) error {
 	}
 	// Cut within the now-last segment.
 	sg := &s.segs[len(s.segs)-1]
-	if s.f != nil {
-		s.w.Flush()
-		s.f.Close()
-		s.f, s.w = nil, nil
-	}
 	if i := fromLSN - sg.base; fromLSN > sg.base && i < uint64(len(sg.offsets)) {
 		if err := os.Truncate(sg.path, sg.offsets[i]); err != nil {
 			return fmt.Errorf("wal: %w", err)

@@ -360,20 +360,20 @@ func TestTruncateTailDropsSuffix(t *testing.T) {
 	}
 }
 
-// TestAppendWhileRecoveringIsNoOp pins the replay re-entry guard: between
-// BeginRecovery and EndRecovery the engine-facing hooks swallow appends.
+// TestAppendWhileRecoveringIsNoOp pins the replay re-entry guard: while
+// Finalize replays, the engine-facing hooks swallow appends.
 func TestAppendWhileRecoveringIsNoOp(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := mustOpen(t, Options{Dir: dir})
 	defer s.Close()
-	s.BeginRecovery()
+	s.setRecovering(true)
 	if err := s.AppendAdvance("default"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SyncRound(); err != nil {
 		t.Fatal(err)
 	}
-	s.EndRecovery()
+	s.setRecovering(false)
 	if got := s.LSN(); got != 0 {
 		t.Fatalf("recovering append advanced the LSN to %d", got)
 	}

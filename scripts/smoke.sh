@@ -13,7 +13,7 @@ run go run ./cmd/simctl -experiment fig4
 run go run ./cmd/simctl -experiment fig4 -full
 run go run ./cmd/simctl -experiment scaling
 run go run ./cmd/simctl -experiment forecast
-run go run ./cmd/testbed
+run go run ./cmd/simctl -experiment fig8
 # The archetype catalog is pinned byte-for-byte: adding or rewording an
 # archetype is deliberate, and refreshes the golden with:
 #   go run ./cmd/scenario list > scripts/golden/scenario_list.golden
