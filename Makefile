@@ -11,7 +11,7 @@ GO ?= go
 # deletions or big untested subsystems.
 COVER_FLOOR ?= 75.9
 
-.PHONY: build test test-race vet fmt-check lint lines bench bench-smoke bench-json bench-compare bench-pins fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
+.PHONY: build test test-race vet fmt-check lint lines bench bench-smoke bench-json bench-compare bench-pins rest-check fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
 
 build:
 	$(GO) build ./...
@@ -126,6 +126,20 @@ bench-pins:
 	done
 	@echo "bench-pins: six workloads fingerprint-correct"
 
+# rest-check holds the southbound to its two round trips per epoch: three
+# untraced passes and the traced pass of the rest-stack workload must be
+# fingerprint-correct (the run's exit status), and the traced pass must count
+# at most 6 controller requests per epoch — one epoch document per controller
+# for the round, one more when something expired (the per-slice southbound it
+# replaced made ≈ 24). A count, not a timing, so it holds on any runner. The
+# result set stays in benchmark/out/results.json.
+rest-check:
+	$(GO) run ./benchmark run -workload rest-stack -seed 1 -reps 3 -trace > rest-check.out || { cat rest-check.out; rm -f rest-check.out; exit 1; }
+	@awk '$$1 == "ctrlplane.program_calls_per_epoch" { seen = 1; print "rest-check:", $$1, $$2; if ($$2 + 0 > 6) exit 1 } END { if (!seen) exit 1 }' rest-check.out \
+		|| { echo "rest-check: ctrlplane.program_calls_per_epoch missing or above 6"; rm -f rest-check.out; exit 1; }
+	@rm -f rest-check.out
+	@echo "rest-check: rest-stack correct, southbound within two round trips per epoch"
+
 # fuzz-smoke gives each native fuzz target a short budget; crashes found in
 # CI reproduce locally via the corpus file Go writes on failure. The loop
 # discovers targets with `go test -list`, so a new Fuzz* function is in
@@ -226,7 +240,7 @@ smoke:
 # drop (committed BENCH_PR<n>.json baselines are durable outputs, not
 # scratch, and are left alone).
 clean:
-	rm -f coverage.out bench.raw metro.raw metro.out cpu.out mem.out *.pprof *.prof
+	rm -f coverage.out bench.raw metro.raw metro.out rest-check.out cpu.out mem.out *.pprof *.prof
 	rm -rf ovnes-data
 
 # cover enforces the statement-coverage floor over the whole module. The
@@ -242,4 +256,4 @@ cover:
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN{exit !(t>=f)}' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-ci: build vet fmt-check lint lines docs-check links-check test-race cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins bench-json bench-compare
+ci: build vet fmt-check lint lines docs-check links-check test-race cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins rest-check bench-json bench-compare

@@ -16,7 +16,11 @@
 //
 // Endpoints (orchestrator): POST /requests, POST /epoch, GET /slices,
 // GET /epoch, GET /metrics, GET /yield. The controllers listen on
-// consecutive ports after -listen. With -epoch-every > 0 the closed loop
+// consecutive ports after -listen, each with one write route (POST /shares,
+// /flows, /stacks) that takes an epoch document; the orchestrator posts the
+// three concurrently over kept-alive connections, at most twice per epoch.
+// GET /slices lists a rejected or expired slice for one epoch, then forgets
+// it. With -epoch-every > 0 the closed loop
 // (internal/reopt) runs one epoch per period on its own — monitoring
 // feeds forecasts, reservations rescale, realized yield settles — and
 // POST /epoch just inserts extra epochs.
@@ -147,12 +151,13 @@ func main() {
 	}
 	addrOf := func(off int) string { return net.JoinHostPort(host, strconv.Itoa(port+off)) }
 
-	// Every service is an http.Server so shutdown can drain it; a fatal
-	// listener error anywhere tears the whole stack down via errc.
+	// Every service is an http.Server (ctrlplane.NewServer: read and idle
+	// timeouts set) so shutdown can drain it; a fatal listener error
+	// anywhere tears the whole stack down via errc.
 	var servers []*http.Server
 	errc := make(chan error, 8)
 	serve := func(addr, name string, h http.Handler) {
-		srv := &http.Server{Addr: addr, Handler: h}
+		srv := ctrlplane.NewServer(addr, h)
 		servers = append(servers, srv)
 		go func() {
 			log.Printf("%s on http://%s", name, addr)

@@ -41,7 +41,7 @@ func main() {
 	defer stop()
 
 	mgr := ctrlplane.NewSliceManager(*orch)
-	srv := &http.Server{Addr: *listen, Handler: mgr.Handler()}
+	srv := ctrlplane.NewServer(*listen, mgr.Handler())
 	errc := make(chan error, 1)
 	go func() {
 		log.Printf("slice manager on http://%s (orchestrator %s)", *listen, *orch)

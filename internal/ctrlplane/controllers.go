@@ -1,9 +1,11 @@
 package ctrlplane
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"repro/internal/dataplane"
@@ -60,6 +62,85 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
 	return nil
 }
 
+// statusError is a peer's non-2xx answer: its status and {"error"} text.
+type statusError struct {
+	op   string // "POST http://…/shares"
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string {
+	return fmt.Sprintf("ctrlplane: %s: %d %s (%s)", e.op, e.code, http.StatusText(e.code), e.msg)
+}
+
+// call is the one client-side exchange every service uses: marshal in (nil
+// sends no body), send, read the answer to EOF, close, and decode a 2xx
+// body into out (nil discards it); a non-2xx answer is a *statusError.
+// Reading to EOF is what keeps the connection: net/http returns a
+// connection to the idle pool only when its response body was consumed, and
+// closes it otherwise — so a caller that merely closes the body pays a
+// fresh dial, accept and server goroutine on its next call.
+func call(c *http.Client, method, url string, in, out interface{}) error {
+	var body io.Reader
+	if in != nil {
+		b, err := json.Marshal(in)
+		if err != nil {
+			return err
+		}
+		body = bytes.NewReader(b)
+	}
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		return err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.Do(req)
+	if err != nil {
+		return err
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return fmt.Errorf("ctrlplane: %s %s: reading answer: %w", method, url, err)
+	}
+	if resp.StatusCode/100 != 2 {
+		var e map[string]string
+		json.Unmarshal(data, &e) //nolint:errcheck // best effort: the text is for the operator
+		return &statusError{op: method + " " + url, code: resp.StatusCode, msg: e["error"]}
+	}
+	if out == nil {
+		return nil
+	}
+	return json.Unmarshal(data, out)
+}
+
+// epochHandler serves a controller's one write route: decode the epoch
+// document, apply its set items in document order, then its removals. An
+// item that fails its check is rolled back by set and stops the document
+// with that status; the items before it stay applied (the orchestrator
+// re-sends every reservation next epoch), the rest are not attempted.
+func epochHandler[C any](set func(C) (int, error), remove func(string)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var doc EpochDoc[C]
+		if err := decodeBody(w, r, &doc); err != nil {
+			httpBodyError(w, err)
+			return
+		}
+		for _, cfg := range doc.Set {
+			if status, err := set(cfg); err != nil {
+				httpError(w, status, err)
+				return
+			}
+		}
+		for _, name := range doc.Remove {
+			remove(name)
+		}
+		writeJSON(w, http.StatusOK, map[string]int{"set": len(doc.Set), "removed": len(doc.Remove)})
+	}
+}
+
 // RANController translates radio share configs into per-BS scheduler
 // programming (the paper's proprietary small-cell interface).
 type RANController struct {
@@ -72,37 +153,25 @@ func NewRANController(dp *dataplane.Emulator) *RANController { return &RANContro
 // Handler exposes the controller's REST surface.
 func (c *RANController) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /shares", func(w http.ResponseWriter, r *http.Request) {
-		var cfg RadioConfig
-		if err := decodeBody(w, r, &cfg); err != nil {
-			httpBodyError(w, err)
-			return
-		}
+	mux.HandleFunc("POST /shares", epochHandler(func(cfg RadioConfig) (int, error) {
 		if len(cfg.ShareMHz) != len(c.dp.Radios) {
-			httpError(w, http.StatusBadRequest,
-				fmt.Errorf("ctrlplane: %d shares for %d BSs", len(cfg.ShareMHz), len(c.dp.Radios)))
-			return
+			return http.StatusBadRequest,
+				fmt.Errorf("ctrlplane: slice %s: %d shares for %d BSs", cfg.Slice, len(cfg.ShareMHz), len(c.dp.Radios))
 		}
-		applied := make([]int, 0, len(cfg.ShareMHz))
 		for b, mhz := range cfg.ShareMHz {
 			if err := c.dp.Radios[b].SetShare(cfg.Slice, mhz); err != nil {
-				for _, bb := range applied {
+				for bb := 0; bb < b; bb++ {
 					c.dp.Radios[bb].SetShare(cfg.Slice, 0) //nolint:errcheck // rollback
 				}
-				httpError(w, http.StatusConflict, err)
-				return
+				return http.StatusConflict, fmt.Errorf("ctrlplane: slice %s at BS %d: %w", cfg.Slice, b, err)
 			}
-			applied = append(applied, b)
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "programmed"})
-	})
-	mux.HandleFunc("DELETE /shares/{slice}", func(w http.ResponseWriter, r *http.Request) {
-		sl := r.PathValue("slice")
+		return 0, nil
+	}, func(sl string) {
 		for _, rs := range c.dp.Radios {
 			rs.SetShare(sl, 0) //nolint:errcheck // removal never fails
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "removed"})
-	})
+	}))
 	return mux
 }
 
@@ -120,26 +189,16 @@ func NewTransportController(dp *dataplane.Emulator) *TransportController {
 // Handler exposes the controller's REST surface.
 func (c *TransportController) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /flows", func(w http.ResponseWriter, r *http.Request) {
-		var cfg FlowConfig
-		if err := decodeBody(w, r, &cfg); err != nil {
-			httpBodyError(w, err)
-			return
-		}
+	mux.HandleFunc("POST /flows", epochHandler(func(cfg FlowConfig) (int, error) {
 		rules := make([]dataplane.FlowRule, len(cfg.Rules))
 		for i, fs := range cfg.Rules {
 			rules[i] = dataplane.FlowRule{Slice: cfg.Slice, LinkIDs: fs.LinkIDs, RateMbps: fs.RateMbps}
 		}
 		if err := c.dp.Fabric.Install(cfg.Slice, rules); err != nil {
-			httpError(w, http.StatusConflict, err)
-			return
+			return http.StatusConflict, fmt.Errorf("ctrlplane: slice %s: %w", cfg.Slice, err)
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "programmed"})
-	})
-	mux.HandleFunc("DELETE /flows/{slice}", func(w http.ResponseWriter, r *http.Request) {
-		c.dp.Fabric.Remove(r.PathValue("slice"))
-		writeJSON(w, http.StatusOK, map[string]string{"status": "removed"})
-	})
+		return 0, nil
+	}, c.dp.Fabric.Remove))
 	return mux
 }
 
@@ -155,15 +214,9 @@ func NewCloudController(dp *dataplane.Emulator) *CloudController { return &Cloud
 // Handler exposes the controller's REST surface.
 func (c *CloudController) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /stacks", func(w http.ResponseWriter, r *http.Request) {
-		var cfg StackConfig
-		if err := decodeBody(w, r, &cfg); err != nil {
-			httpBodyError(w, err)
-			return
-		}
+	mux.HandleFunc("POST /stacks", epochHandler(func(cfg StackConfig) (int, error) {
 		if cfg.CU < 0 || cfg.CU >= len(c.dp.CUs) {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("ctrlplane: no CU %d", cfg.CU))
-			return
+			return http.StatusBadRequest, fmt.Errorf("ctrlplane: slice %s: no CU %d", cfg.Slice, cfg.CU)
 		}
 		// CPU pinning: the pin covers the stack's worst case at the
 		// reserved bitrate (§2.2.3).
@@ -182,17 +235,13 @@ func (c *CloudController) Handler() http.Handler {
 			}
 		}
 		if err := c.dp.CUs[cfg.CU].Deploy(st); err != nil {
-			httpError(w, http.StatusConflict, err)
-			return
+			return http.StatusConflict, fmt.Errorf("ctrlplane: slice %s on CU %d: %w", cfg.Slice, cfg.CU, err)
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "deployed"})
-	})
-	mux.HandleFunc("DELETE /stacks/{slice}", func(w http.ResponseWriter, r *http.Request) {
-		sl := r.PathValue("slice")
+		return 0, nil
+	}, func(sl string) {
 		for _, cu := range c.dp.CUs {
 			cu.Destroy(sl)
 		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "destroyed"})
-	})
+	}))
 	return mux
 }

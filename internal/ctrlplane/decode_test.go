@@ -62,9 +62,9 @@ func TestControllerEndpointsRejectHostilePayloads(t *testing.T) {
 		url  string
 		body string
 	}{
-		{s.ran.URL + "/shares", `{"slice":"x","share_mhz":[1,1],"extra":1}`},
-		{s.tn.URL + "/flows", `{"slice":"x","rules":[],"extra":1}`},
-		{s.cloud.URL + "/stacks", `{"slice":"x","cu":0,"extra":1}`},
+		{s.ran.URL + "/shares", `{"set":[{"slice":"x","share_mhz":[1,1],"extra":1}]}`},
+		{s.tn.URL + "/flows", `{"set":[{"slice":"x","rules":[]}],"extra":1}`},
+		{s.cloud.URL + "/stacks", `{"slice":"x","cu":0}`}, // the pre-document per-slice body
 		{s.orchSrv.URL + "/requests", `{"name":"x","bogus":true}`},
 		{s.mgr.URL + "/requests", `{"name":"x","bogus":true}`},
 	}

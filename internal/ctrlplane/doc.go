@@ -13,7 +13,18 @@
 //     interface modelled on ETSI GS NFV-IFA 005.
 //
 // All services speak JSON over net/http and are exercised end-to-end over
-// loopback in the package tests.
+// loopback in the package tests. Every client-side exchange goes through
+// one helper (call) that reads the answer to EOF, which is what lets
+// net/http keep the connection; every server is built by NewServer, which
+// sets the read and idle timeouts.
+//
+// The southbound costs two round trips per epoch: each controller has one
+// write route taking an EpochDoc — the round's programming in "set",
+// slices that shrink first, or the expired slices in "remove" — and the
+// orchestrator posts the three documents concurrently, committing its
+// registry only when all three answered 2xx. The registry itself keeps a
+// rejected or expired slice for one epoch and then forgets it, which is
+// also all a restarted or promoted orchestrator ever knows.
 //
 // An orchestrator core (engine, closed-loop controller, ledger) is built
 // with no log and no executor, and starts serving through one takeover:

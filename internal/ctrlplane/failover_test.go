@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -68,25 +69,39 @@ func (c *shiftClock) advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-// failoverSample is the deterministic data-plane traffic both runs play.
-func failoverSample(name string, b, epoch, theta int) float64 {
+// loadWave is the deterministic shape of the traffic the tests play: a sine
+// in [-1, 1] phased by slice name, BS, epoch and monitoring slot.
+func loadWave(name string, b, epoch, theta int) float64 {
 	h := 0
 	for _, c := range name {
 		h = h*31 + int(c)
 	}
-	return 8 + 4*math.Sin(float64(h%17)+0.9*float64(epoch)+0.35*float64(theta)+0.5*float64(b))
+	return math.Sin(float64(h%17) + 0.9*float64(epoch) + 0.35*float64(theta) + 0.5*float64(b))
 }
 
-// failoverArrivals is the workload: all four slices outlive the run, so
-// the (deliberately non-durable) terminated-slice registry stays empty and
-// /slices is comparable byte-for-byte.
+// failoverSample is the deterministic data-plane traffic both runs play.
+func failoverSample(name string, b, epoch, theta int) float64 {
+	return 8 + 4*loadWave(name, b, epoch, theta)
+}
+
+// failoverArrivals is the workload. Four slices outlive the run; x1 expires
+// in the last epoch before the kill, x2 is fast-rejected in it, and x3
+// arrives and expires after the takeover. The registry of terminated
+// slices is serving memory, not durable state — but it forgets them one
+// epoch later anyway, so a promoted or recovered orchestrator (which starts
+// from the committed slices alone) lists what the uninterrupted one lists
+// from its first epoch on. Within an epoch names are offered in sorted
+// order, the order the engine commits them in.
 func failoverArrivals() map[int][]SliceRequest {
 	return map[int][]SliceRequest{
 		0: {
 			{Name: "u1", Type: "uRLLC", DurationEpochs: 10, PenaltyFactor: 1},
 			{Name: "u2", Type: "eMBB", DurationEpochs: 10, PenaltyFactor: 1},
+			{Name: "x1", Type: "mMTC", RateMbps: 2, DurationEpochs: 3, PenaltyFactor: 1},
 		},
 		1: {{Name: "u3", Type: "uRLLC", RateMbps: 5, DurationEpochs: 10, PenaltyFactor: 1}},
+		2: {{Name: "x2", Type: "mMTC", RateMbps: 2, DelayMs: 1e-3, DurationEpochs: 3, PenaltyFactor: 1}},
+		3: {{Name: "x3", Type: "mMTC", RateMbps: 2, DurationEpochs: 2, PenaltyFactor: 1}},
 		4: {{Name: "u4", Type: "eMBB", RateMbps: 8, DurationEpochs: 10, PenaltyFactor: 1}},
 	}
 }
@@ -97,6 +112,7 @@ type failoverWorld struct {
 	nbs    int
 	active []string
 	last   []monitor.Sample
+	slices []string // GET /slices after each epoch, exact bytes
 }
 
 // runEpoch plays epoch e against the currently serving orchestrator and
@@ -112,13 +128,16 @@ func (w *failoverWorld) runEpoch(t *testing.T, o *Orchestrator, store *monitor.S
 	if err != nil {
 		t.Fatalf("epoch %d: %v", e, err)
 	}
-	if len(rep.Rejected) > 0 || len(rep.Expired) > 0 {
-		// The workload is sized to admit everything and expire nothing:
-		// terminated slices live only in serving memory, so a reject or
-		// expiry would make the /slices comparison vacuous.
-		t.Fatalf("epoch %d: workload no longer all-admitted no-expiry: %+v", e, rep)
-	}
+	w.slices = append(w.slices, getBytes(t, o, "/slices"))
 	w.active = append(w.active, rep.Accepted...)
+	for _, gone := range rep.Expired {
+		for i, name := range w.active {
+			if name == gone {
+				w.active = append(w.active[:i], w.active[i+1:]...)
+				break
+			}
+		}
+	}
 	sort.Strings(w.active)
 	line, err := json.Marshal(rep)
 	if err != nil {
@@ -141,6 +160,22 @@ func (w *failoverWorld) runEpoch(t *testing.T, o *Orchestrator, store *monitor.S
 		}
 	}
 	return string(line)
+}
+
+// slicesMatchFrom requires the GET /slices bytes after every epoch from
+// the first one the new leader served to equal the uninterrupted run's.
+// (Between the takeover and that epoch the new leader lists only committed
+// slices, the uninterrupted one also what terminated in the epoch before.)
+func (w *failoverWorld) slicesMatchFrom(t *testing.T, ref *failoverWorld, from int) {
+	t.Helper()
+	if len(w.slices) != len(ref.slices) {
+		t.Fatalf("%d epochs listed, reference %d", len(w.slices), len(ref.slices))
+	}
+	for e := from; e < len(ref.slices); e++ {
+		if w.slices[e] != ref.slices[e] {
+			t.Fatalf("/slices diverged after epoch %d:\nreference: %s\nfailover:  %s", e, ref.slices[e], w.slices[e])
+		}
+	}
 }
 
 func (w *failoverWorld) reconnect(store *monitor.Store) {
@@ -189,8 +224,9 @@ const failoverEpochs = 6
 // TestFailoverMatchesUninterrupted is the PR's acceptance gate, at one and
 // two workers: SIGKILL-equivalent the leader between epochs, let the
 // standby take the lease and promote, and require the concatenated epoch
-// reports plus the final /yield and /slices bytes to equal the
-// uninterrupted single-process reference exactly.
+// reports, the final /yield bytes and the /slices bytes after every epoch
+// the new leader served to equal the uninterrupted single-process
+// reference exactly.
 func TestFailoverMatchesUninterrupted(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		workers := workers
@@ -214,7 +250,6 @@ func TestFailoverMatchesUninterrupted(t *testing.T) {
 				refLines = append(refLines, refWorld.runEpoch(t, ref, refStore, e))
 			}
 			refYield := getBytes(t, ref, "/yield")
-			refSlices := getBytes(t, ref, "/slices")
 
 			// Replicated run: leader under lease epoch 1 with its own worker
 			// pool, standby tailing the same directory.
@@ -293,6 +328,13 @@ func TestFailoverMatchesUninterrupted(t *testing.T) {
 			if rep := orch2.Recovery(); rep == nil || rep.Rounds != kill {
 				t.Fatalf("promotion replayed %+v, want %d rounds", orch2.Recovery(), kill)
 			}
+			// The workload must put the forgetting rule to work: the
+			// uninterrupted run still lists what terminated in the last
+			// pre-kill epoch, the promoted one never knew it.
+			if before := refWorld.slices[kill-1]; !strings.Contains(before, `"x1"`) || !strings.Contains(before, `"x2"`) ||
+				strings.Contains(getBytes(t, orch2, "/slices"), `"x`) {
+				t.Fatalf("x1/x2 should have terminated in epoch %d: reference lists %s", kill-1, before)
+			}
 			w.reconnect(storeS)
 
 			for e := kill; e < failoverEpochs; e++ {
@@ -311,9 +353,7 @@ func TestFailoverMatchesUninterrupted(t *testing.T) {
 			if got := getBytes(t, orch2, "/yield"); got != refYield {
 				t.Fatalf("/yield diverged:\nreference: %s\nfailover:  %s", refYield, got)
 			}
-			if got := getBytes(t, orch2, "/slices"); got != refSlices {
-				t.Fatalf("/slices diverged:\nreference: %s\nfailover:  %s", refSlices, got)
-			}
+			w.slicesMatchFrom(t, refWorld, kill)
 		})
 	}
 }
@@ -343,7 +383,6 @@ func TestStandbyHealsCompactionGap(t *testing.T) {
 		refLines = append(refLines, refWorld.runEpoch(t, ref, refStore, e))
 	}
 	refYield := getBytes(t, ref, "/yield")
-	refSlices := getBytes(t, ref, "/slices")
 
 	// Leader with a WAL; the standby opens the directory first, so its
 	// tail starts at LSN 0 with no bootstrap snapshot.
@@ -411,7 +450,5 @@ func TestStandbyHealsCompactionGap(t *testing.T) {
 	if got := getBytes(t, orch2, "/yield"); got != refYield {
 		t.Fatalf("/yield diverged:\nreference: %s\nhealed:    %s", refYield, got)
 	}
-	if got := getBytes(t, orch2, "/slices"); got != refSlices {
-		t.Fatalf("/slices diverged:\nreference: %s\nhealed:    %s", refSlices, got)
-	}
+	w.slicesMatchFrom(t, refWorld, kill)
 }

@@ -1,9 +1,7 @@
 package ctrlplane
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -12,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/reopt"
 	"repro/internal/slice"
@@ -251,8 +248,10 @@ func (o *Orchestrator) takeover(st *wal.Store, rec *wal.Recovered, r *wal.Replay
 // adoptCommitted rebuilds the REST registry from the engine's recovered
 // committed state. The registry of terminated slices (rejected, expired)
 // is serving history, not decision state, and is deliberately not
-// durable. The data plane self-heals on the first epoch: programRound
-// pushes every accepted slice's reservation southbound each round.
+// durable — a serving orchestrator forgets it after one epoch too
+// (forgetTerminated). The data plane self-heals on the first epoch:
+// programRound pushes every accepted slice's reservation southbound each
+// round.
 func (o *Orchestrator) adoptCommitted() error {
 	committed, err := o.eng.CommittedDetail(admission.DefaultDomain)
 	if err != nil {
@@ -505,10 +504,11 @@ func (o *Orchestrator) Statuses() []SliceStatus {
 // into the forecasters, re-solves AC-RR through the admission engine's
 // warm shard (programming the controllers mid-step via programRound), and
 // advances slice lifecycles; the orchestrator then reconciles its REST
-// view and tears down whatever expired.
+// view and tears down whatever expired, in one more southbound round trip.
 func (o *Orchestrator) RunEpoch() (*EpochReport, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	o.forgetTerminated()
 
 	rep := &EpochReport{Epoch: o.epoch}
 	o.curRep = rep
@@ -546,13 +546,38 @@ func (o *Orchestrator) RunEpoch() (*EpochReport, error) {
 		}
 		s.state = "expired"
 		rep.Expired = append(rep.Expired, name)
-		if err := o.teardown(name); err != nil {
-			return nil, fmt.Errorf("ctrlplane: teardown %s: %w", name, err)
+	}
+	if len(rep.Expired) > 0 {
+		if err := o.push(&southbound{
+			ran:   EpochDoc[RadioConfig]{Remove: rep.Expired},
+			tn:    EpochDoc[FlowConfig]{Remove: rep.Expired},
+			cloud: EpochDoc[StackConfig]{Remove: rep.Expired},
+		}); err != nil {
+			return nil, fmt.Errorf("ctrlplane: teardown of %v: %w", rep.Expired, err)
 		}
 	}
 	o.epoch++
 	rep.Slices = o.statusesLocked()
 	return rep, nil
+}
+
+// forgetTerminated drops every rejected or expired slice from the registry.
+// RunEpoch calls it on entry, so a slice that terminated in epoch e is in
+// that epoch's report and in GET /slices until RunEpoch(e+1) returns (both
+// wait on o.mu), and its name is free again after that. What remains is
+// what adoptCommitted rebuilds after a restart or promotion plus the
+// pending requests, so the registry — and the cost of POST /epoch and GET
+// /slices — is bounded by what is live, not by the age of the process.
+func (o *Orchestrator) forgetTerminated() {
+	kept := o.order[:0]
+	for _, name := range o.order {
+		if st := o.slices[name].state; st == "rejected" || st == "expired" {
+			delete(o.slices, name)
+			continue
+		}
+		kept = append(kept, name)
+	}
+	o.order = kept
 }
 
 // RunLoop drives RunEpoch on a wall-clock cadence until the context ends —
@@ -581,9 +606,12 @@ func (o *Orchestrator) RunLoop(ctx context.Context, every time.Duration) error {
 // programRound is the reopt controller's OnRound hook, running between the
 // epoch's warm re-solve and the lifecycle advance — exactly where the
 // pre-closed-loop orchestrator programmed the data plane. It marks fresh
-// solver rejections and pushes accepted reservations southbound, shrinking
-// slices first so the controllers' admission checks see freed capacity
-// before grows arrive. Called with o.mu held (RunEpoch → Step → here).
+// solver rejections and pushes accepted reservations southbound as one
+// epoch document per controller, slices that shrink listed first so the
+// controllers' admission checks see freed capacity before grows arrive.
+// The registry commits (pending → active, new reservations) only once all
+// three controllers answered 2xx. Called with o.mu held (RunEpoch → Step →
+// here).
 func (o *Orchestrator) programRound(round *admission.Round) error {
 	rep := o.curRep
 	if rep == nil {
@@ -625,12 +653,41 @@ func (o *Orchestrator) programRound(round *admission.Round) error {
 		}
 		prog = append(prog, progItem{name: name, ti: ti, delta: newTotal - oldTotal})
 	}
+	if len(prog) == 0 {
+		return nil
+	}
 	sort.Slice(prog, func(i, j int) bool { return prog[i].delta < prog[j].delta })
+
+	// One document per domain over the IFA005-flavoured southbound, every
+	// slice at the same index in all three.
+	var sb southbound
+	for _, pi := range prog {
+		s, cu, z := o.slices[pi.name], dec.CU[pi.ti], dec.Z[pi.ti]
+		shares := make([]float64, len(z))
+		rules := make([]FlowSpec, len(z))
+		total := 0.0
+		for b, zb := range z {
+			shares[b] = zb * o.cfg.Net.BSs[b].Eta
+			rules[b] = FlowSpec{
+				LinkIDs:  o.paths[b][cu][dec.PathIdx[pi.ti][b]].LinkIDs,
+				RateMbps: zb,
+			}
+			total += zb
+		}
+		sb.ran.Set = append(sb.ran.Set, RadioConfig{Slice: pi.name, ShareMHz: shares})
+		sb.tn.Set = append(sb.tn.Set, FlowConfig{Slice: pi.name, Rules: rules})
+		sb.cloud.Set = append(sb.cloud.Set, StackConfig{
+			Slice: pi.name, CU: cu,
+			BaselineCPU: s.tmpl.Compute.BaselineCPU,
+			CPUPerMbps:  s.tmpl.Compute.CPUPerMbps,
+			TotalMbps:   total,
+		})
+	}
+	if err := o.push(&sb); err != nil {
+		return fmt.Errorf("ctrlplane: programming epoch %d: %w", o.epoch, err)
+	}
 	for _, pi := range prog {
 		s := o.slices[pi.name]
-		if err := o.program(pi.name, s, dec, pi.ti); err != nil {
-			return fmt.Errorf("ctrlplane: programming %s: %w", pi.name, err)
-		}
 		if s.state == "pending" {
 			s.state = "active"
 			s.cu = dec.CU[pi.ti]
@@ -654,77 +711,39 @@ func (o *Orchestrator) statusesLocked() []SliceStatus {
 	return out
 }
 
-// program pushes one slice's reservation to all three domain controllers
-// over the IFA005-flavoured southbound.
-func (o *Orchestrator) program(name string, s *orchSlice, dec *core.Decision, ti int) error {
-	eta := make([]float64, o.cfg.Net.NumBS())
-	for b, bs := range o.cfg.Net.BSs {
-		eta[b] = bs.Eta
-	}
-	shares := make([]float64, len(dec.Z[ti]))
-	rules := make([]FlowSpec, len(dec.Z[ti]))
-	total := 0.0
-	cu := dec.CU[ti]
-	for b, z := range dec.Z[ti] {
-		shares[b] = z * eta[b]
-		rules[b] = FlowSpec{
-			LinkIDs:  o.paths[b][cu][dec.PathIdx[ti][b]].LinkIDs,
-			RateMbps: z,
-		}
-		total += z
-	}
-	if err := o.post(o.cfg.RANAddr+"/shares", RadioConfig{Slice: name, ShareMHz: shares}); err != nil {
-		return err
-	}
-	if err := o.post(o.cfg.TransportAddr+"/flows", FlowConfig{Slice: name, Rules: rules}); err != nil {
-		return err
-	}
-	return o.post(o.cfg.CloudAddr+"/stacks", StackConfig{
-		Slice: name, CU: cu,
-		BaselineCPU: s.tmpl.Compute.BaselineCPU,
-		CPUPerMbps:  s.tmpl.Compute.CPUPerMbps,
-		TotalMbps:   total,
-	})
+// southbound is one round trip's programming: an epoch document for each of
+// the three domain controllers.
+type southbound struct {
+	ran   EpochDoc[RadioConfig]
+	tn    EpochDoc[FlowConfig]
+	cloud EpochDoc[StackConfig]
 }
 
-// teardown removes a slice from every domain.
-func (o *Orchestrator) teardown(name string) error {
-	for _, url := range []string{
-		o.cfg.RANAddr + "/shares/" + name,
-		o.cfg.TransportAddr + "/flows/" + name,
-		o.cfg.CloudAddr + "/stacks/" + name,
+// push posts the three documents concurrently — the domains share no
+// data-plane element, so their order against each other decides nothing —
+// and returns the first failure in RAN, transport, cloud order.
+func (o *Orchestrator) push(sb *southbound) error {
+	var errs [3]error
+	var wg sync.WaitGroup
+	for i, p := range []struct {
+		url string
+		doc interface{}
+	}{
+		{o.cfg.RANAddr + "/shares", &sb.ran},
+		{o.cfg.TransportAddr + "/flows", &sb.tn},
+		{o.cfg.CloudAddr + "/stacks", &sb.cloud},
 	} {
-		req, err := http.NewRequest(http.MethodDelete, url, nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = call(o.client, http.MethodPost, p.url, p.doc, nil)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return err
 		}
-		resp, err := o.client.Do(req)
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("ctrlplane: DELETE %s: %s", url, resp.Status)
-		}
-	}
-	return nil
-}
-
-// post sends a JSON body and fails on any non-2xx answer.
-func (o *Orchestrator) post(url string, body interface{}) error {
-	b, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := o.client.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		var e map[string]string
-		json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck // best effort
-		return fmt.Errorf("ctrlplane: POST %s: %s (%s)", url, resp.Status, e["error"])
 	}
 	return nil
 }

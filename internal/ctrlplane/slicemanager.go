@@ -1,8 +1,7 @@
 package ctrlplane
 
 import (
-	"bytes"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -53,21 +52,13 @@ func (m *SliceManager) Handler() http.Handler {
 		nsd := BuildNSD(req)
 
 		// Forward to the orchestrator.
-		b, err := json.Marshal(nsd)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, err)
-			return
-		}
-		resp, err := m.client.Post(m.orchAddr+"/requests", "application/json", bytes.NewReader(b))
-		if err != nil {
+		if err := call(m.client, http.MethodPost, m.orchAddr+"/requests", nsd, nil); err != nil {
+			var refused *statusError
+			if errors.As(err, &refused) {
+				httpError(w, refused.code, fmt.Errorf("ctrlplane: orchestrator: %s", refused.msg))
+				return
+			}
 			httpError(w, http.StatusBadGateway, fmt.Errorf("ctrlplane: orchestrator unreachable: %w", err))
-			return
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			var e map[string]string
-			json.NewDecoder(resp.Body).Decode(&e) //nolint:errcheck // best effort
-			httpError(w, resp.StatusCode, fmt.Errorf("ctrlplane: orchestrator: %s", e["error"]))
 			return
 		}
 		m.mu.Lock()
@@ -86,14 +77,8 @@ func (m *SliceManager) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, nsd)
 	})
 	mux.HandleFunc("GET /slices", func(w http.ResponseWriter, r *http.Request) {
-		resp, err := m.client.Get(m.orchAddr + "/slices")
-		if err != nil {
-			httpError(w, http.StatusBadGateway, err)
-			return
-		}
-		defer resp.Body.Close()
 		var sts []SliceStatus
-		if err := json.NewDecoder(resp.Body).Decode(&sts); err != nil {
+		if err := call(m.client, http.MethodGet, m.orchAddr+"/slices", nil, &sts); err != nil {
 			httpError(w, http.StatusBadGateway, err)
 			return
 		}

@@ -109,6 +109,15 @@ func BuildNSD(r SliceRequest) NSDescriptor {
 	}
 }
 
+// EpochDoc is the one write a domain controller takes, at most twice per
+// epoch: the round's programming (Set, one config per accepted slice, the
+// ones that shrink first) and the teardown of what expired (Remove). The
+// controller applies Set in order, then Remove.
+type EpochDoc[C any] struct {
+	Set    []C      `json:"set,omitempty"`
+	Remove []string `json:"remove,omitempty"`
+}
+
 // RadioConfig programs one slice's PRB shares (Or-R southbound).
 type RadioConfig struct {
 	Slice    string    `json:"slice"`

@@ -89,7 +89,16 @@ start_durable() {
 start_durable
 curl -fsS -X POST 127.0.0.1:18084/requests -d \
   '{"name":"u1","request":{"name":"u1","type":"eMBB","duration_epochs":12}}' > /dev/null
-for i in 1 2 3; do curl -fsS -X POST 127.0.0.1:18084/epoch > /dev/null; done
+# The registry forgets: a 2-epoch slice is listed as expired in the epoch it
+# expires and is gone from /slices one epoch later.
+curl -fsS -X POST 127.0.0.1:18084/requests -d \
+  '{"name":"short","request":{"name":"short","type":"mMTC","rate_mbps":2,"duration_epochs":2}}' > /dev/null
+for i in 1 2; do curl -fsS -X POST 127.0.0.1:18084/epoch > /dev/null; done
+curl -fsS 127.0.0.1:18084/slices | grep -q '"name":"short","type":"mMTC","state":"expired"'
+curl -fsS -X POST 127.0.0.1:18084/epoch > /dev/null
+if curl -fsS 127.0.0.1:18084/slices | grep -q '"short"'; then
+  echo "smoke: slice 'short' still in /slices an epoch after the one it expired in"; exit 1
+fi
 curl -fsS 127.0.0.1:18084/yield > /tmp/ovnes-yield-before.json
 kill -9 "$OVNES"
 wait "$OVNES" 2>/dev/null || true
