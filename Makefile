@@ -11,7 +11,7 @@ GO ?= go
 # deletions or big untested subsystems.
 COVER_FLOOR ?= 75.9
 
-.PHONY: build test test-race vet fmt-check lint lines bench bench-smoke bench-json bench-compare bench-pins rest-check fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
+.PHONY: build test test-race vet fmt-check lint lines bench bench-smoke bench-pins rest-check perf-gate fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
 
 build:
 	$(GO) build ./...
@@ -57,57 +57,17 @@ lines:
 	done; \
 	printf '  %-22s %6d\n' 'round path (the four)' $$sum
 
-# bench regenerates every figure/table artifact with real timing.
+# bench regenerates every figure/table artifact with real timing. The
+# micro-benchmarks are developer tools: nothing judges their numbers (the
+# one perf judgement is perf-gate, below).
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 # bench-smoke compiles and runs every benchmark exactly once — the CI
-# guard that no figure/table regeneration path has bit-rotted.
+# guard that no figure/table regeneration path has bit-rotted. No timing
+# is read off it.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
-
-# bench-json runs every benchmark once and captures the results — name,
-# ns/op, allocation counts (-benchmem), custom metrics like req/s — as a
-# machine-readable perf artifact. One file per PR
-# (BENCH_JSON=BENCH_PR<n>.json) makes the repository's perf trajectory
-# diffable instead of being archaeology over CI logs. It also subsumes
-# bench-smoke: every benchmark path must still compile and run.
-#
-# The run is pinned for file-to-file comparability (bench-compare diffs
-# these artifacts): GOMAXPROCS is fixed so benchmark names carry no -N
-# procs suffix and scheduling is stable, and -benchtime is fixed at one
-# iteration. Override BENCH_PROCS only together with a fresh baseline.
-BENCH_JSON  ?= BENCH_PR14.json
-BENCH_PROCS ?= 1
-
-bench-json:
-	GOMAXPROCS=$(BENCH_PROCS) $(GO) test -run '^$$' -bench . -benchtime 1x -benchmem ./... > bench.raw || { rm -f bench.raw; exit 1; }
-	$(GO) run ./cmd/benchjson < bench.raw > $(BENCH_JSON) || { rm -f bench.raw $(BENCH_JSON); exit 1; }
-	@rm -f bench.raw
-	@echo "wrote $(BENCH_JSON)"
-
-# bench-compare is the perf-regression gate: it diffs the freshly captured
-# BENCH_JSON against the committed baseline BASE and fails on a
-# >BENCH_THRESHOLD ns/op regression of any hot benchmark (the named
-# end-to-end paths below; one-shot timings of sub-millisecond benchmarks
-# are too noisy to gate). The default 15% threshold assumes BASE was
-# captured on the same machine with the same pinned bench-json settings;
-# when the baseline crosses machines (the committed file vs a hosted CI
-# runner) pass a wider BENCH_THRESHOLD to absorb hardware variance — the
-# workflow uses 0.30, still far inside the multi-x deltas a real solver
-# regression produces on these benchmarks.
-#
-# One-time baseline note: BENCH_PR4.json predates the GOMAXPROCS pin and
-# -benchmem, but was captured on a 1-core container — its suffix-free
-# benchmark names prove it effectively ran at GOMAXPROCS=1 — so it is
-# comparable to the pinned runs; from PR 5 on, baselines and fresh runs
-# share identical settings by construction.
-BASE            ?= BENCH_PR10.json
-BENCH_THRESHOLD ?= 0.15
-HOT_BENCHES     ?= BenchmarkFig5Homogeneous,BenchmarkFig6Heterogeneous,BenchmarkSimRun/warm,BenchmarkAdmissionThroughput/shards=1,BenchmarkMetroRound,BenchmarkMetroPodCold,BenchmarkWarmSlaveSteadySolve
-
-bench-compare:
-	$(GO) run ./cmd/benchjson compare -threshold $(BENCH_THRESHOLD) -hot '$(HOT_BENCHES)' $(BASE) $(BENCH_JSON)
 
 # bench-pins runs the end-to-end benchmark's six workloads once, at the seed
 # and size benchmark/fingerprints.json pins, and fails unless every pass
@@ -139,6 +99,45 @@ rest-check:
 		|| { echo "rest-check: ctrlplane.program_calls_per_epoch missing or above 6"; rm -f rest-check.out; exit 1; }
 	@rm -f rest-check.out
 	@echo "rest-check: rest-stack correct, southbound within two round trips per epoch"
+
+# perf-gate is the one perf judgement: the end-to-end benchmark runs on the
+# committed files of BASE_REF and on this tree, and `benchmark compare`
+# judges the second result set against the first with its own bounds,
+# floors, quartiles and fingerprint check (exit 1: a metric worse beyond its
+# bound, a larger failed share, or different decisions). The base is
+# unpacked with `git archive` into a scratch directory under benchmark/out/
+# — git-ignored, and on the same filesystem as this tree, so both sides pay
+# the same fsync — and removed on every exit path. A head run that fails
+# its own checks (a pass past its time budget, a moved decision) still gets
+# compared, so the log shows by how much. BASE_REF is the one knob.
+#
+# -reps 3 is a measurement, not a knob: six back-to-back result sets of one
+# tree per value, five consecutive self-compares each (2-vCPU shared VM, PR
+# 18). One pass a side exited 0 five times of five in a calm hour and five
+# of ten an hour later (rows up to +71 %); two passes three of five; three
+# passes five of five, and all 30 ordered pairs of the six sets. With three
+# the quartiles are the fastest and slowest pass, so a row the box moved
+# reads *unresolved* (exit 0), not *worse*. The row that still can turn red
+# with no change behind it is steady-drift setup_s: 30-45 ms of unnormalised
+# CPU that follows the box's speed plateau (EXPERIMENTS.md).
+BASE_REF ?= HEAD~1
+
+perf-gate:
+	@set -e; \
+	sha=$$(git rev-parse --verify --quiet '$(BASE_REF)^{commit}') || { \
+		echo "perf-gate: BASE_REF '$(BASE_REF)' does not resolve to a commit (a shallow clone needs the parent: fetch-depth 2)"; exit 2; }; \
+	mkdir -p benchmark/out; out=$$PWD/benchmark/out; \
+	rm -f "$$out/perf-gate-base.json" "$$out/perf-gate-head.json"; \
+	base=$$(mktemp -d "$$out/perf-gate-base.XXXXXX"); \
+	trap 'rm -rf "$$base"' EXIT; trap 'exit 130' INT TERM; \
+	git archive "$$sha" | tar -x -C "$$base"; \
+	echo "perf-gate: base $$sha"; \
+	(cd "$$base" && $(GO) run ./benchmark run -seed 1 -reps 3 -out "$$out/perf-gate-base.json"); \
+	echo "perf-gate: head (this tree)"; \
+	rc=0; \
+	$(GO) run ./benchmark run -seed 1 -reps 3 -out "$$out/perf-gate-head.json" || rc=$$?; \
+	$(GO) run ./benchmark compare "$$out/perf-gate-base.json" "$$out/perf-gate-head.json" || rc=$$?; \
+	exit $$rc
 
 # fuzz-smoke gives each native fuzz target a short budget; crashes found in
 # CI reproduce locally via the corpus file Go writes on failure. The loop
@@ -237,10 +236,9 @@ smoke:
 	./scripts/smoke.sh
 
 # clean removes every scratch artifact the build/bench/profile targets
-# drop (committed BENCH_PR<n>.json baselines are durable outputs, not
-# scratch, and are left alone).
+# drop.
 clean:
-	rm -f coverage.out bench.raw metro.raw metro.out rest-check.out cpu.out mem.out *.pprof *.prof
+	rm -f coverage.out metro.raw metro.out rest-check.out cpu.out mem.out *.pprof *.prof
 	rm -rf ovnes-data
 
 # cover enforces the statement-coverage floor over the whole module. The
@@ -256,4 +254,4 @@ cover:
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN{exit !(t>=f)}' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-ci: build vet fmt-check lint lines docs-check links-check test-race cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins rest-check bench-json bench-compare
+ci: build vet fmt-check lint lines docs-check links-check test-race cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins rest-check bench-smoke perf-gate

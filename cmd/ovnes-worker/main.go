@@ -31,7 +31,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"net"
 	"os"
 	"os/signal"
@@ -45,9 +44,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ovnes-worker: ")
-
 	var (
 		connect   = flag.String("connect", "127.0.0.1:9090", "comma-separated coordinator cluster addresses (ovnes -cluster-listen); one redial loop per address")
 		id        = flag.String("id", "", "worker ID for membership and placement (default: host:pid)")
@@ -56,11 +52,16 @@ func main() {
 	)
 	flag.Parse()
 
+	// One logger for the whole process; a bad -log-level is refused
+	// through it too, at the default level.
 	lvl, err := obslog.ParseLevel(*logLevel)
 	if err != nil {
-		log.Fatal(err)
+		lvl = obslog.InfoLevel
 	}
 	olog := obslog.New(os.Stderr, lvl).Str("service", "ovnes-worker")
+	if err != nil {
+		olog.Fatal(err)
+	}
 
 	if *id == "" {
 		host, err := os.Hostname()
@@ -77,7 +78,7 @@ func main() {
 		}
 	}
 	if len(addrs) == 0 {
-		log.Fatal("-connect needs at least one coordinator address")
+		olog.Fatal(errors.New("-connect needs at least one coordinator address"))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -98,7 +99,7 @@ func main() {
 		}(addr)
 	}
 	wg.Wait()
-	log.Print("bye")
+	olog.Info().Str("worker", *id).Msg("bye")
 }
 
 // dialLoop serves one coordinator address: dial (with backoff), serve

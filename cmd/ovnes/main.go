@@ -66,7 +66,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
 	"net"
 	"net/http"
 	"os"
@@ -85,9 +84,6 @@ import (
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("ovnes: ")
-
 	var (
 		listen     = flag.String("listen", "127.0.0.1:8080", "orchestrator address; controllers bind the next three ports")
 		collector  = flag.String("collector", "127.0.0.1:6343", "UDP monitoring collector address")
@@ -108,15 +104,20 @@ func main() {
 	)
 	flag.Parse()
 
+	// One logger for the whole process; a bad -log-level is refused
+	// through it too, at the default level.
 	lvl, err := obslog.ParseLevel(*logLevel)
 	if err != nil {
-		log.Fatal(err)
+		lvl = obslog.InfoLevel
 	}
 	olog := obslog.New(os.Stderr, lvl).Str("service", "ovnes")
+	if err != nil {
+		olog.Fatal(err)
+	}
 
 	if *standby {
 		if *dataDir == "" || *leasePath == "" {
-			log.Fatal("-standby needs -data-dir (the leader's WAL directory) and -lease (the leader's lease file)")
+			olog.Fatal(errors.New("-standby needs -data-dir (the leader's WAL directory) and -lease (the leader's lease file)"))
 		}
 	}
 
@@ -125,7 +126,7 @@ func main() {
 
 	net_, err := buildTopo(*topoName, *nbs)
 	if err != nil {
-		log.Fatal(err)
+		olog.Fatal(err)
 	}
 
 	holder := leaseHolder()
@@ -136,18 +137,18 @@ func main() {
 
 	col, err := monitor.NewCollector(*collector, store)
 	if err != nil {
-		log.Fatal(err)
+		olog.Fatal(err)
 	}
 	defer col.Close()
-	log.Printf("monitoring collector on udp://%s", col.Addr())
+	olog.Info().Str("addr", "udp://"+col.Addr()).Msg("monitoring collector listening")
 
 	host, portStr, err := net.SplitHostPort(*listen)
 	if err != nil {
-		log.Fatal(err)
+		olog.Fatal(err)
 	}
 	port, err := strconv.Atoi(portStr)
 	if err != nil {
-		log.Fatal(err)
+		olog.Fatal(err)
 	}
 	addrOf := func(off int) string { return net.JoinHostPort(host, strconv.Itoa(port+off)) }
 
@@ -160,7 +161,7 @@ func main() {
 		srv := ctrlplane.NewServer(addr, h)
 		servers = append(servers, srv)
 		go func() {
-			log.Printf("%s on http://%s", name, addr)
+			olog.Info().Str("server", name).Str("addr", "http://"+addr).Msg("listening")
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				errc <- fmt.Errorf("%s: %w", name, err)
 			}
@@ -199,7 +200,7 @@ func main() {
 			coord.Close()
 			return nil, err
 		}
-		log.Printf("cluster coordinator on tcp://%s (ovnes-worker -connect %s)", addr, addr)
+		olog.Info().Str("addr", "tcp://"+addr).Msg("cluster coordinator listening (ovnes-worker -connect <addr>)")
 		return coord, nil
 	}
 
@@ -211,7 +212,7 @@ func main() {
 	if *standby {
 		sb, err := ctrlplane.NewStandby(orchCfg)
 		if err != nil {
-			log.Fatal(err)
+			olog.Fatal(err)
 		}
 		go func() {
 			// Tail until promoted (returns nil) or the replica diverged
@@ -225,10 +226,10 @@ func main() {
 		if err != nil {
 			sb.Close()
 			if ctx.Err() != nil {
-				log.Print("signal received while standing by, bye")
+				olog.Info().Msg("signal received while standing by, bye")
 				return
 			}
-			log.Fatal(err)
+			olog.Fatal(err)
 		}
 		lsn, rounds := sb.Progress()
 		olog.Info().Str("holder", holder).Uint64("lease-epoch", lease.Epoch()).
@@ -237,23 +238,23 @@ func main() {
 		var exec admission.Executor
 		if *clListen != "" {
 			if coord, err = newCoord(lease.Epoch()); err != nil {
-				log.Fatal(err)
+				olog.Fatal(err)
 			}
 			exec = coord
 		}
 		if orch, err = sb.Promote(exec, lease.Check); err != nil {
-			log.Fatal(err)
+			olog.Fatal(err)
 		}
 	} else {
 		if *leasePath != "" {
-			log.Printf("acquiring leader lease %s (holder %s)", *leasePath, holder)
+			olog.Info().Str("lease", *leasePath).Str("holder", holder).Msg("acquiring leader lease")
 			lease, err = cluster.WaitAcquire(ctx, leaseCfg, 0)
 			if err != nil {
 				if ctx.Err() != nil {
-					log.Print("signal received while waiting for the lease, bye")
+					olog.Info().Msg("signal received while waiting for the lease, bye")
 					return
 				}
-				log.Fatal(err)
+				olog.Fatal(err)
 			}
 			olog.Info().Str("holder", holder).Uint64("lease-epoch", lease.Epoch()).Msg("took leadership")
 			orchCfg.WALFence = lease.Check
@@ -264,20 +265,21 @@ func main() {
 		}
 		if *clListen != "" {
 			if coord, err = newCoord(epoch); err != nil {
-				log.Fatal(err)
+				olog.Fatal(err)
 			}
 			orchCfg.Executor = coord
 		}
 		if orch, err = ctrlplane.NewOrchestrator(orchCfg); err != nil {
-			log.Fatal(err)
+			olog.Fatal(err)
 		}
 	}
 	if coord != nil {
 		defer coord.Close()
 	}
 	if rep := orch.Recovery(); rep != nil {
-		log.Printf("durable state in %s: snapshot at LSN %d, %d records replayed (%d rounds), %d uncommitted tail records dropped",
-			*dataDir, rep.SnapshotLSN, rep.Applied, rep.Rounds, rep.HeldBack)
+		olog.Info().Str("data-dir", *dataDir).Uint64("snapshot-lsn", rep.SnapshotLSN).
+			Int("records-replayed", rep.Applied).Int("rounds-replayed", rep.Rounds).
+			Int("uncommitted-tail-records-dropped", rep.HeldBack).Msg("durable state recovered")
 	}
 	if lease != nil {
 		renew := *leaseRenew
@@ -304,7 +306,7 @@ func main() {
 	}
 	serve(*listen, fmt.Sprintf("E2E orchestrator (%s, %s)", net_.Name, *algo), orch.Handler())
 	if *epochEvery > 0 {
-		log.Printf("closed loop: one epoch every %v", *epochEvery)
+		olog.Info().Dur("epoch-every", *epochEvery).Msg("closed loop running")
 		go func() {
 			if err := orch.RunLoop(ctx, *epochEvery); err != nil {
 				errc <- fmt.Errorf("closed loop: %w", err)
@@ -312,15 +314,15 @@ func main() {
 		}()
 	}
 
-	fatal := false
+	failed := false
 	select {
 	case <-ctx.Done():
-		log.Print("signal received, shutting down")
+		olog.Info().Msg("signal received, shutting down")
 	case err := <-errc:
 		// A dead listener is a failure even though we still drain: the
 		// exit status must tell the supervisor to restart us.
-		fatal = true
-		log.Print(err)
+		failed = true
+		olog.Error().Err(err).Msg("service failed, shutting down")
 	}
 
 	// Drain order matters: stop accepting HTTP first (in-flight admissions
@@ -329,22 +331,22 @@ func main() {
 	defer cancel()
 	for _, srv := range servers {
 		if err := srv.Shutdown(shCtx); err != nil {
-			log.Printf("shutdown: %v", err)
+			olog.Warn().Err(err).Msg("shutdown")
 		}
 	}
 	if err := orch.Close(); err != nil {
-		log.Printf("admission engine drain: %v", err)
+		olog.Warn().Err(err).Msg("admission engine drain")
 	}
 	if lease != nil {
 		if err := lease.Release(); err != nil {
-			log.Printf("lease release: %v", err)
+			olog.Warn().Err(err).Msg("lease release")
 		}
 	}
-	if fatal {
+	if failed {
 		col.Close()
-		log.Fatal("exiting after failure")
+		olog.Fatal(errors.New("exiting after failure"))
 	}
-	log.Print("bye")
+	olog.Info().Msg("bye")
 }
 
 // leaseHolder identifies this process in the lease file.

@@ -18,18 +18,18 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"log"
 	"net/http"
+	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"repro/internal/ctrlplane"
+	"repro/internal/obslog"
 )
 
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("slicemgr: ")
+	olog := obslog.New(os.Stderr, obslog.InfoLevel).Str("service", "slicemgr")
 
 	var (
 		listen = flag.String("listen", "127.0.0.1:8090", "listen address")
@@ -44,7 +44,7 @@ func main() {
 	srv := ctrlplane.NewServer(*listen, mgr.Handler())
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("slice manager on http://%s (orchestrator %s)", *listen, *orch)
+		olog.Info().Str("addr", "http://"+*listen).Str("orchestrator", *orch).Msg("slice manager listening")
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -52,14 +52,14 @@ func main() {
 
 	select {
 	case <-ctx.Done():
-		log.Print("signal received, shutting down")
+		olog.Info().Msg("signal received, shutting down")
 	case err := <-errc:
-		log.Fatal(err)
+		olog.Fatal(err)
 	}
 	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {
-		log.Printf("shutdown: %v", err)
+		olog.Warn().Err(err).Msg("shutdown")
 	}
-	log.Print("bye")
+	olog.Info().Msg("bye")
 }

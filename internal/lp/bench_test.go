@@ -81,9 +81,8 @@ func BenchmarkWarmSimplexResolveRHS(b *testing.B) { benchResolveRHS(b, true) }
 // BenchmarkWarmSlaveSteadySolve measures the steady-state warm solve the
 // Benders slave runs every admission round: the problem structure, basis
 // factorization and workspace are already warm, each op rewrites one RHS
-// and re-enters via SolveFrom. ReportAllocs pins the tentpole contract in
-// the BENCH_PR*.json trajectory: 0 allocs/op on this path (asserted hard
-// by TestWarmSteadyStateZeroAllocs).
+// and re-enters via SolveFrom. ReportAllocs shows the contract — 0
+// allocs/op on this path — which TestWarmSteadyStateZeroAllocs asserts.
 func BenchmarkWarmSlaveSteadySolve(b *testing.B) {
 	p := randomLP(100, 100, 2)
 	var basis Basis

@@ -3,6 +3,7 @@ package obslog
 import (
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -110,6 +111,14 @@ func (l Logger) Warn() *Event { return l.event(WarnLevel) }
 
 // Error starts an error event; nil (free) when gated out.
 func (l Logger) Error() *Event { return l.event(ErrorLevel) }
+
+// Fatal emits err at error level and exits with status 1 — this
+// package's log.Fatal, for a daemon's start-up and shutdown failures.
+// Deferred functions do not run.
+func (l Logger) Fatal(err error) {
+	l.Error().Err(err).Msg("fatal")
+	os.Exit(1)
+}
 
 func (l Logger) event(lv Level) *Event {
 	if !l.Enabled(lv) {

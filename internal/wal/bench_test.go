@@ -14,7 +14,10 @@ import (
 // admission round's log-before-ack sequence — append the batch record,
 // fsync — per iteration. This is the floor the group commit amortizes:
 // every record a step produces (settle, observe, forecasts, round,
-// advance) rides this one fsync.
+// advance) rides this one fsync. Read it at -benchtime 1000x or more: the
+// first iteration also pays encoding/json's once-per-process encoder cache
+// for Record (≈ 520 allocs) and a fresh segment's first fsync, ≈ 1 ms
+// against 0.2 ms in steady state (EXPERIMENTS.md).
 func BenchmarkWALRoundCommit(b *testing.B) {
 	s, _, err := Open(Options{Dir: b.TempDir()})
 	if err != nil {
@@ -42,8 +45,7 @@ func BenchmarkWALRoundCommit(b *testing.B) {
 // admission's BenchmarkAdmissionThroughput/shards=1: the same submit,
 // batch, solve, commit loop on one domain with every round logged and
 // fsynced before its acks. The gap between the two numbers is the
-// end-to-end cost of crash durability; the WAL-less hot benchmark stays
-// the perf-regression gate.
+// end-to-end cost of crash durability.
 func BenchmarkAdmissionThroughputWAL(b *testing.B) {
 	const (
 		epochs    = 4

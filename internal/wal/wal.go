@@ -105,7 +105,7 @@ type Store struct {
 	recovering bool
 	closed     bool
 	appended   bool  // any append since Open (freezes the truncation index)
-	poisoned   error // first fence failure; permanent
+	poisoned   error // first fence failure or log I/O error; permanent
 }
 
 // writerBytes sizes the append buffer. Generously larger than a typical
@@ -294,7 +294,7 @@ func (s *Store) append(rec *Record) error {
 		return err
 	}
 	if _, err := s.w.Write(frame); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return s.poisonLocked(err)
 	}
 	active.offsets = append(active.offsets, active.size)
 	active.size += int64(len(frame))
@@ -315,11 +315,12 @@ func (s *Store) rotateLocked() error {
 	return s.openSegmentLocked(s.next)
 }
 
-// fenceLocked runs the fence hook; a failure poisons the store for good.
-// Caller holds s.mu. The check sits on every path that pushes bytes
-// toward the directory (append, sync, snapshot): under log-before-ack
-// the round record syncs before any dispatch or ack, so a deposed leader
-// dies here before it can decide anything its successor wouldn't.
+// fenceLocked refuses a poisoned store and runs the fence hook; a fence
+// failure poisons the store for good. Caller holds s.mu. The check sits
+// on every path that pushes bytes toward the directory (append, sync,
+// snapshot): under log-before-ack the round record syncs before any
+// dispatch or ack, so a deposed leader dies here before it can decide
+// anything its successor wouldn't.
 func (s *Store) fenceLocked() error {
 	if s.poisoned != nil {
 		return s.poisoned
@@ -328,10 +329,21 @@ func (s *Store) fenceLocked() error {
 		return nil
 	}
 	if err := s.opt.Fence(); err != nil {
-		s.poisoned = fmt.Errorf("wal: fenced: %w", err)
-		return s.poisoned
+		return s.poisonLocked(fmt.Errorf("fenced: %w", err))
 	}
 	return nil
+}
+
+// poisonLocked records a failed write, flush or fsync of the log (or a
+// fence failure) as the store's permanent state and returns it, prefixed
+// "wal: ". Fail-stop: after an I/O error
+// nothing says which buffered records reached the disk (a failed fsync
+// clears the kernel's error state, so a retry can "succeed" over lost
+// records), so every later append, sync and snapshot repeats this error
+// through fenceLocked. Caller holds s.mu.
+func (s *Store) poisonLocked(err error) error {
+	s.poisoned = fmt.Errorf("wal: %w", err)
+	return s.poisoned
 }
 
 // syncLocked flushes the append buffer and (unless NoSync) fsyncs the
@@ -341,13 +353,13 @@ func (s *Store) syncLocked() error {
 		return err
 	}
 	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return s.poisonLocked(err)
 	}
 	if s.opt.NoSync {
 		return nil
 	}
 	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return s.poisonLocked(err)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -411,4 +412,92 @@ func TestOpenRejectsSegmentGap(t *testing.T) {
 	if _, _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), "gap") {
 		t.Fatalf("gapped log opened: %v", err)
 	}
+}
+
+// TestIOErrorPoisonsStore pins fail-stop durability: once a write, flush or
+// fsync of the log has failed, the store refuses every later append, sync
+// and snapshot with that first error — even if the file works again. On
+// Linux a failed fsync clears the kernel's error state, so a retry that
+// "succeeds" would silently cover lost records. The faults are injected by
+// swapping the store's file (or its buffered writer) for a closed one and
+// then putting the good one back.
+func TestIOErrorPoisonsStore(t *testing.T) {
+	closedFile := func(t *testing.T) *os.File {
+		f, err := os.Create(filepath.Join(t.TempDir(), "closed"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		return f
+	}
+	faults := []struct {
+		name string
+		// fail breaks the store, runs the operation that must fail, repairs
+		// the store and returns the operation's error.
+		fail func(t *testing.T, s *Store) error
+	}{
+		{"fsync", func(t *testing.T, s *Store) error {
+			good := s.f
+			s.f = closedFile(t)
+			err := s.Sync()
+			s.f = good
+			return err
+		}},
+		{"flush", func(t *testing.T, s *Store) error {
+			s.w = bufio.NewWriterSize(closedFile(t), writerBytes)
+			if err := s.AppendAdvance("default"); err != nil {
+				t.Fatalf("buffered append: %v", err)
+			}
+			err := s.Sync()
+			s.w = bufio.NewWriterSize(s.f, writerBytes)
+			return err
+		}},
+		{"write", func(t *testing.T, s *Store) error {
+			// A buffer smaller than one frame writes straight through.
+			s.w = bufio.NewWriterSize(closedFile(t), 16)
+			err := s.AppendRound("default", 1, testRecord(1).Batch)
+			s.w = bufio.NewWriterSize(s.f, writerBytes)
+			return err
+		}},
+	}
+	for _, fc := range faults {
+		t.Run(fc.name, func(t *testing.T) {
+			s, _ := mustOpen(t, Options{Dir: t.TempDir()})
+			defer s.Abort()
+			if err := s.AppendRound("default", 0, testRecord(0).Batch); err != nil {
+				t.Fatal(err)
+			}
+			first := fc.fail(t, s)
+			if first == nil {
+				t.Fatal("the injected fault did not fail the operation")
+			}
+			for op, err := range map[string]error{
+				"Sync":          s.Sync(),
+				"AppendRound":   s.AppendRound("default", 2, testRecord(2).Batch),
+				"WriteSnapshot": s.WriteSnapshot(&Snapshot{}),
+			} {
+				if err == nil || err.Error() != first.Error() {
+					t.Errorf("%s after the fault: got %v, want the first error %q", op, err, first)
+				}
+			}
+		})
+	}
+	t.Run("clean", func(t *testing.T) {
+		dir := t.TempDir()
+		s, _ := mustOpen(t, Options{Dir: dir})
+		for i := 0; i < 2; i++ {
+			if err := s.AppendRound("default", uint64(i), testRecord(i).Batch); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.WriteSnapshot(&Snapshot{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
