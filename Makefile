@@ -172,9 +172,13 @@ hunt-smoke:
 # state to equal an uninterrupted run bit for bit. -count=1 defeats the
 # test cache — a recovery gate that silently replays a cached PASS guards
 # nothing — and the explicit -timeout keeps a wedged replay from eating
-# the job's whole budget.
+# the job's whole budget. The second line holds side-by-side replay to the
+# record-by-record one: one eight-domain log recovered at one, two and four
+# processors under the race detector must end in the same report, log end
+# and state bytes, and a planted divergence must surface at its lowest LSN.
 recover-check:
 	$(GO) test ./internal/wal/ -run 'TestKillAndReplay|TestCleanShutdown|TestRecoverTruncates' -count=1 -timeout 10m
+	$(GO) test ./internal/wal/ -run 'TestParallelReplay' -race -cpu 1,2,4 -count=1 -timeout 10m
 
 # cluster-check is the distributed-determinism gate: loadgen and the
 # ovnes REST stack run once in-process and once against real ovnes-worker

@@ -277,9 +277,12 @@ func main() {
 		defer coord.Close()
 	}
 	if rep := orch.Recovery(); rep != nil {
+		replay, domains := orch.ReplayCost()
 		olog.Info().Str("data-dir", *dataDir).Uint64("snapshot-lsn", rep.SnapshotLSN).
 			Int("records-replayed", rep.Applied).Int("rounds-replayed", rep.Rounds).
-			Int("uncommitted-tail-records-dropped", rep.HeldBack).Msg("durable state recovered")
+			Int("uncommitted-tail-records-dropped", rep.HeldBack).
+			Float64("replay-ms", float64(replay.Microseconds())/1e3).Int("domains", domains).
+			Msg("durable state recovered")
 	}
 	if lease != nil {
 		renew := *leaseRenew

@@ -125,8 +125,10 @@ type Orchestrator struct {
 	eng      *admission.Engine
 	loop     *reopt.Controller
 	ledger   *yield.Ledger
-	wal      *wal.Store  // nil when DataDir is unset
-	recovery *wal.Report // nil when nothing was recovered
+	wal      *wal.Store    // nil when DataDir is unset
+	recovery *wal.Report   // nil when nothing was recovered
+	replay   time.Duration // how long takeover spent replaying the log ...
+	lanes    int           // ... over how many domains' lanes
 
 	mu     sync.Mutex
 	epoch  int
@@ -228,10 +230,12 @@ func (o *Orchestrator) takeover(st *wal.Store, rec *wal.Recovered, r *wal.Replay
 			return err
 		}
 		o.loop.SetLog(st)
+		start := time.Now()
 		rep, err := r.Finalize(st, rec.Records)
 		if err != nil {
 			return err
 		}
+		o.replay, o.lanes = time.Since(start), r.Domains()
 		o.wal, o.recovery, o.epoch = st, rep, o.loop.Epoch()
 		if err := o.adoptCommitted(); err != nil {
 			return err
@@ -314,6 +318,11 @@ func NewOrchestrator(cfg OrchestratorConfig) (*Orchestrator, error) {
 // Recovery reports what startup recovered from the data directory; nil
 // when durability is disabled.
 func (o *Orchestrator) Recovery() *wal.Report { return o.recovery }
+
+// ReplayCost reports how long the takeover spent in log replay (for a
+// promoted standby: only what its tail had not delivered) and how many
+// domains' lanes the replay ran over.
+func (o *Orchestrator) ReplayCost() (elapsed time.Duration, domains int) { return o.replay, o.lanes }
 
 // Close drains and stops the admission engine: queued requests are decided
 // (bounded by the context) and the solver workers exit. With durability

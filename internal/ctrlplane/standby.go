@@ -95,12 +95,10 @@ func (s *Standby) pollLocked() (int, error) {
 	n := 0
 	for {
 		recs, err := s.tail.Poll()
-		for _, pr := range recs {
-			if ierr := s.replayer.Ingest(pr); ierr != nil {
-				return n, ierr
-			}
-			n++
+		if ierr := s.replayer.Ingest(recs...); ierr != nil {
+			return n, ierr
 		}
+		n += len(recs)
 		if !errors.Is(err, wal.ErrTailGap) {
 			return n, err
 		}

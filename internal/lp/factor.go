@@ -23,7 +23,10 @@
 // is involved, so a replayed solve takes the identical pivot path.
 package lp
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // factorEngine is a factorized basis. refactor rebuilds the factorization
 // from r.bs.cols (false means B is singular); ftran/btran solve against it
@@ -205,9 +208,10 @@ type sparseLU struct {
 	btmp   []float64 // per-vector pivot values inside the batched solves
 	mark   []int32   // scatter stamps (row or step space)
 	stamp  int32
-	nzRows []int32 // nonzero rows of the column under elimination
-	order  []int32 // column elimination order
-	cnt    []int32 // counting-sort scratch
+	nzRows []int32  // nonzero rows of the column under elimination
+	order  []int32  // column elimination order
+	pend   []uint64 // refactor: earlier steps whose pivot row the column has reached
+	cnt    []int32  // counting-sort scratch
 }
 
 func (f *sparseLU) reset(m int) {
@@ -232,6 +236,7 @@ func (f *sparseLU) reset(m int) {
 	f.mark = grow(f.mark, m)
 	f.nzRows = grow(f.nzRows, m)
 	f.order = grow(f.order, m)
+	f.pend = grow(f.pend, (m+63)>>6)
 	f.cnt = grow(f.cnt, m+2)
 	f.lIdx = f.lIdx[:0]
 	f.lVal = f.lVal[:0]
@@ -248,6 +253,14 @@ func (f *sparseLU) clearEtas() {
 	f.ftIdx = f.ftIdx[:0]
 	f.ftVal = f.ftVal[:0]
 	f.ftPtr = append(f.ftPtr[:0], 0)
+}
+
+// reached records that row joined the pattern of the column under
+// elimination: if an earlier step pivoted on it, that step is pending.
+func (f *sparseLU) reached(row int32) {
+	if ps := f.pinv[row]; ps >= 0 {
+		f.pend[ps>>6] |= 1 << (ps & 63)
+	}
 }
 
 // refactor builds the factorization from the basic column set by
@@ -294,6 +307,7 @@ func (f *sparseLU) refactor(r *revised) bool {
 		f.mark[i] = 0
 	}
 	f.stamp = 0
+	pend := f.pend
 
 	for step := 0; step < m; step++ {
 		pos := f.order[step]
@@ -315,6 +329,7 @@ func (f *sparseLU) refactor(r *revised) bool {
 					f.mark[row] = f.stamp
 					w[row] = 0
 					nz = append(nz, row)
+					f.reached(row)
 				}
 				w[row] += ws.colVal[t]
 			}
@@ -323,38 +338,40 @@ func (f *sparseLU) refactor(r *revised) bool {
 			f.mark[row] = f.stamp
 			w[row] = r.sigma[row]
 			nz = append(nz, row)
+			f.reached(row)
 		}
 
 		// Left-looking elimination: apply the already-built columns of L in
 		// step order. L entries still carry constraint-row indices here (the
 		// step-space remap happens once the permutation is complete).
 		//
-		// The flat s-scan costs O(m²/2) stamp probes per refactorization
-		// regardless of fill — a deliberate simplicity trade at this
-		// repo's basis sizes (m ≲ a few hundred: tens of microseconds per
-		// refactor, amortized over refactorEvery pivots). If instances
-		// grow another order of magnitude, replace it with a DFS reach-set
-		// over the L pattern (Gilbert–Peierls / CSparse lu) to make each
-		// column cost proportional to its actual fill.
-		for s := 0; s < step; s++ {
-			pr := f.prow[s]
-			if f.mark[pr] != f.stamp {
-				continue
-			}
-			v := w[pr]
-			if v == 0 {
-				continue
-			}
-			f.ucIdx = append(f.ucIdx, int32(s))
-			f.ucVal = append(f.ucVal, v)
-			for t := f.lPtr[s]; t < f.lPtr[s+1]; t++ {
-				row := f.lIdx[t]
-				if f.mark[row] != f.stamp {
-					f.mark[row] = f.stamp
-					w[row] = 0
-					nz = append(nz, row)
+		// Only steps whose pivot row is in this column's pattern do anything,
+		// so they are kept as a bitset (set above for the scattered rows,
+		// below for fill) and consumed lowest first. A column of L holds only
+		// rows that were unpivoted when it was built, so fill marks later
+		// steps only: the steps visited, their order and every update to w
+		// are those of a scan over all earlier steps.
+		for wi := range pend[:(step+63)>>6] {
+			for pend[wi] != 0 {
+				b := bits.TrailingZeros64(pend[wi])
+				pend[wi] &^= 1 << b
+				s := wi<<6 + b
+				v := w[f.prow[s]]
+				if v == 0 {
+					continue
 				}
-				w[row] -= f.lVal[t] * v
+				f.ucIdx = append(f.ucIdx, int32(s))
+				f.ucVal = append(f.ucVal, v)
+				for t := f.lPtr[s]; t < f.lPtr[s+1]; t++ {
+					row := f.lIdx[t]
+					if f.mark[row] != f.stamp {
+						f.mark[row] = f.stamp
+						w[row] = 0
+						nz = append(nz, row)
+						f.reached(row)
+					}
+					w[row] -= f.lVal[t] * v
+				}
 			}
 		}
 

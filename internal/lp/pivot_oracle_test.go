@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"sync"
 	"testing"
 )
 
@@ -290,5 +291,52 @@ func TestSparsePivotRefinesDense(t *testing.T) {
 	}
 	if st := check("metro master", master); st != Optimal {
 		t.Fatalf("recorded metro master solved %v, want optimal", st)
+	}
+}
+
+// TestConcurrentColdSolvesMatchSerial drives the cold path the way
+// side-by-side replay lanes do: several goroutines cold-solve different LPs
+// at once, each from its own Basis, and every result must equal the bits a
+// serial solve produced — the package keeps no state between solves that two
+// of them could share. `make test-race` runs it with the race detector.
+func TestConcurrentColdSolvesMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var lps []*Problem
+	for i := 0; i < 60; i++ {
+		lps = append(lps, oracleLP(rng, i%2 == 1))
+	}
+	type result struct {
+		sol *Solution
+		err error
+	}
+	serial := make([]result, len(lps))
+	for i, p := range lps {
+		var b Basis
+		serial[i].sol, serial[i].err = p.SolveFrom(&b)
+	}
+
+	const workers = 4
+	got := make([][]result, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w] = make([]result, len(lps))
+			for k := range lps {
+				i := (k + w*len(lps)/workers) % len(lps) // staggered: workers overlap on different LPs
+				var b Basis
+				got[w][i].sol, got[w][i].err = lps[i].SolveFrom(&b)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for w := range got {
+		for i := range lps {
+			if got[w][i].err != serial[i].err || !sameSolution(got[w][i].sol, serial[i].sol) {
+				t.Fatalf("worker %d, LP %d: concurrent cold solve differs from the serial one:\n got  %+v (%v)\n want %+v (%v)",
+					w, i, got[w][i].sol, got[w][i].err, serial[i].sol, serial[i].err)
+			}
+		}
 	}
 }
