@@ -3,13 +3,14 @@
 
 GO ?= go
 
-# Minimum total statement coverage `make cover` enforces. Measured 76.9%
-# at the PR 10 ratchet (cmd/* and examples/* mains count at 0%, which drags
+# Minimum total statement coverage `make cover` enforces. Measured 78.6%
+# at the PR 21 ratchet (78.4% at its parent; 76.9% at PR 10's; cmd/* and
+# examples/* mains count at 0%, which drags
 # the total well below per-package numbers — internal/wal and
 # internal/cluster, the replication-critical packages, each sit above
 # 81%); the 1pt slack absorbs noise while catching wholesale test
 # deletions or big untested subsystems.
-COVER_FLOOR ?= 75.9
+COVER_FLOOR ?= 77.6
 
 .PHONY: build test test-race vet fmt-check lint lines bench bench-smoke bench-pins rest-check perf-gate fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
 

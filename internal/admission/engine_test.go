@@ -349,13 +349,13 @@ func TestMonitorPublishing(t *testing.T) {
 	if _, err := e.DecideRound(""); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok := store.EpochPeak("admission", "round_batch", 0); !ok || v != 1 {
-		t.Fatalf("round_batch sample: %v %v", v, ok)
+	if got := store.ElementEpochSamples("admission", "round_batch", DefaultDomain, 0); len(got) != 1 || got[0].Value != 1 {
+		t.Fatalf("round_batch sample: %v", got)
 	}
-	if _, ok := store.EpochPeak("admission", "round_ms", 0); !ok {
+	if len(store.ElementEpochSamples("admission", "round_ms", DefaultDomain, 0)) == 0 {
 		t.Fatal("round_ms sample missing")
 	}
-	if _, ok := store.EpochPeak("admission", "queue_depth", 0); !ok {
+	if len(store.ElementEpochSamples("admission", "queue_depth", DefaultDomain, 0)) == 0 {
 		t.Fatal("queue_depth sample missing")
 	}
 }
@@ -379,5 +379,27 @@ func TestMetricsLatencyQuantiles(t *testing.T) {
 	}
 	if m.Submitted != 3 || m.Admitted+m.Rejected != 3 {
 		t.Fatalf("counters: %+v", m)
+	}
+}
+
+// TestUpdateForecastsCopiesItsArgument: the engine keeps the values, not the
+// slice — the closed loop passes its own per-step buffer and refills it the
+// next step.
+func TestUpdateForecastsCopiesItsArgument(t *testing.T) {
+	e := newTestEngine(t, Config{}, DomainConfig{Algorithm: "direct"})
+	if _, err := e.Submit(Request{Name: "u1", SLA: testSLA(slice.URLLC, 4)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DecideRound(""); err != nil {
+		t.Fatal(err)
+	}
+	ups := []ForecastUpdate{{Name: "u1", LambdaHat: 7, Sigma: 0.25}}
+	if err := e.UpdateForecasts("", ups); err != nil {
+		t.Fatal(err)
+	}
+	ups[0] = ForecastUpdate{Name: "other", LambdaHat: -1, Sigma: -1}
+	det, err := e.CommittedDetail("")
+	if err != nil || len(det) != 1 || det[0].LambdaHat != 7 || det[0].Sigma != 0.25 {
+		t.Fatalf("committed view followed the caller's buffer: %+v (%v)", det, err)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/lp"
 	"repro/internal/milp"
@@ -35,6 +36,10 @@ type slaveProblem struct {
 	// shard, the reopt controller) amortizes solver memory across epochs by
 	// construction.
 	basis lp.Basis
+
+	xs, terms []lp.Term // the row rowSet has under assembly
+	coefs     []float64 // what cutFromDuals returns
+	acc       []float64 // dualStillFeasible's column sums
 }
 
 // solve runs the slave LP, warm-starting from the previous iteration's
@@ -50,19 +55,21 @@ func (s *slaveProblem) solve(warm bool) (*lp.Solution, error) {
 	return s.p.SolveFrom(&s.basis)
 }
 
-// slaveRowSet enumerates the slave LP rows for the model. It is the single
-// source of truth shared by buildSlave (which also installs the matrix rows
-// into the lp.Problem) and refresh (which only rewrites the affine RHS
-// metadata after a forecast change): emit is called once per row, in a
-// deterministic order that depends only on the solver shape (see
-// sameSolverShape), never on forecasts.
-func (m *model) slaveRowSet(yVar, zVar []int, dR, dT, dC int,
-	emit func(sense lp.Sense, r0 float64, xs []lp.Term, terms []lp.Term)) {
-	inst := m.inst
+// rowSet enumerates the slave LP rows for the model. It is the single source
+// of truth shared by buildSlave (which installs the matrix rows into the
+// lp.Problem) and refresh (which only rewrites the affine RHS metadata after
+// a forecast change): emit is called once per row, in an order that depends
+// only on the solver shape (see sameSolverShape), never on forecasts. xs and
+// terms are assembled in the slave's two row buffers (sized up front, so no
+// append below allocates) and are valid until emit returns.
+func (s *slaveProblem) rowSet(m *model, emit func(sense lp.Sense, r0 float64, xs []lp.Term, terms []lp.Term)) {
+	inst, yVar, zVar := m.inst, s.yVar, s.zVar
+	s.xs = slices.Grow(s.xs[:0], len(m.items))
+	s.terms = slices.Grow(s.terms[:0], len(m.items)+1)
+	xs, terms := s.xs, s.terms
 	// (2)/(14) CU compute: Σ bτ·z − δc ≤ Cc − Σ aτ·xⱼ.
 	for c, cu := range inst.Net.CUs {
-		var terms []lp.Term
-		var xs []lp.Term
+		xs, terms = xs[:0], terms[:0]
 		for idx, it := range m.items {
 			if it.cu != c {
 				continue
@@ -78,8 +85,8 @@ func (m *model) slaveRowSet(yVar, zVar []int, dR, dT, dC int,
 		if len(terms) == 0 && len(xs) == 0 {
 			continue
 		}
-		if dC >= 0 {
-			terms = append(terms, lp.T(dC, -1))
+		if s.dC >= 0 {
+			terms = append(terms, lp.T(s.dC, -1))
 		}
 		if len(terms) == 0 {
 			continue
@@ -91,7 +98,7 @@ func (m *model) slaveRowSet(yVar, zVar []int, dR, dT, dC int,
 		if l.CapMbps >= unlimitedLinkMbps {
 			continue
 		}
-		var terms []lp.Term
+		terms = terms[:0]
 		for idx, it := range m.items {
 			if inst.Paths[it.bs][it.cu][it.path].Uses(l.ID) {
 				terms = append(terms, lp.T(zVar[idx], inst.EtaTransport))
@@ -100,14 +107,14 @@ func (m *model) slaveRowSet(yVar, zVar []int, dR, dT, dC int,
 		if len(terms) == 0 {
 			continue
 		}
-		if dT >= 0 {
-			terms = append(terms, lp.T(dT, -1))
+		if s.dT >= 0 {
+			terms = append(terms, lp.T(s.dT, -1))
 		}
 		emit(lp.LE, l.CapMbps, nil, terms)
 	}
 	// (4)/(16) radio.
 	for b, bs := range inst.Net.BSs {
-		var terms []lp.Term
+		terms = terms[:0]
 		for idx, it := range m.items {
 			if it.bs == b {
 				terms = append(terms, lp.T(zVar[idx], bs.Eta))
@@ -116,20 +123,20 @@ func (m *model) slaveRowSet(yVar, zVar []int, dR, dT, dC int,
 		if len(terms) == 0 {
 			continue
 		}
-		if dR >= 0 {
-			terms = append(terms, lp.T(dR, -1))
+		if s.dR >= 0 {
+			terms = append(terms, lp.T(s.dR, -1))
 		}
 		emit(lp.LE, bs.CapMHz, nil, terms)
 	}
 	// Coupling rows (17)–(20) plus linearization (11): one block per item.
+	xs, terms = xs[:0], terms[:0]
 	for idx, it := range m.items {
 		y, z := yVar[idx], zVar[idx]
-		emit(lp.LE, 0, []lp.Term{lp.T(idx, it.lambda)}, []lp.Term{lp.T(z, 1)})      // (17) z ≤ Λx̄
-		emit(lp.LE, 0, []lp.Term{lp.T(idx, -it.lambdaHat)}, []lp.Term{lp.T(z, -1)}) // (18) λ̂x̄ ≤ z
-		emit(lp.LE, 0, []lp.Term{lp.T(idx, it.lambda)}, []lp.Term{lp.T(y, 1)})      // (19) y ≤ Λx̄
-		emit(lp.LE, 0, nil, []lp.Term{lp.T(y, 1), lp.T(z, -1)})                     // (11) y ≤ z
-		emit(lp.LE, it.lambda, []lp.Term{lp.T(idx, -it.lambda)},                    // (20)
-			[]lp.Term{lp.T(z, 1), lp.T(y, -1)})
+		emit(lp.LE, 0, append(xs, lp.T(idx, it.lambda)), append(terms, lp.T(z, 1)))                       // (17) z ≤ Λx̄
+		emit(lp.LE, 0, append(xs, lp.T(idx, -it.lambdaHat)), append(terms, lp.T(z, -1)))                  // (18) λ̂x̄ ≤ z
+		emit(lp.LE, 0, append(xs, lp.T(idx, it.lambda)), append(terms, lp.T(y, 1)))                       // (19) y ≤ Λx̄
+		emit(lp.LE, 0, nil, append(terms, lp.T(y, 1), lp.T(z, -1)))                                       // (11) y ≤ z
+		emit(lp.LE, it.lambda, append(xs, lp.T(idx, -it.lambda)), append(terms, lp.T(z, 1), lp.T(y, -1))) // (20)
 	}
 }
 
@@ -152,31 +159,31 @@ func (m *model) buildSlave() *slaveProblem {
 		s.dT = s.p.AddVar("deficit.transport", m.inst.BigM)
 		s.dC = s.p.AddVar("deficit.compute", m.inst.BigM)
 	}
-	m.slaveRowSet(s.yVar, s.zVar, s.dR, s.dT, s.dC,
-		func(sense lp.Sense, r0 float64, xs []lp.Term, terms []lp.Term) {
-			s.p.AddConstraint(sense, r0, terms...)
-			s.rows = append(s.rows, slaveRow{sense: sense, r0: r0, xs: xs})
-		})
+	s.rowSet(m, func(sense lp.Sense, r0 float64, xs []lp.Term, terms []lp.Term) {
+		s.p.AddConstraint(sense, r0, terms...)
+		s.rows = append(s.rows, slaveRow{sense: sense, r0: r0, xs: append([]lp.Term(nil), xs...)})
+	})
 	return s
 }
 
 // refresh re-binds the slave skeleton to a model with an identical solver
 // shape (sameSolverShape must hold): objective costs and the affine RHS
 // metadata — where the new forecasts λ̂ live — are rewritten in place while
-// the constraint matrix and the carried simplex basis survive. This is the
-// cross-epoch warm path: the next solve re-enters from the previous epoch's
-// optimal basis instead of a two-phase cold start.
+// the constraint matrix and the carried simplex basis survive, so the next
+// solve re-enters from the previous epoch's optimal basis. The shape fixes
+// which rows exist and which x each reads: only r0 and x coefficients move.
 func (s *slaveProblem) refresh(m *model) {
 	s.m = m
 	for idx, it := range m.items {
 		s.p.SetCost(s.yVar[idx], it.yCoef)
 		s.p.SetCost(s.zVar[idx], it.zCoef)
 	}
-	s.rows = s.rows[:0]
-	m.slaveRowSet(s.yVar, s.zVar, s.dR, s.dT, s.dC,
-		func(sense lp.Sense, r0 float64, xs []lp.Term, terms []lp.Term) {
-			s.rows = append(s.rows, slaveRow{sense: sense, r0: r0, xs: xs})
-		})
+	i := 0
+	s.rowSet(m, func(sense lp.Sense, r0 float64, xs []lp.Term, _ []lp.Term) {
+		s.rows[i].sense, s.rows[i].r0 = sense, r0
+		copy(s.rows[i].xs, xs)
+		i++
+	})
 }
 
 // dualStillFeasible reports whether a dual extreme point µ from an earlier
@@ -193,7 +200,9 @@ func (s *slaveProblem) dualStillFeasible(mu []float64) bool {
 	if len(mu) != p.NumRows() {
 		return false
 	}
-	acc := make([]float64, p.NumVars())
+	s.acc = lp.Resized(s.acc, p.NumVars())
+	acc := s.acc
+	clear(acc)
 	for i := range mu {
 		if mu[i] == 0 {
 			continue
@@ -232,9 +241,12 @@ func (s *slaveProblem) setX(x []float64) {
 }
 
 // cutFromDuals folds a dual vector (point or ray) into per-x coefficients
-// and a constant: value(x) = constant + Σ coefs[j]·x[j].
+// and a constant: value(x) = constant + Σ coefs[j]·x[j]. coefs is the
+// slave's own buffer, overwritten by the next call.
 func (s *slaveProblem) cutFromDuals(mu []float64) (constant float64, coefs []float64) {
-	coefs = make([]float64, len(s.m.items))
+	s.coefs = lp.Resized(s.coefs, len(s.m.items))
+	coefs = s.coefs
+	clear(coefs)
 	for i, r := range s.rows {
 		if mu[i] == 0 {
 			continue
@@ -283,7 +295,7 @@ func SolveBenders(inst *Instance, opts BendersOptions) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := bendersSolve(m, m.buildSlave(), opts.withDefaults(), nil)
+	d, err := bendersSolve(m, m.buildSlave(), m.buildMaster(), opts.withDefaults(), nil)
 	if err != nil {
 		// Numerical distress even without carried state: fall back to the
 		// monolithic oracle. A cold Benders run is a pure function of the
@@ -306,112 +318,117 @@ func solveDirectFallback(inst *Instance, benderErr error) (*Decision, error) {
 	return d, nil
 }
 
-// addOptCut installs θ ≥ constant + coefs·x in the master, as
-// θ'/s − Σ (coefs/s)·x ≥ (constant + bigTheta)/s with s the row's largest
-// coefficient magnitude. Benders cut coefficients inherit the big-M duals'
-// scale (~1e4 × a capacity), and mixing such rows with the unit-coefficient
-// placement rows wrecks the master tableau's conditioning — the scaling is
-// mathematically neutral and keeps every pivot well-sized.
-func addOptCut(master *lp.Problem, thetaVar int, xVar []int, bigTheta, constant float64, coefs []float64) {
+// masterProblem is the binary master P_M(C1, C2) of §4.1 (Problem 5) —
+// min Σ xCoef·x + θ subject to the placement rows (5), (6), (13), its
+// skeleton, then one row per Benders cut — with the vectors Algorithm 1's
+// loop works in. The skeleton depends only on the solver shape, so a session
+// keeps one master across same-shape epochs and rebinds it each epoch.
+type masterProblem struct {
+	p        *lp.Problem
+	xVar     []int
+	thetaVar int // θ' = θ + bigTheta, shifted because LP variables are ≥ 0
+	skeleton int // placement rows; the cut rows follow them
+	// bigTheta bounds how far below zero the slave objective can go,
+	// Σ min(yCoef,0)·Λ (deficits only add cost), plus one.
+	bigTheta float64
+
+	terms              []lp.Term // the cut row under assembly
+	xBar, bestX, bestZ []float64
+}
+
+// buildMaster assembles the master skeleton for the model's solver shape.
+// Variables and rows go unnamed: nothing reads an LP name.
+func (m *model) buildMaster() *masterProblem {
+	mp := &masterProblem{p: lp.New(), xVar: make([]int, len(m.items))}
+	for idx := range m.items {
+		mp.xVar[idx] = mp.p.AddVar("", 0)
+	}
+	mp.thetaVar = mp.p.AddVar("theta.shifted", 1)
+	addPlacementRows(mp.p, m, func(idx int) int { return mp.xVar[idx] })
+	mp.skeleton = mp.p.NumRows()
+	mp.rebind(m)
+	return mp
+}
+
+// rebind points the master at a model of its own solver shape: the x costs
+// and the θ shift, where the forecasts live, are rewritten and every cut row
+// is dropped — cuts are re-derived, never carried as rows (see session.go).
+func (mp *masterProblem) rebind(m *model) {
+	mp.bigTheta = 1
+	for idx, it := range m.items {
+		mp.p.SetCost(mp.xVar[idx], it.xCoef)
+		if it.yCoef < 0 {
+			mp.bigTheta += -it.yCoef * it.lambda
+		}
+	}
+	mp.p.TruncateRows(mp.skeleton)
+}
+
+// cutScale is what a cut row's coefficients are divided by: the largest
+// coefficient magnitude, at least 1. Benders cut coefficients inherit the
+// big-M duals' scale (~1e4 × a capacity), and mixing such rows with the
+// unit-coefficient placement rows wrecks the master tableau's conditioning —
+// the scaling is mathematically neutral and keeps every pivot well-sized.
+func cutScale(coefs []float64) float64 {
 	s := 1.0
 	for _, cf := range coefs {
 		if a := math.Abs(cf); a > s {
 			s = a
 		}
 	}
-	terms := []lp.Term{lp.T(thetaVar, 1/s)}
+	return s
+}
+
+// addOptCut installs θ ≥ constant + coefs·x in the master, as
+// θ'/s − Σ (coefs/s)·x ≥ (constant + bigTheta)/s with s = cutScale(coefs).
+func (mp *masterProblem) addOptCut(constant float64, coefs []float64) {
+	s := cutScale(coefs)
+	terms := append(mp.terms[:0], lp.T(mp.thetaVar, 1/s))
 	for idx, cf := range coefs {
 		if cf != 0 {
-			terms = append(terms, lp.T(xVar[idx], -cf/s))
+			terms = append(terms, lp.T(mp.xVar[idx], -cf/s))
 		}
 	}
-	master.AddConstraint(lp.GE, (constant+bigTheta)/s, terms...)
+	mp.terms = terms
+	mp.p.AddConstraint(lp.GE, (constant+mp.bigTheta)/s, terms...)
 }
 
 // addFeasCut installs Σ coefs·x ≤ −constant, scaled like addOptCut; it
 // reports false when the cut is degenerate (no x terms).
-func addFeasCut(master *lp.Problem, xVar []int, constant float64, coefs []float64) bool {
-	s := 1.0
-	for _, cf := range coefs {
-		if a := math.Abs(cf); a > s {
-			s = a
-		}
-	}
-	var terms []lp.Term
+func (mp *masterProblem) addFeasCut(constant float64, coefs []float64) bool {
+	s := cutScale(coefs)
+	terms := mp.terms[:0]
 	for idx, cf := range coefs {
 		if cf != 0 {
-			terms = append(terms, lp.T(xVar[idx], cf/s))
+			terms = append(terms, lp.T(mp.xVar[idx], cf/s))
 		}
 	}
+	mp.terms = terms
 	if len(terms) == 0 {
 		return false
 	}
-	master.AddConstraint(lp.LE, -constant/s, terms...)
+	mp.p.AddConstraint(lp.LE, -constant/s, terms...)
 	return true
 }
 
 // bendersSolve is Algorithm 1's master–slave loop over an already-built
-// model and slave. A non-nil session seeds the master with the re-derived
-// still-valid cuts of previous epochs and collects this solve's dual
-// vectors for the next one.
-func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *BendersSession) (*Decision, error) {
-	// θ is a free surrogate for the slave cost, but LP variables are
-	// non-negative; shift by a valid lower bound on the slave objective:
-	// Σ min(yCoef,0)·Λ minus nothing (deficits only add cost).
-	bigTheta := 1.0
-	for _, it := range m.items {
-		if it.yCoef < 0 {
-			bigTheta += -it.yCoef * it.lambda
-		}
-	}
-
+// model, slave and master. A non-nil session — which has seeded the master
+// with the re-derived still-valid cuts of previous epochs — collects this
+// solve's dual vectors for the next one.
+func bendersSolve(m *model, slave *slaveProblem, master *masterProblem, opts BendersOptions, sess *BendersSession) (*Decision, error) {
 	// The master is re-solved every iteration, one cut row larger each time:
 	// all of them run out of one borrowed LP workspace.
 	solver := solverPool.Get().(*milp.Solver)
 	defer solverPool.Put(solver)
 
-	// Master skeleton: min Σ xCoef·x + θ subject to (5), (6), (13). Variables
-	// and rows go unnamed: nothing reads an LP name, and this runs per round.
-	master := lp.New()
-	xVar := make([]int, len(m.items))
-	for idx, it := range m.items {
-		xVar[idx] = master.AddVar("", it.xCoef)
-	}
-	thetaVar := master.AddVar("theta.shifted", 1) // θ = θ' − bigTheta
-	addPlacementRows(master, m, func(idx int) int { return xVar[idx] })
-
-	// Seed the master with the session's carried cuts. Each cut is
-	// re-derived from its stored dual vector against the *current* affine
-	// RHS maps (the λ̂ in rows (18) moved with the forecasts), so a carried
-	// cut is exactly as tight as if its dual had been discovered this epoch.
-	if sess != nil {
-		kept := sess.duals[:0]
-		for _, sd := range sess.duals {
-			constant, coefs := slave.cutFromDuals(sd.mu)
-			if sd.ray {
-				// Farkas rays live in the dual recession cone, which depends
-				// only on the constraint matrix — unchanged by construction
-				// (sameSolverShape) — so every carried ray still certifies.
-				if !addFeasCut(master, xVar, constant, coefs) {
-					continue // degenerate under the new affine map: drop
-				}
-			} else {
-				// Optimality cuts are valid for any dual-feasible µ; cost
-				// changes can expel µ from the dual polyhedron, so re-check.
-				if !slave.dualStillFeasible(sd.mu) {
-					continue
-				}
-				addOptCut(master, thetaVar, xVar, bigTheta, constant, coefs)
-			}
-			kept = append(kept, sd)
-		}
-		sess.duals = kept
-	}
+	n := len(m.items)
+	xVar, bigTheta := master.xVar, master.bigTheta
+	master.bestZ = lp.Resized(master.bestZ, n)
+	master.xBar = lp.Resized(master.xBar, n)
 
 	d := m.newDecision()
 	ub := math.Inf(1)
 	haveUB := false
-	var bestX, bestZ []float64
 	var bestPsi float64
 	var bestDef [3]float64
 
@@ -427,18 +444,17 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 		case lp.Optimal:
 			// Line 10–13 of Algorithm 1: optimality cut and UB update.
 			xCost := 0.0
-			for idx, it := range m.items {
-				xCost += it.xCoef * xBar[idx]
+			for idx := range m.items {
+				xCost += m.items[idx].xCoef * xBar[idx]
 			}
 			gamma := xCost + ssol.Obj
 			if gamma < ub-1e-12 || !haveUB {
 				ub = gamma
 				haveUB = true
-				bestX = append([]float64(nil), xBar...)
-				bestZ = make([]float64, len(m.items))
+				master.bestX = append(master.bestX[:0], xBar...)
 				bestPsi = xCost
 				for idx := range m.items {
-					bestZ[idx] = ssol.X[slave.zVar[idx]]
+					master.bestZ[idx] = ssol.X[slave.zVar[idx]]
 					bestPsi += m.items[idx].yCoef * ssol.X[slave.yVar[idx]]
 				}
 				if slave.dR >= 0 {
@@ -450,7 +466,7 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 				sess.remember(false, ssol.Dual)
 			}
 			// θ ≥ constant + coefs·x  ⇒  θ' − coefs·x ≥ constant + bigTheta.
-			addOptCut(master, thetaVar, xVar, bigTheta, constant, coefs)
+			master.addOptCut(constant, coefs)
 
 		case lp.Infeasible:
 			// Line 6–8: the dual slave is unbounded along the Farkas ray;
@@ -461,7 +477,7 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 			}
 			// Infeasibility certificate: constant + coefs·x̄ > 0, so demand
 			// constant + coefs·x ≤ 0, i.e. Σ coefs·x ≤ −constant.
-			if !addFeasCut(master, xVar, constant, coefs) {
+			if !master.addFeasCut(constant, coefs) {
 				return fmt.Errorf("core: degenerate feasibility cut (ray has no x terms)")
 			}
 
@@ -471,11 +487,11 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 		return nil
 	}
 	finish := func() *Decision {
-		m.fill(d, bestX, bestZ)
+		m.fill(d, master.bestX, master.bestZ)
 		d.Obj = bestPsi
 		d.DeficitRadio, d.DeficitTransport, d.DeficitCompute = bestDef[0], bestDef[1], bestDef[2]
 		if sess != nil {
-			sess.prevX = append(sess.prevX[:0], bestX...)
+			sess.prevX = append(sess.prevX[:0], master.bestX...)
 		}
 		return d
 	}
@@ -487,7 +503,7 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 	// immediately (lb ≥ ub − ε) and the epoch costs one master and one
 	// slave solve instead of two of each. If x̄ went stale the loop below
 	// proceeds exactly as a fresh solve would, with one extra seeded cut.
-	if sess != nil && len(sess.prevX) == len(m.items) {
+	if sess != nil && len(sess.prevX) == n {
 		if err := evaluate(sess.prevX, 0); err != nil {
 			return nil, err
 		}
@@ -496,7 +512,7 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 	for iter := 1; iter <= opts.MaxIterations; iter++ {
 		d.Iterations = iter
 
-		msol, err := milpSolve(solver, master, xVar)
+		msol, err := milpSolve(solver, master.p, xVar)
 		if err != nil {
 			return nil, fmt.Errorf("core: Benders master (iter %d): %w", iter, err)
 		}
@@ -509,8 +525,8 @@ func bendersSolve(m *model, slave *slaveProblem, opts BendersOptions, sess *Bend
 			// slave evaluation needed.
 			return finish(), nil
 		}
-		xBar := make([]float64, len(m.items))
-		for idx := range m.items {
+		xBar := master.xBar
+		for idx := range xBar {
 			xBar[idx] = clampUnit(msol.X[xVar[idx]])
 		}
 		if err := evaluate(xBar, iter); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/lp"
@@ -410,6 +411,14 @@ func sameSolverShape(prev, next *model) bool {
 		}
 	}
 	return true
+}
+
+// sameCommitments reports whether two instances of one solver shape commit
+// the same tenants: whether the master's rows (5) read = 1 (13) in the same
+// places. The shape does not say — a tenant reaching one CU only keeps its
+// items when pinned there.
+func sameCommitments(a, b *Instance) bool {
+	return slices.EqualFunc(a.Tenants, b.Tenants, func(x, y TenantSpec) bool { return x.Committed == y.Committed })
 }
 
 // DebugBuild exposes the monolithic MILP construction for profiling tools;

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/lp"
 	"repro/internal/slice"
 	"repro/internal/topology"
 )
@@ -133,22 +134,40 @@ const tieBreakBase = 1e-3
 
 // buildModel enumerates decision items and their objective coefficients.
 func buildModel(inst *Instance) (*model, error) {
+	m := new(model)
+	return m, m.build(inst)
+}
+
+// emptied returns lists at length n, every list empty but keeping its storage.
+func emptied(lists [][]int, n int) [][]int {
+	lists = lp.Resized(lists, n)
+	for i := range lists {
+		lists[i] = lists[i][:0]
+	}
+	return lists
+}
+
+// build is buildModel into m: whatever m held is overwritten and its backing
+// arrays are reused, so building epoch after epoch into the same model
+// (BendersSession, into the spare of its two) stops allocating.
+func (m *model) build(inst *Instance) error {
 	if inst.EtaTransport == 0 {
 		inst.EtaTransport = 1
 	}
 	nBS, nCU := inst.Net.NumBS(), inst.Net.NumCU()
 	if nBS == 0 || nCU == 0 {
-		return nil, fmt.Errorf("core: topology has %d BSs and %d CUs", nBS, nCU)
+		return fmt.Errorf("core: topology has %d BSs and %d CUs", nBS, nCU)
 	}
-	m := &model{inst: inst, nBS: nBS, nCU: nCU}
-	m.byTenantCU = make([][][]int, len(inst.Tenants))
-	m.byTenantBS = make([][][]int, len(inst.Tenants))
-	m.feasibleCU = make([][]bool, len(inst.Tenants))
+	m.inst, m.nBS, m.nCU = inst, nBS, nCU
+	m.items = m.items[:0]
+	m.byTenantCU = lp.Resized(m.byTenantCU, len(inst.Tenants))
+	m.byTenantBS = lp.Resized(m.byTenantBS, len(inst.Tenants))
+	m.feasibleCU = lp.Resized(m.feasibleCU, len(inst.Tenants))
 
 	for ti, tn := range inst.Tenants {
-		m.byTenantCU[ti] = make([][]int, nCU)
-		m.byTenantBS[ti] = make([][]int, nBS)
-		m.feasibleCU[ti] = make([]bool, nCU)
+		m.byTenantCU[ti] = emptied(m.byTenantCU[ti], nCU)
+		m.byTenantBS[ti] = emptied(m.byTenantBS[ti], nBS)
+		m.feasibleCU[ti] = lp.Resized(m.feasibleCU[ti], nCU)
 
 		lam := tn.SLA.RateMbps
 		lhat := math.Min(math.Max(tn.LambdaHat, 0), lam)
@@ -252,7 +271,7 @@ func buildModel(inst *Instance) (*model, error) {
 		w := float64((it.tenant*nCU+it.cu)*maxP + it.path + 1)
 		it.xCoef += tieBreakBase * w / wMax
 	}
-	return m, nil
+	return nil
 }
 
 // Decision is a solved epoch: the admission, placement and reservation

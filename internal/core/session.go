@@ -9,7 +9,8 @@ package core
 // Three pieces of state survive an epoch boundary when sameSolverShape
 // certifies the solver matrices identical:
 //
-//   - the slave LP skeleton (no re-enumeration, no re-allocation);
+//   - the slave LP skeleton and — while sameCommitments also holds — the
+//     master's (no re-enumeration of matrix rows, no re-allocation);
 //   - the slave's simplex basis — basic column set, sparse LU factorization
 //     and the solver workspace that makes steady-state warm solves
 //     allocation-free — so epoch t+1's first slave solve re-enters from
@@ -47,10 +48,16 @@ type sessionDual struct {
 // cross-epoch state changes only the pivot/iteration path, never the
 // admission outcome — pinned by the sim warm/cold equality tests).
 type BendersSession struct {
-	opts  BendersOptions
-	model *model
-	slave *slaveProblem
-	duals []sessionDual
+	opts BendersOptions
+	// model is the previous Solve's model, one of models; the next Solve
+	// builds into the other. Two, not one: sameSolverShape compares last
+	// epoch's enumeration with this epoch's, and one buffer rebuilt in place
+	// would be compared with itself and pass any change.
+	model  *model
+	models [2]model
+	slave  *slaveProblem
+	master *masterProblem
+	duals  []sessionDual
 	// prevX is the previous epoch's optimal master vector, evaluated first
 	// by the next solve (incumbent short-circuit): one warm slave solve
 	// turns it into an upper bound plus a tight cut, and the first master
@@ -78,31 +85,76 @@ func NewBendersSession(opts BendersOptions) *BendersSession {
 // even the cold solve hit distress, SolveBenders falls back to the
 // monolithic oracle as a last resort — equally instance-deterministic.)
 func (s *BendersSession) Solve(inst *Instance) (*Decision, error) {
-	m, err := buildModel(inst)
+	m, err := s.bind(inst)
 	if err != nil {
 		return nil, err
 	}
-	if s.slave != nil && sameSolverShape(s.model, m) {
-		s.slave.refresh(m)
-	} else {
-		s.slave = m.buildSlave()
-		s.duals = s.duals[:0]
-		s.prevX = s.prevX[:0]
-	}
-	s.model = m
-	d, err := bendersSolve(m, s.slave, s.opts, s)
-	if err != nil {
-		s.model, s.slave = nil, nil
-		s.duals = s.duals[:0]
-		s.prevX = s.prevX[:0]
-		d, err = SolveBenders(inst, s.opts)
-		if err != nil {
-			return nil, err
-		}
-		d.FellBack = true
+	d, err := bendersSolve(m, s.slave, s.master, s.opts, s)
+	if err == nil {
 		return d, nil
 	}
+	s.model, s.slave, s.master = nil, nil, nil
+	s.duals, s.prevX = s.duals[:0], s.prevX[:0]
+	if d, err = SolveBenders(inst, s.opts); err != nil {
+		return nil, err
+	}
+	d.FellBack = true
 	return d, nil
+}
+
+// bind readies the solver state for the instance and returns its model,
+// enumerated into the spare buffer: slave and master are refreshed in place
+// when the solver shape held and rebuilt cold, the carried state dropped,
+// when it did not; then the master is seeded with the carried cuts, each
+// re-derived from its dual vector against the *current* affine RHS maps (the
+// λ̂ in rows (18) moved with the forecasts).
+func (s *BendersSession) bind(inst *Instance) (*model, error) {
+	m := &s.models[0]
+	if m == s.model {
+		m = &s.models[1]
+	}
+	if err := m.build(inst); err != nil {
+		return nil, err
+	}
+	switch {
+	case s.slave == nil || !sameSolverShape(s.model, m):
+		s.slave, s.master = m.buildSlave(), m.buildMaster()
+		s.duals, s.prevX = s.duals[:0], s.prevX[:0]
+	case sameCommitments(s.model.inst, inst):
+		s.slave.refresh(m)
+		s.master.rebind(m)
+	default:
+		// Same matrices, other commitments: the master's rows (5) changed
+		// sense, so it alone is rebuilt, and the incumbent, which may violate
+		// the new rows and would then bound nothing, goes. The duals stay.
+		s.slave.refresh(m)
+		s.master, s.prevX = m.buildMaster(), s.prevX[:0]
+	}
+	s.model = m
+
+	kept := s.duals[:0]
+	for _, sd := range s.duals {
+		constant, coefs := s.slave.cutFromDuals(sd.mu)
+		switch {
+		case sd.ray:
+			// Farkas rays live in the dual recession cone, which depends
+			// only on the constraint matrix — unchanged by construction
+			// (sameSolverShape) — so every carried ray still certifies,
+			// unless it went degenerate under the new affine map.
+			if !s.master.addFeasCut(constant, coefs) {
+				continue
+			}
+		case s.slave.dualStillFeasible(sd.mu):
+			// Optimality cuts are valid for any dual-feasible µ; cost
+			// changes can expel µ from the dual polyhedron, hence the check.
+			s.master.addOptCut(constant, coefs)
+		default:
+			continue
+		}
+		kept = append(kept, sd)
+	}
+	s.duals = kept
+	return m, nil
 }
 
 // CarriedCuts reports the current cut-pool size (diagnostics and tests).

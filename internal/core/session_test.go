@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/slice"
@@ -36,13 +37,53 @@ func epochSequence() []*Instance {
 	}
 }
 
+// pinningSequence is a domain whose Committed flags move while the solver
+// shape holds: a URLLC slice's 5 ms bound reaches only CU 0 of the testbed, so
+// pinning it there leaves its items as they were. Two URLLC tenants at the
+// SLA rate do not fit side by side, the second pays twice the reward, and the
+// lower index wins ties — so each epoch after the spike has one right answer
+// that a master with last epoch's row (5) senses, or last epoch's incumbent
+// taken for feasible, gets wrong.
+func pinningSequence() []*Instance {
+	net := topology.Testbed()
+	paths := net.Paths(3)
+	type tn struct {
+		lh, sigma, reward float64
+		committed         bool
+	}
+	mk := func(a, b tn) *Instance {
+		inst := &Instance{Net: net, Paths: paths, Overbook: true, BigM: defaultBigM}
+		for _, x := range []tn{a, b} {
+			u := typedTenant("u", slice.URLLC, x.lh, x.sigma, 1, 4)
+			u.SLA.Reward *= x.reward
+			u.Committed = x.committed // CommittedCU 0, its only CU
+			inst.Tenants = append(inst.Tenants, u)
+		}
+		return inst
+	}
+	return []*Instance{
+		mk(tn{6, 0.3, 1, false}, tn{6, 0.3, 2, false}),   // cold start: both fit, both admitted
+		mk(tn{6, 0.3, 1, true}, tn{6, 0.3, 2, true}),     // both come back committed
+		mk(tn{24, 0.9, 1, true}, tn{24, 0.9, 2, true}),   // spike: (13) keeps both, a stale ≤ 1 drops one
+		mk(tn{24, 0.9, 1, true}, tn{24, 0.9, 2, false}),  // the second expired, a pending one has its index
+		mk(tn{24, 0.9, 1, false}, tn{24, 0.9, 2, false}), // the first expired too: the richer request wins
+		mk(tn{24, 0.9, 2, true}, tn{24, 0.9, 3, false}),  // it moves up committed; x̄ = (0, 1) is now infeasible
+		mk(tn{23, 0.8, 2, true}, tn{23, 0.8, 3, false}),
+	}
+}
+
 // TestSessionMatchesFreshSolves is the cross-epoch acceptance gate: a
 // session carrying cuts and the slave basis across instances must land on
 // the same admission decisions and objective as a fresh SolveBenders (and
 // the exact monolithic MILP) on every epoch of the sequence.
 func TestSessionMatchesFreshSolves(t *testing.T) {
+	t.Run("drift-and-pin", func(t *testing.T) { sessionMatchesFresh(t, epochSequence()) })
+	t.Run("pinned-in-place", func(t *testing.T) { sessionMatchesFresh(t, pinningSequence()) })
+}
+
+func sessionMatchesFresh(t *testing.T, seq []*Instance) {
 	sess := NewBendersSession(BendersOptions{})
-	for e, inst := range epochSequence() {
+	for e, inst := range seq {
 		fresh, err := SolveBenders(inst, BendersOptions{})
 		if err != nil {
 			t.Fatalf("epoch %d fresh: %v", e, err)
@@ -51,12 +92,12 @@ func TestSessionMatchesFreshSolves(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d session: %v", e, err)
 		}
-		compareDecisions(t, "epoch", fresh, carried)
+		compareDecisions(t, fmt.Sprintf("epoch %d", e), fresh, carried)
 		exact, err := SolveDirect(inst)
 		if err != nil {
 			t.Fatalf("epoch %d direct: %v", e, err)
 		}
-		compareDecisions(t, "epoch-vs-direct", exact, carried)
+		compareDecisions(t, fmt.Sprintf("epoch %d vs direct", e), exact, carried)
 		if _, err := Verify(inst, carried); err != nil {
 			t.Errorf("epoch %d: session decision infeasible: %v", e, err)
 		}
@@ -142,6 +183,20 @@ func TestSameSolverShape(t *testing.T) {
 	}
 	if sameSolverShape(m1, m3) {
 		t.Error("commitment pinning must change the solver shape")
+	}
+	// Pinning a tenant to the only CU it reaches moves no item: the shape
+	// holds, and sameCommitments is what tells the two epochs apart.
+	pin := pinningSequence()
+	p0, err := buildModel(pin[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	p1, err := buildModel(pin[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameSolverShape(p0, p1) || sameCommitments(pin[0], pin[1]) || !sameCommitments(pin[1], pin[2]) {
+		t.Error("pinning a single-CU tenant in place must keep the solver shape and change the commitments")
 	}
 	if sameSolverShape(nil, m1) || sameSolverShape(m1, nil) {
 		t.Error("nil models never share a shape")

@@ -141,7 +141,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics: %v", m)
 	}
 	// The engine's round vitals land in the shared monitoring store.
-	if _, ok := s.store.EpochPeak("admission", "round_ms", 0); !ok {
+	if len(s.store.ElementEpochSamples("admission", "round_ms", "default", 0)) == 0 {
 		t.Error("admission round sample missing from the monitor store")
 	}
 }

@@ -73,7 +73,7 @@ func TestYieldLedgerThroughREST(t *testing.T) {
 
 	// The realized sample is published back through the monitoring store,
 	// and the in-process accessor agrees with the REST surface.
-	if _, ok := s.store.EpochPeak("u1", "yield_realized", 0); !ok {
+	if len(s.store.ElementEpochSamples("u1", "yield_realized", "default", 0)) == 0 {
 		t.Error("per-slice realized-yield sample missing from the monitor store")
 	}
 	if got := s.orch.Yield(); got.Realized != sum.Realized {

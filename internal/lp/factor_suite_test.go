@@ -1,9 +1,10 @@
-package scenario
+package lp_test
 
 import (
 	"testing"
 
 	"repro/internal/lp"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
@@ -18,12 +19,20 @@ import (
 // (warm==cold, shard-count invariance) rest on.
 func TestFactorEnginesAgreeOnSuite(t *testing.T) {
 	defer lp.DebugForceDenseFactor(false)
-	suite := Archetypes()
+	suite := scenario.Archetypes()
 	if len(suite) < 7 {
 		t.Fatalf("suite has %d archetypes, want the full 7", len(suite))
 	}
 	for _, spec := range suite {
-		spec = ciSized(spec)
+		// CI-sized as internal/scenario's own tests are: exact solvers stay
+		// fast while every structural feature survives.
+		if spec.Tenants > 4 {
+			spec.Tenants = 4
+		}
+		spec.Epochs = 10
+		if spec.Arrivals.Kind == scenario.FlashCrowd {
+			spec.Arrivals.SpikeEpoch, spec.Arrivals.SpikeSize = 4, 2
+		}
 		spec.Algorithm = "benders" // the solver living on the warm SolveFrom path
 		cfgSparse, err := spec.Compile(11)
 		if err != nil {

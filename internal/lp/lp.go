@@ -78,14 +78,16 @@ type Problem struct {
 	names []string
 	rows  []row
 	// lo/up are the variable bounds, materialized lazily by the first
-	// SetBounds call; nil means every variable keeps the default [0, +∞)
-	// range. Invariant: 0 ≤ lo[j] ≤ up[j], with up[j] = +Inf for unbounded.
+	// SetBounds call; empty (emptied storage counts, not just nil) means
+	// every variable keeps the default [0, +∞) range. Invariant:
+	// 0 ≤ lo[j] ≤ up[j], with up[j] = +Inf for unbounded.
 	lo, up []float64
-	// rev counts structural mutations (AddVar, AddConstraint). SetRHS,
-	// SetCost and SetBounds deliberately do not advance it: a Basis
-	// workspace caches the problem's sparse matrix keyed on (pointer, rev),
-	// and RHS/cost/bound rewrites — the warm-start access patterns — must
-	// keep that cache valid. (Branch-and-bound rewrites bounds per node.)
+	// rev counts structural mutations (AddVar, AddConstraint, TruncateRows,
+	// CloneInto's overwrite) and only ever grows. SetRHS, SetCost and
+	// SetBounds deliberately do not advance it: a Basis workspace caches the
+	// problem's sparse matrix keyed on (pointer, rev), and RHS/cost/bound
+	// rewrites — the warm-start access patterns, and branch-and-bound's
+	// per-node bounds — must keep that cache valid.
 	rev int
 }
 
@@ -97,7 +99,7 @@ func New() *Problem { return &Problem{} }
 func (p *Problem) AddVar(name string, cost float64) int {
 	p.cost = append(p.cost, cost)
 	p.names = append(p.names, name)
-	if p.lo != nil {
+	if p.bounded() {
 		p.lo = append(p.lo, 0)
 		p.up = append(p.up, math.Inf(1))
 	}
@@ -115,9 +117,9 @@ func (p *Problem) SetBounds(v int, lo, up float64) {
 	if lo < 0 || up < lo || math.IsNaN(lo) || math.IsNaN(up) {
 		panic(fmt.Sprintf("lp: SetBounds(%d, %g, %g): need 0 <= lo <= up", v, lo, up))
 	}
-	if p.lo == nil {
-		p.lo = make([]float64, len(p.cost))
-		p.up = make([]float64, len(p.cost))
+	if !p.bounded() {
+		p.lo = grow(p.lo, len(p.cost))
+		p.up = grow(p.up, len(p.cost))
 		for j := range p.up {
 			p.up[j] = math.Inf(1)
 		}
@@ -128,7 +130,7 @@ func (p *Problem) SetBounds(v int, lo, up float64) {
 
 // Bounds returns the [lo, up] range of variable v.
 func (p *Problem) Bounds(v int) (lo, up float64) {
-	if p.lo == nil {
+	if !p.bounded() {
 		return 0, math.Inf(1)
 	}
 	return p.lo[v], p.up[v]
@@ -137,7 +139,7 @@ func (p *Problem) Bounds(v int) (lo, up float64) {
 // bounded reports whether any variable carries a non-default bound range.
 // The solver paths stay byte-identical to their pre-bounds behavior when
 // this is false.
-func (p *Problem) bounded() bool { return p.lo != nil }
+func (p *Problem) bounded() bool { return len(p.lo) != 0 }
 
 // NumVars returns the number of variables added so far.
 func (p *Problem) NumVars() int { return len(p.cost) }
@@ -162,11 +164,21 @@ func (p *Problem) AddConstraint(sense Sense, rhs float64, terms ...Term) int {
 
 // AddNamedConstraint is AddConstraint with a diagnostic row name.
 func (p *Problem) AddNamedConstraint(name string, sense Sense, rhs float64, terms ...Term) int {
-	cp := make([]Term, len(terms))
-	copy(cp, terms)
-	p.rows = append(p.rows, row{terms: cp, sense: sense, rhs: rhs, name: name})
+	i := len(p.rows)
+	p.rows = Resized(p.rows, i+1)
+	// The slot may be a row TruncateRows dropped: its term storage is reused.
+	p.rows[i] = row{terms: append(p.rows[i].terms[:0], terms...), sense: sense, rhs: rhs, name: name}
 	p.rev++
-	return len(p.rows) - 1
+	return i
+}
+
+// TruncateRows drops every row from index n on. Their term storage stays
+// with the problem for later AddConstraint calls to refill, so rebuilding the
+// same tail of rows over and over (a Benders master's cuts on its skeleton)
+// stops allocating. What RowTerms returned for a dropped row is invalid.
+func (p *Problem) TruncateRows(n int) {
+	p.rows = p.rows[:n]
+	p.rev++
 }
 
 // SetRHS overwrites the right-hand side of row i. This lets callers (the
@@ -186,24 +198,20 @@ func (p *Problem) RowSense(i int) Sense { return p.rows[i].sense }
 // check it against the current costs without rebuilding the matrix.
 func (p *Problem) RowTerms(i int) []Term { return p.rows[i].terms }
 
-// Clone returns a deep copy of the problem, sharing nothing with p.
-func (p *Problem) Clone() *Problem {
-	q := &Problem{
-		cost:  append([]float64(nil), p.cost...),
-		names: append([]string(nil), p.names...),
-		rows:  make([]row, len(p.rows)),
-		lo:    append([]float64(nil), p.lo...),
-		up:    append([]float64(nil), p.up...),
-	}
+// CloneInto overwrites q with a deep copy of p, sharing nothing with p and
+// reusing the storage q owns: cloning problem after problem of similar size
+// into one q (milp.Solver, every master's root) stops allocating.
+func (p *Problem) CloneInto(q *Problem) {
+	q.cost = append(q.cost[:0], p.cost...)
+	q.names = append(q.names[:0], p.names...)
+	q.lo = append(q.lo[:0], p.lo...)
+	q.up = append(q.up[:0], p.up...)
+	q.rows = Resized(q.rows, len(p.rows))
 	for i, r := range p.rows {
-		q.rows[i] = row{
-			terms: append([]Term(nil), r.terms...),
-			sense: r.sense,
-			rhs:   r.rhs,
-			name:  r.name,
-		}
+		r.terms = append(q.rows[i].terms[:0], r.terms...)
+		q.rows[i] = r
 	}
-	return q
+	q.rev++
 }
 
 // Solution is the result of solving a Problem.

@@ -31,7 +31,8 @@ const presolveMaxPasses = 8
 // Presolved is the outcome of a Presolve call: either the problem was
 // decided outright (Decided true, Status/trivial solution available via
 // Postsolve(nil)), or Reduced holds a smaller equivalent problem whose
-// solution Postsolve maps back to the original space.
+// solution Postsolve maps back to the original space. The zero value is
+// ready for Reduce.
 type Presolved struct {
 	// Reduced is the shrunken problem to solve; nil when Decided.
 	Reduced *Problem
@@ -46,6 +47,15 @@ type Presolved struct {
 	colMap       []int     // original column -> reduced column, -1 if eliminated
 	fixedVal     []float64 // value of eliminated columns
 	rowMap       []int     // original row -> reduced row, -1 if dropped
+
+	// Reduce's working storage and the reduced problem, kept between calls.
+	lo, up  []float64
+	terms   [][]Term // per row, duplicate variables merged
+	seen    []int
+	fixed   []bool
+	dropped []bool
+	rt      []Term
+	red     Problem
 }
 
 // Col maps an original column to the reduced problem: reduced ≥ 0 is its
@@ -73,30 +83,35 @@ func (ps *Presolved) Stats() (varsRemoved, rowsRemoved int) {
 // Presolve reduces p without mutating it. The returned Presolved owns all
 // its state; p may be solved or edited independently afterwards.
 func Presolve(p *Problem) *Presolved {
-	n, m := len(p.cost), len(p.rows)
-	ps := &Presolved{
-		origN:    n,
-		origM:    m,
-		colMap:   make([]int, n),
-		fixedVal: make([]float64, n),
-		rowMap:   make([]int, m),
-	}
+	ps := new(Presolved)
+	ps.Reduce(p)
+	return ps
+}
 
-	lo := make([]float64, n)
-	up := make([]float64, n)
+// Reduce is Presolve into ps: the previous outcome, Reduced included, is
+// overwritten and its storage reused, so one Presolved run over problem
+// after problem of similar size (milp.Solver) stops allocating.
+func (ps *Presolved) Reduce(p *Problem) {
+	n, m := len(p.cost), len(p.rows)
+	ps.Reduced, ps.Decided, ps.Status = nil, false, Optimal
+	ps.origN, ps.origM, ps.objConst = n, m, 0
+	ps.colMap, ps.fixedVal, ps.rowMap = grow(ps.colMap, n), grow(ps.fixedVal, n), grow(ps.rowMap, m)
+
+	ps.lo, ps.up = grow(ps.lo, n), grow(ps.up, n)
+	lo, up := ps.lo, ps.up
 	for j := 0; j < n; j++ {
 		lo[j], up[j] = p.Bounds(j)
 	}
 
 	// Merge duplicate terms per row once up front so every later sweep sees
 	// one coefficient per (row, variable).
-	terms := make([][]Term, m)
-	seen := make([]int, n)
+	ps.terms, ps.seen = Resized(ps.terms, m), grow(ps.seen, n)
+	terms, seen := ps.terms, ps.seen
 	for j := range seen {
 		seen[j] = -1
 	}
 	for i := 0; i < m; i++ {
-		merged := make([]Term, 0, len(p.rows[i].terms))
+		merged := terms[i][:0]
 		for _, tm := range p.rows[i].terms {
 			if s := seen[tm.Var]; s >= 0 && s < len(merged) && merged[s].Var == tm.Var {
 				merged[s].Coef += tm.Coef
@@ -111,8 +126,8 @@ func Presolve(p *Problem) *Presolved {
 		terms[i] = merged
 	}
 
-	fixed := make([]bool, n)
-	dropped := make([]bool, m)
+	ps.fixed, ps.dropped = grow(ps.fixed, n), grow(ps.dropped, m)
+	fixed, dropped := ps.fixed, ps.dropped
 	infeasible := false
 
 	fix := func(j int, v float64) {
@@ -246,11 +261,14 @@ func Presolve(p *Problem) *Presolved {
 		for i := range ps.rowMap {
 			ps.rowMap[i] = -1
 		}
-		return ps
+		return
 	}
 
 	// Build the reduced problem.
-	red := New()
+	red := &ps.red
+	red.cost, red.names = red.cost[:0], red.names[:0]
+	red.lo, red.up = red.lo[:0], red.up[:0]
+	red.TruncateRows(0)
 	nLive := 0
 	for j := 0; j < n; j++ {
 		if fixed[j] {
@@ -272,7 +290,7 @@ func Presolve(p *Problem) *Presolved {
 			continue
 		}
 		eff := p.rows[i].rhs
-		var rt []Term
+		rt := ps.rt[:0]
 		for _, tm := range terms[i] {
 			if tm.Coef == 0 {
 				continue
@@ -283,6 +301,7 @@ func Presolve(p *Problem) *Presolved {
 			}
 			rt = append(rt, Term{Var: ps.colMap[tm.Var], Coef: tm.Coef})
 		}
+		ps.rt = rt
 		if len(rt) == 0 {
 			// All variables were fixed after the last sweep: the pass cap
 			// hit before this became an "empty row"; check it here.
@@ -292,7 +311,7 @@ func Presolve(p *Problem) *Presolved {
 				(sense == EQ && math.Abs(eff) > feasTol) {
 				ps.Decided = true
 				ps.Status = Infeasible
-				return ps
+				return
 			}
 			ps.rowMap[i] = -1
 			continue
@@ -307,10 +326,9 @@ func Presolve(p *Problem) *Presolved {
 		// optimal at the fixed point.
 		ps.Decided = true
 		ps.Status = Optimal
-		return ps
+		return
 	}
 	ps.Reduced = red
-	return ps
 }
 
 // Postsolve maps a solution of the reduced problem back to the original

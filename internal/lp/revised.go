@@ -50,7 +50,7 @@ type Basis struct {
 	// variable bounds; zeroed (all at-lower) otherwise.
 	stat []uint8
 	// eng is the factorized basis matrix; nil ⇒ factorize on next use. It
-	// points into ws-owned storage (ws.lu or ws.dense).
+	// points into ws-owned storage (ws.lu).
 	eng factorEngine
 	ws  *workspace
 }
@@ -433,17 +433,15 @@ func (r *revised) reducedCost(j int) float64 {
 }
 
 // ensureFactorized (re)builds the basis factorization from the basic column
-// set; false means B is singular. The engine is the sparse LU by default,
-// or the dense cross-check engine under DebugForceDenseFactor.
+// set; false means B is singular. The engine is the workspace's sparse LU
+// (a test's oracleEngine aside).
 func (r *revised) ensureFactorized() bool {
 	if r.bs.eng != nil {
 		return true
 	}
-	var eng factorEngine
-	if debugDenseFactor {
-		eng = &r.ws.dense
-	} else {
-		eng = &r.ws.lu
+	eng := factorEngine(&r.ws.lu)
+	if oracleEngine != nil {
+		eng = oracleEngine()
 	}
 	if !eng.refactor(r) {
 		r.ws.stats.Singular++

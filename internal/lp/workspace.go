@@ -23,6 +23,17 @@ func grow[T any](buf []T, n int) []T {
 	return buf
 }
 
+// Resized returns s at length n and, where grow zeroes, keeps: every element
+// s had room for — up to its capacity, so truncated ones too — is still there,
+// for the sake of the storage it owns (a dropped row's terms; in core, a
+// tenant's item lists).
+func Resized[T any](s []T, n int) []T {
+	if c := cap(s); c < n {
+		s = append(s[:c], make([]T, n-c)...)
+	}
+	return s[:n]
+}
+
 // workspace is the reusable solver state owned by a Basis. It caches the
 // problem's structural matrix in compressed-sparse-column form (rebuilt only
 // when the problem's structural revision moves), the factorization engines,
@@ -81,7 +92,6 @@ type workspace struct {
 
 	r     revised
 	lu    sparseLU
-	dense denseFactor
 	stats FactorStats
 
 	// Cold-path reuse: when SolveFrom falls back to the two-phase tableau

@@ -121,6 +121,10 @@ type Solver struct {
 	// certify falls back cold and recaptures — lp.SolveFrom's safety
 	// contract).
 	basis lp.Basis
+	// root and ps hold every solve's bounded copy of the caller's problem and
+	// its presolve outcome, reduced problem included: overwritten per solve.
+	root lp.Problem
+	ps   lp.Presolved
 }
 
 // Solve is a one-shot solve on a fresh Solver.
@@ -141,12 +145,13 @@ func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, 
 	s.basis.Reset()
 	sol := &Solution{Status: Infeasible, Obj: math.Inf(1)}
 
-	root := p.Clone()
+	root, ps := &s.root, &s.ps
+	p.CloneInto(root)
 	for _, v := range binaries {
 		root.SetBounds(v, 0, 1)
 	}
 
-	ps := lp.Presolve(root)
+	ps.Reduce(root)
 	if ps.Decided {
 		switch ps.Status {
 		case lp.Infeasible:

@@ -264,11 +264,13 @@ func growingMaster(n int) (p *lp.Problem, bins []int, addCut func()) {
 // TestSolverReusesWorkspaceAcrossGrowingMasters pins the cold path's
 // allocation contract: a Solver re-solving a master that gains one cut row
 // per call pays for the LP workspace — above all the root relaxation's dense
-// tableau — once. Every later call must allocate under 5 % of the first
-// call's bytes (what remains is the per-solve clone, presolve and the
-// returned solution), which exact-fit buffer sizing would fail on every call
-// because each master is one row larger than the last. Solutions must equal
-// a one-shot Solve's: the kept workspace carries memory, never state.
+// tableau — and for its clone of the caller's problem and that clone's
+// presolve, once. Every later call must allocate under 1 % of the first
+// call's bytes (what remains is the search's bookkeeping and the returned
+// solution; the per-call clone and presolve alone were 3 %), which exact-fit
+// buffer sizing would fail on every call because each master is one row
+// larger than the last. Solutions must equal a one-shot Solve's: the kept
+// workspace carries memory, never state.
 func TestSolverReusesWorkspaceAcrossGrowingMasters(t *testing.T) {
 	p, bins, addCut := growingMaster(480)
 	var solver Solver
@@ -286,8 +288,8 @@ func TestSolverReusesWorkspaceAcrossGrowingMasters(t *testing.T) {
 		}
 		if call == 0 {
 			first = bytes
-		} else if bytes*20 >= first {
-			t.Errorf("call %d allocated %d bytes, want < 5%% of the first call's %d", call, bytes, first)
+		} else if bytes*100 >= first {
+			t.Errorf("call %d allocated %d bytes, want < 1%% of the first call's %d", call, bytes, first)
 		}
 		want, err := Solve(p, bins, Options{})
 		if err != nil || !reflect.DeepEqual(got, want) {

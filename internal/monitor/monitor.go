@@ -51,27 +51,56 @@ var bsElements = func() [256]string {
 	return names
 }()
 
+// point is one stored observation. The series key carries slice, metric and
+// element, so a point is 24 bytes where a Sample is 72.
+type point struct {
+	epoch, theta int
+	value        float64
+}
+
+// series is one key's retention window, a ring: buf grows geometrically to
+// retain points and is then overwritten in place, oldest first, so a full
+// series costs Add no allocation. head is the oldest point (0 until then).
+type series struct {
+	buf  []point
+	head int
+	// adds counts the points ever ingested; lateAt is adds as of the last
+	// point older than its predecessor (0: none; agents report epoch by
+	// epoch). An epoch-ordered window lets a read stop at the epoch's first
+	// point instead of scanning the window; a late point has left it, and
+	// the fast path is back, once retain further points have followed.
+	adds, lateAt uint64
+}
+
+// at returns the i-th oldest point of the window.
+func (r *series) at(i int) point {
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return r.buf[i]
+}
+
+// ordered reports whether the window is in non-decreasing epoch order.
+func (r *series) ordered() bool {
+	return r.lateAt == 0 || r.adds-r.lateAt >= uint64(len(r.buf))
+}
+
 // Store is the in-memory time-series database. It retains a bounded number
 // of samples per series (ring retention) and supports the per-epoch
-// aggregations the AC-RR engine needs. Safe for concurrent use.
+// reads the AC-RR engine needs. Safe for concurrent use.
 type Store struct {
 	mu     sync.RWMutex
 	retain int
-	series map[key][]Sample
-	// unordered marks the series that received a sample older than its
-	// predecessor. Agents report epoch by epoch, so none normally does, and
-	// an ordered series lets a per-epoch read stop at the epoch's first
-	// sample instead of scanning the retention window.
-	unordered map[key]bool
+	series map[key]*series
 }
 
 // NewStore creates a store retaining up to retain samples per series
-// (0 means 4096).
+// (0 means 4096); a series' ring grows with its samples, never pre-sized.
 func NewStore(retain int) *Store {
 	if retain <= 0 {
 		retain = 4096
 	}
-	return &Store{retain: retain, series: make(map[key][]Sample)}
+	return &Store{retain: retain, series: make(map[key]*series)}
 }
 
 // Add ingests a sample.
@@ -79,98 +108,86 @@ func (s *Store) Add(sm Sample) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := key{sm.Slice, sm.Metric, sm.Element}
-	ser := s.series[k]
-	if n := len(ser); n > 0 && sm.Epoch < ser[n-1].Epoch {
-		if s.unordered == nil {
-			s.unordered = make(map[key]bool)
+	r := s.series[k]
+	if r == nil {
+		r = &series{}
+		s.series[k] = r
+	}
+	p := point{sm.Epoch, sm.Theta, sm.Value}
+	n := len(r.buf)
+	r.adds++
+	if n > 0 && p.epoch < r.at(n-1).epoch {
+		r.lateAt = r.adds
+	}
+	if n == s.retain {
+		r.buf[r.head] = p
+		if r.head++; r.head == n {
+			r.head = 0
 		}
-		s.unordered[k] = true
+		return
 	}
-	ser = append(ser, sm)
-	if len(ser) > s.retain {
-		ser = ser[len(ser)-s.retain:]
+	if n == cap(r.buf) {
+		grown := make([]point, n, min(max(2*n, 4), s.retain))
+		copy(grown, r.buf)
+		r.buf = grown
 	}
-	s.series[k] = ser
+	r.buf = append(r.buf, p)
 }
 
-// EpochPeak returns max{λ(θ)} for the slice/metric over every element in
-// the given epoch — the conservative aggregation of §2.2.2 — and false when
-// the epoch holds no samples.
-func (s *Store) EpochPeak(slice, metric string, epoch int) (float64, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	peak, ok := 0.0, false
-	for k, ser := range s.series {
-		if k.slice != slice || k.metric != metric {
-			continue
-		}
-		for _, sm := range ser {
-			if sm.Epoch == epoch {
-				if !ok || sm.Value > peak {
-					peak, ok = sm.Value, true
-				}
-			}
-		}
-	}
-	return peak, ok
-}
-
-// ElementEpochSamples returns the samples one (slice, metric, element)
-// series holds for the given epoch, sorted by (theta, value) so any
+// AppendElementEpochSamples appends to dst the samples one (slice, metric,
+// element) series holds for the given epoch, sorted by (theta, value) so any
 // accounting folded over it is deterministic regardless of ingest
-// interleaving. It is a single series lookup, and on a series ingested in
-// epoch order (every in-tree agent's) it reads backwards from the newest
-// sample and stops at the first one older than the epoch, so per-slice
-// accounting loops — the closed loop's settle phase runs one per committed
-// slice per BS per epoch — cost the epoch's samples, not the series'
-// retention window.
-func (s *Store) ElementEpochSamples(slice, metric, element string, epoch int) []Sample {
-	k := key{slice, metric, element}
+// interleaving, and returns the extended slice; a caller that passes the
+// same buffer again (dst[:0]) reads without allocating. It is a single
+// series lookup, and on a window in epoch order it reads backwards from the
+// newest sample and stops at the first one older than the epoch, so the
+// closed loop's per-slice, per-BS accounting costs the epoch's samples, not
+// the retention window. The sort is skipped when the samples arrived in
+// (theta, value) order; every in-tree agent's window is ordered both ways.
+func (s *Store) AppendElementEpochSamples(dst []Sample, slice, metric, element string, epoch int) []Sample {
+	from := len(dst)
 	s.mu.RLock()
-	ser := s.series[k]
-	var out []Sample
-	if s.unordered[k] {
-		for _, sm := range ser {
-			if sm.Epoch == epoch {
-				out = append(out, sm)
+	if r := s.series[key{slice, metric, element}]; r != nil {
+		lo, hi := 0, len(r.buf)
+		if r.ordered() {
+			for hi > 0 && r.at(hi-1).epoch > epoch {
+				hi--
+			}
+			for lo = hi; lo > 0 && r.at(lo-1).epoch == epoch; lo-- {
+			}
+			dst = slices.Grow(dst, hi-lo)
+		}
+		for i := lo; i < hi; i++ {
+			if p := r.at(i); p.epoch == epoch {
+				dst = append(dst, Sample{Slice: slice, Metric: metric, Element: element,
+					Epoch: epoch, Theta: p.theta, Value: p.value})
 			}
 		}
-	} else {
-		hi := len(ser)
-		for hi > 0 && ser[hi-1].Epoch > epoch {
-			hi--
-		}
-		lo := hi
-		for lo > 0 && ser[lo-1].Epoch == epoch {
-			lo--
-		}
-		out = append(out, ser[lo:hi]...)
 	}
 	s.mu.RUnlock()
-	slices.SortFunc(out, func(a, b Sample) int {
-		switch {
-		case a.Theta != b.Theta:
-			return cmp.Compare(a.Theta, b.Theta)
-		case a.Value < b.Value:
-			return -1
-		case b.Value < a.Value:
-			return 1
-		}
-		return 0
-	})
-	return out
+	if out := dst[from:]; !slices.IsSortedFunc(out, bySlot) {
+		slices.SortFunc(out, bySlot)
+	}
+	return dst
 }
 
-// PeakSeries returns the per-epoch peaks for a slice/metric over the
-// inclusive epoch range, suitable for feeding a forecaster. Epochs with no
-// samples yield zeros.
-func (s *Store) PeakSeries(slice, metric string, from, to int) []float64 {
-	out := make([]float64, 0, to-from+1)
-	for e := from; e <= to; e++ {
-		v, _ := s.EpochPeak(slice, metric, e)
-		out = append(out, v)
+// bySlot orders one series' samples of one epoch by (theta, value).
+func bySlot(a, b Sample) int {
+	switch {
+	case a.Theta != b.Theta:
+		return cmp.Compare(a.Theta, b.Theta)
+	case a.Value < b.Value:
+		return -1
+	case b.Value < a.Value:
+		return 1
 	}
-	return out
+	return 0
+}
+
+// ElementEpochSamples is AppendElementEpochSamples into a fresh slice (nil
+// when the series holds nothing for the epoch).
+func (s *Store) ElementEpochSamples(slice, metric, element string, epoch int) []Sample {
+	return s.AppendElementEpochSamples(nil, slice, metric, element, epoch)
 }
 
 // Slices lists the slice names present in the store, sorted.
@@ -194,8 +211,8 @@ func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, ser := range s.series {
-		n += len(ser)
+	for _, r := range s.series {
+		n += len(r.buf)
 	}
 	return n
 }

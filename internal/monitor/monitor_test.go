@@ -9,6 +9,21 @@ import (
 	"time"
 )
 
+// peakOf is the §2.2.2 max-aggregation max{λ(θ) | θ ∈ κ(t)} over the keyed
+// reads of the listed elements, the way internal/reopt's observe phase
+// computes it.
+func peakOf(s *Store, slice, metric string, epoch int, elements ...string) (float64, bool) {
+	peak, ok := 0.0, false
+	for _, el := range elements {
+		for _, sm := range s.ElementEpochSamples(slice, metric, el, epoch) {
+			if !ok || sm.Value > peak {
+				peak, ok = sm.Value, true
+			}
+		}
+	}
+	return peak, ok
+}
+
 func TestStorePeakAggregation(t *testing.T) {
 	s := NewStore(0)
 	for theta, v := range []float64{10, 42, 17} {
@@ -17,29 +32,17 @@ func TestStorePeakAggregation(t *testing.T) {
 	// A second element contributes to the same epoch peak.
 	s.Add(Sample{Slice: "eMBB1", Metric: "load_mbps", Element: "bs1", Epoch: 3, Theta: 0, Value: 55})
 
-	peak, ok := s.EpochPeak("eMBB1", "load_mbps", 3)
-	if !ok || peak != 55 {
+	if peak, ok := peakOf(s, "eMBB1", "load_mbps", 3, "bs0"); !ok || peak != 42 {
+		t.Errorf("bs0 peak = %v (%v), want 42", peak, ok)
+	}
+	if peak, ok := peakOf(s, "eMBB1", "load_mbps", 3, "bs0", "bs1"); !ok || peak != 55 {
 		t.Errorf("peak = %v (%v), want 55", peak, ok)
 	}
-	if _, ok := s.EpochPeak("eMBB1", "load_mbps", 4); ok {
+	if _, ok := peakOf(s, "eMBB1", "load_mbps", 4, "bs0", "bs1"); ok {
 		t.Error("empty epoch must report no data")
 	}
-	if _, ok := s.EpochPeak("other", "load_mbps", 3); ok {
+	if _, ok := peakOf(s, "other", "load_mbps", 3, "bs0", "bs1"); ok {
 		t.Error("unknown slice must report no data")
-	}
-}
-
-func TestPeakSeries(t *testing.T) {
-	s := NewStore(0)
-	for e := 0; e < 4; e++ {
-		s.Add(Sample{Slice: "s", Metric: "m", Element: "x", Epoch: e, Value: float64(e * 10)})
-	}
-	got := s.PeakSeries("s", "m", 0, 4)
-	want := []float64{0, 10, 20, 30, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("series = %v, want %v", got, want)
-		}
 	}
 }
 
@@ -52,11 +55,22 @@ func TestRingRetention(t *testing.T) {
 		t.Errorf("retained %d samples, want 10", s.Len())
 	}
 	// Old epochs were evicted.
-	if _, ok := s.EpochPeak("s", "m", 0); ok {
-		t.Error("epoch 0 should have been evicted")
+	if got := s.ElementEpochSamples("s", "m", "x", 89); got != nil {
+		t.Errorf("epoch 89 should have been evicted: %v", got)
 	}
-	if _, ok := s.EpochPeak("s", "m", 99); !ok {
-		t.Error("newest epoch missing")
+	for e := 90; e < 100; e++ {
+		if got := s.ElementEpochSamples("s", "m", "x", e); len(got) != 1 {
+			t.Errorf("epoch %d: %v, want its one sample", e, got)
+		}
+	}
+	// The ring is grown, never pre-sized: a default store's short series
+	// holds a handful of points, not 4096.
+	d := NewStore(0)
+	for i := 0; i < 5; i++ {
+		d.Add(Sample{Slice: "s", Metric: "m", Element: "x", Epoch: i})
+	}
+	if c := cap(d.series[key{"s", "m", "x"}].buf); c > 8 {
+		t.Errorf("a 5-sample series holds %d points of storage", c)
 	}
 }
 
@@ -97,12 +111,12 @@ func TestAgentToCollector(t *testing.T) {
 	// UDP delivery is asynchronous; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		if peak, ok := store.EpochPeak("uRLLC1", "load_mbps", 7); ok && peak == 14 {
+		if peak, ok := peakOf(store, "uRLLC1", "load_mbps", 7, "link3"); ok && peak == 14 {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	peak, ok := store.EpochPeak("uRLLC1", "load_mbps", 7)
+	peak, ok := peakOf(store, "uRLLC1", "load_mbps", 7, "link3")
 	t.Fatalf("samples not collected in time: peak=%v ok=%v len=%d", peak, ok, store.Len())
 }
 
@@ -144,7 +158,7 @@ func TestConcurrentIngest(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				s.Add(Sample{Slice: "s", Metric: "m", Element: string(rune('a' + g)), Epoch: i, Value: 1})
-				s.EpochPeak("s", "m", i)
+				s.ElementEpochSamples("s", "m", string(rune('a'+g)), i)
 			}
 		}(g)
 	}
@@ -190,18 +204,31 @@ func TestElementEpochSamples(t *testing.T) {
 	}
 }
 
-// elementEpochSamplesRef is ElementEpochSamples as it was before the
-// tail-scan: a full forward scan of the series and a reflection-based sort.
-// Kept as the reference the fast read must equal element for element.
-func elementEpochSamplesRef(s *Store, slice, metric, element string, epoch int) []Sample {
-	s.mu.RLock()
+// refStore is the store as it was before the ring: every series a slice of
+// whole Samples re-sliced forward past retain, read by a full forward scan
+// and a reflection-based sort. Kept as the reference the ring's reads must
+// equal element for element.
+type refStore struct {
+	retain int
+	series map[key][]Sample
+}
+
+func (s *refStore) add(sm Sample) {
+	k := key{sm.Slice, sm.Metric, sm.Element}
+	ser := append(s.series[k], sm)
+	if len(ser) > s.retain {
+		ser = ser[len(ser)-s.retain:]
+	}
+	s.series[k] = ser
+}
+
+func (s *refStore) elementEpochSamples(slice, metric, element string, epoch int) []Sample {
 	var out []Sample
 	for _, sm := range s.series[key{slice, metric, element}] {
 		if sm.Epoch == epoch {
 			out = append(out, sm)
 		}
 	}
-	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Theta != out[j].Theta {
 			return out[i].Theta < out[j].Theta
@@ -211,22 +238,31 @@ func elementEpochSamplesRef(s *Store, slice, metric, element string, epoch int) 
 	return out
 }
 
-// TestElementEpochSamplesMatchesFullScan drives the tail-scan read and the
-// old full-scan read over the same stores — epoch-ordered series with
-// shuffled slots and tied (theta, value) pairs, a series trimmed by
-// retention, and series that received late samples for older epochs (which
-// must take the full-scan fallback) — and requires identical slices,
-// nil-ness included, for every epoch in and around the stored range.
+// TestElementEpochSamplesMatchesFullScan drives the ring and the old
+// slice-of-Samples store with the same ingest — epoch-ordered series with
+// shuffled slots and tied (theta, value) pairs, retentions small enough that
+// the ring wraps many times and windows straddle its head, late and duplicate
+// samples (which take the full-scan path until they leave the window) — and
+// requires identical reads, nil-ness included, after every epoch's ingest for
+// every epoch in and around the stored range, both through
+// ElementEpochSamples and through a reused dst that still holds the previous
+// read's contents.
 func TestElementEpochSamplesMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
-	for trial := 0; trial < 60; trial++ {
-		s := NewStore(1 + rng.Intn(80))
+	retains := []int{1, 2, 7, 48}
+	for trial := 0; trial < 80; trial++ {
+		retain := 1 + rng.Intn(80)
+		if trial < 2*len(retains) {
+			retain = retains[trial/2]
+		}
+		s, ref := NewStore(retain), &refStore{retain: retain, series: map[key][]Sample{}}
 		lateEvery := 0 // 0: strictly epoch-ordered ingest
 		if trial%3 == 2 {
 			lateEvery = 2 + rng.Intn(9)
 		}
 		epochs := 1 + rng.Intn(12)
 		n := 0
+		dst := []Sample{{Slice: "stale"}, {Slice: "stale"}, {Slice: "stale"}}
 		for e := 0; e < epochs; e++ {
 			for k, slots := 0, rng.Intn(9); k < slots; k++ {
 				sm := Sample{Slice: "s", Metric: LoadMetric, Element: BSElement(trial % 2),
@@ -235,18 +271,117 @@ func TestElementEpochSamplesMatchesFullScan(t *testing.T) {
 					sm.Epoch = rng.Intn(e + 1)
 				}
 				s.Add(sm)
+				ref.add(sm)
+				if rng.Intn(8) == 0 { // a duplicate datagram
+					s.Add(sm)
+					ref.add(sm)
+				}
 			}
-		}
-		for e := -1; e <= epochs; e++ {
-			for _, el := range []string{"bs0", "bs1"} {
-				got := s.ElementEpochSamples("s", LoadMetric, el, e)
-				want := elementEpochSamplesRef(s, "s", LoadMetric, el, e)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d (retain %d, late every %d) %s epoch %d:\n got  %v\n want %v",
-						trial, s.retain, lateEvery, el, e, got, want)
+			for q := -1; q <= epochs; q++ {
+				for _, el := range []string{"bs0", "bs1"} {
+					want := ref.elementEpochSamples("s", LoadMetric, el, q)
+					if got := s.ElementEpochSamples("s", LoadMetric, el, q); !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d (retain %d, late every %d) after epoch %d, %s epoch %d:\n got  %v\n want %v",
+							trial, retain, lateEvery, e, el, q, got, want)
+					}
+					dst = s.AppendElementEpochSamples(dst[:0], "s", LoadMetric, el, q)
+					if len(dst) != len(want) || (len(want) > 0 && !reflect.DeepEqual(dst, want)) {
+						t.Fatalf("trial %d (retain %d) reused dst, %s epoch %d:\n got  %v\n want %v",
+							trial, retain, el, q, dst, want)
+					}
 				}
 			}
 		}
+		// Appending leaves what dst already held alone.
+		pre := []Sample{{Slice: "kept"}}
+		want := append([]Sample{{Slice: "kept"}}, ref.elementEpochSamples("s", LoadMetric, BSElement(trial%2), epochs-1)...)
+		if got := s.AppendElementEpochSamples(pre, "s", LoadMetric, BSElement(trial%2), epochs-1); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: append after existing contents:\n got  %v\n want %v", trial, got, want)
+		}
+	}
+}
+
+// TestLateSampleCostsTheFastPathOneWindow: a sample older than its
+// predecessor sends the series' reads down the full scan, but only while it
+// can still be in the window — retain ordered inserts later the series reads
+// by the tail scan again — and the reads equal the reference throughout.
+func TestLateSampleCostsTheFastPathOneWindow(t *testing.T) {
+	const retain = 12
+	s, ref := NewStore(retain), &refStore{retain: retain, series: map[key][]Sample{}}
+	k := key{"s", LoadMetric, "bs0"}
+	add := func(epoch, theta int) {
+		sm := Sample{Slice: k.slice, Metric: k.metric, Element: k.element, Epoch: epoch, Theta: theta, Value: float64(theta % 3)}
+		s.Add(sm)
+		ref.add(sm)
+	}
+	check := func(when string, ordered bool) {
+		t.Helper()
+		if got := s.series[k].ordered(); got != ordered {
+			t.Fatalf("%s: window reads as ordered = %v, want %v", when, got, ordered)
+		}
+		for e := 0; e <= 12; e++ {
+			if got, want := s.ElementEpochSamples(k.slice, k.metric, k.element, e), ref.elementEpochSamples(k.slice, k.metric, k.element, e); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, epoch %d:\n got  %v\n want %v", when, e, got, want)
+			}
+		}
+	}
+	for e := 0; e < 5; e++ {
+		for theta := 0; theta < 4; theta++ {
+			add(e, theta)
+		}
+	}
+	check("epoch-ordered ingest", true)
+	add(2, 9) // a reordered datagram
+	check("after the late sample", false)
+	for i := 0; i < retain-1; i++ {
+		add(5+i/4, i%4)
+		check("late sample still in the window", false)
+	}
+	add(5+(retain-1)/4, (retain-1)%4)
+	check("retain ordered inserts later", true)
+}
+
+// fullStore returns a store whose one series has wrapped its ring, and the
+// sample that continues it.
+func fullStore() (*Store, Sample) {
+	s := NewStore(48)
+	sm := Sample{Slice: "s", Metric: LoadMetric, Element: BSElement(0)}
+	for sm.Epoch = 0; sm.Epoch < 9; sm.Epoch++ {
+		for sm.Theta = 0; sm.Theta < 12; sm.Theta++ {
+			sm.Value = float64(sm.Theta)
+			s.Add(sm)
+		}
+	}
+	return s, sm
+}
+
+// TestStoreAddSteadyStateZeroAllocs: ingest into a series whose ring is full
+// overwrites in place.
+func TestStoreAddSteadyStateZeroAllocs(t *testing.T) {
+	s, sm := fullStore()
+	if n := testing.AllocsPerRun(200, func() {
+		sm.Theta++
+		s.Add(sm)
+	}); n != 0 {
+		t.Fatalf("Add on a full ring allocates %v times per sample, want 0", n)
+	}
+}
+
+// TestAppendElementEpochSamplesZeroAllocs: a keyed read into a buffer that
+// has held an epoch before allocates nothing, on either side of the ring's
+// head.
+func TestAppendElementEpochSamplesZeroAllocs(t *testing.T) {
+	s, sm := fullStore()
+	dst := s.AppendElementEpochSamples(nil, sm.Slice, sm.Metric, sm.Element, 8)
+	if len(dst) != 12 {
+		t.Fatalf("epoch 8 holds %d samples, want 12", len(dst))
+	}
+	epoch := 5
+	if n := testing.AllocsPerRun(200, func() {
+		dst = s.AppendElementEpochSamples(dst[:0], sm.Slice, sm.Metric, sm.Element, epoch)
+		epoch = 5 + (epoch-4)%4
+	}); n != 0 {
+		t.Fatalf("a read into a reused buffer allocates %v times, want 0", n)
 	}
 }
 

@@ -164,6 +164,16 @@ type Controller struct {
 	epoch    int
 	trackers map[string]*forecast.Adaptive
 	prev     *inForce
+
+	// Step scratch, cleared and refilled every step. Nothing keeps a
+	// reference past the step: the store read is consumed in place, and
+	// StepLog and Engine.UpdateForecasts encode or copy before they return.
+	samples    []monitor.Sample
+	prevTotals map[string]float64
+	alive      []string
+	aliveSet   map[string]bool
+	peaks      []ObservedPeak
+	ups        []admission.ForecastUpdate
 }
 
 // New validates the config and returns an idle controller; nothing runs
@@ -173,7 +183,8 @@ func New(cfg Config) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{cfg: cfg, trackers: map[string]*forecast.Adaptive{}}, nil
+	return &Controller{cfg: cfg, trackers: map[string]*forecast.Adaptive{},
+		prevTotals: map[string]float64{}, aliveSet: map[string]bool{}}, nil
 }
 
 // SetLog installs the controller's durability hook after New, alongside
@@ -217,7 +228,8 @@ func (c *Controller) Step() (*StepReport, error) {
 			// samples (EpochSamples would rescan every series in the store
 			// for each committed slice).
 			for b := range m.Reserved {
-				for _, sm := range c.cfg.Store.ElementEpochSamples(m.Name, c.cfg.Metric, monitor.BSElement(b), c.prev.epoch) {
+				c.samples = c.cfg.Store.AppendElementEpochSamples(c.samples[:0], m.Name, c.cfg.Metric, monitor.BSElement(b), c.prev.epoch)
+				for _, sm := range c.samples {
 					as.Sample(sm.Value, m.Reserved[b])
 				}
 			}
@@ -260,13 +272,12 @@ func (c *Controller) Step() (*StepReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	prevTotals := map[string]float64{}
+	clear(c.prevTotals)
 	for _, m := range committed {
-		prevTotals[m.Name] = totalOf(m.Reserved)
+		c.prevTotals[m.Name] = totalOf(m.Reserved)
 	}
 	reoptNow := c.cfg.ReoptEvery > 0 && c.epoch%c.cfg.ReoptEvery == 0
-	alive := make([]string, 0, len(committed))
-	var peaks []ObservedPeak
+	alive, peaks := c.alive[:0], c.peaks[:0]
 	for _, m := range committed {
 		alive = append(alive, m.Name)
 		if c.epoch > 0 {
@@ -275,7 +286,8 @@ func (c *Controller) Step() (*StepReport, error) {
 			// phase stays linear in the slice's epoch samples too.
 			peak, ok := 0.0, false
 			for b := range m.Reserved {
-				for _, sm := range c.cfg.Store.ElementEpochSamples(m.Name, c.cfg.Metric, monitor.BSElement(b), c.epoch-1) {
+				c.samples = c.cfg.Store.AppendElementEpochSamples(c.samples[:0], m.Name, c.cfg.Metric, monitor.BSElement(b), c.epoch-1)
+				for _, sm := range c.samples {
 					if !ok || sm.Value > peak {
 						peak, ok = sm.Value, true
 					}
@@ -286,6 +298,7 @@ func (c *Controller) Step() (*StepReport, error) {
 			}
 		}
 	}
+	c.alive, c.peaks = alive, peaks
 	// Logged every step, empty or not: the alive set drives tracker GC
 	// below, and GC must replay exactly (departed names may be reused).
 	if c.cfg.Log != nil {
@@ -295,13 +308,14 @@ func (c *Controller) Step() (*StepReport, error) {
 	}
 	c.applyObserve(alive, peaks)
 	rep.Observed = len(peaks)
-	var ups []admission.ForecastUpdate
+	ups := c.ups[:0]
 	if reoptNow {
 		for _, m := range committed {
 			lh, sg := forecast.ViewHorizon(c.trackers[m.Name], m.SLA.RateMbps, c.cfg.Pad, c.cfg.Horizon)
 			ups = append(ups, admission.ForecastUpdate{Name: m.Name, LambdaHat: lh, Sigma: sg})
 		}
 	}
+	c.ups = ups
 	if len(ups) > 0 {
 		if err := c.cfg.Engine.UpdateForecasts(c.cfg.Domain, ups); err != nil {
 			return nil, err
@@ -327,7 +341,7 @@ func (c *Controller) Step() (*StepReport, error) {
 		return nil, err
 	}
 	for _, m := range after {
-		if prev, was := prevTotals[m.Name]; was && math.Abs(totalOf(m.Reserved)-prev) > rescaleTol {
+		if prev, was := c.prevTotals[m.Name]; was && math.Abs(totalOf(m.Reserved)-prev) > rescaleTol {
 			rep.Rescaled++
 		}
 	}
@@ -357,9 +371,9 @@ func (c *Controller) Step() (*StepReport, error) {
 // feed the observed peaks, and garbage-collect trackers of departed slices
 // (names may be reused).
 func (c *Controller) applyObserve(alive []string, peaks []ObservedPeak) {
-	aliveSet := make(map[string]bool, len(alive))
+	clear(c.aliveSet)
 	for _, n := range alive {
-		aliveSet[n] = true
+		c.aliveSet[n] = true
 		if c.trackers[n] == nil {
 			c.trackers[n] = forecast.NewAdaptive(c.cfg.Alpha, c.cfg.Beta, c.cfg.Gamma, c.cfg.HWPeriod)
 		}
@@ -370,7 +384,7 @@ func (c *Controller) applyObserve(alive []string, peaks []ObservedPeak) {
 		}
 	}
 	for name := range c.trackers {
-		if !aliveSet[name] {
+		if !c.aliveSet[name] {
 			delete(c.trackers, name)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/admission"
+	"repro/internal/reopt"
 	"repro/internal/slice"
 	"repro/internal/yield"
 )
@@ -500,4 +501,54 @@ func TestIOErrorPoisonsStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestAppendsEncodeBeforeReturning pins what lets the closed loop hand the
+// log its own scratch: every append has encoded its arguments by the time it
+// returns, so a caller that overwrites the slices it passed — the
+// reopt.Controller refills its alive, peaks and forecast buffers every step —
+// cannot change what was logged.
+func TestAppendsEncodeBeforeReturning(t *testing.T) {
+	dir := t.TempDir()
+	s, _ := mustOpen(t, Options{Dir: dir})
+	alive := []string{"a", "b"}
+	peaks := []reopt.ObservedPeak{{Name: "a", Peak: 3}, {Name: "b", Peak: 4}}
+	ups := []admission.ForecastUpdate{{Name: "a", LambdaHat: 5, Sigma: 0.5}}
+	entries := []yield.Entry{{Slice: "a", Epoch: 1, Realized: 7}}
+	if err := s.AppendObserve("default", 2, alive, peaks); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendForecasts("default", ups); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendSettle("default", 1, entries); err != nil {
+		t.Fatal(err)
+	}
+	alive[0], alive[1] = "x", "y"
+	peaks[0], peaks[1] = reopt.ObservedPeak{Name: "x", Peak: -1}, reopt.ObservedPeak{Name: "y", Peak: -1}
+	ups[0] = admission.ForecastUpdate{Name: "x", LambdaHat: -1, Sigma: -1}
+	entries[0] = yield.Entry{Slice: "x", Epoch: -1, Realized: -1}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, rec := mustOpen(t, Options{Dir: dir})
+	defer s2.Close()
+	if len(rec.Records) != 3 {
+		t.Fatalf("recovered %d records, want 3", len(rec.Records))
+	}
+	obs, fc, st := rec.Records[0].Rec, rec.Records[1].Rec, rec.Records[2].Rec
+	if !reflect.DeepEqual(obs.Alive, []string{"a", "b"}) ||
+		!reflect.DeepEqual(obs.Peaks, []reopt.ObservedPeak{{Name: "a", Peak: 3}, {Name: "b", Peak: 4}}) {
+		t.Errorf("observe record followed its caller's buffers: %+v", obs)
+	}
+	if !reflect.DeepEqual(fc.Forecasts, []admission.ForecastUpdate{{Name: "a", LambdaHat: 5, Sigma: 0.5}}) {
+		t.Errorf("forecasts record followed its caller's buffer: %+v", fc)
+	}
+	if !reflect.DeepEqual(st.Entries, []yield.Entry{{Slice: "a", Epoch: 1, Realized: 7}}) {
+		t.Errorf("settle record followed its caller's buffer: %+v", st)
+	}
 }
