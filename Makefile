@@ -12,7 +12,7 @@ GO ?= go
 # deletions or big untested subsystems.
 COVER_FLOOR ?= 77.6
 
-.PHONY: build test test-race vet fmt-check lint lines bench bench-smoke bench-pins rest-check perf-gate fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
+.PHONY: build test test-race admission-stress vet fmt-check lint lines bench bench-smoke bench-pins rest-check perf-gate fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,16 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# admission-stress repeats, under the race detector, the tests that hold the
+# engine's serial lanes to their contract — a round runs on its caller when
+# the lane is idle and queues in cut order when it is not, Stop waits for
+# both kinds — and the conservation/invariance tests that would see a lane
+# let two rounds of one shard overlap. Ten times each: a lane bug is a
+# scheduling accident, not an every-run failure. Under two minutes on a
+# 2-vCPU runner.
+admission-stress:
+	$(GO) test -race -count=10 -run 'Lane|TestStopWaitsForInlineRound|TestShardCountInvariance|TestConcurrentStressConservation|TestRaceOutageHandoverNoLostSlices' ./internal/admission
 
 vet:
 	$(GO) vet ./...
@@ -259,4 +269,4 @@ cover:
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN{exit !(t>=f)}' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-ci: build vet fmt-check lint lines docs-check links-check test-race cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins rest-check bench-smoke perf-gate
+ci: build vet fmt-check lint lines docs-check links-check test-race admission-stress cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins rest-check bench-smoke perf-gate

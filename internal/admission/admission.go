@@ -141,8 +141,8 @@ func (t *Ticket) Err() error {
 }
 
 // Executor runs one admission round's solve step outside the engine's own
-// shard goroutine — the seam the distributed control plane (internal/
-// cluster) plugs a remote worker into. The engine calls SolveRound under
+// process — the seam the distributed control plane (internal/cluster)
+// plugs a remote worker into. The engine calls SolveRound under
 // the domain's solver lock with the round already logged, passing the
 // exact inputs a local solve would see: the tenants in canonical order and
 // the domain's accumulated capacity events (the remote side re-derives the
@@ -240,7 +240,7 @@ type RoundLog interface {
 
 // Config parameterizes the engine.
 type Config struct {
-	// Shards is the solver worker count; domains hash onto shards. Default 1.
+	// Shards is the number of serial lanes, the most rounds in flight. Default 1.
 	Shards int
 	// QueueDepth bounds requests accepted but not yet decided; beyond it
 	// Submit sheds with ErrOverloaded. Default 1024.

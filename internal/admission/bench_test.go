@@ -139,6 +139,52 @@ func BenchmarkAdmissionBatching(b *testing.B) {
 	b.Run("rounds=1", func(b *testing.B) { run(b, true) })
 }
 
+// BenchmarkDecideRoundWarm is the warm path's floor, to be read at -cpu 1,2:
+// one Testbed domain with three committed slices, and per iteration what one
+// closed-loop epoch asks of the engine — a fresh forecast view for every
+// slice, then a synchronous round that re-tracks the reservations on the warm
+// session. One driver never finds its lane busy, so the round runs on the
+// benchmark's goroutine; a second processor has nothing to add and must not
+// cost anything (it did while every round crossed to a shard goroutine and
+// back: EXPERIMENTS.md, processors table).
+func BenchmarkDecideRoundWarm(b *testing.B) {
+	e := New(Config{})
+	if err := e.AddDomain("", DomainConfig{Net: topology.Testbed(), Algorithm: "benders"}); err != nil {
+		b.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		b.Fatal(err)
+	}
+	defer e.Stop()
+	var slas []slice.SLA
+	var ups []ForecastUpdate
+	for k, ty := range []slice.Type{slice.EMBB, slice.URLLC, slice.MMTC} {
+		name := fmt.Sprintf("s%d", k)
+		sla := slice.SLA{Template: slice.Table1(ty), Duration: 1 << 20}.WithPenaltyFactor(1)
+		if _, err := e.Submit(Request{Name: name, SLA: sla}); err != nil {
+			b.Fatal(err)
+		}
+		slas = append(slas, sla)
+		ups = append(ups, ForecastUpdate{Name: name})
+	}
+	if r, err := e.DecideRound(""); err != nil || len(r.Admitted) != len(ups) {
+		b.Fatalf("cold round: %+v, %v", r, err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range ups {
+			ups[k].LambdaHat, ups[k].Sigma = driftView(ups[k].Name, slas[k], i)
+		}
+		if err := e.UpdateForecasts("", ups); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.DecideRound(""); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func committedOf(b *testing.B, e *Engine, domain string) []string {
 	b.Helper()
 	names, err := e.Committed(domain)

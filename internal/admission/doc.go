@@ -6,7 +6,7 @@
 //
 // The pipeline is
 //
-//	Submit → bounded queue → micro-batcher → domain shard → warm session
+//	Submit → bounded queue → micro-batcher → domain shard (serial lane) → warm session
 //
 // with four load-bearing properties:
 //
@@ -25,21 +25,21 @@
 //     regardless of how many requests ride in it.
 //
 //  3. Warm sharded solving. Each operator domain is pinned to exactly one
-//     shard (round-robin in registration order, so the placement is
-//     deterministic and balanced), and every round of a domain executes serially on
-//     that shard through one Executor call: the domain's LocalSolver (path
-//     sets, live network, its own core.BendersSession), or a remote
-//     executor handed the same inputs (internal/cluster, whose workers
-//     host LocalSolvers too). Rounds that
-//     only drift forecasts therefore rebind the slave LP instead of
-//     rebuilding it (PR 1/2's sameSolverShape machinery); rounds that
-//     change the tenant set cold-rebuild, which is always correct. Shards
-//     scale throughput across domains while keeping each domain's decision
-//     stream strictly sequential. Because each session owns its lp.Basis —
-//     and with it the sparse LU factors, scratch vectors and solution
-//     buffers of the solver workspace — a shard's steady-state rounds run
-//     allocation-free in the LP: solver memory is paid once per domain,
-//     not once per round.
+//     shard (round-robin in registration order: deterministic, balanced) and
+//     its rounds execute serially there, in the order their batches were
+//     cut; shards scale throughput across domains. A shard is a lane, not a
+//     goroutine: a DecideRound caller that finds it idle runs the round
+//     itself (no hand-off, no wake-up); rounds cut while it is held, and
+//     every round Submit, Flush or the ticker cuts (a submitter never pays
+//     for a solve), go in FIFO order to the lane's worker, alive only while
+//     it has rounds. Either way a round is one execRound making one Executor
+//     call: the domain's LocalSolver (path sets, live network, its own
+//     core.BendersSession) or a remote executor handed the same inputs
+//     (internal/cluster). Rounds that only drift forecasts rebind the slave
+//     LP (sameSolverShape); rounds that change the tenant set cold-rebuild,
+//     which is always correct. Each session owns its lp.Basis — LU factors,
+//     scratch vectors, solution buffers — so steady-state rounds run
+//     allocation-free in the LP: solver memory is paid once per domain.
 //
 //  4. Determinism. A round's instance is built in canonical order —
 //     committed slices in admission order, then the batch sorted by request

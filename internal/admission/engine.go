@@ -21,17 +21,12 @@ type Engine struct {
 	mu        sync.Mutex
 	state     engineState
 	domains   map[string]*domain
-	shards    []*shard
-	nextShard int
+	shards    []shard
 	queued    int            // accepted but undecided requests, all domains
 	perTenant map[string]int // queued per fairness key
 	met       metrics
 
-	// enq tracks callers between releasing mu and pushing a job onto a
-	// shard channel, so Stop never closes a channel under an in-flight send.
-	enq sync.WaitGroup
-	wg  sync.WaitGroup // shard + ticker goroutines
-
+	wg         sync.WaitGroup // lane holders (inline callers, lane workers) + ticker
 	stopTicker chan struct{}
 }
 
@@ -44,17 +39,19 @@ const (
 	stateStopped
 )
 
-// shard is one solver worker; a domain's rounds all run on its one shard.
+// shard is one serial lane (DESIGN.md §5): a domain's rounds all run on its
+// one shard, one at a time, in cut order — on the DecideRound caller that found
+// the lane idle, else on the lane's worker. Guarded by Engine.mu.
 type shard struct {
-	id   int
-	jobs chan *roundJob
+	busy  bool        // held by an inline caller or a worker
+	queue []*roundJob // cut, waiting for the lane; non-empty only while busy
 }
 
-// roundJob is one admission round awaiting execution on a shard.
+// roundJob is one admission round cut from a domain's batch.
 type roundJob struct {
 	d     *domain
 	batch []pending
-	done  chan *Round // non-nil for synchronous DecideRound callers
+	done  chan *Round // non-nil when a DecideRound caller waits on a queued job
 	// replay marks a recovery-time re-execution of a logged round: no
 	// tickets to resolve, no intake accounting to settle, nothing to log.
 	replay bool
@@ -112,18 +109,14 @@ type domain struct {
 // New builds an engine; AddDomain then Start before submitting.
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
-	e := &Engine{
+	return &Engine{
 		cfg:        cfg,
 		domains:    map[string]*domain{},
+		shards:     make([]shard, cfg.Shards),
 		perTenant:  map[string]int{},
 		stopTicker: make(chan struct{}),
 		met:        newMetrics(),
 	}
-	e.shards = make([]*shard, cfg.Shards)
-	for i := range e.shards {
-		e.shards[i] = &shard{id: i, jobs: make(chan *roundJob, 128)}
-	}
-	return e
 }
 
 // AddDomain installs an operator domain. Domains may be added before or
@@ -158,8 +151,7 @@ func (e *Engine) AddDomain(name string, dc DomainConfig) error {
 	if _, dup := e.domains[name]; dup {
 		return fmt.Errorf("admission: domain %q already exists", name)
 	}
-	d.shard = e.shards[e.nextShard%len(e.shards)]
-	e.nextShard++
+	d.shard = &e.shards[len(e.domains)%len(e.shards)] // domains are never removed
 	e.domains[name] = d
 	return nil
 }
@@ -183,8 +175,8 @@ func (e *Engine) SetExecutor(domainName string, exec Executor) error {
 // SetLog installs the engine's durability hook after New — the seam a
 // standby is promoted through: it replays the leader's log with no log of
 // its own (nothing to re-describe), then gains the opened store before
-// Start. Only an engine that has not started takes a log: Start is what
-// publishes it to the shard goroutines.
+// Start. Only an engine that has not started takes a log: rounds are cut
+// under mu after Start, which orders them after this write.
 func (e *Engine) SetLog(log RoundLog) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -195,7 +187,7 @@ func (e *Engine) SetLog(log RoundLog) error {
 	return nil
 }
 
-// Start launches the shard workers (and the flush ticker, if configured).
+// Start opens intake (and launches the flush ticker, if configured).
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -203,10 +195,6 @@ func (e *Engine) Start() error {
 		return fmt.Errorf("admission: engine already started")
 	}
 	e.state = stateRunning
-	for _, sh := range e.shards {
-		e.wg.Add(1)
-		go e.runShard(sh)
-	}
 	if e.cfg.FlushEvery > 0 {
 		e.wg.Add(1)
 		go e.runTicker()
@@ -278,19 +266,12 @@ func (e *Engine) Submit(req Request) (*Ticket, error) {
 	e.perTenant[tenant]++
 	d.names[req.Name] = true
 	d.batch = append(d.batch, pending{req: req, ticket: t, submitted: now})
-	var flush []pending
 	if e.cfg.MaxBatch > 0 && len(d.batch) >= e.cfg.MaxBatch {
-		flush, d.batch = d.batch, nil
-	}
-	if flush != nil {
-		e.enq.Add(1)
+		// Never run here: a submitter must not pay for a solve.
+		e.enqueueLocked(&roundJob{d: d, batch: d.batch})
+		d.batch = nil
 	}
 	e.mu.Unlock()
-
-	if flush != nil {
-		d.shard.jobs <- &roundJob{d: d, batch: flush}
-		e.enq.Done()
-	}
 	return t, nil
 }
 
@@ -298,25 +279,57 @@ func (e *Engine) Submit(req Request) (*Ticket, error) {
 // after the rounds are enqueued, not after they are decided.
 func (e *Engine) Flush() {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.state != stateRunning && e.state != stateDraining {
-		e.mu.Unlock()
 		return
 	}
-	var jobs []*roundJob
 	for _, name := range e.domainNamesLocked() {
 		d := e.domains[name]
 		if len(d.batch) > 0 {
-			var batch []pending
-			batch, d.batch = d.batch, nil
-			jobs = append(jobs, &roundJob{d: d, batch: batch})
+			e.enqueueLocked(&roundJob{d: d, batch: d.batch})
+			d.batch = nil
 		}
 	}
-	e.enq.Add(len(jobs))
-	e.mu.Unlock()
+}
 
-	for _, j := range jobs {
-		j.d.shard.jobs <- j
-		e.enq.Done()
+// enqueueLocked queues job on its held lane, or starts the lane's worker
+// with it. Caller holds mu.
+func (e *Engine) enqueueLocked(job *roundJob) {
+	sh := job.d.shard
+	if sh.busy {
+		sh.queue = append(sh.queue, job)
+		return
+	}
+	sh.busy = true
+	e.wg.Add(1)
+	go e.runLane(sh, job)
+}
+
+// next pops the lane's oldest queued round; with none, it frees the lane.
+func (e *Engine) next(sh *shard) *roundJob {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if len(sh.queue) == 0 {
+		sh.busy = false
+		return nil
+	}
+	job := sh.queue[0]
+	sh.queue[0] = nil
+	sh.queue = sh.queue[1:]
+	return job
+}
+
+// runLane is a lane's worker: job, then the rounds queued behind it. It moves
+// the lane on before answering a waiting caller, who may come straight back.
+func (e *Engine) runLane(sh *shard, job *roundJob) {
+	defer e.wg.Done()
+	for job != nil {
+		r := e.execRound(job)
+		done := job.done
+		job = e.next(sh)
+		if done != nil {
+			done <- r
+		}
 	}
 }
 
@@ -330,10 +343,10 @@ func (e *Engine) domainNamesLocked() []string {
 	return names
 }
 
-// DecideRound synchronously runs one admission round for the domain: the
-// current batch (possibly empty — committed reservations still re-optimize
-// against the latest forecasts) is decided on the domain's shard and the
-// full round report returned. This is the ctrlplane epoch entry point.
+// DecideRound synchronously runs one admission round for the domain — the
+// ctrlplane epoch entry point: the current batch (possibly empty; committed
+// reservations still re-track the latest forecasts) is decided right here if
+// the domain's shard is idle, else queued in cut order, and the report returned.
 func (e *Engine) DecideRound(domainName string) (*Round, error) {
 	if domainName == "" {
 		domainName = DefaultDomain
@@ -348,19 +361,27 @@ func (e *Engine) DecideRound(domainName string) (*Round, error) {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDomain, domainName)
 	}
-	var batch []pending
-	batch, d.batch = d.batch, nil
-	e.enq.Add(1)
-	e.mu.Unlock()
-
-	job := &roundJob{d: d, batch: batch, done: make(chan *Round, 1)}
-	d.shard.jobs <- job
-	e.enq.Done()
-	r := <-job.done
-	if r.Err != nil {
+	job := &roundJob{d: d, batch: d.batch}
+	d.batch = nil
+	sh := d.shard
+	if sh.busy {
+		job.done = make(chan *Round, 1)
+		sh.queue = append(sh.queue, job)
+		e.mu.Unlock()
+		r := <-job.done
 		return r, r.Err
 	}
-	return r, nil
+	sh.busy = true
+	e.wg.Add(1)
+	e.mu.Unlock()
+	r := e.execRound(job)
+	// Rounds queued meanwhile go to a worker: the caller came for one.
+	if queued := e.next(sh); queued != nil {
+		e.wg.Add(1)
+		go e.runLane(sh, queued)
+	}
+	e.wg.Done()
+	return r, r.Err
 }
 
 // UpdateForecast installs a committed slice's current forecast view (λ̂, σ̂),
@@ -698,9 +719,9 @@ func (e *Engine) domain(name string) (*domain, error) {
 	return d, nil
 }
 
-// Drain stops intake, flushes every batch, and waits until all queued
-// requests are decided (or ctx ends). Committed state stays intact; the
-// engine still serves DecideRound/Advance until Stop.
+// Drain stops intake, flushes every batch, and waits until every queued
+// request is decided and its ticket resolved (or ctx ends). Committed state
+// stays intact; the engine still serves DecideRound/Advance until Stop.
 func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	if e.state == stateStopped {
@@ -719,9 +740,12 @@ func (e *Engine) Drain(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		e.mu.Lock()
-		q := e.queued
+		idle := e.queued == 0
+		for i := range e.shards {
+			idle = idle && !e.shards[i].busy // a held lane may still owe its tickets
+		}
 		e.mu.Unlock()
-		if q == 0 {
+		if idle {
 			return nil
 		}
 		select {
@@ -733,42 +757,28 @@ func (e *Engine) Drain(ctx context.Context) error {
 }
 
 // Stop terminates the engine. Undecided requests fail with ErrStopped
-// (call Drain first for a clean handover); shard workers finish any rounds
-// already enqueued, then exit.
+// (call Drain first for a clean handover); rounds already cut — running
+// inline, on a lane worker, or queued — finish first.
 func (e *Engine) Stop() {
 	e.mu.Lock()
 	if e.state == stateStopped {
 		e.mu.Unlock()
 		return
 	}
-	started := e.state != stateNew
 	e.state = stateStopped
-	var orphans []pending
 	for _, d := range e.domains {
 		for _, p := range d.batch {
 			delete(d.names, p.req.Name)
 			e.queued--
 			e.tenantDoneLocked(p.req.tenantKey())
 			e.met.shed++
+			p.ticket.fail(ErrStopped)
 		}
-		orphans = append(orphans, d.batch...)
 		d.batch = nil
 	}
 	e.mu.Unlock()
-
-	for _, p := range orphans {
-		p.ticket.fail(ErrStopped)
-	}
-	if started {
-		// No new sends can start (state is stopped); wait out in-flight
-		// ones, then close the channels so workers drain and exit.
-		e.enq.Wait()
-		close(e.stopTicker)
-		for _, sh := range e.shards {
-			close(sh.jobs)
-		}
-		e.wg.Wait()
-	}
+	close(e.stopTicker)
+	e.wg.Wait()
 }
 
 func (e *Engine) tenantDoneLocked(tenant string) {
@@ -794,18 +804,10 @@ func (e *Engine) runTicker() {
 	}
 }
 
-// runShard executes rounds until the job channel closes.
-func (e *Engine) runShard(sh *shard) {
-	defer e.wg.Done()
-	for job := range sh.jobs {
-		e.execRound(job)
-	}
-}
-
-// execRound runs one admission round: canonical instance assembly, one
-// solve on the domain's (warm) solver, commitment of admitted requests, and
-// outcome delivery.
-func (e *Engine) execRound(job *roundJob) {
+// execRound runs one admission round, and is the only thing that does:
+// canonical instance assembly, one solve on the domain's (warm) solver,
+// commitment of admitted requests, outcome delivery. Caller holds the lane.
+func (e *Engine) execRound(job *roundJob) *Round {
 	d := job.d
 	start := time.Now()
 
@@ -850,6 +852,11 @@ func (e *Engine) execRound(job *roundJob) {
 		} else if lerr := e.cfg.Log.SyncRound(); lerr != nil {
 			err = fmt.Errorf("wal sync: %w", lerr)
 		}
+	}
+	if err == nil {
+		// The round is logged and owns its seq, whatever the solver says next;
+		// one the log refused leaves the seq to the next round.
+		d.rounds++
 	}
 	switch {
 	case err != nil:
@@ -910,7 +917,6 @@ func (e *Engine) execRound(job *roundJob) {
 			outcomes[bi] = out
 		}
 	}
-	d.rounds++
 	d.dmu.Unlock()
 
 	roundMs := float64(time.Since(start)) / float64(time.Millisecond)
@@ -922,10 +928,7 @@ func (e *Engine) execRound(job *roundJob) {
 	if job.replay {
 		// No tickets, no intake accounting, no metrics, no monitoring
 		// samples: replay rebuilds decision state, not serving history.
-		if job.done != nil {
-			job.done <- r
-		}
-		return
+		return r
 	}
 
 	e.mu.Lock()
@@ -962,9 +965,7 @@ func (e *Engine) execRound(job *roundJob) {
 			p.ticket.resolve(outcomes[bi])
 		}
 	}
-	if job.done != nil {
-		job.done <- r
-	}
+	return r
 }
 
 // newTenantSpec maps a fresh request to the optimizer's view: cold-start

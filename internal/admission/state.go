@@ -94,8 +94,7 @@ func (e *Engine) RestoreDomain(st DomainState) error {
 // canonical order) is decided against the domain's current committed state
 // on the live solver path, committing admissions exactly as the original
 // round did. Recovery-time only — the engine must not have been started, so
-// the round runs synchronously on the caller's goroutine with no shard
-// worker racing it. The logged seq is checked against the domain's round
+// no live round races it. The logged seq is checked against the domain's round
 // clock; a mismatch means log and snapshot diverged and recovery must stop.
 // The returned Round may carry a solver error (r.Err); that is a replayed
 // outcome, not a replay failure — the original round failed identically.
@@ -120,15 +119,14 @@ func (e *Engine) ReplayRound(domainName string, seq uint64, batch []Request) (*R
 		return nil, fmt.Errorf("admission: replaying round %d but domain %q is at round %d — log and snapshot diverged", seq, domainName, rounds)
 	}
 
-	job := &roundJob{d: d, batch: make([]pending, len(batch)), replay: true, done: make(chan *Round, 1)}
+	job := &roundJob{d: d, batch: make([]pending, len(batch)), replay: true}
 	for i, req := range batch {
 		if req.Domain == "" {
 			req.Domain = DefaultDomain
 		}
 		job.batch[i] = pending{req: req}
 	}
-	e.execRound(job)
-	r := <-job.done
+	r := e.execRound(job)
 
 	if r.Err == nil {
 		// The live path reserves names at Submit; replay bypasses intake,

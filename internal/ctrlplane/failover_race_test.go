@@ -212,7 +212,7 @@ func TestFailoverStressRace(t *testing.T) {
 	}
 
 	// Second reign: the same storm against the promoted standby, at once —
-	// its shard goroutines must log to the store installed at promotion.
+	// its rounds must log to the store installed at promotion.
 	lsn := orch2.wal.LSN()
 	raceEpochs(t, orch2, storeS, ledger, "p2", 4)
 	if t.Failed() {

@@ -175,7 +175,7 @@ func (l *Ledger) Book(e Entry) {
 // (core.Decision.Revenue(), the −Ψ of the AC-RR objective) under the
 // given source key — the admission domain, for engine-booked rounds.
 // Per-source accumulation is what keeps Summary.Expected reproducible
-// when several domains' shard workers book concurrently.
+// when several domains' rounds book concurrently.
 func (l *Ledger) BookExpected(source string, v float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
