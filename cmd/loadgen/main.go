@@ -11,8 +11,6 @@
 //	        [-epochs 0] [-tenants 0] [-algo ""] [-queue 1024] [-tenant-cap 0]
 //	        [-reoffer] [-mode drift] [-trace demand.json]
 //	        [-cluster 127.0.0.1:9090] [-cluster-workers 2]
-//	        [-lease /tmp/LEASE] [-lease-ttl 3s]
-//	        [-cpuprofile cpu.out] [-memprofile mem.out]
 //
 // -cluster turns loadgen into a cluster coordinator: it listens on the
 // given TCP address, waits for -cluster-workers ovnes-worker processes,
@@ -23,9 +21,6 @@
 // -trace replays a recorded demand file (JSON/CSV, see internal/traffic)
 // as every class's load shape, so the closed/static modes can be driven by
 // real measured traffic instead of the archetype's synthetic shapes.
-//
-// -cpuprofile/-memprofile capture pprof profiles of the run (the solver
-// dominates); see EXPERIMENTS.md "Profiling the solver" for the workflow.
 //
 // -mode selects the forecast feed:
 //
@@ -62,7 +57,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/obslog"
-	"repro/internal/profiling"
 	"repro/internal/reopt"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -91,19 +85,9 @@ func main() {
 
 		clAddr    = flag.String("cluster", "", "listen on this TCP address for ovnes-worker processes and dispatch round solves to them (empty = solve in-process)")
 		clWorkers = flag.Int("cluster-workers", 1, "with -cluster: wait for this many workers before driving load")
-		leaseFile = flag.String("lease", "", "leader lease file: acquire it (bumping the fencing epoch) before dispatching, renew while running, release on exit (empty = no lease)")
-		leaseTTL  = flag.Duration("lease-ttl", 3*time.Second, "lease validity; renewed at a third of this")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
 
-	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProfiles()
 	switch *mode {
 	case "drift", "closed", "static":
 	default:
@@ -150,45 +134,6 @@ func main() {
 		*domains = spec.Domains
 	}
 
-	// Optional leader lease: loadgen-as-coordinator participates in the
-	// same fencing protocol as ovnes. The acquisition's epoch rides on
-	// every dispatch, a background renewal keeps the lease live for the
-	// whole run, and losing it is fatal (a fenced coordinator must stop).
-	var leaseEpoch uint64
-	if *leaseFile != "" {
-		host, err := os.Hostname()
-		if err != nil {
-			host = "loadgen"
-		}
-		lease, err := cluster.Acquire(cluster.LeaseConfig{
-			Path:   *leaseFile,
-			Holder: fmt.Sprintf("%s:%d", host, os.Getpid()),
-			TTL:    *leaseTTL,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer lease.Release() //nolint:errcheck // best effort on exit
-		leaseEpoch = lease.Epoch()
-		log.Printf("leader lease %s acquired, fencing epoch %d", *leaseFile, leaseEpoch)
-		renewDone := make(chan struct{})
-		defer close(renewDone)
-		go func() {
-			tick := time.NewTicker(*leaseTTL / 3)
-			defer tick.Stop()
-			for {
-				select {
-				case <-renewDone:
-					return
-				case <-tick.C:
-					if err := lease.Renew(); err != nil {
-						log.Fatalf("leader lease: %v", err)
-					}
-				}
-			}
-		}()
-	}
-
 	// Distributed mode: a cluster coordinator accepts worker processes and
 	// becomes every domain's Executor. Decisions are bit-identical to the
 	// in-process run — that is the engine's cross-network determinism pin —
@@ -196,8 +141,7 @@ func main() {
 	var exec admission.Executor
 	if *clAddr != "" {
 		coord := cluster.NewCoordinator(cluster.CoordinatorOptions{
-			Log:   obslog.New(os.Stderr, obslog.InfoLevel).Str("service", "loadgen"),
-			Epoch: leaseEpoch,
+			Log: obslog.New(os.Stderr, obslog.InfoLevel).Str("service", "loadgen"),
 		})
 		defer coord.Close()
 		addr, err := coord.Listen(*clAddr)

@@ -8,7 +8,7 @@
 //
 //	ovnes [-listen 127.0.0.1:8080] [-collector 127.0.0.1:6343] \
 //	      [-topology testbed|romanian|swiss|italian] [-nbs 4] [-algo direct] \
-//	      [-shards 1] [-queue 1024] [-epoch-every 0] \
+//	      [-queue 1024] [-epoch-every 0] \
 //	      [-data-dir ovnes-data] [-snapshot-every 16] \
 //	      [-cluster-listen 127.0.0.1:9090] \
 //	      [-lease ovnes-data/LEASE] [-lease-ttl 3s] [-lease-renew-every 0] \
@@ -80,7 +80,7 @@ import (
 	"repro/internal/dataplane"
 	"repro/internal/monitor"
 	"repro/internal/obslog"
-	"repro/internal/topology"
+	"repro/internal/scenario"
 )
 
 func main() {
@@ -90,7 +90,6 @@ func main() {
 		topoName   = flag.String("topology", "testbed", "testbed | romanian | swiss | italian")
 		nbs        = flag.Int("nbs", 4, "BS count for operator topologies (0 = full size)")
 		algo       = flag.String("algo", "direct", "direct | benders | kac | no-overbooking")
-		shards     = flag.Int("shards", 1, "admission engine solver workers")
 		queue      = flag.Int("queue", 1024, "admission engine intake depth")
 		epochEvery = flag.Duration("epoch-every", 0, "run the closed loop on this wall-clock period (0 = epochs only via POST /epoch)")
 		dataDir    = flag.String("data-dir", "", "durable WAL + snapshot directory; decisions survive a kill and replay on restart (empty = no durability)")
@@ -124,7 +123,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	net_, err := buildTopo(*topoName, *nbs)
+	net_, err := scenario.BuildTopology(*topoName, *nbs)
 	if err != nil {
 		olog.Fatal(err)
 	}
@@ -176,7 +175,6 @@ func main() {
 	orchCfg := ctrlplane.OrchestratorConfig{
 		Net:           net_,
 		Algorithm:     *algo,
-		Shards:        *shards,
 		QueueDepth:    *queue,
 		Store:         store,
 		RANAddr:       "http://" + addrOf(1),
@@ -359,18 +357,4 @@ func leaseHolder() string {
 		host = "ovnes"
 	}
 	return fmt.Sprintf("%s:%d", host, os.Getpid())
-}
-
-func buildTopo(name string, nbs int) (*topology.Network, error) {
-	switch name {
-	case "testbed":
-		return topology.Testbed(), nil
-	case "romanian":
-		return topology.Romanian(nbs), nil
-	case "swiss":
-		return topology.Swiss(nbs), nil
-	case "italian":
-		return topology.Italian(nbs), nil
-	}
-	return nil, fmt.Errorf("unknown topology %q", name)
 }

@@ -9,7 +9,7 @@
 //	scenario run   -name flash-crowd -seed 42 [-epochs 48] [-tenants 12] [-algo benders] [-cold] [-trace demand.json]
 //	scenario sweep -name sla-mix -seeds 8 [-workers 0] [-algo benders]
 //	scenario hunt  -name heavy-tail -seeds 16 [-seed 1] [-workers 0] [-out hit.json]
-//	scenario hunt  -replay docs/reproducers/heavy-tail-seed8.json
+//	scenario hunt  -replay docs/reproducers/heavy-tail-ci.json
 //
 // Every archetype is runnable with any seed; identical (scenario, seed)
 // invocations print identical traces at any worker count.

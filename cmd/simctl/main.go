@@ -8,10 +8,6 @@
 //	simctl -experiment fig4 -full        # full 198/197/200-BS topologies
 //	simctl -experiment fig8 [-epochs 18] [-algo direct] [-seed 7]
 //	simctl -experiment all               # every artifact back to back
-//	simctl -experiment fig5 -cpuprofile cpu.out -memprofile mem.out
-//
-// -cpuprofile/-memprofile capture pprof profiles of the run (the solver
-// dominates); see EXPERIMENTS.md "Profiling the solver" for the workflow.
 //
 // Output is tab-separated, one block per figure panel, suitable for
 // gnuplot or a spreadsheet. EXPERIMENTS.md lists the measured runtime of
@@ -26,7 +22,6 @@ import (
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/profiling"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -43,16 +38,8 @@ func main() {
 		algoName   = flag.String("algo", "direct", "overbooking solver: direct | benders | kac")
 		full       = flag.Bool("full", false, "use the full published topology sizes (fig4; fig5/fig6 switch to the KAC solver)")
 		seed       = flag.Int64("seed", 42, "base RNG seed (fig8: 7)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-
-	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer stopProfiles()
 
 	algo, err := scenario.ParseAlgorithm(*algoName)
 	if err != nil {

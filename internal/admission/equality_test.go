@@ -99,7 +99,7 @@ func serialReplay(t *testing.T, cfg sim.Config, reqs []refRequest, algorithm str
 		solve = core.NewBendersSession(core.BendersOptions{}).Solve
 	case "kac":
 		solve = func(inst *core.Instance) (*core.Decision, error) {
-			return core.SolveKAC(inst, core.KACOptions{})
+			return core.SolveKAC(inst)
 		}
 	default:
 		solve = core.SolveDirect

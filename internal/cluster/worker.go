@@ -52,9 +52,6 @@ type WorkerOptions struct {
 	// HeartbeatEvery spaces the worker's pings. Default 1s; must be
 	// comfortably below the coordinator's HeartbeatTimeout.
 	HeartbeatEvery time.Duration
-	// Host holds the solver state. Default: a fresh empty host, which is
-	// right for everything except tests that pre-seed domains.
-	Host *SolverHost
 	// Gate is the fencing-epoch watermark, shared across connections when
 	// the worker dials several coordinator addresses. Default: a private
 	// gate for this connection.
@@ -74,10 +71,7 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	if opts.HeartbeatEvery <= 0 {
 		opts.HeartbeatEvery = time.Second
 	}
-	host := opts.Host
-	if host == nil {
-		host = NewSolverHost()
-	}
+	host := NewSolverHost()
 	gate := opts.Gate
 	if gate == nil {
 		gate = &EpochGate{}

@@ -52,7 +52,7 @@ func BenchmarkKACTrimmingLoop(b *testing.B) {
 	inst := testInstance(ts, true)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SolveKAC(inst, KACOptions{}); err != nil {
+		if _, err := SolveKAC(inst); err != nil {
 			b.Fatal(err)
 		}
 	}

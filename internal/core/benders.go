@@ -259,14 +259,14 @@ func (s *slaveProblem) cutFromDuals(mu []float64) (constant float64, coefs []flo
 	return constant, coefs
 }
 
+// bendersEpsilon is the relative UB−LB convergence tolerance. It sits below
+// the smallest gap the lexicographic tie-break perturbation (tieBreakBase)
+// creates between otherwise-equivalent decisions on CI-sized instances, so
+// convergence cannot stop on the "wrong" side of a broken tie.
+const bendersEpsilon = 1e-7
+
 // BendersOptions tune Algorithm 1.
 type BendersOptions struct {
-	// Epsilon is the UB−LB convergence tolerance; 0 means 1e-7. The default
-	// sits below the smallest gap the lexicographic tie-break perturbation
-	// (tieBreakBase) creates between otherwise-equivalent decisions on
-	// CI-sized instances, so convergence cannot stop on the "wrong" side of
-	// a broken tie.
-	Epsilon float64
 	// MaxIterations bounds master-slave rounds; 0 means 200.
 	MaxIterations int
 	// ColdSlave disables warm-starting the slave LP between iterations.
@@ -277,9 +277,6 @@ type BendersOptions struct {
 }
 
 func (o BendersOptions) withDefaults() BendersOptions {
-	if o.Epsilon == 0 {
-		o.Epsilon = 1e-7
-	}
 	if o.MaxIterations == 0 {
 		o.MaxIterations = 200
 	}
@@ -520,7 +517,7 @@ func bendersSolve(m *model, slave *slaveProblem, master *masterProblem, opts Ben
 			return nil, fmt.Errorf("core: Benders master infeasible (committed slices unsatisfiable)")
 		}
 		lb := msol.Obj - bigTheta // undo the θ shift
-		if haveUB && ub-lb <= opts.Epsilon*(1+math.Abs(ub)) {
+		if haveUB && ub-lb <= bendersEpsilon*(1+math.Abs(ub)) {
 			// The master's bound proves the incumbent optimal; no further
 			// slave evaluation needed.
 			return finish(), nil
@@ -532,7 +529,7 @@ func bendersSolve(m *model, slave *slaveProblem, master *masterProblem, opts Ben
 		if err := evaluate(xBar, iter); err != nil {
 			return nil, err
 		}
-		if haveUB && ub-lb <= opts.Epsilon*(1+math.Abs(ub)) {
+		if haveUB && ub-lb <= bendersEpsilon*(1+math.Abs(ub)) {
 			return finish(), nil
 		}
 	}

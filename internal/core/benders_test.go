@@ -91,7 +91,7 @@ func TestKACCommittedFallback(t *testing.T) {
 		tn.CommittedCU = 0 // 2×40 cores pinned onto the 16-core edge
 		tenants = append(tenants, tn)
 	}
-	d, err := SolveKAC(testInstance(tenants, true), KACOptions{})
+	d, err := SolveKAC(testInstance(tenants, true))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -270,7 +270,7 @@ func TestKACFeasibleAndBounded(t *testing.T) {
 		typedTenant("m1", slice.MMTC, 10, 0, 1, 4),
 		typedTenant("u1", slice.URLLC, 5, 0.25, 1, 4))
 
-	kac, err := SolveKAC(paperInstance(tenants, true), KACOptions{})
+	kac, err := SolveKAC(paperInstance(tenants, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestQuickKACNeverBeatsOptimal(t *testing.T) {
 				(0.2+0.6*r.Float64())*tmpl.RateMbps, 0.1+0.8*r.Float64(),
 				float64([]int{1, 4, 16}[r.Intn(3)]), 1+r.Intn(6)))
 		}
-		kac, err := SolveKAC(paperInstance(tenants, true), KACOptions{})
+		kac, err := SolveKAC(paperInstance(tenants, true))
 		if err != nil {
 			t.Logf("kac: %v", err)
 			return false
@@ -408,7 +408,7 @@ func TestEmptyTenants(t *testing.T) {
 	if d.Obj != 0 || d.Revenue() != 0 {
 		t.Error("empty instance must be a zero decision")
 	}
-	if _, err := SolveKAC(testInstance(nil, true), KACOptions{}); err != nil {
+	if _, err := SolveKAC(testInstance(nil, true)); err != nil {
 		t.Errorf("KAC on empty instance: %v", err)
 	}
 }

@@ -1,7 +1,4 @@
-// Quickstart: build a data-plane topology, describe three slice requests,
-// run the yield-driven AC-RR optimizer, and inspect the decision. This is
-// the 30-line adoption path for the library.
-package main
+package core_test
 
 import (
 	"fmt"
@@ -12,7 +9,10 @@ import (
 	"repro/internal/topology"
 )
 
-func main() {
+// ExampleSolveDirect is the library's quickstart: build a data-plane
+// topology, describe three slice requests, run the yield-driven AC-RR
+// optimizer, and inspect the decision.
+func ExampleSolveDirect() {
 	// The §5 testbed: two 20 MHz BSs, one switch, a 16-core edge CU and a
 	// 64-core core CU behind a ~30 ms backhaul.
 	net := topology.Testbed()
@@ -41,7 +41,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("expected net revenue: %.2f monetary units/epoch\n\n", dec.Revenue())
+	fmt.Printf("expected net revenue: %.2f monetary units/epoch\n", dec.Revenue())
 	for t, spec := range inst.Tenants {
 		if !dec.Accepted[t] {
 			fmt.Printf("%-14s REJECTED\n", spec.Name)
@@ -51,7 +51,12 @@ func main() {
 		if !net.CUs[dec.CU[t]].Edge {
 			cu = "core CU"
 		}
-		fmt.Printf("%-14s accepted on %s, per-BS reservation %v Mb/s (SLA %v)\n",
-			spec.Name, cu, fmt.Sprintf("%.1f/%.1f", dec.Z[t][0], dec.Z[t][1]), spec.SLA.RateMbps)
+		fmt.Printf("%-14s accepted on %s, per-BS reservation %.1f/%.1f Mb/s (SLA %v)\n",
+			spec.Name, cu, dec.Z[t][0], dec.Z[t][1], spec.SLA.RateMbps)
 	}
+	// Output:
+	// expected net revenue: 5.76 monetary units/epoch
+	// urllc-robots   accepted on edge CU, per-BS reservation 10.0/10.0 Mb/s (SLA 25)
+	// mmtc-meters    accepted on core CU, per-BS reservation 10.0/10.0 Mb/s (SLA 10)
+	// embb-video     accepted on edge CU, per-BS reservation 50.0/50.0 Mb/s (SLA 50)
 }

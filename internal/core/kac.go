@@ -25,22 +25,12 @@ type bundle struct {
 	gamma float64
 }
 
-// KACOptions tune Algorithm 3.
-type KACOptions struct {
-	// MaxIterations bounds feasibility-cut rounds; 0 means 500. (The ε
-	// recursion's cut aggregation can need >100 rounds on wide homogeneous
-	// populations — the Fig. 5 grid's Romanian/eMBB cell converges at 110 —
-	// so the default leaves generous headroom while still terminating
-	// promptly on genuine cycles, which the progress guard breaks anyway.)
-	MaxIterations int
-}
-
-func (o KACOptions) withDefaults() KACOptions {
-	if o.MaxIterations == 0 {
-		o.MaxIterations = 500
-	}
-	return o
-}
+// kacMaxIterations bounds Algorithm 3's feasibility-cut rounds. The ε
+// recursion's cut aggregation can need >100 rounds on wide homogeneous
+// populations — the Fig. 5 grid's Romanian/eMBB cell converges at 110 — so
+// the bound leaves generous headroom while still terminating promptly on
+// genuine cycles, which the progress guard breaks anyway.
+const kacMaxIterations = 500
 
 // SolveKAC runs the paper's Knapsack Admission Control heuristic
 // (Algorithms 2 and 3): start from every profitable bundle, and while the
@@ -50,8 +40,7 @@ func (o KACOptions) withDefaults() KACOptions {
 // profit density. Solutions arrive in a handful of LP solves instead of a
 // full branch-and-bound — the "few seconds instead of a few hours" claim
 // of §4.3.3 — at the cost of optimality for compute-heavy mixes.
-func SolveKAC(inst *Instance, opts KACOptions) (*Decision, error) {
-	opts = opts.withDefaults()
+func SolveKAC(inst *Instance) (*Decision, error) {
 	m, err := buildModel(inst)
 	if err != nil {
 		return nil, err
@@ -77,7 +66,7 @@ func SolveKAC(inst *Instance, opts KACOptions) (*Decision, error) {
 	seen := map[string]bool{signature(selected): true}
 
 	d := m.newDecision()
-	for iter := 1; iter <= opts.MaxIterations; iter++ {
+	for iter := 1; iter <= kacMaxIterations; iter++ {
 		d.Iterations = iter
 		// The trimming chain is cold on purpose: every solve but the last
 		// is infeasible, so there is never an optimal basis to re-enter
@@ -157,7 +146,7 @@ func SolveKAC(inst *Instance, opts KACOptions) (*Decision, error) {
 			}
 		}
 	}
-	return nil, fmt.Errorf("core: KAC failed to converge in %d iterations", opts.MaxIterations)
+	return nil, fmt.Errorf("core: KAC failed to converge in %d iterations", kacMaxIterations)
 }
 
 // buildBundles enumerates (tenant, CU) bundles with the minimum-delay

@@ -27,7 +27,7 @@ func TestKACConvergesOnFig5Cell(t *testing.T) {
 		})
 	}
 	inst := &Instance{Net: net, Paths: paths, Tenants: specs, Overbook: true, BigM: 1e4}
-	d, err := SolveKAC(inst, KACOptions{})
+	d, err := SolveKAC(inst)
 	if err != nil {
 		t.Fatalf("KAC with default options: %v", err)
 	}

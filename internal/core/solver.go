@@ -20,7 +20,7 @@ func NewSolver(algorithm string, opts BendersOptions) (SolveFunc, error) {
 	case "direct", "no-overbooking":
 		return SolveDirect, nil
 	case "kac":
-		return func(inst *Instance) (*Decision, error) { return SolveKAC(inst, KACOptions{}) }, nil
+		return func(inst *Instance) (*Decision, error) { return SolveKAC(inst) }, nil
 	}
 	return nil, fmt.Errorf("core: unknown algorithm %q (want benders, direct, kac or no-overbooking)", algorithm)
 }

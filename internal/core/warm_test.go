@@ -66,7 +66,7 @@ func TestBendersWarmMatchesCold(t *testing.T) {
 // exercise the feasibility-cut machinery.
 func TestKACOnWarmCorpus(t *testing.T) {
 	for name, inst := range warmCheckInstances() {
-		d, err := SolveKAC(inst, KACOptions{})
+		d, err := SolveKAC(inst)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

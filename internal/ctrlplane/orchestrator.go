@@ -18,21 +18,25 @@ import (
 	"repro/internal/yield"
 )
 
+// The orchestrator's fixed model choices: k-shortest paths per (BS, CU) in
+// the P_{b,c} path sets, and the Holt-Winters period, in epochs, of the
+// closed loop's forecasters.
+const (
+	kPaths   = 3
+	hwPeriod = 12
+)
+
 // OrchestratorConfig wires the E2E orchestrator to its domain controllers
 // and monitoring backend.
 type OrchestratorConfig struct {
 	Net       *topology.Network
-	KPaths    int    // k-shortest paths per (BS, CU); default 3
 	Algorithm string // "direct" | "benders" | "kac" | "no-overbooking"
-	HWPeriod  int    // Holt-Winters period in epochs; default 12
 
-	// Shards, QueueDepth and TenantCap parameterize the admission engine
-	// the orchestrator routes decisions through (internal/admission):
-	// solver worker count, bounded-intake depth, and the per-tenant
-	// fairness cap. Zero values take the engine defaults.
-	Shards     int
+	// QueueDepth is the bounded-intake depth of the admission engine the
+	// orchestrator routes decisions through (internal/admission); zero takes
+	// the engine default. The engine's one domain runs on one lane, and
+	// each tenant may hold the whole queue.
 	QueueDepth int
-	TenantCap  int
 
 	// Controller base URLs (e.g. "http://127.0.0.1:8181").
 	RANAddr, TransportAddr, CloudAddr string
@@ -67,12 +71,6 @@ type OrchestratorConfig struct {
 func (cfg OrchestratorConfig) withDefaults() (OrchestratorConfig, error) {
 	if cfg.Net == nil {
 		return cfg, fmt.Errorf("ctrlplane: orchestrator needs a topology")
-	}
-	if cfg.KPaths == 0 {
-		cfg.KPaths = 3
-	}
-	if cfg.HWPeriod == 0 {
-		cfg.HWPeriod = 12
 	}
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = "direct"
@@ -144,15 +142,13 @@ type Orchestrator struct {
 func buildCore(cfg OrchestratorConfig) (*Orchestrator, error) {
 	ledger := yield.NewLedger()
 	eng := admission.New(admission.Config{
-		Shards:     cfg.Shards,
 		QueueDepth: cfg.QueueDepth,
-		TenantCap:  cfg.TenantCap,
 		Store:      cfg.Store,
 		Ledger:     ledger,
 	})
 	if err := eng.AddDomain(admission.DefaultDomain, admission.DomainConfig{
 		Net:       cfg.Net,
-		KPaths:    cfg.KPaths,
+		KPaths:    kPaths,
 		Algorithm: cfg.Algorithm,
 	}); err != nil {
 		return nil, fmt.Errorf("ctrlplane: %w", err)
@@ -176,7 +172,7 @@ func buildCore(cfg OrchestratorConfig) (*Orchestrator, error) {
 		Engine:   eng,
 		Store:    cfg.Store,
 		Ledger:   ledger,
-		HWPeriod: cfg.HWPeriod,
+		HWPeriod: hwPeriod,
 		OnRound:  o.programRound,
 	}
 	if cfg.DataDir != "" {
@@ -399,18 +395,6 @@ func (o *Orchestrator) Handler() http.Handler {
 		}
 		writeJSON(w, http.StatusOK, events)
 	})
-	mux.HandleFunc("POST /handover", func(w http.ResponseWriter, r *http.Request) {
-		var req HandoverRequest
-		if err := decodeBody(w, r, &req); err != nil {
-			httpBodyError(w, err)
-			return
-		}
-		if err := o.eng.Handover(req.From, req.To, req.Name); err != nil {
-			httpError(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "handed over", "slice": req.Name})
-	})
 	mux.HandleFunc("GET /epoch", func(w http.ResponseWriter, r *http.Request) {
 		o.mu.Lock()
 		e := o.epoch
@@ -434,15 +418,6 @@ func (o *Orchestrator) Handler() http.Handler {
 type MetricsReport struct {
 	admission.Snapshot
 	Yield yield.Summary `json:"yield"`
-}
-
-// HandoverRequest is the POST /handover payload: move one committed slice
-// from one admission domain to another, preserving its ledger identity.
-// Empty From addresses the orchestrator's default domain.
-type HandoverRequest struct {
-	From string `json:"from,omitempty"`
-	To   string `json:"to"`
-	Name string `json:"name"`
 }
 
 // ApplyTopology injects capacity events (outage, degradation, recovery,

@@ -99,26 +99,3 @@ func TestTopologyEventsThroughREST(t *testing.T) {
 		t.Fatalf("rejected event leaked into the stream: %+v", events)
 	}
 }
-
-// TestHandoverEndpointRejects covers the northbound error paths: the
-// single-domain orchestrator cannot hand a slice to a domain it doesn't
-// host, and malformed bodies are refused at the decode layer. (Successful
-// multi-domain handover is exercised end to end in internal/wal.)
-func TestHandoverEndpointRejects(t *testing.T) {
-	s := newStack(t, "direct")
-	resp := s.postJSON(t, "/handover", HandoverRequest{To: "b", Name: "u1"})
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("handover to unknown domain: got %s, want 409", resp.Status)
-	}
-	resp.Body.Close()
-
-	raw, err := http.Post(s.orchSrv.URL+"/handover", "application/json",
-		bytes.NewReader([]byte(`{"to": 7}`)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: got %s, want 400", raw.Status)
-	}
-	raw.Body.Close()
-}

@@ -116,7 +116,7 @@ func SolverScaling(sizes [][2]int, seed int64) ([]SolverTiming, error) {
 		}
 		solvers := []solver{
 			{"direct", func() (*core.Decision, error) { return core.SolveDirect(inst) }},
-			{"kac", func() (*core.Decision, error) { return core.SolveKAC(inst, core.KACOptions{}) }},
+			{"kac", func() (*core.Decision, error) { return core.SolveKAC(inst) }},
 		}
 		// Benders reproduces the paper's "may take hours" behaviour: its
 		// single-cut masters grow combinatorially, so it only joins the

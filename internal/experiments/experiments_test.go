@@ -286,11 +286,13 @@ func TestForecastAblationOrdering(t *testing.T) {
 	}
 }
 
-func TestBuildTopologyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unknown topology")
-		}
-	}()
-	BuildTopology("atlantis", 4)
+// TestSweepsRejectUnknownTopology: an unknown topology name is an error the
+// Fig. 5/6 sweeps return, not a panic.
+func TestSweepsRejectUnknownTopology(t *testing.T) {
+	if _, err := Fig5(Fig5Config{Topologies: []string{"atlantis"}}); err == nil || !strings.Contains(err.Error(), "atlantis") {
+		t.Errorf("Fig5 with an unknown topology: err = %v, want one naming it", err)
+	}
+	if _, err := Fig6(Fig6Config{Topologies: []string{"atlantis"}}); err == nil || !strings.Contains(err.Error(), "atlantis") {
+		t.Errorf("Fig6 with an unknown topology: err = %v, want one naming it", err)
+	}
 }

@@ -8,22 +8,10 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/slice"
-	"repro/internal/topology"
 )
 
 // Topology names used across the Fig. 5/6 harnesses.
 var TopologyNames = []string{"Romanian", "Swiss", "Italian"}
-
-// BuildTopology instantiates one of the three operator networks at the
-// requested scale (0 = full published size); it panics on unknown names
-// because every caller passes a compile-time constant.
-func BuildTopology(name string, nBS int) *topology.Network {
-	net, err := scenario.BuildTopology(name, nBS)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return net
-}
 
 // sliceTypeByName resolves the Table 1 templates.
 func sliceTypeByName(name string) slice.Type {
@@ -137,7 +125,10 @@ func Fig5(cfg Fig5Config) ([]Fig5Point, error) {
 		c := combos[i]
 		// Each worker builds its own topology: construction is cheap and
 		// deterministic, and it keeps workers free of shared state.
-		net := BuildTopology(c.topo, cfg.NBS)
+		net, err := scenario.BuildTopology(c.topo, cfg.NBS)
+		if err != nil {
+			return Fig5Point{}, fmt.Errorf("fig5: %w", err)
+		}
 		specs := homogeneousSpecs(sliceTypeByName(c.ty), cfg.Tenants, c.alpha, c.sf, c.m, cfg.Seed)
 		runCfg := sim.Config{
 			Net: net, Epochs: cfg.Epochs, Slices: specs,
@@ -264,7 +255,10 @@ func Fig6(cfg Fig6Config) ([]Fig6Point, error) {
 	}
 	return parallel.Map(len(combos), cfg.Workers, func(i int) (Fig6Point, error) {
 		c := combos[i]
-		net := BuildTopology(c.topo, cfg.NBS)
+		net, err := scenario.BuildTopology(c.topo, cfg.NBS)
+		if err != nil {
+			return Fig6Point{}, fmt.Errorf("fig6: %w", err)
+		}
 		tyA, tyB := sliceTypeByName(c.mix[0]), sliceTypeByName(c.mix[1])
 		nB := int(float64(cfg.Tenants)*c.beta/100 + 0.5)
 		nA := cfg.Tenants - nB

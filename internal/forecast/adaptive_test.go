@@ -148,27 +148,6 @@ func TestViewConservativeUntilProven(t *testing.T) {
 	}
 }
 
-// TestViewHorizonUsesForecastPeak: with a rising trend, a 4-epoch horizon
-// must reserve against the largest forecast in the window, not the first.
-func TestViewHorizonUsesForecastPeak(t *testing.T) {
-	d := NewDES(0.6, 0.4)
-	for i := 0; i < 12; i++ {
-		d.Observe(10 + 2*float64(i))
-	}
-	lam := 1000.0 // never clamps in this test
-	one, _ := View(d, lam, 0)
-	four, _ := ViewHorizon(d, lam, 0, 4)
-	if !(four > one) {
-		t.Fatalf("horizon view %v not above one-step view %v on a rising trend", four, one)
-	}
-	if got, want := PeakOver(d, 4), d.Forecast(4)[3]; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("PeakOver = %v, want the last (largest) step %v", got, want)
-	}
-	if got, want := PeakOver(d, 0), d.Forecast(1)[0]; got != want {
-		t.Fatalf("PeakOver(h<1) = %v, want one-step %v", got, want)
-	}
-}
-
 // TestViewPadInflates: the pad multiplies the point forecast by (1+pad·σ̂)
 // before the SLA clamp.
 func TestViewPadInflates(t *testing.T) {

@@ -14,9 +14,9 @@
 //
 // Adaptive is the production composite: error-tracked model selection
 // between SES and DES until two full seasons of history let Holt-Winters
-// take over. View / ViewHorizon / PeakOver define the single shared
-// reading of a forecaster as a reservation input (λ̂ clamped into the SLA,
-// σ̂, optional padding, multi-epoch horizons) used identically by the
-// offline simulator, the ctrlplane orchestrator, and the closed-loop
-// reoptimizer (internal/reopt).
+// take over, built with the one set of smoothing constants (Alpha, Beta,
+// Gamma) the orchestrator uses. View defines the single shared reading of a
+// forecaster as a reservation input (λ̂ clamped into the SLA, σ̂, optional
+// padding) used identically by the offline simulator and the closed-loop
+// reoptimizer (internal/reopt), which the ctrlplane orchestrator runs.
 package forecast

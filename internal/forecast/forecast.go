@@ -262,6 +262,15 @@ type Adaptive struct {
 	hw  *HoltWinters
 }
 
+// The orchestrator's smoothing constants: every per-slice Adaptive tracker,
+// the simulator's and the closed-loop controller's alike, is built with
+// them (and a Holt-Winters period the caller chooses).
+const (
+	Alpha = 0.5  // level
+	Beta  = 0.05 // trend
+	Gamma = 0.15 // seasonal
+)
+
 // NewAdaptive returns the composite forecaster.
 func NewAdaptive(alpha, beta, gamma float64, period int) *Adaptive {
 	return &Adaptive{
@@ -317,36 +326,12 @@ func (a *Adaptive) Uncertainty() float64 { return a.active().Uncertainty() }
 // simulator, the ctrlplane orchestrator, and the closed-loop controller,
 // so the three paths cannot drift apart.
 func View(f Forecaster, lam, pad float64) (lambdaHat, sigma float64) {
-	return ViewHorizon(f, lam, pad, 1)
-}
-
-// ViewHorizon is View against the forecast PEAK over the next h epochs
-// instead of only the next one: the reading for a reoptimizer whose
-// reservation will stay in force for h epochs. h ≤ 1 degenerates to View.
-func ViewHorizon(f Forecaster, lam, pad float64, h int) (lambdaHat, sigma float64) {
 	sigma = f.Uncertainty()
 	if sigma >= 1 {
 		return lam, 1 // no trusted history: reserve the full SLA
 	}
-	pred := PeakOver(f, h) * (1 + pad*sigma)
+	pred := f.Forecast(1)[0] * (1 + pad*sigma)
 	return math.Min(pred, lam), sigma
-}
-
-// PeakOver returns the maximum point forecast over the next h epochs (the
-// horizon analogue of the monitoring pipeline's per-epoch max-aggregation);
-// h ≤ 1 is the plain one-step forecast.
-func PeakOver(f Forecaster, h int) float64 {
-	if h < 1 {
-		h = 1
-	}
-	fc := f.Forecast(h)
-	peak := fc[0]
-	for _, v := range fc[1:] {
-		if v > peak {
-			peak = v
-		}
-	}
-	return peak
 }
 
 // RMSE computes the root-mean-square error between two equal-length series;

@@ -49,23 +49,19 @@ func (s Status) String() string {
 	return fmt.Sprintf("Status(%d)", int(s))
 }
 
+// intTol is the integrality tolerance: a binary within it of 0 or 1 counts
+// as integral.
+const intTol = 1e-6
+
 // Options tune the branch-and-bound search.
 type Options struct {
 	// MaxNodes caps the number of explored nodes; 0 means a large default.
 	MaxNodes int
-	// IntTol is the integrality tolerance; 0 means 1e-6.
-	IntTol float64
-	// Gap is the relative optimality gap at which search stops; 0 means
-	// prove optimality exactly (up to tolerances).
-	Gap float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 200000
-	}
-	if o.IntTol == 0 {
-		o.IntTol = 1e-6
 	}
 	return o
 }
@@ -161,7 +157,7 @@ func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, 
 			// only if every binary landed on an integer.
 			triv := ps.Postsolve(nil)
 			for _, v := range binaries {
-				if math.Abs(triv.X[v]-math.Round(triv.X[v])) > opts.IntTol {
+				if math.Abs(triv.X[v]-math.Round(triv.X[v])) > intTol {
 					return sol, nil
 				}
 				triv.X[v] = math.Round(triv.X[v])
@@ -185,7 +181,7 @@ func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, 
 	for _, v := range binaries {
 		rc, fv := ps.Col(v)
 		if rc < 0 {
-			if math.Abs(fv-math.Round(fv)) > opts.IntTol {
+			if math.Abs(fv-math.Round(fv)) > intTol {
 				return sol, nil
 			}
 			continue
@@ -276,7 +272,7 @@ func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, 
 			if f > 0.5 {
 				f = 1 - f
 			}
-			if f > opts.IntTol && f > frac {
+			if f > intTol && f > frac {
 				branchVar, frac = v, f
 			}
 		}
@@ -291,9 +287,6 @@ func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, 
 					incumbent[v] = math.Round(incumbent[v])
 				}
 				haveIncumbent = true
-				if opts.Gap > 0 && gapClosed(q, incumbentObj, opts.Gap) {
-					break
-				}
 			}
 			continue
 		}
@@ -302,7 +295,7 @@ func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, 
 		for _, val := range [2]float64{rounded(res.X[branchVar]), 1 - rounded(res.X[branchVar])} {
 			// Respect the presolve-tightened base box: a fixing outside it
 			// can never be feasible, so the child is pruned at birth.
-			if val < baseLo[bi]-opts.IntTol || val > baseUp[bi]+opts.IntTol {
+			if val < baseLo[bi]-intTol || val > baseUp[bi]+intTol {
 				continue
 			}
 			child := &node{
@@ -332,15 +325,4 @@ func rounded(v float64) float64 {
 		return 1
 	}
 	return 0
-}
-
-// gapClosed reports whether every open node's bound is within the relative
-// gap of the incumbent.
-func gapClosed(q *nodeQueue, incumbent, gap float64) bool {
-	if q.Len() == 0 {
-		return true
-	}
-	best := (*q)[0].bound
-	denom := math.Max(1, math.Abs(incumbent))
-	return (incumbent-best)/denom <= gap
 }

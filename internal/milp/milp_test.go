@@ -197,26 +197,6 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 	}
 }
 
-// TestGapEarlyStop honors the relative gap option.
-func TestGapEarlyStop(t *testing.T) {
-	p := lp.New()
-	var vars []int
-	var terms []lp.Term
-	for i := 0; i < 10; i++ {
-		v := p.AddVar("b", -1)
-		vars = append(vars, v)
-		terms = append(terms, lp.T(v, 1))
-	}
-	p.AddConstraint(lp.LE, 5.5, terms...)
-	s, err := Solve(p, vars, Options{Gap: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Obj > -5+1e-6 {
-		t.Errorf("gap stop returned weak incumbent: %v", s.Obj)
-	}
-}
-
 // TestStatusString covers the Stringer.
 func TestStatusString(t *testing.T) {
 	for s, want := range map[Status]string{

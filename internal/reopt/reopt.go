@@ -42,27 +42,19 @@ type Config struct {
 	Engine *admission.Engine
 	// Domain names the engine domain; empty means admission.DefaultDomain.
 	Domain string
-	// Store is the monitoring backend observations are read from and yield
-	// samples are published into. Required.
+	// Store is the monitoring backend observations are read from (the
+	// monitor.LoadMetric series) and yield samples are published into.
+	// Required.
 	Store *monitor.Store
-	// Metric is the demand series name; empty means monitor.LoadMetric.
-	Metric string
 	// Ledger receives the realized yield entries; nil creates a private
 	// one. Share a ledger (and hand it to admission.Config.Ledger) to get
 	// realized and expected revenue in one account.
 	Ledger *yield.Ledger
 
-	// Alpha/Beta/Gamma/HWPeriod parameterize each slice's
-	// forecast.Adaptive tracker; zeros take the simulator's defaults
-	// (0.5, 0.05, 0.15, period 12).
-	Alpha, Beta, Gamma float64
-	HWPeriod           int
-	// Pad inflates λ̂ by (1 + Pad·σ̂) before reserving (sim.ForecastPad).
-	Pad float64
-	// Horizon reserves against the forecast peak over the next Horizon
-	// epochs instead of only the next one; 0/1 is the paper's one-step
-	// reading.
-	Horizon int
+	// HWPeriod is the Holt-Winters period of each slice's
+	// forecast.Adaptive tracker (built with forecast.Alpha/Beta/Gamma, as
+	// the simulator's are); 0 means 12.
+	HWPeriod int
 	// ReoptEvery fires the forecast refresh every k-th step; 0 defaults to
 	// 1 (every step). Negative disables forecast-driven reoptimization
 	// entirely — the static baseline: rounds still run (arrivals must be
@@ -96,26 +88,11 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Domain == "" {
 		c.Domain = admission.DefaultDomain
 	}
-	if c.Metric == "" {
-		c.Metric = monitor.LoadMetric
-	}
 	if c.Ledger == nil {
 		c.Ledger = yield.NewLedger()
 	}
-	if c.Alpha == 0 {
-		c.Alpha = 0.5
-	}
-	if c.Beta == 0 {
-		c.Beta = 0.05
-	}
-	if c.Gamma == 0 {
-		c.Gamma = 0.15
-	}
 	if c.HWPeriod == 0 {
 		c.HWPeriod = 12
-	}
-	if c.Horizon < 1 {
-		c.Horizon = 1
 	}
 	if c.ReoptEvery == 0 {
 		c.ReoptEvery = 1
@@ -228,7 +205,7 @@ func (c *Controller) Step() (*StepReport, error) {
 			// samples (EpochSamples would rescan every series in the store
 			// for each committed slice).
 			for b := range m.Reserved {
-				c.samples = c.cfg.Store.AppendElementEpochSamples(c.samples[:0], m.Name, c.cfg.Metric, monitor.BSElement(b), c.prev.epoch)
+				c.samples = c.cfg.Store.AppendElementEpochSamples(c.samples[:0], m.Name, monitor.LoadMetric, monitor.BSElement(b), c.prev.epoch)
 				for _, sm := range c.samples {
 					as.Sample(sm.Value, m.Reserved[b])
 				}
@@ -286,7 +263,7 @@ func (c *Controller) Step() (*StepReport, error) {
 			// phase stays linear in the slice's epoch samples too.
 			peak, ok := 0.0, false
 			for b := range m.Reserved {
-				c.samples = c.cfg.Store.AppendElementEpochSamples(c.samples[:0], m.Name, c.cfg.Metric, monitor.BSElement(b), c.epoch-1)
+				c.samples = c.cfg.Store.AppendElementEpochSamples(c.samples[:0], m.Name, monitor.LoadMetric, monitor.BSElement(b), c.epoch-1)
 				for _, sm := range c.samples {
 					if !ok || sm.Value > peak {
 						peak, ok = sm.Value, true
@@ -311,7 +288,7 @@ func (c *Controller) Step() (*StepReport, error) {
 	ups := c.ups[:0]
 	if reoptNow {
 		for _, m := range committed {
-			lh, sg := forecast.ViewHorizon(c.trackers[m.Name], m.SLA.RateMbps, c.cfg.Pad, c.cfg.Horizon)
+			lh, sg := forecast.View(c.trackers[m.Name], m.SLA.RateMbps, 0)
 			ups = append(ups, admission.ForecastUpdate{Name: m.Name, LambdaHat: lh, Sigma: sg})
 		}
 	}
@@ -375,7 +352,7 @@ func (c *Controller) applyObserve(alive []string, peaks []ObservedPeak) {
 	for _, n := range alive {
 		c.aliveSet[n] = true
 		if c.trackers[n] == nil {
-			c.trackers[n] = forecast.NewAdaptive(c.cfg.Alpha, c.cfg.Beta, c.cfg.Gamma, c.cfg.HWPeriod)
+			c.trackers[n] = forecast.NewAdaptive(forecast.Alpha, forecast.Beta, forecast.Gamma, c.cfg.HWPeriod)
 		}
 	}
 	for _, p := range peaks {

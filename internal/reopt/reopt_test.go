@@ -258,7 +258,7 @@ func serialClosedLoop(t testing.TB, cfg sim.Config, algorithm string, reoptEvery
 		solve = core.NewBendersSession(core.BendersOptions{}).Solve
 	case "kac":
 		solve = func(inst *core.Instance) (*core.Decision, error) {
-			return core.SolveKAC(inst, core.KACOptions{})
+			return core.SolveKAC(inst)
 		}
 	default:
 		solve = core.SolveDirect

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 
 	"repro/internal/parallel"
 	"repro/internal/sim"
@@ -121,22 +122,26 @@ type Spec struct {
 	ForecastPad     float64
 }
 
+// topologies is the one topology-name table: scenario specs, the Fig. 5/6
+// sweeps and ovnes -topology all resolve through it. Keys are lowercase;
+// BuildTopology matches names case-insensitively.
+var topologies = map[string]func(nBS int) *topology.Network{
+	"romanian": topology.Romanian,
+	"swiss":    topology.Swiss,
+	"italian":  topology.Italian,
+	"testbed":  func(int) *topology.Network { return topology.Testbed() },
+	"metro":    topology.Metro,
+}
+
 // BuildTopology instantiates a named operator network at the requested
-// scale (0 = full published size).
+// scale (0 = full published size; the testbed has one size). Names match
+// case-insensitively ("Romanian", "romanian").
 func BuildTopology(name string, nBS int) (*topology.Network, error) {
-	switch name {
-	case "Romanian":
-		return topology.Romanian(nBS), nil
-	case "Swiss":
-		return topology.Swiss(nBS), nil
-	case "Italian":
-		return topology.Italian(nBS), nil
-	case "Testbed":
-		return topology.Testbed(), nil
-	case "Metro":
-		return topology.Metro(nBS), nil
+	build, ok := topologies[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("scenario: unknown topology %q", name)
 	}
-	return nil, fmt.Errorf("scenario: unknown topology %q", name)
+	return build(nBS), nil
 }
 
 // SliceTypeByName resolves the Table 1 template names.

@@ -307,3 +307,47 @@ func mustByName(t *testing.T, name string) Spec {
 	}
 	return s
 }
+
+// TestBuildTopologyNames pins the one topology-name table. Every name
+// `ovnes -topology` accepts (lowercase, at its default -nbs 4), every
+// archetype's (capitalised, at its own NBS) and the full published sizes
+// the sweeps ask for with nBS 0 build the network they always built; an
+// unknown name is an error naming it.
+func TestBuildTopologyNames(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		nBS          int
+		numBS, numCU int
+	}{
+		{"testbed", 4, 2, 2},
+		{"romanian", 4, 4, 2},
+		{"swiss", 4, 4, 2},
+		{"italian", 4, 4, 2},
+		{"Testbed", 0, 2, 2},
+		{"Romanian", 4, 4, 2},
+		{"Swiss", 4, 4, 2},
+		{"Italian", 4, 4, 2},
+		{"Metro", 24, 24, 4},
+		{"Romanian", 0, 198, 2},
+		{"Swiss", 0, 197, 2},
+		{"Italian", 0, 200, 2},
+	} {
+		net, err := BuildTopology(tc.name, tc.nBS)
+		if err != nil {
+			t.Errorf("BuildTopology(%q, %d): %v", tc.name, tc.nBS, err)
+			continue
+		}
+		if net.NumBS() != tc.numBS || net.NumCU() != tc.numCU {
+			t.Errorf("BuildTopology(%q, %d) = %d BS / %d CU, want %d / %d",
+				tc.name, tc.nBS, net.NumBS(), net.NumCU(), tc.numBS, tc.numCU)
+		}
+	}
+	for _, s := range Archetypes() {
+		if _, err := BuildTopology(s.Topology, s.NBS); err != nil {
+			t.Errorf("archetype %s: %v", s.Name, err)
+		}
+	}
+	if _, err := BuildTopology("atlantis", 4); err == nil || !strings.Contains(err.Error(), "atlantis") {
+		t.Errorf("unknown topology: err = %v, want one naming it", err)
+	}
+}

@@ -330,7 +330,7 @@ func newEngine(cfg Config) (*engine, error) {
 		for b := 0; b < eng.nBS; b++ {
 			st.gens[b] = NewGenerator(cfg, sp, b)
 		}
-		st.fc = forecast.NewAdaptive(0.5, 0.05, 0.15, cfg.HWPeriod)
+		st.fc = forecast.NewAdaptive(forecast.Alpha, forecast.Beta, forecast.Gamma, cfg.HWPeriod)
 		eng.states[i] = st
 	}
 	return eng, nil

@@ -17,7 +17,7 @@ type Generator interface {
 // Gaussian is the homogeneous-scenario process: i.i.d. truncated normal
 // samples with mean λ̄ and standard deviation σ, clipped at zero and at the
 // physical ceiling (users cannot exceed the radio they are given, but they
-// can exceed their SLA — the middlebox handles that).
+// can exceed their SLA — the data plane's flow meters clip that).
 type Gaussian struct {
 	MeanMbps float64
 	StdMbps  float64

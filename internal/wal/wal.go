@@ -17,6 +17,10 @@ import (
 	"repro/internal/yield"
 )
 
+// snapshotsKept is how many snapshots survive compaction: the newest plus
+// one fallback should the newest prove unreadable.
+const snapshotsKept = 2
+
 // Options parameterizes a Store.
 type Options struct {
 	// Dir is the data directory; created if absent. Required.
@@ -24,9 +28,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it reaches this size;
 	// default 4 MiB.
 	SegmentBytes int64
-	// SnapshotsKept is how many snapshots survive compaction; default 2
-	// (the newest plus one fallback should the newest prove unreadable).
-	SnapshotsKept int
 	// NoSync drops the fsync from Sync (the buffered flush remains) —
 	// for benchmarks and tests where media durability is irrelevant.
 	NoSync bool
@@ -45,9 +46,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.SnapshotsKept <= 0 {
-		o.SnapshotsKept = 2
 	}
 	return o, nil
 }
@@ -473,10 +471,10 @@ func (s *Store) WriteSnapshot(snap *Snapshot) error {
 		}
 	}
 
-	// Keep the newest SnapshotsKept snapshots; drop older ones, then drop
+	// Keep the newest snapshotsKept snapshots; drop older ones, then drop
 	// every sealed segment whose records all predate the oldest kept
 	// snapshot — no recovery can need them.
-	for len(s.snaps) > s.opt.SnapshotsKept {
+	for len(s.snaps) > snapshotsKept {
 		os.Remove(s.snaps[0].path)
 		s.snaps = s.snaps[1:]
 	}
