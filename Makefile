@@ -3,13 +3,13 @@
 
 GO ?= go
 
-# Minimum total statement coverage `make cover` enforces: 80.6% measured
+# Minimum total statement coverage `make cover` enforces: 81.2% measured
 # at this ratchet, minus 1pt of slack that absorbs noise while catching
-# wholesale test deletions or big untested subsystems. The cmd/* mains
+# wholesale test deletions or big untested subsystems. Most cmd/* mains
 # count at 0%, which drags the total below per-package numbers —
 # internal/wal and internal/cluster, the replication-critical packages,
 # each sit above 81%.
-COVER_FLOOR ?= 79.6
+COVER_FLOOR ?= 80.2
 
 .PHONY: build test test-race admission-stress vet fmt-check lint lines bench bench-smoke bench-pins rest-check perf-gate fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
 
@@ -219,11 +219,11 @@ failover-check:
 # package must carry a doc.go opening with "// Package <name>", every
 # cmd/* binary a "// Command <name>" comment in main.go. It also caps the
 # two documents that grow with every PR: EXPERIMENTS.md at 380 lines and
-# DESIGN.md at 1,475 (its length when the cap was set), so a PR that adds
+# DESIGN.md at 1,472 (its length when the cap was set), so a PR that adds
 # a section pays for it by trimming another (ROADMAP item 8(b)).
 docs-check:
 	@fail=0; \
-	for cap in EXPERIMENTS.md:380 DESIGN.md:1475; do \
+	for cap in EXPERIMENTS.md:380 DESIGN.md:1472; do \
 		f=$${cap%%:*}; max=$${cap##*:}; n=$$(wc -l < $$f); \
 		[ $$n -le $$max ] || { echo "$$f: $$n lines, over its $$max-line cap"; fail=1; }; \
 	done; \
@@ -240,7 +240,10 @@ docs-check:
 
 # links-check verifies every relative link in the repo's markdown files
 # resolves to an existing file (external URLs are deliberately skipped:
-# CI must not depend on the network).
+# CI must not depend on the network), and that every backticked
+# `pkg.Name[.Name…]` in ARCHITECTURE, DESIGN, EXPERIMENTS and README whose
+# pkg is a directory under internal/ still names identifiers that
+# package's non-test Go files have.
 links-check:
 	$(GO) run ./cmd/mdcheck
 

@@ -19,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 )
 
 // once guards the printing of each artifact so repeated benchmark
@@ -81,7 +80,7 @@ func fig5BenchConfig(workers int) experiments.Fig5Config {
 		NBS:        3,
 		Epochs:     12,
 		KPaths:     1,
-		Algorithm:  sim.Direct,
+		Algorithm:  "direct",
 		Seed:       42,
 		Workers:    workers,
 	}
@@ -125,7 +124,7 @@ func BenchmarkFig6Heterogeneous(b *testing.B) {
 		NBS:        3,
 		Epochs:     12,
 		KPaths:     1,
-		Algorithm:  sim.Direct,
+		Algorithm:  "direct",
 		Seed:       42,
 	}
 	var pts []experiments.Fig6Point
@@ -146,11 +145,11 @@ func BenchmarkFig8Revenue(b *testing.B) {
 	var ours, baseline *experiments.Fig8Series
 	for i := 0; i < b.N; i++ {
 		var err error
-		ours, err = experiments.Fig8(experiments.Fig8Config{Algorithm: sim.Direct, Seed: 7})
+		ours, err = experiments.Fig8(experiments.Fig8Config{Algorithm: "direct", Seed: 7})
 		if err != nil {
 			b.Fatal(err)
 		}
-		baseline, err = experiments.Fig8(experiments.Fig8Config{Algorithm: sim.NoOverbooking, Seed: 7})
+		baseline, err = experiments.Fig8(experiments.Fig8Config{Algorithm: "no-overbooking", Seed: 7})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,7 +161,7 @@ func BenchmarkFig8Revenue(b *testing.B) {
 // reservation vs actual utilization series for the same scenario.
 func BenchmarkFig8Utilization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := experiments.Fig8(experiments.Fig8Config{Algorithm: sim.Direct, Seed: 7})
+		s, err := experiments.Fig8(experiments.Fig8Config{Algorithm: "direct", Seed: 7})
 		if err != nil {
 			b.Fatal(err)
 		}

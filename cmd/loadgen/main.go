@@ -8,7 +8,7 @@
 // Usage:
 //
 //	loadgen [-scenario flash-crowd] [-seed 42] [-domains 8] [-shards 0]
-//	        [-epochs 0] [-tenants 0] [-algo ""] [-queue 1024] [-tenant-cap 0]
+//	        [-epochs 0] [-tenants 0] [-algo ""] [-queue 1024]
 //	        [-reoffer] [-mode drift] [-trace demand.json]
 //	        [-cluster 127.0.0.1:9090] [-cluster-workers 2]
 //
@@ -21,6 +21,10 @@
 // -trace replays a recorded demand file (JSON/CSV, see internal/traffic)
 // as every class's load shape, so the closed/static modes can be driven by
 // real measured traffic instead of the archetype's synthetic shapes.
+//
+// The archetype's capacity events (outage, degradation, churn, handover)
+// reach each domain's live network at their epoch boundaries, before that
+// epoch's round, in every mode.
 //
 // -mode selects the forecast feed:
 //
@@ -61,6 +65,7 @@ import (
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/slice"
+	"repro/internal/topology"
 	"repro/internal/traffic"
 	"repro/internal/yield"
 )
@@ -70,18 +75,17 @@ func main() {
 	log.SetPrefix("loadgen: ")
 
 	var (
-		name      = flag.String("scenario", "flash-crowd", "archetype driving the arrival process (see `scenario list`)")
-		seed      = flag.Int64("seed", 42, "base seed; domain d uses seed+d")
-		domains   = flag.Int("domains", 8, "independent operator domains (each with its own warm session)")
-		shards    = flag.Int("shards", 0, "solver workers (0 = one per CPU)")
-		epochs    = flag.Int("epochs", 0, "override the archetype's epoch count")
-		tenants   = flag.Int("tenants", 0, "override the archetype's tenant count per domain")
-		algo      = flag.String("algo", "", "override the solver: direct | benders | kac | no-overbooking")
-		queue     = flag.Int("queue", 1024, "bounded intake depth (requests)")
-		tenantCap = flag.Int("tenant-cap", 0, "per-tenant fairness cap (0 = queue depth)")
-		reoffer   = flag.Bool("reoffer", false, "re-offer rejected requests every epoch")
-		mode      = flag.String("mode", "drift", "forecast feed: drift | closed | static")
-		trace     = flag.String("trace", "", "replay a recorded demand file (JSON/CSV) as every class's load")
+		name    = flag.String("scenario", "flash-crowd", "archetype driving the arrival process (see `scenario list`)")
+		seed    = flag.Int64("seed", 42, "base seed; domain d uses seed+d")
+		domains = flag.Int("domains", 8, "independent operator domains (each with its own warm session)")
+		shards  = flag.Int("shards", 0, "solver workers (0 = one per CPU)")
+		epochs  = flag.Int("epochs", 0, "override the archetype's epoch count")
+		tenants = flag.Int("tenants", 0, "override the archetype's tenant count per domain")
+		algo    = flag.String("algo", "", "override the solver: direct | benders | kac | no-overbooking")
+		queue   = flag.Int("queue", 1024, "bounded intake depth (requests)")
+		reoffer = flag.Bool("reoffer", false, "re-offer rejected requests every epoch")
+		mode    = flag.String("mode", "drift", "forecast feed: drift | closed | static")
+		trace   = flag.String("trace", "", "replay a recorded demand file (JSON/CSV) as every class's load")
 
 		clAddr    = flag.String("cluster", "", "listen on this TCP address for ovnes-worker processes and dispatch round solves to them (empty = solve in-process)")
 		clWorkers = flag.Int("cluster-workers", 1, "with -cluster: wait for this many workers before driving load")
@@ -153,11 +157,7 @@ func main() {
 		exec = coord
 	}
 
-	eng := admission.New(admission.Config{
-		Shards:     *shards,
-		QueueDepth: *queue,
-		TenantCap:  *tenantCap,
-	})
+	eng := admission.New(admission.Config{Shards: *shards, QueueDepth: *queue})
 	// Each domain is the same archetype under its own seed: same workload
 	// family, decorrelated arrivals — D operators living on one engine.
 	cfgs := make([]sim.Config, *domains)
@@ -287,6 +287,7 @@ func driveDomainClosed(eng *admission.Engine, dom string, cfg sim.Config, reoffe
 	gens := map[string][]traffic.Generator{}
 	var inflight []pendingReq
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		applyEpochEvents(eng, dom, cfg, epoch)
 		inflight = submitAll(eng, epochOffers(dom, cfg, epoch), st, inflight)
 
 		rep, err := ctrl.Step()
@@ -331,6 +332,21 @@ func driveDomainClosed(eng *admission.Engine, dom string, cfg sim.Config, reoffe
 type pendingReq struct {
 	req admission.Request
 	tk  *admission.Ticket
+}
+
+// applyEpochEvents folds the scenario's capacity events of this epoch into
+// the domain's live network, in the order the simulator's schedule applies
+// them (its stable epoch sort keeps one epoch's events in declared order).
+func applyEpochEvents(eng *admission.Engine, dom string, cfg sim.Config, epoch int) {
+	var fire []topology.Event
+	for _, ev := range cfg.Events {
+		if ev.Epoch == epoch {
+			fire = append(fire, ev)
+		}
+	}
+	if err := eng.ApplyTopology(dom, fire); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // epochOffers builds the epoch's arrival requests for one domain from the
@@ -417,23 +433,27 @@ func drainInflight(inflight []pendingReq, st *domStats) {
 }
 
 // driveDomain replays one domain's compiled arrival stream in drift mode:
-// per epoch it submits the epoch's arrivals concurrently, drifts committed
-// forecasts deterministically, runs the round, optionally re-offers
-// rejections, and advances lifecycles.
+// per epoch it applies the epoch's capacity events, submits the epoch's
+// arrivals concurrently, drifts committed forecasts deterministically as
+// one batch, runs the round, optionally re-offers rejections, and advances
+// lifecycles.
 func driveDomain(eng *admission.Engine, dom string, cfg sim.Config, reoffer bool, st *domStats) {
 	var inflight []pendingReq
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		applyEpochEvents(eng, dom, cfg, epoch)
 		inflight = submitAll(eng, epochOffers(dom, cfg, epoch), st, inflight)
 
 		names, err := eng.Committed(dom)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, n := range names {
+		ups := make([]admission.ForecastUpdate, len(names))
+		for i, n := range names {
 			lh, sg := drift(n, epoch)
-			if err := eng.UpdateForecast(dom, n, lh, sg); err != nil {
-				log.Fatal(err)
-			}
+			ups[i] = admission.ForecastUpdate{Name: n, LambdaHat: lh, Sigma: sg}
+		}
+		if err := eng.UpdateForecasts(dom, ups); err != nil {
+			log.Fatal(err)
 		}
 		if _, err := eng.DecideRound(dom); err != nil {
 			log.Fatal(err)

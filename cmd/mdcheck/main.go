@@ -6,6 +6,11 @@
 // network, and the docs' local cross-references (README → ARCHITECTURE →
 // DESIGN → EXPERIMENTS) are what rot silently.
 //
+// It also holds the four prose documents (ARCHITECTURE, DESIGN,
+// EXPERIMENTS, README) to the code they describe: every backticked
+// `pkg.Name[.Name…]` whose pkg is a directory under internal/ must have
+// each Name still declared or used in that package's non-test Go files.
+//
 // Usage:
 //
 //	mdcheck [root]   # default root "."
@@ -13,6 +18,8 @@ package main
 
 import (
 	"fmt"
+	"go/scanner"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -29,8 +36,13 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	broken := 0
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+	idents, err := packageIdents(filepath.Join(root, "internal"))
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mdcheck:", err)
+		os.Exit(2)
+	}
+	broken, stale := 0, 0
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -66,17 +78,89 @@ func main() {
 				broken++
 			}
 		}
+		if filepath.Dir(path) == filepath.Clean(root) && proseDocs[d.Name()] {
+			for _, sym := range staleSymbols(string(b), idents) {
+				fmt.Printf("%s: `%s` names a symbol its package no longer has\n", path, sym)
+				stale++
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mdcheck:", err)
 		os.Exit(2)
 	}
-	if broken > 0 {
-		fmt.Printf("mdcheck: %d broken link(s)\n", broken)
+	if broken > 0 || stale > 0 {
+		fmt.Printf("mdcheck: %d broken link(s), %d stale symbol(s)\n", broken, stale)
 		os.Exit(1)
 	}
-	fmt.Println("mdcheck: all markdown links resolve")
+	fmt.Println("mdcheck: all markdown links resolve, every documented symbol exists")
+}
+
+// proseDocs are the root documents whose backticked symbols are checked.
+var proseDocs = map[string]bool{"ARCHITECTURE.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true, "README.md": true}
+
+var (
+	// fenceRe matches a fenced code block; only inline code spans are read.
+	fenceRe = regexp.MustCompile("(?ms)^```.*?^```")
+	spanRe  = regexp.MustCompile("`([^`\n]+)`")
+	// symbolRe matches pkg.Name[.Name…] not preceded by a path or an
+	// identifier. The first Name is exported, which keeps file names
+	// (monitor.go) and metric names (admission.queue_wait_ms_p50) out.
+	symbolRe = regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*(?:\.\w+)*)`)
+)
+
+// staleSymbols returns each backticked pkg.Name[.Name…] in doc whose pkg has
+// an entry in idents and one of whose Names is not among that package's
+// identifiers.
+func staleSymbols(doc string, idents map[string]map[string]bool) []string {
+	var stale []string
+	for _, span := range spanRe.FindAllStringSubmatch(fenceRe.ReplaceAllString(doc, ""), -1) {
+		for _, m := range symbolRe.FindAllStringSubmatch(span[1], -1) {
+			pkg, ok := idents[m[1]]
+			if !ok {
+				continue
+			}
+			for _, name := range strings.Split(m[2], ".") {
+				if !pkg[name] {
+					stale = append(stale, m[1]+"."+m[2])
+					break
+				}
+			}
+		}
+	}
+	return stale
+}
+
+// packageIdents maps each directory under dir to the identifiers its
+// non-test Go files contain (comments and strings excluded).
+func packageIdents(dir string) (map[string]map[string]bool, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*", "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	idents := map[string]map[string]bool{}
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(f)
+		if err != nil {
+			return nil, err
+		}
+		pkg := filepath.Base(filepath.Dir(f))
+		if idents[pkg] == nil {
+			idents[pkg] = map[string]bool{}
+		}
+		var s scanner.Scanner
+		s.Init(token.NewFileSet().AddFile(f, -1, len(src)), src, nil, 0)
+		for _, tok, lit := s.Scan(); tok != token.EOF; _, tok, lit = s.Scan() {
+			if tok == token.IDENT {
+				idents[pkg][lit] = true
+			}
+		}
+	}
+	return idents, nil
 }
 
 func isExternal(target string) bool {

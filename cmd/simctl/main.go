@@ -21,9 +21,8 @@ import (
 	"log"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -41,17 +40,17 @@ func main() {
 	)
 	flag.Parse()
 
-	algo, err := scenario.ParseAlgorithm(*algoName)
-	if err != nil {
+	algo := *algoName
+	if _, err := core.NewSolver(algo, core.BendersOptions{}); err != nil {
 		log.Fatal(err)
 	}
 	scale := *nbs
 	if *full {
 		scale = 0 // generators interpret 0 as the published size
-		if algo == sim.Direct || algo == sim.Benders {
+		if algo == "direct" || algo == "benders" {
 			// The exact solvers are not tractable at 198 BSs — the paper
 			// itself reports hours of CPLEX time there; use the heuristic.
-			algo = sim.KAC
+			algo = "kac"
 			log.Print("full-scale run: switching solver to KAC")
 		}
 	}
@@ -98,7 +97,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			day.Algorithm = sim.NoOverbooking
+			day.Algorithm = "no-overbooking"
 			baseline, err := experiments.Fig8(day)
 			if err != nil {
 				log.Fatal(err)

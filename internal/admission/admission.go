@@ -13,16 +13,12 @@ import (
 	"repro/internal/yield"
 )
 
-// Intake errors. ErrOverloaded and ErrTenantCap are the backpressure
-// surface: callers are expected to retry later or route elsewhere.
+// Intake errors. ErrOverloaded is the backpressure surface: callers are
+// expected to retry later or route elsewhere.
 var (
 	// ErrOverloaded means the bounded intake queue is full; the request was
 	// shed without being queued.
 	ErrOverloaded = errors.New("admission: engine overloaded, request shed")
-	// ErrTenantCap means this tenant already has TenantCap requests queued;
-	// the fairness cap sheds the excess so one tenant cannot monopolize the
-	// queue.
-	ErrTenantCap = errors.New("admission: per-tenant queue cap reached")
 	// ErrDuplicate means a request with the same name is already queued or
 	// committed in the domain.
 	ErrDuplicate = errors.New("admission: duplicate request name")
@@ -43,7 +39,8 @@ type Request struct {
 	// Domain routes the request to an operator domain (and therefore to a
 	// shard); empty means DefaultDomain.
 	Domain string
-	// Tenant is the fairness-accounting key; empty means Name.
+	// Tenant identifies the slice's owner (CommittedSlice.Tenant); empty
+	// means Name.
 	Tenant string
 	// Name identifies the slice; unique among queued and committed slices
 	// of the domain (rejected and expired names may be reused).
@@ -57,7 +54,7 @@ type Request struct {
 	Sigma     float64
 }
 
-// tenantKey resolves the fairness key.
+// tenantKey resolves the slice's tenant.
 func (r Request) tenantKey() string {
 	if r.Tenant != "" {
 		return r.Tenant
@@ -245,9 +242,6 @@ type Config struct {
 	// QueueDepth bounds requests accepted but not yet decided; beyond it
 	// Submit sheds with ErrOverloaded. Default 1024.
 	QueueDepth int
-	// TenantCap bounds queued requests per tenant (fairness); default
-	// QueueDepth (no extra cap).
-	TenantCap int
 	// MaxBatch flushes a domain's batch into a round once it reaches this
 	// size; 0 disables size-triggered flushing (timer/manual only).
 	MaxBatch int
@@ -277,9 +271,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 1024
-	}
-	if c.TenantCap <= 0 {
-		c.TenantCap = c.QueueDepth
 	}
 	return c
 }

@@ -62,7 +62,7 @@ func BenchmarkAdmissionThroughput(b *testing.B) {
 							}
 							for _, name := range committedOf(b, e, dom) {
 								lh, sg := driftView(name, slice.SLA{Template: slice.Table1(slice.EMBB)}, ep)
-								if err := e.UpdateForecast(dom, name, lh, sg); err != nil {
+								if err := e.UpdateForecasts(dom, []ForecastUpdate{{Name: name, LambdaHat: lh, Sigma: sg}}); err != nil {
 									b.Error(err)
 									return
 								}
@@ -264,7 +264,7 @@ func BenchmarkMetroRound(b *testing.B) {
 			dom := fmt.Sprintf("pod%d", d)
 			for _, name := range committedOf(b, e, dom) {
 				lh, sg := driftView(name, slice.SLA{Template: slice.Table1(slice.EMBB)}, i)
-				if err := e.UpdateForecast(dom, name, lh, sg); err != nil {
+				if err := e.UpdateForecasts(dom, []ForecastUpdate{{Name: name, LambdaHat: lh, Sigma: sg}}); err != nil {
 					b.Fatal(err)
 				}
 			}

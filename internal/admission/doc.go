@@ -11,11 +11,10 @@
 // with four load-bearing properties:
 //
 //  1. Backpressure, not collapse. The intake queue is bounded
-//     (Config.QueueDepth) and per-tenant fair (Config.TenantCap): when the
-//     solver cannot keep up, excess requests are shed synchronously with
-//     ErrOverloaded / ErrTenantCap instead of growing an unbounded backlog.
-//     Shedding is an explicit, counted outcome — the metrics snapshot is
-//     how an operator sees it.
+//     (Config.QueueDepth): when the solver cannot keep up, excess requests
+//     are shed synchronously with ErrOverloaded instead of growing an
+//     unbounded backlog. Shedding is an explicit, counted outcome — the
+//     metrics snapshot is how an operator sees it.
 //
 //  2. Micro-batching. Concurrent requests to one domain coalesce into a
 //     single admission round — one AC-RR instance solve — flushed when the

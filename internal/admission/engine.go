@@ -18,13 +18,12 @@ import (
 type Engine struct {
 	cfg Config
 
-	mu        sync.Mutex
-	state     engineState
-	domains   map[string]*domain
-	shards    []shard
-	queued    int            // accepted but undecided requests, all domains
-	perTenant map[string]int // queued per fairness key
-	met       metrics
+	mu      sync.Mutex
+	state   engineState
+	domains map[string]*domain
+	shards  []shard
+	queued  int // accepted but undecided requests, all domains
+	met     metrics
 
 	wg         sync.WaitGroup // lane holders (inline callers, lane workers) + ticker
 	stopTicker chan struct{}
@@ -113,7 +112,6 @@ func New(cfg Config) *Engine {
 		cfg:        cfg,
 		domains:    map[string]*domain{},
 		shards:     make([]shard, cfg.Shards),
-		perTenant:  map[string]int{},
 		stopTicker: make(chan struct{}),
 		met:        newMetrics(),
 	}
@@ -204,8 +202,8 @@ func (e *Engine) Start() error {
 
 // Submit offers one request. It returns a Ticket whose outcome resolves
 // when a round decides the request (immediately for prefilter fast
-// rejections), or an intake error: ErrOverloaded / ErrTenantCap when the
-// engine sheds, ErrDuplicate, ErrUnknownDomain, or ErrStopped.
+// rejections), or an intake error: ErrOverloaded when the engine sheds,
+// ErrDuplicate, ErrUnknownDomain, or ErrStopped.
 func (e *Engine) Submit(req Request) (*Ticket, error) {
 	if req.Domain == "" {
 		req.Domain = DefaultDomain
@@ -213,7 +211,6 @@ func (e *Engine) Submit(req Request) (*Ticket, error) {
 	if req.Name == "" {
 		return nil, fmt.Errorf("admission: request needs a name")
 	}
-	tenant := req.tenantKey()
 	now := time.Now()
 
 	e.mu.Lock()
@@ -256,14 +253,8 @@ func (e *Engine) Submit(req Request) (*Ticket, error) {
 		e.mu.Unlock()
 		return nil, ErrOverloaded
 	}
-	if e.perTenant[tenant] >= e.cfg.TenantCap {
-		e.met.shed++
-		e.mu.Unlock()
-		return nil, fmt.Errorf("%w: tenant %q", ErrTenantCap, tenant)
-	}
 	t := newTicket()
 	e.queued++
-	e.perTenant[tenant]++
 	d.names[req.Name] = true
 	d.batch = append(d.batch, pending{req: req, ticket: t, submitted: now})
 	if e.cfg.MaxBatch > 0 && len(d.batch) >= e.cfg.MaxBatch {
@@ -384,13 +375,6 @@ func (e *Engine) DecideRound(domainName string) (*Round, error) {
 	return r, r.Err
 }
 
-// UpdateForecast installs a committed slice's current forecast view (λ̂, σ̂),
-// the input that lets the next round drift costs/RHS only and re-enter the
-// warm session instead of rebuilding it.
-func (e *Engine) UpdateForecast(domainName, name string, lambdaHat, sigma float64) error {
-	return e.UpdateForecasts(domainName, []ForecastUpdate{{Name: name, LambdaHat: lambdaHat, Sigma: sigma}})
-}
-
 // ForecastUpdate is one slice's fresh forecast view for UpdateForecasts.
 type ForecastUpdate struct {
 	Name      string
@@ -398,9 +382,11 @@ type ForecastUpdate struct {
 	Sigma     float64
 }
 
-// UpdateForecasts installs a batch of forecast views under one lock take —
-// the closed-loop controller's per-epoch path, where every committed slice
-// of the domain refreshes at once. Either all updates apply or none do
+// UpdateForecasts installs committed slices' current forecast views (λ̂, σ̂),
+// the input that lets the next round drift costs/RHS only and re-enter the
+// warm session instead of rebuilding it. The batch takes one lock — the
+// closed-loop controller's per-epoch path, where every committed slice of
+// the domain refreshes at once. Either all updates apply or none do
 // (an unknown name fails the batch before any view is written).
 func (e *Engine) UpdateForecasts(domainName string, ups []ForecastUpdate) error {
 	d, err := e.domain(domainName)
@@ -770,7 +756,6 @@ func (e *Engine) Stop() {
 		for _, p := range d.batch {
 			delete(d.names, p.req.Name)
 			e.queued--
-			e.tenantDoneLocked(p.req.tenantKey())
 			e.met.shed++
 			p.ticket.fail(ErrStopped)
 		}
@@ -779,14 +764,6 @@ func (e *Engine) Stop() {
 	e.mu.Unlock()
 	close(e.stopTicker)
 	e.wg.Wait()
-}
-
-func (e *Engine) tenantDoneLocked(tenant string) {
-	if n := e.perTenant[tenant]; n <= 1 {
-		delete(e.perTenant, tenant)
-	} else {
-		e.perTenant[tenant] = n - 1
-	}
 }
 
 // runTicker drives timer-based flushing.
@@ -934,7 +911,6 @@ func (e *Engine) execRound(job *roundJob) *Round {
 	e.mu.Lock()
 	for bi, p := range job.batch {
 		e.queued--
-		e.tenantDoneLocked(p.req.tenantKey())
 		switch {
 		case r.Err != nil:
 			e.met.failed++

@@ -61,22 +61,6 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 }
 
-func TestTenantFairnessCap(t *testing.T) {
-	e := newTestEngine(t, Config{QueueDepth: 16, TenantCap: 2}, DomainConfig{Algorithm: "direct"})
-	for _, n := range []string{"g1", "g2"} {
-		if _, err := e.Submit(Request{Name: n, Tenant: "greedy", SLA: testSLA(slice.URLLC, 4)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.Submit(Request{Name: "g3", Tenant: "greedy", SLA: testSLA(slice.URLLC, 4)}); !errors.Is(err, ErrTenantCap) {
-		t.Fatalf("over-cap submit: %v, want ErrTenantCap", err)
-	}
-	// Another tenant still gets through: the cap is per tenant, not global.
-	if _, err := e.Submit(Request{Name: "m1", Tenant: "modest", SLA: testSLA(slice.URLLC, 4)}); err != nil {
-		t.Fatalf("other tenant blocked: %v", err)
-	}
-}
-
 func TestDuplicateNamesAndReuse(t *testing.T) {
 	e := newTestEngine(t, Config{}, DomainConfig{Algorithm: "no-overbooking"})
 	// Capacity allows exactly one full mMTC reservation (2 BS × 10 Mb/s ×
@@ -235,7 +219,7 @@ func TestForecastDriftShrinksReservations(t *testing.T) {
 	// Forecast drops to 10 of 25 Mb/s with high confidence — below σ≈0.15
 	// the marginal risk ξK/(Λ−λ̂) undercuts the holding price and the next
 	// (batchless) round shrinks the reservation toward λ̂.
-	if err := e.UpdateForecast("", "u1", 10, 0.05); err != nil {
+	if err := e.UpdateForecasts("", []ForecastUpdate{{Name: "u1", LambdaHat: 10, Sigma: 0.05}}); err != nil {
 		t.Fatal(err)
 	}
 	r, err := e.DecideRound("")
@@ -248,7 +232,7 @@ func TestForecastDriftShrinksReservations(t *testing.T) {
 	if z := r.Decision.Z[0][0]; z >= 24 {
 		t.Fatalf("reservation never shrank: %v", r.Decision.Z[0])
 	}
-	if err := e.UpdateForecast("", "ghost", 1, 1); err == nil {
+	if err := e.UpdateForecasts("", []ForecastUpdate{{Name: "ghost", LambdaHat: 1, Sigma: 1}}); err == nil {
 		t.Fatal("forecast update for unknown slice succeeded")
 	}
 }

@@ -249,7 +249,7 @@ func engineReplay(t *testing.T, cfg sim.Config, reqs []refRequest, algorithm str
 
 		for _, name := range mustCommitted(t, e) {
 			lh, sg := driftView(name, slaOf(reqs, name), epoch)
-			if err := e.UpdateForecast("", name, lh, sg); err != nil {
+			if err := e.UpdateForecasts("", []ForecastUpdate{{Name: name, LambdaHat: lh, Sigma: sg}}); err != nil {
 				t.Fatal(err)
 			}
 		}

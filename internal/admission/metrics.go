@@ -18,7 +18,7 @@ type metrics struct {
 	admitted     uint64
 	rejected     uint64 // solver rejections
 	fastRejected uint64 // prefilter rejections
-	shed         uint64 // ErrOverloaded + ErrTenantCap + stop-orphaned
+	shed         uint64 // ErrOverloaded + stop-orphaned
 	failed       uint64 // solver errors
 
 	rounds   uint64

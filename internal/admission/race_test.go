@@ -91,7 +91,7 @@ func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
 					mu.Lock()
 					defer mu.Unlock()
 					if err != nil {
-						if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrTenantCap) {
+						if !errors.Is(err, ErrOverloaded) {
 							t.Errorf("submit %s: %v", name, err)
 						}
 						shed++

@@ -27,7 +27,6 @@ func TestConcurrentStressConservation(t *testing.T) {
 	e := New(Config{
 		Shards:     4,
 		QueueDepth: 64,
-		TenantCap:  24,
 		MaxBatch:   4,
 		FlushEvery: 500 * time.Microsecond,
 	})
@@ -65,7 +64,7 @@ func TestConcurrentStressConservation(t *testing.T) {
 				})
 				mu.Lock()
 				if err != nil {
-					if !errors.Is(err, ErrOverloaded) && !errors.Is(err, ErrTenantCap) {
+					if !errors.Is(err, ErrOverloaded) {
 						t.Errorf("submit %s: %v", name, err)
 					}
 					shed++
@@ -177,7 +176,7 @@ func TestShardCountInvariance(t *testing.T) {
 				// Drift committed forecasts deterministically before the round.
 				for _, name := range mustCommittedIn(t, e, dom) {
 					lh, sg := driftView(name, slice.SLA{Template: slice.Table1(slice.EMBB)}, wave)
-					if err := e.UpdateForecast(dom, name, lh, sg); err != nil {
+					if err := e.UpdateForecasts(dom, []ForecastUpdate{{Name: name, LambdaHat: lh, Sigma: sg}}); err != nil {
 						t.Fatal(err)
 					}
 				}

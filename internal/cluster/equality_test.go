@@ -175,7 +175,7 @@ func engineReplay(t *testing.T, cfg sim.Config, reqs []refRequest, algorithm str
 		}
 		for _, name := range committed {
 			lh, sg := driftView(name, slaOf(reqs, name), epoch)
-			if err := e.UpdateForecast("", name, lh, sg); err != nil {
+			if err := e.UpdateForecasts("", []admission.ForecastUpdate{{Name: name, LambdaHat: lh, Sigma: sg}}); err != nil {
 				t.Fatal(err)
 			}
 		}

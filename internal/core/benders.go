@@ -151,13 +151,13 @@ func (m *model) buildSlave() *slaveProblem {
 		dR:   -1, dT: -1, dC: -1,
 	}
 	for idx, it := range m.items {
-		s.yVar[idx] = s.p.AddVar("", it.yCoef)
-		s.zVar[idx] = s.p.AddVar("", it.zCoef)
+		s.yVar[idx] = s.p.AddVar(it.yCoef)
+		s.zVar[idx] = s.p.AddVar(it.zCoef)
 	}
 	if m.inst.BigM > 0 {
-		s.dR = s.p.AddVar("deficit.radio", m.inst.BigM)
-		s.dT = s.p.AddVar("deficit.transport", m.inst.BigM)
-		s.dC = s.p.AddVar("deficit.compute", m.inst.BigM)
+		s.dR = s.p.AddVar(m.inst.BigM)
+		s.dT = s.p.AddVar(m.inst.BigM)
+		s.dC = s.p.AddVar(m.inst.BigM)
 	}
 	s.rowSet(m, func(sense lp.Sense, r0 float64, xs []lp.Term, terms []lp.Term) {
 		s.p.AddConstraint(sense, r0, terms...)
@@ -338,9 +338,9 @@ type masterProblem struct {
 func (m *model) buildMaster() *masterProblem {
 	mp := &masterProblem{p: lp.New(), xVar: make([]int, len(m.items))}
 	for idx := range m.items {
-		mp.xVar[idx] = mp.p.AddVar("", 0)
+		mp.xVar[idx] = mp.p.AddVar(0)
 	}
-	mp.thetaVar = mp.p.AddVar("theta.shifted", 1)
+	mp.thetaVar = mp.p.AddVar(1)
 	addPlacementRows(mp.p, m, func(idx int) int { return mp.xVar[idx] })
 	mp.skeleton = mp.p.NumRows()
 	mp.rebind(m)

@@ -45,18 +45,16 @@ func (m *model) buildDirect() (*lp.Problem, *dirVars) {
 		z:  make([]int, len(m.items)),
 		dR: -1, dT: -1, dC: -1,
 	}
-	// Variables and rows go unnamed: nothing reads an LP name, and this
-	// runs once per round.
 	for idx, it := range m.items {
-		v.x[idx] = p.AddVar("", it.xCoef)
-		v.y[idx] = p.AddVar("", it.yCoef)
-		v.z[idx] = p.AddVar("", it.zCoef)
+		v.x[idx] = p.AddVar(it.xCoef)
+		v.y[idx] = p.AddVar(it.yCoef)
+		v.z[idx] = p.AddVar(it.zCoef)
 	}
 	bigM := m.inst.BigM
 	if bigM > 0 {
-		v.dR = p.AddVar("deficit.radio", bigM)
-		v.dT = p.AddVar("deficit.transport", bigM)
-		v.dC = p.AddVar("deficit.compute", bigM)
+		v.dR = p.AddVar(bigM)
+		v.dT = p.AddVar(bigM)
+		v.dC = p.AddVar(bigM)
 	}
 
 	addCapacityRows(p, m, func(idx int) (zVar int, xVar int) { return v.z[idx], v.x[idx] }, v.dR, v.dT, v.dC)

@@ -134,9 +134,9 @@ func freshMaster(m *model, slave *slaveProblem, duals []sessionDual, check bool)
 	master = lp.New()
 	xVar := make([]int, len(m.items))
 	for idx, it := range m.items {
-		xVar[idx] = master.AddVar("", it.xCoef)
+		xVar[idx] = master.AddVar(it.xCoef)
 	}
-	thetaVar := master.AddVar("theta.shifted", 1)
+	thetaVar := master.AddVar(1)
 	addPlacementRows(master, m, func(idx int) int { return xVar[idx] })
 
 	for _, sd := range duals {

@@ -220,12 +220,7 @@ func (c *CloudController) Handler() http.Handler {
 		}
 		// CPU pinning: the pin covers the stack's worst case at the
 		// reserved bitrate (§2.2.3).
-		st := dataplane.Stack{
-			Slice:       cfg.Slice,
-			PinnedCores: cfg.BaselineCPU + cfg.CPUPerMbps*cfg.TotalMbps,
-			BaselineCPU: cfg.BaselineCPU,
-			CPUPerMbps:  cfg.CPUPerMbps,
-		}
+		st := dataplane.Stack{Slice: cfg.Slice, PinnedCores: cfg.BaselineCPU + cfg.CPUPerMbps*cfg.TotalMbps}
 		// A slice migrating between CUs must not leave a stale stack; the
 		// orchestrator pins CUs for a slice's lifetime, but remove
 		// defensively from every other CU first.

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dataplane"
 	"repro/internal/monitor"
 	"repro/internal/topology"
 )
@@ -77,6 +78,28 @@ func TestControllerEndpointsRejectHostilePayloads(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s with unknown field: %s, want 400", ep.url, resp.Status)
 		}
+	}
+}
+
+// TestRANControllerRollsBackPartialShares pins the RAN handler's rollback:
+// when BS 1 refuses a slice's share, the share BS 0 already took is undone,
+// the document stops with 409, and other slices' shares stay.
+func TestRANControllerRollsBackPartialShares(t *testing.T) {
+	dp := dataplane.NewEmulator(topology.Testbed()) // 20 MHz carriers
+	if err := dp.Radios[1].SetShare("y", 15); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	body := `{"set":[{"slice":"x","share_mhz":[5,10]}]}`
+	NewRANController(dp).Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/shares", strings.NewReader(body)))
+	if rec.Code != http.StatusConflict {
+		t.Fatalf("status %d, want 409 (body: %s)", rec.Code, rec.Body.String())
+	}
+	if dp.Radios[0].Share("x") != 0 || dp.Radios[1].Share("x") != 0 {
+		t.Errorf("x keeps shares %v/%v MHz after BS 1 refused it", dp.Radios[0].Share("x"), dp.Radios[1].Share("x"))
+	}
+	if dp.Radios[1].Share("y") != 15 {
+		t.Errorf("rollback touched y: %v MHz, want 15", dp.Radios[1].Share("y"))
 	}
 }
 

@@ -352,7 +352,7 @@ func (o *Orchestrator) Handler() http.Handler {
 		}
 		if err := o.Register(nsd.Request); err != nil {
 			status := http.StatusConflict
-			if errors.Is(err, admission.ErrOverloaded) || errors.Is(err, admission.ErrTenantCap) {
+			if errors.Is(err, admission.ErrOverloaded) {
 				// Backpressure, not conflict: the tenant should retry later.
 				status = http.StatusTooManyRequests
 			}
@@ -438,7 +438,7 @@ func (o *Orchestrator) Yield() yield.Summary { return o.ledger.Snapshot() }
 // intake. The slice appears as "pending" until the next epoch's round
 // decides it; structurally infeasible requests are fast-rejected by the
 // engine's prefilter without ever costing a solve, and an overloaded
-// engine sheds with admission.ErrOverloaded / ErrTenantCap.
+// engine sheds with admission.ErrOverloaded.
 func (o *Orchestrator) Register(req SliceRequest) error {
 	tmpl, err := req.Template()
 	if err != nil {

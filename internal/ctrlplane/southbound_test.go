@@ -179,12 +179,7 @@ func (o *perSliceOracle) program(rc RadioConfig, fc FlowConfig, sc StackConfig) 
 			cu.Destroy(sc.Slice)
 		}
 	}
-	return o.dp.CUs[sc.CU].Deploy(dataplane.Stack{
-		Slice:       sc.Slice,
-		PinnedCores: sc.BaselineCPU + sc.CPUPerMbps*sc.TotalMbps,
-		BaselineCPU: sc.BaselineCPU,
-		CPUPerMbps:  sc.CPUPerMbps,
-	})
+	return o.dp.CUs[sc.CU].Deploy(dataplane.Stack{Slice: sc.Slice, PinnedCores: sc.BaselineCPU + sc.CPUPerMbps*sc.TotalMbps})
 }
 
 func (o *perSliceOracle) replay(tr *oracleTrip) error {
@@ -198,9 +193,15 @@ func (o *perSliceOracle) replay(tr *oracleTrip) error {
 		}
 	}
 	// The old Orchestrator.teardown: DELETE /shares/{slice}, /flows/{slice},
-	// /stacks/{slice} — what Emulator.Remove does, in that order.
+	// /stacks/{slice}, in that order.
 	for _, name := range tr.ran.Remove {
-		o.dp.Remove(name)
+		for _, r := range o.dp.Radios {
+			r.SetShare(name, 0) //nolint:errcheck // removal never fails
+		}
+		o.dp.Fabric.Remove(name)
+		for _, c := range o.dp.CUs {
+			c.Destroy(name)
+		}
 	}
 	return nil
 }

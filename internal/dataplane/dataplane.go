@@ -7,23 +7,17 @@ import (
 	"repro/internal/topology"
 )
 
-// PRBsPerMHz converts carrier bandwidth to physical resource blocks: a
-// 20 MHz LTE carrier has 100 PRBs (§5).
-const PRBsPerMHz = 5.0
-
 // RadioScheduler emulates one BS's slice-aware MAC scheduler: each slice
-// owns a share of the carrier (in MHz), and served bitrate is capped by
-// share/η.
+// owns a share of the carrier (in MHz).
 type RadioScheduler struct {
 	mu     sync.Mutex
 	capMHz float64
-	eta    float64 // MHz per Mb/s
 	shares map[string]float64
 }
 
 // NewRadioScheduler creates a scheduler for a BS.
 func NewRadioScheduler(bs topology.BS) *RadioScheduler {
-	return &RadioScheduler{capMHz: bs.CapMHz, eta: bs.Eta, shares: map[string]float64{}}
+	return &RadioScheduler{capMHz: bs.CapMHz, shares: map[string]float64{}}
 }
 
 // SetShare grants the slice a share of the carrier in MHz. It fails when
@@ -53,23 +47,6 @@ func (r *RadioScheduler) Share(sl string) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.shares[sl]
-}
-
-// SharePRB returns the slice's share expressed in PRBs (Fig. 8b units).
-func (r *RadioScheduler) SharePRB(sl string) float64 {
-	return r.Share(sl) * PRBsPerMHz
-}
-
-// Serve transmits up to the slice's radio share worth of bitrate and
-// returns the bitrate actually served (Mb/s).
-func (r *RadioScheduler) Serve(sl string, demandMbps float64) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	max := r.shares[sl] / r.eta
-	if demandMbps > max {
-		return max
-	}
-	return demandMbps
 }
 
 // FlowRule is an OpenFlow-style entry: slice traffic toward a path is
@@ -131,38 +108,6 @@ func (f *Fabric) Remove(sl string) {
 	delete(f.rules, sl)
 }
 
-// Carry forwards the slice's bitrate over its i-th rule, clamped by the
-// rule's meter, and returns the carried bitrate.
-func (f *Fabric) Carry(sl string, rule int, mbps float64) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	rs := f.rules[sl]
-	if rule >= len(rs) {
-		return 0
-	}
-	if mbps > rs[rule].RateMbps {
-		return rs[rule].RateMbps
-	}
-	return mbps
-}
-
-// LinkReserved returns the total metered reservation on a link (Fig. 8c).
-func (f *Fabric) LinkReserved(linkID int) float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	total := 0.0
-	for _, rs := range f.rules {
-		for _, r := range rs {
-			for _, l := range r.LinkIDs {
-				if l == linkID {
-					total += r.RateMbps
-				}
-			}
-		}
-	}
-	return total
-}
-
 // Rules returns a copy of the slice's installed rules.
 func (f *Fabric) Rules(sl string) []FlowRule {
 	f.mu.Lock()
@@ -175,10 +120,6 @@ func (f *Fabric) Rules(sl string) []FlowRule {
 type Stack struct {
 	Slice       string
 	PinnedCores float64
-	// BaselineCPU/CPUPerMbps echo the slice's compute model so utilization
-	// can be derived from carried load.
-	BaselineCPU float64
-	CPUPerMbps  float64
 }
 
 // ComputeUnit emulates one CU: a CPU pool hosting pinned stacks.
@@ -225,37 +166,9 @@ func (c *ComputeUnit) Pinned(sl string) float64 {
 	return c.stacks[sl].PinnedCores
 }
 
-// Use returns the cores actually consumed by the slice at the given served
-// load, capped by the pin (Fig. 8d's "tenant load" vs "reservation").
-func (c *ComputeUnit) Use(sl string, servedMbps float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.stacks[sl]
-	if !ok {
-		return 0
-	}
-	use := st.BaselineCPU + st.CPUPerMbps*servedMbps
-	if use > st.PinnedCores {
-		return st.PinnedCores
-	}
-	return use
-}
-
-// TotalPinned reports the pool's committed cores.
-func (c *ComputeUnit) TotalPinned() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := 0.0
-	for _, st := range c.stacks {
-		t += st.PinnedCores
-	}
-	return t
-}
-
 // Emulator bundles one radio scheduler per BS, the fabric and one compute
 // unit per CU — the full emulated data plane the controllers program.
 type Emulator struct {
-	Net    *topology.Network
 	Radios []*RadioScheduler
 	Fabric *Fabric
 	CUs    []*ComputeUnit
@@ -263,7 +176,7 @@ type Emulator struct {
 
 // NewEmulator builds the data plane for a topology.
 func NewEmulator(net *topology.Network) *Emulator {
-	e := &Emulator{Net: net, Fabric: NewFabric(net)}
+	e := &Emulator{Fabric: NewFabric(net)}
 	for _, bs := range net.BSs {
 		e.Radios = append(e.Radios, NewRadioScheduler(bs))
 	}
@@ -271,84 +184,4 @@ func NewEmulator(net *topology.Network) *Emulator {
 		e.CUs = append(e.CUs, NewComputeUnit(cu))
 	}
 	return e
-}
-
-// SliceProgram is the per-domain programming derived from an AC-RR
-// decision for one slice: the end-to-end "infrastructure slice".
-type SliceProgram struct {
-	Slice       string
-	CU          int
-	PerBSRate   []float64 // z per BS (Mb/s)
-	Paths       [][]int   // link IDs per BS
-	BaselineCPU float64
-	CPUPerMbps  float64
-}
-
-// Apply programs all three domains for the slice atomically-ish: on any
-// failure, previously applied domains for this call are rolled back.
-func (e *Emulator) Apply(p SliceProgram) error {
-	// Radio shares.
-	eta := make([]float64, len(e.Radios))
-	for b := range e.Radios {
-		eta[b] = e.Net.BSs[b].Eta
-	}
-	for b, rate := range p.PerBSRate {
-		if err := e.Radios[b].SetShare(p.Slice, rate*eta[b]); err != nil {
-			for bb := 0; bb < b; bb++ {
-				e.Radios[bb].SetShare(p.Slice, 0) //nolint:errcheck // rollback
-			}
-			return err
-		}
-	}
-	// Transport rules.
-	rules := make([]FlowRule, len(p.PerBSRate))
-	total := 0.0
-	for b, rate := range p.PerBSRate {
-		rules[b] = FlowRule{Slice: p.Slice, LinkIDs: p.Paths[b], RateMbps: rate}
-		total += rate
-	}
-	if err := e.Fabric.Install(p.Slice, rules); err != nil {
-		for b := range p.PerBSRate {
-			e.Radios[b].SetShare(p.Slice, 0) //nolint:errcheck // rollback
-		}
-		return err
-	}
-	// Compute stack.
-	st := Stack{
-		Slice:       p.Slice,
-		PinnedCores: p.BaselineCPU + p.CPUPerMbps*total,
-		BaselineCPU: p.BaselineCPU,
-		CPUPerMbps:  p.CPUPerMbps,
-	}
-	if err := e.CUs[p.CU].Deploy(st); err != nil {
-		e.Fabric.Remove(p.Slice)
-		for b := range p.PerBSRate {
-			e.Radios[b].SetShare(p.Slice, 0) //nolint:errcheck // rollback
-		}
-		return err
-	}
-	return nil
-}
-
-// Remove tears the slice down across all domains.
-func (e *Emulator) Remove(sl string) {
-	for _, r := range e.Radios {
-		r.SetShare(sl, 0) //nolint:errcheck // removal never fails
-	}
-	e.Fabric.Remove(sl)
-	for _, c := range e.CUs {
-		c.Destroy(sl)
-	}
-}
-
-// ServeSample pushes one monitoring slot's demand (per BS, Mb/s) through
-// the slice's programmed resources and returns the bitrate served per BS —
-// radio share first, then the transport meter.
-func (e *Emulator) ServeSample(sl string, demand []float64) []float64 {
-	served := make([]float64, len(demand))
-	for b, d := range demand {
-		s := e.Radios[b].Serve(sl, d)
-		served[b] = e.Fabric.Carry(sl, b, s)
-	}
-	return served
 }

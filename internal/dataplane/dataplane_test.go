@@ -1,7 +1,6 @@
 package dataplane
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/topology"
@@ -25,27 +24,15 @@ func TestRadioSchedulerShares(t *testing.T) {
 	if err := r.SetShare("c", 5); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.SharePRB("a"); got != 25 {
-		t.Errorf("5 MHz = %v PRBs, want 25", got)
+	if got := r.Share("a"); got != 5 {
+		t.Errorf("resized share %v MHz, want 5", got)
 	}
-}
-
-func TestRadioServeCapped(t *testing.T) {
-	r := NewRadioScheduler(topology.BS{CapMHz: 20, Eta: 20.0 / 150.0})
-	r.SetShare("a", 10) // 10 MHz ≈ 75 Mb/s
-	if got := r.Serve("a", 30); got != 30 {
-		t.Errorf("under-share demand served %v, want 30", got)
+	// A zero share removes the slice and frees its carrier.
+	if err := r.SetShare("a", 0); err != nil || r.Share("a") != 0 {
+		t.Errorf("zero share: err %v, share %v", err, r.Share("a"))
 	}
-	if got := r.Serve("a", 500); math.Abs(got-75) > 1e-9 {
-		t.Errorf("over-share demand served %v, want 75", got)
-	}
-	if got := r.Serve("ghost", 10); got != 0 {
-		t.Errorf("slice without a share served %v", got)
-	}
-	// Removing the share stops service.
-	r.SetShare("a", 0)
-	if r.Serve("a", 10) != 0 {
-		t.Error("removed share still serves")
+	if err := r.SetShare("d", 5); err != nil {
+		t.Errorf("freed carrier refused: %v", err)
 	}
 }
 
@@ -64,144 +51,45 @@ func TestFabricOversubscription(t *testing.T) {
 	if err := f.Install("b", mk("b", 300)); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.LinkReserved(0); got != 900 {
-		t.Errorf("link 0 reserved %v, want 900", got)
+	// Link 0 now carries 900 Mb/s of meters.
+	if err := f.Install("c", mk("c", 101)); err == nil {
+		t.Error("link at 900 Mb/s accepted another 101")
 	}
 	// Re-installing the same slice replaces, not adds.
 	if err := f.Install("a", mk("a", 700)); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.LinkReserved(0); got != 1000 {
-		t.Errorf("after resize: %v, want 1000", got)
+	if got := f.Rules("a"); len(got) != 1 || got[0].RateMbps != 700 {
+		t.Errorf("after resize: rules %+v, want one 700 Mb/s meter", got)
 	}
 	f.Remove("a")
-	if got := f.LinkReserved(0); got != 300 {
-		t.Errorf("after removal: %v, want 300", got)
+	if len(f.Rules("a")) != 0 {
+		t.Error("removed slice still holds rules")
 	}
-}
-
-func TestFabricCarryMeters(t *testing.T) {
-	net := topology.Testbed()
-	f := NewFabric(net)
-	f.Install("a", []FlowRule{{Slice: "a", LinkIDs: []int{0}, RateMbps: 50}})
-	if got := f.Carry("a", 0, 30); got != 30 {
-		t.Errorf("in-meter carry %v", got)
-	}
-	if got := f.Carry("a", 0, 80); got != 50 {
-		t.Errorf("metered carry %v, want 50", got)
-	}
-	if got := f.Carry("a", 5, 10); got != 0 {
-		t.Errorf("missing rule carried %v", got)
+	if err := f.Install("c", mk("c", 700)); err != nil {
+		t.Errorf("removal did not free the link: %v", err)
 	}
 }
 
 func TestComputeUnitPinning(t *testing.T) {
 	c := NewComputeUnit(topology.CU{CPUCores: 16})
-	if err := c.Deploy(Stack{Slice: "a", PinnedCores: 10, CPUPerMbps: 0.2}); err != nil {
+	if err := c.Deploy(Stack{Slice: "a", PinnedCores: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Deploy(Stack{Slice: "b", PinnedCores: 10}); err == nil {
 		t.Error("pool overcommitted")
 	}
-	if err := c.Deploy(Stack{Slice: "a", PinnedCores: 6, CPUPerMbps: 0.2}); err != nil {
+	if err := c.Deploy(Stack{Slice: "a", PinnedCores: 6}); err != nil {
 		t.Fatal(err) // resize down
 	}
 	if err := c.Deploy(Stack{Slice: "b", PinnedCores: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.TotalPinned(); got != 16 {
-		t.Errorf("total pinned %v", got)
-	}
-	if got := c.Use("a", 10); math.Abs(got-2) > 1e-9 {
-		t.Errorf("use at 10 Mb/s = %v, want 2", got)
-	}
-	if got := c.Use("a", 1e6); got != 6 {
-		t.Errorf("use must cap at the pin: %v", got)
+	if c.Pinned("a") != 6 || c.Pinned("b") != 10 {
+		t.Errorf("pinned a=%v b=%v, want 6 and 10", c.Pinned("a"), c.Pinned("b"))
 	}
 	c.Destroy("a")
-	if c.Pinned("a") != 0 || c.Use("a", 10) != 0 {
-		t.Error("destroyed stack still reports usage")
-	}
-}
-
-func TestEmulatorApplyAndServe(t *testing.T) {
-	net := topology.Testbed()
-	e := NewEmulator(net)
-	paths := net.Paths(2)
-
-	prog := SliceProgram{
-		Slice:     "eMBB1",
-		CU:        0,
-		PerBSRate: []float64{50, 50},
-		Paths: [][]int{
-			paths[0][0][0].LinkIDs,
-			paths[1][0][0].LinkIDs,
-		},
-		CPUPerMbps: 0.1,
-	}
-	if err := e.Apply(prog); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.CUs[0].Pinned("eMBB1"); math.Abs(got-10) > 1e-9 {
-		t.Errorf("pinned %v, want 10 (0.1 × 100 Mb/s)", got)
-	}
-	served := e.ServeSample("eMBB1", []float64{30, 80})
-	if served[0] != 30 {
-		t.Errorf("BS0 served %v, want 30", served[0])
-	}
-	if served[1] != 50 {
-		t.Errorf("BS1 served %v, want 50 (capped by reservation)", served[1])
-	}
-
-	e.Remove("eMBB1")
-	if s := e.ServeSample("eMBB1", []float64{10, 10}); s[0] != 0 || s[1] != 0 {
-		t.Error("removed slice still served")
-	}
-}
-
-func TestEmulatorRollbackOnFailure(t *testing.T) {
-	net := topology.Testbed()
-	e := NewEmulator(net)
-	paths := net.Paths(2)
-	// 200 Mb/s per BS exceeds the 150 Mb/s radio: radio apply fails and
-	// nothing may remain programmed.
-	prog := SliceProgram{
-		Slice:     "big",
-		CU:        0,
-		PerBSRate: []float64{200, 200},
-		Paths:     [][]int{paths[0][0][0].LinkIDs, paths[1][0][0].LinkIDs},
-	}
-	if err := e.Apply(prog); err == nil {
-		t.Fatal("expected radio failure")
-	}
-	for b, r := range e.Radios {
-		if r.Share("big") != 0 {
-			t.Errorf("BS %d still holds a share after rollback", b)
-		}
-	}
-	if len(e.Fabric.Rules("big")) != 0 {
-		t.Error("fabric rules leaked after rollback")
-	}
-	if e.CUs[0].Pinned("big") != 0 {
-		t.Error("stack leaked after rollback")
-	}
-}
-
-func TestEmulatorComputeRollback(t *testing.T) {
-	net := topology.Testbed() // edge CU: 16 cores
-	e := NewEmulator(net)
-	paths := net.Paths(2)
-	prog := SliceProgram{
-		Slice:      "hungry",
-		CU:         0,
-		PerBSRate:  []float64{10, 10},
-		Paths:      [][]int{paths[0][0][0].LinkIDs, paths[1][0][0].LinkIDs},
-		CPUPerMbps: 2, // 40 cores needed > 16
-	}
-	if err := e.Apply(prog); err == nil {
-		t.Fatal("expected compute failure")
-	}
-	if e.Radios[0].Share("hungry") != 0 || len(e.Fabric.Rules("hungry")) != 0 {
-		t.Error("rollback incomplete after compute failure")
+	if c.Pinned("a") != 0 {
+		t.Error("destroyed stack still pinned")
 	}
 }

@@ -51,7 +51,7 @@ func SLAViolationStudy(nBS, tenants, epochs int, seed int64) ([]SLAFootprint, er
 		specs := homogeneousSpecs(slice.EMBB, tenants, 0.3, c.sf, c.m, seed)
 		res, err := sim.Run(sim.Config{
 			Net: topology.Romanian(nBS), Epochs: epochs, Slices: specs,
-			Algorithm: sim.Direct, KPaths: 2, ReofferPending: true,
+			Algorithm: "direct", KPaths: 2, ReofferPending: true,
 		})
 		if err != nil {
 			return SLAFootprint{}, err

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestTable1Rows(t *testing.T) {
@@ -73,7 +71,7 @@ func TestFig5SinglePoint(t *testing.T) {
 		NBS:        3,
 		Epochs:     10,
 		KPaths:     1,
-		Algorithm:  sim.Direct,
+		Algorithm:  "direct",
 		Seed:       1,
 	})
 	if err != nil {
@@ -112,7 +110,7 @@ func TestFig5GainDecreasesWithLoad(t *testing.T) {
 		NBS:        3,
 		Epochs:     12,
 		KPaths:     1,
-		Algorithm:  sim.Direct,
+		Algorithm:  "direct",
 		Seed:       1,
 	})
 	if err != nil {
@@ -135,7 +133,7 @@ func TestFig6MixSweep(t *testing.T) {
 		NBS:        3,
 		Epochs:     8,
 		KPaths:     1,
-		Algorithm:  sim.Direct,
+		Algorithm:  "direct",
 		Seed:       1,
 	})
 	if err != nil {
@@ -158,11 +156,11 @@ func TestFig6MixSweep(t *testing.T) {
 }
 
 func TestFig8Storyline(t *testing.T) {
-	ours, err := Fig8(Fig8Config{Algorithm: sim.Direct, Seed: 7})
+	ours, err := Fig8(Fig8Config{Algorithm: "direct", Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := Fig8(Fig8Config{Algorithm: sim.NoOverbooking, Seed: 7})
+	base, err := Fig8(Fig8Config{Algorithm: "no-overbooking", Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

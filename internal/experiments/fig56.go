@@ -34,7 +34,7 @@ type Fig5Config struct {
 	NBS        int       // topology scale; default 4 (0 = full size)
 	Epochs     int       // default 16
 	KPaths     int       // default 2
-	Algorithm  sim.Algorithm
+	Algorithm  string    // sim.Config.Algorithm
 	Seed       int64
 	// Workers bounds the sweep's worker pool; 0 means GOMAXPROCS, 1 forces
 	// a serial run (the benchmark baseline). Results are identical either
@@ -134,7 +134,7 @@ func Fig5(cfg Fig5Config) ([]Fig5Point, error) {
 			Net: net, Epochs: cfg.Epochs, Slices: specs,
 			KPaths: cfg.KPaths, ReofferPending: true,
 		}
-		runCfg.Algorithm = sim.NoOverbooking
+		runCfg.Algorithm = "no-overbooking"
 		base, err := sim.Run(runCfg)
 		if err != nil {
 			return Fig5Point{}, fmt.Errorf("fig5 baseline %s/%s: %w", c.topo, c.ty, err)
@@ -151,7 +151,7 @@ func Fig5(cfg Fig5Config) ([]Fig5Point, error) {
 		return Fig5Point{
 			Topology: c.topo, SliceType: c.ty,
 			Alpha: c.alpha, SigmaFrac: c.sf, Penalty: c.m,
-			Algorithm:       cfg.Algorithm.String(),
+			Algorithm:       over.Config.Algorithm,
 			Revenue:         over.MeanRevenue,
 			BaselineRevenue: base.MeanRevenue,
 			GainPct:         gain,
@@ -184,7 +184,7 @@ type Fig6Config struct {
 	NBS        int         // default 4
 	Epochs     int         // default 16
 	KPaths     int
-	Algorithm  sim.Algorithm
+	Algorithm  string // sim.Config.Algorithm
 	Seed       int64
 	// Workers bounds the sweep's worker pool; see Fig5Config.Workers.
 	Workers int
@@ -272,7 +272,7 @@ func Fig6(cfg Fig6Config) ([]Fig6Point, error) {
 			Net: net, Epochs: cfg.Epochs, Slices: specs,
 			KPaths: cfg.KPaths, ReofferPending: true,
 		}
-		runCfg.Algorithm = sim.NoOverbooking
+		runCfg.Algorithm = "no-overbooking"
 		base, err := sim.Run(runCfg)
 		if err != nil {
 			return Fig6Point{}, fmt.Errorf("fig6 baseline %s %v: %w", c.topo, c.mix, err)
@@ -284,7 +284,7 @@ func Fig6(cfg Fig6Config) ([]Fig6Point, error) {
 		}
 		return Fig6Point{
 			Topology: c.topo, Mix: c.mix[0] + "/" + c.mix[1], Beta: c.beta,
-			Algorithm:       cfg.Algorithm.String(),
+			Algorithm:       over.Config.Algorithm,
 			Revenue:         over.MeanRevenue,
 			BaselineRevenue: base.MeanRevenue,
 			ViolationProb:   over.ViolationProb,

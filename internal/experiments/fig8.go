@@ -14,8 +14,8 @@ import (
 // the 2-BS testbed, 18 one-hour epochs of 12 five-minute samples, mean
 // load λ̄ = Λ/2 with σ = 0.1·λ̄ and penalty m = 1.
 type Fig8Config struct {
-	Algorithm sim.Algorithm // the paper uses Benders for "our approach"
-	Epochs    int           // default 18
+	Algorithm string // sim.Config.Algorithm; the paper uses Benders for "our approach"
+	Epochs    int    // default 18
 	Seed      int64
 }
 
@@ -90,7 +90,7 @@ func Fig8(cfg Fig8Config) (*Fig8Series, error) {
 	}
 
 	out := &Fig8Series{
-		Algorithm:     cfg.Algorithm.String(),
+		Algorithm:     res.Config.Algorithm,
 		TotalRevenue:  res.TotalRevenue,
 		ViolationProb: res.ViolationProb,
 	}

@@ -6,8 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden files with current output")
@@ -52,7 +50,7 @@ func TestGoldenFig5(t *testing.T) {
 		SigmaFracs: []float64{0.25},
 		Penalties:  []float64{1},
 		Tenants:    4, NBS: 3, Epochs: 6, KPaths: 1,
-		Algorithm: sim.Direct, Seed: 42,
+		Algorithm: "direct", Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +66,7 @@ func TestGoldenFig6(t *testing.T) {
 		Mixes:      [][2]string{{"eMBB", "mMTC"}},
 		Betas:      []float64{0, 50},
 		Tenants:    4, NBS: 3, Epochs: 6, KPaths: 1,
-		Algorithm: sim.Direct, Seed: 42,
+		Algorithm: "direct", Seed: 42,
 	})
 	if err != nil {
 		t.Fatal(err)

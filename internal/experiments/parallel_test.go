@@ -3,8 +3,6 @@ package experiments
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // TestFig5ParallelMatchesSerial pins the worker pool's contract: the sweep
@@ -17,7 +15,7 @@ func TestFig5ParallelMatchesSerial(t *testing.T) {
 		SigmaFracs: []float64{0.25},
 		Penalties:  []float64{1},
 		Tenants:    4, NBS: 2, Epochs: 4, KPaths: 1,
-		Algorithm: sim.Direct, Seed: 1,
+		Algorithm: "direct", Seed: 1,
 	}
 	serialCfg := cfg
 	serialCfg.Workers = 1
@@ -43,7 +41,7 @@ func TestFig6ParallelMatchesSerial(t *testing.T) {
 		Mixes:      [][2]string{{"eMBB", "mMTC"}},
 		Betas:      []float64{0, 50},
 		Tenants:    4, NBS: 2, Epochs: 4, KPaths: 1,
-		Algorithm: sim.Direct, Seed: 1,
+		Algorithm: "direct", Seed: 1,
 	}
 	serialCfg := cfg
 	serialCfg.Workers = 1

@@ -12,7 +12,7 @@ func randomLP(n, m int, seed int64) *Problem {
 	p := New()
 	point := make([]float64, n)
 	for j := 0; j < n; j++ {
-		p.AddVar("v", r.Float64()*2-1)
+		p.AddVar(r.Float64()*2 - 1)
 		point[j] = r.Float64() * 5
 	}
 	for i := 0; i < m; i++ {

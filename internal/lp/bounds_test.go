@@ -12,7 +12,7 @@ import (
 func rowEncoded(p *Problem) *Problem {
 	q := New()
 	for j := 0; j < p.NumVars(); j++ {
-		q.AddVar(p.VarName(j), p.Cost(j))
+		q.AddVar(p.Cost(j))
 	}
 	for i := 0; i < p.NumRows(); i++ {
 		q.AddConstraint(p.RowSense(i), p.RHS(i), p.RowTerms(i)...)
@@ -36,7 +36,7 @@ func buildBoundedProblem(rng *rand.Rand) *Problem {
 	n := 4 + rng.Intn(7)
 	m := 3 + rng.Intn(6)
 	for j := 0; j < n; j++ {
-		p.AddVar("x", -2+4*rng.Float64())
+		p.AddVar(-2 + 4*rng.Float64())
 	}
 	for i := 0; i < m; i++ {
 		var terms []Term
@@ -224,7 +224,7 @@ func TestBoundedFixingChainStaysWarm(t *testing.T) {
 	p := New()
 	n := 8
 	for j := 0; j < n; j++ {
-		p.AddVar("b", -1+2*rng.Float64())
+		p.AddVar(-1 + 2*rng.Float64())
 		p.SetBounds(j, 0, 1)
 	}
 	for i := 0; i < 5; i++ {

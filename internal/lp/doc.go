@@ -34,11 +34,11 @@
 // Basis-owned workspace, so the steady-state warm solve — the access
 // pattern of the Benders slave, the admission shards and the
 // branch-and-bound node loop — allocates nothing. Presolve/Postsolve
-// shrink a master problem deterministically before solving, and
-// Basis.FtranBatch pushes a round's independent RHS vectors through one
-// factor traversal; Basis.FactorStats counts factor updates, forced
-// refactorizations and cold fallbacks by cause. See DESIGN.md §7 for the
-// factorization design and determinism argument, §11 for the metro-scale
-// tier (FT updates, bounded variables, presolve, batched ftran) and §12 for
+// shrink a master problem deterministically before solving, a pass's bound
+// flips share one batched factor traversal, and Basis.FactorStats counts
+// factor updates, forced refactorizations and cold fallbacks by cause. See
+// DESIGN.md §7 for the factorization design and determinism argument, §11
+// for the metro-scale tier (FT updates, bounded variables, presolve,
+// batched ftran) and §12 for
 // the cold path's sparse pivot kernel and workspace reuse.
 package lp

@@ -63,7 +63,7 @@ func buildWarmCorpusProblem(seed int64) (*Problem, []float64, int, int) {
 	n := 6 + r.Intn(10)
 	p := New()
 	for j := 0; j < n; j++ {
-		p.AddVar("v", r.Float64()*4-2)
+		p.AddVar(r.Float64()*4 - 2)
 	}
 	nRows := n + 2 + r.Intn(6)
 	base := make([]float64, 0, nRows+2)
@@ -227,8 +227,8 @@ func TestSingularBasisFallsBackCold(t *testing.T) {
 // must refuse it (rather than dividing by ~0) and fall back cold.
 func TestNearSingularPivotRejected(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", -1)
-	y := p.AddVar("y", -1)
+	x := p.AddVar(-1)
+	y := p.AddVar(-1)
 	p.AddConstraint(LE, 1, T(x, 1), T(y, 1e-13))
 	p.AddConstraint(LE, 1, T(y, 1))
 	var b Basis
@@ -381,9 +381,9 @@ func TestBoundedWarmSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestFtranBatchZeroAllocs pins the batched multi-RHS ftran: pushing a
-// round's worth of packed RHS vectors through a warm factorization — more
-// than one ftranBatchMax chunk — must not allocate.
+// TestFtranBatchZeroAllocs pins the batched multi-RHS ftran the bound-flip
+// update uses: pushing packed RHS vectors through a warm factorization, one
+// ftranBatchMax chunk per call as applyFlips does, must not allocate.
 func TestFtranBatchZeroAllocs(t *testing.T) {
 	p := randomLP(60, 60, 9)
 	var b Basis
@@ -396,21 +396,24 @@ func TestFtranBatchZeroAllocs(t *testing.T) {
 	if _, err := p.SolveFrom(&b); err != nil {
 		t.Fatal(err)
 	}
+	if b.eng == nil {
+		t.Fatal("warm re-entry left no factorization on the basis")
+	}
 	m := p.NumRows()
-	k := ftranBatchMax + 3 // crosses the chunking boundary
+	k := ftranBatchMax + 3 // two chunks, the second partial
 	rhs := make([]float64, k*m)
 	out := make([]float64, k*m)
 	for i := range rhs {
 		rhs[i] = float64(i%13) - 6
 	}
-	if !b.FtranBatch(rhs, k, out) {
-		t.Fatal("FtranBatch refused a freshly factorized basis")
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if !b.FtranBatch(rhs, k, out) {
-			t.Fatal("FtranBatch refused mid-run")
+	batch := func() {
+		for base := 0; base < k; base += ftranBatchMax {
+			c := min(k-base, ftranBatchMax)
+			b.eng.ftranBatch(rhs[base*m:(base+c)*m], c, out[base*m:(base+c)*m])
 		}
-	})
+	}
+	batch()
+	allocs := testing.AllocsPerRun(200, batch)
 	if allocs != 0 {
 		t.Fatalf("batched ftran allocates %.1f objects/op, want 0", allocs)
 	}

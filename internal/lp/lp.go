@@ -68,15 +68,13 @@ type row struct {
 	terms []Term
 	sense Sense
 	rhs   float64
-	name  string
 }
 
 // Problem is a linear program under construction. The zero value is not
 // usable; call New.
 type Problem struct {
-	cost  []float64
-	names []string
-	rows  []row
+	cost []float64
+	rows []row
 	// lo/up are the variable bounds, materialized lazily by the first
 	// SetBounds call; empty (emptied storage counts, not just nil) means
 	// every variable keeps the default [0, +∞) range. Invariant:
@@ -96,9 +94,8 @@ func New() *Problem { return &Problem{} }
 
 // AddVar adds a variable with the given objective cost and returns its
 // index. All variables are implicitly bounded below by zero.
-func (p *Problem) AddVar(name string, cost float64) int {
+func (p *Problem) AddVar(cost float64) int {
 	p.cost = append(p.cost, cost)
-	p.names = append(p.names, name)
 	if p.bounded() {
 		p.lo = append(p.lo, 0)
 		p.up = append(p.up, math.Inf(1))
@@ -153,21 +150,13 @@ func (p *Problem) SetCost(v int, cost float64) { p.cost[v] = cost }
 // Cost returns the objective coefficient of variable v.
 func (p *Problem) Cost(v int) float64 { return p.cost[v] }
 
-// VarName returns the name given to variable v at AddVar time.
-func (p *Problem) VarName(v int) string { return p.names[v] }
-
 // AddConstraint appends the row  Σ terms {sense} rhs  and returns its index.
 // Terms referencing the same variable are accumulated.
 func (p *Problem) AddConstraint(sense Sense, rhs float64, terms ...Term) int {
-	return p.AddNamedConstraint("", sense, rhs, terms...)
-}
-
-// AddNamedConstraint is AddConstraint with a diagnostic row name.
-func (p *Problem) AddNamedConstraint(name string, sense Sense, rhs float64, terms ...Term) int {
 	i := len(p.rows)
 	p.rows = Resized(p.rows, i+1)
 	// The slot may be a row TruncateRows dropped: its term storage is reused.
-	p.rows[i] = row{terms: append(p.rows[i].terms[:0], terms...), sense: sense, rhs: rhs, name: name}
+	p.rows[i] = row{terms: append(p.rows[i].terms[:0], terms...), sense: sense, rhs: rhs}
 	p.rev++
 	return i
 }
@@ -203,7 +192,6 @@ func (p *Problem) RowTerms(i int) []Term { return p.rows[i].terms }
 // into one q (milp.Solver, every master's root) stops allocating.
 func (p *Problem) CloneInto(q *Problem) {
 	q.cost = append(q.cost[:0], p.cost...)
-	q.names = append(q.names[:0], p.names...)
 	q.lo = append(q.lo[:0], p.lo...)
 	q.up = append(q.up[:0], p.up...)
 	q.rows = Resized(q.rows, len(p.rows))
@@ -400,7 +388,7 @@ func (cs *coldScratch) expandBounds(p *Problem) *Problem {
 			cs.ubRow[j] = boundRow(j, LE, p.up[j])
 		}
 	}
-	cs.exp = Problem{cost: p.cost, names: p.names, rows: rows}
+	cs.exp = Problem{cost: p.cost, rows: rows}
 	return &cs.exp
 }
 

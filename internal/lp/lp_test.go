@@ -13,8 +13,8 @@ func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 // expects the corner (2, 2).
 func TestSimple2D(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", -1)
-	y := p.AddVar("y", -2)
+	x := p.AddVar(-1)
+	y := p.AddVar(-2)
 	p.AddConstraint(LE, 4, T(x, 1), T(y, 1))
 	p.AddConstraint(LE, 3, T(x, 1))
 	p.AddConstraint(LE, 2, T(y, 1))
@@ -37,8 +37,8 @@ func TestSimple2D(t *testing.T) {
 // TestEquality solves with an equality row.
 func TestEquality(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", 1)
-	y := p.AddVar("y", 1)
+	x := p.AddVar(1)
+	y := p.AddVar(1)
 	p.AddConstraint(EQ, 10, T(x, 1), T(y, 1))
 	p.AddConstraint(GE, 3, T(x, 1))
 
@@ -60,7 +60,7 @@ func TestEquality(t *testing.T) {
 // TestNegativeRHS exercises the row-flip path.
 func TestNegativeRHS(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", 1)
+	x := p.AddVar(1)
 	// -x <= -5  <=>  x >= 5
 	p.AddConstraint(LE, -5, T(x, -1))
 	s, err := p.Solve()
@@ -75,8 +75,8 @@ func TestNegativeRHS(t *testing.T) {
 // TestUnbounded detects an unbounded direction.
 func TestUnbounded(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", -1)
-	y := p.AddVar("y", 0)
+	x := p.AddVar(-1)
+	y := p.AddVar(0)
 	p.AddConstraint(GE, 1, T(x, 1), T(y, 1))
 	s, err := p.Solve()
 	if err != nil {
@@ -92,7 +92,7 @@ func TestUnbounded(t *testing.T) {
 // signs folded in by the solver).
 func TestInfeasibleFarkas(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", 1)
+	x := p.AddVar(1)
 	p.AddConstraint(GE, 5, T(x, 1))
 	p.AddConstraint(LE, 3, T(x, 1))
 
@@ -153,9 +153,9 @@ func checkFarkas(t *testing.T, p *Problem, ray []float64) {
 // the exact property the Benders optimality cuts rely on.
 func TestStrongDuality(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", 3)
-	y := p.AddVar("y", 2)
-	z := p.AddVar("z", 4)
+	x := p.AddVar(3)
+	y := p.AddVar(2)
+	z := p.AddVar(4)
 	p.AddConstraint(GE, 10, T(x, 1), T(y, 1), T(z, 1))
 	p.AddConstraint(GE, 6, T(x, 2), T(y, 1))
 	p.AddConstraint(LE, 8, T(y, 1), T(z, 1))
@@ -187,8 +187,8 @@ func TestStrongDuality(t *testing.T) {
 // TestDegenerate exercises ties in the ratio test.
 func TestDegenerate(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", -1)
-	y := p.AddVar("y", -1)
+	x := p.AddVar(-1)
+	y := p.AddVar(-1)
 	p.AddConstraint(LE, 1, T(x, 1))
 	p.AddConstraint(LE, 1, T(x, 1)) // duplicate row forces degeneracy
 	p.AddConstraint(LE, 1, T(y, 1))
@@ -206,8 +206,8 @@ func TestDegenerate(t *testing.T) {
 // TestRedundantEquality keeps a redundant row (artificial stays basic at 0).
 func TestRedundantEquality(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", 1)
-	y := p.AddVar("y", 2)
+	x := p.AddVar(1)
+	y := p.AddVar(2)
 	p.AddConstraint(EQ, 4, T(x, 1), T(y, 1))
 	p.AddConstraint(EQ, 8, T(x, 2), T(y, 2)) // scalar multiple of row 0
 	s, err := p.Solve()
@@ -222,7 +222,7 @@ func TestRedundantEquality(t *testing.T) {
 // TestSetRHSReuse re-solves one problem with shifting right-hand sides.
 func TestSetRHSReuse(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", -1)
+	x := p.AddVar(-1)
 	cap := p.AddConstraint(LE, 5, T(x, 1))
 	for _, rhs := range []float64{5, 2, 9.5, 0} {
 		p.SetRHS(cap, rhs)
@@ -239,7 +239,7 @@ func TestSetRHSReuse(t *testing.T) {
 // TestClone ensures clones are independent.
 func TestClone(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", -1)
+	x := p.AddVar(-1)
 	p.AddConstraint(LE, 5, T(x, 1))
 	q := p.Clone()
 	q.SetRHS(0, 1)
@@ -267,7 +267,7 @@ func TestQuickWeakDuality(t *testing.T) {
 		m := 2 + r.Intn(5)
 		p := New()
 		for j := 0; j < n; j++ {
-			p.AddVar("v", r.Float64()*4-1)
+			p.AddVar(r.Float64()*4 - 1)
 		}
 		// A known feasible point keeps about half the instances feasible.
 		point := make([]float64, n)
@@ -382,15 +382,15 @@ func TestSenseString(t *testing.T) {
 // TestVarAccessors covers trivial accessors.
 func TestVarAccessors(t *testing.T) {
 	p := New()
-	v := p.AddVar("demand", 2.5)
-	if p.NumVars() != 1 || p.VarName(v) != "demand" || p.Cost(v) != 2.5 {
+	v := p.AddVar(2.5)
+	if p.NumVars() != 1 || p.Cost(v) != 2.5 {
 		t.Error("accessor mismatch")
 	}
 	p.SetCost(v, -1)
 	if p.Cost(v) != -1 {
 		t.Error("SetCost failed")
 	}
-	i := p.AddNamedConstraint("cap", LE, 3, T(v, 1))
+	i := p.AddConstraint(LE, 3, T(v, 1))
 	if p.NumRows() != 1 || p.RHS(i) != 3 {
 		t.Error("row accessor mismatch")
 	}

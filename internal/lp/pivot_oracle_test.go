@@ -167,7 +167,7 @@ func oracleLP(rng *rand.Rand, bounded bool) *Problem {
 	n := 3 + rng.Intn(40)
 	m := 2 + rng.Intn(40)
 	for j := 0; j < n; j++ {
-		p.AddVar("", -1+3*rng.Float64())
+		p.AddVar(-1 + 3*rng.Float64())
 	}
 	for i := 0; i < m; i++ {
 		var terms []Term
@@ -226,7 +226,7 @@ func loadRecordedLP(t *testing.T, path string) *Problem {
 	}
 	p := New()
 	for _, c := range rec.Cost {
-		p.AddVar("", c)
+		p.AddVar(c)
 	}
 	for j := range rec.Cost {
 		up := rec.Up[j]

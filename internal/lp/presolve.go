@@ -266,7 +266,7 @@ func (ps *Presolved) Reduce(p *Problem) {
 
 	// Build the reduced problem.
 	red := &ps.red
-	red.cost, red.names = red.cost[:0], red.names[:0]
+	red.cost = red.cost[:0]
 	red.lo, red.up = red.lo[:0], red.up[:0]
 	red.TruncateRows(0)
 	nLive := 0
@@ -278,7 +278,7 @@ func (ps *Presolved) Reduce(p *Problem) {
 		}
 		ps.colMap[j] = nLive
 		nLive++
-		red.AddVar(p.names[j], p.cost[j])
+		red.AddVar(p.cost[j])
 		if lo[j] != 0 || !math.IsInf(up[j], 1) {
 			red.SetBounds(ps.colMap[j], lo[j], up[j])
 		}
@@ -318,7 +318,7 @@ func (ps *Presolved) Reduce(p *Problem) {
 		}
 		ps.rowMap[i] = mLive
 		mLive++
-		red.AddNamedConstraint(p.rows[i].name, p.rows[i].sense, eff, rt...)
+		red.AddConstraint(p.rows[i].sense, eff, rt...)
 	}
 
 	if nLive == 0 {

@@ -105,7 +105,7 @@ func TestPresolveMatchesDirect(t *testing.T) {
 func TestPresolveFixingChainDecides(t *testing.T) {
 	p := New()
 	for j := 0; j < 6; j++ {
-		p.AddVar("x", float64(j+1))
+		p.AddVar(float64(j + 1))
 	}
 	for j := 0; j < 6; j++ {
 		p.AddConstraint(EQ, float64(j), T(j, 2)) // x_j = j/2
@@ -145,20 +145,20 @@ func TestPresolveDetectsInfeasibility(t *testing.T) {
 	cases := []func() *Problem{
 		func() *Problem { // empty GE row demanding positive activity
 			p := New()
-			p.AddVar("x", 1)
+			p.AddVar(1)
 			p.AddConstraint(GE, 5)
 			return p
 		},
 		func() *Problem { // x <= 1 vs x >= 2
 			p := New()
-			p.AddVar("x", 1)
+			p.AddVar(1)
 			p.AddConstraint(LE, 1, T(0, 1))
 			p.AddConstraint(GE, 2, T(0, 1))
 			return p
 		},
 		func() *Problem { // EQ singleton outside the variable's box
 			p := New()
-			p.AddVar("x", 1)
+			p.AddVar(1)
 			p.SetBounds(0, 0, 1)
 			p.AddConstraint(EQ, 3, T(0, 1))
 			return p
@@ -166,7 +166,7 @@ func TestPresolveDetectsInfeasibility(t *testing.T) {
 		func() *Problem { // activity bound: unit box cannot reach the rhs
 			p := New()
 			for j := 0; j < 3; j++ {
-				p.AddVar("x", 1)
+				p.AddVar(1)
 				p.SetBounds(j, 0, 1)
 			}
 			p.AddConstraint(GE, 5, T(0, 1), T(1, 1), T(2, 1))
@@ -194,7 +194,7 @@ func TestPresolveDetectsInfeasibility(t *testing.T) {
 func TestPresolveReduces(t *testing.T) {
 	p := New()
 	for j := 0; j < 5; j++ {
-		p.AddVar("x", 1)
+		p.AddVar(1)
 		p.SetBounds(j, 0, 1)
 	}
 	p.AddConstraint(EQ, 1, T(0, 2))                    // fixes x0 = 0.5

@@ -6,7 +6,7 @@ import (
 )
 
 // sameProblem requires q to be p's equal through everything a solver reads:
-// costs, names, bounds, and every row's sense, right-hand side and terms in
+// costs, bounds, and every row's sense, right-hand side and terms in
 // order. (An empty and a nil term list are the same row.)
 func sameProblem(t *testing.T, what string, got, want *Problem) {
 	t.Helper()
@@ -17,13 +17,13 @@ func sameProblem(t *testing.T, what string, got, want *Problem) {
 	for j := 0; j < want.NumVars(); j++ {
 		glo, gup := got.Bounds(j)
 		wlo, wup := want.Bounds(j)
-		if got.Cost(j) != want.Cost(j) || got.VarName(j) != want.VarName(j) || glo != wlo || gup != wup {
+		if got.Cost(j) != want.Cost(j) || glo != wlo || gup != wup {
 			t.Fatalf("%s: variable %d differs", what, j)
 		}
 	}
 	for i := range want.rows {
 		g, w := got.rows[i], want.rows[i]
-		if g.sense != w.sense || g.rhs != w.rhs || g.name != w.name || len(g.terms) != len(w.terms) {
+		if g.sense != w.sense || g.rhs != w.rhs || len(g.terms) != len(w.terms) {
 			t.Fatalf("%s: row %d is %+v, want %+v", what, i, g, w)
 		}
 		for k := range w.terms {
@@ -102,7 +102,7 @@ func TestReusedStorageMatchesFresh(t *testing.T) {
 			t.Fatalf("trial %d: TruncateRows(%d) left %d rows, rev %d → %d", trial, keep, rebuilt.NumRows(), rev, rebuilt.rev)
 		}
 		for _, r := range tail {
-			rebuilt.AddNamedConstraint(r.name, r.sense, r.rhs, r.terms...)
+			rebuilt.AddConstraint(r.sense, r.rhs, r.terms...)
 		}
 		sameProblem(t, "truncate and re-add", rebuilt, p)
 	}

@@ -173,32 +173,6 @@ func (p *Problem) SolveFrom(basis *Basis) (*Solution, error) {
 	return p.solveCold(basis)
 }
 
-// FtranBatch solves B·x_b = v_b against the basis factorization for k
-// right-hand sides packed with stride m (rhs[b*m:(b+1)*m] is vector b, and
-// out is laid out the same way, position-indexed like Basis.cols). The
-// factors are traversed once per ftranBatchMax-sized chunk instead of once
-// per vector — the batched path a shard uses to push a round's independent
-// RHS vectors through one warm factorization. It requires a factorized
-// basis from a previous SolveFrom on this Basis; false means no
-// factorization is available (solve once first).
-func (b *Basis) FtranBatch(rhs []float64, k int, out []float64) bool {
-	if b == nil || b.eng == nil || k <= 0 {
-		return false
-	}
-	m := b.m
-	if len(rhs) < k*m || len(out) < k*m {
-		return false
-	}
-	for base := 0; base < k; base += ftranBatchMax {
-		c := k - base
-		if c > ftranBatchMax {
-			c = ftranBatchMax
-		}
-		b.eng.ftranBatch(rhs[base*m:(base+c)*m], c, out[base*m:(base+c)*m])
-	}
-	return true
-}
-
 // Reduced-cost slack accepted when testing whether a stale basis is still
 // dual feasible; looser than costTol so harmless drift from the previous
 // solve does not force a cold restart.

@@ -78,7 +78,7 @@ func TestWarmStartRHSSequence(t *testing.T) {
 		n := 6 + r.Intn(10)
 		p := New()
 		for j := 0; j < n; j++ {
-			p.AddVar("v", r.Float64()*4-2)
+			p.AddVar(r.Float64()*4 - 2)
 		}
 		// Capacity-style rows (the slave LP shape) plus a GE row and an EQ
 		// row so the marker variety is exercised.
@@ -158,7 +158,7 @@ func TestWarmStartMixedPerturbation(t *testing.T) {
 // TestSolveFromNilBasis must behave exactly like Solve.
 func TestSolveFromNilBasis(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", -1)
+	x := p.AddVar(-1)
 	p.AddConstraint(LE, 5, T(x, 1))
 	s, err := p.SolveFrom(nil)
 	if err != nil || s.Status != Optimal || math.Abs(s.Obj+5) > 1e-9 {
@@ -170,7 +170,7 @@ func TestSolveFromNilBasis(t *testing.T) {
 // shape; SolveFrom must notice and cold-start rather than misuse it.
 func TestSolveFromStaleShape(t *testing.T) {
 	p := New()
-	x := p.AddVar("x", -1)
+	x := p.AddVar(-1)
 	p.AddConstraint(LE, 5, T(x, 1))
 	var b Basis
 	if _, err := p.SolveFrom(&b); err != nil {
@@ -178,8 +178,8 @@ func TestSolveFromStaleShape(t *testing.T) {
 	}
 
 	q := New()
-	qx := q.AddVar("x", -1)
-	qy := q.AddVar("y", -2)
+	qx := q.AddVar(-1)
+	qy := q.AddVar(-2)
 	q.AddConstraint(LE, 4, T(qx, 1), T(qy, 1))
 	q.AddConstraint(LE, 2, T(qy, 1))
 	s, err := q.SolveFrom(&b) // b has p's shape, not q's

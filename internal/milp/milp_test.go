@@ -24,7 +24,7 @@ func TestKnapsack(t *testing.T) {
 	var vars []int
 	terms := make([]lp.Term, len(values))
 	for i := range values {
-		v := p.AddVar("item", -values[i]) // minimize negative value
+		v := p.AddVar(-values[i]) // minimize negative value
 		vars = append(vars, v)
 		terms[i] = lp.T(v, weights[i])
 	}
@@ -52,8 +52,8 @@ func TestKnapsack(t *testing.T) {
 // TestInfeasibleBinary detects binary infeasibility.
 func TestInfeasibleBinary(t *testing.T) {
 	p := lp.New()
-	x := p.AddVar("x", 1)
-	y := p.AddVar("y", 1)
+	x := p.AddVar(1)
+	y := p.AddVar(1)
 	p.AddConstraint(lp.GE, 3, lp.T(x, 1), lp.T(y, 1)) // needs x+y >= 3, but both <= 1
 	s, err := Solve(p, []int{x, y}, Options{})
 	if err != nil {
@@ -68,8 +68,8 @@ func TestInfeasibleBinary(t *testing.T) {
 // the same shape as the AC-RR coupling constraints z <= Λx.
 func TestMixedIntegerContinuous(t *testing.T) {
 	p := lp.New()
-	x := p.AddVar("x", 5)                              // fixed cost when the slice is admitted
-	z := p.AddVar("z", -3)                             // per-unit reward of reservation
+	x := p.AddVar(5)                                   // fixed cost when the slice is admitted
+	z := p.AddVar(-3)                                  // per-unit reward of reservation
 	p.AddConstraint(lp.LE, 0, lp.T(z, 1), lp.T(x, -4)) // z <= 4x
 	p.AddConstraint(lp.LE, 4, lp.T(z, 1))
 
@@ -90,8 +90,8 @@ func TestMixedIntegerContinuous(t *testing.T) {
 // dominates.
 func TestRejectWhenUnprofitable(t *testing.T) {
 	p := lp.New()
-	x := p.AddVar("x", 5)
-	z := p.AddVar("z", -3)
+	x := p.AddVar(5)
+	z := p.AddVar(-3)
 	p.AddConstraint(lp.LE, 0, lp.T(z, 1), lp.T(x, -1)) // z <= x: reward at most 3
 	s, err := Solve(p, []int{x}, Options{})
 	if err != nil {
@@ -108,7 +108,7 @@ func TestNodeLimit(t *testing.T) {
 	var vars []int
 	var terms []lp.Term
 	for i := 0; i < 12; i++ {
-		v := p.AddVar("b", -float64(1+i%3))
+		v := p.AddVar(-float64(1 + i%3))
 		vars = append(vars, v)
 		terms = append(terms, lp.T(v, float64(1+(i*7)%5)))
 	}
@@ -150,7 +150,7 @@ func TestQuickAgainstBruteForce(t *testing.T) {
 		p := lp.New()
 		var vars []int
 		for j := 0; j < n; j++ {
-			vars = append(vars, p.AddVar("x", -val[j]))
+			vars = append(vars, p.AddVar(-val[j]))
 		}
 		for i := 0; i < m; i++ {
 			terms := make([]lp.Term, n)
@@ -220,9 +220,9 @@ func growingMaster(n int) (p *lp.Problem, bins []int, addCut func()) {
 	rng := rand.New(rand.NewSource(7))
 	p = lp.New()
 	for j := 0; j < n; j++ {
-		bins = append(bins, p.AddVar("", -1-rng.Float64()))
+		bins = append(bins, p.AddVar(-1-rng.Float64()))
 	}
-	theta := p.AddVar("", 1)
+	theta := p.AddVar(1)
 	for g := 0; g+4 <= n; g += 4 {
 		p.AddConstraint(lp.LE, 1, lp.T(g, 1), lp.T(g+1, 1), lp.T(g+2, 1), lp.T(g+3, 1))
 		if g+8 <= n {

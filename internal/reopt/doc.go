@@ -33,6 +33,6 @@
 // engine's rounds are bit-identical across shard counts, so a closed-loop
 // run is reproducible at any concurrency and equal to a machinery-free
 // serial replay. Both properties are pinned by tests in this package.
-// Run() adds the wall-clock lifecycle (a ticker driving Step) for serving
-// deployments where epochs are real time.
+// Wall-clock epochs belong to the caller: the orchestrator's RunLoop in
+// serving deployments, loadgen and the benchmark call Step directly.
 package reopt

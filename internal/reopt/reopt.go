@@ -1,11 +1,9 @@
 package reopt
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/forecast"
@@ -363,29 +361,6 @@ func (c *Controller) applyObserve(alive []string, peaks []ObservedPeak) {
 	for name := range c.trackers {
 		if !c.aliveSet[name] {
 			delete(c.trackers, name)
-		}
-	}
-}
-
-// Run drives Step on a wall-clock cadence until the context ends — the
-// serving-deployment lifecycle, one decision epoch per tick. The first
-// tick fires after one full period (epoch 0's round usually runs through
-// the ctrlplane or a manual Step first). Returns the context's error, or
-// the first step error.
-func (c *Controller) Run(ctx context.Context, every time.Duration) error {
-	if every <= 0 {
-		return fmt.Errorf("reopt: Run needs a positive period")
-	}
-	tick := time.NewTicker(every)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-			if _, err := c.Step(); err != nil {
-				return err
-			}
 		}
 	}
 }

@@ -1,14 +1,12 @@
 package reopt
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/core"
@@ -548,35 +546,6 @@ func TestExpiringSlicesSettleFullLifetime(t *testing.T) {
 	}
 	if settledShort == 0 {
 		t.Fatalf("no short-lived slice was admitted and settled; ledger: %+v", lt.ledger.PerSlice)
-	}
-}
-
-// TestRunDrivesStepsOnTicker pins the wall-clock lifecycle: Run fires
-// Step once per period until the context ends, then reports the
-// context's error; a non-positive period is rejected up front.
-func TestRunDrivesStepsOnTicker(t *testing.T) {
-	eng := admission.New(admission.Config{})
-	if err := eng.AddDomain("", admission.DomainConfig{Net: topology.Testbed(), Algorithm: "direct"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Stop()
-	ctrl, err := New(Config{Engine: eng, Store: monitor.NewStore(0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ctrl.Run(context.Background(), 0); err == nil {
-		t.Fatal("Run accepted a non-positive period")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
-	defer cancel()
-	if err := ctrl.Run(ctx, 20*time.Millisecond); err != context.DeadlineExceeded {
-		t.Fatalf("Run returned %v, want the context's deadline error", err)
-	}
-	if ctrl.Epoch() == 0 {
-		t.Fatal("no epoch ran during the Run window")
 	}
 }
 

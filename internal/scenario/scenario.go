@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/parallel"
 	"repro/internal/sim"
 	"repro/internal/slice"
@@ -114,7 +115,7 @@ type Spec struct {
 	// churn); the zero value means a static topology, as before.
 	Faults Faults
 
-	Algorithm       string // "direct" | "benders" | "kac" | "no-overbooking"
+	Algorithm       string // a core.NewSolver name; default "direct"
 	KPaths          int
 	SamplesPerEpoch int
 	HWPeriod        int
@@ -155,21 +156,6 @@ func SliceTypeByName(name string) (slice.Type, error) {
 		return slice.URLLC, nil
 	}
 	return 0, fmt.Errorf("scenario: unknown slice type %q", name)
-}
-
-// ParseAlgorithm resolves a solver name.
-func ParseAlgorithm(name string) (sim.Algorithm, error) {
-	switch name {
-	case "", "direct":
-		return sim.Direct, nil
-	case "benders":
-		return sim.Benders, nil
-	case "kac":
-		return sim.KAC, nil
-	case "no-overbooking":
-		return sim.NoOverbooking, nil
-	}
-	return 0, fmt.Errorf("scenario: unknown algorithm %q (want direct, benders, kac or no-overbooking)", name)
 }
 
 func parseShape(name string) (sim.LoadShape, error) {
@@ -256,8 +242,8 @@ func (s Spec) Validate() error {
 	if err != nil {
 		return err
 	}
-	if _, err := ParseAlgorithm(s.Algorithm); err != nil {
-		return err
+	if _, err := core.NewSolver(s.Algorithm, core.BendersOptions{}); err != nil {
+		return fmt.Errorf("scenario %s: %w", s.Name, err)
 	}
 	a := s.Arrivals
 	if a.Kind < Batch || a.Kind > FlashCrowd {
@@ -313,6 +299,9 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.KPaths == 0 {
 		s.KPaths = 2
+	}
+	if s.Algorithm == "" {
+		s.Algorithm = "direct"
 	}
 	return s
 }
@@ -482,10 +471,6 @@ func (s Spec) Compile(seed int64) (sim.Config, error) {
 	if err != nil {
 		return sim.Config{}, err
 	}
-	algo, err := ParseAlgorithm(s.Algorithm)
-	if err != nil {
-		return sim.Config{}, err
-	}
 	rng := rand.New(rand.NewSource(seed))
 	arrivals, err := s.planArrivals(rng)
 	if err != nil {
@@ -583,7 +568,7 @@ func (s Spec) Compile(seed int64) (sim.Config, error) {
 		SamplesPerEpoch: s.SamplesPerEpoch,
 		Epochs:          s.Epochs,
 		Slices:          specs,
-		Algorithm:       algo,
+		Algorithm:       s.Algorithm,
 		HWPeriod:        s.HWPeriod,
 		ReofferPending:  s.ReofferPending,
 		ForecastPad:     s.ForecastPad,

@@ -291,7 +291,7 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := (Spec{Topology: "Testbed", Classes: []Class{{Type: "6G"}}}).Compile(1); err == nil {
 		t.Error("unknown slice type accepted")
 	}
-	if _, err := (Spec{Topology: "Testbed", Algorithm: "oracle", Classes: []Class{{Type: "eMBB"}}}).Compile(1); err == nil {
+	if _, err := (Spec{Topology: "Testbed", Algorithm: "oracle", Classes: []Class{{Type: "eMBB"}}}).Run(1); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 	if _, err := ByName("nope"); err == nil {

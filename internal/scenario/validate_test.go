@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/admission"
+	"repro/internal/core"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -91,6 +94,39 @@ func TestValidateIsStricterThanCompile(t *testing.T) {
 	}
 	if cfg.Epochs != 24 {
 		t.Fatalf("Compile defaulted Epochs to %d, want 24", cfg.Epochs)
+	}
+}
+
+// TestUnknownAlgorithmRefusedEverywhere pins the one algorithm vocabulary:
+// a name core.NewSolver does not know is refused by every layer that takes
+// one, each with core's message.
+func TestUnknownAlgorithmRefusedEverywhere(t *testing.T) {
+	_, coreErr := core.NewSolver("oracle", core.BendersOptions{})
+	if coreErr == nil {
+		t.Fatal("core.NewSolver accepted an unknown algorithm")
+	}
+	spec := validSpec()
+	spec.Algorithm = "oracle"
+	cases := []struct {
+		layer string
+		err   func() error
+	}{
+		{"scenario.Validate", spec.Validate},
+		{"sim.Run", func() error {
+			_, err := sim.Run(sim.Config{Net: topology.Testbed(), Epochs: 1, Algorithm: "oracle"})
+			return err
+		}},
+		{"admission.AddDomain", func() error {
+			return admission.New(admission.Config{}).AddDomain("", admission.DomainConfig{Net: topology.Testbed(), Algorithm: "oracle"})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.layer, func(t *testing.T) {
+			err := tc.err()
+			if err == nil || !strings.Contains(err.Error(), coreErr.Error()) {
+				t.Fatalf("%s: error %v, want one carrying %q", tc.layer, err, coreErr)
+			}
+		})
 	}
 }
 

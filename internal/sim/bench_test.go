@@ -8,7 +8,7 @@ import "testing"
 // once all are admitted the tenant set, commitments and placements are
 // fixed and every instance re-solve is a pure forecast delta.
 func steadyConfig(epochs int, cold bool) Config {
-	cfg := testConfig(Benders, embbSpecs(8, 0.2, 0.1, 1), epochs)
+	cfg := testConfig("benders", embbSpecs(8, 0.2, 0.1, 1), epochs)
 	cfg.ColdSolver = cold
 	return cfg
 }

@@ -14,41 +14,14 @@ import (
 	"repro/internal/yield"
 )
 
-// Algorithm selects the AC-RR solver.
-type Algorithm int
-
-// Solvers.
-const (
-	Direct        Algorithm = iota // monolithic branch-and-bound (Problem 2)
-	Benders                        // Algorithm 1
-	KAC                            // Algorithms 2–3
-	NoOverbooking                  // exact solve with xΛ ⪯ z (the baseline)
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Direct:
-		return "direct"
-	case Benders:
-		return "benders"
-	case KAC:
-		return "kac"
-	case NoOverbooking:
-		return "no-overbooking"
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
 // LoadShape selects a slice's true traffic process.
 type LoadShape int
 
 // Load shapes.
 const (
-	// ShapeAuto resolves to ShapeDiurnal when SliceSpec.Diurnal is set and
-	// ShapeGaussian otherwise (the pre-scenario-engine behavior).
-	ShapeAuto LoadShape = iota
-	ShapeGaussian
+	// ShapeGaussian, the zero value, draws i.i.d. normal samples clipped at
+	// zero (a constant stream when StdMbps is 0).
+	ShapeGaussian LoadShape = iota
 	ShapeDiurnal
 	// ShapeHeavyTail draws log-normal samples moment-matched to
 	// (MeanMbps, StdMbps): rare far-above-mean peaks stress the
@@ -70,11 +43,9 @@ type SliceSpec struct {
 	ArrivalEpoch  int
 	Duration      int // L, epochs; slices re-apply while pending
 	Seed          int64
-	// Shape selects the load process; ShapeAuto defers to Diurnal.
+	// Shape selects the load process; for ShapeDiurnal MeanMbps is the
+	// profile midpoint.
 	Shape LoadShape
-	// Diurnal switches the true load to the day-shaped profile (testbed
-	// scenario); MeanMbps is then the profile midpoint.
-	Diurnal bool
 	// TraceMbps is the recorded sample sequence ShapeTrace replays
 	// (traffic.Trace); ignored for every other shape.
 	TraceMbps []float64
@@ -87,7 +58,9 @@ type Config struct {
 	SamplesPerEpoch int // κ; default 12 (one sample per 5 min, 1 h epochs)
 	Epochs          int
 	Slices          []SliceSpec
-	Algorithm       Algorithm
+	// Algorithm names the AC-RR solver as core.NewSolver does; default
+	// "direct".
+	Algorithm string
 	// HWPeriod is the Holt-Winters seasonal period in epochs; default 12.
 	HWPeriod int
 	// ReofferPending keeps rejected requests in the queue (the Fig. 5/6
@@ -131,6 +104,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HWPeriod == 0 {
 		c.HWPeriod = 12
+	}
+	if c.Algorithm == "" {
+		c.Algorithm = "direct"
 	}
 	return c
 }
@@ -254,12 +230,12 @@ type tenantState struct {
 // and simplex bases between epochs). The one solver it builds itself is
 // the ColdSolver reference: Benders from scratch every epoch.
 func newEpochSolver(cfg Config) (core.SolveFunc, error) {
-	if cfg.Algorithm == Benders && cfg.ColdSolver {
+	if cfg.Algorithm == "benders" && cfg.ColdSolver {
 		return func(inst *core.Instance) (*core.Decision, error) {
 			return core.SolveBenders(inst, core.BendersOptions{})
 		}, nil
 	}
-	solve, err := core.NewSolver(cfg.Algorithm.String(), core.BendersOptions{})
+	solve, err := core.NewSolver(cfg.Algorithm, core.BendersOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
@@ -342,30 +318,22 @@ func newEngine(cfg Config) (*engine, error) {
 // mode) can replay the same traffic the offline pipeline would have seen.
 func NewGenerator(cfg Config, sp SliceSpec, b int) traffic.Generator {
 	seed := sp.Seed*1000 + int64(b) + 1
-	shape := sp.Shape
-	if shape == ShapeAuto {
-		if sp.Diurnal {
-			shape = ShapeDiurnal
-		} else {
-			shape = ShapeGaussian
-		}
-	}
 	switch {
-	case shape == ShapeTrace:
+	case sp.Shape == ShapeTrace:
 		// Every (slice, BS) pair replays the same recorded trace at a
 		// seed-derived rotation, so BSs and tenants decorrelate without
 		// drawing a single random number — replay is exact.
 		return traffic.NewTrace(sp.TraceMbps, cfg.SamplesPerEpoch, int(seed))
-	case shape == ShapeDiurnal:
+	case sp.Shape == ShapeDiurnal:
 		return traffic.NewDiurnal(
 			math.Max(0, sp.MeanMbps-2*sp.StdMbps), sp.MeanMbps+2*sp.StdMbps,
 			cfg.HWPeriod*2, cfg.SamplesPerEpoch, sp.StdMbps/4, seed)
 	case sp.StdMbps == 0:
 		return traffic.Constant{MeanMbps: sp.MeanMbps}
-	case shape == ShapeHeavyTail:
-		return traffic.NewLogNormal(sp.MeanMbps, sp.StdMbps, 0, seed)
+	case sp.Shape == ShapeHeavyTail:
+		return traffic.NewLogNormal(sp.MeanMbps, sp.StdMbps, seed)
 	default:
-		return traffic.NewGaussian(sp.MeanMbps, sp.StdMbps, 0, seed)
+		return traffic.NewGaussian(sp.MeanMbps, sp.StdMbps, seed)
 	}
 }
 
@@ -385,7 +353,7 @@ func (e *engine) step(t int) error {
 	specs, idxOf := e.assemble(t)
 	inst := &core.Instance{
 		Net: net, Paths: e.paths, Tenants: specs,
-		Overbook: e.cfg.Algorithm != NoOverbooking, BigM: 1e4,
+		Overbook: e.cfg.Algorithm != "no-overbooking", BigM: 1e4,
 	}
 	dec, err := e.solver(inst)
 	if err != nil {

@@ -24,7 +24,7 @@ func embbSpecs(n int, alpha, sigmaFrac, m float64) []SliceSpec {
 	return out
 }
 
-func testConfig(algo Algorithm, specs []SliceSpec, epochs int) Config {
+func testConfig(algo string, specs []SliceSpec, epochs int) Config {
 	return Config{
 		Net:             topology.Testbed(),
 		Epochs:          epochs,
@@ -39,7 +39,7 @@ func testConfig(algo Algorithm, specs []SliceSpec, epochs int) Config {
 func TestBaselineStableRevenue(t *testing.T) {
 	// No-overbooking: admission at full reservation, revenue flat from the
 	// first epoch, never a violation.
-	res, err := Run(testConfig(NoOverbooking, embbSpecs(4, 0.3, 0.1, 1), 6))
+	res, err := Run(testConfig("no-overbooking", embbSpecs(4, 0.3, 0.1, 1), 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,11 +60,11 @@ func TestBaselineStableRevenue(t *testing.T) {
 
 func TestOverbookingBeatsBaseline(t *testing.T) {
 	specs := embbSpecs(5, 0.25, 0.1, 1)
-	base, err := Run(testConfig(NoOverbooking, specs, 14))
+	base, err := Run(testConfig("no-overbooking", specs, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, err := Run(testConfig(Direct, specs, 14))
+	over, err := Run(testConfig("direct", specs, 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestOverbookingBeatsBaseline(t *testing.T) {
 func TestOverbookingRampsUp(t *testing.T) {
 	// Gains require learning: epoch 0 admission equals the baseline, later
 	// epochs exceed it.
-	res, err := Run(testConfig(Direct, embbSpecs(5, 0.25, 0.1, 1), 14))
+	res, err := Run(testConfig("direct", embbSpecs(5, 0.25, 0.1, 1), 14))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestViolationFootprintBounded(t *testing.T) {
 	// reproducible footprint is: a few percent of samples clip, and the
 	// clipped amount is a small fraction of the SLA. Both properties are
 	// asserted; EXPERIMENTS.md discusses the discrepancy.
-	res, err := Run(testConfig(Direct, embbSpecs(5, 0.3, 0.5, 1), 20))
+	res, err := Run(testConfig("direct", embbSpecs(5, 0.3, 0.5, 1), 20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestViolationFootprintBounded(t *testing.T) {
 		t.Errorf("mean dropped SLA fraction %v exceeds the paper's 10%% bound", res.MeanDrop)
 	}
 	// A padded configuration must trade revenue for a smaller footprint.
-	cfg := testConfig(Direct, embbSpecs(5, 0.3, 0.5, 1), 20)
+	cfg := testConfig("direct", embbSpecs(5, 0.3, 0.5, 1), 20)
 	cfg.ForecastPad = 2
 	padded, err := Run(cfg)
 	if err != nil {
@@ -125,11 +125,11 @@ func TestViolationFootprintBounded(t *testing.T) {
 
 func TestKACRunsTheSameScenario(t *testing.T) {
 	specs := embbSpecs(5, 0.25, 0.1, 1)
-	kac, err := Run(testConfig(KAC, specs, 12))
+	kac, err := Run(testConfig("kac", specs, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := Run(testConfig(Direct, specs, 12))
+	direct, err := Run(testConfig("direct", specs, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestSliceExpiry(t *testing.T) {
 		Name: "short", Template: tmpl, PenaltyFactor: 1,
 		MeanMbps: 10, StdMbps: 1, ArrivalEpoch: 0, Duration: 3, Seed: 1,
 	}}
-	cfg := testConfig(Direct, specs, 6)
+	cfg := testConfig("direct", specs, 6)
 	cfg.ReofferPending = false
 	res, err := Run(cfg)
 	if err != nil {
@@ -169,7 +169,7 @@ func TestSliceExpiry(t *testing.T) {
 
 func TestOneShotRejectionIsFinal(t *testing.T) {
 	// 5 requests, capacity for 3, no re-offer: rejected requests leave.
-	cfg := testConfig(NoOverbooking, embbSpecs(5, 0.5, 0.1, 1), 4)
+	cfg := testConfig("no-overbooking", embbSpecs(5, 0.5, 0.1, 1), 4)
 	cfg.ReofferPending = false
 	res, err := Run(cfg)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestStaggeredArrivals(t *testing.T) {
 			ArrivalEpoch: i * 2, Duration: 1 << 20, Seed: int64(i + 1),
 		})
 	}
-	res, err := Run(testConfig(Direct, specs, 8))
+	res, err := Run(testConfig("direct", specs, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,19 +207,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestAlgorithmString(t *testing.T) {
-	for a, want := range map[Algorithm]string{
-		Direct: "direct", Benders: "benders", KAC: "kac", NoOverbooking: "no-overbooking",
-	} {
-		if a.String() != want {
-			t.Errorf("%d -> %q, want %q", a, a.String(), want)
-		}
-	}
-	if Algorithm(9).String() == "" {
-		t.Error("unknown algorithm must print")
-	}
-}
-
 // TestWarmSolverMatchesCold pins the cross-epoch contract at the sim level:
 // the Benders session carrying cuts and bases across epochs must produce
 // the same admission decisions, placements and expected revenue as solving
@@ -227,7 +214,7 @@ func TestAlgorithmString(t *testing.T) {
 // commitment pinning, where the session cold-rebuilds.
 func TestWarmSolverMatchesCold(t *testing.T) {
 	cases := map[string]func() Config{
-		"steady": func() Config { return testConfig(Benders, embbSpecs(5, 0.25, 0.1, 1), 14) },
+		"steady": func() Config { return testConfig("benders", embbSpecs(5, 0.25, 0.1, 1), 14) },
 		"staggered": func() Config {
 			tmpl := slice.Table1(slice.URLLC)
 			var specs []SliceSpec
@@ -238,7 +225,7 @@ func TestWarmSolverMatchesCold(t *testing.T) {
 					ArrivalEpoch: i * 2, Duration: 1 << 20, Seed: int64(i + 1),
 				})
 			}
-			return testConfig(Benders, specs, 10)
+			return testConfig("benders", specs, 10)
 		},
 		"churn": func() Config {
 			tmpl := slice.Table1(slice.EMBB)
@@ -250,7 +237,7 @@ func TestWarmSolverMatchesCold(t *testing.T) {
 					ArrivalEpoch: i, Duration: 4, Seed: int64(i + 1),
 				})
 			}
-			cfg := testConfig(Benders, specs, 10)
+			cfg := testConfig("benders", specs, 10)
 			cfg.ReofferPending = false
 			return cfg
 		},
@@ -277,7 +264,7 @@ func TestWarmSolverMatchesCold(t *testing.T) {
 // one process and across measurement worker counts.
 func TestTraceDeterminism(t *testing.T) {
 	mk := func(workers int) Config {
-		cfg := testConfig(Benders, embbSpecs(5, 0.25, 0.2, 1), 10)
+		cfg := testConfig("benders", embbSpecs(5, 0.25, 0.2, 1), 10)
 		cfg.Workers = workers
 		return cfg
 	}
@@ -309,7 +296,7 @@ func TestHeavyTailShape(t *testing.T) {
 	for i := range specs {
 		specs[i].Shape = ShapeHeavyTail
 	}
-	res, err := Run(testConfig(Direct, specs, 8))
+	res, err := Run(testConfig("direct", specs, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +306,7 @@ func TestHeavyTailShape(t *testing.T) {
 }
 
 func TestRealizedVsExpectedRevenueCoherent(t *testing.T) {
-	res, err := Run(testConfig(Direct, embbSpecs(4, 0.3, 0.1, 1), 12))
+	res, err := Run(testConfig("direct", embbSpecs(4, 0.3, 0.1, 1), 12))
 	if err != nil {
 		t.Fatal(err)
 	}

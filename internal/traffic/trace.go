@@ -18,7 +18,6 @@ type Trace struct {
 	Samples         []float64
 	SamplesPerEpoch int
 	Offset          int
-	mean            float64
 }
 
 // NewTrace returns a trace replayer over the recorded samples. Panics on an
@@ -31,18 +30,11 @@ func NewTrace(samples []float64, samplesPerEpoch, offset int) *Trace {
 	if samplesPerEpoch <= 0 {
 		samplesPerEpoch = 1
 	}
-	sum := 0.0
-	for _, v := range samples {
-		sum += v
-	}
 	offset %= len(samples)
 	if offset < 0 {
 		offset += len(samples)
 	}
-	return &Trace{
-		Samples: samples, SamplesPerEpoch: samplesPerEpoch, Offset: offset,
-		mean: sum / float64(len(samples)),
-	}
+	return &Trace{Samples: samples, SamplesPerEpoch: samplesPerEpoch, Offset: offset}
 }
 
 // Sample implements Generator.
@@ -53,9 +45,6 @@ func (tr *Trace) Sample(t, theta int) float64 {
 	}
 	return tr.Samples[idx]
 }
-
-// Mean implements Generator.
-func (tr *Trace) Mean() float64 { return tr.mean }
 
 // TraceFile is the codec-facing form of a recorded demand trace: the flat
 // Mb/s sample list plus the monitoring cadence it was captured at.

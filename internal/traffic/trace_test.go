@@ -26,9 +26,6 @@ func TestTraceReplayAndRotation(t *testing.T) {
 	if v := NewTrace(samples, 2, -1).Sample(0, 0); v != 40 {
 		t.Errorf("offset -1 first sample = %v, want 40", v)
 	}
-	if m := tr.Mean(); math.Abs(m-25) > 1e-12 {
-		t.Errorf("Mean = %v, want 25", m)
-	}
 	// Determinism: same arguments, same value, always.
 	if tr.Sample(7, 1) != tr.Sample(7, 1) {
 		t.Error("Sample is not deterministic")

@@ -9,26 +9,20 @@ import (
 type Generator interface {
 	// Sample returns the load of monitoring slot θ of decision epoch t.
 	Sample(t, theta int) float64
-	// Mean returns the long-run mean load of the process, used by the
-	// scenario builders to parameterize λ̄ = αΛ.
-	Mean() float64
 }
 
-// Gaussian is the homogeneous-scenario process: i.i.d. truncated normal
-// samples with mean λ̄ and standard deviation σ, clipped at zero and at the
-// physical ceiling (users cannot exceed the radio they are given, but they
-// can exceed their SLA — the data plane's flow meters clip that).
+// Gaussian is the homogeneous-scenario process: i.i.d. normal samples with
+// mean λ̄ and standard deviation σ, clipped at zero (not at the SLA rate: a
+// tenant may offer more than it bought).
 type Gaussian struct {
 	MeanMbps float64
 	StdMbps  float64
-	CapMbps  float64 // physical ceiling; 0 = uncapped
 	rng      *rand.Rand
 }
 
 // NewGaussian returns a seeded Gaussian load process.
-func NewGaussian(mean, std, capMbps float64, seed int64) *Gaussian {
-	return &Gaussian{MeanMbps: mean, StdMbps: std, CapMbps: capMbps,
-		rng: rand.New(rand.NewSource(seed))}
+func NewGaussian(mean, std float64, seed int64) *Gaussian {
+	return &Gaussian{MeanMbps: mean, StdMbps: std, rng: rand.New(rand.NewSource(seed))}
 }
 
 // Sample implements Generator.
@@ -37,23 +31,14 @@ func (g *Gaussian) Sample(t, theta int) float64 {
 	if v < 0 {
 		v = 0
 	}
-	if g.CapMbps > 0 && v > g.CapMbps {
-		v = g.CapMbps
-	}
 	return v
 }
-
-// Mean implements Generator.
-func (g *Gaussian) Mean() float64 { return g.MeanMbps }
 
 // Constant is the deterministic mMTC process (σ_mMTC = 0 in Table 1).
 type Constant struct{ MeanMbps float64 }
 
 // Sample implements Generator.
 func (c Constant) Sample(t, theta int) float64 { return c.MeanMbps }
-
-// Mean implements Generator.
-func (c Constant) Mean() float64 { return c.MeanMbps }
 
 // Diurnal follows the classic mobile-network day shape: a sinusoid with a
 // morning ramp and evening peak plus Gaussian jitter, repeating every
@@ -93,9 +78,6 @@ func (d *Diurnal) Sample(t, theta int) float64 {
 	return v
 }
 
-// Mean implements Generator.
-func (d *Diurnal) Mean() float64 { return (d.BaseMbps + d.PeakMbps) / 2 }
-
 // LogNormal is the heavy-tailed load process the flash-crowd and
 // heavy-tail scenarios use: most samples sit below the mean but the upper
 // tail reaches far past what a Gaussian with the same moments would
@@ -103,23 +85,19 @@ func (d *Diurnal) Mean() float64 { return (d.BaseMbps + d.PeakMbps) / 2 }
 // term. Parameterized by the target mean and standard deviation of the
 // samples (moment-matched, not by the underlying normal's µ/σ).
 type LogNormal struct {
-	MeanMbps float64
-	StdMbps  float64
-	CapMbps  float64 // physical ceiling; 0 = uncapped
-	mu, sig  float64
-	rng      *rand.Rand
+	mu, sig float64
+	rng     *rand.Rand
 }
 
 // NewLogNormal returns a seeded heavy-tailed load process whose samples
 // have the given mean and standard deviation.
-func NewLogNormal(mean, std, capMbps float64, seed int64) *LogNormal {
+func NewLogNormal(mean, std float64, seed int64) *LogNormal {
 	if mean <= 0 {
 		panic("traffic: lognormal needs a positive mean")
 	}
 	cv2 := (std / mean) * (std / mean)
 	sig2 := math.Log(1 + cv2)
 	return &LogNormal{
-		MeanMbps: mean, StdMbps: std, CapMbps: capMbps,
 		mu: math.Log(mean) - sig2/2, sig: math.Sqrt(sig2),
 		rng: rand.New(rand.NewSource(seed)),
 	}
@@ -127,34 +105,5 @@ func NewLogNormal(mean, std, capMbps float64, seed int64) *LogNormal {
 
 // Sample implements Generator.
 func (l *LogNormal) Sample(t, theta int) float64 {
-	v := math.Exp(l.mu + l.rng.NormFloat64()*l.sig)
-	if l.CapMbps > 0 && v > l.CapMbps {
-		v = l.CapMbps
-	}
-	return v
-}
-
-// Mean implements Generator.
-func (l *LogNormal) Mean() float64 { return l.MeanMbps }
-
-// EpochPeak draws the κ monitoring samples of epoch t and returns their
-// maximum — exactly the λ(t) = max{λ(θ)} aggregation of §2.2.2 that the
-// monitoring block feeds to the forecaster.
-func EpochPeak(g Generator, t, samplesPerEpoch int) float64 {
-	peak := 0.0
-	for theta := 0; theta < samplesPerEpoch; theta++ {
-		if v := g.Sample(t, theta); v > peak {
-			peak = v
-		}
-	}
-	return peak
-}
-
-// EpochSamples returns all κ monitoring samples of epoch t.
-func EpochSamples(g Generator, t, samplesPerEpoch int) []float64 {
-	out := make([]float64, samplesPerEpoch)
-	for theta := range out {
-		out[theta] = g.Sample(t, theta)
-	}
-	return out
+	return math.Exp(l.mu + l.rng.NormFloat64()*l.sig)
 }
