@@ -3,13 +3,13 @@
 
 GO ?= go
 
-# Minimum total statement coverage `make cover` enforces: 81.2% measured
+# Minimum total statement coverage `make cover` enforces: 81.3% measured
 # at this ratchet, minus 1pt of slack that absorbs noise while catching
 # wholesale test deletions or big untested subsystems. Most cmd/* mains
 # count at 0%, which drags the total below per-package numbers —
 # internal/wal and internal/cluster, the replication-critical packages,
 # each sit above 81%.
-COVER_FLOOR ?= 80.2
+COVER_FLOOR ?= 80.3
 
 .PHONY: build test test-race admission-stress vet fmt-check lint lines bench bench-smoke bench-pins rest-check perf-gate fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
 
@@ -30,7 +30,7 @@ test-race:
 # scheduling accident, not an every-run failure. Under two minutes on a
 # 2-vCPU runner.
 admission-stress:
-	$(GO) test -race -count=10 -run 'Lane|TestStopWaitsForInlineRound|TestShardCountInvariance|TestConcurrentStressConservation|TestRaceOutageHandoverNoLostSlices' ./internal/admission
+	$(GO) test -race -count=10 -run 'Lane|TestStopWaitsForInlineRound|TestShardCountInvariance|TestConcurrentStressConservation|TestRaceOutageNoLostSlices' ./internal/admission
 
 vet:
 	$(GO) vet ./...
@@ -219,11 +219,11 @@ failover-check:
 # package must carry a doc.go opening with "// Package <name>", every
 # cmd/* binary a "// Command <name>" comment in main.go. It also caps the
 # two documents that grow with every PR: EXPERIMENTS.md at 380 lines and
-# DESIGN.md at 1,472 (its length when the cap was set), so a PR that adds
+# DESIGN.md at 1,469 (its length when the cap was set), so a PR that adds
 # a section pays for it by trimming another (ROADMAP item 8(b)).
 docs-check:
 	@fail=0; \
-	for cap in EXPERIMENTS.md:380 DESIGN.md:1472; do \
+	for cap in EXPERIMENTS.md:380 DESIGN.md:1469; do \
 		f=$${cap%%:*}; max=$${cap##*:}; n=$$(wc -l < $$f); \
 		[ $$n -le $$max ] || { echo "$$f: $$n lines, over its $$max-line cap"; fail=1; }; \
 	done; \

@@ -28,6 +28,9 @@ var (
 	// ErrUnknownDomain means the request names a domain the engine does not
 	// serve.
 	ErrUnknownDomain = errors.New("admission: unknown domain")
+	// ErrNoWorker is how an Executor declines a round it has no worker for;
+	// the engine then solves the round on the domain's own solver.
+	ErrNoWorker = errors.New("admission: executor has no worker for the round")
 )
 
 // DefaultDomain is the domain used when Request.Domain is empty — the
@@ -149,10 +152,14 @@ func (t *Ticket) Err() error {
 // a re-dispatched solve after a worker loss, and a local solve all return
 // the bit-identical decision.
 //
-// Neither slice may be retained or mutated past the call. Recovery replay
-// (ReplayRound) never routes through an Executor: it always solves on the
-// engine's local solver, so a crashed coordinator recovers without waiting
-// for workers to rejoin.
+// Neither slice may be retained or mutated past the call. An executor with
+// no worker for the round returns ErrNoWorker (wrapped or not), and the
+// engine solves the round on the domain's own LocalSolver — the one solver
+// a domain has in the engine's process. Any other error is final: the round
+// fails and nothing solves it locally (a fenced leader must not decide).
+// Recovery replay (ReplayRound) never routes through an Executor: it always
+// solves on that local solver, so a crashed coordinator recovers without
+// waiting for workers to rejoin.
 type Executor interface {
 	SolveRound(domain string, seq uint64, events []topology.Event, tenants []core.TenantSpec) (*core.Decision, error)
 }
@@ -166,8 +173,8 @@ type DomainConfig struct {
 	// session), "direct", "kac", or "no-overbooking".
 	Algorithm string
 	// BigM prices deficit capacity exactly as core.Instance.BigM; the
-	// default is 1e4. Negative disables the relaxation (hard capacity),
-	// which also arms the prefilter's capacity checks.
+	// default is core.DefaultBigM. Negative disables the relaxation (hard
+	// capacity), which also arms the prefilter's capacity checks.
 	BigM float64
 	// RiskHorizon forwards to core.Instance.RiskHorizon (0 = default).
 	RiskHorizon int
@@ -176,7 +183,7 @@ type DomainConfig struct {
 	// Executor, when set, runs the domain's round solves remotely (the
 	// cluster coordinator). Nil keeps every solve on the in-process
 	// solver — the single-binary mode, bit-identical by the Executor
-	// contract. Replay always solves locally regardless.
+	// contract. Replay, and a round the executor declines, solve locally.
 	Executor Executor
 }
 
@@ -198,7 +205,7 @@ func (dc DomainConfig) withDefaults() (DomainConfig, error) {
 		dc.Algorithm = "benders"
 	}
 	if dc.BigM == 0 {
-		dc.BigM = 1e4
+		dc.BigM = core.DefaultBigM
 	} else if dc.BigM < 0 {
 		dc.BigM = 0 // hard capacity constraints
 	}
@@ -227,9 +234,6 @@ type RoundLog interface {
 	// AppendTopology records a batch of capacity events applied to the
 	// domain's live network (ApplyTopology fsyncs it before mutating).
 	AppendTopology(domain string, events []topology.Event) error
-	// AppendHandover records a committed slice moving between domains
-	// (Handover fsyncs it before mutating either domain).
-	AppendHandover(fromDomain, toDomain, name string) error
 	// SyncRound makes everything appended so far durable; called once per
 	// round, before the round's outcomes are acked.
 	SyncRound() error
@@ -248,10 +252,9 @@ type Config struct {
 	// FlushEvery flushes all non-empty batches on this period; 0 disables
 	// the timer (manual Flush/DecideRound only — the ctrlplane epoch mode).
 	FlushEvery time.Duration
-	// Store, when set, receives per-round metrics samples (slice
-	// "admission", metrics "round_batch", "round_ms", "queue_depth",
-	// "round_expected_revenue", element = domain name, epoch = the
-	// domain's round number).
+	// Store, when set, receives each round's wall time (slice "admission",
+	// metric "round_ms", element = domain name, epoch = the domain's round
+	// number).
 	Store *monitor.Store
 	// Ledger, when set, receives each round's solver-estimated net revenue
 	// (core.Decision.Revenue()) via BookExpected — the expected side of

@@ -31,22 +31,26 @@
 //     itself (no hand-off, no wake-up); rounds cut while it is held, and
 //     every round Submit, Flush or the ticker cuts (a submitter never pays
 //     for a solve), go in FIFO order to the lane's worker, alive only while
-//     it has rounds. Either way a round is one execRound making one Executor
-//     call: the domain's LocalSolver (path sets, live network, its own
-//     core.BendersSession) or a remote executor handed the same inputs
-//     (internal/cluster). Rounds that only drift forecasts rebind the slave
-//     LP (sameSolverShape); rounds that change the tenant set cold-rebuild,
-//     which is always correct. Each session owns its lp.Basis — LU factors,
+//     it has rounds. Either way a round is one execRound making one solve:
+//     on the domain's LocalSolver (path sets, live network, its own
+//     core.BendersSession) — the one solver a domain has in the process —
+//     or on a remote executor handed the same inputs (internal/cluster),
+//     which hands a round it has no worker for back with ErrNoWorker, to be
+//     solved on that LocalSolver. Rounds that only drift forecasts rebind
+//     the slave LP (sameSolverShape); rounds that change the tenant set
+//     cold-rebuild, which is always correct. Each session owns its lp.Basis — LU factors,
 //     scratch vectors, solution buffers — so steady-state rounds run
 //     allocation-free in the LP: solver memory is paid once per domain.
 //
 //  4. Determinism. A round's instance is built in canonical order —
 //     committed slices in admission order, then the batch sorted by request
 //     name — so the decision for a given round set is independent of
-//     submission interleaving, shard count, and flush timing. Combined with
-//     the solver's lexicographic tie-break (core.tieBreakBase) the engine's
-//     decisions are bit-identical to a serial single-shard replay of the
-//     same rounds, which is what the equality tests pin.
+//     submission interleaving, shard count, and flush timing. No operation
+//     touches two domains, so a domain's trace does not depend on any
+//     other's. Combined with the solver's lexicographic tie-break
+//     (core.tieBreakBase) the engine's decisions are bit-identical to a
+//     serial single-shard replay of the same rounds, which is what the
+//     equality tests pin.
 //
 // A cheap capacity-headroom prefilter fast-rejects requests that are
 // structurally infeasible — no CU reachable from every BS within the delay

@@ -2,6 +2,7 @@ package admission
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -77,16 +78,15 @@ type member struct {
 
 // domain is one operator domain: its solver state lives on exactly one
 // shard; the batch buffer is guarded by Engine.mu, the solver state by dmu.
-// Engine.mu and a dmu are never held together (engine-wide rule). The one
-// place two dmus are held at once is Handover, which always takes them in
-// domain-name order, so there is no ordering to get wrong elsewhere.
+// No path holds Engine.mu and a dmu together, nor two dmus.
 type domain struct {
 	name  string
 	cfg   DomainConfig
 	shard *shard
 	// solver is the domain's in-process Executor: path sets, warm solve
 	// function and the live network. Rounds solve through it unless
-	// cfg.Executor takes them remote; replay always does.
+	// cfg.Executor takes them remote; replay, and every round the executor
+	// declines with ErrNoWorker, always do.
 	solver *LocalSolver
 	filter prefilter
 
@@ -564,108 +564,6 @@ func (e *Engine) TopologyEvents(domainName string) ([]topology.Event, error) {
 	return append([]topology.Event(nil), d.topoEvents...), nil
 }
 
-// Handover moves one committed slice between domains, preserving its ledger
-// identity: the member object — name, tenant, SLA, forecast view, remaining
-// lifetime, reservations — transfers intact; only the shard that solves for
-// it changes. Both domains must share the slice's structural frame (same BS
-// count, a valid CU index and path choices in the destination), the normal
-// case for handover between overlapping operator footprints built from the
-// same published topology. The move is logged and fsynced before any state
-// mutates. This is the one engine path that holds two domain locks; they
-// are always taken in domain-name order.
-func (e *Engine) Handover(fromDomain, toDomain, name string) error {
-	if fromDomain == "" {
-		fromDomain = DefaultDomain
-	}
-	if toDomain == "" {
-		toDomain = DefaultDomain
-	}
-	if name == "" {
-		return fmt.Errorf("admission: handover needs a slice name")
-	}
-	if fromDomain == toDomain {
-		return fmt.Errorf("admission: handover source and destination are both %q", fromDomain)
-	}
-	e.mu.Lock()
-	if e.state == stateStopped {
-		e.mu.Unlock()
-		return ErrStopped
-	}
-	from, to := e.domains[fromDomain], e.domains[toDomain]
-	if from == nil {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownDomain, fromDomain)
-	}
-	if to == nil {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrUnknownDomain, toDomain)
-	}
-	if to.names[name] {
-		e.mu.Unlock()
-		return fmt.Errorf("%w: %q already present in domain %q", ErrDuplicate, name, toDomain)
-	}
-	// Reserve the name in the destination before dropping the intake lock;
-	// released again on any failure below.
-	to.names[name] = true
-	e.mu.Unlock()
-
-	first, second := from, to
-	if second.name < first.name {
-		first, second = second, first
-	}
-	first.dmu.Lock()
-	second.dmu.Lock()
-	fail := func(err error) error {
-		second.dmu.Unlock()
-		first.dmu.Unlock()
-		e.mu.Lock()
-		delete(to.names, name)
-		e.mu.Unlock()
-		return err
-	}
-	m := from.byName[name]
-	if m == nil {
-		return fail(fmt.Errorf("admission: no committed slice %q in domain %q", name, fromDomain))
-	}
-	if nbs := to.cfg.Net.NumBS(); len(m.reserved) != nbs {
-		return fail(fmt.Errorf("admission: handover %q: reservation spans %d BSs, domain %q has %d",
-			name, len(m.reserved), toDomain, nbs))
-	}
-	if m.cu < 0 || m.cu >= to.cfg.Net.NumCU() {
-		return fail(fmt.Errorf("admission: handover %q: CU %d not present in domain %q", name, m.cu, toDomain))
-	}
-	for b, pi := range m.pathIdx {
-		if pi < 0 || pi >= len(to.solver.Paths()[b][m.cu]) {
-			return fail(fmt.Errorf("admission: handover %q: path %d not available at BS %d in domain %q",
-				name, pi, b, toDomain))
-		}
-	}
-	if e.cfg.Log != nil {
-		if lerr := e.cfg.Log.AppendHandover(fromDomain, toDomain, name); lerr != nil {
-			return fail(fmt.Errorf("admission: wal append handover: %w", lerr))
-		}
-		if lerr := e.cfg.Log.SyncRound(); lerr != nil {
-			return fail(fmt.Errorf("admission: wal sync handover: %w", lerr))
-		}
-	}
-	delete(from.byName, name)
-	for i, mm := range from.committed {
-		if mm == m {
-			from.committed = append(from.committed[:i], from.committed[i+1:]...)
-			break
-		}
-	}
-	to.committed = append(to.committed, m)
-	to.byName[name] = m
-	second.dmu.Unlock()
-	first.dmu.Unlock()
-
-	e.mu.Lock()
-	delete(from.names, name)
-	e.mu.Unlock()
-	return nil
-}
-
 // Paths returns the domain's precomputed k-shortest path sets — the same
 // P_{b,c} enumeration the rounds solve against, shared so callers (the
 // ctrlplane programming path) need not recompute it. Read-only.
@@ -743,7 +641,7 @@ func (e *Engine) Drain(ctx context.Context) error {
 }
 
 // Stop terminates the engine. Undecided requests fail with ErrStopped
-// (call Drain first for a clean handover); rounds already cut — running
+// (call Drain first to decide them); rounds already cut — running
 // inline, on a lane worker, or queued — finish first.
 func (e *Engine) Stop() {
 	e.mu.Lock()
@@ -841,15 +739,19 @@ func (e *Engine) execRound(job *roundJob) *Round {
 	case len(specs) == 0:
 		dec = &core.Decision{} // nothing to decide, nothing to re-optimize
 	default:
-		// One solve call: a remote executor sees the same canonical inputs
-		// the local solver does and is contractually bit-identical. Replay
-		// deliberately stays local — recovery must not depend on workers
-		// having rejoined.
-		exec := Executor(d.solver)
-		if d.cfg.Executor != nil && !job.replay {
-			exec = d.cfg.Executor
+		// One solve: a remote executor sees the same canonical inputs the
+		// local solver does and is contractually bit-identical, and one with
+		// no worker for the round hands it back to the domain's own solver.
+		// Replay deliberately stays local — recovery must not depend on
+		// workers having rejoined.
+		exec := d.cfg.Executor
+		if exec == nil || job.replay {
+			exec = d.solver
 		}
 		dec, err = exec.SolveRound(d.name, r.Seq, d.topoEvents, specs)
+		if errors.Is(err, ErrNoWorker) {
+			dec, err = d.solver.SolveRound(d.name, r.Seq, d.topoEvents, specs)
+		}
 	}
 
 	outcomes := make([]Outcome, len(job.batch))
@@ -925,14 +827,9 @@ func (e *Engine) execRound(job *roundJob) *Round {
 	}
 	e.met.rounds++
 	e.met.batchSum += uint64(len(job.batch))
-	queueDepth := e.queued
 	e.mu.Unlock()
 
-	expected := 0.0
-	if r.Err == nil {
-		expected = dec.Revenue()
-	}
-	e.publishRound(d.name, r.Seq, len(job.batch), roundMs, queueDepth, expected)
+	e.publishRound(d.name, r.Seq, roundMs)
 
 	for bi, p := range job.batch {
 		if r.Err != nil {

@@ -3,6 +3,7 @@ package admission
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"strings"
@@ -301,7 +302,6 @@ func (l *seqLog) AppendRound(_ string, seq uint64, _ []Request) error {
 func (l *seqLog) AppendForecasts(string, []ForecastUpdate) error { return nil }
 func (l *seqLog) AppendAdvance(string) error                     { return nil }
 func (l *seqLog) AppendTopology(string, []topology.Event) error  { return nil }
-func (l *seqLog) AppendHandover(string, string, string) error    { return nil }
 func (l *seqLog) SyncRound() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -317,6 +317,40 @@ type failingExec struct{ err error }
 
 func (x failingExec) SolveRound(string, uint64, []topology.Event, []core.TenantSpec) (*core.Decision, error) {
 	return nil, x.err
+}
+
+// TestDeclinedRoundSolvesOnDomainSolver: an executor that declines a round
+// with ErrNoWorker, bare or wrapped, leaves it to the domain's own solver,
+// and the round decides exactly what an executor-free engine decides. Any
+// other executor error is final: the round fails and nothing solves it
+// locally — the rule that keeps a fenced leader from deciding.
+func TestDeclinedRoundSolvesOnDomainSolver(t *testing.T) {
+	round := func(exec Executor) (*Round, error) {
+		t.Helper()
+		e := newTestEngine(t, Config{}, DomainConfig{Algorithm: "direct", Executor: exec})
+		for _, n := range []string{"s1", "s2", "s3", "s4"} {
+			mustSubmit(t, e, "", n)
+		}
+		return e.DecideRound("")
+	}
+	want, err := round(nil)
+	if err != nil || len(want.Admitted) == 0 {
+		t.Fatalf("executor-free round: %+v, %v", want, err)
+	}
+	wrapped := fmt.Errorf("cluster: domain %q: %w", DefaultDomain, ErrNoWorker)
+	for _, decline := range []error{ErrNoWorker, wrapped} {
+		got, err := round(failingExec{decline})
+		if err != nil {
+			t.Fatalf("round declined with %q: %v", decline, err)
+		}
+		if !reflect.DeepEqual(got.Decision, want.Decision) || !reflect.DeepEqual(got.Admitted, want.Admitted) {
+			t.Fatalf("round declined with %q decided\n %+v\nan executor-free engine decided\n %+v", decline, got, want)
+		}
+	}
+	fenced := errors.New("fenced")
+	if r, err := round(failingExec{fenced}); !errors.Is(err, fenced) || r.Decision != nil || len(r.Admitted) != 0 {
+		t.Fatalf("round failed by its executor: %+v, %v; want the executor's error and no decision", r, err)
+	}
 }
 
 // TestFailedLogDoesNotAdvanceRoundClock: a round the log refused decided

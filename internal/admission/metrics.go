@@ -105,32 +105,16 @@ func quantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// publishRound surfaces one round's vitals through the monitoring pipeline
-// (§2.2.2's store), tagged per domain with the round number as the epoch:
-// the same backend that carries slice load samples carries the serving
-// layer's own health.
-func (e *Engine) publishRound(domain string, seq uint64, batch int, roundMs float64, queueDepth int, expected float64) {
+// publishRound surfaces one round's wall time through the monitoring
+// pipeline (§2.2.2's store), tagged per domain with the round number as the
+// epoch. Batch sizes, queue depth and expected revenue are served elsewhere
+// (Engine.Metrics, the yield ledger), so the store carries only this.
+func (e *Engine) publishRound(domain string, seq uint64, roundMs float64) {
 	if e.cfg.Store == nil {
 		return
 	}
-	epoch := int(seq)
-	e.cfg.Store.Add(monitor.Sample{
-		Slice: "admission", Metric: "round_batch", Element: domain,
-		Epoch: epoch, Value: float64(batch),
-	})
 	e.cfg.Store.Add(monitor.Sample{
 		Slice: "admission", Metric: "round_ms", Element: domain,
-		Epoch: epoch, Value: roundMs,
-	})
-	e.cfg.Store.Add(monitor.Sample{
-		Slice: "admission", Metric: "queue_depth", Element: domain,
-		Epoch: epoch, Value: float64(queueDepth),
-	})
-	// The solver's own estimate of the round's net revenue (−Ψ): with the
-	// realized side booked by the closed loop, the store carries both
-	// halves of the yield comparison the paper's Fig. 8 makes.
-	e.cfg.Store.Add(monitor.Sample{
-		Slice: "admission", Metric: "round_expected_revenue", Element: domain,
-		Epoch: epoch, Value: expected,
+		Epoch: int(seq), Value: roundMs,
 	})
 }

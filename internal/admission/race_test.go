@@ -12,16 +12,14 @@ import (
 	"repro/internal/topology"
 )
 
-// TestRaceOutageHandoverNoLostSlices is the adversarial cousin of
+// TestRaceOutageNoLostSlices is the adversarial cousin of
 // TestConcurrentStressConservation: submitters hammer two domains while a
 // chaos goroutine storms BS outages and recoveries into one of them
-// mid-wave, and committed slices hand over between the domains at every
-// wave boundary. Run under -race (make test-race / CI) it is the data-race
-// gate for the topology and handover paths; its own assertions are
-// conservation — every submission decided exactly once, counters exact —
-// and no lost slices: every admitted slice is committed in exactly one
-// domain afterward, handed-over slices only in their destination.
-func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
+// mid-wave. Run under -race (make test-race / CI) it is the data-race gate
+// for the topology path; its own assertions are conservation — every
+// submission decided exactly once, counters exact — and no lost slices:
+// every admitted slice is committed in exactly the domain it was offered to.
+func TestRaceOutageNoLostSlices(t *testing.T) {
 	const (
 		goroutines = 8
 		perWave    = 2
@@ -48,7 +46,7 @@ func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
 		tickets []sub
 		shed    int
 	)
-	handed := map[string]bool{}
+	offered := map[string]string{} // name → domain
 
 	for wave := 0; wave < waves; wave++ {
 		var wg sync.WaitGroup
@@ -98,6 +96,7 @@ func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
 						return
 					}
 					tickets = append(tickets, sub{name: name, tk: tk})
+					offered[name] = dom
 				}(g, k)
 			}
 		}
@@ -110,18 +109,6 @@ func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
 			if _, err := e.DecideRound(dom); err != nil {
 				t.Fatal(err)
 			}
-		}
-		// Hand the oldest committed a-slice not yet moved over to b — the
-		// epoch-boundary migration racing nothing, as in production.
-		names, err := e.Committed("a")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(names) > 0 {
-			if err := e.Handover("a", "b", names[0]); err != nil {
-				t.Fatalf("handover %s: %v", names[0], err)
-			}
-			handed[names[0]] = true
 		}
 		for _, dom := range []string{"a", "b"} {
 			exp, err := e.Advance(dom)
@@ -170,7 +157,7 @@ func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
 	}
 
 	// No lost slices: every admitted slice is committed in exactly one
-	// domain, and every handed-over slice lives in b, not a.
+	// domain, the one it was offered to.
 	inA, err := e.Committed("a")
 	if err != nil {
 		t.Fatal(err)
@@ -193,13 +180,8 @@ func TestRaceOutageHandoverNoLostSlices(t *testing.T) {
 		t.Fatalf("committed %d slices, admitted %d", len(where), len(admittedNames))
 	}
 	for n := range admittedNames {
-		if where[n] == "" {
-			t.Fatalf("admitted slice %s lost (committed nowhere)", n)
-		}
-	}
-	for n := range handed {
-		if where[n] != "b" {
-			t.Fatalf("handed-over slice %s is in %q, want b", n, where[n])
+		if where[n] != offered[n] {
+			t.Fatalf("admitted slice %s is committed in %q, offered to %q", n, where[n], offered[n])
 		}
 	}
 }

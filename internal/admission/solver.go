@@ -12,8 +12,8 @@ import (
 // solve function (core.NewSolver — warm per domain for "benders") and the
 // live network its rounds solve against. Every in-process solve goes
 // through one: the engine's rounds when no remote Executor is set, replay
-// always, and each domain of a cluster.SolverHost (the workers, and the
-// coordinator's local fallback). Calls are serialized — the warm session
+// always, rounds a remote Executor declines, and each domain of a
+// cluster.SolverHost (the workers). Calls are serialized — the warm session
 // is single-threaded state.
 type LocalSolver struct {
 	cfg   DomainConfig // normalized

@@ -28,7 +28,7 @@ type CoordinatorOptions struct {
 	HeartbeatTimeout time.Duration
 	// DispatchTimeout bounds how long one round may chase workers
 	// (including re-dispatch after a worker death) before the
-	// coordinator solves it locally. Default 15s.
+	// coordinator declines it back to the engine. Default 15s.
 	DispatchTimeout time.Duration
 	// Epoch is the fencing epoch of the leader lease this coordinator
 	// dispatches under, stamped on every welcome/assign/round frame.
@@ -56,11 +56,12 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 // Losing a worker mid-round is safe by construction: the round's inputs
 // are immutable for the duration of the call (the engine holds its
 // domain lock), so the coordinator just re-dispatches them to the new
-// rendezvous owner — or, past DispatchTimeout, solves locally — and the
-// decision is bit-identical either way.
+// rendezvous owner — or, with no worker left or past DispatchTimeout,
+// declines the round with admission.ErrNoWorker and the engine solves it
+// on the domain's own solver — and the decision is bit-identical either
+// way. The coordinator keeps no solver of its own.
 type Coordinator struct {
 	opts   CoordinatorOptions
-	local  *SolverHost
 	nextID atomic.Uint64
 	fenced atomic.Bool // a worker saw a newer epoch; dispatching must stop
 
@@ -91,7 +92,6 @@ type memberConn struct {
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	c := &Coordinator{
 		opts:    opts.withDefaults(),
-		local:   NewSolverHost(),
 		specs:   map[string]DomainSpec{},
 		members: map[string]*memberConn{},
 		watch:   make(chan struct{}),
@@ -101,15 +101,16 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	return c
 }
 
-// RegisterDomain captures a domain's config for the wire and for the
-// coordinator's local-fallback solver. Call it with the same name and
-// config passed to engine.AddDomain, before the first round.
+// RegisterDomain captures a domain's config for the wire. Call it with the
+// same name and config passed to engine.AddDomain, before the first round.
+// A spec whose topology a worker could not load is refused here, not at a
+// worker's first assign.
 func (c *Coordinator) RegisterDomain(name string, dc admission.DomainConfig) error {
 	spec, err := NewDomainSpec(name, dc)
 	if err != nil {
 		return err
 	}
-	if err := c.local.Register(spec); err != nil {
+	if _, err := spec.network(); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -341,21 +342,23 @@ func (c *Coordinator) OwnerOf(domain string) (string, bool) {
 }
 
 // ErrFenced reports that a worker rejected this coordinator's dispatch
-// because a newer leader epoch is active. There is deliberately no local
-// fallback on this path: a fenced leader deciding rounds on its own is
-// exactly the split brain fencing exists to prevent.
+// because a newer leader epoch is active. It is not admission.ErrNoWorker,
+// so the engine fails the round instead of solving it locally: a fenced
+// leader deciding rounds on its own is exactly the split brain fencing
+// exists to prevent.
 var ErrFenced = fmt.Errorf("cluster: coordinator fenced: a newer leader epoch is active")
 
 // Fenced reports whether a worker has rejected this coordinator as stale.
 func (c *Coordinator) Fenced() bool { return c.fenced.Load() }
 
 // SolveRound implements admission.Executor: dispatch the round to the
-// domain's rendezvous owner, re-dispatching on worker death, and solve
-// locally if no worker answers within DispatchTimeout. Every path yields
-// the bit-identical decision because the solve is a pure function of the
-// arguments (plus the domain spec both sides hold) — except fencing:
-// once any worker reports a newer leader epoch, SolveRound fails fast
-// with ErrFenced and never solves locally.
+// domain's rendezvous owner, re-dispatching on worker death, and decline it
+// with admission.ErrNoWorker when no worker is live or none answers within
+// DispatchTimeout — the engine then solves it on its own solver. Every path
+// yields the bit-identical decision because the solve is a pure function of
+// the arguments (plus the domain spec both sides hold) — except fencing:
+// once any worker reports a newer leader epoch, SolveRound fails fast with
+// ErrFenced, which the engine never solves locally.
 func (c *Coordinator) SolveRound(domain string, seq uint64, events []topology.Event, tenants []core.TenantSpec) (*core.Decision, error) {
 	deadline := time.Now().Add(c.opts.DispatchTimeout)
 	for attempt := 0; ; attempt++ {
@@ -365,8 +368,8 @@ func (c *Coordinator) SolveRound(domain string, seq uint64, events []topology.Ev
 		m := c.owner(domain)
 		if m == nil || time.Now().After(deadline) {
 			c.opts.Log.Warn().Str("domain", domain).Uint64("seq", seq).Int("attempt", attempt).
-				Msg("no worker answered in time; solving round locally")
-			return c.local.Solve(domain, events, tenants)
+				Msg("no worker answered in time; declining round to the engine's own solver")
+			return nil, admission.ErrNoWorker
 		}
 		if attempt > 0 {
 			c.opts.Log.Info().Str("domain", domain).Uint64("seq", seq).Str("worker", m.id).
@@ -440,7 +443,7 @@ func (c *Coordinator) dispatch(m *memberConn, domain string, seq uint64, events 
 		return nil, nil, true
 	case <-timer.C:
 		// The worker is unresponsive for this round; the deadline check
-		// in SolveRound turns this retry into a local solve.
+		// in SolveRound turns this retry into a decline.
 		return nil, nil, true
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -151,34 +152,54 @@ func TestInFlightRoundRedispatchedOnWorkerLoss(t *testing.T) {
 }
 
 // TestSolveRoundFallsBackLocallyWithNoWorkers pins the degraded mode: a
-// coordinator with zero live workers still answers rounds (locally), so
-// losing the whole worker fleet degrades throughput, never correctness.
+// coordinator with zero live workers declines a round at once with
+// admission.ErrNoWorker — it keeps no solver of its own — and the engine
+// solves that round on the domain's own solver, deciding exactly what an
+// engine with no coordinator decides. Losing the whole worker fleet
+// degrades throughput, never correctness.
 func TestSolveRoundFallsBackLocallyWithNoWorkers(t *testing.T) {
 	dc := testDomainConfig()
-	coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t)})
+	coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t), DispatchTimeout: time.Minute})
 	defer coord.Close()
 	if err := coord.RegisterDomain("", dc); err != nil {
 		t.Fatal(err)
 	}
-	tenants := testTenants()
-	got, err := coord.SolveRound(admission.DefaultDomain, 1, nil, tenants)
-	if err != nil {
-		t.Fatal(err)
+	start := time.Now()
+	dec, err := coord.SolveRound(admission.DefaultDomain, 1, nil, testTenants())
+	if !errors.Is(err, admission.ErrNoWorker) || dec != nil {
+		t.Fatalf("SolveRound with no workers: dec=%v err=%v, want admission.ErrNoWorker", dec, err)
 	}
-	host := NewSolverHost()
-	spec, err := NewDomainSpec("", dc)
-	if err != nil {
-		t.Fatal(err)
+	if waited := time.Since(start); waited > 10*time.Second {
+		t.Fatalf("SolveRound with no workers took %v; it must decline at once, not wait out DispatchTimeout", waited)
 	}
-	if err := host.Register(spec); err != nil {
-		t.Fatal(err)
+
+	round := func(exec admission.Executor) *admission.Round {
+		t.Helper()
+		cfg := dc
+		cfg.Executor = exec
+		e := admission.New(admission.Config{})
+		if err := e.AddDomain("", cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer e.Stop()
+		sla := testTenants()[0].SLA
+		for _, n := range []string{"t0", "t1", "t2"} {
+			if _, err := e.Submit(admission.Request{Name: n, SLA: sla}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r, err := e.DecideRound("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
 	}
-	want, err := host.Solve(admission.DefaultDomain, nil, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("local fallback diverged:\n got: %+v\nwant: %+v", got, want)
+	want, got := round(nil), round(coord)
+	if !reflect.DeepEqual(got.Decision, want.Decision) {
+		t.Fatalf("declined round diverged:\n got: %+v\nwant: %+v", got.Decision, want.Decision)
 	}
 }
 

@@ -14,6 +14,11 @@
 // rendezvous placement assigns the domain to. The same member set always
 // yields the same placement, and a single leave moves only the departed
 // worker's domains (rendezvous minimal movement), both pinned by tests.
+// The coordinator keeps no solver: a round no worker takes (none live, or
+// none answering within DispatchTimeout) is declined with
+// admission.ErrNoWorker, and the engine solves it on the domain's own
+// LocalSolver. A fenced coordinator returns ErrFenced instead, which the
+// engine never solves.
 //
 // A worker (cmd/ovnes-worker, or an in-process loopback worker) hosts
 // the engine's own in-process solver, one admission.LocalSolver per
@@ -31,10 +36,10 @@
 // use shortest-form encoding) or is an int/string, and warm solver state
 // is a cache that cannot move a decision (the warm==cold pins). So a
 // solve on worker A, the same solve re-dispatched to worker B after A is
-// SIGKILLed mid-round, and a local in-process solve all return the
-// bit-identical decision — which is what lets the coordinator re-dispatch
-// in-flight rounds on worker loss without losing or reordering any
-// decision, and what the worker-count {1,2,4} equality tests and the
+// SIGKILLed mid-round, and the engine's own solve of a declined round all
+// return the bit-identical decision — which is what lets the coordinator
+// re-dispatch in-flight rounds on worker loss without losing or reordering
+// any decision, and what the worker-count {0,1,2,4} equality tests and the
 // cluster-check CI gate pin end to end. Because the coordinator still
 // owns all state and the WAL (log-before-ack, unchanged), crash recovery
 // is identical to single-process mode and never waits for workers.

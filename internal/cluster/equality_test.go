@@ -251,10 +251,11 @@ func waitMembersAtMost(t *testing.T, c *Coordinator, n int) {
 	}
 }
 
-// TestClusterMatchesSingleProcess is the tentpole acceptance gate: on
+// TestClusterMatchesSingleProcess is the distributed acceptance gate: on
 // three archetypes (steady drift, flash-crowd churn, and a topology
-// outage) the cluster path at worker counts 1, 2 and 4 reproduces the
-// single-process decision trace exactly — including across a worker
+// outage) the cluster path at worker counts 0, 1, 2 and 4 reproduces the
+// single-process decision trace exactly — with no workers every round is
+// declined back to the engine's own solver, and at two or more a worker is
 // killed mid-run at epoch 5, which forces a rebalance of the domain onto
 // a surviving worker with committed tenants and accumulated topology
 // events in play.
@@ -270,7 +271,7 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 			}
 			reqs := requestsOf(cfg)
 			want := engineReplay(t, cfg, reqs, spec.Algorithm, spec.ReofferPending, nil, nil)
-			for _, workers := range []int{1, 2, 4} {
+			for _, workers := range []int{0, 1, 2, 4} {
 				coord, stops := startCluster(t, cfg, spec.Algorithm, workers)
 				kill := func(epoch int) {
 					if workers < 2 || epoch != equalityEpochs/2 {

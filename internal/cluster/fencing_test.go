@@ -103,8 +103,8 @@ func TestFencedStaleLeaderStopsDispatching(t *testing.T) {
 		t.Fatal("coordinator not marked fenced after a worker rejection")
 	}
 
-	// Fenced is permanent: no further round may be decided, not even by
-	// the local fallback the coordinator would use when workers are gone.
+	// Fenced is permanent: no further round may be decided, and ErrFenced
+	// is not a decline, so the engine will not solve it on its own solver.
 	if _, err := coord.SolveRound(admission.DefaultDomain, 3, nil, testTenants()); !errors.Is(err, ErrFenced) {
 		t.Fatalf("post-fence solve: err=%v, want ErrFenced", err)
 	}

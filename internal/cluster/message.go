@@ -109,3 +109,12 @@ func NewDomainSpec(name string, dc admission.DomainConfig) (DomainSpec, error) {
 		Benders:     dc.Benders,
 	}, nil
 }
+
+// network decodes the spec's base topology, as a worker does at assign.
+func (spec DomainSpec) network() (*topology.Network, error) {
+	net, err := topology.ReadJSON(bytes.NewReader(spec.Net))
+	if err != nil {
+		return nil, fmt.Errorf("cluster: domain %q topology: %w", spec.Name, err)
+	}
+	return net, nil
+}

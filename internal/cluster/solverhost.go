@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 
@@ -12,8 +11,7 @@ import (
 
 // SolverHost holds one admission.LocalSolver per assigned domain — the very
 // type the engine solves through in-process — keyed by domain name. It is
-// what both cmd/ovnes-worker and the coordinator's local-fallback path
-// solve through.
+// what a worker (cmd/ovnes-worker, or a loopback worker) solves through.
 type SolverHost struct {
 	mu      sync.Mutex
 	domains map[string]*admission.LocalSolver
@@ -28,9 +26,9 @@ func NewSolverHost() *SolverHost {
 // normalized coordinator-side; its values are used verbatim so the worker
 // cannot re-default differently.
 func (h *SolverHost) Register(spec DomainSpec) error {
-	net, err := topology.ReadJSON(bytes.NewReader(spec.Net))
+	net, err := spec.network()
 	if err != nil {
-		return fmt.Errorf("cluster: domain %q topology: %w", spec.Name, err)
+		return err
 	}
 	solver, err := admission.NewLocalSolver(admission.DomainConfig{
 		Net:         net,
@@ -47,13 +45,6 @@ func (h *SolverHost) Register(spec DomainSpec) error {
 	h.domains[spec.Name] = solver
 	h.mu.Unlock()
 	return nil
-}
-
-// Has reports whether the domain is registered.
-func (h *SolverHost) Has(domain string) bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.domains[domain] != nil
 }
 
 // Solve runs one round on the domain's solver, which re-derives the live

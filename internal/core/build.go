@@ -13,10 +13,10 @@ import (
 // emulated edge↔core interconnect) are not given capacity rows.
 const unlimitedLinkMbps = 1e8
 
-// defaultBigM prices a unit of leased deficit capacity; it must dwarf any
-// attainable reward so deficits appear only when constraint (13) forces
-// them (§3.4).
-const defaultBigM = 1e4
+// DefaultBigM prices a unit of leased deficit capacity (Instance.BigM); it
+// must dwarf any attainable reward so deficits appear only when constraint
+// (13) forces them (§3.4). Every layer that relaxes capacity uses it.
+const DefaultBigM = 1e4
 
 // slaveRow describes one slave-LP row whose right-hand side is affine in
 // the master's binary vector: rhs(x) = r0 + Σ coef_j·x_j. The Benders cuts
@@ -270,8 +270,8 @@ func milpSolve(solver *milp.Solver, p *lp.Problem, binaries []int) (*milp.Soluti
 // Verify re-derives the item vectors from a Decision and checks capacity
 // and reservation-window feasibility against the instance, returning the
 // independently recomputed Ψ. Deficit allowances from the big-M relaxation
-// are honored. It is the safety net tests and the simulator run over every
-// solver's output.
+// are honored. It is the safety net the tests run over every solver's
+// output; no production path calls it.
 func Verify(inst *Instance, d *Decision) (float64, error) {
 	m, err := buildModel(inst)
 	if err != nil {

@@ -20,7 +20,7 @@ func testInstance(tenants []TenantSpec, overbook bool) *Instance {
 		Paths:    net.Paths(3),
 		Tenants:  tenants,
 		Overbook: overbook,
-		BigM:     defaultBigM,
+		BigM:     DefaultBigM,
 	}
 }
 

@@ -40,7 +40,7 @@ func metroPodInstance() *Instance {
 		embbTenant("e2", 30, 0.2, 2, 4),
 	}
 	ts[0].Committed, ts[0].CommittedCU = true, 0
-	return &Instance{Net: net, Paths: net.Paths(2), Tenants: ts, Overbook: true, BigM: defaultBigM}
+	return &Instance{Net: net, Paths: net.Paths(2), Tenants: ts, Overbook: true, BigM: DefaultBigM}
 }
 
 // sameLP requires two problems to agree variable for variable and row for

@@ -24,7 +24,7 @@ func epochSequence() []*Instance {
 		return &Instance{
 			Net: net, Paths: paths,
 			Tenants:  []TenantSpec{t1, t2},
-			Overbook: true, BigM: defaultBigM,
+			Overbook: true, BigM: DefaultBigM,
 		}
 	}
 	return []*Instance{
@@ -52,7 +52,7 @@ func pinningSequence() []*Instance {
 		committed         bool
 	}
 	mk := func(a, b tn) *Instance {
-		inst := &Instance{Net: net, Paths: paths, Overbook: true, BigM: defaultBigM}
+		inst := &Instance{Net: net, Paths: paths, Overbook: true, BigM: DefaultBigM}
 		for _, x := range []tn{a, b} {
 			u := typedTenant("u", slice.URLLC, x.lh, x.sigma, 1, 4)
 			u.SLA.Reward *= x.reward
@@ -203,7 +203,7 @@ func TestSameSolverShape(t *testing.T) {
 	}
 	// A departed tenant changes the shape.
 	short := &Instance{Net: seq[0].Net, Paths: seq[0].Paths,
-		Tenants: seq[0].Tenants[:1], Overbook: true, BigM: defaultBigM}
+		Tenants: seq[0].Tenants[:1], Overbook: true, BigM: DefaultBigM}
 	ms, err := buildModel(short)
 	if err != nil {
 		t.Fatal(err)

@@ -10,20 +10,13 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/core"
 	"repro/internal/monitor"
 	"repro/internal/reopt"
 	"repro/internal/slice"
 	"repro/internal/topology"
 	"repro/internal/wal"
 	"repro/internal/yield"
-)
-
-// The orchestrator's fixed model choices: k-shortest paths per (BS, CU) in
-// the P_{b,c} path sets, and the Holt-Winters period, in epochs, of the
-// closed loop's forecasters.
-const (
-	kPaths   = 3
-	hwPeriod = 12
 )
 
 // OrchestratorConfig wires the E2E orchestrator to its domain controllers
@@ -148,7 +141,6 @@ func buildCore(cfg OrchestratorConfig) (*Orchestrator, error) {
 	})
 	if err := eng.AddDomain(admission.DefaultDomain, admission.DomainConfig{
 		Net:       cfg.Net,
-		KPaths:    kPaths,
 		Algorithm: cfg.Algorithm,
 	}); err != nil {
 		return nil, fmt.Errorf("ctrlplane: %w", err)
@@ -169,11 +161,10 @@ func buildCore(cfg OrchestratorConfig) (*Orchestrator, error) {
 		slices: map[string]*orchSlice{},
 	}
 	loopCfg := reopt.Config{
-		Engine:   eng,
-		Store:    cfg.Store,
-		Ledger:   ledger,
-		HWPeriod: hwPeriod,
-		OnRound:  o.programRound,
+		Engine:  eng,
+		Store:   cfg.Store,
+		Ledger:  ledger,
+		OnRound: o.programRound,
 	}
 	if cfg.DataDir != "" {
 		// Fires from Step only, so only once takeover has set o.wal: a
@@ -607,7 +598,7 @@ func (o *Orchestrator) programRound(round *admission.Round) error {
 	}
 	dec := round.Decision
 	rep.NetRevenue = dec.Revenue()
-	rep.DeficitCost = 1e4 * (dec.DeficitRadio + dec.DeficitTransport + dec.DeficitCompute)
+	rep.DeficitCost = core.DefaultBigM * (dec.DeficitRadio + dec.DeficitTransport + dec.DeficitCompute)
 
 	type progItem struct {
 		name  string

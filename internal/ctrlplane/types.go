@@ -6,8 +6,9 @@ import "repro/internal/slice"
 // commercial terms, submitted to the slice manager.
 type SliceRequest struct {
 	Name string `json:"name"`
-	// Tenant is the submitting tenant's identity, used by the admission
-	// engine's per-tenant fairness cap; empty means the slice name.
+	// Tenant is the submitting tenant's identity, kept as the committed
+	// slice's owner (admission.CommittedSlice.Tenant); empty means the
+	// slice name.
 	Tenant         string  `json:"tenant,omitempty"`
 	Type           string  `json:"type"`            // "eMBB" | "mMTC" | "uRLLC"
 	RateMbps       float64 `json:"rate_mbps"`       // Λ per radio site
@@ -22,16 +23,9 @@ type SliceRequest struct {
 // Template resolves the request against Table 1 defaults: zero-valued
 // fields inherit the template of the declared type.
 func (r SliceRequest) Template() (slice.Template, error) {
-	var ty slice.Type
-	switch r.Type {
-	case "eMBB":
-		ty = slice.EMBB
-	case "mMTC":
-		ty = slice.MMTC
-	case "uRLLC":
-		ty = slice.URLLC
-	default:
-		return slice.Template{}, errUnknownType(r.Type)
+	ty, err := slice.ParseType(r.Type)
+	if err != nil {
+		return slice.Template{}, err
 	}
 	t := slice.Table1(ty)
 	if r.RateMbps > 0 {
@@ -51,10 +45,6 @@ func (r SliceRequest) Template() (slice.Template, error) {
 	}
 	return t, nil
 }
-
-type errUnknownType string
-
-func (e errUnknownType) Error() string { return "ctrlplane: unknown slice type " + string(e) }
 
 // NSDescriptor is the TOSCA-flavoured network-service document the slice
 // manager builds per request (Fig. 1): the chain of PNFs (BS and switch

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/forecast"
 	"repro/internal/parallel"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/slice"
 	"repro/internal/topology"
@@ -48,7 +49,7 @@ func SLAViolationStudy(nBS, tenants, epochs int, seed int64) ([]SLAFootprint, er
 	}
 	return parallel.Map(len(configs), 0, func(i int) (SLAFootprint, error) {
 		c := configs[i]
-		specs := homogeneousSpecs(slice.EMBB, tenants, 0.3, c.sf, c.m, seed)
+		specs := scenario.HomogeneousSpecs(slice.EMBB, tenants, 0.3, c.sf, c.m, seed)
 		res, err := sim.Run(sim.Config{
 			Net: topology.Romanian(nBS), Epochs: epochs, Slices: specs,
 			Algorithm: "direct", KPaths: 2, ReofferPending: true,
@@ -108,7 +109,7 @@ func SolverScaling(sizes [][2]int, seed int64) ([]SolverTiming, error) {
 				Sigma:     0.1, RemainingEpochs: 8,
 			})
 		}
-		inst := &core.Instance{Net: net, Paths: paths, Tenants: specs, Overbook: true, BigM: 1e4}
+		inst := &core.Instance{Net: net, Paths: paths, Tenants: specs, Overbook: true, BigM: core.DefaultBigM}
 
 		type solver struct {
 			name string

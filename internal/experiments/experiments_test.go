@@ -284,13 +284,20 @@ func TestForecastAblationOrdering(t *testing.T) {
 	}
 }
 
-// TestSweepsRejectUnknownTopology: an unknown topology name is an error the
-// Fig. 5/6 sweeps return, not a panic.
+// TestSweepsRejectUnknownTopology: an unknown topology or slice-type name
+// is an error the Fig. 5/6 sweeps return, not a panic in a pool worker.
 func TestSweepsRejectUnknownTopology(t *testing.T) {
 	if _, err := Fig5(Fig5Config{Topologies: []string{"atlantis"}}); err == nil || !strings.Contains(err.Error(), "atlantis") {
 		t.Errorf("Fig5 with an unknown topology: err = %v, want one naming it", err)
 	}
 	if _, err := Fig6(Fig6Config{Topologies: []string{"atlantis"}}); err == nil || !strings.Contains(err.Error(), "atlantis") {
 		t.Errorf("Fig6 with an unknown topology: err = %v, want one naming it", err)
+	}
+	one := []string{"Romanian"}
+	if _, err := Fig5(Fig5Config{Topologies: one, SliceTypes: []string{"embb"}}); err == nil || !strings.Contains(err.Error(), "embb") {
+		t.Errorf("Fig5 with an unknown slice type: err = %v, want one naming it", err)
+	}
+	if _, err := Fig6(Fig6Config{Topologies: one, Mixes: [][2]string{{"eMBB", "6G"}}}); err == nil || !strings.Contains(err.Error(), "6G") {
+		t.Errorf("Fig6 with an unknown slice type: err = %v, want one naming it", err)
 	}
 }

@@ -13,15 +13,6 @@ import (
 // Topology names used across the Fig. 5/6 harnesses.
 var TopologyNames = []string{"Romanian", "Swiss", "Italian"}
 
-// sliceTypeByName resolves the Table 1 templates.
-func sliceTypeByName(name string) slice.Type {
-	ty, err := scenario.SliceTypeByName(name)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return ty
-}
-
 // Fig5Config controls the homogeneous-scenario sweep. The defaults are a
 // CI-sized subsample of the paper's grid; cmd/simctl exposes the full one.
 type Fig5Config struct {
@@ -90,13 +81,6 @@ type Fig5Point struct {
 	MeanDrop        float64
 }
 
-// homogeneousSpecs builds n identical requests of one type; the population
-// construction lives in the scenario engine (scenario.HomogeneousSpecs)
-// and is shared with `scenario run`.
-func homogeneousSpecs(ty slice.Type, n int, alpha, sigmaFrac, m float64, seed int64) []sim.SliceSpec {
-	return scenario.HomogeneousSpecs(ty, n, alpha, sigmaFrac, m, seed)
-}
-
 // fig5Combo is one point of the Fig. 5 parameter grid.
 type fig5Combo struct {
 	topo, ty     string
@@ -129,7 +113,11 @@ func Fig5(cfg Fig5Config) ([]Fig5Point, error) {
 		if err != nil {
 			return Fig5Point{}, fmt.Errorf("fig5: %w", err)
 		}
-		specs := homogeneousSpecs(sliceTypeByName(c.ty), cfg.Tenants, c.alpha, c.sf, c.m, cfg.Seed)
+		ty, err := slice.ParseType(c.ty)
+		if err != nil {
+			return Fig5Point{}, fmt.Errorf("fig5: %w", err)
+		}
+		specs := scenario.HomogeneousSpecs(ty, cfg.Tenants, c.alpha, c.sf, c.m, cfg.Seed)
 		runCfg := sim.Config{
 			Net: net, Epochs: cfg.Epochs, Slices: specs,
 			KPaths: cfg.KPaths, ReofferPending: true,
@@ -259,12 +247,19 @@ func Fig6(cfg Fig6Config) ([]Fig6Point, error) {
 		if err != nil {
 			return Fig6Point{}, fmt.Errorf("fig6: %w", err)
 		}
-		tyA, tyB := sliceTypeByName(c.mix[0]), sliceTypeByName(c.mix[1])
+		tyA, err := slice.ParseType(c.mix[0])
+		if err != nil {
+			return Fig6Point{}, fmt.Errorf("fig6: %w", err)
+		}
+		tyB, err := slice.ParseType(c.mix[1])
+		if err != nil {
+			return Fig6Point{}, fmt.Errorf("fig6: %w", err)
+		}
 		nB := int(float64(cfg.Tenants)*c.beta/100 + 0.5)
 		nA := cfg.Tenants - nB
 		specs := append(
-			homogeneousSpecs(tyA, nA, alpha, cfg.SigmaFrac, cfg.Penalty, cfg.Seed),
-			homogeneousSpecs(tyB, nB, alpha, cfg.SigmaFrac, cfg.Penalty, cfg.Seed+1000)...)
+			scenario.HomogeneousSpecs(tyA, nA, alpha, cfg.SigmaFrac, cfg.Penalty, cfg.Seed),
+			scenario.HomogeneousSpecs(tyB, nB, alpha, cfg.SigmaFrac, cfg.Penalty, cfg.Seed+1000)...)
 		for i := range specs {
 			specs[i].Name = fmt.Sprintf("t%d-%s", i, specs[i].Template.Type)
 		}

@@ -209,10 +209,7 @@ func (c *Controller) Step() (*StepReport, error) {
 				}
 			}
 			if as.Samples() == 0 {
-				// Nothing monitored: nothing to settle. This is also how a
-				// slice handed over to another domain mid-epoch drops out
-				// naturally — its samples land under the destination domain's
-				// store, so the source books no yield for it.
+				// Nothing monitored: nothing to settle.
 				continue
 			}
 			rep.Settled = append(rep.Settled, as.Entry(m.Name, c.prev.epoch, m.SLA.Reward, m.SLA.Penalty))
@@ -224,20 +221,6 @@ func (c *Controller) Step() (*StepReport, error) {
 		}
 		for _, e := range rep.Settled {
 			c.cfg.Ledger.Book(e)
-			c.cfg.Store.Add(monitor.Sample{
-				Slice: e.Slice, Metric: "yield_realized", Element: c.cfg.Domain,
-				Epoch: c.prev.epoch, Value: e.Realized,
-			})
-		}
-		if n := len(rep.Settled); n > 0 {
-			total := 0.0
-			for _, e := range rep.Settled {
-				total += e.Realized
-			}
-			c.cfg.Store.Add(monitor.Sample{
-				Slice: "yield", Metric: "epoch_realized", Element: c.cfg.Domain,
-				Epoch: c.prev.epoch, Value: total,
-			})
 		}
 	}
 

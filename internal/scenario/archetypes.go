@@ -147,8 +147,8 @@ func Archetypes() []Spec {
 		{
 			Name: "handover",
 			Description: "adversarial: the edge CU leaves at epoch 3 and returns at epoch 7, forcing compute onto " +
-				"the core site — the sim-level face of slice handover (the admission engine's Handover rebinds a " +
-				"committed slice across domains with its ledger identity intact; see EXPERIMENTS.md)",
+				"the core site — the sim-level face of slice handover, a capacity event inside one domain " +
+				"(see EXPERIMENTS.md)",
 			Topology: "Italian", NBS: 4,
 			Tenants: 6, Epochs: 24, HWPeriod: 8,
 			Arrivals: Arrivals{Kind: Batch},

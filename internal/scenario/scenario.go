@@ -145,19 +145,6 @@ func BuildTopology(name string, nBS int) (*topology.Network, error) {
 	return build(nBS), nil
 }
 
-// SliceTypeByName resolves the Table 1 template names.
-func SliceTypeByName(name string) (slice.Type, error) {
-	switch name {
-	case "eMBB":
-		return slice.EMBB, nil
-	case "mMTC":
-		return slice.MMTC, nil
-	case "uRLLC":
-		return slice.URLLC, nil
-	}
-	return 0, fmt.Errorf("scenario: unknown slice type %q", name)
-}
-
 func parseShape(name string) (sim.LoadShape, error) {
 	switch name {
 	case "", "gaussian":
@@ -260,7 +247,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("scenario %s: needs at least one class", s.Name)
 	}
 	for _, c := range s.Classes {
-		if _, err := SliceTypeByName(c.Type); err != nil {
+		if _, err := slice.ParseType(c.Type); err != nil {
 			return err
 		}
 		shape, err := parseShape(c.Shape)
@@ -510,7 +497,7 @@ func (s Spec) Compile(seed int64) (sim.Config, error) {
 			c = s.Classes[slots[next]]
 			next++
 		}
-		ty, err := SliceTypeByName(c.Type)
+		ty, err := slice.ParseType(c.Type)
 		if err != nil {
 			return sim.Config{}, err
 		}

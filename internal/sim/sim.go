@@ -353,7 +353,7 @@ func (e *engine) step(t int) error {
 	specs, idxOf := e.assemble(t)
 	inst := &core.Instance{
 		Net: net, Paths: e.paths, Tenants: specs,
-		Overbook: e.cfg.Algorithm != "no-overbooking", BigM: 1e4,
+		Overbook: e.cfg.Algorithm != "no-overbooking", BigM: core.DefaultBigM,
 	}
 	dec, err := e.solver(inst)
 	if err != nil {

@@ -25,6 +25,16 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", int(t))
 }
 
+// ParseType is the inverse of String: it resolves a Table 1 type name.
+func ParseType(name string) (Type, error) {
+	for _, t := range []Type{EMBB, MMTC, URLLC} {
+		if t.String() == name {
+			return t, nil
+		}
+	}
+	return 0, fmt.Errorf("slice: unknown type %q", name)
+}
+
 // ComputeModel is the paper's sτ = {aτ, bτ}: the linear map from network
 // load (Mb/s) arriving at the tenant's vertical service to CPU cores
 // (constraint (2)). BaselineCPU (aτ) covers the VS operating system and
@@ -94,23 +104,3 @@ func (s SLA) WithPenaltyFactor(m float64) SLA {
 	s.Penalty = m * s.Reward
 	return s
 }
-
-// Request is a tenant's slice request as received by the slice manager in
-// one decision epoch.
-type Request struct {
-	Tenant  string
-	SLA     SLA
-	Arrival int // decision epoch index
-}
-
-// State tracks an admitted slice through its lifetime (the paper's Ωτ).
-type State struct {
-	Request   Request
-	Accepted  bool
-	CU        int   // chosen computing unit index
-	PathIdx   []int // per-BS index into the P_{b,CU} path list
-	Remaining int   // Ωτ: epochs until expiration
-}
-
-// Active reports whether the slice still holds resources.
-func (s *State) Active() bool { return s.Accepted && s.Remaining > 0 }

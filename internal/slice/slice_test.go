@@ -66,6 +66,16 @@ func TestTypeString(t *testing.T) {
 	if Type(9).String() == "" {
 		t.Error("unknown type must print")
 	}
+	for _, ty := range []Type{EMBB, MMTC, URLLC} {
+		if got, err := ParseType(ty.String()); err != nil || got != ty {
+			t.Errorf("ParseType(%q) = %v, %v; want %v", ty.String(), got, err, ty)
+		}
+	}
+	for _, name := range []string{"embb", "6G", "", "Type(9)"} {
+		if _, err := ParseType(name); err == nil {
+			t.Errorf("ParseType(%q) resolved", name)
+		}
+	}
 }
 
 func TestTable1PanicsOnUnknown(t *testing.T) {
@@ -75,19 +85,4 @@ func TestTable1PanicsOnUnknown(t *testing.T) {
 		}
 	}()
 	Table1(Type(42))
-}
-
-func TestStateActive(t *testing.T) {
-	s := &State{Accepted: true, Remaining: 2}
-	if !s.Active() {
-		t.Error("accepted slice with remaining epochs must be active")
-	}
-	s.Remaining = 0
-	if s.Active() {
-		t.Error("expired slice must be inactive")
-	}
-	s2 := &State{Accepted: false, Remaining: 5}
-	if s2.Active() {
-		t.Error("rejected slice must be inactive")
-	}
 }

@@ -60,19 +60,20 @@
 // Replayer applies records to a Target under the hold-back rule: a step's
 // settle/observe/forecasts prefix pends until the step's round arrives
 // behind it. Per-domain LSN order is the specification; the order between
-// two domains' records is not observable except across a handover. So
-// Ingest takes a batch, routes it to one lane per domain and runs the lanes
-// side by side on up to GOMAXPROCS goroutines (internal/parallel; inline
-// with one processor or one lane), cutting the batch at every handover and
-// applying that record alone. A replay error is fail-stop: the lowest-LSN
-// error is returned, other lanes may already be past it, and the target
-// must be thrown away. Finalize, against the writable Store, physically
-// truncates a prefix whose round never made it durable (it was never acked
-// to anyone; the interrupted step re-runs live) and completes a trailing
-// round without its advance, re-logged (the round's outcomes were acked).
-// Recover is Bootstrap + Finalize over what Open found; a standby feeds
-// the same Replayer from a Tailer, a poll's records at a time, and
-// finalizes at promotion. An advance over a pending prefix, and a committed
-// record after another domain's uncommitted prefix, are refused: no correct
-// writer produces either.
+// two domains' records is not observable, since no record reads or writes
+// two domains. So Ingest takes a batch, routes every record to its domain's
+// lane and runs the lanes side by side on up to GOMAXPROCS goroutines
+// (internal/parallel; inline with one processor or one lane). A record of a
+// kind this package does not write fails replay ("unknown record kind").
+// A replay error is fail-stop: the lowest-LSN error is returned, other
+// lanes may already be past it, and the target must be thrown away.
+// Finalize, against the writable Store, physically truncates a prefix whose
+// round never made it durable (it was never acked to anyone; the
+// interrupted step re-runs live) and completes a trailing round without its
+// advance, re-logged (the round's outcomes were acked). Recover is
+// Bootstrap + Finalize over what Open found; a standby feeds the same
+// Replayer from a Tailer, a poll's records at a time, and finalizes at
+// promotion. An advance over a pending prefix, and a committed record after
+// another domain's uncommitted prefix, are refused: no correct writer
+// produces either.
 package wal

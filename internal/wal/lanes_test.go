@@ -50,7 +50,7 @@ func newLaneEngine(t testing.TB, st *Store) (*admission.Engine, *yield.Ledger) {
 // writeLaneLog serves a seeded run into dir and kills it: every domain
 // steps forecasts → round → advance, and which domain moves next is drawn
 // at random, so the log interleaves the domains record by record while each
-// keeps its own order. Topology events and two handovers land in between.
+// keeps its own order. Topology events land in between.
 // The run ends the way a crash can leave it: one domain's last round has no
 // advance behind it, and another's next forecasts reached disk without their
 // round. Returns the rounds logged and the two domains left half-done.
@@ -104,29 +104,8 @@ func writeLaneLog(t testing.TB, dir string, seed int64) (rounds int, noAdvance, 
 		}
 	}
 	phase := make([]int, len(domains)) // 3·step + {0: forecasts, 1: round, 2: advance}
-	// A handover leaves its source between two steps, where the live control
-	// plane issues it: forecasts held back past the move would name a slice
-	// that has left (a shape the serial replay refuses too).
-	handover := func() bool {
-		for _, i := range rng.Perm(len(domains)) {
-			names, err := eng.Committed(domains[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(names) == 0 || phase[i]%3 != 0 {
-				continue
-			}
-			to := domains[(i+1+rng.Intn(len(domains)-1))%len(domains)]
-			if err := eng.Handover(domains[i], to, names[rng.Intn(len(names))]); err != nil {
-				t.Fatal(err)
-			}
-			return true
-		}
-		return false
-	}
-
 	const steps = 6
-	left, handovers := len(domains)*steps*3, 0
+	left := len(domains) * steps * 3
 	for left > 0 {
 		i := rng.Intn(len(domains))
 		if phase[i] == steps*3 {
@@ -149,12 +128,6 @@ func writeLaneLog(t testing.TB, dir string, seed int64) (rounds int, noAdvance, 
 		}
 		phase[i]++
 		left--
-		if handovers < 2 && left <= len(domains)*steps*(2-handovers) && handover() {
-			handovers++
-		}
-	}
-	if handovers != 2 {
-		t.Fatalf("%d handovers logged, want 2; pick another seed", handovers)
 	}
 
 	noAdvance, prefixOnly = domains[2], domains[5]
@@ -320,6 +293,36 @@ func TestParallelReplayReturnsLowestLSNError(t *testing.T) {
 			if err == nil || !strings.HasPrefix(err.Error(), want) {
 				t.Fatalf("GOMAXPROCS=%d: Recover = %v, want the error at the lowest LSN (%q…)", procs, err, want)
 			}
+		}
+	}
+}
+
+// TestReplayRefusesUnknownKind: no record kind moves a slice between
+// domains. The Store refuses to write one, and a log that holds one anyway
+// fails replay at its LSN as an unknown kind instead of skipping it.
+func TestReplayRefusesUnknownKind(t *testing.T) {
+	src := t.TempDir()
+	w, _, err := Open(Options{Dir: src, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dom := laneDomainNames()[0]
+	if err := w.AppendAdvance(dom); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendHandover(dom, laneDomainNames()[1], "s"); err == nil || w.LSN() != 1 {
+		t.Fatalf("AppendHandover = %v with the log at LSN %d; want a refusal and LSN 1", err, w.LSN())
+	}
+	if err := w.append(&Record{Kind: "handover", Domain: dom}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, procs := range []int{0, laneProcs()} {
+		_, _, _, err := recoverLaneLog(t, src, procs)
+		if err == nil || !strings.Contains(err.Error(), `wal: replay at LSN 1: wal: unknown record kind "handover"`) {
+			t.Fatalf("GOMAXPROCS=%d: Recover = %v, want the unknown kind at LSN 1", procs, err)
 		}
 	}
 }

@@ -22,11 +22,10 @@ const (
 	KindObserve   = "observe"
 	KindSettle    = "settle"
 	// KindTopology records capacity events folded into a domain's live
-	// network; KindHandover a committed slice moving between domains. Both
-	// are fsynced at append time (they change every later decision), so —
-	// unlike forecasts/advance — they are never held back by recovery.
+	// network. It is fsynced at append time (it changes every later
+	// decision), so — unlike forecasts/advance — it is never held back by
+	// recovery.
 	KindTopology = "topology"
-	KindHandover = "handover"
 )
 
 // Record is one logged step input. Kind selects which fields are
@@ -52,10 +51,6 @@ type Record struct {
 
 	// topology: the capacity events applied (Domain is the target domain).
 	Events []topology.Event `json:"events,omitempty"`
-
-	// handover: the slice Name moving from Domain to To.
-	To   string `json:"to,omitempty"`
-	Name string `json:"name,omitempty"`
 }
 
 // ErrTorn marks a frame that cannot be decoded: short header, payload

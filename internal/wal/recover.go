@@ -112,8 +112,6 @@ func replayOne(t Target, r Record) error {
 		// trajectory re-applies through the live path (appends are
 		// suppressed while recovering).
 		return t.Engine.ApplyTopology(r.Domain, r.Events)
-	case KindHandover:
-		return t.Engine.Handover(r.Domain, r.To, r.Name)
 	default:
 		return fmt.Errorf("wal: unknown record kind %q", r.Kind)
 	}

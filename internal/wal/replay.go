@@ -16,14 +16,13 @@ import (
 // recovery (Recover) feeds it the whole suffix at once.
 //
 // The order that is the specification is the per-domain LSN order. Domains
-// share no state a record can observe except across a handover (the ledger
-// they all book into reduces per key in sorted order), so Ingest routes a
-// batch's records to one lane per domain and runs the lanes side by side on
-// up to GOMAXPROCS goroutines; a handover, the one record that couples two
-// domains, is a barrier applied alone between two such stretches. Every
-// schedule this produces ends where the LSN-serial replay ends; with one
-// processor the lanes run one after another on the caller's goroutine, and
-// a batch of one record (or one domain) is the serial replay itself.
+// share no state a record can observe (the ledger they all book into
+// reduces per key in sorted order), so Ingest routes every record of a
+// batch to its domain's lane and runs the lanes side by side on up to
+// GOMAXPROCS goroutines. Every schedule this produces ends where the
+// LSN-serial replay ends; with one processor the lanes run one after another
+// on the caller's goroutine, and a batch of one record (or one domain) is the
+// serial replay itself.
 //
 // Feeding discipline: Bootstrap (optionally) with a snapshot, then Ingest
 // every record in LSN order. Records below the high-water mark are skipped,
@@ -159,9 +158,9 @@ func (l *lane) ingest(t Target, pr PositionedRecord) error {
 		}
 		return l.apply(t, pr)
 	default:
-		// Topology/handover records are fsynced at append time and are
-		// not part of a step's prefix: they apply immediately. One is
-		// allowed to interleave a pending prefix (its fsync can land
+		// Topology records are fsynced at append time and are not part of
+		// a step's prefix: they apply immediately (an unknown kind fails
+		// here, in replayOne). One is allowed to interleave a pending prefix (its fsync can land
 		// between a step's settle and round appends); rounds replayed
 		// later still observe it in log order, and settle/observe do not
 		// read the state it mutates.
@@ -217,17 +216,6 @@ func (r *Replayer) Ingest(batch ...PositionedRecord) error {
 		}
 		r.seen++
 		l := r.lane(pr.Rec.Domain)
-		if pr.Rec.Kind == KindHandover {
-			// The one record that reads and writes two domains: everything
-			// before it lands first, then it applies alone.
-			if err := r.runLanes(); err != nil {
-				return err
-			}
-			if err := l.ingest(r.t, pr); err != nil {
-				return err
-			}
-			continue
-		}
 		if len(l.queue) == 0 {
 			r.active = append(r.active, l)
 		}

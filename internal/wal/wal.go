@@ -404,9 +404,11 @@ func (s *Store) AppendTopology(domain string, events []topology.Event) error {
 	return s.append(&Record{Kind: KindTopology, Domain: domain, Events: events})
 }
 
-// AppendHandover implements admission.RoundLog.
+// AppendHandover refuses without writing: no record kind moves a slice
+// between domains. It stays only because the benchmark's timed log still
+// forwards to it; it goes when that seam is next rewritten.
 func (s *Store) AppendHandover(fromDomain, toDomain, name string) error {
-	return s.append(&Record{Kind: KindHandover, Domain: fromDomain, To: toDomain, Name: name})
+	return fmt.Errorf("wal: no handover record kind (slice %q, %q → %q)", name, fromDomain, toDomain)
 }
 
 // SyncRound implements admission.RoundLog: the once-per-round group commit.

@@ -75,8 +75,8 @@ W2=$!
 PIDS+=("$W2")
 
 # Both workers must be members before the drive starts, or the early
-# rounds legitimately fall back to local solves and the kill exercises
-# nothing.
+# rounds are legitimately declined to the engine's own solver and the
+# kill exercises nothing.
 for i in $(seq 1 60); do
   [ "$(grep -c 'worker joined' /tmp/cluster-check-ovnes.err 2>/dev/null)" -ge 2 ] && break
   sleep 0.25

@@ -160,7 +160,7 @@ wait_log /tmp/failover-check-w3.err 'epoch=2.*joined coordinator' "worker fw3 ne
 wait_log /tmp/failover-check-w4.err 'epoch=2.*joined coordinator' "worker fw4 never saw the new leader"
 
 # The deposed leader's next dispatch must be rejected, not served and not
-# solved locally.
+# solved by its engine's own solver.
 if curl -fsS -X POST 127.0.0.1:18590/epoch > /tmp/failover-check-stale.out 2>&1; then
   echo "failover-check: deposed leader still decided an epoch:"; cat /tmp/failover-check-stale.out; exit 1
 fi
