@@ -51,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"log/slog"
 	"math"
 	"os"
 	"runtime"
@@ -60,7 +61,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/cluster"
 	"repro/internal/monitor"
-	"repro/internal/obslog"
 	"repro/internal/reopt"
 	"repro/internal/scenario"
 	"repro/internal/sim"
@@ -144,9 +144,9 @@ func main() {
 	// so -cluster changes throughput topology, never the printed tables.
 	var exec admission.Executor
 	if *clAddr != "" {
-		coord := cluster.NewCoordinator(cluster.CoordinatorOptions{
-			Log: obslog.New(os.Stderr, obslog.InfoLevel).Str("service", "loadgen"),
-		})
+		// slog.Default writes through the log package, so the
+		// coordinator's lines carry loadgen's prefix like every other one.
+		coord := cluster.NewCoordinator(cluster.CoordinatorOptions{Log: slog.Default()})
 		defer coord.Close()
 		addr, err := coord.Listen(*clAddr)
 		if err != nil {

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"os"
 	"os/signal"
@@ -48,20 +49,12 @@ func main() {
 		connect   = flag.String("connect", "127.0.0.1:9090", "comma-separated coordinator cluster addresses (ovnes -cluster-listen); one redial loop per address")
 		id        = flag.String("id", "", "worker ID for membership and placement (default: host:pid)")
 		heartbeat = flag.Duration("heartbeat", time.Second, "heartbeat interval; must be well below the coordinator's timeout")
-		logLevel  = flag.String("log-level", "info", "structured log level: debug | info | warn | error | off")
+		logLevel  slog.Level
 	)
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "structured log level: debug | info | warn | error")
 	flag.Parse()
 
-	// One logger for the whole process; a bad -log-level is refused
-	// through it too, at the default level.
-	lvl, err := obslog.ParseLevel(*logLevel)
-	if err != nil {
-		lvl = obslog.InfoLevel
-	}
-	olog := obslog.New(os.Stderr, lvl).Str("service", "ovnes-worker")
-	if err != nil {
-		olog.Fatal(err)
-	}
+	olog := obslog.New(os.Stderr, logLevel).With("service", "ovnes-worker")
 
 	if *id == "" {
 		host, err := os.Hostname()
@@ -78,13 +71,13 @@ func main() {
 		}
 	}
 	if len(addrs) == 0 {
-		olog.Fatal(errors.New("-connect needs at least one coordinator address"))
+		obslog.Fatal(olog, errors.New("-connect needs at least one coordinator address"))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
-	olog.Info().Str("worker", *id).Str("coordinators", strings.Join(addrs, ",")).Msg("starting")
+	olog.Info("starting", "worker", *id, "coordinators", strings.Join(addrs, ","))
 
 	// One fencing gate across every connection: a welcome from the current
 	// leader raises it, and any dispatch below it — typically from a
@@ -99,12 +92,12 @@ func main() {
 		}(addr)
 	}
 	wg.Wait()
-	olog.Info().Str("worker", *id).Msg("bye")
+	olog.Info("bye", "worker", *id)
 }
 
 // dialLoop serves one coordinator address: dial (with backoff), serve
 // until the connection or the coordinator dies, repeat.
-func dialLoop(ctx context.Context, connect, id string, heartbeat time.Duration, gate *cluster.EpochGate, olog obslog.Logger) {
+func dialLoop(ctx context.Context, connect, id string, heartbeat time.Duration, gate *cluster.EpochGate, olog *slog.Logger) {
 	// The solver host is rebuilt per connection on purpose — a fresh
 	// coordinator re-assigns domains anyway, and a stale warm cache can
 	// never outlive its assignment that way.
@@ -112,7 +105,7 @@ func dialLoop(ctx context.Context, connect, id string, heartbeat time.Duration, 
 	for ctx.Err() == nil {
 		conn, err := net.DialTimeout("tcp", connect, 5*time.Second)
 		if err != nil {
-			olog.Debug().Str("worker", id).Str("coordinator", connect).Err(err).Dur("retry-in", backoff).Msg("coordinator not reachable")
+			olog.Debug("coordinator not reachable", "worker", id, "coordinator", connect, "err", err, "retry-in", backoff)
 			select {
 			case <-ctx.Done():
 				return
@@ -135,9 +128,9 @@ func dialLoop(ctx context.Context, connect, id string, heartbeat time.Duration, 
 		case ctx.Err() != nil:
 			return
 		case err != nil && !errors.Is(err, context.Canceled):
-			olog.Warn().Str("worker", id).Str("coordinator", connect).Err(err).Msg("connection to coordinator lost; redialing")
+			olog.Warn("connection to coordinator lost; redialing", "worker", id, "coordinator", connect, "err", err)
 		default:
-			olog.Info().Str("worker", id).Str("coordinator", connect).Msg("coordinator closed the connection; redialing")
+			olog.Info("coordinator closed the connection; redialing", "worker", id, "coordinator", connect)
 		}
 	}
 }

@@ -66,6 +66,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -99,24 +100,16 @@ func main() {
 		leaseTTL   = flag.Duration("lease-ttl", 3*time.Second, "lease validity; a standby takes over this long after the leader stops renewing")
 		leaseRenew = flag.Duration("lease-renew-every", 0, "lease renewal cadence (0 = TTL/3)")
 		standby    = flag.Bool("standby", false, "run as a warm replica: tail the leader's WAL in -data-dir, take over when its -lease lapses")
-		logLevel   = flag.String("log-level", "info", "structured log level: debug | info | warn | error | off")
+		logLevel   slog.Level
 	)
+	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "structured log level: debug | info | warn | error")
 	flag.Parse()
 
-	// One logger for the whole process; a bad -log-level is refused
-	// through it too, at the default level.
-	lvl, err := obslog.ParseLevel(*logLevel)
-	if err != nil {
-		lvl = obslog.InfoLevel
-	}
-	olog := obslog.New(os.Stderr, lvl).Str("service", "ovnes")
-	if err != nil {
-		olog.Fatal(err)
-	}
+	olog := obslog.New(os.Stderr, logLevel).With("service", "ovnes")
 
 	if *standby {
 		if *dataDir == "" || *leasePath == "" {
-			olog.Fatal(errors.New("-standby needs -data-dir (the leader's WAL directory) and -lease (the leader's lease file)"))
+			obslog.Fatal(olog, errors.New("-standby needs -data-dir (the leader's WAL directory) and -lease (the leader's lease file)"))
 		}
 	}
 
@@ -125,7 +118,7 @@ func main() {
 
 	net_, err := scenario.BuildTopology(*topoName, *nbs)
 	if err != nil {
-		olog.Fatal(err)
+		obslog.Fatal(olog, err)
 	}
 
 	holder := leaseHolder()
@@ -136,18 +129,18 @@ func main() {
 
 	col, err := monitor.NewCollector(*collector, store)
 	if err != nil {
-		olog.Fatal(err)
+		obslog.Fatal(olog, err)
 	}
 	defer col.Close()
-	olog.Info().Str("addr", "udp://"+col.Addr()).Msg("monitoring collector listening")
+	olog.Info("monitoring collector listening", "addr", "udp://"+col.Addr())
 
 	host, portStr, err := net.SplitHostPort(*listen)
 	if err != nil {
-		olog.Fatal(err)
+		obslog.Fatal(olog, err)
 	}
 	port, err := strconv.Atoi(portStr)
 	if err != nil {
-		olog.Fatal(err)
+		obslog.Fatal(olog, err)
 	}
 	addrOf := func(off int) string { return net.JoinHostPort(host, strconv.Itoa(port+off)) }
 
@@ -160,7 +153,7 @@ func main() {
 		srv := ctrlplane.NewServer(addr, h)
 		servers = append(servers, srv)
 		go func() {
-			olog.Info().Str("server", name).Str("addr", "http://"+addr).Msg("listening")
+			olog.Info("listening", "server", name, "addr", "http://"+addr)
 			if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				errc <- fmt.Errorf("%s: %w", name, err)
 			}
@@ -198,7 +191,7 @@ func main() {
 			coord.Close()
 			return nil, err
 		}
-		olog.Info().Str("addr", "tcp://"+addr).Msg("cluster coordinator listening (ovnes-worker -connect <addr>)")
+		olog.Info("cluster coordinator listening (ovnes-worker -connect <addr>)", "addr", "tcp://"+addr)
 		return coord, nil
 	}
 
@@ -210,7 +203,7 @@ func main() {
 	if *standby {
 		sb, err := ctrlplane.NewStandby(orchCfg)
 		if err != nil {
-			olog.Fatal(err)
+			obslog.Fatal(olog, err)
 		}
 		go func() {
 			// Tail until promoted (returns nil) or the replica diverged
@@ -219,42 +212,41 @@ func main() {
 				errc <- err
 			}
 		}()
-		olog.Info().Str("holder", holder).Str("data-dir", *dataDir).Msg("standby: tailing the leader's WAL, waiting for its lease to lapse")
+		olog.Info("standby: tailing the leader's WAL, waiting for its lease to lapse", "holder", holder, "data-dir", *dataDir)
 		lease, err = cluster.WaitAcquire(ctx, leaseCfg, 0)
 		if err != nil {
 			sb.Close()
 			if ctx.Err() != nil {
-				olog.Info().Msg("signal received while standing by, bye")
+				olog.Info("signal received while standing by, bye")
 				return
 			}
-			olog.Fatal(err)
+			obslog.Fatal(olog, err)
 		}
 		lsn, rounds := sb.Progress()
-		olog.Info().Str("holder", holder).Uint64("lease-epoch", lease.Epoch()).
-			Uint64("replayed-lsn", lsn).Int("replayed-rounds", rounds).
-			Int("snapshot-rebootstraps", sb.Rebuilds()).Msg("took leadership")
+		olog.Info("took leadership", "holder", holder, "lease-epoch", lease.Epoch(),
+			"replayed-lsn", lsn, "replayed-rounds", rounds, "snapshot-rebootstraps", sb.Rebuilds())
 		var exec admission.Executor
 		if *clListen != "" {
 			if coord, err = newCoord(lease.Epoch()); err != nil {
-				olog.Fatal(err)
+				obslog.Fatal(olog, err)
 			}
 			exec = coord
 		}
 		if orch, err = sb.Promote(exec, lease.Check); err != nil {
-			olog.Fatal(err)
+			obslog.Fatal(olog, err)
 		}
 	} else {
 		if *leasePath != "" {
-			olog.Info().Str("lease", *leasePath).Str("holder", holder).Msg("acquiring leader lease")
+			olog.Info("acquiring leader lease", "lease", *leasePath, "holder", holder)
 			lease, err = cluster.WaitAcquire(ctx, leaseCfg, 0)
 			if err != nil {
 				if ctx.Err() != nil {
-					olog.Info().Msg("signal received while waiting for the lease, bye")
+					olog.Info("signal received while waiting for the lease, bye")
 					return
 				}
-				olog.Fatal(err)
+				obslog.Fatal(olog, err)
 			}
-			olog.Info().Str("holder", holder).Uint64("lease-epoch", lease.Epoch()).Msg("took leadership")
+			olog.Info("took leadership", "holder", holder, "lease-epoch", lease.Epoch())
 			orchCfg.WALFence = lease.Check
 		}
 		var epoch uint64
@@ -263,12 +255,12 @@ func main() {
 		}
 		if *clListen != "" {
 			if coord, err = newCoord(epoch); err != nil {
-				olog.Fatal(err)
+				obslog.Fatal(olog, err)
 			}
 			orchCfg.Executor = coord
 		}
 		if orch, err = ctrlplane.NewOrchestrator(orchCfg); err != nil {
-			olog.Fatal(err)
+			obslog.Fatal(olog, err)
 		}
 	}
 	if coord != nil {
@@ -276,11 +268,10 @@ func main() {
 	}
 	if rep := orch.Recovery(); rep != nil {
 		replay, domains := orch.ReplayCost()
-		olog.Info().Str("data-dir", *dataDir).Uint64("snapshot-lsn", rep.SnapshotLSN).
-			Int("records-replayed", rep.Applied).Int("rounds-replayed", rep.Rounds).
-			Int("uncommitted-tail-records-dropped", rep.HeldBack).
-			Float64("replay-ms", float64(replay.Microseconds())/1e3).Int("domains", domains).
-			Msg("durable state recovered")
+		olog.Info("durable state recovered", "data-dir", *dataDir, "snapshot-lsn", rep.SnapshotLSN,
+			"records-replayed", rep.Applied, "rounds-replayed", rep.Rounds,
+			"uncommitted-tail-records-dropped", rep.HeldBack,
+			"replay-ms", float64(replay.Microseconds())/1e3, "domains", domains)
 	}
 	if lease != nil {
 		renew := *leaseRenew
@@ -307,7 +298,7 @@ func main() {
 	}
 	serve(*listen, fmt.Sprintf("E2E orchestrator (%s, %s)", net_.Name, *algo), orch.Handler())
 	if *epochEvery > 0 {
-		olog.Info().Dur("epoch-every", *epochEvery).Msg("closed loop running")
+		olog.Info("closed loop running", "epoch-every", *epochEvery)
 		go func() {
 			if err := orch.RunLoop(ctx, *epochEvery); err != nil {
 				errc <- fmt.Errorf("closed loop: %w", err)
@@ -318,12 +309,12 @@ func main() {
 	failed := false
 	select {
 	case <-ctx.Done():
-		olog.Info().Msg("signal received, shutting down")
+		olog.Info("signal received, shutting down")
 	case err := <-errc:
 		// A dead listener is a failure even though we still drain: the
 		// exit status must tell the supervisor to restart us.
 		failed = true
-		olog.Error().Err(err).Msg("service failed, shutting down")
+		olog.Error("service failed, shutting down", "err", err)
 	}
 
 	// Drain order matters: stop accepting HTTP first (in-flight admissions
@@ -332,22 +323,22 @@ func main() {
 	defer cancel()
 	for _, srv := range servers {
 		if err := srv.Shutdown(shCtx); err != nil {
-			olog.Warn().Err(err).Msg("shutdown")
+			olog.Warn("shutdown", "err", err)
 		}
 	}
 	if err := orch.Close(); err != nil {
-		olog.Warn().Err(err).Msg("admission engine drain")
+		olog.Warn("admission engine drain", "err", err)
 	}
 	if lease != nil {
 		if err := lease.Release(); err != nil {
-			olog.Warn().Err(err).Msg("lease release")
+			olog.Warn("lease release", "err", err)
 		}
 	}
 	if failed {
 		col.Close()
-		olog.Fatal(errors.New("exiting after failure"))
+		obslog.Fatal(olog, errors.New("exiting after failure"))
 	}
-	olog.Info().Msg("bye")
+	olog.Info("bye")
 }
 
 // leaseHolder identifies this process in the lease file.

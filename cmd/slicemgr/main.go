@@ -18,6 +18,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"log/slog"
 	"net/http"
 	"os"
 	"os/signal"
@@ -29,7 +30,7 @@ import (
 )
 
 func main() {
-	olog := obslog.New(os.Stderr, obslog.InfoLevel).Str("service", "slicemgr")
+	olog := obslog.New(os.Stderr, slog.LevelInfo).With("service", "slicemgr")
 
 	var (
 		listen = flag.String("listen", "127.0.0.1:8090", "listen address")
@@ -44,7 +45,7 @@ func main() {
 	srv := ctrlplane.NewServer(*listen, mgr.Handler())
 	errc := make(chan error, 1)
 	go func() {
-		olog.Info().Str("addr", "http://"+*listen).Str("orchestrator", *orch).Msg("slice manager listening")
+		olog.Info("slice manager listening", "addr", "http://"+*listen, "orchestrator", *orch)
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}
@@ -52,14 +53,14 @@ func main() {
 
 	select {
 	case <-ctx.Done():
-		olog.Info().Msg("signal received, shutting down")
+		olog.Info("signal received, shutting down")
 	case err := <-errc:
-		olog.Fatal(err)
+		obslog.Fatal(olog, err)
 	}
 	shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {
-		olog.Warn().Err(err).Msg("shutdown")
+		olog.Warn("shutdown", "err", err)
 	}
-	olog.Info().Msg("bye")
+	olog.Info("bye")
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"log/slog"
 	"net"
 	"sort"
 	"sync"
@@ -21,8 +22,8 @@ type CoordinatorOptions struct {
 	// Seed parameterizes the rendezvous placement. Any fixed value is
 	// fine; it exists so tests can pin interesting assignments.
 	Seed uint64
-	// Log receives membership and rebalance events. Zero value is silent.
-	Log obslog.Logger
+	// Log receives membership and rebalance events. Nil is silent.
+	Log *slog.Logger
 	// HeartbeatTimeout declares a worker dead when no frame (heartbeats
 	// included) arrives for this long. Default 5s.
 	HeartbeatTimeout time.Duration
@@ -39,6 +40,9 @@ type CoordinatorOptions struct {
 }
 
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
+	if o.Log == nil {
+		o.Log = obslog.Nop()
+	}
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 5 * time.Second
 	}
@@ -157,7 +161,7 @@ func (c *Coordinator) AddConn(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
 		hello, err := readFrame(conn)
 		if err != nil || hello.Type != MsgHello || hello.Worker == "" {
-			c.opts.Log.Warn().Err(err).Msg("cluster: rejected connection: bad hello")
+			c.opts.Log.Warn("cluster: rejected connection: bad hello", "err", err)
 			conn.Close()
 			return
 		}
@@ -187,7 +191,7 @@ func (c *Coordinator) AddConn(conn net.Conn) {
 		c.members[m.id] = m
 		c.bumpWatchLocked()
 		c.mu.Unlock()
-		c.opts.Log.Info().Str("worker", m.id).Msg("worker joined")
+		c.opts.Log.Info("worker joined", "worker", m.id)
 		c.readLoop(m)
 	}()
 }
@@ -201,9 +205,8 @@ func (c *Coordinator) readLoop(m *memberConn) {
 			return
 		}
 		if msg.Type == MsgFenced && !c.fenced.Swap(true) {
-			c.opts.Log.Error().Str("worker", m.id).Uint64("epoch", c.opts.Epoch).
-				Uint64("newer", msg.Epoch).
-				Msg("coordinator fenced: worker rejected dispatch from a stale leader epoch")
+			c.opts.Log.Error("coordinator fenced: worker rejected dispatch from a stale leader epoch",
+				"worker", m.id, "epoch", c.opts.Epoch, "newer", msg.Epoch)
 		}
 		m.mu.Lock()
 		m.lastSeen = time.Now()
@@ -231,8 +234,8 @@ func (c *Coordinator) remove(m *memberConn, why string) {
 	c.bumpWatchLocked()
 	n := len(c.members)
 	c.mu.Unlock()
-	c.opts.Log.Warn().Str("worker", m.id).Str("reason", why).Int("members", n).
-		Msg("worker left; rebalancing its domains to surviving workers")
+	c.opts.Log.Warn("worker left; rebalancing its domains to surviving workers",
+		"worker", m.id, "reason", why, "members", n)
 }
 
 // dropLocked closes a member's resources. Caller holds c.mu.
@@ -276,8 +279,7 @@ func (c *Coordinator) sweep() {
 		for _, m := range stale {
 			// Closing the conn makes readLoop exit, which removes the
 			// member and wakes its in-flight rounds.
-			c.opts.Log.Warn().Str("worker", m.id).Dur("timeout", c.opts.HeartbeatTimeout).
-				Msg("worker heartbeat timed out")
+			c.opts.Log.Warn("worker heartbeat timed out", "worker", m.id, "timeout", c.opts.HeartbeatTimeout)
 			m.conn.Close()
 		}
 	}
@@ -367,13 +369,13 @@ func (c *Coordinator) SolveRound(domain string, seq uint64, events []topology.Ev
 		}
 		m := c.owner(domain)
 		if m == nil || time.Now().After(deadline) {
-			c.opts.Log.Warn().Str("domain", domain).Uint64("seq", seq).Int("attempt", attempt).
-				Msg("no worker answered in time; declining round to the engine's own solver")
+			c.opts.Log.Warn("no worker answered in time; declining round to the engine's own solver",
+				"domain", domain, "seq", seq, "attempt", attempt)
 			return nil, admission.ErrNoWorker
 		}
 		if attempt > 0 {
-			c.opts.Log.Info().Str("domain", domain).Uint64("seq", seq).Str("worker", m.id).
-				Msg("re-dispatching in-flight round after rebalance")
+			c.opts.Log.Info("re-dispatching in-flight round after rebalance",
+				"domain", domain, "seq", seq, "worker", m.id)
 		}
 		dec, err, retry := c.dispatch(m, domain, seq, events, tenants, deadline)
 		if !retry {

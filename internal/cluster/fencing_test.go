@@ -3,25 +3,28 @@ package cluster
 import (
 	"context"
 	"errors"
+	"log/slog"
 	"net"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/obslog"
 )
 
 // startGatedWorker is StartLoopbackWorker with an explicit fencing gate,
 // so a test can simulate the worker having already seen a newer leader's
 // welcome on its other connection.
-func startGatedWorker(t *testing.T, c *Coordinator, id string, gate *EpochGate) (stop func(), errc <-chan error) {
+func startGatedWorker(t *testing.T, c *Coordinator, id string, gate *EpochGate, log *slog.Logger) (stop func(), errc <-chan error) {
 	t.Helper()
 	server, client := net.Pipe()
 	c.AddConn(server)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		done <- RunWorker(ctx, client, WorkerOptions{ID: id, Log: testLogger(t), Gate: gate})
+		done <- RunWorker(ctx, client, WorkerOptions{ID: id, Log: log, Gate: gate})
 	}()
 	return func() {
 		cancel()
@@ -61,10 +64,13 @@ func TestEpochGateAdmits(t *testing.T) {
 // with a fenced rejection, and the coordinator — still having a live,
 // assigned worker — returns ErrFenced instead of deciding anything,
 // locally or remotely. A deposed leader must not produce one more
-// decision.
+// decision. Both sides must also say so in the log lines
+// scripts/failover_check.sh and cluster_check.sh grep for.
 func TestFencedStaleLeaderStopsDispatching(t *testing.T) {
+	var logs logBuffer
+	log := obslog.New(&logs, slog.LevelDebug)
 	coord := NewCoordinator(CoordinatorOptions{
-		Log:              testLogger(t),
+		Log:              log,
 		Epoch:            1,
 		HeartbeatTimeout: time.Minute,
 		DispatchTimeout:  30 * time.Second,
@@ -74,7 +80,7 @@ func TestFencedStaleLeaderStopsDispatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := &EpochGate{}
-	stop, _ := startGatedWorker(t, coord, "w0", gate)
+	stop, _ := startGatedWorker(t, coord, "w0", gate, log)
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -108,6 +114,19 @@ func TestFencedStaleLeaderStopsDispatching(t *testing.T) {
 	if _, err := coord.SolveRound(admission.DefaultDomain, 3, nil, testTenants()); !errors.Is(err, ErrFenced) {
 		t.Fatalf("post-fence solve: err=%v, want ErrFenced", err)
 	}
+
+	// Each line is written before the reply that let SolveRound return.
+	for _, line := range []string{
+		`msg="worker joined" worker=w0`,
+		`msg="joined coordinator" worker=w0 epoch=1`,
+		`msg="domain assigned" worker=w0 domain=default`,
+		`msg="fencing: rejected round dispatch from stale leader epoch" worker=w0 domain=default seq=2 epoch=1 newest=2`,
+		`msg="coordinator fenced: worker rejected dispatch from a stale leader epoch" worker=w0 epoch=1 newer=2`,
+	} {
+		if !regexp.MustCompile(`(?m)^time=\S+ level=\w+ ` + regexp.QuoteMeta(line) + `( |$)`).MatchString(logs.String()) {
+			t.Errorf("no log line %s in:\n%s", line, logs.String())
+		}
+	}
 }
 
 // TestWorkerRejectsStaleWelcome: a worker that already follows epoch 2
@@ -124,7 +143,7 @@ func TestWorkerRejectsStaleWelcome(t *testing.T) {
 	coord.mu.Lock()
 	joined := coord.watch // closed by the next membership change: the join
 	coord.mu.Unlock()
-	stop, errc := startGatedWorker(t, coord, "w0", gate)
+	stop, errc := startGatedWorker(t, coord, "w0", gate, testLogger(t))
 	defer stop()
 
 	timeout := time.After(10 * time.Second)

@@ -2,9 +2,8 @@ package cluster
 
 import (
 	"context"
+	"log/slog"
 	"net"
-
-	"repro/internal/obslog"
 )
 
 // StartLoopbackWorker attaches an in-process worker to the coordinator
@@ -14,7 +13,7 @@ import (
 // TCP. The returned stop function detaches the worker (the coordinator
 // sees an ordinary connection loss and rebalances) and waits for it to
 // wind down.
-func StartLoopbackWorker(c *Coordinator, id string, log obslog.Logger) (stop func()) {
+func StartLoopbackWorker(c *Coordinator, id string, log *slog.Logger) (stop func()) {
 	server, client := net.Pipe()
 	c.AddConn(server)
 	ctx, cancel := context.WithCancel(context.Background())

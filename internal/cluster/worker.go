@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -47,8 +48,8 @@ type WorkerOptions struct {
 	// must be unique across the cluster — a duplicate supersedes the
 	// older connection.
 	ID string
-	// Log receives startup and per-assign events. Zero value is silent.
-	Log obslog.Logger
+	// Log receives startup and per-assign events. Nil is silent.
+	Log *slog.Logger
 	// HeartbeatEvery spaces the worker's pings. Default 1s; must be
 	// comfortably below the coordinator's HeartbeatTimeout.
 	HeartbeatEvery time.Duration
@@ -76,7 +77,11 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	if gate == nil {
 		gate = &EpochGate{}
 	}
-	log := opts.Log.Str("worker", opts.ID)
+	log := opts.Log
+	if log == nil {
+		log = obslog.Nop()
+	}
+	log = log.With("worker", opts.ID)
 
 	var wmu sync.Mutex
 	send := func(m *Message) error { return writeFrame(conn, &wmu, m) }
@@ -97,7 +102,7 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 		return fmt.Errorf("cluster: fencing: coordinator welcome carries stale leader epoch %d (newest known %d)",
 			welcome.Epoch, gate.Current())
 	}
-	log.Info().Uint64("epoch", welcome.Epoch).Msg("joined coordinator")
+	log.Info("joined coordinator", "epoch", welcome.Epoch)
 
 	// Heartbeats and ctx cancellation live on a side goroutine; closing
 	// the conn is what unblocks the read loop below.
@@ -133,24 +138,21 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 				return errors.New("cluster: assign without spec")
 			}
 			if !gate.Admit(msg.Epoch) {
-				log.Warn().Str("domain", msg.Spec.Name).Uint64("epoch", msg.Epoch).
-					Uint64("newest", gate.Current()).
-					Msg("fencing: rejected domain assign from stale leader epoch")
+				log.Warn("fencing: rejected domain assign from stale leader epoch",
+					"domain", msg.Spec.Name, "epoch", msg.Epoch, "newest", gate.Current())
 				continue
 			}
 			if err := host.Register(*msg.Spec); err != nil {
 				return err
 			}
-			log.Info().Str("domain", msg.Spec.Name).Str("algorithm", msg.Spec.Algorithm).
-				Msg("domain assigned")
+			log.Info("domain assigned", "domain", msg.Spec.Name, "algorithm", msg.Spec.Algorithm)
 		case MsgRound:
 			if !gate.Admit(msg.Epoch) {
 				// Tell the stale leader why, by round ID, so its dispatch
 				// fails fast (ErrFenced) instead of timing out into a local
 				// solve it must never perform.
-				log.Warn().Str("domain", msg.Domain).Uint64("seq", msg.Seq).
-					Uint64("epoch", msg.Epoch).Uint64("newest", gate.Current()).
-					Msg("fencing: rejected round dispatch from stale leader epoch")
+				log.Warn("fencing: rejected round dispatch from stale leader epoch",
+					"domain", msg.Domain, "seq", msg.Seq, "epoch", msg.Epoch, "newest", gate.Current())
 				_ = send(&Message{Type: MsgFenced, ID: msg.ID, Worker: opts.ID, Epoch: gate.Current()})
 				continue
 			}

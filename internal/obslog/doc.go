@@ -1,21 +1,18 @@
-// Package obslog is the control plane's structured, leveled logger: a
-// zerolog-shaped API (level-gated events, chained key-value fields, one
-// line per event) on nothing but the standard library.
+// Package obslog is the little log/slog does not already give this
+// module: the one handler every daemon logs through, a disabled logger,
+// and a fatal exit. There is no logger type of its own — every process
+// and component logs through a *slog.Logger.
 //
-// A Logger is a value; the zero value and Nop() discard everything and
-// cost nothing — the level gate returns a nil *Event before any field is
-// rendered, so instrumented hot paths stay allocation-free when logging
-// is off or below the threshold. Deployments construct one with New and
-// derive per-component loggers with Str-context:
-//
-//	log := obslog.New(os.Stderr, obslog.InfoLevel).Str("component", "coordinator")
-//	log.Info().Str("worker", id).Int("domains", n).Msg("worker joined")
+//	log := obslog.New(os.Stderr, slog.LevelInfo).With("service", "ovnes")
+//	log.Info("worker joined", "worker", id)
 //
 // renders
 //
-//	ts=2026-08-07T12:00:00Z level=info component=coordinator worker=w1 domains=3 msg="worker joined"
+//	time=2026-08-07T12:00:00.000Z level=INFO msg="worker joined" service=ovnes worker=w1
 //
-// The format is logfmt-flavoured: space-separated key=value pairs with
-// the message last, values quoted only when they need it. Levels are
-// debug < info < warn < error; Disabled suppresses everything.
+// slog's TextHandler: space-separated key=value pairs, the message before
+// the fields, values quoted only when they need it. Components take a
+// *slog.Logger in their options and treat nil as Nop. A call below the
+// handler's level returns before rendering, but still boxes its
+// non-constant arguments; nothing on the round path logs.
 package obslog

@@ -2,100 +2,69 @@ package obslog
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"log/slog"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
 
-func pinned() func() time.Time {
-	t0 := time.Date(2026, 8, 7, 12, 0, 0, 0, time.UTC)
-	return func() time.Time { return t0 }
-}
-
+// TestEventRendering pins the line shape the check scripts grep: the
+// message quoted after level=, then the logger's context, then the
+// record's fields in call order.
 func TestEventRendering(t *testing.T) {
 	var buf bytes.Buffer
-	log := New(&buf, DebugLevel).WithClock(pinned()).Str("component", "coordinator")
-	log.Info().
-		Str("worker", "w1").
-		Str("spaced", "a b").
-		Int("domains", 3).
-		Uint64("seq", 42).
-		Float64("score", 0.125).
-		Dur("after", 1500*time.Millisecond).
-		Err(errors.New("boom")).
-		Msg("worker joined")
+	log := New(&buf, slog.LevelDebug).With("component", "coordinator")
+	log.Info("worker joined",
+		"worker", "w1",
+		"spaced", "a b",
+		"domains", 3,
+		"seq", uint64(42),
+		"score", 0.125,
+		"after", 1500*time.Millisecond,
+		"err", errors.New("boom"))
 
-	want := `ts=2026-08-07T12:00:00Z level=info component=coordinator worker=w1 spaced="a b" domains=3 seq=42 score=0.125 after=1.5s err=boom msg="worker joined"` + "\n"
-	if got := buf.String(); got != want {
-		t.Fatalf("rendered line:\n got: %q\nwant: %q", got, want)
+	want := regexp.MustCompile(`^time=\S+ level=INFO msg="worker joined" component=coordinator worker=w1 spaced="a b" domains=3 seq=42 score=0.125 after=1.5s err=boom` + "\n$")
+	if got := buf.String(); !want.MatchString(got) {
+		t.Fatalf("rendered line:\n got: %q\nwant: %s", got, want)
 	}
 }
 
 func TestLevelGate(t *testing.T) {
 	var buf bytes.Buffer
-	log := New(&buf, WarnLevel).WithClock(pinned())
-	log.Debug().Str("k", "v").Msg("dropped")
-	log.Info().Msg("dropped too")
-	log.Warn().Msg("kept")
-	log.Error().Msg("kept")
+	log := New(&buf, slog.LevelWarn)
+	log.Debug("dropped", "k", "v")
+	log.Info("dropped too")
+	log.Warn("kept")
+	log.Error("kept")
 	lines := strings.Count(buf.String(), "\n")
 	if lines != 2 {
 		t.Fatalf("want 2 lines past the warn gate, got %d:\n%s", lines, buf.String())
 	}
 	if strings.Contains(buf.String(), "dropped") {
-		t.Fatalf("gated event leaked: %s", buf.String())
+		t.Fatalf("gated record leaked: %s", buf.String())
 	}
 }
 
-func TestQuoting(t *testing.T) {
-	cases := map[string]string{
-		"plain":   "plain",
-		"":        `""`,
-		"a b":     `"a b"`,
-		`say "q"`: `"say \"q\""`,
-		"k=v":     `"k=v"`,
-		"tab\tx":  `"tab\tx"`,
-	}
-	for in, want := range cases {
-		if got := quote(in); got != want {
-			t.Errorf("quote(%q) = %s, want %s", in, got, want)
-		}
-	}
-}
-
-// TestNopAllocationFree is the satellite's contract: a disabled logger on
-// a hot path costs nothing — the level gate returns a nil *Event before
-// any boxing or buffering can happen.
+// TestNopAllocationFree: Nop, and any logger derived from it, is disabled
+// at every level, and a call through it costs no allocation beyond boxing
+// its arguments (none here: they are constants).
 func TestNopAllocationFree(t *testing.T) {
 	log := Nop()
+	for _, l := range []*slog.Logger{log, log.With("seq", 7).WithGroup("round")} {
+		for _, lv := range []slog.Level{slog.LevelDebug, slog.LevelInfo, slog.LevelWarn, slog.LevelError} {
+			if l.Enabled(context.Background(), lv) {
+				t.Fatalf("Nop enabled at %v", lv)
+			}
+		}
+	}
 	n := testing.AllocsPerRun(100, func() {
-		log.Debug().Str("worker", "w1").Int("domains", 3).Msg("never rendered")
-		log.Info().Uint64("seq", 7).Msg("never rendered")
+		log.Debug("never rendered", "worker", "w1", "domains", 3)
+		log.Error("never rendered", "seq", 7)
 	})
 	if n != 0 {
 		t.Fatalf("Nop logger allocated %.1f times per call chain, want 0", n)
-	}
-	var zero Logger
-	n = testing.AllocsPerRun(100, func() {
-		zero.Error().Str("k", "v").Msg("zero value is also a nop")
-	})
-	if n != 0 {
-		t.Fatalf("zero-value logger allocated %.1f times, want 0", n)
-	}
-}
-
-func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]Level{
-		"debug": DebugLevel, "info": InfoLevel, "warning": WarnLevel,
-		"warn": WarnLevel, "error": ErrorLevel, "off": Disabled, "INFO": InfoLevel,
-	} {
-		got, err := ParseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("ParseLevel(%q) = %v, %v; want %v", s, got, err, want)
-		}
-	}
-	if _, err := ParseLevel("loud"); err == nil {
-		t.Fatal("ParseLevel accepted garbage")
 	}
 }

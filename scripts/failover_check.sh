@@ -156,8 +156,8 @@ epochs 18590 1   # sanity: dispatches fine under its own epoch
 L2=$!
 PIDS+=("$L2")
 wait_log /tmp/failover-check-l2.err 'msg="took leadership"' "second leader never took the lapsed lease"
-wait_log /tmp/failover-check-w3.err 'epoch=2.*joined coordinator' "worker fw3 never saw the new leader"
-wait_log /tmp/failover-check-w4.err 'epoch=2.*joined coordinator' "worker fw4 never saw the new leader"
+wait_log /tmp/failover-check-w3.err 'msg="joined coordinator".*epoch=2' "worker fw3 never saw the new leader"
+wait_log /tmp/failover-check-w4.err 'msg="joined coordinator".*epoch=2' "worker fw4 never saw the new leader"
 
 # The deposed leader's next dispatch must be rejected, not served and not
 # solved by its engine's own solver.
