@@ -5,14 +5,14 @@
 // Usage:
 //
 //	simctl -experiment fig5 [-nbs 4] [-tenants 10] [-epochs 16] [-algo direct]
-//	simctl -experiment fig4 -full        # full 198/197/200-BS topologies
+//	simctl -experiment fig4 -full        # Fig. 4 on the full 198/197/200-BS topologies
 //	simctl -experiment fig8 [-epochs 18] [-algo direct] [-seed 7]
 //	simctl -experiment all               # every artifact back to back
 //
 // Output is tab-separated, one block per figure panel, suitable for
 // gnuplot or a spreadsheet. EXPERIMENTS.md lists the measured runtime of
-// every invocation; the exact solver on the default fig5/fig6 grids runs
-// ~15 min on one core — pass -algo kac for the ~2-min heuristic pass.
+// every invocation; the exact solver on the default fig5 and fig6 grids
+// runs about 1.5 and 1 min on two cores — -algo kac takes about half that.
 package main
 
 import (
@@ -35,24 +35,22 @@ func main() {
 		tenants    = flag.Int("tenants", 8, "slice requests per scenario")
 		epochs     = flag.Int("epochs", 16, "decision epochs per run (fig8: 18, the emulated day)")
 		algoName   = flag.String("algo", "direct", "overbooking solver: direct | benders | kac")
-		full       = flag.Bool("full", false, "use the full published topology sizes (fig4; fig5/fig6 switch to the KAC solver)")
+		full       = flag.Bool("full", false, "fig4 only: use the full published topology sizes")
 		seed       = flag.Int64("seed", 42, "base RNG seed (fig8: 7)")
 	)
 	flag.Parse()
 
+	if err := checkFull(*experiment, *full); err != nil {
+		log.Print(err)
+		os.Exit(2)
+	}
 	algo := *algoName
 	if _, err := core.NewSolver(algo, core.BendersOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	scale := *nbs
+	fig4BS := *nbs
 	if *full {
-		scale = 0 // generators interpret 0 as the published size
-		if algo == "direct" || algo == "benders" {
-			// The exact solvers are not tractable at 198 BSs — the paper
-			// itself reports hours of CPLEX time there; use the heuristic.
-			algo = "kac"
-			log.Print("full-scale run: switching solver to KAC")
-		}
+		fig4BS = 0 // topology.Romanian/Swiss/Italian build their published size at 0
 	}
 
 	run := func(name string) {
@@ -60,10 +58,10 @@ func main() {
 		case "table1":
 			experiments.PrintTable1(os.Stdout)
 		case "fig4":
-			experiments.PrintFig4(os.Stdout, experiments.Fig4(scale, 8, 21))
+			experiments.PrintFig4(os.Stdout, experiments.Fig4(fig4BS, 8, 21))
 		case "fig5":
 			pts, err := experiments.Fig5(experiments.Fig5Config{
-				NBS: scale, Tenants: *tenants, Epochs: *epochs,
+				NBS: *nbs, Tenants: *tenants, Epochs: *epochs,
 				Algorithm: algo, Seed: *seed,
 			})
 			if err != nil {
@@ -72,7 +70,7 @@ func main() {
 			experiments.PrintFig5(os.Stdout, pts)
 		case "fig6":
 			pts, err := experiments.Fig6(experiments.Fig6Config{
-				NBS: scale, Tenants: *tenants, Epochs: *epochs,
+				NBS: *nbs, Tenants: *tenants, Epochs: *epochs,
 				Algorithm: algo, Seed: *seed,
 			})
 			if err != nil {
@@ -130,4 +128,18 @@ func main() {
 		return
 	}
 	run(*experiment)
+}
+
+// checkFull refuses -full where it cannot mean the published size: the
+// Fig. 5/6 sweeps do not fit at 197–200 BSs with any solver yet, so -full
+// applies to fig4 alone.
+func checkFull(experiment string, full bool) error {
+	if !full {
+		return nil
+	}
+	switch experiment {
+	case "fig5", "fig6", "all":
+		return fmt.Errorf("-full applies to fig4 only: Fig. 5/6 at the published 197–200-BS sizes do not fit yet (ROADMAP item 14)")
+	}
+	return nil
 }

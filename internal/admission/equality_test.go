@@ -288,7 +288,6 @@ func engineReplay(t *testing.T, cfg sim.Config, reqs []refRequest, algorithm str
 // decisions, placements and objective as a cold serial replay.
 func TestEngineMatchesSerialOnArchetypes(t *testing.T) {
 	for _, spec := range scenario.Archetypes() {
-		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			t.Parallel()
 			spec := ciSized(spec)

@@ -3,108 +3,45 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math"
-	"strings"
-	"sync"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/core"
+	"repro/internal/monitor"
+	"repro/internal/reopt"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/slice"
-	"repro/internal/topology"
+	"repro/internal/yield"
 )
 
-// The distributed determinism pin: driving the engine with its solves
-// dispatched over the wire — any worker count, and across a mid-run
-// worker loss — must reproduce the single-process decision trace bit for
-// bit. The drive protocol and helpers mirror the admission package's
-// engine-vs-serial equality test so the two pins compose: serial ==
-// single-process engine == cluster engine.
+// The distributed determinism pin: playing the closed loop with the
+// engine's solves dispatched over the wire — any worker count, and across
+// a mid-run worker loss — must reproduce the single-process run bit for
+// bit. Both sides play the scenario through the reopt.World that reopt's
+// TestClosedLoopMatchesSerialAcrossShards holds to a serial replay, so on
+// the archetypes both pins run the two compose: serial == single process
+// == cluster.
 
 const equalityEpochs = 10
 
-func ciSized(s scenario.Spec) scenario.Spec {
-	if s.Tenants > 4 {
-		s.Tenants = 4
-	}
-	s.Epochs = equalityEpochs
-	if s.Arrivals.Kind == scenario.FlashCrowd {
-		s.Arrivals.SpikeEpoch = 4
-		s.Arrivals.SpikeSize = 2
-	}
-	return s
+// epochTrace is what one epoch of the closed loop decided: the round's
+// admissions and rejections, the yield it settled, and the controller's
+// exported state after the step — forecasters and the reservations in
+// force, placements included.
+type epochTrace struct {
+	Admitted, Rejected []string
+	Settled            []yield.Entry
+	State              reopt.ControllerState
 }
 
-// driftView is the same deterministic forecaster stand-in the admission
-// equality test uses: (λ̂, σ̂) as a pure function of (name, epoch).
-func driftView(name string, sla slice.SLA, t int) (lambdaHat, sigma float64) {
-	h := 0
-	for _, c := range name {
-		h = h*31 + int(c)
-	}
-	phase := float64(h%97) + 0.7*float64(t)
-	frac := 0.25 + 0.2*(math.Sin(phase)+1)/2
-	return frac * sla.RateMbps, 0.08 + 0.04*(math.Cos(phase)+1)/2
-}
-
-type refRequest struct {
-	name    string
-	sla     slice.SLA
-	arrival int
-}
-
-func requestsOf(cfg sim.Config) []refRequest {
-	reqs := make([]refRequest, len(cfg.Slices))
-	for i, sp := range cfg.Slices {
-		sla := slice.SLA{Template: sp.Template, MeanMbps: sp.MeanMbps, Duration: sp.Duration}.
-			WithPenaltyFactor(sp.PenaltyFactor)
-		reqs[i] = refRequest{name: sp.Name, sla: sla, arrival: sp.ArrivalEpoch}
-	}
-	return reqs
-}
-
-func fingerprint(epoch int, names []string, dec *core.Decision) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d exp=%.4f:", epoch, dec.Revenue())
-	for i, name := range names {
-		if i < len(dec.Accepted) && dec.Accepted[i] {
-			fmt.Fprintf(&b, " %s@cu%d%v", name, dec.CU[i], dec.PathIdx[i])
-		}
-	}
-	return b.String()
-}
-
-func firstDiff(want, got []string) string {
-	for i := range want {
-		if i >= len(got) || want[i] != got[i] {
-			g := "<missing>"
-			if i < len(got) {
-				g = got[i]
-			}
-			return fmt.Sprintf("epoch %d:\n  single-process: %s\n  cluster:        %s", i, want[i], g)
-		}
-	}
-	return ""
-}
-
-func slaOf(reqs []refRequest, name string) slice.SLA {
-	for _, r := range reqs {
-		if r.name == name {
-			return r.sla
-		}
-	}
-	return slice.SLA{}
-}
-
-// engineReplay drives the full admission protocol through an engine whose
-// default domain may (exec != nil) route solves through the cluster.
-// onEpoch runs at the top of each epoch — the kill hook.
-func engineReplay(t *testing.T, cfg sim.Config, reqs []refRequest, algorithm string, reoffer bool, exec admission.Executor, onEpoch func(epoch int)) []string {
+// closedLoop plays the compiled scenario through an engine whose default
+// domain may (exec != nil) route solves through the cluster, its closed-loop
+// controller, and a reopt.World. onEpoch runs before each epoch — the kill
+// hook.
+func closedLoop(t *testing.T, cfg sim.Config, algorithm string, exec admission.Executor, onEpoch func(epoch int)) []epochTrace {
 	t.Helper()
-	e := admission.New(admission.Config{QueueDepth: 4 * len(reqs)})
+	e := admission.New(admission.Config{})
 	dc := admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: algorithm, Executor: exec}
 	if err := e.AddDomain("", dc); err != nil {
 		t.Fatal(err)
@@ -113,98 +50,24 @@ func engineReplay(t *testing.T, cfg sim.Config, reqs []refRequest, algorithm str
 		t.Fatal(err)
 	}
 	defer e.Stop()
-
-	sched, err := topology.NewSchedule(cfg.Net, cfg.Events)
+	ctrl, err := reopt.New(reopt.Config{Engine: e, Store: monitor.NewStore(0), HWPeriod: cfg.HWPeriod})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sortedEvents := sched.Events()
-
-	type live struct {
-		req refRequest
-		tk  *admission.Ticket
-	}
-	var inflight []live
-	var lines []string
-	for epoch := 0; epoch < equalityEpochs; epoch++ {
+	w := reopt.NewWorld(cfg)
+	var trace []epochTrace
+	for ctrl.Epoch() < cfg.Epochs {
 		if onEpoch != nil {
-			onEpoch(epoch)
+			onEpoch(ctrl.Epoch())
 		}
-		var fire []topology.Event
-		for _, ev := range sortedEvents {
-			if ev.Epoch == epoch {
-				fire = append(fire, ev)
-			}
-		}
-		if len(fire) > 0 {
-			if err := e.ApplyTopology("", fire); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var offer []refRequest
-		for _, r := range reqs {
-			if r.arrival == epoch {
-				offer = append(offer, r)
-			}
-		}
-		tks := make([]*admission.Ticket, len(offer))
-		var wg sync.WaitGroup
-		for i := range offer {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				tk, err := e.Submit(admission.Request{Name: offer[i].name, SLA: offer[i].sla})
-				if err != nil {
-					t.Errorf("submit %s: %v", offer[i].name, err)
-					return
-				}
-				tks[i] = tk
-			}(i)
-		}
-		wg.Wait()
-		if t.Failed() {
-			t.Fatalf("epoch %d: submission failed", epoch)
-		}
-		for i := range offer {
-			inflight = append(inflight, live{req: offer[i], tk: tks[i]})
-		}
-
-		committed, err := e.Committed("")
+		p, err := w.Play(ctrl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range committed {
-			lh, sg := driftView(name, slaOf(reqs, name), epoch)
-			if err := e.UpdateForecasts("", []admission.ForecastUpdate{{Name: name, LambdaHat: lh, Sigma: sg}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r, err := e.DecideRound("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lines = append(lines, fingerprint(epoch, r.Names, r.Decision))
-
-		var still []live
-		for _, lv := range inflight {
-			out, ok := lv.tk.Outcome()
-			if !ok {
-				t.Fatalf("epoch %d: ticket %s undecided after round", epoch, lv.req.name)
-			}
-			if !out.Admitted && reoffer {
-				tk, err := e.Submit(admission.Request{Name: lv.req.name, SLA: lv.req.sla})
-				if err != nil {
-					t.Fatalf("re-offer %s: %v", lv.req.name, err)
-				}
-				still = append(still, live{req: lv.req, tk: tk})
-			}
-		}
-		inflight = still
-		if _, err := e.Advance(""); err != nil {
-			t.Fatal(err)
-		}
+		trace = append(trace, epochTrace{Admitted: p.Round.Admitted, Rejected: p.Round.Rejected,
+			Settled: p.Settled, State: ctrl.ExportState()})
 	}
-	return lines
+	return trace
 }
 
 // startCluster brings up a coordinator with n loopback workers and the
@@ -261,16 +124,22 @@ func waitMembersAtMost(t *testing.T, c *Coordinator, n int) {
 // events in play.
 func TestClusterMatchesSingleProcess(t *testing.T) {
 	for _, name := range []string{"diurnal-drift", "flash-crowd", "outage"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			spec := ciSized(archetypeByName(t, name))
+			spec, err := scenario.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Tenants, spec.Epochs = 4, equalityEpochs
+			if spec.Arrivals.Kind == scenario.FlashCrowd {
+				spec.Arrivals.SpikeEpoch, spec.Arrivals.SpikeSize = 4, 2
+			}
 			cfg, err := spec.Compile(42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reqs := requestsOf(cfg)
-			want := engineReplay(t, cfg, reqs, spec.Algorithm, spec.ReofferPending, nil, nil)
+			cfg.SamplesPerEpoch = 8
+			want := closedLoop(t, cfg, spec.Algorithm, nil, nil)
 			for _, workers := range []int{0, 1, 2, 4} {
 				coord, stops := startCluster(t, cfg, spec.Algorithm, workers)
 				kill := func(epoch int) {
@@ -291,22 +160,14 @@ func TestClusterMatchesSingleProcess(t *testing.T) {
 					stop()
 					waitMembersAtMost(t, coord, workers-1)
 				}
-				got := engineReplay(t, cfg, reqs, spec.Algorithm, spec.ReofferPending, coord, kill)
-				if diff := firstDiff(want, got); diff != "" {
-					t.Fatalf("workers=%d diverged from single-process engine:\n%s", workers, diff)
+				got := closedLoop(t, cfg, spec.Algorithm, coord, kill)
+				for e := range want {
+					if !reflect.DeepEqual(want[e], got[e]) {
+						t.Fatalf("workers=%d diverged from the single process at epoch %d:\n  single-process: %+v\n  cluster:        %+v",
+							workers, e, want[e], got[e])
+					}
 				}
 			}
 		})
 	}
-}
-
-func archetypeByName(t *testing.T, name string) scenario.Spec {
-	t.Helper()
-	for _, s := range scenario.Archetypes() {
-		if s.Name == name {
-			return s
-		}
-	}
-	t.Fatalf("unknown archetype %q", name)
-	return scenario.Spec{}
 }

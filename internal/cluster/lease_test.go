@@ -184,7 +184,6 @@ func TestLeaseTransitions(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			clk := newFakeClock()

@@ -32,7 +32,6 @@ func TestPlacementDeterministicAcrossOrder(t *testing.T) {
 		{"single", []string{"only"}, []string{"only"}},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			for _, seed := range []uint64{0, 1, 42, 1 << 40} {
 				for _, d := range someDomains(16) {
@@ -58,7 +57,6 @@ func TestPlacementMinimalMovementOnSingleLeave(t *testing.T) {
 		{"lose-one-of-eight", someDomains(8), "domain-03"}, // ids are arbitrary strings
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			survivors := make([]string, 0, len(tc.members)-1)
 			for _, m := range tc.members {

@@ -60,7 +60,6 @@ func raceEpochs(t *testing.T, o *Orchestrator, store *monitor.Store, ledger *rac
 	// (tiny rates so capacity rarely pushes back; durations short enough
 	// that some expire inside the run).
 	for g := 0; g < 2; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

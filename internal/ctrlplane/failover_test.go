@@ -229,7 +229,6 @@ const failoverEpochs = 6
 // reference exactly.
 func TestFailoverMatchesUninterrupted(t *testing.T) {
 	for _, workers := range []int{1, 2} {
-		workers := workers
 		t.Run(fmt.Sprintf("workers-%d", workers), func(t *testing.T) {
 			t.Parallel()
 

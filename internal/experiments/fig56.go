@@ -22,7 +22,7 @@ type Fig5Config struct {
 	SigmaFracs []float64 // σ = frac·λ̄; default {0, 0.25, 0.5}
 	Penalties  []float64 // m; default {1, 4, 16}
 	Tenants    int       // requests per run; default 10 (75 for Italian in the paper)
-	NBS        int       // topology scale; default 4 (0 = full size)
+	NBS        int       // topology scale; default 4
 	Epochs     int       // default 16
 	KPaths     int       // default 2
 	Algorithm  string    // sim.Config.Algorithm

@@ -1,7 +1,6 @@
 package obslog
 
 import (
-	"context"
 	"io"
 	"log/slog"
 	"os"
@@ -17,7 +16,7 @@ func New(out io.Writer, level slog.Level) *slog.Logger {
 
 // Nop returns a logger that is disabled at every level — what a component
 // logs through when none is wired.
-func Nop() *slog.Logger { return slog.New(discard{}) }
+func Nop() *slog.Logger { return slog.New(slog.DiscardHandler) }
 
 // Fatal logs err at error level and exits with status 1: log.Fatal for a
 // daemon's start-up and shutdown failures. Deferred functions do not run.
@@ -25,12 +24,3 @@ func Fatal(log *slog.Logger, err error) {
 	log.Error("fatal", "err", err)
 	os.Exit(1)
 }
-
-// discard is slog.DiscardHandler, which arrives in Go 1.24; this module
-// builds with 1.22.
-type discard struct{}
-
-func (discard) Enabled(context.Context, slog.Level) bool  { return false }
-func (discard) Handle(context.Context, slog.Record) error { return nil }
-func (d discard) WithAttrs([]slog.Attr) slog.Handler      { return d }
-func (d discard) WithGroup(string) slog.Handler           { return d }

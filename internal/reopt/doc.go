@@ -34,5 +34,17 @@
 // run is reproducible at any concurrency and equal to a machinery-free
 // serial replay. Both properties are pinned by tests in this package.
 // Wall-clock epochs belong to the caller: the orchestrator's RunLoop in
-// serving deployments, loadgen and the benchmark call Step directly.
+// serving deployments; loadgen and the benchmark step the loop themselves.
+//
+// A World is the other side of the loop, written once: it plays a compiled
+// scenario (sim.Config) against a Controller — each Play delivers the
+// epoch's capacity events, submits its arrivals and the re-offers it held
+// back from the last round, runs Step, resolves the tickets, and plays the
+// epoch's per-(slice, BS) traffic into the controller's store, retiring
+// expired slices' generators only after their last epoch is in. It outlives
+// a crashed process: held re-offers are the World's, and Redeliver hands
+// the last epoch's samples to a restarted one. cmd/loadgen drives every
+// domain through a World, and so does every test that holds the stack to a
+// reference — the serial replay here, an uninterrupted run in
+// internal/wal, the single process in internal/cluster.
 package reopt

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/admission"
@@ -25,34 +24,29 @@ import (
 // into the freed headroom.
 const loopEpochs = 10
 
-// ciSized shrinks an archetype the same way the admission equality suite
-// does, so exact solvers stay affordable under -race.
-func ciSized(s scenario.Spec) scenario.Spec {
-	if s.Tenants > 4 {
-		s.Tenants = 4
-	}
-	s.Epochs = loopEpochs
-	if s.Arrivals.Kind == scenario.FlashCrowd {
-		s.Arrivals.SpikeEpoch = 4
-		s.Arrivals.SpikeSize = 2
-	}
-	return s
-}
-
-// compileCI compiles the spec and pins the monitoring density the drivers
-// emit with: Compile leaves zero-valued knobs for sim.Run to default, but
-// here the TEST plays the data plane, so the value must be explicit (and
-// shared by both drivers — the generator draw sequence depends on it).
-func compileCI(t testing.TB, spec scenario.Spec, seed int64) sim.Config {
+// ciScenario compiles a named archetype shrunk the same way the admission
+// equality suite shrinks it, so exact solvers stay affordable under -race.
+// It pins the monitoring density both drivers emit with: Compile leaves it
+// for sim.Run to default, but here the TEST plays the data plane, and the
+// generators' draw sequence depends on it.
+func ciScenario(t testing.TB, name string) (scenario.Spec, sim.Config) {
 	t.Helper()
-	cfg, err := spec.Compile(seed)
+	s, err := scenario.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tenants, s.Epochs = min(s.Tenants, 4), loopEpochs
+	if s.Arrivals.Kind == scenario.FlashCrowd {
+		s.Arrivals.SpikeEpoch, s.Arrivals.SpikeSize = 4, 2
+	}
+	cfg, err := s.Compile(42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.SamplesPerEpoch == 0 {
 		cfg.SamplesPerEpoch = 8
 	}
-	return cfg
+	return s, cfg
 }
 
 // loopTrace is one run's full fingerprint: per-epoch decisions,
@@ -82,27 +76,6 @@ func requestsOf(cfg sim.Config) []request {
 	return out
 }
 
-// emitEpoch draws the epoch's monitoring samples for every live slice from
-// its own seeded generators and pushes them into the store under the
-// canonical bs<i>/load_mbps naming — the role the data-plane agents play.
-func emitEpoch(store *monitor.Store, cfg sim.Config, gens map[string][]traffic.Generator, epoch int) {
-	names := make([]string, 0, len(gens))
-	for n := range gens {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for b, g := range gens[name] {
-			for theta := 0; theta < cfg.SamplesPerEpoch; theta++ {
-				store.Add(monitor.Sample{
-					Slice: name, Metric: monitor.LoadMetric, Element: monitor.BSElement(b),
-					Epoch: epoch, Theta: theta, Value: g.Sample(epoch, theta),
-				})
-			}
-		}
-	}
-}
-
 func fingerprint(epoch int, names []string, dec *core.Decision, settled []yield.Entry, rescaled int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "epoch %d exp=%.4f rescaled=%d:", epoch, dec.Revenue(), rescaled)
@@ -119,12 +92,11 @@ func fingerprint(epoch int, names []string, dec *core.Decision, settled []yield.
 	return b.String()
 }
 
-// engineClosedLoop drives the full stack — admission engine at the given
-// shard count, closed-loop controller, concurrent submitters — over the
-// compiled scenario, with the test playing the data plane (emitEpoch).
-func engineClosedLoop(t testing.TB, cfg sim.Config, algorithm string, shards, reoptEvery int, reoffer bool) *loopTrace {
+// worldLoop plays the compiled scenario through the full stack: an
+// admission engine at the given shard count, the closed-loop controller,
+// and the World playing the tenants and the data plane.
+func worldLoop(t testing.TB, cfg sim.Config, algorithm string, shards, reoptEvery int) *loopTrace {
 	t.Helper()
-	store := monitor.NewStore(0)
 	ledger := yield.NewLedger()
 	eng := admission.New(admission.Config{Shards: shards, QueueDepth: 1024, Ledger: ledger})
 	if err := eng.AddDomain("", admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: algorithm}); err != nil {
@@ -134,98 +106,21 @@ func engineClosedLoop(t testing.TB, cfg sim.Config, algorithm string, shards, re
 		t.Fatal(err)
 	}
 	defer eng.Stop()
-
 	ctrl, err := New(Config{
-		Engine: eng, Store: store, Ledger: ledger,
+		Engine: eng, Store: monitor.NewStore(0), Ledger: ledger,
 		HWPeriod: cfg.HWPeriod, ReoptEvery: reoptEvery,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	reqs := requestsOf(cfg)
-	gens := map[string][]traffic.Generator{}
-	var inflight []struct {
-		req request
-		tk  *admission.Ticket
-	}
+	w := NewWorld(cfg)
 	lt := &loopTrace{}
-	for epoch := 0; epoch < loopEpochs; epoch++ {
-		var offers []request
-		for _, r := range reqs {
-			if r.spec.ArrivalEpoch == epoch {
-				offers = append(offers, r)
-			}
-		}
-		// Concurrent submission: canonical round order must erase the
-		// interleave.
-		tks := make([]*admission.Ticket, len(offers))
-		var wg sync.WaitGroup
-		for i := range offers {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				tk, err := eng.Submit(admission.Request{Name: offers[i].spec.Name, SLA: offers[i].sla})
-				if err != nil {
-					t.Errorf("submit %s: %v", offers[i].spec.Name, err)
-					return
-				}
-				tks[i] = tk
-			}(i)
-		}
-		wg.Wait()
-		if t.Failed() {
-			t.Fatalf("epoch %d: submission failed", epoch)
-		}
-		for i := range offers {
-			inflight = append(inflight, struct {
-				req request
-				tk  *admission.Ticket
-			}{offers[i], tks[i]})
-		}
-
-		rep, err := ctrl.Step()
+	for ctrl.Epoch() < cfg.Epochs {
+		p, err := w.Play(ctrl)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lt.lines = append(lt.lines, fingerprint(epoch, rep.Round.Names, rep.Round.Decision, rep.Settled, rep.Rescaled))
-
-		// Resolve tickets: admitted slices start generating traffic;
-		// rejected ones are re-offered next epoch when the scenario says so.
-		var still []struct {
-			req request
-			tk  *admission.Ticket
-		}
-		for _, lv := range inflight {
-			out, ok := lv.tk.Outcome()
-			if !ok {
-				t.Fatalf("epoch %d: ticket %s undecided after round", epoch, lv.req.spec.Name)
-			}
-			switch {
-			case out.Admitted:
-				gs := make([]traffic.Generator, cfg.Net.NumBS())
-				for b := range gs {
-					gs[b] = sim.NewGenerator(cfg, lv.req.spec, b)
-				}
-				gens[lv.req.spec.Name] = gs
-			case reoffer:
-				tk, err := eng.Submit(admission.Request{Name: lv.req.spec.Name, SLA: lv.req.sla})
-				if err != nil {
-					t.Fatalf("re-offer %s: %v", lv.req.spec.Name, err)
-				}
-				still = append(still, struct {
-					req request
-					tk  *admission.Ticket
-				}{lv.req, tk})
-			}
-		}
-		inflight = still
-		// Slices expiring with this epoch still served it: emit their
-		// traffic first, then retire the generators.
-		emitEpoch(store, cfg, gens, epoch)
-		for _, name := range rep.Expired {
-			delete(gens, name)
-		}
+		lt.lines = append(lt.lines, fingerprint(p.Epoch, p.Round.Names, p.Round.Decision, p.Settled, p.Rescaled))
 	}
 	lt.ledger = ledger.Snapshot()
 	return lt
@@ -402,7 +297,21 @@ func serialClosedLoop(t testing.TB, cfg sim.Config, algorithm string, reoptEvery
 		// lifecycles.
 		settleSet = append(settleSet[:0:0], committed...)
 		settleEpoch = epoch
-		emitEpoch(store, cfg, gens, epoch)
+		live := make([]string, 0, len(gens))
+		for n := range gens {
+			live = append(live, n)
+		}
+		sort.Strings(live)
+		for _, name := range live {
+			for b, g := range gens[name] {
+				for theta := 0; theta < cfg.SamplesPerEpoch; theta++ {
+					store.Add(monitor.Sample{
+						Slice: name, Metric: monitor.LoadMetric, Element: monitor.BSElement(b),
+						Epoch: epoch, Theta: theta, Value: g.Sample(epoch, theta),
+					})
+				}
+			}
+		}
 		keep := committed[:0]
 		for _, m := range committed {
 			m.remaining--
@@ -449,18 +358,12 @@ func firstDiff(want, got []string) string {
 // all equal to the machinery-free serial replay.
 func TestClosedLoopMatchesSerialAcrossShards(t *testing.T) {
 	for _, name := range []string{"diurnal-drift", "flash-drift"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			spec, err := scenario.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec = ciSized(spec)
-			cfg := compileCI(t, spec, 42)
+			spec, cfg := ciScenario(t, name)
 			want := serialClosedLoop(t, cfg, spec.Algorithm, 1, spec.ReofferPending)
 			for _, shards := range []int{1, 2, 5} {
-				got := engineClosedLoop(t, cfg, spec.Algorithm, shards, 1, spec.ReofferPending)
+				got := worldLoop(t, cfg, spec.Algorithm, shards, 1)
 				if diff := firstDiff(want.lines, got.lines); diff != "" {
 					t.Fatalf("shards=%d diverged from serial replay:\n%s", shards, diff)
 				}
@@ -478,14 +381,9 @@ func TestClosedLoopMatchesSerialAcrossShards(t *testing.T) {
 // forecasts — the headroom it frees admits the re-offered overflow — and
 // must do so by rescaling committed reservations online.
 func TestClosedLoopBeatsStaticOnDrift(t *testing.T) {
-	spec, err := scenario.ByName("diurnal-drift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = ciSized(spec)
-	cfg := compileCI(t, spec, 42)
-	closed := engineClosedLoop(t, cfg, spec.Algorithm, 2, 1, spec.ReofferPending)
-	static := engineClosedLoop(t, cfg, spec.Algorithm, 2, -1, spec.ReofferPending)
+	spec, cfg := ciScenario(t, "diurnal-drift")
+	closed := worldLoop(t, cfg, spec.Algorithm, 2, 1)
+	static := worldLoop(t, cfg, spec.Algorithm, 2, -1)
 
 	if !(closed.ledger.Realized > static.ledger.Realized) {
 		t.Fatalf("closed-loop realized yield %.6g does not beat static %.6g\nclosed:\n%s\nstatic:\n%s",
@@ -517,12 +415,7 @@ func TestClosedLoopBeatsStaticOnDrift(t *testing.T) {
 // slice's final epoch silently drops off the ledger. Every short-lived
 // slice the ledger knows must have settled its entire lifetime.
 func TestExpiringSlicesSettleFullLifetime(t *testing.T) {
-	spec, err := scenario.ByName("flash-drift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = ciSized(spec)
-	cfg := compileCI(t, spec, 42)
+	spec, cfg := ciScenario(t, "flash-drift")
 	durOf := map[string]int{}
 	for _, sp := range cfg.Slices {
 		if sp.Duration < loopEpochs-sp.ArrivalEpoch {
@@ -532,7 +425,7 @@ func TestExpiringSlicesSettleFullLifetime(t *testing.T) {
 	if len(durOf) == 0 {
 		t.Fatal("archetype has no short-lived slices; the test is vacuous")
 	}
-	lt := engineClosedLoop(t, cfg, spec.Algorithm, 2, 1, spec.ReofferPending)
+	lt := worldLoop(t, cfg, spec.Algorithm, 2, 1)
 	settledShort := 0
 	for _, st := range lt.ledger.PerSlice {
 		want, shortLived := durOf[st.Slice]

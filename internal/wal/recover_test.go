@@ -13,14 +13,12 @@ import (
 	"repro/internal/reopt"
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/slice"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/yield"
 )
 
-// The kill-and-replay gate. The test plays the durable "world" — tenants
-// with their offers, the data plane's seeded traffic generators — while the
+// The kill-and-replay gate. A reopt.World plays what survives a crash —
+// tenants with their offers, the data plane's seeded traffic — while the
 // control-plane "process" (engine + controller + monitor store) is
 // crashable: a kill Aborts the WAL (dropping its unsynced buffer, exactly
 // what a hard stop could lose) and throws the process away, monitor store
@@ -31,69 +29,40 @@ import (
 
 const recEpochs = 10
 
-// recCISize shrinks an archetype exactly like the reopt equality suite
-// does, so the exact solvers stay affordable under -race.
-func recCISize(s scenario.Spec) scenario.Spec {
-	if s.Tenants > 4 {
-		s.Tenants = 4
-	}
-	s.Epochs = recEpochs
-	if s.Arrivals.Kind == scenario.FlashCrowd {
-		s.Arrivals.SpikeEpoch = 4
-		s.Arrivals.SpikeSize = 2
-	}
-	return s
-}
-
-func recCompile(t testing.TB, spec scenario.Spec, seed int64) sim.Config {
+// recScenario compiles a named archetype shrunk exactly like the reopt
+// equality suite shrinks it, so the exact solvers stay affordable under
+// -race.
+func recScenario(t testing.TB, name string) (scenario.Spec, sim.Config) {
 	t.Helper()
-	cfg, err := spec.Compile(seed)
+	s, err := scenario.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Tenants, s.Epochs = min(s.Tenants, 4), recEpochs
+	if s.Arrivals.Kind == scenario.FlashCrowd {
+		s.Arrivals.SpikeEpoch, s.Arrivals.SpikeSize = 4, 2
+	}
+	cfg, err := s.Compile(42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.SamplesPerEpoch == 0 {
 		cfg.SamplesPerEpoch = 8
 	}
-	return cfg
+	return s, cfg
 }
 
-// offer is one tenant request the world keeps alive until it is decided.
-type offer struct {
-	spec sim.SliceSpec
-	sla  slice.SLA
-}
-
-// world is everything that survives a control-plane crash: the tenants'
-// undecided offers (they re-submit after a kill — their acks never came)
-// and the data plane's seeded generators plus the last epoch's emitted
-// samples (the monitoring pipeline re-delivers what the dead store lost).
-type world struct {
-	cfg     sim.Config
-	reoffer bool
-	offers  []offer
-	pending []offer
-	gens    map[string][]traffic.Generator
-	last    []monitor.Sample
-	// events is the scenario's capacity-event stream, epoch-sorted; the
-	// world delivers each epoch's slice at the epoch boundary. A recovered
-	// process already holds every PAST epoch's events (they replay from the
-	// WAL); the boundary delivery happens before the epoch's step, so a
-	// kill at the boundary never leaves an event half-delivered.
-	events []topology.Event
-}
-
-func newWorld(cfg sim.Config, reoffer bool) *world {
-	w := &world{cfg: cfg, reoffer: reoffer, gens: map[string][]traffic.Generator{}}
-	w.events = append(w.events, cfg.Events...)
-	sort.SliceStable(w.events, func(i, j int) bool { return w.events[i].Epoch < w.events[j].Epoch })
-	for _, sp := range cfg.Slices {
-		w.offers = append(w.offers, offer{
-			spec: sp,
-			sla: slice.SLA{Template: sp.Template, MeanMbps: sp.MeanMbps, Duration: sp.Duration}.
-				WithPenaltyFactor(sp.PenaltyFactor),
-		})
+// reference is the uninterrupted run every recovery is held to: the same
+// world, no WAL, no kills.
+func reference(t testing.TB, cfg sim.Config, algorithm string) ([]string, finalState) {
+	t.Helper()
+	w, p := reopt.NewWorld(cfg), startProc(t, cfg, algorithm, "", 0)
+	defer p.stop()
+	var lines []string
+	for p.ctrl.Epoch() < cfg.Epochs {
+		lines = append(lines, play(t, w, p))
 	}
-	return w
+	return lines, capture(t, p)
 }
 
 // proc is one crashable control-plane process.
@@ -182,98 +151,16 @@ func (p *proc) stop() {
 	}
 }
 
-// reconnect replays the world's side of a crash hand-off into a fresh
-// process: the monitoring pipeline re-delivers the in-flight epoch's
-// samples (the forecaster and settlement reads all target the last epoch).
-func (w *world) reconnect(p *proc) {
-	for _, sm := range w.last {
-		p.store.Add(sm)
-	}
-}
-
-// runEpoch plays one epoch against the process: submit every undecided
-// offer, step the loop, account outcomes, emit the epoch's traffic. The
-// returned fingerprint matches the reopt equality suite's format.
-func (w *world) runEpoch(t testing.TB, p *proc, epoch int) string {
+// play runs the controller's next epoch through the world and returns its
+// fingerprint, in the reopt equality suite's format.
+func play(t testing.TB, w *reopt.World, p *proc) string {
 	t.Helper()
-	var fire []topology.Event
-	for _, ev := range w.events {
-		if ev.Epoch == epoch {
-			fire = append(fire, ev)
-		}
-	}
-	if len(fire) > 0 {
-		if err := p.eng.ApplyTopology("", fire); err != nil {
-			t.Fatalf("epoch %d: apply topology: %v", epoch, err)
-		}
-	}
-	for _, o := range w.offers {
-		if o.spec.ArrivalEpoch == epoch {
-			w.pending = append(w.pending, o)
-		}
-	}
-	tks := make(map[string]*admission.Ticket, len(w.pending))
-	for _, o := range w.pending {
-		tk, err := p.eng.Submit(admission.Request{Name: o.spec.Name, SLA: o.sla})
-		if err != nil {
-			t.Fatalf("epoch %d: submit %s: %v", epoch, o.spec.Name, err)
-		}
-		tks[o.spec.Name] = tk
-	}
-	rep, err := p.ctrl.Step()
+	rep, err := w.Play(p.ctrl)
 	if err != nil {
-		t.Fatalf("epoch %d: %v", epoch, err)
+		t.Fatal(err)
 	}
-	line := recFingerprint(epoch, rep)
-
-	var still []offer
-	for _, o := range w.pending {
-		out, ok := tks[o.spec.Name].Outcome()
-		if !ok {
-			t.Fatalf("epoch %d: %s undecided after the round", epoch, o.spec.Name)
-		}
-		if out.Admitted {
-			gs := make([]traffic.Generator, w.cfg.Net.NumBS())
-			for b := range gs {
-				gs[b] = sim.NewGenerator(w.cfg, o.spec, b)
-			}
-			w.gens[o.spec.Name] = gs
-		} else if w.reoffer {
-			still = append(still, o)
-		}
-	}
-	w.pending = still
-
-	// Data plane: emit the epoch's traffic (expiring slices still served
-	// it), remember it for a possible crash hand-off, then retire expired
-	// generators.
-	w.last = w.last[:0]
-	names := make([]string, 0, len(w.gens))
-	for n := range w.gens {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		for b, g := range w.gens[name] {
-			for theta := 0; theta < w.cfg.SamplesPerEpoch; theta++ {
-				sm := monitor.Sample{
-					Slice: name, Metric: monitor.LoadMetric, Element: monitor.BSElement(b),
-					Epoch: epoch, Theta: theta, Value: g.Sample(epoch, theta),
-				}
-				p.store.Add(sm)
-				w.last = append(w.last, sm)
-			}
-		}
-	}
-	for _, name := range rep.Expired {
-		delete(w.gens, name)
-	}
-	return line
-}
-
-func recFingerprint(epoch int, rep *reopt.StepReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d exp=%.4f rescaled=%d:", epoch, rep.Round.Decision.Revenue(), rep.Rescaled)
+	fmt.Fprintf(&b, "epoch %d exp=%.4f rescaled=%d:", rep.Epoch, rep.Round.Decision.Revenue(), rep.Rescaled)
 	for i, name := range rep.Round.Names {
 		if i < len(rep.Round.Decision.Accepted) && rep.Round.Decision.Accepted[i] {
 			fmt.Fprintf(&b, " %s@cu%d%v", name, rep.Round.Decision.CU[i], rep.Round.Decision.PathIdx[i])
@@ -337,25 +224,10 @@ func assertIdentical(t testing.TB, label string, want, got finalState, wantLines
 // to equal the never-killed run's bit for bit.
 func TestKillAndReplayMatchesUninterrupted(t *testing.T) {
 	for _, name := range []string{"diurnal-drift", "flash-drift", "outage", "churn"} {
-		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			spec, err := scenario.ByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec = recCISize(spec)
-			cfg := recCompile(t, spec, 42)
-
-			// Uninterrupted reference: same world driver, no WAL, no kills.
-			refWorld := newWorld(cfg, spec.ReofferPending)
-			ref := startProc(t, cfg, spec.Algorithm, "", 0)
-			var refLines []string
-			for e := 0; e < recEpochs; e++ {
-				refLines = append(refLines, refWorld.runEpoch(t, ref, e))
-			}
-			refFinal := capture(t, ref)
-			ref.stop()
+			spec, cfg := recScenario(t, name)
+			refLines, refFinal := reference(t, cfg, spec.Algorithm)
 
 			rng := rand.New(rand.NewSource(7))
 			for trial := 0; trial < 3; trial++ {
@@ -367,7 +239,7 @@ func TestKillAndReplayMatchesUninterrupted(t *testing.T) {
 				label := fmt.Sprintf("trial %d (kills %v)", trial, sortedKeys(kills))
 
 				dir := t.TempDir()
-				w := newWorld(cfg, spec.ReofferPending)
+				w := reopt.NewWorld(cfg)
 				p := startProc(t, cfg, spec.Algorithm, dir, 3)
 				var lines []string
 				recoveries := 0
@@ -378,10 +250,10 @@ func TestKillAndReplayMatchesUninterrupted(t *testing.T) {
 						if got := p.ctrl.Epoch(); got != e {
 							t.Fatalf("%s: recovered to epoch %d, want %d (report %+v)", label, got, e, p.rec)
 						}
-						w.reconnect(p)
+						w.Redeliver(p.ctrl)
 						recoveries++
 					}
-					lines = append(lines, w.runEpoch(t, p, e))
+					lines = append(lines, play(t, w, p))
 				}
 				final := capture(t, p)
 				p.stop()
@@ -407,29 +279,16 @@ func sortedKeys(m map[int]bool) []int {
 // snapshot on close makes the next start replay-free (no records applied),
 // and the resumed run still matches the uninterrupted reference exactly.
 func TestCleanShutdownResumesReplayFree(t *testing.T) {
-	spec, err := scenario.ByName("diurnal-drift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = recCISize(spec)
-	cfg := recCompile(t, spec, 42)
-
-	refWorld := newWorld(cfg, spec.ReofferPending)
-	ref := startProc(t, cfg, spec.Algorithm, "", 0)
-	var refLines []string
-	for e := 0; e < recEpochs; e++ {
-		refLines = append(refLines, refWorld.runEpoch(t, ref, e))
-	}
-	refFinal := capture(t, ref)
-	ref.stop()
+	spec, cfg := recScenario(t, "diurnal-drift")
+	refLines, refFinal := reference(t, cfg, spec.Algorithm)
 
 	dir := t.TempDir()
-	w := newWorld(cfg, spec.ReofferPending)
+	w := reopt.NewWorld(cfg)
 	p := startProc(t, cfg, spec.Algorithm, dir, 0)
 	var lines []string
 	half := recEpochs / 2
 	for e := 0; e < half; e++ {
-		lines = append(lines, w.runEpoch(t, p, e))
+		lines = append(lines, play(t, w, p))
 	}
 	// Clean shutdown: final snapshot, then close.
 	snap, err := BuildSnapshot(p.eng, []string{admission.DefaultDomain},
@@ -449,9 +308,9 @@ func TestCleanShutdownResumesReplayFree(t *testing.T) {
 	if got := p.ctrl.Epoch(); got != half {
 		t.Fatalf("resumed at epoch %d, want %d", got, half)
 	}
-	w.reconnect(p)
+	w.Redeliver(p.ctrl)
 	for e := half; e < recEpochs; e++ {
-		lines = append(lines, w.runEpoch(t, p, e))
+		lines = append(lines, play(t, w, p))
 	}
 	final := capture(t, p)
 	p.stop()
@@ -464,19 +323,14 @@ func TestCleanShutdownResumesReplayFree(t *testing.T) {
 // fsync — are dropped physically, and recovery lands on the last committed
 // round as if the interrupted step had never started.
 func TestRecoverTruncatesUncommittedStepPrefix(t *testing.T) {
-	spec, err := scenario.ByName("diurnal-drift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = recCISize(spec)
-	cfg := recCompile(t, spec, 42)
+	spec, cfg := recScenario(t, "diurnal-drift")
 
 	dir := t.TempDir()
-	w := newWorld(cfg, spec.ReofferPending)
+	w := reopt.NewWorld(cfg)
 	p := startProc(t, cfg, spec.Algorithm, dir, 0)
 	var lines []string
 	for e := 0; e < 4; e++ {
-		lines = append(lines, w.runEpoch(t, p, e))
+		lines = append(lines, play(t, w, p))
 	}
 	mid := capture(t, p)
 
@@ -506,17 +360,10 @@ func TestRecoverTruncatesUncommittedStepPrefix(t *testing.T) {
 	assertIdentical(t, "uncommitted prefix", mid, got, nil, nil)
 
 	// And the interrupted step re-runs live, continuing the run exactly.
-	w.reconnect(p2)
-	refWorld := newWorld(cfg, spec.ReofferPending)
-	ref := startProc(t, cfg, spec.Algorithm, "", 0)
-	var refLines []string
-	for e := 0; e < recEpochs; e++ {
-		refLines = append(refLines, refWorld.runEpoch(t, ref, e))
-	}
-	refFinal := capture(t, ref)
-	ref.stop()
+	w.Redeliver(p2.ctrl)
+	refLines, refFinal := reference(t, cfg, spec.Algorithm)
 	for e := 4; e < recEpochs; e++ {
-		lines = append(lines, w.runEpoch(t, p2, e))
+		lines = append(lines, play(t, w, p2))
 	}
 	final := capture(t, p2)
 	p2.stop()

@@ -12,7 +12,6 @@ import (
 	"repro/internal/admission"
 	"repro/internal/monitor"
 	"repro/internal/reopt"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/yield"
 )
@@ -74,32 +73,18 @@ func drainTail(t testing.TB, tail *Tailer, rep *Replayer) {
 }
 
 func TestStandbyTailPromotionMatchesUninterrupted(t *testing.T) {
-	spec, err := scenario.ByName("diurnal-drift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = recCISize(spec)
-	cfg := recCompile(t, spec, 42)
-
-	// Uninterrupted reference: no WAL, no standby, no kill.
-	refWorld := newWorld(cfg, spec.ReofferPending)
-	ref := startProc(t, cfg, spec.Algorithm, "", 0)
-	var refLines []string
-	for e := 0; e < recEpochs; e++ {
-		refLines = append(refLines, refWorld.runEpoch(t, ref, e))
-	}
-	refFinal := capture(t, ref)
-	ref.stop()
+	spec, cfg := recScenario(t, "diurnal-drift")
+	refLines, refFinal := reference(t, cfg, spec.Algorithm)
 
 	// Leader with small segments and a snapshot every 2 epochs, so the
 	// tail crosses rotation and compaction boundaries mid-run.
 	dir := t.TempDir()
-	w := newWorld(cfg, spec.ReofferPending)
+	w := reopt.NewWorld(cfg)
 	leader := startProc(t, cfg, spec.Algorithm, dir, 2)
 	var lines []string
 	const late = 4
 	for e := 0; e < late; e++ {
-		lines = append(lines, w.runEpoch(t, leader, e))
+		lines = append(lines, play(t, w, leader))
 	}
 
 	// The standby joins late: its bootstrap must come from a snapshot,
@@ -118,7 +103,7 @@ func TestStandbyTailPromotionMatchesUninterrupted(t *testing.T) {
 
 	kill := recEpochs - 2
 	for e := late; e < kill; e++ {
-		lines = append(lines, w.runEpoch(t, leader, e))
+		lines = append(lines, play(t, w, leader))
 		drainTail(t, tail, replayer)
 	}
 
@@ -168,10 +153,10 @@ func TestStandbyTailPromotionMatchesUninterrupted(t *testing.T) {
 	if err := sb.eng.Start(); err != nil {
 		t.Fatal(err)
 	}
-	w.reconnect(sb)
+	w.Redeliver(sb.ctrl)
 
 	for e := kill; e < recEpochs; e++ {
-		lines = append(lines, w.runEpoch(t, sb, e))
+		lines = append(lines, play(t, w, sb))
 	}
 	final := capture(t, sb)
 	sb.stop()
@@ -182,12 +167,7 @@ func TestStandbyTailPromotionMatchesUninterrupted(t *testing.T) {
 // that opened at LSN 0 and never polled while the leader snapshotted and
 // compacted past it gets ErrTailGap, not silent data loss.
 func TestTailerGapAfterCompaction(t *testing.T) {
-	spec, err := scenario.ByName("diurnal-drift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec = recCISize(spec)
-	cfg := recCompile(t, spec, 42)
+	spec, cfg := recScenario(t, "diurnal-drift")
 
 	dir := t.TempDir()
 	tail, err := OpenTailer(dir) // before any writes: next record is LSN 0
@@ -196,10 +176,10 @@ func TestTailerGapAfterCompaction(t *testing.T) {
 	}
 	defer tail.Close()
 
-	w := newWorld(cfg, spec.ReofferPending)
+	w := reopt.NewWorld(cfg)
 	p := startProc(t, cfg, spec.Algorithm, dir, 1)
 	for e := 0; e < recEpochs; e++ {
-		w.runEpoch(t, p, e)
+		play(t, w, p)
 	}
 	p.stop()
 	if _, statErr := os.Stat(dir + "/wal-0000000000000000.seg"); !os.IsNotExist(statErr) {

@@ -4,9 +4,10 @@
 # when a worker is SIGKILLed mid-run and its load rebalances onto the
 # survivor. Two phases:
 #
-#   1. loadgen: a drift archetype across 4 domains, solved in-process vs
-#      dispatched to 2 ovnes-worker processes; the printed decision
-#      tables must match byte for byte (timing comment lines excluded).
+#   1. loadgen: a drift archetype across 4 domains through the closed
+#      loop, solved in-process vs dispatched to 2 ovnes-worker processes;
+#      the printed tables — admissions and realized yield — must match
+#      byte for byte (timing comment lines excluded).
 #   2. ovnes: the REST stack in cluster mode, driven epoch by epoch with
 #      one worker hard-killed between epochs; /yield and /slices must
 #      match a plain single-process run of the same drive, and the
