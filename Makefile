@@ -25,12 +25,15 @@ test-race:
 # admission-stress repeats, under the race detector, the tests that hold the
 # engine's serial lanes to their contract — a round runs on its caller when
 # the lane is idle and queues in cut order when it is not, Stop waits for
-# both kinds — and the conservation/invariance tests that would see a lane
-# let two rounds of one shard overlap. Ten times each: a lane bug is a
-# scheduling accident, not an every-run failure. Under two minutes on a
-# 2-vCPU runner.
+# both kinds; online, Submit cuts for an idle lane and a lane cuts what
+# accumulated when its round ends (the Lane alternative selects those two),
+# while epoch mode never cuts on idle — and the conservation/invariance tests
+# that would see a lane let two rounds of one shard overlap, or Drain miss its
+# wake-up. Ten times each: a lane bug, like a lost wake-up between Submit's
+# busy check and a lane going idle, is a scheduling accident, not an
+# every-run failure. Under two minutes on a 2-vCPU runner.
 admission-stress:
-	$(GO) test -race -count=10 -run 'Lane|TestStopWaitsForInlineRound|TestShardCountInvariance|TestConcurrentStressConservation|TestRaceOutageNoLostSlices' ./internal/admission
+	$(GO) test -race -count=10 -run 'Lane|TestEpochModeNeverCutsOnIdle|TestStopWaitsForInlineRound|TestShardCountInvariance|TestConcurrentStressConservation|TestRaceOutageNoLostSlices' ./internal/admission
 
 vet:
 	$(GO) vet ./...

@@ -34,7 +34,7 @@ func printOnce(key string, print func(w io.Writer)) {
 
 // BenchmarkTable1Templates regenerates Table 1 (slice templates).
 func BenchmarkTable1Templates(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		rows := experiments.Table1()
 		if len(rows) != 3 {
 			b.Fatal("Table 1 must have three slice types")
@@ -47,7 +47,7 @@ func BenchmarkTable1Templates(b *testing.B) {
 // capacity distributions of the three operator networks.
 func BenchmarkFig4PathCapacityCDF(b *testing.B) {
 	var rows []experiments.Fig4Row
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		rows = experiments.Fig4(60, 8, 11)
 	}
 	printOnce("fig4", func(w io.Writer) { experiments.PrintFig4(w, rows) })
@@ -57,7 +57,7 @@ func BenchmarkFig4PathCapacityCDF(b *testing.B) {
 // viewed on the delay axis; benchmarked separately so the two panels can
 // be timed independently).
 func BenchmarkFig4PathDelayCDF(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		rows := experiments.Fig4(60, 8, 11)
 		for _, r := range rows {
 			if len(r.DelayCDF) == 0 {
@@ -92,7 +92,7 @@ func fig5BenchConfig(workers int) experiments.Fig5Config {
 // GOMAXPROCS-bounded worker pool.
 func BenchmarkFig5Homogeneous(b *testing.B) {
 	var pts []experiments.Fig5Point
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		var err error
 		pts, err = experiments.Fig5(fig5BenchConfig(0))
 		if err != nil {
@@ -106,7 +106,7 @@ func BenchmarkFig5Homogeneous(b *testing.B) {
 // the pre-pool baseline. The parallel/serial ns/op ratio in CI output is
 // the sweep's speedup; the printed rows are bit-identical by construction.
 func BenchmarkFig5HomogeneousSerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := experiments.Fig5(fig5BenchConfig(1)); err != nil {
 			b.Fatal(err)
 		}
@@ -128,8 +128,7 @@ func BenchmarkFig6Heterogeneous(b *testing.B) {
 		Seed:       42,
 	}
 	var pts []experiments.Fig6Point
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		var err error
 		pts, err = experiments.Fig6(cfg)
 		if err != nil {
@@ -143,7 +142,7 @@ func BenchmarkFig6Heterogeneous(b *testing.B) {
 // emulated day under both policies.
 func BenchmarkFig8Revenue(b *testing.B) {
 	var ours, baseline *experiments.Fig8Series
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		var err error
 		ours, err = experiments.Fig8(experiments.Fig8Config{Algorithm: "direct", Seed: 7})
 		if err != nil {
@@ -160,7 +159,7 @@ func BenchmarkFig8Revenue(b *testing.B) {
 // BenchmarkFig8Utilization regenerates Fig. 8(b)–(d): per-domain
 // reservation vs actual utilization series for the same scenario.
 func BenchmarkFig8Utilization(b *testing.B) {
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		s, err := experiments.Fig8(experiments.Fig8Config{Algorithm: "direct", Seed: 7})
 		if err != nil {
 			b.Fatal(err)
@@ -177,7 +176,7 @@ func BenchmarkFig8Utilization(b *testing.B) {
 // overbooking's violation probability and dropped-traffic footprint.
 func BenchmarkSLAViolationFootprint(b *testing.B) {
 	var rows []experiments.SLAFootprint
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		var err error
 		rows, err = experiments.SLAViolationStudy(3, 6, 16, 42)
 		if err != nil {
@@ -191,7 +190,7 @@ func BenchmarkSLAViolationFootprint(b *testing.B) {
 // methods slow down combinatorially while KAC stays in heuristic time.
 func BenchmarkSolverScaling(b *testing.B) {
 	var rows []experiments.SolverTiming
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		var err error
 		rows, err = experiments.SolverScaling(nil, 42)
 		if err != nil {
@@ -205,7 +204,7 @@ func BenchmarkSolverScaling(b *testing.B) {
 // seasonal traffic Holt-Winters beats single/double exponential smoothing.
 func BenchmarkForecastAccuracy(b *testing.B) {
 	var rows []experiments.ForecastScore
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		rows = experiments.ForecastAblation(24, 10, 5, 42)
 	}
 	printOnce("forecast", func(w io.Writer) { experiments.PrintForecastAblation(w, rows) })

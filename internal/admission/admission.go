@@ -246,11 +246,15 @@ type Config struct {
 	// QueueDepth bounds requests accepted but not yet decided; beyond it
 	// Submit sheds with ErrOverloaded. Default 1024.
 	QueueDepth int
-	// MaxBatch flushes a domain's batch into a round once it reaches this
-	// size; 0 disables size-triggered flushing (timer/manual only).
+	// MaxBatch cuts a domain's batch into a round once it holds this many
+	// requests, in either mode; 0 leaves batches uncapped.
 	MaxBatch int
-	// FlushEvery flushes all non-empty batches on this period; 0 disables
-	// the timer (manual Flush/DecideRound only — the ctrlplane epoch mode).
+	// FlushEvery > 0 selects online cutting (its value is not read; no
+	// timer runs): a Submit that finds its lane idle cuts at once, and a
+	// lane finishing a round cuts what accumulated meanwhile. 0 is the epoch
+	// mode of the ctrlplane and the closed loop: only DecideRound, Drain and
+	// MaxBatch cut. ROADMAP item 11 replaces the field with one epoch/online
+	// switch when the benchmark, which sets it, next changes.
 	FlushEvery time.Duration
 	// Store, when set, receives each round's wall time (slice "admission",
 	// metric "round_ms", element = domain name, epoch = the domain's round

@@ -27,7 +27,7 @@ func BenchmarkAdmissionThroughput(b *testing.B) {
 
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				e := New(Config{Shards: shards, QueueDepth: 4 * totalReqs})
 				for d := 0; d < domains; d++ {
 					if err := e.AddDomain(fmt.Sprintf("op%d", d), DomainConfig{
@@ -97,14 +97,14 @@ func BenchmarkAdmissionThroughput(b *testing.B) {
 // re-entry against a mostly-pinned committed set) versus a single
 // coalesced round (one solve, but a master MILP with K free admission
 // binaries). The numbers put the trade-off on record: incremental rounds
-// are the cheap steady-state path, and the micro-batcher's flush knobs
-// exist to bound the solve rate under bursts — one round per flush period
-// no matter how many requests arrive — not to make a round cheaper.
+// are the cheap steady-state path, and batching exists to bound the solve
+// rate under bursts — one round per cut no matter how many requests
+// arrive — not to make a round cheaper.
 func BenchmarkAdmissionBatching(b *testing.B) {
 	const perWave = 8
 	types := []slice.Type{slice.EMBB, slice.URLLC, slice.MMTC}
 	run := func(b *testing.B, coalesce bool) {
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
 			e := New(Config{QueueDepth: 4 * perWave})
 			if err := e.AddDomain("", DomainConfig{Net: topology.Testbed(), Algorithm: "benders"}); err != nil {
 				b.Fatal(err)
@@ -171,8 +171,7 @@ func BenchmarkDecideRoundWarm(b *testing.B) {
 		b.Fatalf("cold round: %+v, %v", r, err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		for k := range ups {
 			ups[k].LambdaHat, ups[k].Sigma = driftView(ups[k].Name, slas[k], i)
 		}
@@ -258,8 +257,7 @@ func metroEngine(b *testing.B) *Engine {
 // tool, not a gate (make metro-smoke pins the 44 pods' decisions).
 func BenchmarkMetroRound(b *testing.B) {
 	e := metroEngine(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		for d := 0; d < topology.MetroPods; d++ {
 			dom := fmt.Sprintf("pod%d", d)
 			for _, name := range committedOf(b, e, dom) {
@@ -286,7 +284,7 @@ func BenchmarkMetroRound(b *testing.B) {
 func BenchmarkMetroPodCold(b *testing.B) {
 	pod := topology.Metro(topology.MetroPodBS)
 	types := []slice.Type{slice.URLLC, slice.URLLC, slice.EMBB, slice.MMTC}
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		e := New(Config{Shards: 1})
 		if err := e.AddDomain("pod", DomainConfig{Net: pod, KPaths: 1, Algorithm: "benders"}); err != nil {
 			b.Fatal(err)

@@ -17,9 +17,10 @@
 //     metrics snapshot is how an operator sees it.
 //
 //  2. Micro-batching. Concurrent requests to one domain coalesce into a
-//     single admission round — one AC-RR instance solve — flushed when the
-//     batch reaches Config.MaxBatch, when Config.FlushEvery elapses, or
-//     when the caller forces a round (Flush / DecideRound). Batching is
+//     single admission round — one AC-RR instance solve — cut when the
+//     batch reaches Config.MaxBatch, when the caller forces a round
+//     (DecideRound / Drain) or, online (Config.FlushEvery > 0), when a
+//     Submit finds its lane idle or a lane finishes a round. Batching is
 //     what makes the LP affordable per request: a round costs one solve
 //     regardless of how many requests ride in it.
 //
@@ -29,9 +30,9 @@
 //     cut; shards scale throughput across domains. A shard is a lane, not a
 //     goroutine: a DecideRound caller that finds it idle runs the round
 //     itself (no hand-off, no wake-up); rounds cut while it is held, and
-//     every round Submit, Flush or the ticker cuts (a submitter never pays
-//     for a solve), go in FIFO order to the lane's worker, alive only while
-//     it has rounds. Either way a round is one execRound making one solve:
+//     every round Submit, Drain or a finishing lane cuts (a submitter never
+//     pays for a solve), go in FIFO order to the lane's worker, alive only
+//     while it has rounds. Either way a round is one execRound making one solve:
 //     on the domain's LocalSolver (path sets, live network, its own
 //     core.BendersSession) — the one solver a domain has in the process —
 //     or on a remote executor handed the same inputs (internal/cluster),
@@ -45,7 +46,7 @@
 //  4. Determinism. A round's instance is built in canonical order —
 //     committed slices in admission order, then the batch sorted by request
 //     name — so the decision for a given round set is independent of
-//     submission interleaving, shard count, and flush timing. No operation
+//     submission interleaving, shard count, and cut timing. No operation
 //     touches two domains, so a domain's trace does not depend on any
 //     other's. Combined with the solver's lexicographic tie-break
 //     (core.tieBreakBase) the engine's decisions are bit-identical to a

@@ -25,9 +25,9 @@ type Engine struct {
 	shards  []shard
 	queued  int // accepted but undecided requests, all domains
 	met     metrics
+	drained chan struct{} // while a Drain waits: closed when idleLocked
 
-	wg         sync.WaitGroup // lane holders (inline callers, lane workers) + ticker
-	stopTicker chan struct{}
+	wg sync.WaitGroup // lane holders (inline callers, lane workers)
 }
 
 type engineState int
@@ -43,8 +43,9 @@ const (
 // one shard, one at a time, in cut order — on the DecideRound caller that found
 // the lane idle, else on the lane's worker. Guarded by Engine.mu.
 type shard struct {
-	busy  bool        // held by an inline caller or a worker
-	queue []*roundJob // cut, waiting for the lane; non-empty only while busy
+	busy    bool        // held by an inline caller or a worker
+	queue   []*roundJob // cut, waiting for the lane; non-empty only while busy
+	domains []*domain   // the shard's domains in registration order
 }
 
 // roundJob is one admission round cut from a domain's batch.
@@ -109,11 +110,10 @@ type domain struct {
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	return &Engine{
-		cfg:        cfg,
-		domains:    map[string]*domain{},
-		shards:     make([]shard, cfg.Shards),
-		stopTicker: make(chan struct{}),
-		met:        newMetrics(),
+		cfg:     cfg,
+		domains: map[string]*domain{},
+		shards:  make([]shard, cfg.Shards),
+		met:     newMetrics(),
 	}
 }
 
@@ -150,6 +150,7 @@ func (e *Engine) AddDomain(name string, dc DomainConfig) error {
 		return fmt.Errorf("admission: domain %q already exists", name)
 	}
 	d.shard = &e.shards[len(e.domains)%len(e.shards)] // domains are never removed
+	d.shard.domains = append(d.shard.domains, d)
 	e.domains[name] = d
 	return nil
 }
@@ -185,7 +186,7 @@ func (e *Engine) SetLog(log RoundLog) error {
 	return nil
 }
 
-// Start opens intake (and launches the flush ticker, if configured).
+// Start opens intake.
 func (e *Engine) Start() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -193,10 +194,6 @@ func (e *Engine) Start() error {
 		return fmt.Errorf("admission: engine already started")
 	}
 	e.state = stateRunning
-	if e.cfg.FlushEvery > 0 {
-		e.wg.Add(1)
-		go e.runTicker()
-	}
 	return nil
 }
 
@@ -257,30 +254,15 @@ func (e *Engine) Submit(req Request) (*Ticket, error) {
 	e.queued++
 	d.names[req.Name] = true
 	d.batch = append(d.batch, pending{req: req, ticket: t, submitted: now})
-	if e.cfg.MaxBatch > 0 && len(d.batch) >= e.cfg.MaxBatch {
-		// Never run here: a submitter must not pay for a solve.
+	full := e.cfg.MaxBatch > 0 && len(d.batch) >= e.cfg.MaxBatch
+	if full || e.cfg.FlushEvery > 0 && !d.shard.busy {
+		// Never run here: a submitter must not pay for a solve. Online, a
+		// busy lane cuts this batch itself when its round ends (next).
 		e.enqueueLocked(&roundJob{d: d, batch: d.batch})
 		d.batch = nil
 	}
 	e.mu.Unlock()
 	return t, nil
-}
-
-// Flush forces a round for every domain with a non-empty batch. It returns
-// after the rounds are enqueued, not after they are decided.
-func (e *Engine) Flush() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.state != stateRunning && e.state != stateDraining {
-		return
-	}
-	for _, name := range e.domainNamesLocked() {
-		d := e.domains[name]
-		if len(d.batch) > 0 {
-			e.enqueueLocked(&roundJob{d: d, batch: d.batch})
-			d.batch = nil
-		}
-	}
 }
 
 // enqueueLocked queues job on its held lane, or starts the lane's worker
@@ -296,12 +278,32 @@ func (e *Engine) enqueueLocked(job *roundJob) {
 	go e.runLane(sh, job)
 }
 
-// next pops the lane's oldest queued round; with none, it frees the lane.
+// cutLocked cuts every non-empty batch of the shard's domains onto its lane,
+// in registration order. Caller holds mu.
+func (e *Engine) cutLocked(sh *shard) {
+	for _, d := range sh.domains {
+		if len(d.batch) > 0 {
+			e.enqueueLocked(&roundJob{d: d, batch: d.batch})
+			d.batch = nil
+		}
+	}
+}
+
+// next pops the lane's oldest queued round; with none, it frees the lane — the
+// one place a lane goes idle, so the one place a waiting Drain is woken.
+// Online, it first cuts what accumulated while the lane was held.
 func (e *Engine) next(sh *shard) *roundJob {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.cfg.FlushEvery > 0 {
+		e.cutLocked(sh)
+	}
 	if len(sh.queue) == 0 {
 		sh.busy = false
+		if e.drained != nil && e.idleLocked() {
+			close(e.drained)
+			e.drained = nil
+		}
 		return nil
 	}
 	job := sh.queue[0]
@@ -322,16 +324,6 @@ func (e *Engine) runLane(sh *shard, job *roundJob) {
 			done <- r
 		}
 	}
-}
-
-// domainNamesLocked lists domains in sorted order (deterministic flushing).
-func (e *Engine) domainNamesLocked() []string {
-	names := make([]string, 0, len(e.domains))
-	for n := range e.domains {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // DecideRound synchronously runs one admission round for the domain — the
@@ -603,9 +595,9 @@ func (e *Engine) domain(name string) (*domain, error) {
 	return d, nil
 }
 
-// Drain stops intake, flushes every batch, and waits until every queued
-// request is decided and its ticket resolved (or ctx ends). Committed state
-// stays intact; the engine still serves DecideRound/Advance until Stop.
+// Drain stops intake, cuts every batch into a round, and waits until every
+// queued request is decided and its ticket resolved (or ctx ends). Committed
+// state stays intact; the engine still serves DecideRound/Advance until Stop.
 func (e *Engine) Drain(ctx context.Context) error {
 	e.mu.Lock()
 	if e.state == stateStopped {
@@ -617,27 +609,35 @@ func (e *Engine) Drain(ctx context.Context) error {
 		return fmt.Errorf("admission: drain before start")
 	}
 	e.state = stateDraining
-	e.mu.Unlock()
-
-	e.Flush()
-	tick := time.NewTicker(time.Millisecond)
-	defer tick.Stop()
-	for {
-		e.mu.Lock()
-		idle := e.queued == 0
-		for i := range e.shards {
-			idle = idle && !e.shards[i].busy // a held lane may still owe its tickets
-		}
+	for i := range e.shards {
+		e.cutLocked(&e.shards[i])
+	}
+	if e.idleLocked() {
 		e.mu.Unlock()
-		if idle {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
+		return nil
+	}
+	if e.drained == nil {
+		e.drained = make(chan struct{})
+	}
+	drained := e.drained
+	e.mu.Unlock()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-drained:
+		return nil
+	}
+}
+
+// idleLocked reports whether every request is decided and every lane free: a
+// held lane may still owe its tickets. Caller holds mu.
+func (e *Engine) idleLocked() bool {
+	for i := range e.shards {
+		if e.shards[i].busy {
+			return false
 		}
 	}
+	return e.queued == 0
 }
 
 // Stop terminates the engine. Undecided requests fail with ErrStopped
@@ -660,23 +660,7 @@ func (e *Engine) Stop() {
 		d.batch = nil
 	}
 	e.mu.Unlock()
-	close(e.stopTicker)
 	e.wg.Wait()
-}
-
-// runTicker drives timer-based flushing.
-func (e *Engine) runTicker() {
-	defer e.wg.Done()
-	tick := time.NewTicker(e.cfg.FlushEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-e.stopTicker:
-			return
-		case <-tick.C:
-			e.Flush()
-		}
-	}
 }
 
 // execRound runs one admission round, and is the only thing that does:
@@ -688,7 +672,7 @@ func (e *Engine) execRound(job *roundJob) *Round {
 
 	// Canonical batch order: sorted by name, so the instance — and with the
 	// tie-broken solver, the decision — is independent of submission
-	// interleaving and flush timing for a given round set.
+	// interleaving and cut timing for a given round set.
 	sort.Slice(job.batch, func(i, j int) bool { return job.batch[i].req.Name < job.batch[j].req.Name })
 
 	d.dmu.Lock()

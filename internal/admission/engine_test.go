@@ -191,6 +191,9 @@ func TestSizeTriggeredFlush(t *testing.T) {
 	}
 }
 
+// TestTimerTriggeredFlush: a lone request with FlushEvery set is decided
+// with no DecideRound or Drain: it finds its lane idle and Submit cuts it at
+// once (TestIdleLaneCutsAtOnce pins that no timer is waited for).
 func TestTimerTriggeredFlush(t *testing.T) {
 	e := newTestEngine(t, Config{FlushEvery: 2 * time.Millisecond}, DomainConfig{Algorithm: "direct"})
 	tk, err := e.Submit(Request{Name: "u1", SLA: testSLA(slice.URLLC, 4)})

@@ -416,3 +416,110 @@ func TestFailedLogDoesNotAdvanceRoundClock(t *testing.T) {
 		t.Fatalf("logged seqs %v, want %v", log.seqs, want)
 	}
 }
+
+// TestIdleLaneCutsAtOnce: online, a request to an idle lane is its own round
+// at once — it waits for no timer and for no second request.
+func TestIdleLaneCutsAtOnce(t *testing.T) {
+	e := newTestEngine(t, Config{FlushEvery: time.Hour}, DomainConfig{Algorithm: "direct"})
+	tk := mustSubmit(t, e, "", "s1")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	out, err := tk.Wait(ctx)
+	if err != nil {
+		t.Fatalf("request to an idle lane undecided after 5 s: %v", err)
+	}
+	if out.Round != 0 || !out.Admitted {
+		t.Fatalf("outcome: %+v, want admitted in round 0", out)
+	}
+}
+
+// gateExec holds every round until its gate closes, records the round's fresh
+// (uncommitted) tenant names, then declines the round with ErrNoWorker so the
+// domain's own solver decides it.
+type gateExec struct {
+	entered chan struct{}
+	gate    chan struct{}
+
+	mu    sync.Mutex
+	fresh []string
+}
+
+func (x *gateExec) SolveRound(_ string, _ uint64, _ []topology.Event, specs []core.TenantSpec) (*core.Decision, error) {
+	var names []string
+	for _, s := range specs {
+		if !s.Committed {
+			names = append(names, s.Name)
+		}
+	}
+	x.mu.Lock()
+	x.fresh = append(x.fresh, strings.Join(names, ","))
+	x.mu.Unlock()
+	select {
+	case x.entered <- struct{}{}:
+	default:
+	}
+	<-x.gate
+	return nil, ErrNoWorker
+}
+
+// TestBusyLaneCutsOnFinish: online, requests that arrive while the lane is
+// held are cut at MaxBatch by Submit and, for the remainder, by the lane
+// itself when its round ends — every ticket resolves with no DecideRound, no
+// Drain and no timer, each round's batch in name order.
+func TestBusyLaneCutsOnFinish(t *testing.T) {
+	x := &gateExec{entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	e := newTestEngine(t, Config{MaxBatch: 2, FlushEvery: time.Hour}, DomainConfig{Algorithm: "direct", Executor: x})
+	var once sync.Once
+	release := func() { once.Do(func() { close(x.gate) }) }
+	t.Cleanup(release) // before e.Stop, which waits for the held round
+
+	tks := []*Ticket{mustSubmit(t, e, "", "hold")}
+	select {
+	case <-x.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no round started on the idle lane within 5 s")
+	}
+	for _, n := range []string{"e", "d", "c", "b", "a"} {
+		tks = append(tks, mustSubmit(t, e, "", n))
+	}
+	release()
+
+	wantRound := map[string]uint64{"hold": 0, "d": 1, "e": 1, "b": 2, "c": 2, "a": 3}
+	for _, tk := range tks {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		out, err := tk.Wait(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("ticket unresolved after 5 s: %v", err)
+		}
+		if out.Round != wantRound[out.Name] {
+			t.Fatalf("%s decided in round %d, want %d", out.Name, out.Round, wantRound[out.Name])
+		}
+	}
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	if want := []string{"hold", "d,e", "b,c", "a"}; !reflect.DeepEqual(x.fresh, want) {
+		t.Fatalf("rounds cut as %q, want %q", x.fresh, want)
+	}
+}
+
+// TestEpochModeNeverCutsOnIdle: with FlushEvery 0 an idle lane leaves the
+// batch alone, so the next DecideRound decides it — the contract the
+// ctrlplane epoch and the closed loop rely on.
+func TestEpochModeNeverCutsOnIdle(t *testing.T) {
+	e := newTestEngine(t, Config{MaxBatch: 2}, DomainConfig{Algorithm: "direct"})
+	tk := mustSubmit(t, e, "", "s1")
+	r, err := e.DecideRound("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Seq != 0 || r.BatchSize != 1 || !reflect.DeepEqual(r.Names, []string{"s1"}) {
+		t.Fatalf("round: %+v, want round 0 deciding s1 alone", r)
+	}
+	if out := waitOutcome(t, tk); out.Round != 0 {
+		t.Fatalf("s1 decided in round %d, want 0", out.Round)
+	}
+	if m := e.Metrics(); m.Rounds != 1 {
+		t.Fatalf("%d rounds, want 1", m.Rounds)
+	}
+}

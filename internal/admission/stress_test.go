@@ -14,7 +14,7 @@ import (
 )
 
 // TestConcurrentStressConservation hammers a sharded engine from many
-// goroutines under aggressive timer/size flushing and checks the invariant
+// goroutines under online idle/size cutting and checks the invariant
 // the serving layer lives by: every submitted request gets exactly one
 // decision — none lost, none duplicated, every counter conserved. Run under
 // -race (make test-race / CI) this is also the engine's data-race gate.

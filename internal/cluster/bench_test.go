@@ -34,8 +34,7 @@ func BenchmarkClusterRoundLoopback(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if _, err := coord.SolveRound(admission.DefaultDomain, uint64(i+1), nil, tenants); err != nil {
 			b.Fatal(err)
 		}
@@ -58,8 +57,7 @@ func BenchmarkClusterRoundLocal(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := host.Solve(admission.DefaultDomain, nil, tenants); err != nil {
 			b.Fatal(err)
 		}

@@ -22,9 +22,8 @@ func benchTenants() []TenantSpec {
 // slave warm-start saving visible in CI benchmark output.
 func benchBenders(b *testing.B, cold bool) {
 	inst := testInstance(benchTenants(), true)
-	b.ResetTimer()
 	iters := 0
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		d, err := SolveBenders(inst, BendersOptions{ColdSlave: cold})
 		if err != nil {
 			b.Fatal(err)
@@ -50,8 +49,7 @@ func BenchmarkKACTrimmingLoop(b *testing.B) {
 		typedTenant("m1", slice.MMTC, 10, 0, 1, 4),
 		typedTenant("u1", slice.URLLC, 5, 0.25, 1, 4))
 	inst := testInstance(ts, true)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		if _, err := SolveKAC(inst); err != nil {
 			b.Fatal(err)
 		}

@@ -34,8 +34,7 @@ func randomLP(n, m int, seed int64) *Problem {
 
 func benchSolve(b *testing.B, n, m int) {
 	p := randomLP(n, m, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		s, err := p.Solve()
 		if err != nil || s.Status == IterLimit {
 			b.Fatalf("status %v err %v", s.Status, err)
@@ -57,8 +56,7 @@ func benchResolveRHS(b *testing.B, warm bool) {
 	p := randomLP(100, 100, 2)
 	var basis Basis
 	pivots := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		p.SetRHS(i%100, float64(1+i%7))
 		var s *Solution
 		var err error
@@ -96,8 +94,7 @@ func BenchmarkWarmSlaveSteadySolve(b *testing.B) {
 		}
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		p.SetRHS(i%100, float64(1+i%7))
 		s, err := p.SolveFrom(&basis)
 		if err != nil || s.Status != Optimal {

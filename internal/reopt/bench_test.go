@@ -84,12 +84,10 @@ func BenchmarkReoptRound(b *testing.B) {
 				step(epoch)
 			}
 
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				step(epoch)
 				epoch++
 			}
-			b.StopTimer()
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
 		})
 	}

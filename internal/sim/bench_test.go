@@ -36,8 +36,7 @@ func BenchmarkSimEpochs(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for i := 0; b.Loop(); i++ {
 				if err := eng.step(warmup + i); err != nil {
 					b.Fatal(err)
 				}
@@ -54,7 +53,7 @@ func BenchmarkSimRun(b *testing.B) {
 		cold bool
 	}{{"warm", false}, {"cold", true}} {
 		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				res, err := Run(steadyConfig(16, mode.cold))
 				if err != nil {
 					b.Fatal(err)

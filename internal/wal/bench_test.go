@@ -29,8 +29,7 @@ func BenchmarkWALRoundCommit(b *testing.B) {
 		{Name: "b", SLA: slice.SLA{Template: slice.Table1(slice.URLLC), Duration: 4}.WithPenaltyFactor(1)},
 		{Name: "c", SLA: slice.SLA{Template: slice.Table1(slice.MMTC), Duration: 4}.WithPenaltyFactor(1)},
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	for i := 0; b.Loop(); i++ {
 		if err := s.AppendRound(admission.DefaultDomain, uint64(i), batch); err != nil {
 			b.Fatal(err)
 		}
@@ -53,7 +52,7 @@ func BenchmarkAdmissionThroughputWAL(b *testing.B) {
 		totalReqs = epochs * perEpoch
 	)
 	types := []slice.Type{slice.EMBB, slice.URLLC, slice.MMTC}
-	for i := 0; i < b.N; i++ {
+	for b.Loop() {
 		s, _, err := Open(Options{Dir: b.TempDir()})
 		if err != nil {
 			b.Fatal(err)
