@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/slice"
 	"repro/internal/topology"
 )
@@ -210,4 +212,40 @@ func mustCommittedIn(t *testing.T, e *Engine, domain string) []string {
 		t.Fatal(err)
 	}
 	return names
+}
+
+// driftView is the deterministic stand-in for a forecaster: the (λ̂, σ̂) a
+// committed slice reports at epoch t. It depends only on (name, epoch), so
+// every run of a workload feeds its solvers identical drift — low enough σ̂
+// that reservations genuinely shrink, varied enough that every steady
+// epoch moves costs and RHS (the warm-rebind path).
+func driftView(name string, sla slice.SLA, t int) (lambdaHat, sigma float64) {
+	h := 0
+	for _, c := range name {
+		h = h*31 + int(c)
+	}
+	phase := float64(h%97) + 0.7*float64(t)
+	frac := 0.25 + 0.2*(math.Sin(phase)+1)/2 // λ̂ ∈ [0.25Λ, 0.45Λ]
+	return frac * sla.RateMbps, 0.08 + 0.04*(math.Cos(phase)+1)/2
+}
+
+// fingerprint renders one round's decision: the objective and each
+// admitted slice's CU and per-BS paths, in solve order.
+func fingerprint(epoch int, names []string, dec *core.Decision) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "epoch %d exp=%.4f:", epoch, dec.Revenue())
+	for i, name := range names {
+		if i < len(dec.Accepted) && dec.Accepted[i] {
+			fmt.Fprintf(&b, " %s@cu%d%v", name, dec.CU[i], dec.PathIdx[i])
+		}
+	}
+	return b.String()
+}
+
+func specNames(specs []core.TenantSpec) []string {
+	out := make([]string, len(specs))
+	for i, s := range specs {
+		out[i] = s.Name
+	}
+	return out
 }

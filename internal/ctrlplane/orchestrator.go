@@ -84,14 +84,11 @@ func (cfg OrchestratorConfig) withDefaults() (OrchestratorConfig, error) {
 // per-slice forecast trackers live in the reopt controller, which owns the
 // monitoring → forecasting half of the epoch.)
 type orchSlice struct {
-	req       SliceRequest
 	tmpl      slice.Template
-	sla       slice.SLA
 	state     string // "pending" | "active" | "rejected" | "expired"
 	cu        int
 	reserved  []float64
 	remaining int
-	arrival   int
 	ticket    *admission.Ticket // pending decision handle
 }
 
@@ -250,18 +247,11 @@ func (o *Orchestrator) adoptCommitted() error {
 	}
 	for _, m := range committed {
 		o.slices[m.Name] = &orchSlice{
-			req: SliceRequest{
-				Name: m.Name, Tenant: m.Tenant,
-				Type:           m.SLA.Type.String(),
-				DurationEpochs: m.SLA.Duration,
-			},
 			tmpl:      m.SLA.Template,
-			sla:       m.SLA,
 			state:     "active",
 			cu:        m.CU,
 			reserved:  append([]float64(nil), m.Reserved...),
 			remaining: m.Remaining,
-			arrival:   o.epoch - (m.SLA.Duration - m.Remaining),
 		}
 		o.order = append(o.order, m.Name)
 	}
@@ -457,10 +447,9 @@ func (o *Orchestrator) Register(req SliceRequest) error {
 		return err
 	}
 	o.slices[req.Name] = &orchSlice{
-		req: req, tmpl: tmpl, sla: sla,
+		tmpl:      tmpl,
 		state:     "pending",
 		remaining: req.DurationEpochs,
-		arrival:   o.epoch,
 		ticket:    ticket,
 	}
 	o.order = append(o.order, req.Name)

@@ -24,9 +24,11 @@ import (
 // into the freed headroom.
 const loopEpochs = 10
 
-// ciScenario compiles a named archetype shrunk the same way the admission
-// equality suite shrinks it, so exact solvers stay affordable under -race.
-// It pins the monitoring density both drivers emit with: Compile leaves it
+// ciScenario compiles a named archetype shrunk to at most 4 tenants over
+// loopEpochs (a flash crowd spikes 2 tenants at epoch 4), so exact solvers
+// stay affordable under -race. At this size the capacity events of
+// degradation and churn bind no solve; handover's and outage's do. It
+// pins the monitoring density both drivers emit with: Compile leaves it
 // for sim.Run to default, but here the TEST plays the data plane, and the
 // generators' draw sequence depends on it.
 func ciScenario(t testing.TB, name string) (scenario.Spec, sim.Config) {
@@ -54,6 +56,8 @@ func ciScenario(t testing.TB, name string) (scenario.Spec, sim.Config) {
 type loopTrace struct {
 	lines  []string
 	ledger yield.Summary
+	// placed is each epoch's placements, sorted by name; worldLoop only.
+	placed []string
 }
 
 func (lt *loopTrace) String() string { return strings.Join(lt.lines, "\n") }
@@ -106,8 +110,9 @@ func worldLoop(t testing.TB, cfg sim.Config, algorithm string, shards, reoptEver
 		t.Fatal(err)
 	}
 	defer eng.Stop()
+	store := monitor.NewStore(0)
 	ctrl, err := New(Config{
-		Engine: eng, Store: monitor.NewStore(0), Ledger: ledger,
+		Engine: eng, Store: store, Ledger: ledger,
 		HWPeriod: cfg.HWPeriod, ReoptEvery: reoptEvery,
 	})
 	if err != nil {
@@ -121,6 +126,22 @@ func worldLoop(t testing.TB, cfg sim.Config, algorithm string, shards, reoptEver
 			t.Fatal(err)
 		}
 		lt.lines = append(lt.lines, fingerprint(p.Epoch, p.Round.Names, p.Round.Decision, p.Settled, p.Rescaled))
+		dec := p.Round.Decision
+		var ps []string
+		for i, name := range p.Round.Names {
+			if !dec.Accepted[i] {
+				continue
+			}
+			peak := make([]float64, cfg.Net.NumBS())
+			for b := range peak {
+				for _, sm := range store.ElementEpochSamples(name, monitor.LoadMetric, monitor.BSElement(b), p.Epoch) {
+					peak[b] = max(peak[b], sm.Value)
+				}
+			}
+			ps = append(ps, placement(name, dec.CU[i], dec.PathIdx[i], peak))
+		}
+		sort.Strings(ps)
+		lt.placed = append(lt.placed, strings.Join(ps, " "))
 	}
 	lt.ledger = ledger.Snapshot()
 	return lt
@@ -145,6 +166,10 @@ func serialClosedLoop(t testing.TB, cfg sim.Config, algorithm string, reoptEvery
 	store := monitor.NewStore(0)
 	ledger := yield.NewLedger()
 	paths := cfg.Net.Paths(cfg.KPaths)
+	sched, err := topology.NewSchedule(cfg.Net, cfg.Events)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var solve func(inst *core.Instance) (*core.Decision, error)
 	switch algorithm {
 	case "benders":
@@ -249,12 +274,10 @@ func serialClosedLoop(t testing.TB, cfg sim.Config, algorithm string, reoptEvery
 		dec := &core.Decision{}
 		if len(specs) > 0 {
 			inst := &core.Instance{
-				Net: cfg.Net, Paths: paths, Tenants: specs,
+				Net: sched.At(epoch), Paths: paths, Tenants: specs,
 				Overbook: algorithm != "no-overbooking", BigM: 1e4,
 			}
-			var err error
-			dec, err = solve(inst)
-			if err != nil {
+			if dec, err = solve(inst); err != nil {
 				t.Fatalf("serial epoch %d: %v", epoch, err)
 			}
 		}
@@ -293,8 +316,8 @@ func serialClosedLoop(t testing.TB, cfg sim.Config, algorithm string, reoptEvery
 		lt.lines = append(lt.lines, fingerprint(epoch, names, dec, settled, rescaled))
 
 		// Snapshot in-force reservations and play the epoch's traffic —
-		// slices expiring with this epoch still served it — then advance
-		// lifecycles.
+		// slices expiring with this epoch still served it; a dark BS's
+		// draws read zero — then advance lifecycles.
 		settleSet = append(settleSet[:0:0], committed...)
 		settleEpoch = epoch
 		live := make([]string, 0, len(gens))
@@ -302,12 +325,17 @@ func serialClosedLoop(t testing.TB, cfg sim.Config, algorithm string, reoptEvery
 			live = append(live, n)
 		}
 		sort.Strings(live)
+		up := sched.BSUpMask(epoch)
 		for _, name := range live {
 			for b, g := range gens[name] {
 				for theta := 0; theta < cfg.SamplesPerEpoch; theta++ {
+					load := g.Sample(epoch, theta)
+					if !up[b] {
+						load = 0
+					}
 					store.Add(monitor.Sample{
 						Slice: name, Metric: monitor.LoadMetric, Element: monitor.BSElement(b),
-						Epoch: epoch, Theta: theta, Value: g.Sample(epoch, theta),
+						Epoch: epoch, Theta: theta, Value: load,
 					})
 				}
 			}
@@ -351,16 +379,17 @@ func firstDiff(want, got []string) string {
 	return ""
 }
 
-// TestClosedLoopMatchesSerialAcrossShards is the PR's acceptance gate: on
-// the drift archetypes, the full closed-loop stack — engine shards, warm
-// sessions, concurrent submitters, the reopt controller — produces
-// bit-identical decision traces AND yield ledgers at 1, 2 and 5 shards,
-// all equal to the machinery-free serial replay.
+// TestClosedLoopMatchesSerialAcrossShards holds the online stack to its
+// one serial spec: on every scenario archetype, the full closed loop —
+// engine shards, warm sessions, concurrent submitters, re-offers by
+// resubmission, capacity events through ApplyTopology, the reopt
+// controller — produces bit-identical decision traces AND yield ledgers
+// at 1, 2 and 5 shards, all equal to the machinery-free serial replay.
 func TestClosedLoopMatchesSerialAcrossShards(t *testing.T) {
-	for _, name := range []string{"diurnal-drift", "flash-drift"} {
-		t.Run(name, func(t *testing.T) {
+	for _, arch := range scenario.Archetypes() {
+		t.Run(arch.Name, func(t *testing.T) {
 			t.Parallel()
-			spec, cfg := ciScenario(t, name)
+			spec, cfg := ciScenario(t, arch.Name)
 			want := serialClosedLoop(t, cfg, spec.Algorithm, 1, spec.ReofferPending)
 			for _, shards := range []int{1, 2, 5} {
 				got := worldLoop(t, cfg, spec.Algorithm, shards, 1)

@@ -24,6 +24,10 @@ import (
 // concurrent use.
 type World struct {
 	cfg sim.Config
+	// sched is the compiled capacity schedule; schedErr, when set, is its
+	// validation error, which Play returns.
+	sched    *topology.Schedule
+	schedErr error
 	// held are the offers rejected last epoch, re-offered this epoch when
 	// the scenario says so (sim.Config.ReofferPending).
 	held []sim.SliceSpec
@@ -37,7 +41,8 @@ func NewWorld(cfg sim.Config) *World {
 	if cfg.SamplesPerEpoch == 0 {
 		cfg.SamplesPerEpoch = 12
 	}
-	return &World{cfg: cfg, gens: map[string][]traffic.Generator{}}
+	sched, err := topology.NewSchedule(cfg.Net, cfg.Events)
+	return &World{cfg: cfg, sched: sched, schedErr: err, gens: map[string][]traffic.Generator{}}
 }
 
 // Played is one epoch as the World played it: the controller's step and
@@ -57,9 +62,14 @@ type Played struct {
 // concurrently, runs Controller.Step, resolves the tickets, and plays the
 // epoch's traffic into the controller's store. Slices expiring with the
 // epoch still served it, so their generators retire only after their
-// samples are in.
+// samples are in. As in sim.Run, a BS the schedule has dark serves
+// nothing: its samples are still drawn — a generator's stream must not
+// depend on outage timing — but recorded as zero load.
 func (w *World) Play(c *Controller) (*Played, error) {
 	eng, dom, epoch := c.cfg.Engine, c.cfg.Domain, c.Epoch()
+	if w.schedErr != nil {
+		return nil, w.schedErr
+	}
 	if epoch >= w.cfg.Epochs {
 		return nil, fmt.Errorf("reopt: the scenario has %d epochs; the controller is at epoch %d", w.cfg.Epochs, epoch)
 	}
@@ -144,6 +154,7 @@ func (w *World) Play(c *Controller) (*Played, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	up := w.sched.BSUpMask(epoch)
 	w.last = w.last[:0]
 	for _, name := range names {
 		for b, g := range w.gens[name] {
@@ -151,6 +162,9 @@ func (w *World) Play(c *Controller) (*Played, error) {
 				sm := monitor.Sample{
 					Slice: name, Metric: monitor.LoadMetric, Element: monitor.BSElement(b),
 					Epoch: epoch, Theta: theta, Value: g.Sample(epoch, theta),
+				}
+				if !up[b] {
+					sm.Value = 0
 				}
 				c.cfg.Store.Add(sm)
 				w.last = append(w.last, sm)

@@ -2,13 +2,16 @@ package reopt
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/admission"
 	"repro/internal/monitor"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -136,5 +139,50 @@ func TestCapacityEventsReachTheEngine(t *testing.T) {
 	}
 	if kb, kr := play(kill); !reflect.DeepEqual(kb, batches) || !reflect.DeepEqual(kr, rejected) {
 		t.Fatalf("restart before epoch %d: rounds decided %v, rejected %v; uninterrupted %v, %v", kill, kb, kr, batches, rejected)
+	}
+}
+
+// placement renders one admitted slice's epoch as sim.TenantEpoch shows
+// it: CU, per-BS paths and per-BS measured peak load.
+func placement(name string, cu int, paths []int, peak []float64) string {
+	return fmt.Sprintf("%s@cu%d%v peak=%.9g", name, cu, paths, peak)
+}
+
+// TestStackDecidesLikeSimulator pins ARCHITECTURE's "the offline path is
+// the same picture": on every archetype, the stack a World plays admits the
+// same slices, on the same CUs and paths, and measures the same per-BS
+// peaks for them in every epoch as sim.Run on the same compiled scenario —
+// a dark BS included, where both record zero load. Expected revenue is not
+// compared: sim orders an instance by spec index, the stack canonically
+// (ARCHITECTURE.md, "The offline path"), and the objectives can part in
+// the fourth decimal.
+func TestStackDecidesLikeSimulator(t *testing.T) {
+	for _, arch := range scenario.Archetypes() {
+		t.Run(arch.Name, func(t *testing.T) {
+			t.Parallel()
+			spec, cfg := ciScenario(t, arch.Name)
+			res, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := worldLoop(t, cfg, spec.Algorithm, 1, 1)
+			admitted := 0
+			for e, es := range res.Epochs {
+				var ps []string
+				for _, te := range es.Tenants {
+					if te.Active {
+						ps = append(ps, placement(te.Name, te.CU, te.PathIdx, te.Peak))
+					}
+				}
+				admitted += len(ps)
+				sort.Strings(ps)
+				if want := strings.Join(ps, " "); got.placed[e] != want {
+					t.Fatalf("epoch %d: the stack placed\n  %s\nsim.Run placed\n  %s", e, got.placed[e], want)
+				}
+			}
+			if admitted == 0 {
+				t.Fatal("sim.Run admitted nothing; the row is vacuous")
+			}
+		})
 	}
 }
