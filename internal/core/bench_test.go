@@ -36,6 +36,22 @@ func benchBenders(b *testing.B, cold bool) {
 func BenchmarkBendersColdSlave(b *testing.B) { benchBenders(b, true) }
 func BenchmarkBendersWarmSlave(b *testing.B) { benchBenders(b, false) }
 
+// BenchmarkSessionRebuild times a session round that rebuilds cold — an
+// arrival or an expiry every round (coldRounds) — with the slave and master
+// rebuilt into the session's own storage; -benchmem shows what it allocates.
+func BenchmarkSessionRebuild(b *testing.B) {
+	rounds := coldRounds(64)
+	sess := NewBendersSession(BendersOptions{})
+	i := 0
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := sess.Solve(rounds[i%len(rounds)]); err != nil {
+			b.Fatal(err)
+		}
+		i++
+	}
+}
+
 // BenchmarkKACTrimmingLoop times the heuristic's Farkas-ray-dominated
 // solve sequence on a mixed instance. KAC solves cold by design — its
 // chain has no optimal basis to re-enter from (see SolveKAC) — so this is

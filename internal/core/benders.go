@@ -140,16 +140,22 @@ func (s *slaveProblem) rowSet(m *model, emit func(sense lp.Sense, r0 float64, xs
 	}
 }
 
-// buildSlave assembles the slave LP skeleton once; per-iteration solves
-// only rewrite the right-hand sides for the current x̄.
-func (m *model) buildSlave() *slaveProblem {
-	s := &slaveProblem{
-		m:    m,
-		p:    lp.New(),
-		yVar: make([]int, len(m.items)),
-		zVar: make([]int, len(m.items)),
-		dR:   -1, dT: -1, dC: -1,
+// buildSlave assembles the slave LP skeleton; per-iteration solves only
+// rewrite the right-hand sides for the current x̄. It builds into s, or into a
+// new slave when s is nil: a session rebuilding after a shape change passes
+// its old slave, whose problem, basis workspace and row storage are refilled,
+// so the rebuild allocates only what the new shape outgrows. Nothing else
+// carries over — the problem is cleared and the basis reset — and the result
+// equals a fresh build row for row and solves like one bit for bit.
+func (m *model) buildSlave(s *slaveProblem) *slaveProblem {
+	if s == nil {
+		s = &slaveProblem{p: lp.New()}
 	}
+	s.p.Clear()
+	s.basis.Reset()
+	s.m, s.dR, s.dT, s.dC = m, -1, -1, -1
+	s.yVar = lp.Resized(s.yVar, len(m.items))
+	s.zVar = lp.Resized(s.zVar, len(m.items))
 	for idx, it := range m.items {
 		s.yVar[idx] = s.p.AddVar(it.yCoef)
 		s.zVar[idx] = s.p.AddVar(it.zCoef)
@@ -159,9 +165,12 @@ func (m *model) buildSlave() *slaveProblem {
 		s.dT = s.p.AddVar(m.inst.BigM)
 		s.dC = s.p.AddVar(m.inst.BigM)
 	}
+	s.rows = s.rows[:0]
 	s.rowSet(m, func(sense lp.Sense, r0 float64, xs []lp.Term, terms []lp.Term) {
 		s.p.AddConstraint(sense, r0, terms...)
-		s.rows = append(s.rows, slaveRow{sense: sense, r0: r0, xs: append([]lp.Term(nil), xs...)})
+		i := len(s.rows)
+		s.rows = lp.Resized(s.rows, i+1) // a dropped row's xs storage is refilled
+		s.rows[i] = slaveRow{sense: sense, r0: r0, xs: append(s.rows[i].xs[:0], xs...)}
 	})
 	return s
 }
@@ -292,7 +301,7 @@ func SolveBenders(inst *Instance, opts BendersOptions) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := bendersSolve(m, m.buildSlave(), m.buildMaster(), opts.withDefaults(), nil)
+	d, err := bendersSolve(m, m.buildSlave(nil), m.buildMaster(nil), opts.withDefaults(), nil)
 	if err != nil {
 		// Numerical distress even without carried state: fall back to the
 		// monolithic oracle. A cold Benders run is a pure function of the
@@ -333,10 +342,15 @@ type masterProblem struct {
 	xBar, bestX, bestZ []float64
 }
 
-// buildMaster assembles the master skeleton for the model's solver shape.
+// buildMaster assembles the master skeleton for the model's solver shape,
+// into mp's storage (see buildSlave), or a new master's when mp is nil.
 // Variables and rows go unnamed: nothing reads an LP name.
-func (m *model) buildMaster() *masterProblem {
-	mp := &masterProblem{p: lp.New(), xVar: make([]int, len(m.items))}
+func (m *model) buildMaster(mp *masterProblem) *masterProblem {
+	if mp == nil {
+		mp = &masterProblem{p: lp.New()}
+	}
+	mp.p.Clear()
+	mp.xVar = lp.Resized(mp.xVar, len(m.items))
 	for idx := range m.items {
 		mp.xVar[idx] = mp.p.AddVar(0)
 	}

@@ -55,7 +55,7 @@ func SolveKAC(inst *Instance) (*Decision, error) {
 	strictInst.BigM = 0
 	strictModel := *m
 	strictModel.inst = &strictInst
-	strict := (&strictModel).buildSlave()
+	strict := (&strictModel).buildSlave(nil)
 
 	// Aggregated knapsack state (eq. 29): one weight per bundle plus one
 	// capacity, refined every round.
@@ -133,7 +133,7 @@ func SolveKAC(inst *Instance) (*Decision, error) {
 			// Committed slices alone are infeasible under strict
 			// capacities; fall back to the big-M relaxed slave (§3.4).
 			if m.inst.BigM > 0 {
-				relaxed := m.buildSlave()
+				relaxed := m.buildSlave(nil)
 				relaxed.setX(bundlesToX(m, bundles, selected))
 				rsol, err := relaxed.p.Solve()
 				if err != nil {

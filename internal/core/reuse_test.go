@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/lp"
@@ -12,8 +14,9 @@ import (
 
 // This file holds the routines the warm session's in-place rebinding
 // replaced, kept as oracles: a slave refreshed in place must equal a slave
-// built fresh from the same model, and the master the session keeps must
-// equal the master every round used to build from lp.New().
+// built fresh from the same model, the master the session keeps must equal
+// the master every round used to build from lp.New(), and a slave and master
+// rebuilt into the old ones' storage must equal a fresh build.
 
 // drifted returns the instance one forecast step later: the same tenants with
 // λ̂ and σ̂ moved, in a fresh Tenants slice — the way the admission engine
@@ -81,7 +84,7 @@ func TestRefreshMatchesRowSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm := m.buildSlave()
+		warm := m.buildSlave(nil)
 		for step := 0; step < 5; step++ {
 			inst = drifted(inst, rng)
 			next, err := buildModel(inst)
@@ -92,7 +95,7 @@ func TestRefreshMatchesRowSet(t *testing.T) {
 				t.Fatalf("%s step %d: forecast drift changed the solver shape", name, step)
 			}
 			warm.refresh(next)
-			fresh := next.buildSlave()
+			fresh := next.buildSlave(nil)
 			m = next
 
 			if warm.m != next || len(warm.rows) != len(fresh.rows) {
@@ -234,19 +237,20 @@ func TestMasterSkeletonMatchesFreshBuild(t *testing.T) {
 		if !wantWarm {
 			pool = nil
 		}
-		oldSlave := sess.slave
 
 		m, err := sess.bind(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if warm := sess.slave == oldSlave; warm != wantWarm {
+		// A rebuild recycles the slave's storage, so it shows in state, not
+		// in pointers: the rebuilt slave's basis is reset, a kept one is warm.
+		if warm := sess.slave.basis.Warm(sess.slave.p); warm != wantWarm {
 			t.Fatalf("epoch %d: session reused its solver state = %v, want %v", epoch, warm, wantWarm)
 		}
 		if !wantWarm {
 			rebuilds++
 		}
-		refSlave := ref.buildSlave()
+		refSlave := ref.buildSlave(nil)
 		want, kept := freshMaster(ref, refSlave, pool, true)
 		sameLP(t, "seeded master", sess.master.p, want)
 		if len(kept) != len(sess.duals) {
@@ -272,11 +276,11 @@ func TestMasterSkeletonMatchesFreshBuild(t *testing.T) {
 // model, the slave's row metadata, the master and its cut rows, the cut
 // scratch and the MILP root's clone and presolve are all rewritten in place;
 // what is left is the Decision (5 + 2 per tenant), one pooled copy per
-// discovered dual, and per master solve the branch-and-bound's own
-// bookkeeping and returned solutions: 85 a round here, where the per-round
-// rebuild took 1,097. The ceiling is one number that also holds under the
-// race detector, where sync.Pool drops a Put in four and the Benders loop's
-// borrowed milp.Solver is then grown again from nothing (≈ 165 a round).
+// discovered dual, and per master solve the branch-and-bound's nodes and
+// returned solutions: 48 a round here, where the per-round rebuild took
+// 1,097. The ceiling is one number that also holds under the race detector,
+// where sync.Pool drops a Put in four and the Benders loop's borrowed
+// milp.Solver is then grown again from nothing (120–140 a round).
 func TestWarmSessionSolveAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	inst := testInstance([]TenantSpec{
@@ -305,5 +309,187 @@ func TestWarmSessionSolveAllocs(t *testing.T) {
 		t.Fatalf("a warm session round allocates %v times, want at most %d", n, ceiling)
 	} else {
 		t.Logf("a warm session round allocates %v times (ceiling %d)", n, ceiling)
+	}
+}
+
+// shapeWalk walks one domain through every kind of shape change a session
+// rebuilds on, growing and shrinking, with forecast drift in between: an
+// arrival, two expiries, a compute-model change that keeps every row count, a
+// URLLC tenant pinned to the one CU it reaches (commitments only: the master
+// alone is rebuilt), an eMBB tenant pinned to a CU (fewer items), and two
+// arrivals past the first peak.
+func shapeWalk() []*Instance {
+	rng := rand.New(rand.NewSource(12))
+	inst := testInstance([]TenantSpec{
+		embbTenant("e1", 22, 0.4, 1, 6), embbTenant("e2", 31, 0.5, 2, 4),
+		typedTenant("u1", slice.URLLC, 6, 0.3, 1, 4), typedTenant("m1", slice.MMTC, 5, 0.2, 1, 4),
+	}, true)
+	var seq []*Instance
+	step := func(change func(ts []TenantSpec) []TenantSpec) {
+		inst = drifted(inst, rng)
+		inst.Tenants = change(inst.Tenants)
+		seq = append(seq, inst)
+	}
+	same := func(ts []TenantSpec) []TenantSpec { return ts }
+	step(same)
+	step(same)
+	step(func(ts []TenantSpec) []TenantSpec { return append(ts, embbTenant("e3", 18, 0.3, 1, 4)) })
+	step(same)
+	step(func(ts []TenantSpec) []TenantSpec { return append(append(ts[:1:1], ts[2]), ts[4]) }) // e2, m1 expire
+	step(same)
+	step(func(ts []TenantSpec) []TenantSpec { ts[1].SLA.Compute.BaselineCPU += 0.5; return ts })
+	step(same)
+	step(func(ts []TenantSpec) []TenantSpec { ts[1].Committed, ts[1].CommittedCU = true, 0; return ts })
+	step(same)
+	step(func(ts []TenantSpec) []TenantSpec { ts[0].Committed, ts[0].CommittedCU = true, 1; return ts })
+	step(func(ts []TenantSpec) []TenantSpec {
+		return append(ts, typedTenant("m2", slice.MMTC, 6, 0.2, 1, 4), embbTenant("e4", 25, 0.2, 4, 4), embbTenant("e5", 12, 0.4, 1, 4))
+	})
+	step(same)
+	return seq
+}
+
+// sameSlave requires a slave to equal a fresh build of the same model: the
+// LP, the variable maps and every row's affine metadata.
+func sameSlave(t *testing.T, what string, got, want *slaveProblem) {
+	t.Helper()
+	sameLP(t, what, got.p, want.p)
+	if !slices.Equal(got.yVar, want.yVar) || !slices.Equal(got.zVar, want.zVar) ||
+		got.dR != want.dR || got.dT != want.dT || got.dC != want.dC {
+		t.Fatalf("%s: variable maps differ from a fresh build", what)
+	}
+	if len(got.rows) != len(want.rows) {
+		t.Fatalf("%s: %d rows of metadata, want %d", what, len(got.rows), len(want.rows))
+	}
+	for i, w := range want.rows {
+		g := got.rows[i]
+		if g.sense != w.sense || g.r0 != w.r0 || !slices.Equal(g.xs, w.xs) {
+			t.Fatalf("%s: row %d is %+v, want %+v", what, i, g, w)
+		}
+	}
+}
+
+// TestRecycledRebuildMatchesFresh walks a session through shapeWalk and, on
+// every rebuild, holds the slave and master it rebuilt into its old ones'
+// storage to a fresh build — and the rebuilt slave's basis to a cold one. It
+// requires every Decision to DeepEqual that of a reference session that
+// rebuilds from nothing, as every session did before rebuilds recycled.
+func TestRecycledRebuildMatchesFresh(t *testing.T) {
+	sess := NewBendersSession(BendersOptions{})
+	ref := NewBendersSession(BendersOptions{})
+	var prev *model
+	rebuilds, masterRebuilds := 0, 0
+	for e, inst := range shapeWalk() {
+		want, err := buildModel(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shape := sameSolverShape(prev, want)
+		commits := shape && sameCommitments(prev.inst, inst)
+		prev = want
+
+		// The reference session gets no storage to rebuild into.
+		if !shape {
+			ref.slave, ref.master = nil, nil
+		} else if !commits {
+			ref.master = nil
+		}
+		refD, err := ref.Solve(inst)
+		if err != nil {
+			t.Fatalf("epoch %d reference: %v", e, err)
+		}
+
+		oldSlave, oldMaster := sess.slave, sess.master
+		m, err := sess.bind(inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !shape {
+			rebuilds++
+			if oldSlave != nil && sess.slave != oldSlave {
+				t.Fatalf("epoch %d: the slave was rebuilt into new storage", e)
+			}
+			if sess.slave.m != m || sess.slave.basis.Warm(sess.slave.p) {
+				t.Fatalf("epoch %d: the rebuilt slave is not bound to the round's model or kept a warm basis", e)
+			}
+			sameSlave(t, "rebuilt slave", sess.slave, want.buildSlave(nil))
+		}
+		if !commits {
+			masterRebuilds++
+			if oldMaster != nil && sess.master != oldMaster {
+				t.Fatalf("epoch %d: the master was rebuilt into new storage", e)
+			}
+			fresh := want.buildMaster(nil)
+			if !slices.Equal(sess.master.xVar, fresh.xVar) || sess.master.thetaVar != fresh.thetaVar ||
+				sess.master.skeleton != fresh.skeleton || sess.master.bigTheta != fresh.bigTheta {
+				t.Fatalf("epoch %d: the rebuilt master's layout differs from a fresh build", e)
+			}
+			seeded, _ := freshMaster(want, want.buildSlave(nil), sess.duals, false)
+			sameLP(t, "rebuilt master", sess.master.p, seeded)
+		}
+
+		d, err := bendersSolve(m, sess.slave, sess.master, sess.opts, sess)
+		if err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+		if !reflect.DeepEqual(d, refD) {
+			t.Fatalf("epoch %d: recycling session decided %+v, the reference %+v", e, d, refD)
+		}
+	}
+	if rebuilds != 6 || masterRebuilds != 7 {
+		t.Fatalf("walk rebuilt %d times, the master alone %d: want 6 and 1 more", rebuilds, masterRebuilds-rebuilds)
+	}
+}
+
+// coldRounds alternates a 6-tenant and a 5-tenant instance of drifting
+// forecasts: every round an arrival or an expiry, so every round rebuilds.
+func coldRounds(n int) []*Instance {
+	rng := rand.New(rand.NewSource(4))
+	inst := testInstance([]TenantSpec{
+		embbTenant("e1", 22, 0.4, 1, 6), embbTenant("e2", 31, 0.5, 2, 4),
+		embbTenant("e3", 18, 0.3, 1, 4), embbTenant("e4", 25, 0.2, 4, 4),
+		typedTenant("u1", slice.URLLC, 6, 0.3, 1, 4), typedTenant("m1", slice.MMTC, 5, 0.2, 1, 4),
+	}, true)
+	rounds := make([]*Instance, n)
+	for i := range rounds {
+		inst = drifted(inst, rng)
+		rounds[i] = inst
+		if i%2 == 1 {
+			short := *inst
+			short.Tenants = inst.Tenants[:5]
+			rounds[i] = &short
+		}
+	}
+	return rounds
+}
+
+// TestColdRebuildSessionAllocs caps what a session round that rebuilds
+// allocates. The slave's problem, basis workspace (the dense cold tableau,
+// the LU buffers) and row metadata and the master's problem are rebuilt into
+// the storage the session already holds; what is left is the model's
+// per-round lists, the master's placement rows, the Decision, the pooled
+// duals and the branch-and-bound's nodes and solutions: 136 a round here,
+// where building fresh slaves and masters took 553. The ceiling also holds
+// under the race detector, where the borrowed milp.Solver is regrown from
+// nothing after a dropped Put (205–251 a round; see
+// TestWarmSessionSolveAllocs).
+func TestColdRebuildSessionAllocs(t *testing.T) {
+	rounds := coldRounds(140)
+	sess := NewBendersSession(BendersOptions{})
+	next := 0
+	solve := func() {
+		if _, err := sess.Solve(rounds[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	for next < 30 {
+		solve()
+	}
+	const ceiling = 330
+	if n := testing.AllocsPerRun(100, solve); n > ceiling {
+		t.Fatalf("a rebuilding session round allocates %v times, want at most %d", n, ceiling)
+	} else {
+		t.Logf("a rebuilding session round allocates %v times (ceiling %d)", n, ceiling)
 	}
 }

@@ -25,8 +25,12 @@ package core
 //     would have produced from the same dual vector.
 //
 // When the shape check fails (arrival, departure, commitment pinning, a new
-// topology) the session cold-rebuilds everything, which is always correct —
-// the session never trades safety for speed.
+// topology) the session drops all three and rebuilds the slave and master
+// cold, into the storage the old ones held: the problems, the basis
+// workspace with its dense cold tableau and LU buffers, the row metadata.
+// Memory carries over, state never does — each rebuild equals a fresh build
+// and solves like one bit for bit — so the rebuild is always correct: the
+// session never trades safety for speed.
 
 // maxSessionDuals bounds the carried cut pool. Old duals are evicted
 // first-in-first-out: steady-state epochs converge in a couple of rounds, so
@@ -118,7 +122,7 @@ func (s *BendersSession) bind(inst *Instance) (*model, error) {
 	}
 	switch {
 	case s.slave == nil || !sameSolverShape(s.model, m):
-		s.slave, s.master = m.buildSlave(), m.buildMaster()
+		s.slave, s.master = m.buildSlave(s.slave), m.buildMaster(s.master)
 		s.duals, s.prevX = s.duals[:0], s.prevX[:0]
 	case sameCommitments(s.model.inst, inst):
 		s.slave.refresh(m)
@@ -128,7 +132,7 @@ func (s *BendersSession) bind(inst *Instance) (*model, error) {
 		// sense, so it alone is rebuilt, and the incumbent, which may violate
 		// the new rows and would then bound nothing, goes. The duals stay.
 		s.slave.refresh(m)
-		s.master, s.prevX = m.buildMaster(), s.prevX[:0]
+		s.master, s.prevX = m.buildMaster(s.master), s.prevX[:0]
 	}
 	s.model = m
 

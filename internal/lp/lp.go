@@ -70,8 +70,8 @@ type row struct {
 	rhs   float64
 }
 
-// Problem is a linear program under construction. The zero value is not
-// usable; call New.
+// Problem is a linear program under construction. The zero value is an
+// empty minimization problem, ready to use (New returns one on the heap).
 type Problem struct {
 	cost []float64
 	rows []row
@@ -167,6 +167,18 @@ func (p *Problem) AddConstraint(sense Sense, rhs float64, terms ...Term) int {
 // stops allocating. What RowTerms returned for a dropped row is invalid.
 func (p *Problem) TruncateRows(n int) {
 	p.rows = p.rows[:n]
+	p.rev++
+}
+
+// Clear empties the problem — no variables, bounds or rows — and keeps their
+// storage for the AddVar and AddConstraint calls that rebuild it, the way
+// TruncateRows keeps a dropped row's terms: a Benders session rebuilding its
+// slave and master after a shape change allocates only what the new shape
+// outgrows. Like every structural mutation it advances rev, so a Basis
+// workspace that cached the old matrix rebuilds its cache.
+func (p *Problem) Clear() {
+	p.cost, p.lo, p.up = p.cost[:0], p.lo[:0], p.up[:0]
+	p.rows = p.rows[:0]
 	p.rev++
 }
 

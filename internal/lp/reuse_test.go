@@ -107,3 +107,64 @@ func TestReusedStorageMatchesFresh(t *testing.T) {
 		sameProblem(t, "truncate and re-add", rebuilt, p)
 	}
 }
+
+// TestClearedProblemSolvesLikeFresh is a Benders session's rebuild after a
+// shape change in miniature: one Problem, cleared and rebuilt smaller and
+// smaller and then larger and larger, bounded every other time, solved
+// through one Basis reset before each rebuild and then re-solved warm as its
+// right-hand sides move. Every solve must return what a fresh Problem solved
+// through a fresh Basis returns, bit for bit: status, pivots, objective, X,
+// Dual and Ray. Clear must also advance the revision, or a workspace that
+// cached the old matrix under the same problem pointer could keep it.
+func TestClearedProblemSolvesLikeFresh(t *testing.T) {
+	var p Problem
+	var b Basis
+	for k, n := range []int{48, 30, 12, 6, 20, 36, 64} {
+		src := randomLP(n, n+n/2, int64(k))
+		if k%2 == 1 {
+			for j := 0; j < n; j += 3 {
+				src.SetBounds(j, 0, 1+float64(j%4))
+			}
+		}
+
+		rev := p.rev
+		p.Clear()
+		if p.NumVars() != 0 || p.NumRows() != 0 || p.bounded() || p.rev == rev {
+			t.Fatalf("shape %d: Clear left %d vars, %d rows, bounded %v, rev %d → %d",
+				k, p.NumVars(), p.NumRows(), p.bounded(), rev, p.rev)
+		}
+		for j := 0; j < src.NumVars(); j++ {
+			p.AddVar(src.Cost(j))
+			if src.bounded() {
+				lo, up := src.Bounds(j)
+				p.SetBounds(j, lo, up)
+			}
+		}
+		for i := 0; i < src.NumRows(); i++ {
+			p.AddConstraint(src.RowSense(i), src.RHS(i), src.RowTerms(i)...)
+		}
+		sameProblem(t, "cleared and rebuilt", &p, src)
+		b.Reset()
+
+		var fresh Basis
+		rng := rand.New(rand.NewSource(int64(k)))
+		for step := 0; step < 4; step++ {
+			got, err := p.SolveFrom(&b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := src.SolveFrom(&fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameSolution(got, want) {
+				t.Fatalf("shape %d (%d vars) step %d: recycled %v obj %v in %d pivots, fresh %v obj %v in %d",
+					k, n, step, got.Status, got.Obj, got.Pivots, want.Status, want.Obj, want.Pivots)
+			}
+			i := rng.Intn(src.NumRows())
+			rhs := src.RHS(i) * (0.7 + 0.6*rng.Float64())
+			p.SetRHS(i, rhs)
+			src.SetRHS(i, rhs)
+		}
+	}
+}

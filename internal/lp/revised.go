@@ -66,9 +66,13 @@ func (b *Basis) Warm(p *Problem) bool {
 	return b != nil && b.m == len(p.rows) && b.n == len(p.cost) && len(b.cols) == b.m
 }
 
-// Reset discards all solver state so the next SolveFrom cold-starts. The
-// workspace (allocated scratch) is deliberately kept: resetting is part of
-// distress recovery, and the re-solve should not re-pay allocation.
+// Reset discards all solver state so the next SolveFrom cold-starts, on
+// this problem or any other. The workspace (allocated scratch, the cold
+// tableau included) is deliberately kept: a milp.Solver resets before every
+// search, and a Benders session's slave resets when it is rebuilt into a
+// cleared problem after a shape change — neither should re-pay allocation,
+// and neither can tell the kept memory from fresh (the next solve takes a
+// fresh Basis's pivot path bit for bit).
 func (b *Basis) Reset() {
 	b.m, b.n, b.eng = 0, 0, nil
 	b.cols = b.cols[:0]

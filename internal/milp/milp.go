@@ -79,12 +79,26 @@ type Solution struct {
 // feasible solution was found.
 var ErrNoIncumbent = errors.New("milp: node limit reached with no incumbent")
 
-// node is a branch-and-bound search node: a set of binary fixings and the
-// LP bound inherited from its parent.
+// node is a branch-and-bound search node: the one binary fixing that made it
+// (none at the root) on top of its parent's, and the LP bound inherited from
+// the parent. The node's fixings are the chain up to the root.
 type node struct {
-	fixed map[int]float64 // reduced var index -> 0 or 1
-	bound float64         // LP relaxation value of the parent (lower bound)
-	depth int
+	parent *node
+	v      int     // reduced var index fixed here; -1 at the root
+	val    float64 // 0 or 1
+	bound  float64 // LP relaxation value of the parent (lower bound)
+}
+
+// fix writes the node's fixings into p, root first. SetBounds calls on
+// distinct variables commute, and a branch never fixes a variable twice (a
+// fixed binary is integral in every descendant's relaxation); should one
+// ever be, the node's own fixing is written last and wins.
+func (nd *node) fix(p *lp.Problem) {
+	if nd.v < 0 {
+		return
+	}
+	nd.parent.fix(p)
+	p.SetBounds(nd.v, nd.val, nd.val)
 }
 
 type nodeQueue []*node
@@ -97,6 +111,7 @@ func (q *nodeQueue) Pop() interface{} {
 	old := *q
 	n := len(old)
 	it := old[n-1]
+	old[n-1] = nil // the queue's array outlives the search
 	*q = old[:n-1]
 	return it
 }
@@ -121,6 +136,13 @@ type Solver struct {
 	// its presolve outcome, reduced problem included: overwritten per solve.
 	root lp.Problem
 	ps   lp.Presolved
+	// The per-search bookkeeping, overwritten per solve: the binaries in the
+	// reduced space with their base boxes, boxOf mapping a reduced variable
+	// to its index in redBin (-1 for a continuous one), and the node queue.
+	redBin         []int
+	baseLo, baseUp []float64
+	boxOf          []int
+	queue          nodeQueue
 }
 
 // Solve is a one-shot solve on a fresh Solver.
@@ -175,9 +197,7 @@ func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, 
 	// surviving boxes may also be tighter than [0, 1] (singleton cut rows
 	// fold into bounds); branching respects them — a child fixing outside
 	// its variable's base box is pruned instead of pushed.
-	redBin := make([]int, 0, len(binaries))
-	baseLo := make([]float64, 0, len(binaries))
-	baseUp := make([]float64, 0, len(binaries))
+	redBin, baseLo, baseUp := s.redBin[:0], s.baseLo[:0], s.baseUp[:0]
 	for _, v := range binaries {
 		rc, fv := ps.Col(v)
 		if rc < 0 {
@@ -191,26 +211,28 @@ func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, 
 		baseLo = append(baseLo, lo)
 		baseUp = append(baseUp, up)
 	}
-	boxOf := make(map[int]int, len(redBin)) // reduced var -> index in redBin
+	s.redBin, s.baseLo, s.baseUp = redBin, baseLo, baseUp
+	boxOf := lp.Resized(s.boxOf, work.NumVars())
+	s.boxOf = boxOf
+	for v := range boxOf {
+		boxOf[v] = -1
+	}
 	for i, v := range redBin {
 		boxOf[v] = i
 	}
 
-	// applyNode rewrites the binary boxes for a node's fixings. Map
-	// iteration order is irrelevant: SetBounds calls on distinct variables
-	// commute, so any order produces the identical problem.
+	// applyNode rewrites the binary boxes for a node's fixings.
 	applyNode := func(nd *node) {
 		for i, v := range redBin {
 			work.SetBounds(v, baseLo[i], baseUp[i])
 		}
-		for v, val := range nd.fixed {
-			work.SetBounds(v, val, val)
-		}
+		nd.fix(work)
 	}
 
-	q := &nodeQueue{}
-	heap.Init(q)
-	heap.Push(q, &node{fixed: map[int]float64{}, bound: math.Inf(-1)})
+	clear(s.queue) // the nodes a search cut short left behind
+	s.queue = s.queue[:0]
+	q := &s.queue
+	heap.Push(q, &node{v: -1, bound: math.Inf(-1)})
 
 	var incumbent []float64
 	incumbentObj := math.Inf(1) // reduced-space objective
@@ -298,16 +320,7 @@ func (s *Solver) Solve(p *lp.Problem, binaries []int, opts Options) (*Solution, 
 			if val < baseLo[bi]-intTol || val > baseUp[bi]+intTol {
 				continue
 			}
-			child := &node{
-				fixed: make(map[int]float64, len(nd.fixed)+1),
-				bound: res.Obj,
-				depth: nd.depth + 1,
-			}
-			for k, vv := range nd.fixed {
-				child.fixed[k] = vv
-			}
-			child.fixed[branchVar] = val
-			heap.Push(q, child)
+			heap.Push(q, &node{parent: nd, v: branchVar, val: val, bound: res.Obj})
 		}
 	}
 
