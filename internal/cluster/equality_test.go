@@ -19,9 +19,8 @@ import (
 // engine's solves dispatched over the wire — any worker count, and across
 // a mid-run worker loss — must reproduce the single-process run bit for
 // bit. Both sides play the scenario through the reopt.World that reopt's
-// TestClosedLoopMatchesSerialAcrossShards holds to a serial replay, so on
-// the archetypes both pins run the two compose: serial == single process
-// == cluster.
+// TestStackDecidesLikeSimulator holds to sim.Run, so on the archetypes
+// both pins run the two compose: sim == single process == cluster.
 
 const equalityEpochs = 10
 

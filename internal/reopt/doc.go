@@ -31,8 +31,8 @@
 // Determinism: the controller holds no goroutines and consults no clocks —
 // Step is a pure function of (store contents, engine state) — and the
 // engine's rounds are bit-identical across shard counts, so a closed-loop
-// run is reproducible at any concurrency and equal to a machinery-free
-// serial replay. Both properties are pinned by tests in this package.
+// run is reproducible at any concurrency and equal to sim.Run on the same
+// compiled scenario. Both properties are pinned by tests in this package.
 // Wall-clock epochs belong to the caller: the orchestrator's RunLoop in
 // serving deployments; loadgen and the benchmark step the loop themselves.
 //
@@ -45,6 +45,6 @@
 // a crashed process: held re-offers are the World's, and Redeliver hands
 // the last epoch's samples to a restarted one. cmd/loadgen drives every
 // domain through a World, and so does every test that holds the stack to a
-// reference — the serial replay here, an uninterrupted run in
+// reference — sim.Run here, an uninterrupted run in
 // internal/wal, the single process in internal/cluster.
 package reopt

@@ -2,20 +2,17 @@ package reopt
 
 import (
 	"fmt"
+	"math"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/admission"
-	"repro/internal/core"
-	"repro/internal/forecast"
 	"repro/internal/monitor"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/slice"
 	"repro/internal/topology"
-	"repro/internal/traffic"
 	"repro/internal/yield"
 )
 
@@ -51,49 +48,82 @@ func ciScenario(t testing.TB, name string) (scenario.Spec, sim.Config) {
 	return s, cfg
 }
 
-// loopTrace is one run's full fingerprint: per-epoch decisions,
-// reservation rescalings and settled yield, plus the final ledger.
+// loopTrace is one closed loop's fingerprint: per epoch, a line with the
+// round's expected revenue, the reservations it rescaled, its admissions
+// and the yield settled for the epoch before, and the admissions'
+// placements with their measured peaks; plus the final ledger.
 type loopTrace struct {
-	lines  []string
-	ledger yield.Summary
-	// placed is each epoch's placements, sorted by name; worldLoop only.
-	placed []string
+	lines, placed []string
+	ledger        yield.Summary
 }
 
 func (lt *loopTrace) String() string { return strings.Join(lt.lines, "\n") }
 
-// request is one tenant offer in flight through either driver.
-type request struct {
-	spec sim.SliceSpec
-	sla  slice.SLA
-}
-
-func requestsOf(cfg sim.Config) []request {
-	out := make([]request, len(cfg.Slices))
-	for i, sp := range cfg.Slices {
-		out[i] = request{
-			spec: sp,
-			sla: slice.SLA{Template: sp.Template, MeanMbps: sp.MeanMbps, Duration: sp.Duration}.
-				WithPenaltyFactor(sp.PenaltyFactor),
-		}
-	}
-	return out
-}
-
-func fingerprint(epoch int, names []string, dec *core.Decision, settled []yield.Entry, rescaled int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d exp=%.4f rescaled=%d:", epoch, dec.Revenue(), rescaled)
-	for i, name := range names {
-		if i < len(dec.Accepted) && dec.Accepted[i] {
-			fmt.Fprintf(&b, " %s@cu%d%v", name, dec.CU[i], dec.PathIdx[i])
-		}
+// record appends one epoch. admitted holds the round's admissions in
+// instance order (Name, CU, PathIdx and Peak set); settled holds the
+// realized yield booked for the epoch before, in booking order. Floats
+// print exactly, so equal traces are equal bit for bit.
+func (lt *loopTrace) record(epoch int, exp float64, rescaled int, admitted []sim.TenantEpoch, settled []float64) {
+	var line, placed strings.Builder
+	fmt.Fprintf(&line, "epoch %d exp=%v rescaled=%d:", epoch, exp, rescaled)
+	for _, te := range admitted {
+		fmt.Fprintf(&line, " %s@cu%d%v", te.Name, te.CU, te.PathIdx)
+		fmt.Fprintf(&placed, " %s@cu%d%v peak=%v", te.Name, te.CU, te.PathIdx, te.Peak)
 	}
 	total := 0.0
-	for _, e := range settled {
-		total += e.Realized
+	for _, v := range settled {
+		total += v
 	}
-	fmt.Fprintf(&b, " settled=%.9g/%d", total, len(settled))
-	return b.String()
+	fmt.Fprintf(&line, " settled=%v/%d", total, len(settled))
+	lt.lines = append(lt.lines, line.String())
+	lt.placed = append(lt.placed, placed.String())
+}
+
+// simTrace derives the stack's trace from a sim.Run of the same compiled
+// scenario. A slice active in epochs e−1 and e rescaled when its total
+// reservation moved by more than rescaleTol. The stack settles epoch e−1
+// at step e and books each round's expected revenue as it decides, so
+// line e carries epoch e−1's realized revenue, and the last epoch's
+// entries never reach the ledger.
+func simTrace(res *sim.Result) *loopTrace {
+	cfg := res.Config
+	slas := map[string]slice.SLA{}
+	for _, sp := range cfg.Slices {
+		slas[sp.Name] = slice.SLA{Template: sp.Template, MeanMbps: sp.MeanMbps, Duration: sp.Duration}.
+			WithPenaltyFactor(sp.PenaltyFactor)
+	}
+	ledger := yield.NewLedger()
+	lt := &loopTrace{}
+	var prev []sim.TenantEpoch // epoch e−1's active slices, in instance order
+	for e, es := range res.Epochs {
+		prevTotal := map[string]float64{}
+		var settled []float64
+		for _, te := range prev {
+			prevTotal[te.Name] = totalOf(te.Reserved)
+			settled = append(settled, te.Revenue)
+			sla := slas[te.Name]
+			ledger.Book(yield.Entry{
+				Slice: te.Name, Epoch: e - 1, Reward: sla.Reward, Penalty: sla.Penalty * te.Dropped,
+				Realized: te.Revenue, Violated: te.Violated, Samples: cfg.SamplesPerEpoch * len(te.Peak), Dropped: te.Dropped,
+			})
+		}
+		ledger.BookExpected(admission.DefaultDomain, es.ExpectedRevenue)
+		var active []sim.TenantEpoch
+		rescaled := 0
+		for _, te := range es.Tenants {
+			if !te.Active {
+				continue
+			}
+			if was, ok := prevTotal[te.Name]; ok && math.Abs(totalOf(te.Reserved)-was) > rescaleTol {
+				rescaled++
+			}
+			active = append(active, te)
+		}
+		lt.record(e, es.ExpectedRevenue, rescaled, active, settled)
+		prev = active
+	}
+	lt.ledger = ledger.Snapshot()
+	return lt
 }
 
 // worldLoop plays the compiled scenario through the full stack: an
@@ -125,9 +155,8 @@ func worldLoop(t testing.TB, cfg sim.Config, algorithm string, shards, reoptEver
 		if err != nil {
 			t.Fatal(err)
 		}
-		lt.lines = append(lt.lines, fingerprint(p.Epoch, p.Round.Names, p.Round.Decision, p.Settled, p.Rescaled))
 		dec := p.Round.Decision
-		var ps []string
+		var admitted []sim.TenantEpoch
 		for i, name := range p.Round.Names {
 			if !dec.Accepted[i] {
 				continue
@@ -138,229 +167,16 @@ func worldLoop(t testing.TB, cfg sim.Config, algorithm string, shards, reoptEver
 					peak[b] = max(peak[b], sm.Value)
 				}
 			}
-			ps = append(ps, placement(name, dec.CU[i], dec.PathIdx[i], peak))
+			admitted = append(admitted, sim.TenantEpoch{Name: name, CU: dec.CU[i], PathIdx: dec.PathIdx[i], Peak: peak})
 		}
-		sort.Strings(ps)
-		lt.placed = append(lt.placed, strings.Join(ps, " "))
+		var settled []float64
+		for _, e := range p.Settled {
+			settled = append(settled, e.Realized)
+		}
+		lt.record(p.Epoch, dec.Revenue(), p.Rescaled, admitted, settled)
 	}
 	lt.ledger = ledger.Snapshot()
 	return lt
-}
-
-// serialMember is a committed slice in the machinery-free reference.
-type serialMember struct {
-	req       request
-	lambdaHat float64
-	sigma     float64
-	remaining int
-	cu        int
-	reserved  []float64
-}
-
-// serialClosedLoop replays the identical protocol with none of the
-// engine's or controller's machinery: one goroutine, a plain warm session,
-// hand-rolled forecast trackers and ledger booking. The ground truth the
-// stack must match bit for bit.
-func serialClosedLoop(t testing.TB, cfg sim.Config, algorithm string, reoptEvery int, reoffer bool) *loopTrace {
-	t.Helper()
-	store := monitor.NewStore(0)
-	ledger := yield.NewLedger()
-	paths := cfg.Net.Paths(cfg.KPaths)
-	sched, err := topology.NewSchedule(cfg.Net, cfg.Events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var solve func(inst *core.Instance) (*core.Decision, error)
-	switch algorithm {
-	case "benders":
-		solve = core.NewBendersSession(core.BendersOptions{}).Solve
-	case "kac":
-		solve = func(inst *core.Instance) (*core.Decision, error) {
-			return core.SolveKAC(inst)
-		}
-	default:
-		solve = core.SolveDirect
-	}
-
-	hwPeriod := cfg.HWPeriod
-	if hwPeriod == 0 {
-		hwPeriod = 12
-	}
-	reqs := requestsOf(cfg)
-	trackers := map[string]*forecast.Adaptive{}
-	gens := map[string][]traffic.Generator{}
-	var committed []*serialMember
-	var settleSet []*serialMember // reservations in force for the prior epoch
-	var settleEpoch int
-	var queue []request
-	lt := &loopTrace{}
-
-	for epoch := 0; epoch < loopEpochs; epoch++ {
-		for _, r := range reqs {
-			if r.spec.ArrivalEpoch == epoch {
-				queue = append(queue, r)
-			}
-		}
-
-		// 1. settle the prior epoch against the snapshot taken after the
-		// prior round (includes slices that expired at the boundary).
-		var settled []yield.Entry
-		for _, m := range settleSet {
-			as := yield.NewAssessment(m.req.sla.RateMbps)
-			for b := range m.reserved {
-				for _, sm := range store.ElementEpochSamples(m.req.spec.Name, monitor.LoadMetric, monitor.BSElement(b), settleEpoch) {
-					as.Sample(sm.Value, m.reserved[b])
-				}
-			}
-			if as.Samples() == 0 {
-				continue
-			}
-			e := as.Entry(m.req.spec.Name, settleEpoch, m.req.sla.Reward, m.req.sla.Penalty)
-			ledger.Book(e)
-			settled = append(settled, e)
-		}
-
-		// 2. observe + forecast views.
-		reoptNow := reoptEvery > 0 && epoch%reoptEvery == 0
-		for _, m := range committed {
-			tr := trackers[m.req.spec.Name]
-			if tr == nil {
-				tr = forecast.NewAdaptive(0.5, 0.05, 0.15, hwPeriod)
-				trackers[m.req.spec.Name] = tr
-			}
-			if epoch > 0 {
-				peak, ok := 0.0, false
-				for b := range m.reserved {
-					for _, sm := range store.ElementEpochSamples(m.req.spec.Name, monitor.LoadMetric, monitor.BSElement(b), epoch-1) {
-						if !ok || sm.Value > peak {
-							peak, ok = sm.Value, true
-						}
-					}
-				}
-				if ok {
-					tr.Observe(peak)
-				}
-			}
-			if reoptNow {
-				m.lambdaHat, m.sigma = forecast.View(tr, m.req.sla.RateMbps, 0)
-			}
-		}
-
-		// 3. one round: committed in admission order, batch sorted by name.
-		batch := append([]request(nil), queue...)
-		sort.Slice(batch, func(i, j int) bool { return batch[i].spec.Name < batch[j].spec.Name })
-		specs := make([]core.TenantSpec, 0, len(committed)+len(batch))
-		names := make([]string, 0, cap(specs))
-		for _, m := range committed {
-			specs = append(specs, core.TenantSpec{
-				Name: m.req.spec.Name, SLA: m.req.sla,
-				LambdaHat: m.lambdaHat, Sigma: m.sigma,
-				RemainingEpochs: m.remaining, Committed: true, CommittedCU: m.cu,
-			})
-			names = append(names, m.req.spec.Name)
-		}
-		for _, r := range batch {
-			remaining := r.sla.Duration
-			if remaining < 1 {
-				remaining = 1
-			}
-			specs = append(specs, core.TenantSpec{
-				Name: r.spec.Name, SLA: r.sla,
-				LambdaHat: r.sla.RateMbps, Sigma: 1,
-				RemainingEpochs: remaining,
-			})
-			names = append(names, r.spec.Name)
-		}
-		dec := &core.Decision{}
-		if len(specs) > 0 {
-			inst := &core.Instance{
-				Net: sched.At(epoch), Paths: paths, Tenants: specs,
-				Overbook: algorithm != "no-overbooking", BigM: 1e4,
-			}
-			if dec, err = solve(inst); err != nil {
-				t.Fatalf("serial epoch %d: %v", epoch, err)
-			}
-		}
-		ledger.BookExpected(admission.DefaultDomain, dec.Revenue())
-
-		// Rescale accounting + commit, exactly as the stack does it.
-		rescaled := 0
-		for i, m := range committed {
-			if dec.Accepted[i] {
-				if prev, now := totalOf(m.reserved), totalOf(dec.Z[i]); absDiff(prev, now) > rescaleTol {
-					rescaled++
-				}
-				m.cu = dec.CU[i]
-				m.reserved = append(m.reserved[:0], dec.Z[i]...)
-			}
-		}
-		base := len(committed)
-		queue = queue[:0]
-		for bi, r := range batch {
-			if dec.Accepted[base+bi] {
-				remaining := specs[base+bi].RemainingEpochs
-				committed = append(committed, &serialMember{
-					req: r, lambdaHat: r.sla.RateMbps, sigma: 1,
-					remaining: remaining, cu: dec.CU[base+bi],
-					reserved: append([]float64(nil), dec.Z[base+bi]...),
-				})
-				gs := make([]traffic.Generator, cfg.Net.NumBS())
-				for b := range gs {
-					gs[b] = sim.NewGenerator(cfg, r.spec, b)
-				}
-				gens[r.spec.Name] = gs
-			} else if reoffer {
-				queue = append(queue, r)
-			}
-		}
-		lt.lines = append(lt.lines, fingerprint(epoch, names, dec, settled, rescaled))
-
-		// Snapshot in-force reservations and play the epoch's traffic —
-		// slices expiring with this epoch still served it; a dark BS's
-		// draws read zero — then advance lifecycles.
-		settleSet = append(settleSet[:0:0], committed...)
-		settleEpoch = epoch
-		live := make([]string, 0, len(gens))
-		for n := range gens {
-			live = append(live, n)
-		}
-		sort.Strings(live)
-		up := sched.BSUpMask(epoch)
-		for _, name := range live {
-			for b, g := range gens[name] {
-				for theta := 0; theta < cfg.SamplesPerEpoch; theta++ {
-					load := g.Sample(epoch, theta)
-					if !up[b] {
-						load = 0
-					}
-					store.Add(monitor.Sample{
-						Slice: name, Metric: monitor.LoadMetric, Element: monitor.BSElement(b),
-						Epoch: epoch, Theta: theta, Value: load,
-					})
-				}
-			}
-		}
-		keep := committed[:0]
-		for _, m := range committed {
-			m.remaining--
-			if m.remaining > 0 {
-				keep = append(keep, m)
-			} else {
-				delete(trackers, m.req.spec.Name)
-				delete(gens, m.req.spec.Name)
-			}
-		}
-		committed = keep
-	}
-	lt.ledger = ledger.Snapshot()
-	return lt
-}
-
-func absDiff(a, b float64) float64 {
-	if a > b {
-		return a - b
-	}
-	return b - a
 }
 
 func firstDiff(want, got []string) string {
@@ -370,34 +186,47 @@ func firstDiff(want, got []string) string {
 			if i < len(got) {
 				g = got[i]
 			}
-			return fmt.Sprintf("epoch %d:\n  serial: %s\n  engine: %s", i, want[i], g)
+			return fmt.Sprintf("epoch %d:\n  sim:   %s\n  stack: %s", i, want[i], g)
 		}
 	}
 	if len(got) > len(want) {
-		return fmt.Sprintf("engine produced %d extra epochs", len(got)-len(want))
+		return fmt.Sprintf("the stack played %d extra epochs", len(got)-len(want))
 	}
 	return ""
 }
 
-// TestClosedLoopMatchesSerialAcrossShards holds the online stack to its
-// one serial spec: on every scenario archetype, the full closed loop —
-// engine shards, warm sessions, concurrent submitters, re-offers by
+// TestStackDecidesLikeSimulator holds the online stack to its one spec,
+// sim.Run: on every scenario archetype, the full closed loop — engine
+// shards, warm sessions, concurrent submitters, re-offers by
 // resubmission, capacity events through ApplyTopology, the reopt
-// controller — produces bit-identical decision traces AND yield ledgers
-// at 1, 2 and 5 shards, all equal to the machinery-free serial replay.
-func TestClosedLoopMatchesSerialAcrossShards(t *testing.T) {
+// controller — plays the compiled scenario at 1, 2 and 5 shards, and each
+// run equals the trace derived from one sim.Run bit for bit: expected
+// revenue, rescalings, admissions on their CUs and paths, settled yield,
+// measured peaks (a dark BS's included, where both record zero load) and
+// the ledger.
+func TestStackDecidesLikeSimulator(t *testing.T) {
 	for _, arch := range scenario.Archetypes() {
 		t.Run(arch.Name, func(t *testing.T) {
 			t.Parallel()
 			spec, cfg := ciScenario(t, arch.Name)
-			want := serialClosedLoop(t, cfg, spec.Algorithm, 1, spec.ReofferPending)
+			res, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := simTrace(res)
+			if want.ledger.Entries == 0 {
+				t.Fatal("sim.Run settled nothing; the row is vacuous")
+			}
 			for _, shards := range []int{1, 2, 5} {
 				got := worldLoop(t, cfg, spec.Algorithm, shards, 1)
 				if diff := firstDiff(want.lines, got.lines); diff != "" {
-					t.Fatalf("shards=%d diverged from serial replay:\n%s", shards, diff)
+					t.Fatalf("shards=%d: the stack's decisions diverged from sim.Run:\n%s", shards, diff)
+				}
+				if diff := firstDiff(want.placed, got.placed); diff != "" {
+					t.Fatalf("shards=%d: the stack's placements diverged from sim.Run:\n%s", shards, diff)
 				}
 				if !reflect.DeepEqual(want.ledger, got.ledger) {
-					t.Fatalf("shards=%d ledger diverged:\nserial: %+v\nengine: %+v", shards, want.ledger, got.ledger)
+					t.Fatalf("shards=%d ledger diverged:\nsim:   %+v\nstack: %+v", shards, want.ledger, got.ledger)
 				}
 			}
 		})

@@ -8,7 +8,11 @@
 //
 //  1. assemble — requests that arrived during the previous epoch (plus
 //     re-offered pending ones) join the committed slices in an AC-RR
-//     instance;
+//     instance, in the online stack's canonical order: committed slices
+//     in admission order, then the requests sorted by name. The optimum
+//     is unique per instance but its float arithmetic follows the tenant
+//     order, so this order is what lets the stack equal sim.Run bit for
+//     bit, the spec internal/reopt holds it to;
 //  2. decide — the configured solver (Benders / KAC / direct, with or
 //     without overbooking) decides admission, placement and reservations.
 //     The Benders solver is a cross-epoch session by default: still-valid

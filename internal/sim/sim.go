@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -73,9 +74,9 @@ type Config struct {
 	// to trade admission gains for a smaller SLA-violation footprint.
 	ForecastPad float64
 	// ColdSolver disables cross-epoch solver state: every epoch is solved
-	// from scratch. Admission decisions are identical to the warm pipeline
-	// (pinned by the equality tests); the switch exists for benchmarks and
-	// cross-checking.
+	// from scratch. Admission decisions are identical to the warm pipeline.
+	// `scenario run -cold` sets it, and so do the warm = cold tests that
+	// pin that claim (and BenchmarkSimEpochs' cold leg).
 	ColdSolver bool
 	// Workers bounds the measurement stage's worker pool; 0 means
 	// GOMAXPROCS, 1 forces serial. Traces are bit-identical at any value.
@@ -219,9 +220,9 @@ type tenantState struct {
 	gens      []traffic.Generator // one per BS
 	fc        forecast.Forecaster
 	committed bool
+	seq       int // admission order: 1 + slices admitted before it; 0 until admitted
 	cu        int
 	remaining int
-	pending   bool
 	done      bool
 }
 
@@ -250,6 +251,7 @@ type engine struct {
 	states []*tenantState
 	solver core.SolveFunc
 	sched  *topology.Schedule // nil without Events
+	seq    int                // slices admitted so far
 
 	res             *Result
 	ledger          *yield.Ledger
@@ -370,23 +372,28 @@ func (e *engine) step(t int) error {
 	return nil
 }
 
-// assemble gathers the epoch's decision round: committed slices plus
-// requests that have arrived (or are re-offered while pending).
+// assemble gathers the epoch's decision round in the stack's canonical
+// order: committed slices in admission order, then the requests that have
+// arrived (or are re-offered while pending) sorted by name — the order
+// internal/admission gives every round, so one compiled scenario poses the
+// same instance to both, down to the objective's last bit.
 func (e *engine) assemble(t int) ([]core.TenantSpec, []int) {
-	var specs []core.TenantSpec
-	var idxOf []int // instance tenant index -> states index
+	var idxOf, offered []int // idxOf: instance tenant index -> states index
 	for i, st := range e.states {
-		if st.done {
-			continue
+		switch {
+		case st.done:
+		case st.committed:
+			idxOf = append(idxOf, i)
+		case st.spec.ArrivalEpoch == t || e.cfg.ReofferPending && st.spec.ArrivalEpoch <= t:
+			offered = append(offered, i)
 		}
-		if !st.committed {
-			arrived := st.spec.ArrivalEpoch == t ||
-				(e.cfg.ReofferPending && st.spec.ArrivalEpoch <= t)
-			if !arrived {
-				continue
-			}
-			st.pending = true
-		}
+	}
+	sort.Slice(idxOf, func(a, b int) bool { return e.states[idxOf[a]].seq < e.states[idxOf[b]].seq })
+	sort.SliceStable(offered, func(a, b int) bool { return e.states[offered[a]].spec.Name < e.states[offered[b]].spec.Name })
+	idxOf = append(idxOf, offered...)
+	specs := make([]core.TenantSpec, 0, len(idxOf))
+	for _, i := range idxOf {
+		st := e.states[i]
 		lambdaHat, sigma := st.forecastView(e.cfg.ForecastPad)
 		if e.cfg.StaticReservations {
 			// Static baseline: forecasts never reach the solver, so
@@ -402,7 +409,6 @@ func (e *engine) assemble(t int) ([]core.TenantSpec, []int) {
 			Committed:       st.committed,
 			CommittedCU:     st.cu,
 		})
-		idxOf = append(idxOf, i)
 	}
 	return specs, idxOf
 }
@@ -427,7 +433,6 @@ func (e *engine) measure(t int, dec *core.Decision, idxOf []int, bsUp []bool, es
 		}
 		if !st.committed {
 			st.committed = true
-			st.pending = false
 			st.cu = dec.CU[ti]
 		}
 		te.Active, te.CU = true, st.cu
@@ -491,6 +496,10 @@ func (e *engine) measure(t int, dec *core.Decision, idxOf []int, bsUp []bool, es
 				e.dropCount++
 			}
 			st := e.states[idxOf[ti]]
+			if st.seq == 0 {
+				e.seq++
+				st.seq = e.seq
+			}
 			e.ledger.Book(assessments[ti].Entry(te.Name, t, st.sla.Reward, st.sla.Penalty))
 		}
 		es.Tenants = append(es.Tenants, te)
