@@ -296,8 +296,6 @@ type Round struct {
 	// Admitted and Rejected partition the round's batch (not the
 	// already-committed slices, which stay admitted by constraint (13)).
 	Admitted, Rejected []string
-	// BatchSize is the number of fresh requests decided this round.
-	BatchSize int
 	// Err is the solver error, if any; the round decided nothing.
 	Err error
 }

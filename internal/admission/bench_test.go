@@ -186,11 +186,11 @@ func BenchmarkDecideRoundWarm(b *testing.B) {
 
 func committedOf(b *testing.B, e *Engine, domain string) []string {
 	b.Helper()
-	names, err := e.Committed(domain)
+	cs, err := e.CommittedDetail(domain)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return names
+	return committedNames(cs)
 }
 
 // metroDeploy is the lazily built metro-scale deployment BenchmarkMetroRound

@@ -32,16 +32,18 @@
 //     itself (no hand-off, no wake-up); rounds cut while it is held, and
 //     every round Submit, Drain or a finishing lane cuts (a submitter never
 //     pays for a solve), go in FIFO order to the lane's worker, alive only
-//     while it has rounds. Either way a round is one execRound making one solve:
-//     on the domain's LocalSolver (path sets, live network, its own
-//     core.BendersSession) — the one solver a domain has in the process —
-//     or on a remote executor handed the same inputs (internal/cluster),
-//     which hands a round it has no worker for back with ErrNoWorker, to be
-//     solved on that LocalSolver. Rounds that only drift forecasts rebind
-//     the slave LP (sameSolverShape); rounds that change the tenant set
-//     cold-rebuild, which is always correct. Each session owns its lp.Basis — LU factors,
-//     scratch vectors, solution buffers — so steady-state rounds run
-//     allocation-free in the LP: solver memory is paid once per domain.
+//     while it has rounds. Either way a round is the same stages — assemble,
+//     log, decide, book — and its one solve runs on the domain's LocalSolver
+//     (path sets, live network, its own core.BendersSession), the one solver
+//     a domain has in the process, or on a remote executor handed the same
+//     inputs (internal/cluster), which hands a round it has no worker for
+//     back with ErrNoWorker, to be solved on that LocalSolver. WAL replay
+//     runs the same stages minus the log and the executor. Rounds that only
+//     drift forecasts rebind the slave LP (sameSolverShape); rounds that
+//     change the tenant set cold-rebuild, which is always correct. Each
+//     session owns its lp.Basis — LU factors, scratch vectors, solution
+//     buffers — so steady-state rounds run allocation-free in the LP: solver
+//     memory is paid once per domain.
 //
 //  4. Determinism. A round's instance is built in canonical order —
 //     committed slices in admission order, then the batch sorted by request

@@ -53,9 +53,6 @@ type roundJob struct {
 	d     *domain
 	batch []pending
 	done  chan *Round // non-nil when a DecideRound caller waits on a queued job
-	// replay marks a recovery-time re-execution of a logged round: no
-	// tickets to resolve, no intake accounting to settle, nothing to log.
-	replay bool
 }
 
 // pending is one queued request.
@@ -567,21 +564,6 @@ func (e *Engine) Paths(domainName string) ([][][]topology.Path, error) {
 	return d.solver.Paths(), nil
 }
 
-// Committed lists the domain's committed slice names in admission order.
-func (e *Engine) Committed(domainName string) ([]string, error) {
-	d, err := e.domain(domainName)
-	if err != nil {
-		return nil, err
-	}
-	d.dmu.Lock()
-	defer d.dmu.Unlock()
-	out := make([]string, len(d.committed))
-	for i, m := range d.committed {
-		out[i] = m.name
-	}
-	return out, nil
-}
-
 func (e *Engine) domain(name string) (*domain, error) {
 	if name == "" {
 		name = DefaultDomain
@@ -663,136 +645,24 @@ func (e *Engine) Stop() {
 	e.wg.Wait()
 }
 
-// execRound runs one admission round, and is the only thing that does:
-// canonical instance assembly, one solve on the domain's (warm) solver,
-// commitment of admitted requests, outcome delivery. Caller holds the lane.
+// execRound runs one live round: assemble → logRound → decide on the domain's
+// executor → book, then intake accounting, the monitor sample and the tickets.
+// ReplayRound composes the same stages minus the log. Caller holds the lane.
 func (e *Engine) execRound(job *roundJob) *Round {
 	d := job.d
 	start := time.Now()
-
-	// Canonical batch order: sorted by name, so the instance — and with the
-	// tie-broken solver, the decision — is independent of submission
-	// interleaving and cut timing for a given round set.
-	sort.Slice(job.batch, func(i, j int) bool { return job.batch[i].req.Name < job.batch[j].req.Name })
-
 	d.dmu.Lock()
-	r := &Round{Domain: d.name, Seq: d.rounds, BatchSize: len(job.batch)}
-	specs := make([]core.TenantSpec, 0, len(d.committed)+len(job.batch))
-	r.Names = make([]string, 0, cap(specs))
-	for _, m := range d.committed {
-		specs = append(specs, core.TenantSpec{
-			Name: m.name, SLA: m.sla,
-			LambdaHat: m.lambdaHat, Sigma: m.sigma,
-			RemainingEpochs: m.remaining,
-			Committed:       true, CommittedCU: m.cu,
-		})
-		r.Names = append(r.Names, m.name)
-	}
-	for _, p := range job.batch {
-		specs = append(specs, newTenantSpec(p.req))
-		r.Names = append(r.Names, p.req.Name)
-	}
-
-	var dec *core.Decision
-	var err error
-	if e.cfg.Log != nil && !job.replay {
-		// Log-before-ack: the round's inputs (plus any forecast/advance
-		// records buffered before them) become durable in one group fsync
-		// before any outcome can reach a caller. A crash after this point
-		// replays the round deterministically; a crash before it means no
-		// caller was acked, so nothing is owed. A log failure poisons the
-		// round instead of acking decisions that would not survive a crash.
-		reqs := make([]Request, len(job.batch))
-		for i, p := range job.batch {
-			reqs[i] = p.req
-		}
-		if lerr := e.cfg.Log.AppendRound(d.name, r.Seq, reqs); lerr != nil {
-			err = fmt.Errorf("wal append: %w", lerr)
-		} else if lerr := e.cfg.Log.SyncRound(); lerr != nil {
-			err = fmt.Errorf("wal sync: %w", lerr)
-		}
-	}
+	r, specs := d.assemble(job.batch)
+	// A round the log refused owns no seq: decide, which claims it, never runs.
+	err := e.logRound(d.name, r.Seq, job.batch)
+	var outcomes []Outcome
 	if err == nil {
-		// The round is logged and owns its seq, whatever the solver says next;
-		// one the log refused leaves the seq to the next round.
-		d.rounds++
-	}
-	switch {
-	case err != nil:
-		// Logging failed; decide nothing.
-	case len(specs) == 0:
-		dec = &core.Decision{} // nothing to decide, nothing to re-optimize
-	default:
-		// One solve: a remote executor sees the same canonical inputs the
-		// local solver does and is contractually bit-identical, and one with
-		// no worker for the round hands it back to the domain's own solver.
-		// Replay deliberately stays local — recovery must not depend on
-		// workers having rejoined.
-		exec := d.cfg.Executor
-		if exec == nil || job.replay {
-			exec = d.solver
-		}
-		dec, err = exec.SolveRound(d.name, r.Seq, d.topoEvents, specs)
-		if errors.Is(err, ErrNoWorker) {
-			dec, err = d.solver.SolveRound(d.name, r.Seq, d.topoEvents, specs)
-		}
-	}
-
-	outcomes := make([]Outcome, len(job.batch))
-	if err != nil {
-		r.Err = fmt.Errorf("admission: round %d in domain %q: %w", r.Seq, d.name, err)
-	} else {
-		r.Decision = dec
-		// Committed slices stay admitted (constraint (13)); their
-		// reservations re-track the latest forecasts.
-		for i, m := range d.committed {
-			if dec.Accepted[i] {
-				m.cu = dec.CU[i]
-				m.reserved = append(m.reserved[:0], dec.Z[i]...)
-				m.pathIdx = append(m.pathIdx[:0], dec.PathIdx[i]...)
-			}
-		}
-		base := len(d.committed)
-		for bi, p := range job.batch {
-			ti := base + bi
-			out := Outcome{Name: p.req.Name, Round: r.Seq, Latency: time.Since(p.submitted)}
-			if dec.Accepted[ti] {
-				out.Admitted = true
-				out.CU = dec.CU[ti]
-				out.Reserved = append([]float64(nil), dec.Z[ti]...)
-				out.PathIdx = append([]int(nil), dec.PathIdx[ti]...)
-				m := &member{
-					name: p.req.Name, tenant: p.req.tenantKey(),
-					sla:       p.req.SLA,
-					lambdaHat: specs[ti].LambdaHat, sigma: specs[ti].Sigma,
-					remaining: specs[ti].RemainingEpochs,
-					cu:        out.CU,
-					reserved:  append([]float64(nil), dec.Z[ti]...),
-					pathIdx:   append([]int(nil), dec.PathIdx[ti]...),
-				}
-				d.committed = append(d.committed, m)
-				d.byName[m.name] = m
-				r.Admitted = append(r.Admitted, m.name)
-			} else {
-				out.Reason = "rejected by solver"
-				r.Rejected = append(r.Rejected, p.req.Name)
-			}
-			outcomes[bi] = out
-		}
+		outcomes, err = d.decide(r, specs, job.batch, d.cfg.Executor)
 	}
 	d.dmu.Unlock()
 
 	roundMs := float64(time.Since(start)) / float64(time.Millisecond)
-	if r.Err == nil && e.cfg.Ledger != nil {
-		// Booked on replay too: the ledger snapshot predates the replayed
-		// rounds, so each one re-books its expected revenue exactly once.
-		e.cfg.Ledger.BookExpected(d.name, dec.Revenue())
-	}
-	if job.replay {
-		// No tickets, no intake accounting, no metrics, no monitoring
-		// samples: replay rebuilds decision state, not serving history.
-		return r
-	}
+	e.book(r, err)
 
 	e.mu.Lock()
 	for bi, p := range job.batch {
@@ -823,6 +693,125 @@ func (e *Engine) execRound(job *roundJob) *Round {
 		}
 	}
 	return r
+}
+
+// assemble builds the round's canonical instance, the Round stamped with the
+// seq it will claim: committed slices in admission order, then the batch
+// sorted by name (in place), so the instance — and with the tie-broken solver,
+// the decision — is independent of submission interleaving and cut timing.
+func (d *domain) assemble(batch []pending) (*Round, []core.TenantSpec) {
+	sort.Slice(batch, func(i, j int) bool { return batch[i].req.Name < batch[j].req.Name })
+	r := &Round{Domain: d.name, Seq: d.rounds}
+	specs := make([]core.TenantSpec, 0, len(d.committed)+len(batch))
+	r.Names = make([]string, 0, cap(specs))
+	for _, m := range d.committed {
+		specs = append(specs, core.TenantSpec{
+			Name: m.name, SLA: m.sla,
+			LambdaHat: m.lambdaHat, Sigma: m.sigma,
+			RemainingEpochs: m.remaining,
+			Committed:       true, CommittedCU: m.cu,
+		})
+		r.Names = append(r.Names, m.name)
+	}
+	for _, p := range batch {
+		specs = append(specs, newTenantSpec(p.req))
+		r.Names = append(r.Names, p.req.Name)
+	}
+	return r, specs
+}
+
+// logRound is log-before-ack: the round's inputs, and every record buffered
+// before them, become durable in one group fsync before any outcome reaches a
+// caller, so a crash after it replays the round and a crash before it owes
+// nobody. An error poisons the round rather than ack what a crash would lose.
+// Caller holds the domain's dmu, the lock its other records append under.
+func (e *Engine) logRound(domain string, seq uint64, batch []pending) error {
+	if e.cfg.Log == nil {
+		return nil
+	}
+	reqs := make([]Request, len(batch))
+	for i, p := range batch {
+		reqs[i] = p.req
+	}
+	if err := e.cfg.Log.AppendRound(domain, seq, reqs); err != nil {
+		return fmt.Errorf("wal append: %w", err)
+	}
+	if err := e.cfg.Log.SyncRound(); err != nil {
+		return fmt.Errorf("wal sync: %w", err)
+	}
+	return nil
+}
+
+// decide claims the round's seq (a solver error replays to the same error)
+// and solves on exec — bit-identical to the local solver by contract — or on
+// the domain's own solver when exec is nil or declines with ErrNoWorker. On
+// success it commits: committed slices stay admitted (constraint (13)) and
+// re-track their forecasts, admitted requests join them. Caller holds dmu.
+func (d *domain) decide(r *Round, specs []core.TenantSpec, batch []pending, exec Executor) ([]Outcome, error) {
+	d.rounds++
+	if len(specs) == 0 {
+		r.Decision = &core.Decision{} // nothing to decide, nothing to re-optimize
+		return nil, nil
+	}
+	if exec == nil {
+		exec = d.solver
+	}
+	dec, err := exec.SolveRound(d.name, r.Seq, d.topoEvents, specs)
+	if errors.Is(err, ErrNoWorker) {
+		dec, err = d.solver.SolveRound(d.name, r.Seq, d.topoEvents, specs)
+	}
+	if err != nil {
+		return nil, err
+	}
+	r.Decision = dec
+	for i, m := range d.committed {
+		if dec.Accepted[i] {
+			m.cu = dec.CU[i]
+			m.reserved = append(m.reserved[:0], dec.Z[i]...)
+			m.pathIdx = append(m.pathIdx[:0], dec.PathIdx[i]...)
+		}
+	}
+	base := len(d.committed)
+	outcomes := make([]Outcome, len(batch))
+	for bi, p := range batch {
+		ti := base + bi
+		out := Outcome{Name: p.req.Name, Round: r.Seq, Latency: time.Since(p.submitted)}
+		if dec.Accepted[ti] {
+			out.Admitted = true
+			out.CU = dec.CU[ti]
+			out.Reserved = append([]float64(nil), dec.Z[ti]...)
+			out.PathIdx = append([]int(nil), dec.PathIdx[ti]...)
+			m := &member{
+				name: p.req.Name, tenant: p.req.tenantKey(),
+				sla:       p.req.SLA,
+				lambdaHat: specs[ti].LambdaHat, sigma: specs[ti].Sigma,
+				remaining: specs[ti].RemainingEpochs,
+				cu:        out.CU,
+				reserved:  append([]float64(nil), dec.Z[ti]...),
+				pathIdx:   append([]int(nil), dec.PathIdx[ti]...),
+			}
+			d.committed = append(d.committed, m)
+			d.byName[m.name] = m
+			r.Admitted = append(r.Admitted, m.name)
+		} else {
+			out.Reason = "rejected by solver"
+			r.Rejected = append(r.Rejected, p.req.Name)
+		}
+		outcomes[bi] = out
+	}
+	return outcomes, nil
+}
+
+// book wraps the round's error into r.Err, or books its expected revenue.
+// Replay books too: the ledger snapshot predates the replayed rounds.
+func (e *Engine) book(r *Round, err error) {
+	if err != nil {
+		r.Err = fmt.Errorf("admission: round %d in domain %q: %w", r.Seq, r.Domain, err)
+		return
+	}
+	if e.cfg.Ledger != nil {
+		e.cfg.Ledger.BookExpected(r.Domain, r.Decision.Revenue())
+	}
 }
 
 // newTenantSpec maps a fresh request to the optimizer's view: cold-start

@@ -229,7 +229,7 @@ func TestForecastDriftShrinksReservations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.BatchSize != 0 || len(r.Names) != 1 || r.Names[0] != "u1" {
+	if len(r.Admitted)+len(r.Rejected) != 0 || len(r.Names) != 1 || r.Names[0] != "u1" {
 		t.Fatalf("round shape: %+v", r)
 	}
 	if z := r.Decision.Z[0][0]; z >= 24 {
@@ -259,7 +259,7 @@ func TestAdvanceExpiresAndFreesNames(t *testing.T) {
 	if err != nil || len(exp) != 1 || exp[0] != "short" {
 		t.Fatalf("second advance: %v %v", exp, err)
 	}
-	if names, _ := e.Committed(""); len(names) != 0 {
+	if names := mustCommittedIn(t, e, ""); len(names) != 0 {
 		t.Fatalf("committed after expiry: %v", names)
 	}
 	if _, err := e.Submit(Request{Name: "short", SLA: testSLA(slice.URLLC, 2)}); err != nil {

@@ -285,18 +285,20 @@ func TestStopWaitsForInlineRound(t *testing.T) {
 	}
 }
 
-// seqLog is a RoundLog double that records the seq of every AppendRound and
-// fails SyncRound while told to.
+// seqLog is a RoundLog double that records the seq and batch of every
+// AppendRound and fails SyncRound while told to.
 type seqLog struct {
 	mu      sync.Mutex
 	seqs    []uint64
+	batches [][]Request
 	syncErr error
 }
 
-func (l *seqLog) AppendRound(_ string, seq uint64, _ []Request) error {
+func (l *seqLog) AppendRound(_ string, seq uint64, batch []Request) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seqs = append(l.seqs, seq)
+	l.batches = append(l.batches, batch)
 	return nil
 }
 func (l *seqLog) AppendForecasts(string, []ForecastUpdate) error { return nil }
@@ -513,7 +515,7 @@ func TestEpochModeNeverCutsOnIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Seq != 0 || r.BatchSize != 1 || !reflect.DeepEqual(r.Names, []string{"s1"}) {
+	if r.Seq != 0 || len(r.Admitted)+len(r.Rejected) != 1 || !reflect.DeepEqual(r.Names, []string{"s1"}) {
 		t.Fatalf("round: %+v, want round 0 deciding s1 alone", r)
 	}
 	if out := waitOutcome(t, tk); out.Round != 0 {

@@ -158,14 +158,8 @@ func TestRaceOutageNoLostSlices(t *testing.T) {
 
 	// No lost slices: every admitted slice is committed in exactly one
 	// domain, the one it was offered to.
-	inA, err := e.Committed("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inB, err := e.Committed("b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	inA := mustCommittedIn(t, e, "a")
+	inB := mustCommittedIn(t, e, "b")
 	where := map[string]string{}
 	for _, n := range inA {
 		where[n] = "a"

@@ -9,12 +9,12 @@ import (
 // This file is the engine's crash-recovery surface (used by internal/wal):
 // ExportDomain captures a domain's recoverable solver-side state for a
 // snapshot, RestoreDomain rehydrates it, and ReplayRound re-executes a
-// logged round through the very same execRound path a live round takes —
-// which is what makes the rebuilt state bit-identical to the pre-crash
-// engine rather than approximately equal. Warm solver state (the Benders
-// session, LP bases) is deliberately NOT part of this surface: it is a
-// cache, it re-warms on the first post-recovery round, and the warm==cold
-// decision-equality pins prove re-warming cannot move a decision.
+// logged round through the same stages a live round takes, minus the log
+// and the executor — which is what makes the rebuilt state bit-identical to
+// the pre-crash engine rather than approximately equal. Warm solver state
+// (the Benders session, LP bases) is deliberately NOT part of this surface:
+// it is a cache, it re-warms on the first post-recovery round, and the
+// warm==cold decision-equality pins prove re-warming cannot move a decision.
 
 // DomainState is the durable image of one domain's recoverable state: the
 // round sequence number and the committed slices in admission order with
@@ -90,15 +90,15 @@ func (e *Engine) RestoreDomain(st DomainState) error {
 	return nil
 }
 
-// ReplayRound re-executes one logged round: the batch (as it was logged, in
-// canonical order) is decided against the domain's current committed state
-// on the live solver path, committing admissions exactly as the original
-// round did. Recovery-time only — the engine must not have been started, so
-// no live round races it. The logged seq is checked against the domain's round
-// clock; a mismatch means log and snapshot diverged and recovery must stop.
-// The returned Round may carry a solver error (r.Err); that is a replayed
+// ReplayRound re-executes one logged round: assemble, decide on the domain's
+// own solver and book, under one dmu hold — a live round's stages minus the
+// log (the record is durable), the executor (recovery must not wait on
+// workers) and the tickets (nobody waits). Recovery-time only: the engine
+// must not have been started, so no live round races it. A logged seq other
+// than the domain's round clock means log and snapshot diverged and recovery
+// must stop. A solver error in the returned Round (r.Err) is a replayed
 // outcome, not a replay failure — the original round failed identically.
-func (e *Engine) ReplayRound(domainName string, seq uint64, batch []Request) (*Round, error) {
+func (e *Engine) ReplayRound(domainName string, seq uint64, reqs []Request) (*Round, error) {
 	if domainName == "" {
 		domainName = DefaultDomain
 	}
@@ -112,21 +112,23 @@ func (e *Engine) ReplayRound(domainName string, seq uint64, batch []Request) (*R
 	if d == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownDomain, domainName)
 	}
-	d.dmu.Lock()
-	rounds := d.rounds
-	d.dmu.Unlock()
-	if rounds != seq {
-		return nil, fmt.Errorf("admission: replaying round %d but domain %q is at round %d — log and snapshot diverged", seq, domainName, rounds)
-	}
-
-	job := &roundJob{d: d, batch: make([]pending, len(batch)), replay: true}
-	for i, req := range batch {
+	batch := make([]pending, len(reqs))
+	for i, req := range reqs {
 		if req.Domain == "" {
 			req.Domain = DefaultDomain
 		}
-		job.batch[i] = pending{req: req}
+		batch[i] = pending{req: req}
 	}
-	r := e.execRound(job)
+	d.dmu.Lock()
+	if d.rounds != seq {
+		rounds := d.rounds
+		d.dmu.Unlock()
+		return nil, fmt.Errorf("admission: replaying round %d but domain %q is at round %d — log and snapshot diverged", seq, domainName, rounds)
+	}
+	r, specs := d.assemble(batch)
+	_, err := d.decide(r, specs, batch, nil)
+	e.book(r, err)
+	d.dmu.Unlock()
 
 	if r.Err == nil {
 		// The live path reserves names at Submit; replay bypasses intake,

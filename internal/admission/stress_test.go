@@ -207,9 +207,18 @@ func TestShardCountInvariance(t *testing.T) {
 
 func mustCommittedIn(t *testing.T, e *Engine, domain string) []string {
 	t.Helper()
-	names, err := e.Committed(domain)
+	cs, err := e.CommittedDetail(domain)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return committedNames(cs)
+}
+
+// committedNames lists committed slices' names in admission order.
+func committedNames(cs []CommittedSlice) []string {
+	names := make([]string, len(cs))
+	for i, c := range cs {
+		names[i] = c.Name
 	}
 	return names
 }

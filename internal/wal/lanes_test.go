@@ -69,13 +69,13 @@ func writeLaneLog(t testing.TB, dir string, seed int64) (rounds int, noAdvance, 
 	domains := laneDomainNames()
 
 	forecasts := func(dom string) {
-		names, err := eng.Committed(dom)
+		cs, err := eng.CommittedDetail(dom)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ups := make([]admission.ForecastUpdate, len(names))
-		for i, n := range names {
-			ups[i] = admission.ForecastUpdate{Name: n, LambdaHat: 1 + 9*rng.Float64(), Sigma: 0.2 + 0.8*rng.Float64()}
+		ups := make([]admission.ForecastUpdate, len(cs))
+		for i, c := range cs {
+			ups[i] = admission.ForecastUpdate{Name: c.Name, LambdaHat: 1 + 9*rng.Float64(), Sigma: 0.2 + 0.8*rng.Float64()}
 		}
 		if err := eng.UpdateForecasts(dom, ups); err != nil {
 			t.Fatal(err)
@@ -133,7 +133,7 @@ func writeLaneLog(t testing.TB, dir string, seed int64) (rounds int, noAdvance, 
 	noAdvance, prefixOnly = domains[2], domains[5]
 	forecasts(noAdvance)
 	round(noAdvance)
-	if names, _ := eng.Committed(prefixOnly); len(names) == 0 {
+	if cs, _ := eng.CommittedDetail(prefixOnly); len(cs) == 0 {
 		t.Fatalf("domain %s has nothing committed to forecast; pick another seed", prefixOnly)
 	}
 	forecasts(prefixOnly)
