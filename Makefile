@@ -8,7 +8,9 @@ GO ?= go
 # wholesale test deletions or big untested subsystems. Most cmd/* mains
 # count at 0%, which drags the total below per-package numbers —
 # internal/wal and internal/cluster, the replication-critical packages,
-# each sit above 81%.
+# measure 79.7% and 80.8% on their own tests; their crash, promotion and
+# worker rows live in internal/reopt's refinement table, and counted
+# with it (-coverpkg) they measure 85.6% and 81.6%.
 COVER_FLOOR ?= 80.3
 
 .PHONY: build test test-race admission-stress vet fmt-check lint lines bench bench-smoke bench-pins rest-check perf-gate fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
@@ -187,18 +189,19 @@ hunt-smoke:
 	$(GO) run ./cmd/scenario hunt -name outage -tenants 4 -epochs 10 -seeds 4 -seed 1
 	$(GO) run ./cmd/scenario hunt -replay docs/reproducers/heavy-tail-ci.json
 
-# recover-check is the crash-recovery gate: the kill-and-replay suite in
-# internal/wal hard-kills the control plane at randomized epoch boundaries
-# and requires the recovered decision trace, yield ledger and tracker
-# state to equal an uninterrupted run bit for bit. -count=1 defeats the
-# test cache — a recovery gate that silently replays a cached PASS guards
-# nothing — and the explicit -timeout keeps a wedged replay from eating
-# the job's whole budget. The second line holds side-by-side replay to the
+# recover-check is the crash-recovery gate: the refinement table's crash,
+# mid-step and clean-restart rows (internal/reopt) hard-kill the control
+# plane at seeded epoch boundaries or mid-step, or shut it down at the
+# midpoint, and require the recovered decision trace, yield ledger and
+# tracker state to equal sim.Run's and an uninterrupted run's bit for
+# bit. -count=1 defeats the test cache — a recovery gate that silently
+# replays a cached PASS guards nothing — and the explicit -timeout keeps a
+# wedged replay from eating the job's whole budget. The second line holds side-by-side replay to the
 # record-by-record one: one eight-domain log recovered at one, two and four
 # processors under the race detector must end in the same report, log end
 # and state bytes, and a planted divergence must surface at its lowest LSN.
 recover-check:
-	$(GO) test ./internal/wal/ -run 'TestKillAndReplay|TestCleanShutdown|TestRecoverTruncates' -count=1 -timeout 10m
+	$(GO) test ./internal/reopt/ -run 'TestStackDecidesLikeSimulator/./(crash|mid-step|clean-restart)' -count=1 -timeout 10m
 	$(GO) test ./internal/wal/ -run 'TestParallelReplay' -race -cpu 1,2,4 -count=1 -timeout 10m
 
 # cluster-check is the distributed-determinism gate: loadgen and the

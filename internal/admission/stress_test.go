@@ -238,11 +238,11 @@ func driftView(name string, sla slice.SLA, t int) (lambdaHat, sigma float64) {
 	return frac * sla.RateMbps, 0.08 + 0.04*(math.Cos(phase)+1)/2
 }
 
-// fingerprint renders one round's decision: the objective and each
+// fingerprint renders one round's decision: the objective, exactly, and each
 // admitted slice's CU and per-BS paths, in solve order.
 func fingerprint(epoch int, names []string, dec *core.Decision) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "epoch %d exp=%.4f:", epoch, dec.Revenue())
+	fmt.Fprintf(&b, "epoch %d exp=%v:", epoch, dec.Revenue())
 	for i, name := range names {
 		if i < len(dec.Accepted) && dec.Accepted[i] {
 			fmt.Fprintf(&b, " %s@cu%d%v", name, dec.CU[i], dec.PathIdx[i])

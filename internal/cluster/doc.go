@@ -39,10 +39,11 @@
 // SIGKILLed mid-round, and the engine's own solve of a declined round all
 // return the bit-identical decision — which is what lets the coordinator
 // re-dispatch in-flight rounds on worker loss without losing or reordering
-// any decision, and what the worker-count {0,1,2,4} equality tests and the
-// cluster-check CI gate pin end to end. Because the coordinator still
-// owns all state and the WAL (log-before-ack, unchanged), crash recovery
-// is identical to single-process mode and never waits for workers.
+// any decision, and what the refinement table's workers={0,1,2,4} rows
+// (internal/reopt) and the cluster-check CI gate pin end to end. Because
+// the coordinator still owns all state and the WAL (log-before-ack,
+// unchanged), crash recovery is identical to single-process mode and
+// never waits for workers.
 //
 // # Wire protocol
 //

@@ -162,21 +162,21 @@ type Result struct {
 }
 
 // Trace renders the full run as a deterministic text fingerprint: every
-// epoch's admissions, placements, reservations, peaks and revenue. Two runs
-// of the same Config are bit-identical at any worker count, so tests compare
-// Traces directly.
+// epoch's admissions, placements, reservations, peaks and revenue, floats
+// printed exactly. Two runs of the same Config are bit-identical at any
+// worker count, so tests compare Traces directly.
 func (r *Result) Trace() string {
 	var b strings.Builder
 	for _, es := range r.Epochs {
-		fmt.Fprintf(&b, "epoch %d accepted=%d rev=%.9g exp=%.9g viol=%d/%d deficit=%.9g\n",
+		fmt.Fprintf(&b, "epoch %d accepted=%d rev=%v exp=%v viol=%d/%d deficit=%v\n",
 			es.Epoch, es.Accepted, es.Revenue, es.ExpectedRevenue, es.Violations, es.Samples, es.DeficitCost)
 		for _, te := range es.Tenants {
-			fmt.Fprintf(&b, "  %s/%s active=%v cu=%d path=%v z=%s peak=%s viol=%d drop=%.9g rev=%.9g\n",
+			fmt.Fprintf(&b, "  %s/%s active=%v cu=%d path=%v z=%v peak=%v viol=%d drop=%v rev=%v\n",
 				te.Name, te.Type, te.Active, te.CU, te.PathIdx,
-				fmtFloats(te.Reserved), fmtFloats(te.Peak), te.Violated, te.Dropped, te.Revenue)
+				te.Reserved, te.Peak, te.Violated, te.Dropped, te.Revenue)
 		}
 	}
-	fmt.Fprintf(&b, "total=%.9g mean=%.9g viol=%.9g drop=%.9g\n",
+	fmt.Fprintf(&b, "total=%v mean=%v viol=%v drop=%v\n",
 		r.TotalRevenue, r.MeanRevenue, r.ViolationProb, r.MeanDrop)
 	return b.String()
 }
@@ -197,19 +197,6 @@ func (r *Result) DecisionTrace() string {
 		}
 		b.WriteByte('\n')
 	}
-	return b.String()
-}
-
-func fmtFloats(vs []float64) string {
-	var b strings.Builder
-	b.WriteByte('[')
-	for i, v := range vs {
-		if i > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%.9g", v)
-	}
-	b.WriteByte(']')
 	return b.String()
 }
 

@@ -10,165 +10,12 @@ import (
 	"testing"
 
 	"repro/internal/admission"
-	"repro/internal/monitor"
-	"repro/internal/reopt"
-	"repro/internal/sim"
-	"repro/internal/yield"
 )
-
-// The standby-replication gate at the storage layer. A leader process
-// writes its log with small segments and frequent snapshots (so rotation
-// AND compaction both happen under the reader), while a standby that
-// joined LATE — after segments below the first snapshot were already
-// compacted away — bootstraps from the tailer's snapshot and follows the
-// live log. When the leader is hard-killed, the standby finalizes against
-// the reopened store (truncating the dead leader's uncommitted step
-// prefix, exactly as crash recovery would) and continues the run
-// bit-identically to a process that was never replicated at all.
-
-// newStandbyProc builds the un-started target a Replayer feeds: the same
-// engine/controller/ledger stack as startProc, minus the WAL (a standby
-// only reads) and minus Start (the replay contract requires an engine
-// that has never run). Start it at promotion.
-func newStandbyProc(t testing.TB, cfg sim.Config, algorithm string) (*proc, *Replayer) {
-	t.Helper()
-	p := &proc{store: monitor.NewStore(0), ledger: yield.NewLedger()}
-	p.eng = admission.New(admission.Config{QueueDepth: 1024, Ledger: p.ledger})
-	if err := p.eng.AddDomain("", admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: algorithm}); err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := reopt.New(reopt.Config{
-		Engine: p.eng, Store: p.store, Ledger: p.ledger,
-		HWPeriod: cfg.HWPeriod, ReoptEvery: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.ctrl = ctrl
-	rep, err := NewReplayer(Target{Engine: p.eng, Controller: ctrl, Ledger: p.ledger})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p, rep
-}
-
-// drainTail polls until the tailer reports nothing new, ingesting every
-// record into the replayer.
-func drainTail(t testing.TB, tail *Tailer, rep *Replayer) {
-	t.Helper()
-	for {
-		recs, err := tail.Poll()
-		if err != nil {
-			t.Fatalf("tail poll: %v", err)
-		}
-		if len(recs) == 0 {
-			return
-		}
-		for _, pr := range recs {
-			if err := rep.Ingest(pr); err != nil {
-				t.Fatalf("ingest LSN %d: %v", pr.LSN, err)
-			}
-		}
-	}
-}
-
-func TestStandbyTailPromotionMatchesUninterrupted(t *testing.T) {
-	spec, cfg := recScenario(t, "diurnal-drift")
-	refLines, refFinal := reference(t, cfg, spec.Algorithm)
-
-	// Leader with small segments and a snapshot every 2 epochs, so the
-	// tail crosses rotation and compaction boundaries mid-run.
-	dir := t.TempDir()
-	w := reopt.NewWorld(cfg)
-	leader := startProc(t, cfg, spec.Algorithm, dir, 2)
-	var lines []string
-	const late = 4
-	for e := 0; e < late; e++ {
-		lines = append(lines, play(t, w, leader))
-	}
-
-	// The standby joins late: its bootstrap must come from a snapshot,
-	// not a from-zero replay.
-	tail, err := OpenTailer(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tail.Snapshot() == nil {
-		t.Fatal("tailer found no snapshot to bootstrap from; the late-join path is untested")
-	}
-	sb, replayer := newStandbyProc(t, cfg, spec.Algorithm)
-	if err := replayer.Bootstrap(tail.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-
-	kill := recEpochs - 2
-	for e := late; e < kill; e++ {
-		lines = append(lines, play(t, w, leader))
-		drainTail(t, tail, replayer)
-	}
-
-	// The compaction the standby must have tailed across: the base
-	// segment is gone by now (snapshots every 2 epochs, 2 kept).
-	if _, statErr := os.Stat(dir + "/wal-0000000000000000.seg"); !os.IsNotExist(statErr) {
-		t.Fatalf("base segment still present (stat: %v); the run never compacted under the tailer", statErr)
-	}
-
-	// The leader dies mid-step: a settle/observe prefix reaches disk,
-	// its round never does. The standby will see the prefix on its final
-	// drain and must hold it back, then truncate it at promotion.
-	if err := leader.wal.AppendSettle(admission.DefaultDomain, kill-1, []yield.Entry{{Slice: "ghost", Epoch: kill - 1, Realized: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := leader.wal.AppendObserve(admission.DefaultDomain, kill, []string{"ghost"}, []reopt.ObservedPeak{{Name: "ghost", Peak: 9}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := leader.wal.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	leader.kill()
-
-	// Promotion: final drain, reopen the directory for writing, re-feed
-	// the opener's recovery batch (idempotent below the high-water mark),
-	// finalize, start serving.
-	drainTail(t, tail, replayer)
-	if replayer.Pending() == 0 {
-		t.Fatal("dead leader's uncommitted step prefix never reached the replayer; the hold-back path is untested")
-	}
-	tail.Close()
-	ws, recovered, err := Open(Options{Dir: dir, SegmentBytes: 8 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := replayer.Finalize(ws, recovered.Records)
-	if err != nil {
-		t.Fatalf("finalize: %v", err)
-	}
-	if rep.HeldBack != 2 {
-		t.Fatalf("finalize held back %d records, want the 2 uncommitted ones (report %+v)", rep.HeldBack, rep)
-	}
-	if got := sb.ctrl.Epoch(); got != kill {
-		t.Fatalf("standby promoted at epoch %d, want %d (report %+v)", got, kill, rep)
-	}
-	sb.wal = ws
-	if err := sb.eng.Start(); err != nil {
-		t.Fatal(err)
-	}
-	w.Redeliver(sb.ctrl)
-
-	for e := kill; e < recEpochs; e++ {
-		lines = append(lines, play(t, w, sb))
-	}
-	final := capture(t, sb)
-	sb.stop()
-	assertIdentical(t, "standby promotion", refFinal, final, refLines, lines)
-}
 
 // TestTailerGapAfterCompaction pins the fallen-behind failure: a tailer
 // that opened at LSN 0 and never polled while the leader snapshotted and
 // compacted past it gets ErrTailGap, not silent data loss.
 func TestTailerGapAfterCompaction(t *testing.T) {
-	spec, cfg := recScenario(t, "diurnal-drift")
-
 	dir := t.TempDir()
 	tail, err := OpenTailer(dir) // before any writes: next record is LSN 0
 	if err != nil {
@@ -176,12 +23,19 @@ func TestTailerGapAfterCompaction(t *testing.T) {
 	}
 	defer tail.Close()
 
-	w := reopt.NewWorld(cfg)
-	p := startProc(t, cfg, spec.Algorithm, dir, 1)
-	for e := 0; e < recEpochs; e++ {
-		play(t, w, p)
+	// The leader logs a step and snapshots after it, epoch after epoch.
+	s, _ := mustOpen(t, Options{Dir: dir, NoSync: true})
+	for e := 0; e < 4; e++ {
+		if err := s.AppendAdvance(admission.DefaultDomain); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.WriteSnapshot(&Snapshot{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	p.stop()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	if _, statErr := os.Stat(dir + "/wal-0000000000000000.seg"); !os.IsNotExist(statErr) {
 		t.Fatalf("base segment still present (stat: %v); compaction never outran the tailer", statErr)
 	}
