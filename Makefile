@@ -6,11 +6,7 @@ GO ?= go
 # Minimum total statement coverage `make cover` enforces: 81.3% measured
 # at this ratchet, minus 1pt of slack that absorbs noise while catching
 # wholesale test deletions or big untested subsystems. Most cmd/* mains
-# count at 0%, which drags the total below per-package numbers —
-# internal/wal and internal/cluster, the replication-critical packages,
-# measure 79.7% and 80.8% on their own tests; their crash, promotion and
-# worker rows live in internal/reopt's refinement table, and counted
-# with it (-coverpkg) they measure 85.6% and 81.6%.
+# count at 0%, which drags the total below per-package numbers.
 COVER_FLOOR ?= 80.3
 
 .PHONY: build test test-race admission-stress vet fmt-check lint lines bench bench-smoke bench-pins rest-check perf-gate fuzz-smoke hunt-smoke recover-check cluster-check failover-check cover docs-check links-check smoke metro-smoke clean ci
@@ -276,13 +272,22 @@ smoke:
 # clean removes every scratch artifact the build/bench/profile targets
 # drop.
 clean:
-	rm -f coverage.out metro.raw metro.out rest-check.out cpu.out mem.out *.pprof *.prof *.test
+	rm -f coverage.out coverage-replication.out metro.raw metro.out rest-check.out cpu.out mem.out *.pprof *.prof *.test
 	rm -rf ovnes-data
 
-# cover enforces the statement-coverage floor over the whole module. The
-# empty-total guard fails loudly if `go tool cover -func` ever changes its
-# output shape — an unparsed total must read as "gate broken", never as
-# "coverage fine".
+# cover enforces the statement-coverage floor over the whole module, then a
+# floor each for internal/wal and internal/cluster, the replication-critical
+# packages. Their crash, promotion and worker rows live in internal/reopt's
+# refinement table, so on their own tests they read 79.7% and 80.8% and a
+# loss in a path only the table runs (BuildSnapshot, restoreSnapshot) would
+# move no number. They are measured with -coverpkg over the two packages and
+# internal/reopt — 85.7% and 81.6–81.9% at this ratchet (cluster's worker
+# kills race their rounds) — and each is gated at its lowest measured value
+# minus 1pt. That profile repeats a block once per test binary, so a
+# statement counts as covered when any binary ran it. The empty-total guards
+# fail loudly if `go tool cover -func` or the profile ever changes its output
+# shape — an unparsed total must read as "gate broken", never as "coverage
+# fine".
 cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	@total=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/,"",$$3); print $$3}'); \
@@ -291,5 +296,14 @@ cover:
 	echo "total statement coverage: $$total% (floor: $(COVER_FLOOR)%)"; \
 	awk -v t=$$total -v f=$(COVER_FLOOR) 'BEGIN{exit !(t>=f)}' || \
 		{ echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
+	$(GO) test -coverpkg=./internal/wal,./internal/cluster -coverprofile=coverage-replication.out ./internal/wal ./internal/cluster ./internal/reopt
+	@for pf in internal/wal=84.7 internal/cluster=80.6; do pkg=$${pf%=*}; floor=$${pf#*=}; \
+		pct=$$(awk -v p="repro/$$pkg/" 'NR > 1 && index($$1, p) == 1 { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+			END { for (k in n) { t += n[k]; if (k in hit) c += n[k] } if (t > 0) printf "%.1f", 100 * c / t }' coverage-replication.out); \
+		if [ -z "$$pct" ]; then echo "cover: no statements of $$pkg in coverage-replication.out"; exit 1; fi; \
+		echo "$$pkg statement coverage, counted with internal/reopt: $$pct% (floor: $$floor%)"; \
+		awk -v t=$$pct -v f=$$floor 'BEGIN{exit !(t>=f)}' || \
+			{ echo "$$pkg coverage $$pct% is below the $$floor% floor"; exit 1; }; \
+	done
 
 ci: build vet fmt-check lint lines docs-check links-check test-race admission-stress cover fuzz-smoke recover-check cluster-check failover-check hunt-smoke smoke metro-smoke bench-pins rest-check bench-smoke perf-gate

@@ -27,6 +27,11 @@ type Engine struct {
 	met     metrics
 	drained chan struct{} // while a Drain waits: closed when idleLocked
 
+	// metricsMu guards latScratch, the buffer Metrics sorts the latency
+	// ring in. Taken before mu, never inside it.
+	metricsMu  sync.Mutex
+	latScratch []time.Duration
+
 	wg sync.WaitGroup // lane holders (inline callers, lane workers)
 }
 

@@ -3,6 +3,10 @@ package admission
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -361,6 +365,69 @@ func TestMetricsLatencyQuantiles(t *testing.T) {
 	if m.Submitted != 3 || m.Admitted+m.Rejected != 3 {
 		t.Fatalf("counters: %+v", m)
 	}
+}
+
+// TestMetricsSortsInScratchWithoutAllocating: a poll reads the nearest-rank
+// quantiles of the ring's samples, leaves the ring in arrival order, and
+// allocates nothing once the engine's scratch buffer exists — with the ring
+// part full and after it wrapped.
+func TestMetricsSortsInScratchWithoutAllocating(t *testing.T) {
+	e := newTestEngine(t, Config{}, DomainConfig{Algorithm: "direct"})
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 100, latencyWindow + 333} {
+		e.mu.Lock()
+		for i := 0; i < n; i++ {
+			e.met.observeLatency(time.Duration(rng.Int63n(1e9)))
+		}
+		ring := append([]time.Duration(nil), e.met.lat[:e.met.latN]...)
+		e.mu.Unlock()
+
+		want := append([]time.Duration(nil), ring...)
+		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+		m := e.Metrics()
+		if m.LatencyP50 != quantile(want, 0.50) || m.LatencyP99 != quantile(want, 0.99) {
+			t.Fatalf("after %d samples: p50 %v p99 %v, want %v %v", n, m.LatencyP50, m.LatencyP99, quantile(want, 0.50), quantile(want, 0.99))
+		}
+		e.mu.Lock()
+		same := slices.Equal(ring, e.met.lat[:e.met.latN])
+		e.mu.Unlock()
+		if !same {
+			t.Fatalf("after %d samples: Metrics reordered the latency ring", n)
+		}
+		if allocs := testing.AllocsPerRun(50, func() { e.Metrics() }); allocs != 0 {
+			t.Fatalf("after %d samples: Metrics allocates %v times per call, want 0", n, allocs)
+		}
+	}
+}
+
+// TestConcurrentMetricsReaders: readers share the engine's scratch buffer,
+// so under -race several of them polling while latencies arrive must not
+// race, and each must read quantiles of one consistent ring.
+func TestConcurrentMetricsReaders(t *testing.T) {
+	e := newTestEngine(t, Config{}, DomainConfig{Algorithm: "direct"})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			e.mu.Lock()
+			e.met.observeLatency(time.Duration(i))
+			e.mu.Unlock()
+		}
+	}()
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if m := e.Metrics(); m.LatencyP99 < m.LatencyP50 {
+					t.Errorf("p99 %v below p50 %v", m.LatencyP99, m.LatencyP50)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestUpdateForecastsCopiesItsArgument: the engine keeps the values, not the

@@ -1,7 +1,7 @@
 package admission
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/monitor"
@@ -64,8 +64,14 @@ type Snapshot struct {
 	LatencyP99 time.Duration `json:"latency_p99_ns"`
 }
 
-// Metrics returns a consistent snapshot of the engine's counters.
+// Metrics returns a consistent snapshot of the engine's counters. The
+// latency ring is copied under e.mu into the engine's own scratch buffer
+// and sorted there, outside e.mu; metricsMu keeps two readers off that
+// buffer. The buffer grows with the ring, so once the ring is full a call
+// allocates nothing.
 func (e *Engine) Metrics() Snapshot {
+	e.metricsMu.Lock()
+	defer e.metricsMu.Unlock()
 	e.mu.Lock()
 	s := Snapshot{
 		Submitted:    e.met.submitted,
@@ -80,16 +86,12 @@ func (e *Engine) Metrics() Snapshot {
 	if e.met.rounds > 0 {
 		s.MeanBatch = float64(e.met.batchSum) / float64(e.met.rounds)
 	}
-	lat := make([]time.Duration, e.met.latN)
-	if e.met.latN == len(e.met.lat) {
-		copy(lat, e.met.lat)
-	} else {
-		copy(lat, e.met.lat[:e.met.latN])
-	}
+	lat := append(e.latScratch[:0], e.met.lat[:e.met.latN]...)
 	e.mu.Unlock()
+	e.latScratch = lat
 
 	if len(lat) > 0 {
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+		slices.Sort(lat)
 		s.LatencyP50 = quantile(lat, 0.50)
 		s.LatencyP99 = quantile(lat, 0.99)
 	}

@@ -104,8 +104,8 @@ type orchSlice struct {
 // the monitoring → forecasting → reoptimization → lifecycle cycle, calling
 // back into the orchestrator (OnRound) to program the data plane between
 // the warm re-solve and the lifecycle advance. Realized yield settles into
-// a shared yield.Ledger, published raw at GET /yield and alongside the
-// engine snapshot at GET /metrics.
+// a shared yield.Ledger, published raw at GET /yield and as its totals
+// alongside the engine snapshot at GET /metrics.
 type Orchestrator struct {
 	cfg      OrchestratorConfig
 	paths    [][][]topology.Path
@@ -385,7 +385,7 @@ func (o *Orchestrator) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, MetricsReport{
 			Snapshot: o.eng.Metrics(),
-			Yield:    o.ledger.Snapshot(),
+			Yield:    o.ledger.Totals(),
 		})
 	})
 	mux.HandleFunc("GET /yield", func(w http.ResponseWriter, r *http.Request) {
@@ -395,7 +395,8 @@ func (o *Orchestrator) Handler() http.Handler {
 }
 
 // MetricsReport is the GET /metrics payload: the engine's serving counters
-// at the top level (unchanged shape) plus the live yield account.
+// at the top level (unchanged shape) plus the live yield account's totals
+// (yield.Ledger.Totals: no per-slice lines; GET /yield serves those).
 type MetricsReport struct {
 	admission.Snapshot
 	Yield yield.Summary `json:"yield"`

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 	"time"
 
@@ -13,8 +14,8 @@ import (
 
 // TestYieldLedgerThroughREST walks one slice through a monitored epoch and
 // reads the realized account back over the orchestrator's REST surface:
-// GET /yield carries the raw ledger, GET /metrics embeds it alongside the
-// (shape-stable) engine snapshot.
+// GET /yield carries the raw ledger, GET /metrics embeds its totals (no
+// per-slice lines) alongside the (shape-stable) engine snapshot.
 func TestYieldLedgerThroughREST(t *testing.T) {
 	s := newStack(t, "direct")
 	s.submit(t, urllcReq("u1"))
@@ -63,12 +64,23 @@ func TestYieldLedgerThroughREST(t *testing.T) {
 			t.Fatalf("/metrics missing %q: %v", key, m)
 		}
 	}
+	// /metrics' yield is the ledger's totals: every total /yield reports,
+	// and no per-slice lines.
+	var embeddedKeys map[string]json.RawMessage
+	if err := json.Unmarshal(m["yield"], &embeddedKeys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := embeddedKeys["per_slice"]; ok {
+		t.Fatalf("/metrics yield carries per-slice lines: %s", m["yield"])
+	}
 	var embedded yield.Summary
 	if err := json.Unmarshal(m["yield"], &embedded); err != nil {
 		t.Fatal(err)
 	}
-	if embedded.Realized != sum.Realized {
-		t.Fatalf("/metrics yield %+v != /yield %+v", embedded, sum)
+	totals := sum
+	totals.PerSlice = nil
+	if !reflect.DeepEqual(embedded, totals) {
+		t.Fatalf("/metrics yield %+v != /yield's totals %+v", embedded, totals)
 	}
 
 	// The in-process accessor agrees with the REST surface.

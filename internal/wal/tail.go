@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
 // Tailer is a read-only live reader over another process's log directory:
@@ -131,7 +132,7 @@ func (t *Tailer) open(segs []segInfo) (bool, error) {
 }
 
 // fill reads every byte the segment has beyond what was already consumed
-// into the carry buffer and reports how many arrived.
+// straight onto the end of the carry buffer and reports how many arrived.
 func (t *Tailer) fill() (int, error) {
 	st, err := t.f.Stat()
 	if err != nil {
@@ -146,13 +147,14 @@ func (t *Tailer) fill() (int, error) {
 	if st.Size() == t.read {
 		return 0, nil
 	}
-	buf := make([]byte, st.Size()-t.read)
-	n, err := t.f.ReadAt(buf, t.read)
-	if err != nil && !(err == io.EOF && int64(n) == int64(len(buf))) {
+	want := int(st.Size() - t.read)
+	t.carry = slices.Grow(t.carry, want)
+	n, err := t.f.ReadAt(t.carry[len(t.carry):len(t.carry)+want], t.read)
+	if err != nil && !(err == io.EOF && n == want) {
 		return 0, fmt.Errorf("wal: tail: %w", err)
 	}
 	t.read += int64(n)
-	t.carry = append(t.carry, buf[:n]...)
+	t.carry = t.carry[:len(t.carry)+n]
 	return n, nil
 }
 

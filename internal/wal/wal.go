@@ -108,7 +108,10 @@ type Store struct {
 
 // writerBytes sizes the append buffer. Generously larger than a typical
 // step's records so that, short of a Sync, appended frames stay in user
-// space — which is also what makes Abort a faithful crash simulation.
+// space — which is also what makes Abort a faithful crash simulation. A
+// Store makes its one writer in Open and points it at each new segment
+// with Reset, which drops unflushed bytes: every path that switches the
+// file flushes first (rotateLocked syncs, TruncateTail flushes).
 const writerBytes = 256 << 10
 
 // Open opens (or creates) the log in dir, repairs a torn tail, and returns
@@ -122,7 +125,7 @@ func Open(opt Options) (*Store, *Recovered, error) {
 	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	s := &Store{opt: opt}
+	s := &Store{opt: opt, w: bufio.NewWriterSize(nil, writerBytes)}
 	rec := &Recovered{}
 
 	if s.segs, s.snaps, err = listDir(opt.Dir); err != nil {
@@ -195,7 +198,7 @@ func Open(opt Options) (*Store, *Recovered, error) {
 			return nil, nil, fmt.Errorf("wal: %w", oerr)
 		}
 		s.f = f
-		s.w = bufio.NewWriterSize(f, writerBytes)
+		s.w.Reset(f)
 	}
 	return s, rec, nil
 }
@@ -259,7 +262,7 @@ func (s *Store) openSegmentLocked(base uint64) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	s.f = f
-	s.w = bufio.NewWriterSize(f, writerBytes)
+	s.w.Reset(f)
 	s.segs = append(s.segs, segInfo{path: path, base: base})
 	return nil
 }
@@ -583,7 +586,7 @@ func (s *Store) TruncateTail(fromLSN uint64) error {
 		return fmt.Errorf("wal: %w", err)
 	}
 	s.f = f
-	s.w = bufio.NewWriterSize(f, writerBytes)
+	s.w.Reset(f)
 	s.next = fromLSN
 	s.syncDir()
 	return nil

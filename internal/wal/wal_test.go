@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -244,6 +245,38 @@ func TestRotationKeepsLSNsContiguous(t *testing.T) {
 		if pr.LSN != uint64(i) || pr.Rec.Seq != uint64(i) {
 			t.Fatalf("record %d out of order: %+v", i, pr)
 		}
+	}
+}
+
+// TestRotationReusesAppendWriter pins what a rotation allocates: the store
+// points its one append writer at the new segment instead of making another
+// writerBytes buffer, so a rotation costs a file handle and its bookkeeping,
+// far under the buffer's size.
+func TestRotationReusesAppendWriter(t *testing.T) {
+	s, _ := mustOpen(t, Options{Dir: t.TempDir(), SegmentBytes: 1, NoSync: true})
+	defer s.Close()
+	batch := testRecord(0).Batch
+	if err := s.AppendRound("default", 0, batch); err != nil {
+		t.Fatal(err)
+	}
+	w, segs := s.w, len(s.segs)
+	const n = 32
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= n; i++ {
+		if err := s.AppendRound("default", uint64(i), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := len(s.segs) - segs; got != n {
+		t.Fatalf("%d appends rotated %d times, want every one", n, got)
+	}
+	if s.w != w {
+		t.Fatal("rotation replaced the store's append writer")
+	}
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per >= writerBytes/8 {
+		t.Fatalf("an append that rotates allocates %d bytes, want under %d (the writer is %d)", per, writerBytes/8, writerBytes)
 	}
 }
 

@@ -15,11 +15,15 @@
 //     monitored sample through an Assessment (bit-identical to the old
 //     inline accounting), and
 //   - internal/reopt, whose closed-loop controller books the same
-//     Assessments online from monitor.Store samples and publishes a live
-//     Ledger through the control plane's /metrics surface.
+//     Assessments online from monitor.Store samples into a live Ledger
+//     the control plane publishes (GET /yield, GET /metrics).
 //
 // An Assessment scores one (slice, epoch) against the reservation in
 // force; a Ledger accumulates Entries and solver-side expectations into a
-// concurrent-safe running account whose Snapshot is deterministic (slices
-// sorted by name) so tests can compare ledgers across worker counts.
+// concurrent-safe running account. The Ledger keeps its per-slice and
+// per-source lines in name order as they are booked, and every read folds
+// them in that order, so reads are deterministic (tests compare ledgers
+// across worker counts) and none sorts: Totals, the account without its
+// per-slice lines, allocates nothing; Snapshot and ExportState copy the
+// lines.
 package yield

@@ -1,7 +1,8 @@
 package yield
 
 import (
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -130,39 +131,57 @@ type Summary struct {
 	Samples       int     `json:"samples"`
 	ViolationProb float64 `json:"violation_prob"`
 	// PerSlice is sorted by slice name, so two ledgers fed the same books
-	// in any order snapshot identically.
+	// in any order snapshot identically. Totals leaves it nil.
 	PerSlice []SliceTotals `json:"per_slice,omitempty"`
 }
 
 // Ledger is the running revenue account. Safe for concurrent use. Totals
 // are accumulated per slice (realized side) and per source (expected
-// side) and reduced in sorted-key order, so the booking interleave ACROSS
-// slices and sources never affects a Snapshot — only the order within one
-// key does, and every in-tree booker is serial per key: the closed-loop
-// controller books a slice's entries in epoch order, and an admission
-// domain's rounds (one expected booking each) execute serially on its
-// one shard.
+// side), each kept in a slice sorted by name, and every read folds them in
+// that order, so the booking interleave ACROSS slices and sources never
+// affects a read — only the order within one key does, and every in-tree
+// booker is serial per key: the closed-loop controller books a slice's
+// entries in epoch order, and an admission domain's rounds (one expected
+// booking each) execute serially on its one shard. A booking finds its
+// line by binary search and inserts it on first sight, so no read sorts.
 type Ledger struct {
 	mu             sync.Mutex
-	perSlice       map[string]*SliceTotals
-	expected       map[string]float64 // per booking source (domain)
+	perSlice       []SliceTotals   // sorted by Slice
+	expected       []ExpectedTotal // sorted by Source
 	expectedRounds int
 }
 
 // NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{perSlice: map[string]*SliceTotals{}, expected: map[string]float64{}}
+func NewLedger() *Ledger { return &Ledger{} }
+
+// sliceLine returns the slice's line, inserting a zero one in name order on
+// first sight. Caller holds l.mu.
+func (l *Ledger) sliceLine(name string) *SliceTotals {
+	i, ok := slices.BinarySearchFunc(l.perSlice, name, func(st SliceTotals, n string) int {
+		return strings.Compare(st.Slice, n)
+	})
+	if !ok {
+		l.perSlice = slices.Insert(l.perSlice, i, SliceTotals{Slice: name})
+	}
+	return &l.perSlice[i]
+}
+
+// sourceLine is sliceLine for the expected side. Caller holds l.mu.
+func (l *Ledger) sourceLine(source string) *ExpectedTotal {
+	i, ok := slices.BinarySearchFunc(l.expected, source, func(e ExpectedTotal, s string) int {
+		return strings.Compare(e.Source, s)
+	})
+	if !ok {
+		l.expected = slices.Insert(l.expected, i, ExpectedTotal{Source: source})
+	}
+	return &l.expected[i]
 }
 
 // Book adds one entry to the account.
 func (l *Ledger) Book(e Entry) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := l.perSlice[e.Slice]
-	if st == nil {
-		st = &SliceTotals{Slice: e.Slice}
-		l.perSlice[e.Slice] = st
-	}
+	st := l.sliceLine(e.Slice)
 	st.Epochs++
 	st.Reward += e.Reward
 	st.Penalty += e.Penalty
@@ -179,7 +198,7 @@ func (l *Ledger) Book(e Entry) {
 func (l *Ledger) BookExpected(source string, v float64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.expected[source] += v
+	l.sourceLine(source).Value += v
 	l.expectedRounds++
 }
 
@@ -204,65 +223,56 @@ type LedgerState struct {
 func (l *Ledger) ExportState() LedgerState {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	st := LedgerState{ExpectedRounds: l.expectedRounds}
-	names := make([]string, 0, len(l.perSlice))
-	for n := range l.perSlice {
-		names = append(names, n)
+	return LedgerState{
+		PerSlice:       append([]SliceTotals(nil), l.perSlice...),
+		Expected:       append([]ExpectedTotal(nil), l.expected...),
+		ExpectedRounds: l.expectedRounds,
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		st.PerSlice = append(st.PerSlice, *l.perSlice[n])
-	}
-	sources := make([]string, 0, len(l.expected))
-	for src := range l.expected {
-		sources = append(sources, src)
-	}
-	sort.Strings(sources)
-	for _, src := range sources {
-		st.Expected = append(st.Expected, ExpectedTotal{Source: src, Value: l.expected[src]})
-	}
-	return st
 }
 
 // RestoreState replaces the ledger's account with the exported one. A
-// ledger restored from a state and the ledger that exported it snapshot
-// identically.
+// ledger restored from a state and the ledger that exported it read
+// identically. The state's lines may come in any order; of two lines with
+// one key, the later wins.
 func (l *Ledger) RestoreState(st LedgerState) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.perSlice = make(map[string]*SliceTotals, len(st.PerSlice))
-	for i := range st.PerSlice {
-		cp := st.PerSlice[i]
-		l.perSlice[cp.Slice] = &cp
+	l.perSlice, l.expected = nil, nil
+	for _, line := range st.PerSlice {
+		*l.sliceLine(line.Slice) = line
 	}
-	l.expected = make(map[string]float64, len(st.Expected))
 	for _, e := range st.Expected {
-		l.expected[e.Source] = e.Value
+		*l.sourceLine(e.Source) = e
 	}
 	l.expectedRounds = st.ExpectedRounds
 }
 
-// Snapshot returns the current account, per-slice lines sorted by name.
+// Totals returns the account's totals without its per-slice lines — what
+// an operator polls. It allocates nothing.
+func (l *Ledger) Totals() Summary {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.totalsLocked()
+}
+
+// Snapshot returns the current account with its per-slice lines, sorted by
+// name.
 func (l *Ledger) Snapshot() Summary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	names := make([]string, 0, len(l.perSlice))
-	for n := range l.perSlice {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	sources := make([]string, 0, len(l.expected))
-	for src := range l.expected {
-		sources = append(sources, src)
-	}
-	sort.Strings(sources)
+	s := l.totalsLocked()
+	s.PerSlice = append([]SliceTotals(nil), l.perSlice...)
+	return s
+}
+
+// totalsLocked folds the account: sources in name order, then slices in
+// name order. Caller holds l.mu.
+func (l *Ledger) totalsLocked() Summary {
 	s := Summary{ExpectedRounds: l.expectedRounds}
-	for _, src := range sources {
-		s.Expected += l.expected[src]
+	for _, e := range l.expected {
+		s.Expected += e.Value
 	}
-	for _, n := range names {
-		st := *l.perSlice[n]
-		s.PerSlice = append(s.PerSlice, st)
+	for _, st := range l.perSlice {
 		s.Entries += st.Epochs
 		s.Reward += st.Reward
 		s.Penalty += st.Penalty
