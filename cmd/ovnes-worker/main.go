@@ -11,7 +11,7 @@
 // Usage:
 //
 //	ovnes-worker -connect 127.0.0.1:9090[,127.0.0.1:9091] [-id worker-1] \
-//	             [-heartbeat 1s] [-log-level info]
+//	             [-log-level info]
 //
 // -connect takes a comma-separated address list: the worker keeps one
 // dial/redial loop per address, so in a replicated deployment (ovnes
@@ -46,10 +46,9 @@ import (
 
 func main() {
 	var (
-		connect   = flag.String("connect", "127.0.0.1:9090", "comma-separated coordinator cluster addresses (ovnes -cluster-listen); one redial loop per address")
-		id        = flag.String("id", "", "worker ID for membership and placement (default: host:pid)")
-		heartbeat = flag.Duration("heartbeat", time.Second, "heartbeat interval; must be well below the coordinator's timeout")
-		logLevel  slog.Level
+		connect  = flag.String("connect", "127.0.0.1:9090", "comma-separated coordinator cluster addresses (ovnes -cluster-listen); one redial loop per address")
+		id       = flag.String("id", "", "worker ID for membership and placement (default: host:pid)")
+		logLevel slog.Level
 	)
 	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "structured log level: debug | info | warn | error")
 	flag.Parse()
@@ -88,7 +87,7 @@ func main() {
 		wg.Add(1)
 		go func(addr string) {
 			defer wg.Done()
-			dialLoop(ctx, addr, *id, *heartbeat, gate, olog)
+			dialLoop(ctx, addr, *id, gate, olog)
 		}(addr)
 	}
 	wg.Wait()
@@ -97,7 +96,7 @@ func main() {
 
 // dialLoop serves one coordinator address: dial (with backoff), serve
 // until the connection or the coordinator dies, repeat.
-func dialLoop(ctx context.Context, connect, id string, heartbeat time.Duration, gate *cluster.EpochGate, olog *slog.Logger) {
+func dialLoop(ctx context.Context, connect, id string, gate *cluster.EpochGate, olog *slog.Logger) {
 	// The solver host is rebuilt per connection on purpose — a fresh
 	// coordinator re-assigns domains anyway, and a stale warm cache can
 	// never outlive its assignment that way.
@@ -117,12 +116,7 @@ func dialLoop(ctx context.Context, connect, id string, heartbeat time.Duration, 
 			continue
 		}
 		backoff = 250 * time.Millisecond
-		err = cluster.RunWorker(ctx, conn, cluster.WorkerOptions{
-			ID:             id,
-			Log:            olog,
-			HeartbeatEvery: heartbeat,
-			Gate:           gate,
-		})
+		err = cluster.RunWorker(ctx, conn, cluster.WorkerOptions{ID: id, Log: olog, Gate: gate})
 		conn.Close()
 		switch {
 		case ctx.Err() != nil:

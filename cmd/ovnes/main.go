@@ -213,7 +213,7 @@ func main() {
 			}
 		}()
 		olog.Info("standby: tailing the leader's WAL, waiting for its lease to lapse", "holder", holder, "data-dir", *dataDir)
-		lease, err = cluster.WaitAcquire(ctx, leaseCfg, 0)
+		lease, err = cluster.WaitAcquire(ctx, leaseCfg)
 		if err != nil {
 			sb.Close()
 			if ctx.Err() != nil {
@@ -238,7 +238,7 @@ func main() {
 	} else {
 		if *leasePath != "" {
 			olog.Info("acquiring leader lease", "lease", *leasePath, "holder", holder)
-			lease, err = cluster.WaitAcquire(ctx, leaseCfg, 0)
+			lease, err = cluster.WaitAcquire(ctx, leaseCfg)
 			if err != nil {
 				if ctx.Err() != nil {
 					olog.Info("signal received while waiting for the lease, bye")

@@ -15,7 +15,7 @@ import (
 // between them is the protocol tax per round; the solver itself is the
 // cheap direct algorithm so the tax is not drowned out.
 func BenchmarkClusterRoundLoopback(b *testing.B) {
-	coord := NewCoordinator(CoordinatorOptions{HeartbeatTimeout: time.Minute})
+	coord := NewCoordinator(CoordinatorOptions{})
 	defer coord.Close()
 	cfg := testDomainConfig()
 	if err := coord.RegisterDomain("", cfg); err != nil {

@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net"
+	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -16,40 +18,18 @@ import (
 	"repro/internal/topology"
 )
 
-// CoordinatorOptions tunes the control plane. The zero value is usable:
-// a silent logger, seed 0, and production-shaped timeouts.
+// CoordinatorOptions configures the control plane. The zero value is
+// usable: a silent logger and no lease. The protocol's timings are
+// constants (message.go).
 type CoordinatorOptions struct {
-	// Seed parameterizes the rendezvous placement. Any fixed value is
-	// fine; it exists so tests can pin interesting assignments.
-	Seed uint64
 	// Log receives membership and rebalance events. Nil is silent.
 	Log *slog.Logger
-	// HeartbeatTimeout declares a worker dead when no frame (heartbeats
-	// included) arrives for this long. Default 5s.
-	HeartbeatTimeout time.Duration
-	// DispatchTimeout bounds how long one round may chase workers
-	// (including re-dispatch after a worker death) before the
-	// coordinator declines it back to the engine. Default 15s.
-	DispatchTimeout time.Duration
 	// Epoch is the fencing epoch of the leader lease this coordinator
 	// dispatches under, stamped on every welcome/assign/round frame.
 	// Workers reject frames below the newest epoch they have seen, so a
 	// deposed leader's dispatches bounce instead of double-deciding.
 	// Zero means "no lease" (the pre-replication single-leader mode).
 	Epoch uint64
-}
-
-func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
-	if o.Log == nil {
-		o.Log = obslog.Nop()
-	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 5 * time.Second
-	}
-	if o.DispatchTimeout <= 0 {
-		o.DispatchTimeout = 15 * time.Second
-	}
-	return o
 }
 
 // Coordinator owns cluster membership and dispatches round solves to
@@ -60,14 +40,15 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 // Losing a worker mid-round is safe by construction: the round's inputs
 // are immutable for the duration of the call (the engine holds its
 // domain lock), so the coordinator just re-dispatches them to the new
-// rendezvous owner — or, with no worker left or past DispatchTimeout,
+// rendezvous owner — or, with no worker left or past dispatchTimeout,
 // declines the round with admission.ErrNoWorker and the engine solves it
 // on the domain's own solver — and the decision is bit-identical either
 // way. The coordinator keeps no solver of its own.
 type Coordinator struct {
-	opts   CoordinatorOptions
-	nextID atomic.Uint64
-	fenced atomic.Bool // a worker saw a newer epoch; dispatching must stop
+	opts    CoordinatorOptions
+	silence time.Duration // silenceTimeout; the package's tests shorten it
+	nextID  atomic.Uint64
+	fenced  atomic.Bool // a worker saw a newer epoch; dispatching must stop
 
 	mu      sync.Mutex
 	specs   map[string]DomainSpec
@@ -75,7 +56,6 @@ type Coordinator struct {
 	watch   chan struct{} // closed and replaced on every membership change
 	ln      net.Listener
 	closed  bool
-	done    chan struct{} // stops the liveness sweeper
 }
 
 // memberConn is one live worker connection.
@@ -88,21 +68,21 @@ type memberConn struct {
 	mu       sync.Mutex
 	pending  map[uint64]chan *Message
 	assigned map[string]bool
-	lastSeen time.Time
 	dead     chan struct{} // closed when the member is removed
 }
 
 // NewCoordinator builds a coordinator with no members and no domains.
 func NewCoordinator(opts CoordinatorOptions) *Coordinator {
-	c := &Coordinator{
-		opts:    opts.withDefaults(),
+	if opts.Log == nil {
+		opts.Log = obslog.Nop()
+	}
+	return &Coordinator{
+		opts:    opts,
+		silence: silenceTimeout,
 		specs:   map[string]DomainSpec{},
 		members: map[string]*memberConn{},
 		watch:   make(chan struct{}),
-		done:    make(chan struct{}),
 	}
-	go c.sweep()
-	return c
 }
 
 // RegisterDomain captures a domain's config for the wire. Call it with the
@@ -165,13 +145,11 @@ func (c *Coordinator) AddConn(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		conn.SetReadDeadline(time.Time{})
 		m := &memberConn{
 			id:       hello.Worker,
 			conn:     conn,
 			pending:  map[uint64]chan *Message{},
 			assigned: map[string]bool{},
-			lastSeen: time.Now(),
 			dead:     make(chan struct{}),
 		}
 		if err := m.send(&Message{Type: MsgWelcome, Worker: hello.Worker, Epoch: c.opts.Epoch}); err != nil {
@@ -196,33 +174,39 @@ func (c *Coordinator) AddConn(conn net.Conn) {
 	}()
 }
 
-// readLoop drains one member's frames until the connection dies.
+// readLoop drains one member's frames until the connection dies or the
+// member falls silent: the read deadline, restarted before every frame,
+// is the liveness check.
 func (c *Coordinator) readLoop(m *memberConn) {
-	defer c.remove(m, "connection lost")
 	for {
+		m.conn.SetReadDeadline(time.Now().Add(c.silence))
 		msg, err := readFrame(m.conn)
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			c.remove(m, fmt.Sprintf("silent for %v", c.silence))
+			return
+		}
 		if err != nil {
+			c.remove(m, "connection lost")
 			return
 		}
 		if msg.Type == MsgFenced && !c.fenced.Swap(true) {
 			c.opts.Log.Error("coordinator fenced: worker rejected dispatch from a stale leader epoch",
 				"worker", m.id, "epoch", c.opts.Epoch, "newer", msg.Epoch)
 		}
-		m.mu.Lock()
-		m.lastSeen = time.Now()
 		if msg.Type == MsgReply || msg.Type == MsgFenced {
+			m.mu.Lock()
 			if ch := m.pending[msg.ID]; ch != nil {
 				delete(m.pending, msg.ID)
-				mm := msg
-				ch <- &mm
+				ch <- &msg
 			}
+			m.mu.Unlock()
 		}
-		m.mu.Unlock()
 	}
 }
 
-// remove retires a member: membership shrinks, waiters on the member's
-// dead channel (in-flight rounds) wake up and re-dispatch.
+// remove retires a member: membership shrinks, then the connection
+// closes, and waiters on the member's dead channel (in-flight rounds) wake
+// up and re-dispatch.
 func (c *Coordinator) remove(m *memberConn, why string) {
 	c.mu.Lock()
 	if c.members[m.id] != m {
@@ -253,36 +237,6 @@ func (c *Coordinator) dropLocked(m *memberConn) {
 func (c *Coordinator) bumpWatchLocked() {
 	close(c.watch)
 	c.watch = make(chan struct{})
-}
-
-// sweep declares silent members dead on heartbeat timeout.
-func (c *Coordinator) sweep() {
-	t := time.NewTicker(c.opts.HeartbeatTimeout / 2)
-	defer t.Stop()
-	for {
-		select {
-		case <-c.done:
-			return
-		case <-t.C:
-		}
-		cutoff := time.Now().Add(-c.opts.HeartbeatTimeout)
-		c.mu.Lock()
-		var stale []*memberConn
-		for _, m := range c.members {
-			m.mu.Lock()
-			if m.lastSeen.Before(cutoff) {
-				stale = append(stale, m)
-			}
-			m.mu.Unlock()
-		}
-		c.mu.Unlock()
-		for _, m := range stale {
-			// Closing the conn makes readLoop exit, which removes the
-			// member and wakes its in-flight rounds.
-			c.opts.Log.Warn("worker heartbeat timed out", "worker", m.id, "timeout", c.opts.HeartbeatTimeout)
-			m.conn.Close()
-		}
-	}
 }
 
 // Members returns the live worker IDs, sorted.
@@ -324,7 +278,7 @@ func (c *Coordinator) WaitMembers(ctx context.Context, n int) error {
 func (c *Coordinator) owner(domain string) *memberConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id, ok := placeDomain(c.opts.Seed, domain, c.memberIDsLocked())
+	id, ok := placeDomain(placementSeed, domain, c.memberIDsLocked())
 	if !ok {
 		return nil
 	}
@@ -350,19 +304,16 @@ func (c *Coordinator) OwnerOf(domain string) (string, bool) {
 // exists to prevent.
 var ErrFenced = fmt.Errorf("cluster: coordinator fenced: a newer leader epoch is active")
 
-// Fenced reports whether a worker has rejected this coordinator as stale.
-func (c *Coordinator) Fenced() bool { return c.fenced.Load() }
-
 // SolveRound implements admission.Executor: dispatch the round to the
 // domain's rendezvous owner, re-dispatching on worker death, and decline it
 // with admission.ErrNoWorker when no worker is live or none answers within
-// DispatchTimeout — the engine then solves it on its own solver. Every path
+// dispatchTimeout — the engine then solves it on its own solver. Every path
 // yields the bit-identical decision because the solve is a pure function of
 // the arguments (plus the domain spec both sides hold) — except fencing:
 // once any worker reports a newer leader epoch, SolveRound fails fast with
 // ErrFenced, which the engine never solves locally.
 func (c *Coordinator) SolveRound(domain string, seq uint64, events []topology.Event, tenants []core.TenantSpec) (*core.Decision, error) {
-	deadline := time.Now().Add(c.opts.DispatchTimeout)
+	deadline := time.Now().Add(dispatchTimeout)
 	for attempt := 0; ; attempt++ {
 		if c.fenced.Load() {
 			return nil, ErrFenced
@@ -461,7 +412,6 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	close(c.done)
 	ln := c.ln
 	members := make([]*memberConn, 0, len(c.members))
 	for _, m := range c.members {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"testing"
@@ -71,36 +72,31 @@ func TestInFlightRoundRedispatchedOnWorkerLoss(t *testing.T) {
 	dc := testDomainConfig()
 	tenants := testTenants()
 
-	// Pick a seed under which the black hole owns the domain, so the
-	// first dispatch is guaranteed to hit the worker that will die.
-	seed := uint64(0)
-	for ; ; seed++ {
-		owner, _ := placeDomain(seed, admission.DefaultDomain, []string{"blackhole", "real"})
-		if owner == "blackhole" {
-			break
+	// Name the black hole so that it owns the domain, so the first
+	// dispatch is guaranteed to hit the worker that will die.
+	hole := ""
+	for i := 0; hole == ""; i++ {
+		id := fmt.Sprintf("blackhole-%d", i)
+		if owner, _ := placeDomain(placementSeed, admission.DefaultDomain, []string{id, "real"}); owner == id {
+			hole = id
 		}
 	}
 
-	coord := NewCoordinator(CoordinatorOptions{
-		Seed:             seed,
-		Log:              testLogger(t),
-		HeartbeatTimeout: time.Minute, // the kill below is explicit
-		DispatchTimeout:  30 * time.Second,
-	})
+	coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t)})
 	defer coord.Close()
 	if err := coord.RegisterDomain("", dc); err != nil {
 		t.Fatal(err)
 	}
 	stopReal := StartLoopbackWorker(coord, "real", testLogger(t))
 	defer stopReal()
-	roundSeen, kill := blackHoleWorker(t, coord, "blackhole")
+	roundSeen, kill := blackHoleWorker(t, coord, hole)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := coord.WaitMembers(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	if owner, _ := coord.OwnerOf(admission.DefaultDomain); owner != "blackhole" {
-		t.Fatalf("setup: expected blackhole to own the domain, got %q", owner)
+	if owner, _ := coord.OwnerOf(admission.DefaultDomain); owner != hole {
+		t.Fatalf("setup: expected %s to own the domain, got %q", hole, owner)
 	}
 
 	type result struct {
@@ -133,7 +129,15 @@ func TestInFlightRoundRedispatchedOnWorkerLoss(t *testing.T) {
 		t.Fatalf("domain did not rebalance to the survivor, owner=%q", owner)
 	}
 
-	// The reference: the identical pure solve, no cluster anywhere.
+	if want := localSolve(t, dc, tenants); !reflect.DeepEqual(got.dec, want) {
+		t.Fatalf("re-dispatched decision diverged:\n got: %+v\nwant: %+v", got.dec, want)
+	}
+}
+
+// localSolve is the reference for a dispatched round: the identical pure
+// solve, no cluster anywhere.
+func localSolve(t *testing.T, dc admission.DomainConfig, tenants []core.TenantSpec) *core.Decision {
+	t.Helper()
 	host := NewSolverHost()
 	spec, err := NewDomainSpec("", dc)
 	if err != nil {
@@ -146,9 +150,45 @@ func TestInFlightRoundRedispatchedOnWorkerLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.dec, want) {
-		t.Fatalf("re-dispatched decision diverged:\n got: %+v\nwant: %+v", got.dec, want)
+	return want
+}
+
+// TestListenJoinsTCPWorker runs the path ovnes -cluster-listen serves: a
+// worker dials the coordinator's listener over TCP, joins through the
+// accept loop, and decides a round exactly as a local solve does.
+func TestListenJoinsTCPWorker(t *testing.T) {
+	dc := testDomainConfig()
+	coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t)})
+	defer coord.Close()
+	if err := coord.RegisterDomain("", dc); err != nil {
+		t.Fatal(err)
 	}
+	addr, err := coord.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- RunWorker(context.Background(), conn, WorkerOptions{ID: "tcp", Log: testLogger(t)}) }()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := coord.WaitMembers(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	dec, err := coord.SolveRound(admission.DefaultDomain, 1, nil, testTenants())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := localSolve(t, dc, testTenants()); !reflect.DeepEqual(dec, want) {
+		t.Fatalf("TCP worker's decision diverged:\n got: %+v\nwant: %+v", dec, want)
+	}
+	// Closing the coordinator closes the listener and the worker's
+	// connection; the worker returns.
+	coord.Close()
+	<-done
 }
 
 // TestSolveRoundFallsBackLocallyWithNoWorkers pins the degraded mode: a
@@ -159,7 +199,7 @@ func TestInFlightRoundRedispatchedOnWorkerLoss(t *testing.T) {
 // degrades throughput, never correctness.
 func TestSolveRoundFallsBackLocallyWithNoWorkers(t *testing.T) {
 	dc := testDomainConfig()
-	coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t), DispatchTimeout: time.Minute})
+	coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t)})
 	defer coord.Close()
 	if err := coord.RegisterDomain("", dc); err != nil {
 		t.Fatal(err)
@@ -170,7 +210,7 @@ func TestSolveRoundFallsBackLocallyWithNoWorkers(t *testing.T) {
 		t.Fatalf("SolveRound with no workers: dec=%v err=%v, want admission.ErrNoWorker", dec, err)
 	}
 	if waited := time.Since(start); waited > 10*time.Second {
-		t.Fatalf("SolveRound with no workers took %v; it must decline at once, not wait out DispatchTimeout", waited)
+		t.Fatalf("SolveRound with no workers took %v; it must decline at once, not wait out dispatchTimeout", waited)
 	}
 
 	round := func(exec admission.Executor) *admission.Round {
@@ -204,13 +244,12 @@ func TestSolveRoundFallsBackLocallyWithNoWorkers(t *testing.T) {
 }
 
 // TestHeartbeatTimeoutRemovesSilentWorker pins liveness: a worker that
-// stops sending frames (without its conn dying) is swept out after
-// HeartbeatTimeout and the membership watch fires.
+// stops sending frames (without its conn dying) is dropped once its read
+// deadline passes. The member leaves the membership before its
+// connection closes, so the silent side seeing the close is the event.
 func TestHeartbeatTimeoutRemovesSilentWorker(t *testing.T) {
-	coord := NewCoordinator(CoordinatorOptions{
-		Log:              testLogger(t),
-		HeartbeatTimeout: 150 * time.Millisecond,
-	})
+	coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t)})
+	coord.silence = 150 * time.Millisecond
 	defer coord.Close()
 
 	server, client := net.Pipe()
@@ -220,7 +259,9 @@ func TestHeartbeatTimeoutRemovesSilentWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	closed := make(chan struct{})
 	go func() {
+		defer close(closed)
 		client.Write(frame)
 		for {
 			if _, err := readFrame(client); err != nil {
@@ -234,11 +275,12 @@ func TestHeartbeatTimeoutRemovesSilentWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for len(coord.Members()) != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("silent worker still a member after heartbeat timeout: %v", coord.Members())
-		}
-		time.Sleep(10 * time.Millisecond)
+	select {
+	case <-closed:
+	case <-ctx.Done():
+		t.Fatalf("silent worker's connection still open after its read deadline: members %v", coord.Members())
+	}
+	if members := coord.Members(); len(members) != 0 {
+		t.Fatalf("silent worker still a member after its connection closed: %v", members)
 	}
 }

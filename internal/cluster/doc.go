@@ -8,14 +8,15 @@
 //
 // The Coordinator embeds in the process that owns the admission engine
 // (ovnes, loadgen). It owns membership — workers join over TCP with a
-// hello, stay alive by heartbeating, and are declared dead on a read
-// error or a heartbeat timeout — and implements admission.Executor:
+// hello, ping every second, and are declared dead on a read error or when
+// no frame arrives for five seconds (a read deadline restarted before
+// every frame) — and implements admission.Executor:
 // each domain's round solves are dispatched to the worker that a seeded
 // rendezvous placement assigns the domain to. The same member set always
 // yields the same placement, and a single leave moves only the departed
 // worker's domains (rendezvous minimal movement), both pinned by tests.
 // The coordinator keeps no solver: a round no worker takes (none live, or
-// none answering within DispatchTimeout) is declined with
+// none answering within the 15 s dispatch timeout) is declined with
 // admission.ErrNoWorker, and the engine solves it on the domain's own
 // LocalSolver. A fenced coordinator returns ErrFenced instead, which the
 // engine never solves.
@@ -51,6 +52,7 @@
 // (internal/frame, the codec the WAL uses) over one TCP connection per worker:
 // hello/welcome at join, assign (domain spec) lazily before a domain's
 // first round on a worker, round/reply correlated by ID, and ping as the
-// worker's heartbeat. A frame that fails its checks is a protocol error
-// that kills the connection — never a panic (FuzzClusterFrameDecode).
+// worker's heartbeat; the timings are constants in message.go. A frame
+// that fails its checks is a protocol error that kills the connection —
+// never a panic (FuzzClusterFrameDecode).
 package cluster

@@ -15,9 +15,8 @@ import (
 // bad frame on a live TCP stream is a protocol violation that kills the
 // connection.
 
-// ErrBadFrame marks bytes that do not form a whole valid frame: short
-// header, oversized length, CRC mismatch, or a payload that is not a
-// message.
+// ErrBadFrame marks a frame that arrived whole but is not valid: an
+// oversized length, a CRC mismatch, or a payload that is not a message.
 var ErrBadFrame = errors.New("cluster: torn or corrupt frame")
 
 // maxFrameBytes bounds a frame's payload. Assign messages carry a whole
@@ -51,33 +50,16 @@ func writeFrame(w io.Writer, mu *sync.Mutex, m *Message) error {
 	return err
 }
 
-// toMessage maps a framing result to the protocol's contract: a corrupt
-// frame, or a whole one whose payload is not a message, is ErrBadFrame;
-// io.EOF and stream errors pass through.
-func toMessage(payload []byte, err error) (Message, error) {
+// readFrame reads exactly one frame from the stream. A clean EOF between
+// frames surfaces as io.EOF; a mid-frame EOF as io.ErrUnexpectedEOF; a CRC
+// or length violation, or a payload that is not a message, as ErrBadFrame;
+// any other stream error (a passed read deadline, a closed connection) as
+// it came. It never panics on any input (FuzzClusterFrameDecode).
+func readFrame(r io.Reader) (Message, error) {
+	payload, err := frame.Read(r, maxFrameBytes)
 	var m Message
 	if errors.Is(err, frame.ErrCorrupt) || (err == nil && json.Unmarshal(payload, &m) != nil) {
 		return Message{}, ErrBadFrame
 	}
 	return m, err
-}
-
-// DecodeFrame decodes the frame at the head of buf, returning the message
-// and the frame's total size. io.EOF means buf is empty; ErrBadFrame
-// means the bytes present do not form a whole valid frame. It never
-// panics on any input (FuzzClusterFrameDecode).
-func DecodeFrame(buf []byte) (Message, int, error) {
-	payload, n, err := frame.Decode(buf, maxFrameBytes)
-	m, err := toMessage(payload, err)
-	if err != nil {
-		return Message{}, 0, err
-	}
-	return m, n, nil
-}
-
-// readFrame reads exactly one frame from the stream. A clean EOF between
-// frames surfaces as io.EOF; a mid-frame EOF as io.ErrUnexpectedEOF; a CRC
-// or length violation, or a payload that is not a message, as ErrBadFrame.
-func readFrame(r io.Reader) (Message, error) {
-	return toMessage(frame.Read(r, maxFrameBytes))
 }

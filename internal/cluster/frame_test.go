@@ -40,12 +40,13 @@ func TestFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: encode: %v", m.Type, err)
 		}
-		got, n, err := DecodeFrame(frame)
+		r := bytes.NewReader(frame)
+		got, err := readFrame(r)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", m.Type, err)
 		}
-		if n != len(frame) {
-			t.Fatalf("%s: consumed %d of %d bytes", m.Type, n, len(frame))
+		if r.Len() != 0 {
+			t.Fatalf("%s: consumed %d of %d bytes", m.Type, len(frame)-r.Len(), len(frame))
 		}
 		if !reflect.DeepEqual(&got, m) {
 			t.Fatalf("%s: round trip changed message:\n in: %+v\nout: %+v", m.Type, m, got)
@@ -64,8 +65,8 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 		want error
 	}{
 		{"empty", nil, io.EOF},
-		{"short header", frame[:frameHeaderBytes-1], ErrBadFrame},
-		{"truncated payload", frame[:len(frame)-1], ErrBadFrame},
+		{"short header", frame[:frameHeaderBytes-1], io.ErrUnexpectedEOF},
+		{"truncated payload", frame[:len(frame)-1], io.ErrUnexpectedEOF},
 		{"flipped payload byte", flipByte(frame, frameHeaderBytes+2), ErrBadFrame},
 		{"flipped crc byte", flipByte(frame, 5), ErrBadFrame},
 		{"oversized length", overLength(frame), ErrBadFrame},
@@ -73,7 +74,7 @@ func TestDecodeFrameRejectsCorruption(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := DecodeFrame(tc.buf); !errors.Is(err, tc.want) {
+			if _, err := readFrame(bytes.NewReader(tc.buf)); !errors.Is(err, tc.want) {
 				t.Fatalf("got %v, want %v", err, tc.want)
 			}
 		})

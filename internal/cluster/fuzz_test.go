@@ -1,16 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"testing"
 )
 
-// FuzzClusterFrameDecode pins the protocol's corruption contract: any
-// byte soup fed to the frame decoder yields either a message or a clean
-// error (io.EOF on empty input, ErrBadFrame otherwise) — never a panic,
-// never an out-of-range read, never a claim to have consumed bytes it
-// was not given. Discovered by make fuzz-smoke.
+// FuzzClusterFrameDecode pins the protocol's corruption contract on the
+// decoder the wire runs: any byte soup fed to readFrame yields either a
+// message or a clean error (io.EOF on empty input, io.ErrUnexpectedEOF on
+// a torn one, ErrBadFrame otherwise) — never a panic, never an
+// out-of-range read, never a claim to have consumed bytes it was not
+// given. Discovered by make fuzz-smoke.
 func FuzzClusterFrameDecode(f *testing.F) {
 	for _, m := range sampleMessages() {
 		frame, err := encodeFrame(m)
@@ -27,14 +29,15 @@ func FuzzClusterFrameDecode(f *testing.F) {
 	f.Add(rawFrame([]byte("not json at all")))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, n, err := DecodeFrame(data)
+		r := bytes.NewReader(data)
+		msg, err := readFrame(r)
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, ErrBadFrame) {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrBadFrame) {
 				t.Fatalf("unexpected error class: %v", err)
 			}
 			return
 		}
-		if n < frameHeaderBytes || n > len(data) {
+		if n := len(data) - r.Len(); n < frameHeaderBytes {
 			t.Fatalf("decoded frame claims %d bytes of %d", n, len(data))
 		}
 		// Whatever decoded must survive a re-encode/decode cycle.
@@ -42,7 +45,7 @@ func FuzzClusterFrameDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encode of decoded message failed: %v", err)
 		}
-		if _, _, err := DecodeFrame(frame); err != nil {
+		if _, err := readFrame(bytes.NewReader(frame)); err != nil {
 			t.Fatalf("re-encoded frame does not decode: %v", err)
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"syscall"
 	"time"
 )
 
@@ -17,10 +18,10 @@ import (
 // cannot scribble on the log a successor now owns (storage fencing).
 //
 // The lease lives in a small JSON file next to the data it guards
-// (conventionally <data-dir>/LEASE). Mutations happen under a sidecar
-// lock file taken with O_CREATE|O_EXCL, so two nodes racing Acquire on a
-// shared directory serialize; a lock abandoned by a crashed mutator is
-// broken once it is visibly stale.
+// (conventionally <data-dir>/LEASE). Mutations happen under an exclusive
+// flock(2) on <lease>.lock, so two nodes racing Acquire on one directory
+// serialize. The kernel drops a dead mutator's lock at once; a live but
+// stalled one is waited for, never broken into.
 
 // ErrLeaseHeld reports that a live lease names another holder.
 var ErrLeaseHeld = errors.New("cluster: lease held by another leader")
@@ -72,36 +73,17 @@ type Lease struct {
 	epoch uint64
 }
 
-// staleLockAge is how old the sidecar lock file must be before another
-// node concludes its owner died mid-mutation and breaks it. Mutations are
-// a read + a rename; multiple seconds means abandonment, not slowness.
-const staleLockAge = 10 * time.Second
-
-// withLock runs fn while holding the sidecar lock file.
+// withLock runs fn while holding the exclusive flock on <lease>.lock.
+// Closing the descriptor releases the lock.
 func withLock(cfg LeaseConfig, fn func() error) error {
-	lock := cfg.Path + ".lock"
-	deadline := cfg.Now().Add(staleLockAge + time.Second)
-	for {
-		f, err := os.OpenFile(lock, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-		if err == nil {
-			fmt.Fprintf(f, "%s pid=%d\n", cfg.Holder, os.Getpid())
-			f.Close()
-			break
-		}
-		if !os.IsExist(err) {
-			return fmt.Errorf("cluster: lease lock: %w", err)
-		}
-		if st, serr := os.Stat(lock); serr == nil && cfg.Now().Sub(st.ModTime()) > staleLockAge {
-			// Abandoned by a crashed mutator: break it and retry.
-			os.Remove(lock)
-			continue
-		}
-		if cfg.Now().After(deadline) {
-			return fmt.Errorf("cluster: lease lock %s: contended past %v", lock, staleLockAge)
-		}
-		time.Sleep(10 * time.Millisecond)
+	f, err := os.OpenFile(cfg.Path+".lock", os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return fmt.Errorf("cluster: lease lock: %w", err)
 	}
-	defer os.Remove(lock)
+	defer f.Close()
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
+		return fmt.Errorf("cluster: lease lock %s: %w", f.Name(), err)
+	}
 	return fn()
 }
 
@@ -169,12 +151,12 @@ func Acquire(cfg LeaseConfig) (*Lease, error) {
 	return l, nil
 }
 
-// WaitAcquire retries Acquire every poll until it succeeds or ctx ends —
-// how a standby waits for the current leader's lease to lapse.
-func WaitAcquire(ctx context.Context, cfg LeaseConfig, poll time.Duration) (*Lease, error) {
-	if poll <= 0 {
-		poll = 100 * time.Millisecond
-	}
+// leasePoll spaces a standby's Acquire attempts while the lease is held.
+const leasePoll = 100 * time.Millisecond
+
+// WaitAcquire retries Acquire every leasePoll until it succeeds or ctx
+// ends — how a standby waits for the current leader's lease to lapse.
+func WaitAcquire(ctx context.Context, cfg LeaseConfig) (*Lease, error) {
 	for {
 		l, err := Acquire(cfg)
 		if err == nil {
@@ -186,7 +168,7 @@ func WaitAcquire(ctx context.Context, cfg LeaseConfig, poll time.Duration) (*Lea
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-time.After(poll):
+		case <-time.After(leasePoll):
 		}
 	}
 }

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -167,19 +169,50 @@ func TestLeaseTransitions(t *testing.T) {
 				t.Fatalf("released lease Check = %v, want ErrLeaseLost", err)
 			}
 		}},
-		{"abandoned sidecar lock is broken", func(t *testing.T, clk *fakeClock, cfg LeaseConfig) {
-			// A mutator that died mid-mutation leaves the O_EXCL lock file
-			// behind; once visibly stale it must not wedge the lease forever.
-			lock := cfg.Path + ".lock"
-			if err := os.WriteFile(lock, []byte("dead pid=1\n"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			old := time.Now().Add(-2 * staleLockAge)
-			if err := os.Chtimes(lock, old, old); err != nil {
+		{"a dead mutator's lock file does not hold the lease", func(t *testing.T, clk *fakeClock, cfg LeaseConfig) {
+			// A mutator that died mid-mutation leaves its lock file behind,
+			// fresh; the kernel dropped its flock with the process, so the
+			// next Acquire goes through at once.
+			if err := os.WriteFile(cfg.Path+".lock", []byte("dead pid=1\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := Acquire(cfg); err != nil {
-				t.Fatalf("acquire over a stale lock: %v", err)
+				t.Fatalf("acquire over a dead mutator's lock file: %v", err)
+			}
+		}},
+		{"a live mutator's lock excludes Acquire until it lets go", func(t *testing.T, clk *fakeClock, cfg LeaseConfig) {
+			// Another contender holds the lock on its own descriptor and is
+			// mid-mutation: Acquire waits for it, then reads what it wrote.
+			f, err := os.OpenFile(cfg.Path+".lock", os.O_CREATE|os.O_RDWR, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX); err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan error, 1)
+			go func() {
+				_, err := Acquire(cfg)
+				got <- err
+			}()
+			if err := writeLeaseState(cfg.Path, leaseState{Epoch: 1, Holder: "rival", Expires: clk.now().Add(cfg.TTL).UnixNano()}); err != nil {
+				t.Fatal(err)
+			}
+			if err := syscall.Flock(int(f.Fd()), syscall.LOCK_UN); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-got; !errors.Is(err, ErrLeaseHeld) {
+				t.Fatalf("Acquire during a rival's mutation = %v, want ErrLeaseHeld", err)
+			}
+		}},
+		{"a corrupt lease file is an error, not an empty lease", func(t *testing.T, clk *fakeClock, cfg LeaseConfig) {
+			if err := os.WriteFile(cfg.Path, []byte("{not json"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := Acquire(cfg)
+			if err == nil || errors.Is(err, ErrLeaseHeld) || !strings.Contains(err.Error(), "corrupt") {
+				t.Fatalf("Acquire over a corrupt lease file = %v, want a corrupt-file error", err)
 			}
 		}},
 	}
@@ -206,7 +239,7 @@ func TestWaitAcquireTakesOverWhenLeaseLapses(t *testing.T) {
 	done := make(chan *Lease, 1)
 	errs := make(chan error, 1)
 	go func() {
-		l, err := WaitAcquire(context.Background(), standby, time.Millisecond)
+		l, err := WaitAcquire(context.Background(), standby)
 		if err != nil {
 			errs <- err
 			return
@@ -248,7 +281,7 @@ func TestWaitAcquireHonorsContext(t *testing.T) {
 	standby.Holder = "standby"
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if _, err := WaitAcquire(ctx, standby, time.Millisecond); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := WaitAcquire(ctx, standby); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("WaitAcquire = %v, want context.DeadlineExceeded", err)
 	}
 }

@@ -11,8 +11,8 @@ import (
 // and benchmarks exercise the full wire protocol hermetically, and how a
 // single binary can keep a warm local worker while remote ones join over
 // TCP. The returned stop function detaches the worker (the coordinator
-// sees an ordinary connection loss and rebalances) and waits for it to
-// wind down.
+// sees an ordinary connection loss and rebalances), waits for it to wind
+// down, and returns once the coordinator has dropped its ID.
 func StartLoopbackWorker(c *Coordinator, id string, log *slog.Logger) (stop func()) {
 	server, client := net.Pipe()
 	c.AddConn(server)
@@ -27,5 +27,14 @@ func StartLoopbackWorker(c *Coordinator, id string, log *slog.Logger) (stop func
 		server.Close()
 		client.Close()
 		<-done
+		for {
+			c.mu.Lock()
+			m, w := c.members[id], c.watch
+			c.mu.Unlock()
+			if m == nil {
+				return
+			}
+			<-w
+		}
 	}
 }

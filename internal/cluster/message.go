@@ -4,10 +4,21 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"time"
 
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/topology"
+)
+
+// The protocol's timings. A worker pings every pingEvery; a member none of
+// whose frames (pings included) arrive for silenceTimeout is dropped like
+// a lost connection; a round that no worker answers within dispatchTimeout
+// (re-dispatches included) is declined back to the engine's own solver.
+const (
+	pingEvery       = time.Second
+	silenceTimeout  = 5 * time.Second
+	dispatchTimeout = 15 * time.Second
 )
 
 // Message types, one per protocol step.
@@ -16,8 +27,8 @@ const (
 	MsgHello = "hello"
 	// MsgWelcome acknowledges a hello (coordinator → worker).
 	MsgWelcome = "welcome"
-	// MsgPing is the worker's periodic heartbeat; any frame refreshes the
-	// coordinator's liveness clock, ping exists for quiet workers.
+	// MsgPing is the worker's periodic heartbeat; any frame restarts the
+	// coordinator's read deadline, ping exists for quiet workers.
 	MsgPing = "ping"
 	// MsgAssign installs a domain's full config on a worker; sent lazily
 	// before the domain's first round on that worker (coordinator → worker).

@@ -18,6 +18,10 @@ import "hash/fnv"
 // Ties (astronomically unlikely with 64-bit scores, but the placement
 // must be total) break toward the lexicographically smaller member ID.
 
+// placementSeed is the seed every coordinator places under. Any fixed
+// value works; the placement tests range over several.
+const placementSeed = 0
+
 // placementScore is the deterministic weight of member m for domain d.
 func placementScore(seed uint64, domain, member string) uint64 {
 	h := fnv.New64a()

@@ -50,9 +50,6 @@ type WorkerOptions struct {
 	ID string
 	// Log receives startup and per-assign events. Nil is silent.
 	Log *slog.Logger
-	// HeartbeatEvery spaces the worker's pings. Default 1s; must be
-	// comfortably below the coordinator's HeartbeatTimeout.
-	HeartbeatEvery time.Duration
 	// Gate is the fencing-epoch watermark, shared across connections when
 	// the worker dials several coordinator addresses. Default: a private
 	// gate for this connection.
@@ -68,9 +65,6 @@ type WorkerOptions struct {
 func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	if opts.ID == "" {
 		return errors.New("cluster: worker needs an ID")
-	}
-	if opts.HeartbeatEvery <= 0 {
-		opts.HeartbeatEvery = time.Second
 	}
 	host := NewSolverHost()
 	gate := opts.Gate
@@ -109,7 +103,7 @@ func RunWorker(ctx context.Context, conn net.Conn, opts WorkerOptions) error {
 	hbCtx, stopHB := context.WithCancel(ctx)
 	defer stopHB()
 	go func() {
-		t := time.NewTicker(opts.HeartbeatEvery)
+		t := time.NewTicker(pingEvery)
 		defer t.Stop()
 		for {
 			select {
