@@ -31,6 +31,9 @@ var (
 	// ErrNoWorker is how an Executor declines a round it has no worker for;
 	// the engine then solves the round on the domain's own solver.
 	ErrNoWorker = errors.New("admission: executor has no worker for the round")
+	// ErrBadReply is how an Executor reports a worker reply it cannot use;
+	// the engine counts it and solves the round as on ErrNoWorker.
+	ErrBadReply = errors.New("admission: executor got no usable reply for the round")
 )
 
 // DefaultDomain is the domain used when Request.Domain is empty — the
@@ -155,8 +158,11 @@ func (t *Ticket) Err() error {
 // Neither slice may be retained or mutated past the call. An executor with
 // no worker for the round returns ErrNoWorker (wrapped or not), and the
 // engine solves the round on the domain's own LocalSolver — the one solver
-// a domain has in the engine's process. Any other error is final: the round
-// fails and nothing solves it locally (a fenced leader must not decide).
+// a domain has in the engine's process. So does a reply the engine cannot
+// trust: an ErrBadReply, or a decision not shaped like the round (one entry
+// per tenant, one per base station in each Z and PathIdx row), both counted
+// in Snapshot.BadReplies. Any other error is final: the round fails and
+// nothing solves it locally (a fenced leader must not decide).
 // Recovery replay (ReplayRound) never routes through an Executor: it always
 // solves on that local solver, so a crashed coordinator recovers without
 // waiting for workers to rejoin.

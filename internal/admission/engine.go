@@ -7,6 +7,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -31,6 +32,8 @@ type Engine struct {
 	// ring in. Taken before mu, never inside it.
 	metricsMu  sync.Mutex
 	latScratch []time.Duration
+
+	badReplies atomic.Uint64 // Snapshot.BadReplies; every domain adds to it
 
 	wg sync.WaitGroup // lane holders (inline callers, lane workers)
 }
@@ -90,8 +93,9 @@ type domain struct {
 	// function and the live network. Rounds solve through it unless
 	// cfg.Executor takes them remote; replay, and every round the executor
 	// declines with ErrNoWorker, always do.
-	solver *LocalSolver
-	filter prefilter
+	solver     *LocalSolver
+	filter     prefilter
+	badReplies *atomic.Uint64 // the engine's; decide counts unusable replies
 
 	// Guarded by Engine.mu.
 	batch []pending
@@ -136,12 +140,13 @@ func (e *Engine) AddDomain(name string, dc DomainConfig) error {
 		return err
 	}
 	d := &domain{
-		name:   name,
-		cfg:    dc,
-		solver: solver,
-		filter: newPrefilter(dc, solver.Paths()),
-		names:  map[string]bool{},
-		byName: map[string]*member{},
+		name:       name,
+		cfg:        dc,
+		solver:     solver,
+		filter:     newPrefilter(dc, solver.Paths()),
+		badReplies: &e.badReplies,
+		names:      map[string]bool{},
+		byName:     map[string]*member{},
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -749,7 +754,8 @@ func (e *Engine) logRound(domain string, seq uint64, batch []pending) error {
 
 // decide claims the round's seq (a solver error replays to the same error)
 // and solves on exec — bit-identical to the local solver by contract — or on
-// the domain's own solver when exec is nil or declines with ErrNoWorker. On
+// the domain's own solver when exec is nil, declines with ErrNoWorker or
+// replies with something the commit below cannot index (counted). On
 // success it commits: committed slices stay admitted (constraint (13)) and
 // re-track their forecasts, admitted requests join them. Caller holds dmu.
 func (d *domain) decide(r *Round, specs []core.TenantSpec, batch []pending, exec Executor) ([]Outcome, error) {
@@ -758,10 +764,15 @@ func (d *domain) decide(r *Round, specs []core.TenantSpec, batch []pending, exec
 		r.Decision = &core.Decision{} // nothing to decide, nothing to re-optimize
 		return nil, nil
 	}
-	if exec == nil {
-		exec = d.solver
+	var dec *core.Decision
+	err := ErrNoWorker
+	if exec != nil {
+		dec, err = exec.SolveRound(d.name, r.Seq, d.topoEvents, specs)
+		if errors.Is(err, ErrBadReply) || err == nil && !shapedLike(dec, len(specs), len(d.cfg.Net.BSs)) {
+			d.badReplies.Add(1)
+			err = ErrNoWorker
+		}
 	}
-	dec, err := exec.SolveRound(d.name, r.Seq, d.topoEvents, specs)
 	if errors.Is(err, ErrNoWorker) {
 		dec, err = d.solver.SolveRound(d.name, r.Seq, d.topoEvents, specs)
 	}
@@ -805,6 +816,17 @@ func (d *domain) decide(r *Round, specs []core.TenantSpec, batch []pending, exec
 		outcomes[bi] = out
 	}
 	return outcomes, nil
+}
+
+// shapedLike reports whether dec has the shape decide's commit indexes: one
+// entry per tenant, one per base station in each Z and PathIdx row.
+func shapedLike(dec *core.Decision, tenants, nBS int) bool {
+	ok := dec != nil && len(dec.Accepted) == tenants && len(dec.CU) == tenants &&
+		len(dec.Z) == tenants && len(dec.PathIdx) == tenants
+	for i := 0; ok && i < tenants; i++ {
+		ok = len(dec.Z[i]) == nBS && len(dec.PathIdx[i]) == nBS
+	}
+	return ok
 }
 
 // book wraps the round's error into r.Err, or books its expected revenue.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -321,36 +322,63 @@ func (x failingExec) SolveRound(string, uint64, []topology.Event, []core.TenantS
 	return nil, x.err
 }
 
+// replyExec answers every round with dec.
+type replyExec struct{ dec *core.Decision }
+
+func (x replyExec) SolveRound(string, uint64, []topology.Event, []core.TenantSpec) (*core.Decision, error) {
+	return x.dec, nil
+}
+
 // TestDeclinedRoundSolvesOnDomainSolver: an executor that declines a round
 // with ErrNoWorker, bare or wrapped, leaves it to the domain's own solver,
-// and the round decides exactly what an executor-free engine decides. Any
-// other executor error is final: the round fails and nothing solves it
-// locally — the rule that keeps a fenced leader from deciding.
+// and the round decides exactly what an executor-free engine decides. So
+// does a reply the commit cannot use — an empty decision (it panicked the
+// commit with the domain lock held, and Stop then hung), a Z row one base
+// station short, a worker's error wrapped in ErrBadReply — and Metrics
+// counts each of those once. Any other executor error is final: the round
+// fails and nothing solves it locally — the rule that keeps a fenced leader
+// from deciding.
 func TestDeclinedRoundSolvesOnDomainSolver(t *testing.T) {
-	round := func(exec Executor) (*Round, error) {
+	round := func(exec Executor) (*Round, Snapshot, error) {
 		t.Helper()
 		e := newTestEngine(t, Config{}, DomainConfig{Algorithm: "direct", Executor: exec})
 		for _, n := range []string{"s1", "s2", "s3", "s4"} {
 			mustSubmit(t, e, "", n)
 		}
-		return e.DecideRound("")
+		r, err := e.DecideRound("")
+		return r, e.Metrics(), err
 	}
-	want, err := round(nil)
+	want, _, err := round(nil)
 	if err != nil || len(want.Admitted) == 0 {
 		t.Fatalf("executor-free round: %+v, %v", want, err)
 	}
-	wrapped := fmt.Errorf("cluster: domain %q: %w", DefaultDomain, ErrNoWorker)
-	for _, decline := range []error{ErrNoWorker, wrapped} {
-		got, err := round(failingExec{decline})
+	short := *want.Decision
+	short.Z = slices.Clone(short.Z)
+	short.Z[1] = short.Z[1][:len(short.Z[1])-1]
+	for _, tc := range []struct {
+		name string
+		exec Executor
+		bad  uint64 // BadReplies the round must count
+	}{
+		{"ErrNoWorker", failingExec{ErrNoWorker}, 0},
+		{"wrapped ErrNoWorker", failingExec{fmt.Errorf("cluster: domain %q: %w", DefaultDomain, ErrNoWorker)}, 0},
+		{"empty reply", replyExec{&core.Decision{}}, 1},
+		{"short Z", replyExec{&short}, 1},
+		{"error string", failingExec{fmt.Errorf("cluster: worker w1: solver blew up: %w", ErrBadReply)}, 1},
+	} {
+		got, met, err := round(tc.exec)
 		if err != nil {
-			t.Fatalf("round declined with %q: %v", decline, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if !reflect.DeepEqual(got.Decision, want.Decision) || !reflect.DeepEqual(got.Admitted, want.Admitted) {
-			t.Fatalf("round declined with %q decided\n %+v\nan executor-free engine decided\n %+v", decline, got, want)
+			t.Fatalf("%s: round decided\n %+v\nan executor-free engine decided\n %+v", tc.name, got, want)
+		}
+		if met.BadReplies != tc.bad {
+			t.Fatalf("%s: Metrics counts %d bad replies, want %d", tc.name, met.BadReplies, tc.bad)
 		}
 	}
 	fenced := errors.New("fenced")
-	if r, err := round(failingExec{fenced}); !errors.Is(err, fenced) || r.Decision != nil || len(r.Admitted) != 0 {
+	if r, _, err := round(failingExec{fenced}); !errors.Is(err, fenced) || r.Decision != nil || len(r.Admitted) != 0 {
 		t.Fatalf("round failed by its executor: %+v, %v; want the executor's error and no decision", r, err)
 	}
 }

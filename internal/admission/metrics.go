@@ -50,6 +50,9 @@ type Snapshot struct {
 	FastRejected uint64 `json:"fast_rejected"`
 	Shed         uint64 `json:"shed"`
 	Failed       uint64 `json:"failed"`
+	// BadReplies counts executor replies a round could not use — a
+	// worker's error or a misshapen decision — and solved locally instead.
+	BadReplies uint64 `json:"bad_replies"`
 
 	// QueueDepth is the current number of accepted-but-undecided requests.
 	QueueDepth int `json:"queue_depth"`
@@ -80,6 +83,7 @@ func (e *Engine) Metrics() Snapshot {
 		FastRejected: e.met.fastRejected,
 		Shed:         e.met.shed,
 		Failed:       e.met.failed,
+		BadReplies:   e.badReplies.Load(),
 		QueueDepth:   e.queued,
 		Rounds:       e.met.rounds,
 	}

@@ -337,7 +337,9 @@ func (c *Coordinator) SolveRound(domain string, seq uint64, events []topology.Ev
 
 // dispatch sends one round to one member and waits for the reply. retry
 // is true when the member died or timed out and the caller should pick a
-// new owner; a solver error is deterministic and is returned as final.
+// new owner. A worker's error comes back wrapped in admission.ErrBadReply:
+// the engine counts it and re-solves the round on its own solver, where a
+// deterministic solver error recurs and fails the round.
 func (c *Coordinator) dispatch(m *memberConn, domain string, seq uint64, events []topology.Event, tenants []core.TenantSpec, deadline time.Time) (dec *core.Decision, err error, retry bool) {
 	// Lazily install the domain on this worker. The assign frame goes
 	// down the same ordered connection as the round, so it always lands
@@ -386,12 +388,9 @@ func (c *Coordinator) dispatch(m *memberConn, domain string, seq uint64, events 
 			return nil, ErrFenced, false
 		}
 		if reply.Err != "" {
-			return nil, fmt.Errorf("cluster: worker %s: %s", m.id, reply.Err), false
+			return nil, fmt.Errorf("cluster: worker %s: %s: %w", m.id, reply.Err, admission.ErrBadReply), false
 		}
-		if reply.Decision == nil {
-			return nil, fmt.Errorf("cluster: worker %s: reply without decision", m.id), false
-		}
-		return reply.Decision, nil, false
+		return reply.Decision, nil, false // the engine checks its shape
 	case <-m.dead:
 		return nil, nil, true
 	case <-timer.C:

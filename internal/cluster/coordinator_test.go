@@ -27,11 +27,11 @@ func testTenants() []core.TenantSpec {
 	}
 }
 
-// blackHoleWorker joins the cluster correctly but swallows every round it
-// is sent — the shape of a worker that hangs (or is SIGKILLed after
-// receiving a dispatch but before replying). roundSeen fires once when
-// the first round lands.
-func blackHoleWorker(t *testing.T, c *Coordinator, id string) (roundSeen <-chan struct{}, kill func()) {
+// scriptedWorker joins the cluster correctly and answers every round with
+// answer(round) — or, with a nil answer, swallows it: the shape of a worker
+// that hangs (or is SIGKILLed after receiving a dispatch but before
+// replying). roundSeen fires once when the first round lands.
+func scriptedWorker(t *testing.T, c *Coordinator, id string, answer func(round *Message) *Message) (roundSeen <-chan struct{}, kill func()) {
 	t.Helper()
 	server, client := net.Pipe()
 	c.AddConn(server)
@@ -51,9 +51,22 @@ func blackHoleWorker(t *testing.T, c *Coordinator, id string) (roundSeen <-chan 
 			if err != nil {
 				return
 			}
-			if msg.Type == MsgRound && !fired {
+			if msg.Type != MsgRound {
+				continue
+			}
+			if !fired {
 				fired = true
 				close(seen)
+			}
+			if answer == nil {
+				continue
+			}
+			if frame, err = encodeFrame(answer(&msg)); err != nil {
+				t.Error(err)
+				return
+			}
+			if _, err := client.Write(frame); err != nil {
+				return
 			}
 		}
 	}()
@@ -89,7 +102,7 @@ func TestInFlightRoundRedispatchedOnWorkerLoss(t *testing.T) {
 	}
 	stopReal := StartLoopbackWorker(coord, "real", testLogger(t))
 	defer stopReal()
-	roundSeen, kill := blackHoleWorker(t, coord, hole)
+	roundSeen, kill := scriptedWorker(t, coord, hole, nil)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := coord.WaitMembers(ctx, 2); err != nil {
@@ -213,33 +226,75 @@ func TestSolveRoundFallsBackLocallyWithNoWorkers(t *testing.T) {
 		t.Fatalf("SolveRound with no workers took %v; it must decline at once, not wait out dispatchTimeout", waited)
 	}
 
-	round := func(exec admission.Executor) *admission.Round {
-		t.Helper()
-		cfg := dc
-		cfg.Executor = exec
-		e := admission.New(admission.Config{})
-		if err := e.AddDomain("", cfg); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.Start(); err != nil {
-			t.Fatal(err)
-		}
-		defer e.Stop()
-		sla := testTenants()[0].SLA
-		for _, n := range []string{"t0", "t1", "t2"} {
-			if _, err := e.Submit(admission.Request{Name: n, SLA: sla}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		r, err := e.DecideRound("")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	want, got := round(nil), round(coord)
-	if !reflect.DeepEqual(got.Decision, want.Decision) {
+	want, _ := engineRound(t, dc, nil)
+	if got, _ := engineRound(t, dc, coord); !reflect.DeepEqual(got.Decision, want.Decision) {
 		t.Fatalf("declined round diverged:\n got: %+v\nwant: %+v", got.Decision, want.Decision)
+	}
+}
+
+// engineRound decides one three-request round on an engine whose domain
+// solves through exec, and returns it with the engine's metrics.
+func engineRound(t *testing.T, dc admission.DomainConfig, exec admission.Executor) (*admission.Round, admission.Snapshot) {
+	t.Helper()
+	dc.Executor = exec
+	e := admission.New(admission.Config{})
+	if err := e.AddDomain("", dc); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	sla := testTenants()[0].SLA
+	for _, n := range []string{"t0", "t1", "t2"} {
+		if _, err := e.Submit(admission.Request{Name: n, SLA: sla}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := e.DecideRound("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, e.Metrics()
+}
+
+// TestBadWorkerReplySolvesLocally: a worker that answers a round with an
+// error string, an empty decision or a Z row one base station short is not
+// believed. The coordinator wraps the error in admission.ErrBadReply, the
+// engine checks the decision's shape, and either way the round is counted
+// and solved on the domain's own solver, deciding exactly what an engine
+// with no coordinator decides.
+func TestBadWorkerReplySolvesLocally(t *testing.T) {
+	dc := testDomainConfig()
+	want, _ := engineRound(t, dc, nil)
+	short := *want.Decision
+	short.Z = append([][]float64(nil), short.Z...)
+	short.Z[0] = short.Z[0][:len(short.Z[0])-1]
+	for name, dec := range map[string]*core.Decision{"error string": nil, "empty": {}, "short Z": &short} {
+		coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t)})
+		if err := coord.RegisterDomain("", dc); err != nil {
+			t.Fatal(err)
+		}
+		_, kill := scriptedWorker(t, coord, "liar", func(round *Message) *Message {
+			if dec == nil {
+				return &Message{Type: MsgReply, ID: round.ID, Err: "solver blew up"}
+			}
+			return &Message{Type: MsgReply, ID: round.ID, Decision: dec}
+		})
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		if err := coord.WaitMembers(ctx, 1); err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		got, met := engineRound(t, dc, coord)
+		kill()
+		coord.Close()
+		if !reflect.DeepEqual(got.Decision, want.Decision) {
+			t.Fatalf("%s reply: round decided\n %+v\nwant\n %+v", name, got.Decision, want.Decision)
+		}
+		if met.BadReplies != 1 {
+			t.Fatalf("%s reply: Metrics counts %d bad replies, want 1", name, met.BadReplies)
+		}
 	}
 }
 

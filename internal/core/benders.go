@@ -26,6 +26,7 @@ type slaveProblem struct {
 	zVar       []int
 	dR, dT, dC int
 	rows       []slaveRow // parallel to p's rows
+	lamRow     []int      // each item's row (18), the one row λ̂ enters
 	// basis carries the revised-simplex state across solves: successive
 	// P_S(x̄) instances differ only in their right-hand sides, so the
 	// previous optimal basis stays dual feasible and re-entry costs a few
@@ -55,18 +56,16 @@ func (s *slaveProblem) solve(warm bool) (*lp.Solution, error) {
 	return s.p.SolveFrom(&s.basis)
 }
 
-// rowSet enumerates the slave LP rows for the model. It is the single source
-// of truth shared by buildSlave (which installs the matrix rows into the
-// lp.Problem) and refresh (which only rewrites the affine RHS metadata after
-// a forecast change): emit is called once per row, in an order that depends
-// only on the solver shape (see sameSolverShape), never on forecasts. xs and
-// terms are assembled in the slave's two row buffers (sized up front, so no
-// append below allocates) and are valid until emit returns.
-func (s *slaveProblem) rowSet(m *model, emit func(sense lp.Sense, r0 float64, xs []lp.Term, terms []lp.Term)) {
+// rowSet enumerates the slave LP rows, all ≤, into s.p and s.rows in an
+// order fixed by the solver shape (sameSolverShape), and records each item's
+// row (18) in s.lamRow for refresh. Rows are assembled in the slave's two
+// buffers, sized up front so no append below allocates.
+func (s *slaveProblem) rowSet(m *model) {
 	inst, yVar, zVar := m.inst, s.yVar, s.zVar
 	s.xs = slices.Grow(s.xs[:0], len(m.items))
 	s.terms = slices.Grow(s.terms[:0], len(m.items)+1)
 	xs, terms := s.xs, s.terms
+	s.rows = s.rows[:0]
 	// (2)/(14) CU compute: Σ bτ·z − δc ≤ Cc − Σ aτ·xⱼ.
 	for c, cu := range inst.Net.CUs {
 		xs, terms = xs[:0], terms[:0]
@@ -91,7 +90,7 @@ func (s *slaveProblem) rowSet(m *model, emit func(sense lp.Sense, r0 float64, xs
 		if len(terms) == 0 {
 			continue
 		}
-		emit(lp.LE, cu.CPUCores, xs, terms)
+		s.addRow(cu.CPUCores, xs, terms)
 	}
 	// (3)/(15) transport.
 	for _, l := range inst.Net.Links {
@@ -110,7 +109,7 @@ func (s *slaveProblem) rowSet(m *model, emit func(sense lp.Sense, r0 float64, xs
 		if s.dT >= 0 {
 			terms = append(terms, lp.T(s.dT, -1))
 		}
-		emit(lp.LE, l.CapMbps, nil, terms)
+		s.addRow(l.CapMbps, nil, terms)
 	}
 	// (4)/(16) radio.
 	for b, bs := range inst.Net.BSs {
@@ -126,18 +125,29 @@ func (s *slaveProblem) rowSet(m *model, emit func(sense lp.Sense, r0 float64, xs
 		if s.dR >= 0 {
 			terms = append(terms, lp.T(s.dR, -1))
 		}
-		emit(lp.LE, bs.CapMHz, nil, terms)
+		s.addRow(bs.CapMHz, nil, terms)
 	}
 	// Coupling rows (17)–(20) plus linearization (11): one block per item.
 	xs, terms = xs[:0], terms[:0]
+	s.lamRow = lp.Resized(s.lamRow, len(m.items))
 	for idx, it := range m.items {
 		y, z := yVar[idx], zVar[idx]
-		emit(lp.LE, 0, append(xs, lp.T(idx, it.lambda)), append(terms, lp.T(z, 1)))                       // (17) z ≤ Λx̄
-		emit(lp.LE, 0, append(xs, lp.T(idx, -it.lambdaHat)), append(terms, lp.T(z, -1)))                  // (18) λ̂x̄ ≤ z
-		emit(lp.LE, 0, append(xs, lp.T(idx, it.lambda)), append(terms, lp.T(y, 1)))                       // (19) y ≤ Λx̄
-		emit(lp.LE, 0, nil, append(terms, lp.T(y, 1), lp.T(z, -1)))                                       // (11) y ≤ z
-		emit(lp.LE, it.lambda, append(xs, lp.T(idx, -it.lambda)), append(terms, lp.T(z, 1), lp.T(y, -1))) // (20)
+		s.addRow(0, append(xs, lp.T(idx, it.lambda)), append(terms, lp.T(z, 1))) // (17) z ≤ Λx̄
+		s.lamRow[idx] = len(s.rows)
+		s.addRow(0, append(xs, lp.T(idx, -it.lambdaHat)), append(terms, lp.T(z, -1)))                  // (18) λ̂x̄ ≤ z
+		s.addRow(0, append(xs, lp.T(idx, it.lambda)), append(terms, lp.T(y, 1)))                       // (19) y ≤ Λx̄
+		s.addRow(0, nil, append(terms, lp.T(y, 1), lp.T(z, -1)))                                       // (11) y ≤ z
+		s.addRow(it.lambda, append(xs, lp.T(idx, -it.lambda)), append(terms, lp.T(z, 1), lp.T(y, -1))) // (20)
 	}
+}
+
+// addRow installs terms ≤ r0 + xs·x̄: the matrix into s.p, the affine
+// right-hand side into s.rows (a dropped row's xs storage is refilled).
+func (s *slaveProblem) addRow(r0 float64, xs, terms []lp.Term) {
+	s.p.AddConstraint(lp.LE, r0, terms...)
+	i := len(s.rows)
+	s.rows = lp.Resized(s.rows, i+1)
+	s.rows[i] = slaveRow{r0: r0, xs: append(s.rows[i].xs[:0], xs...)}
 }
 
 // buildSlave assembles the slave LP skeleton; per-iteration solves only
@@ -165,34 +175,24 @@ func (m *model) buildSlave(s *slaveProblem) *slaveProblem {
 		s.dT = s.p.AddVar(m.inst.BigM)
 		s.dC = s.p.AddVar(m.inst.BigM)
 	}
-	s.rows = s.rows[:0]
-	s.rowSet(m, func(sense lp.Sense, r0 float64, xs []lp.Term, terms []lp.Term) {
-		s.p.AddConstraint(sense, r0, terms...)
-		i := len(s.rows)
-		s.rows = lp.Resized(s.rows, i+1) // a dropped row's xs storage is refilled
-		s.rows[i] = slaveRow{sense: sense, r0: r0, xs: append(s.rows[i].xs[:0], xs...)}
-	})
+	s.rowSet(m)
 	return s
 }
 
 // refresh re-binds the slave skeleton to a model with an identical solver
-// shape (sameSolverShape must hold): objective costs and the affine RHS
-// metadata — where the new forecasts λ̂ live — are rewritten in place while
-// the constraint matrix and the carried simplex basis survive, so the next
-// solve re-enters from the previous epoch's optimal basis. The shape fixes
-// which rows exist and which x each reads: only r0 and x coefficients move.
+// shape (sameSolverShape must hold): the y/z costs and each item's row-(18)
+// coefficient −λ̂ are rewritten in place while the constraint matrix and the
+// carried simplex basis survive, so the next solve re-enters from the
+// previous epoch's optimal basis. Nothing else can move: the shape fixes the
+// *Network, the items, their Λ and the compute models, and with them every
+// other r0 and x term.
 func (s *slaveProblem) refresh(m *model) {
 	s.m = m
 	for idx, it := range m.items {
 		s.p.SetCost(s.yVar[idx], it.yCoef)
 		s.p.SetCost(s.zVar[idx], it.zCoef)
+		s.rows[s.lamRow[idx]].xs[0] = lp.T(idx, -it.lambdaHat)
 	}
-	i := 0
-	s.rowSet(m, func(sense lp.Sense, r0 float64, xs []lp.Term, _ []lp.Term) {
-		s.rows[i].sense, s.rows[i].r0 = sense, r0
-		copy(s.rows[i].xs, xs)
-		i++
-	})
 }
 
 // dualStillFeasible reports whether a dual extreme point µ from an earlier

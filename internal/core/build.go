@@ -22,9 +22,8 @@ const DefaultBigM = 1e4
 // the master's binary vector: rhs(x) = r0 + Σ coef_j·x_j. The Benders cuts
 // are mechanical inner products against these rows.
 type slaveRow struct {
-	sense lp.Sense
-	r0    float64
-	xs    []lp.Term // terms over *item indices* (master x variables)
+	r0 float64
+	xs []lp.Term // terms over *item indices* (master x variables)
 }
 
 // dirVars maps model entities to LP variable indices for the monolithic

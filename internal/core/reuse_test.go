@@ -47,80 +47,102 @@ func metroPodInstance() *Instance {
 }
 
 // sameLP requires two problems to agree variable for variable and row for
-// row: every cost, sense, right-hand side and term, in order.
+// row, bit for bit: every cost, sense, right-hand side and term, in order.
 func sameLP(t *testing.T, what string, got, want *lp.Problem) {
 	t.Helper()
 	if got.NumVars() != want.NumVars() || got.NumRows() != want.NumRows() {
 		t.Fatalf("%s: %d vars × %d rows, want %d × %d", what, got.NumVars(), got.NumRows(), want.NumVars(), want.NumRows())
 	}
 	for v := 0; v < want.NumVars(); v++ {
-		if got.Cost(v) != want.Cost(v) {
+		if !sameBits(got.Cost(v), want.Cost(v)) {
 			t.Fatalf("%s: cost of variable %d is %v, want %v", what, v, got.Cost(v), want.Cost(v))
 		}
 	}
 	for i := 0; i < want.NumRows(); i++ {
 		gt, wt := got.RowTerms(i), want.RowTerms(i)
-		if got.RowSense(i) != want.RowSense(i) || got.RHS(i) != want.RHS(i) || len(gt) != len(wt) {
+		if got.RowSense(i) != want.RowSense(i) || !sameBits(got.RHS(i), want.RHS(i)) || len(gt) != len(wt) {
 			t.Fatalf("%s: row %d is %v %v %v, want %v %v %v", what, i, gt, got.RowSense(i), got.RHS(i), wt, want.RowSense(i), want.RHS(i))
 		}
 		for k := range wt {
-			if gt[k] != wt[k] {
+			if !sameTerm(gt[k], wt[k]) {
 				t.Fatalf("%s: row %d term %d is %v, want %v", what, i, k, gt[k], wt[k])
 			}
 		}
 	}
 }
 
-// TestRefreshMatchesRowSet: after refresh, the slave's affine row metadata
-// (sense, r0, every x term) and every cost are == to those of a slave built
-// fresh from the same model, and its constraint matrix has not moved — over
-// the warm corpus and a metro pod, several drift steps each.
+// TestRefreshMatchesRowSet: refresh rewrites only the y/z costs and each
+// item's row-(18) −λ̂, so a refreshed slave must equal, bit for bit, a slave
+// built fresh from the same model — over the warm corpus, a metro pod, an
+// instance without overbooking (λ̂ = Λ, nothing moves) and one without
+// deficit columns (BigM = 0). TestRefreshMatchesRowSetOnArchetypes runs
+// the same check over every scenario archetype.
 func TestRefreshMatchesRowSet(t *testing.T) {
 	corpus := warmCheckInstances()
 	corpus["metro-pod"] = metroPodInstance()
+	hard := *corpus["committed"]
+	hard.Overbook = false
+	corpus["no-overbooking"] = &hard
+	noDeficit := *corpus["small"]
+	noDeficit.BigM = 0
+	corpus["bigm-0"] = &noDeficit
 	for name, inst := range corpus {
-		rng := rand.New(rand.NewSource(21))
-		m, err := buildModel(inst)
+		checkRefresh(t, name, inst)
+	}
+}
+
+// checkRefresh drives inst through five forecast-drift steps, refreshing one
+// slave in place at each. After every step the refreshed slave's affine row
+// metadata (r0, every x term) and its LP (every cost, sense,
+// right-hand side and term) must be bit-identical (math.Float64bits) to
+// those of a slave built fresh from the same model.
+func checkRefresh(t *testing.T, name string, inst *Instance) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(21))
+	m, err := buildModel(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := m.buildSlave(nil)
+	for step := 0; step < 5; step++ {
+		inst = drifted(inst, rng)
+		next, err := buildModel(inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		warm := m.buildSlave(nil)
-		for step := 0; step < 5; step++ {
-			inst = drifted(inst, rng)
-			next, err := buildModel(inst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sameSolverShape(m, next) {
-				t.Fatalf("%s step %d: forecast drift changed the solver shape", name, step)
-			}
-			warm.refresh(next)
-			fresh := next.buildSlave(nil)
-			m = next
-
-			if warm.m != next || len(warm.rows) != len(fresh.rows) {
-				t.Fatalf("%s step %d: refreshed slave has %d rows on model %p, want %d on %p", name, step, len(warm.rows), warm.m, len(fresh.rows), next)
-			}
-			for i, want := range fresh.rows {
-				got := warm.rows[i]
-				if got.sense != want.sense || got.r0 != want.r0 || len(got.xs) != len(want.xs) {
-					t.Fatalf("%s step %d row %d: %+v, want %+v", name, step, i, got, want)
-				}
-				for k := range want.xs {
-					if got.xs[k] != want.xs[k] {
-						t.Fatalf("%s step %d row %d x term %d: %v, want %v", name, step, i, k, got.xs[k], want.xs[k])
-					}
-				}
-			}
-			// A fresh slave's right-hand sides are its r0; the refreshed one's
-			// are whatever x̄ was last installed. Level them before comparing.
-			zero := make([]float64, len(next.items))
-			warm.setX(zero)
-			fresh.setX(zero)
-			sameLP(t, name+": refreshed slave LP", warm.p, fresh.p)
+		if !sameSolverShape(m, next) {
+			t.Fatalf("%s step %d: forecast drift changed the solver shape", name, step)
 		}
+		warm.refresh(next)
+		fresh := next.buildSlave(nil)
+		m = next
+
+		if warm.m != next || len(warm.rows) != len(fresh.rows) {
+			t.Fatalf("%s step %d: refreshed slave has %d rows on model %p, want %d on %p", name, step, len(warm.rows), warm.m, len(fresh.rows), next)
+		}
+		for i, want := range fresh.rows {
+			got := warm.rows[i]
+			if !sameBits(got.r0, want.r0) || len(got.xs) != len(want.xs) {
+				t.Fatalf("%s step %d row %d: %+v, want %+v", name, step, i, got, want)
+			}
+			for k := range want.xs {
+				if !sameTerm(got.xs[k], want.xs[k]) {
+					t.Fatalf("%s step %d row %d x term %d: %v, want %v", name, step, i, k, got.xs[k], want.xs[k])
+				}
+			}
+		}
+		// A fresh slave's right-hand sides are its r0; the refreshed one's
+		// are whatever x̄ was last installed. Level them before comparing.
+		zero := make([]float64, len(next.items))
+		warm.setX(zero)
+		fresh.setX(zero)
+		sameLP(t, name+": refreshed slave LP", warm.p, fresh.p)
 	}
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameTerm(a, b lp.Term) bool { return a.Var == b.Var && sameBits(a.Coef, b.Coef) }
 
 // freshMaster is the master as bendersSolve built it every round before the
 // session kept one: lp.New(), the x and θ variables, the placement rows, then
@@ -350,12 +372,12 @@ func shapeWalk() []*Instance {
 }
 
 // sameSlave requires a slave to equal a fresh build of the same model: the
-// LP, the variable maps and every row's affine metadata.
+// LP, the variable maps, each item's row (18) and every row's affine metadata.
 func sameSlave(t *testing.T, what string, got, want *slaveProblem) {
 	t.Helper()
 	sameLP(t, what, got.p, want.p)
 	if !slices.Equal(got.yVar, want.yVar) || !slices.Equal(got.zVar, want.zVar) ||
-		got.dR != want.dR || got.dT != want.dT || got.dC != want.dC {
+		!slices.Equal(got.lamRow, want.lamRow) || got.dR != want.dR || got.dT != want.dT || got.dC != want.dC {
 		t.Fatalf("%s: variable maps differ from a fresh build", what)
 	}
 	if len(got.rows) != len(want.rows) {
@@ -363,7 +385,7 @@ func sameSlave(t *testing.T, what string, got, want *slaveProblem) {
 	}
 	for i, w := range want.rows {
 		g := got.rows[i]
-		if g.sense != w.sense || g.r0 != w.r0 || !slices.Equal(g.xs, w.xs) {
+		if g.r0 != w.r0 || !slices.Equal(g.xs, w.xs) {
 			t.Fatalf("%s: row %d is %+v, want %+v", what, i, g, w)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // HeaderBytes is the fixed prefix: uint32 payload length + uint32 CRC-32C.
@@ -55,11 +56,16 @@ func Decode(buf []byte, max int) (payload []byte, size int, err error) {
 	return payload, end, nil
 }
 
+// readChunk is the payload buffer Read starts with; it then at most doubles,
+// so what a header claims is allocated only as the bytes arrive.
+const readChunk = 64 << 10
+
 // Read reads exactly one frame from the stream and returns its payload.
 // io.ReadFull never over-reads, so interleaved readers of one stream stay
 // frame-aligned. A clean EOF between frames is io.EOF, an EOF inside a
 // frame io.ErrUnexpectedEOF, a length or CRC violation ErrCorrupt; any
-// other read error is returned as it came.
+// other read error is returned as it came. A payload up to readChunk is
+// read into one exact-size buffer.
 func Read(r io.Reader, max int) ([]byte, error) {
 	var hdr [HeaderBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -72,12 +78,18 @@ func Read(r io.Reader, max int) ([]byte, error) {
 	if uint64(n) > uint64(max) {
 		return nil, ErrCorrupt
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	want := int(n)
+	payload := make([]byte, 0, min(want, readChunk))
+	for len(payload) < want {
+		payload = slices.Grow(payload, min(want-len(payload), len(payload)))
+		got, err := io.ReadFull(r, payload[len(payload):min(want, cap(payload))])
+		payload = payload[:len(payload)+got]
 		if errors.Is(err, io.EOF) {
 			return nil, io.ErrUnexpectedEOF
 		}
-		return nil, err
+		if err != nil {
+			return nil, err
+		}
 	}
 	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
 		return nil, ErrCorrupt

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -85,4 +86,44 @@ func TestRead(t *testing.T) {
 	if _, err := Read(bytes.NewReader(a), 2); err != ErrCorrupt {
 		t.Fatalf("length above the cap: %v, want ErrCorrupt", err)
 	}
+}
+
+// TestReadAllocatesAsBytesArrive: a header may claim up to the caller's cap,
+// but Read allocates only as the payload arrives, so a bare 8-byte header
+// claiming 64 MiB costs readChunk and a cut payload at most about four times
+// what came. A whole frame above readChunk still reads back intact.
+func TestReadAllocatesAsBytesArrive(t *testing.T) {
+	const claim = 64 << 20
+	for _, arrived := range []int{0, 1000, 200_000} {
+		data := make([]byte, HeaderBytes+arrived)
+		binary.LittleEndian.PutUint32(data[0:4], claim)
+		var err error
+		got := allocated(func() { _, err = Read(bytes.NewReader(data), claim) })
+		if !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("64 MiB header, %d payload bytes: %v, want io.ErrUnexpectedEOF", arrived, err)
+		}
+		if limit := uint64(4*len(data) + readChunk + 4096); got > limit {
+			t.Fatalf("64 MiB header, %d payload bytes: Read allocated %d bytes, want at most %d", arrived, got, limit)
+		}
+	}
+	payload := make([]byte, 3*readChunk+5)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	f, err := Encode(payload, len(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Read(bytes.NewReader(f), len(payload)); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("frame of %d bytes: read back %d bytes, %v", len(payload), len(got), err)
+	}
+}
+
+// allocated reports the heap bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }

@@ -85,6 +85,10 @@ type FactorStats struct {
 	ColdBailed      int // simplex loop gave up: pivot budget, stale pivot, singular refactor
 	ColdUnbounded   int // warm loop saw unboundedness; re-derived cold
 	ColdUnverified  int // result failed the post-solve verification
+
+	// Cold optima whose X breaks a row or bound (feasibleAt), returned as
+	// they are: re-solving them would move decisions.
+	ColdOptimaInfeasible int
 }
 
 // FactorStats returns the counters accumulated on this Basis' workspace.

@@ -329,6 +329,9 @@ func (p *Problem) solveCold(cap *Basis) (*Solution, error) {
 	sol.Status = Optimal
 	sol.X = t.primal()
 	sol.Obj = t.objective()
+	if cap != nil && !p.feasibleAt(sol.X) {
+		cap.ws.stats.ColdOptimaInfeasible++
+	}
 	t.recomputeObjRow() // exact reduced costs for the duals
 	sol.Dual = t.duals()[:m]
 	if cap != nil {
@@ -339,6 +342,43 @@ func (p *Problem) solveCold(cap *Basis) (*Solution, error) {
 		}
 	}
 	return sol, nil
+}
+
+// feasibleAt reports whether x satisfies every row and, on a bounded problem,
+// every box, within feasTol·10 (rows: scaled by their largest coefficient).
+func (p *Problem) feasibleAt(x []float64) bool {
+	for i := range p.rows {
+		row := &p.rows[i]
+		act, scale := 0.0, 1.0
+		for _, tm := range row.terms {
+			act += tm.Coef * x[tm.Var]
+			if c := math.Abs(tm.Coef); c > scale {
+				scale = c
+			}
+		}
+		switch row.sense {
+		case LE:
+			if act > row.rhs+feasTol*scale*10 {
+				return false
+			}
+		case GE:
+			if act < row.rhs-feasTol*scale*10 {
+				return false
+			}
+		case EQ:
+			if math.Abs(act-row.rhs) > feasTol*scale*10 {
+				return false
+			}
+		}
+	}
+	if p.bounded() {
+		for j := range p.cost {
+			if x[j] < p.lo[j]-feasTol*10 || x[j] > p.up[j]+feasTol*10 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // coldScratch is the cold path's reusable storage, owned by a Basis

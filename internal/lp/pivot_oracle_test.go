@@ -206,7 +206,9 @@ func oracleLP(rng *rand.Rand, bounded bool) *Problem {
 // ninth and last Benders master of BenchmarkMetroPodCold — 289 columns, 392
 // rows, 288 of the columns boxed, so its cold solve runs on a 680-row
 // bound-row expansion whose pivot rows are the 2 %-dense case the sparse
-// kernel exists for.
+// kernel exists for. testdata/churn_master.json is a Benders master node LP
+// of arrival-churn (seed 1) that the cold path gets wrong (see
+// TestColdOptimaInfeasibleCounted).
 func loadRecordedLP(t *testing.T, path string) *Problem {
 	t.Helper()
 	raw, err := os.ReadFile(path)
@@ -291,6 +293,31 @@ func TestSparsePivotRefinesDense(t *testing.T) {
 	}
 	if st := check("metro master", master); st != Optimal {
 		t.Fatalf("recorded metro master solved %v, want optimal", st)
+	}
+}
+
+// TestColdOptimaInfeasibleCounted: testdata/churn_master.json — 68 rows, 65
+// columns, cut coefficients down to 1.3e-17 — comes back from the cold
+// tableau Optimal with an x of −7.3e31 in its [0,1] box and Obj 2.9e27.
+// FactorStats.ColdOptimaInfeasible counts it and the answer is returned as it
+// is; the recorded metro master, solved correctly, is not counted.
+func TestColdOptimaInfeasibleCounted(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		want int
+	}{{"testdata/churn_master.json", 1}, {"testdata/metro_master.json", 0}} {
+		p := loadRecordedLP(t, tc.path)
+		var b Basis
+		sol, err := p.SolveFrom(&b)
+		if err != nil || sol.Status != Optimal {
+			t.Fatalf("%s: %v, %v; want an optimum", tc.path, sol.Status, err)
+		}
+		if got := b.FactorStats().ColdOptimaInfeasible; got != tc.want {
+			t.Fatalf("%s: ColdOptimaInfeasible = %d, want %d", tc.path, got, tc.want)
+		}
+		if got := p.feasibleAt(sol.X); got != (tc.want == 0) {
+			t.Fatalf("%s: returned optimum feasible = %v, want %v", tc.path, got, tc.want == 0)
+		}
 	}
 }
 

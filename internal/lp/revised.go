@@ -999,36 +999,8 @@ func (r *revised) optimalSolution() *Solution {
 // degraded basis can never silently return a wrong answer; a failed check
 // sends the caller to the cold path.
 func (r *revised) verifyOptimal(sol *Solution) bool {
-	for i := range r.p.rows {
-		row := &r.p.rows[i]
-		act, scale := 0.0, 1.0
-		for _, tm := range row.terms {
-			act += tm.Coef * sol.X[tm.Var]
-			if c := math.Abs(tm.Coef); c > scale {
-				scale = c
-			}
-		}
-		switch row.sense {
-		case LE:
-			if act > row.rhs+feasTol*scale*10 {
-				return false
-			}
-		case GE:
-			if act < row.rhs-feasTol*scale*10 {
-				return false
-			}
-		case EQ:
-			if math.Abs(act-row.rhs) > feasTol*scale*10 {
-				return false
-			}
-		}
-	}
-	if r.bounded {
-		for j := 0; j < r.n; j++ {
-			if sol.X[j] < r.p.lo[j]-feasTol*10 || sol.X[j] > r.p.up[j]+feasTol*10 {
-				return false
-			}
-		}
+	if !r.p.feasibleAt(sol.X) {
+		return false
 	}
 	dualObj := 0.0
 	for i, d := range sol.Dual {
