@@ -208,7 +208,7 @@ func main() {
 		go func() {
 			// Tail until promoted (returns nil) or the replica diverged
 			// from the log (permanent; die so a supervisor rebuilds us).
-			if err := sb.Run(ctx, 0); err != nil {
+			if err := sb.Run(ctx); err != nil {
 				errc <- err
 			}
 		}()
@@ -334,8 +334,9 @@ func main() {
 			olog.Warn("lease release", "err", err)
 		}
 	}
+	col.Close()
+	olog.Info("monitoring collector closed", "dropped-datagrams", col.Dropped())
 	if failed {
-		col.Close()
 		obslog.Fatal(olog, errors.New("exiting after failure"))
 	}
 	olog.Info("bye")

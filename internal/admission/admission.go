@@ -1,7 +1,6 @@
 package admission
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -111,16 +110,6 @@ func (t *Ticket) fail(err error) {
 
 // Done is closed once the decision (or a terminal error) is available.
 func (t *Ticket) Done() <-chan struct{} { return t.done }
-
-// Wait blocks until the decision is available or the context ends.
-func (t *Ticket) Wait(ctx context.Context) (Outcome, error) {
-	select {
-	case <-t.done:
-		return t.out, t.err
-	case <-ctx.Done():
-		return Outcome{}, ctx.Err()
-	}
-}
 
 // Outcome returns the decision without blocking; ok is false while the
 // request is still in flight (or when the ticket failed).

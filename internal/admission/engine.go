@@ -755,7 +755,7 @@ func (e *Engine) logRound(domain string, seq uint64, batch []pending) error {
 // decide claims the round's seq (a solver error replays to the same error)
 // and solves on exec — bit-identical to the local solver by contract — or on
 // the domain's own solver when exec is nil, declines with ErrNoWorker or
-// replies with something the commit below cannot index (counted). On
+// replies with something the commit below cannot use (counted). On
 // success it commits: committed slices stay admitted (constraint (13)) and
 // re-track their forecasts, admitted requests join them. Caller holds dmu.
 func (d *domain) decide(r *Round, specs []core.TenantSpec, batch []pending, exec Executor) ([]Outcome, error) {
@@ -768,7 +768,7 @@ func (d *domain) decide(r *Round, specs []core.TenantSpec, batch []pending, exec
 	err := ErrNoWorker
 	if exec != nil {
 		dec, err = exec.SolveRound(d.name, r.Seq, d.topoEvents, specs)
-		if errors.Is(err, ErrBadReply) || err == nil && !shapedLike(dec, len(specs), len(d.cfg.Net.BSs)) {
+		if errors.Is(err, ErrBadReply) || err == nil && !usable(dec, len(specs), len(d.cfg.Net.CUs), d.solver.Paths()) {
 			d.badReplies.Add(1)
 			err = ErrNoWorker
 		}
@@ -818,15 +818,38 @@ func (d *domain) decide(r *Round, specs []core.TenantSpec, batch []pending, exec
 	return outcomes, nil
 }
 
-// shapedLike reports whether dec has the shape decide's commit indexes: one
-// entry per tenant, one per base station in each Z and PathIdx row.
-func shapedLike(dec *core.Decision, tenants, nBS int) bool {
-	ok := dec != nil && len(dec.Accepted) == tenants && len(dec.CU) == tenants &&
-		len(dec.Z) == tenants && len(dec.PathIdx) == tenants
-	for i := 0; ok && i < tenants; i++ {
-		ok = len(dec.Z[i]) == nBS && len(dec.PathIdx[i]) == nBS
+// usable reports whether dec is a decision the commit can index and the
+// orchestrator can program: one entry per tenant and one per base station
+// in each Z and PathIdx row, every Z finite, and each accepted tenant on
+// one of the nCU CUs over paths[b][CU] that exist. It allocates nothing.
+func usable(dec *core.Decision, tenants, nCU int, paths [][][]topology.Path) bool {
+	if dec == nil || len(dec.Accepted) != tenants || len(dec.CU) != tenants ||
+		len(dec.Z) != tenants || len(dec.PathIdx) != tenants {
+		return false
 	}
-	return ok
+	for i := range tenants {
+		if len(dec.Z[i]) != len(paths) || len(dec.PathIdx[i]) != len(paths) {
+			return false
+		}
+		for _, z := range dec.Z[i] {
+			if math.IsNaN(z) || math.IsInf(z, 0) {
+				return false
+			}
+		}
+		if !dec.Accepted[i] {
+			continue
+		}
+		cu := dec.CU[i]
+		if cu < 0 || cu >= nCU {
+			return false
+		}
+		for b, p := range dec.PathIdx[i] {
+			if p < 0 || p >= len(paths[b][cu]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // book wraps the round's error into r.Err, or books its expected revenue.

@@ -38,11 +38,23 @@ func newTestEngine(t *testing.T, cfg Config, dc DomainConfig) *Engine {
 	return e
 }
 
+// await blocks until tk is done or ctx ends, and returns what the ticket
+// holds: its outcome, or its terminal error.
+func await(ctx context.Context, tk *Ticket) (Outcome, error) {
+	select {
+	case <-tk.Done():
+		out, _ := tk.Outcome()
+		return out, tk.Err()
+	case <-ctx.Done():
+		return Outcome{}, ctx.Err()
+	}
+}
+
 func waitOutcome(t *testing.T, tk *Ticket) Outcome {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	out, err := tk.Wait(ctx)
+	out, err := await(ctx, tk)
 	if err != nil {
 		t.Fatalf("ticket: %v", err)
 	}
@@ -312,7 +324,7 @@ func TestStopFailsUndecidedTickets(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Stop()
-	if _, err := tk.Wait(context.Background()); !errors.Is(err, ErrStopped) {
+	if _, err := await(context.Background(), tk); !errors.Is(err, ErrStopped) {
 		t.Fatalf("orphan ticket: %v, want ErrStopped", err)
 	}
 	e.Stop() // idempotent

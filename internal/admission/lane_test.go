@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -334,7 +335,8 @@ func (x replyExec) SolveRound(string, uint64, []topology.Event, []core.TenantSpe
 // and the round decides exactly what an executor-free engine decides. So
 // does a reply the commit cannot use — an empty decision (it panicked the
 // commit with the domain lock held, and Stop then hung), a Z row one base
-// station short, a worker's error wrapped in ErrBadReply — and Metrics
+// station short, a worker's error wrapped in ErrBadReply, an accepted
+// tenant on a CU or path the domain lacks, a NaN reservation — and Metrics
 // counts each of those once. Any other executor error is final: the round
 // fails and nothing solves it locally — the rule that keeps a fenced leader
 // from deciding.
@@ -355,6 +357,7 @@ func TestDeclinedRoundSolvesOnDomainSolver(t *testing.T) {
 	short := *want.Decision
 	short.Z = slices.Clone(short.Z)
 	short.Z[1] = short.Z[1][:len(short.Z[1])-1]
+	badCU, badPath, nanZ := outOfDomain(want.Decision, topology.Testbed(), 3)
 	for _, tc := range []struct {
 		name string
 		exec Executor
@@ -365,6 +368,9 @@ func TestDeclinedRoundSolvesOnDomainSolver(t *testing.T) {
 		{"empty reply", replyExec{&core.Decision{}}, 1},
 		{"short Z", replyExec{&short}, 1},
 		{"error string", failingExec{fmt.Errorf("cluster: worker w1: solver blew up: %w", ErrBadReply)}, 1},
+		{"CU out of range", replyExec{badCU}, 1},
+		{"PathIdx out of range", replyExec{badPath}, 1},
+		{"NaN Z", replyExec{nanZ}, 1},
 	} {
 		got, met, err := round(tc.exec)
 		if err != nil {
@@ -381,6 +387,25 @@ func TestDeclinedRoundSolvesOnDomainSolver(t *testing.T) {
 	if r, _, err := round(failingExec{fenced}); !errors.Is(err, fenced) || r.Decision != nil || len(r.Admitted) != 0 {
 		t.Fatalf("round failed by its executor: %+v, %v; want the executor's error and no decision", r, err)
 	}
+}
+
+// outOfDomain derives three replies from an honest decision over net that
+// keep its shape but leave the domain: the first accepted tenant's CU is one
+// past net's CUs, its first path index one past its k-shortest path set,
+// or its first reservation NaN.
+func outOfDomain(honest *core.Decision, net *topology.Network, k int) (badCU, badPath, nanZ *core.Decision) {
+	i := slices.Index(honest.Accepted, true)
+	clone := func() *core.Decision {
+		d := *honest
+		d.CU, d.PathIdx, d.Z = slices.Clone(d.CU), slices.Clone(d.PathIdx), slices.Clone(d.Z)
+		d.PathIdx[i], d.Z[i] = slices.Clone(d.PathIdx[i]), slices.Clone(d.Z[i])
+		return &d
+	}
+	badCU, badPath, nanZ = clone(), clone(), clone()
+	badCU.CU[i] = len(net.CUs)
+	badPath.PathIdx[i][0] = len(net.Paths(k)[0][honest.CU[i]])
+	nanZ.Z[i][0] = math.NaN()
+	return badCU, badPath, nanZ
 }
 
 // TestFailedLogDoesNotAdvanceRoundClock: a round the log refused decided
@@ -408,7 +433,7 @@ func TestFailedLogDoesNotAdvanceRoundClock(t *testing.T) {
 	if !errors.Is(err, diskGone) || r == nil || r.Err == nil || r.Seq != 0 {
 		t.Fatalf("round on a failing log: %+v, %v", r, err)
 	}
-	if _, werr := tk.Wait(context.Background()); !errors.Is(werr, diskGone) {
+	if _, werr := await(context.Background(), tk); !errors.Is(werr, diskGone) {
 		t.Fatalf("ticket of the refused round: %v, want the log error", werr)
 	}
 	if got := rounds(); got != 0 {
@@ -454,7 +479,7 @@ func TestIdleLaneCutsAtOnce(t *testing.T) {
 	tk := mustSubmit(t, e, "", "s1")
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	out, err := tk.Wait(ctx)
+	out, err := await(ctx, tk)
 	if err != nil {
 		t.Fatalf("request to an idle lane undecided after 5 s: %v", err)
 	}
@@ -517,7 +542,7 @@ func TestBusyLaneCutsOnFinish(t *testing.T) {
 	wantRound := map[string]uint64{"hold": 0, "d": 1, "e": 1, "b": 2, "c": 2, "a": 3}
 	for _, tk := range tks {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		out, err := tk.Wait(ctx)
+		out, err := await(ctx, tk)
 		cancel()
 		if err != nil {
 			t.Fatalf("ticket unresolved after 5 s: %v", err)

@@ -189,7 +189,7 @@ func (c *Coordinator) readLoop(m *memberConn) {
 			c.remove(m, "connection lost")
 			return
 		}
-		if msg.Type == MsgFenced && !c.fenced.Swap(true) {
+		if msg.Type == MsgFenced && msg.Epoch > c.opts.Epoch && !c.fenced.Swap(true) {
 			c.opts.Log.Error("coordinator fenced: worker rejected dispatch from a stale leader epoch",
 				"worker", m.id, "epoch", c.opts.Epoch, "newer", msg.Epoch)
 		}
@@ -337,9 +337,10 @@ func (c *Coordinator) SolveRound(domain string, seq uint64, events []topology.Ev
 
 // dispatch sends one round to one member and waits for the reply. retry
 // is true when the member died or timed out and the caller should pick a
-// new owner. A worker's error comes back wrapped in admission.ErrBadReply:
-// the engine counts it and re-solves the round on its own solver, where a
-// deterministic solver error recurs and fails the round.
+// new owner. A worker's error, or a fence that carries no newer epoch,
+// comes back wrapped in admission.ErrBadReply: the engine counts it and
+// re-solves the round on its own solver, where a deterministic solver error
+// recurs and fails the round.
 func (c *Coordinator) dispatch(m *memberConn, domain string, seq uint64, events []topology.Event, tenants []core.TenantSpec, deadline time.Time) (dec *core.Decision, err error, retry bool) {
 	// Lazily install the domain on this worker. The assign frame goes
 	// down the same ordered connection as the round, so it always lands
@@ -385,7 +386,12 @@ func (c *Coordinator) dispatch(m *memberConn, domain string, seq uint64, events 
 	select {
 	case reply := <-ch:
 		if reply.Type == MsgFenced {
-			return nil, ErrFenced, false
+			if reply.Epoch > c.opts.Epoch {
+				return nil, ErrFenced, false
+			}
+			// Only a newer epoch fences; anything else is a lying worker.
+			return nil, fmt.Errorf("cluster: worker %s: fenced at epoch %d, not newer than %d: %w",
+				m.id, reply.Epoch, c.opts.Epoch, admission.ErrBadReply), false
 		}
 		if reply.Err != "" {
 			return nil, fmt.Errorf("cluster: worker %s: %s: %w", m.id, reply.Err, admission.ErrBadReply), false

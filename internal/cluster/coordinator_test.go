@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -28,10 +29,11 @@ func testTenants() []core.TenantSpec {
 }
 
 // scriptedWorker joins the cluster correctly and answers every round with
-// answer(round) — or, with a nil answer, swallows it: the shape of a worker
-// that hangs (or is SIGKILLed after receiving a dispatch but before
-// replying). roundSeen fires once when the first round lands.
-func scriptedWorker(t *testing.T, c *Coordinator, id string, answer func(round *Message) *Message) (roundSeen <-chan struct{}, kill func()) {
+// the frames answer(round) returns, in order — or, with a nil answer,
+// swallows it: the shape of a worker that hangs (or is SIGKILLed after
+// receiving a dispatch but before replying). roundSeen fires once when the
+// first round lands.
+func scriptedWorker(t *testing.T, c *Coordinator, id string, answer func(round *Message) []*Message) (roundSeen <-chan struct{}, kill func()) {
 	t.Helper()
 	server, client := net.Pipe()
 	c.AddConn(server)
@@ -61,12 +63,14 @@ func scriptedWorker(t *testing.T, c *Coordinator, id string, answer func(round *
 			if answer == nil {
 				continue
 			}
-			if frame, err = encodeFrame(answer(&msg)); err != nil {
-				t.Error(err)
-				return
-			}
-			if _, err := client.Write(frame); err != nil {
-				return
+			for _, reply := range answer(&msg) {
+				if frame, err = encodeFrame(reply); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := client.Write(frame); err != nil {
+					return
+				}
 			}
 		}
 	}()
@@ -259,28 +263,63 @@ func engineRound(t *testing.T, dc admission.DomainConfig, exec admission.Executo
 }
 
 // TestBadWorkerReplySolvesLocally: a worker that answers a round with an
-// error string, an empty decision or a Z row one base station short is not
-// believed. The coordinator wraps the error in admission.ErrBadReply, the
-// engine checks the decision's shape, and either way the round is counted
-// and solved on the domain's own solver, deciding exactly what an engine
-// with no coordinator decides.
+// error string, an empty decision, a Z row one base station short, an
+// accepted tenant on a CU or path the domain lacks, or a fence that carries
+// no newer epoch is not believed. (A NaN reservation cannot cross the wire:
+// JSON has no encoding for it; admission's own test sends one.) The coordinator wraps
+// the error and the stale fence in admission.ErrBadReply, the engine checks
+// the decision, and either way the round is counted and solved on the
+// domain's own solver, deciding exactly what an engine with no coordinator
+// decides. A duplicate reply, and one whose ID matches no pending round,
+// are dropped. After every row the coordinator still dispatches: once the
+// worker is gone, its next round is declined to the local solver, not
+// failed as fenced.
 func TestBadWorkerReplySolvesLocally(t *testing.T) {
 	dc := testDomainConfig()
 	want, _ := engineRound(t, dc, nil)
 	short := *want.Decision
 	short.Z = append([][]float64(nil), short.Z...)
 	short.Z[0] = short.Z[0][:len(short.Z[0])-1]
-	for name, dec := range map[string]*core.Decision{"error string": nil, "empty": {}, "short Z": &short} {
-		coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t)})
+	badCU, badPath := outOfDomain(want.Decision, dc.Net, 3)
+	const epoch = 3 // the coordinator's lease epoch
+	reply := func(dec *core.Decision) func(*Message) []*Message {
+		return func(round *Message) []*Message {
+			return []*Message{{Type: MsgReply, ID: round.ID, Decision: dec}}
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		answer func(round *Message) []*Message
+		bad    uint64 // BadReplies the round must count
+	}{
+		{"error string", func(round *Message) []*Message {
+			return []*Message{{Type: MsgReply, ID: round.ID, Err: "solver blew up"}}
+		}, 1},
+		{"empty", reply(&core.Decision{}), 1},
+		{"short Z", reply(&short), 1},
+		{"CU out of range", reply(badCU), 1},
+		{"PathIdx out of range", reply(badPath), 1},
+		{"stale fence", func(round *Message) []*Message {
+			return []*Message{{Type: MsgFenced, ID: round.ID, Worker: "liar", Epoch: epoch - 2}}
+		}, 1},
+		{"duplicate reply", func(round *Message) []*Message {
+			return []*Message{
+				{Type: MsgReply, ID: round.ID, Decision: want.Decision},
+				{Type: MsgReply, ID: round.ID, Decision: &core.Decision{}},
+			}
+		}, 0},
+		{"unknown ID", func(round *Message) []*Message {
+			return []*Message{
+				{Type: MsgReply, ID: round.ID + 1000, Decision: &core.Decision{}},
+				{Type: MsgReply, ID: round.ID, Decision: want.Decision},
+			}
+		}, 0},
+	} {
+		coord := NewCoordinator(CoordinatorOptions{Log: testLogger(t), Epoch: epoch})
 		if err := coord.RegisterDomain("", dc); err != nil {
 			t.Fatal(err)
 		}
-		_, kill := scriptedWorker(t, coord, "liar", func(round *Message) *Message {
-			if dec == nil {
-				return &Message{Type: MsgReply, ID: round.ID, Err: "solver blew up"}
-			}
-			return &Message{Type: MsgReply, ID: round.ID, Decision: dec}
-		})
+		_, kill := scriptedWorker(t, coord, "liar", tc.answer)
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		if err := coord.WaitMembers(ctx, 1); err != nil {
 			t.Fatal(err)
@@ -288,14 +327,35 @@ func TestBadWorkerReplySolvesLocally(t *testing.T) {
 		cancel()
 		got, met := engineRound(t, dc, coord)
 		kill()
+		after, _ := engineRound(t, dc, coord)
 		coord.Close()
 		if !reflect.DeepEqual(got.Decision, want.Decision) {
-			t.Fatalf("%s reply: round decided\n %+v\nwant\n %+v", name, got.Decision, want.Decision)
+			t.Fatalf("%s: round decided\n %+v\nwant\n %+v", tc.name, got.Decision, want.Decision)
 		}
-		if met.BadReplies != 1 {
-			t.Fatalf("%s reply: Metrics counts %d bad replies, want 1", name, met.BadReplies)
+		if met.BadReplies != tc.bad {
+			t.Fatalf("%s: Metrics counts %d bad replies, want %d", tc.name, met.BadReplies, tc.bad)
+		}
+		if !reflect.DeepEqual(after.Decision, want.Decision) {
+			t.Fatalf("%s: the round after the worker left decided\n %+v\nwant\n %+v", tc.name, after.Decision, want.Decision)
 		}
 	}
+}
+
+// outOfDomain derives two replies from an honest decision over net that
+// keep its shape but leave the domain: the first accepted tenant's CU is one
+// past net's CUs, or its first path index one past its k-shortest path set.
+func outOfDomain(honest *core.Decision, net *topology.Network, k int) (badCU, badPath *core.Decision) {
+	i := slices.Index(honest.Accepted, true)
+	clone := func() *core.Decision {
+		d := *honest
+		d.CU, d.PathIdx = slices.Clone(d.CU), slices.Clone(d.PathIdx)
+		d.PathIdx[i] = slices.Clone(d.PathIdx[i])
+		return &d
+	}
+	badCU, badPath = clone(), clone()
+	badCU.CU[i] = len(net.CUs)
+	badPath.PathIdx[i][0] = len(net.Paths(k)[0][honest.CU[i]])
+	return badCU, badPath
 }
 
 // TestHeartbeatTimeoutRemovesSilentWorker pins liveness: a worker that

@@ -161,9 +161,6 @@ func (s *BendersSession) bind(inst *Instance) (*model, error) {
 	return m, nil
 }
 
-// CarriedCuts reports the current cut-pool size (diagnostics and tests).
-func (s *BendersSession) CarriedCuts() int { return len(s.duals) }
-
 // remember pools a freshly discovered dual vector, evicting the oldest
 // entries beyond the pool bound.
 func (s *BendersSession) remember(ray bool, mu []float64) {

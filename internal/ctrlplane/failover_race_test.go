@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/monitor"
 	"repro/internal/topology"
+	"repro/internal/wal"
 )
 
 // The failover stress gate, built for -race: tenants register concurrently
@@ -157,7 +158,24 @@ func TestFailoverStressRace(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	tailErr := make(chan error, 1)
-	go func() { tailErr <- sb.Run(ctx, time.Millisecond) }() // hot tail racing the leader's appends
+	go func() { // a hot tail racing the leader's appends, until promotion
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for ctx.Err() == nil {
+			if _, err := sb.Poll(); err != nil {
+				sb.mu.Lock()
+				promoted := sb.promoted
+				sb.mu.Unlock()
+				if !promoted {
+					tailErr <- err
+					return
+				}
+				break
+			}
+			<-tick.C
+		}
+		tailErr <- nil
+	}()
 
 	reg1 := raceEpochs(t, leader, storeL, ledger, "p1", 5)
 	if t.Failed() {
@@ -212,12 +230,12 @@ func TestFailoverStressRace(t *testing.T) {
 
 	// Second reign: the same storm against the promoted standby, at once —
 	// its rounds must log to the store installed at promotion.
-	lsn := orch2.wal.LSN()
+	lsn, _ := sb.Progress() // where promotion left the log
 	raceEpochs(t, orch2, storeS, ledger, "p2", 4)
 	if t.Failed() {
 		t.Fatal("storm goroutine failed; see errors above")
 	}
-	if got := orch2.wal.LSN(); got < lsn+5 {
+	if got := logEnd(t, dir); got < lsn+5 {
 		t.Fatalf("log moved from LSN %d to %d over 5 epochs of the second reign; rounds are not reaching the promoted store", lsn, got)
 	}
 	// And what they logged is the state: kill the promoted orchestrator, and
@@ -266,6 +284,26 @@ func TestFailoverStressRace(t *testing.T) {
 		}
 		if ledger.expired[n] > 1 {
 			t.Errorf("slice %s expired %d times", n, ledger.expired[n])
+		}
+	}
+}
+
+// logEnd tails the log in dir to its end and returns the LSN the next
+// record will get.
+func logEnd(t *testing.T, dir string) uint64 {
+	t.Helper()
+	tail, err := wal.OpenTailer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tail.Close()
+	for {
+		recs, err := tail.Poll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) == 0 {
+			return tail.NextLSN()
 		}
 	}
 }

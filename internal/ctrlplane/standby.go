@@ -126,13 +126,13 @@ func (s *Standby) Rebuilds() int {
 	return s.rebuilds
 }
 
-// Run polls on a cadence until ctx ends, a permanent error occurs, or the
-// standby is promoted (which returns nil).
-func (s *Standby) Run(ctx context.Context, every time.Duration) error {
-	if every <= 0 {
-		every = 50 * time.Millisecond
-	}
-	tick := time.NewTicker(every)
+// standbyPollEvery is the cadence Run polls the leader's log at.
+const standbyPollEvery = 50 * time.Millisecond
+
+// Run polls every standbyPollEvery until ctx ends, a permanent error
+// occurs, or the standby is promoted (which returns nil).
+func (s *Standby) Run(ctx context.Context) error {
+	tick := time.NewTicker(standbyPollEvery)
 	defer tick.Stop()
 	for {
 		select {

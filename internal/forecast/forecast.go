@@ -299,19 +299,6 @@ func (a *Adaptive) active() Forecaster {
 	return a.ses
 }
 
-// Model names the currently selected model: "ses", "des", or
-// "holt-winters". Diagnostic only — selection is an internal concern —
-// but the regime-change tests pin the switching behavior through it.
-func (a *Adaptive) Model() string {
-	switch a.active().(type) {
-	case *HoltWinters:
-		return "holt-winters"
-	case *DES:
-		return "des"
-	}
-	return "ses"
-}
-
 // Forecast implements Forecaster.
 func (a *Adaptive) Forecast(h int) []float64 { return a.active().Forecast(h) }
 

@@ -35,8 +35,9 @@
 // pattern of the Benders slave, the admission shards and the
 // branch-and-bound node loop — allocates nothing. Presolve/Postsolve
 // shrink a master problem deterministically before solving, a pass's bound
-// flips share one batched factor traversal, and Basis.FactorStats counts
-// factor updates, forced refactorizations and cold fallbacks by cause. See
+// flips share one batched factor traversal, and a workspace's FactorStats
+// count factor updates, forced refactorizations and cold fallbacks by
+// cause (only the package's tests read them today). See
 // DESIGN.md §7 for the factorization design and determinism argument, §11
 // for the metro-scale tier (FT updates, bounded variables, presolve,
 // batched ftran) and §12 for

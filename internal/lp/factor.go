@@ -91,14 +91,6 @@ type FactorStats struct {
 	ColdOptimaInfeasible int
 }
 
-// FactorStats returns the counters accumulated on this Basis' workspace.
-func (b *Basis) FactorStats() FactorStats {
-	if b == nil || b.ws == nil {
-		return FactorStats{}
-	}
-	return b.ws.stats
-}
-
 // ftranBatchMax caps how many right-hand sides one ftranBatch call packs;
 // callers chunk larger batches. Sized so the packed scratch (2·max·m
 // floats) stays cache-friendly while still amortizing the factor walk.

@@ -6,10 +6,8 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
-	"time"
 )
 
 // Sample is one monitoring observation for a slice at a data-plane element.
@@ -190,33 +188,6 @@ func (s *Store) ElementEpochSamples(slice, metric, element string, epoch int) []
 	return s.AppendElementEpochSamples(nil, slice, metric, element, epoch)
 }
 
-// Slices lists the slice names present in the store, sorted.
-func (s *Store) Slices() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	set := map[string]bool{}
-	for k := range s.series {
-		set[k.slice] = true
-	}
-	out := make([]string, 0, len(set))
-	for n := range set {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Len reports the number of stored samples across all series.
-func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := 0
-	for _, r := range s.series {
-		n += len(r.buf)
-	}
-	return n
-}
-
 // Collector receives JSON-encoded samples over UDP and ingests them into a
 // Store, mirroring an sFlow collector front-ending InfluxDB.
 type Collector struct {
@@ -280,31 +251,3 @@ func (c *Collector) loop() {
 		c.store.Add(sm)
 	}
 }
-
-// Agent pushes samples to a collector over UDP — the role sFlow agents and
-// Ceilometer publishers play on the paper's switches and CUs.
-type Agent struct {
-	conn net.Conn
-}
-
-// NewAgent dials the collector.
-func NewAgent(collectorAddr string) (*Agent, error) {
-	conn, err := net.DialTimeout("udp", collectorAddr, time.Second)
-	if err != nil {
-		return nil, fmt.Errorf("monitor: dial collector: %w", err)
-	}
-	return &Agent{conn: conn}, nil
-}
-
-// Send publishes one sample; UDP semantics apply (fire and forget).
-func (a *Agent) Send(sm Sample) error {
-	b, err := json.Marshal(sm)
-	if err != nil {
-		return err
-	}
-	_, err = a.conn.Write(b)
-	return err
-}
-
-// Close releases the socket.
-func (a *Agent) Close() error { return a.conn.Close() }

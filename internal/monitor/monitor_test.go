@@ -1,8 +1,10 @@
 package monitor
 
 import (
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net"
 	"reflect"
 	"sort"
 	"testing"
@@ -85,6 +87,29 @@ func TestSlices(t *testing.T) {
 	}
 }
 
+// dialCollector opens the socket a data-plane agent publishes on: one
+// JSON-encoded Sample per UDP datagram to the collector's address.
+func dialCollector(t *testing.T, col *Collector) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("udp", col.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+func publish(t *testing.T, conn net.Conn, sm Sample) {
+	t.Helper()
+	b, err := json.Marshal(sm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(b); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAgentToCollector(t *testing.T) {
 	store := NewStore(0)
 	col, err := NewCollector("127.0.0.1:0", store)
@@ -93,19 +118,12 @@ func TestAgentToCollector(t *testing.T) {
 	}
 	defer col.Close()
 
-	ag, err := NewAgent(col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ag.Close()
-
+	agent := dialCollector(t, col)
 	for theta := 0; theta < 5; theta++ {
-		if err := ag.Send(Sample{
+		publish(t, agent, Sample{
 			Slice: "uRLLC1", Metric: "load_mbps", Element: "link3",
 			Epoch: 7, Theta: theta, Value: float64(10 + theta),
-		}); err != nil {
-			t.Fatal(err)
-		}
+		})
 	}
 
 	// UDP delivery is asynchronous; poll briefly.
@@ -128,17 +146,11 @@ func TestCollectorDropsGarbage(t *testing.T) {
 	}
 	defer col.Close()
 
-	ag, err := NewAgent(col.Addr())
-	if err != nil {
+	agent := dialCollector(t, col)
+	if _, err := agent.Write([]byte("not json at all")); err != nil {
 		t.Fatal(err)
 	}
-	defer ag.Close()
-	if _, err := ag.conn.Write([]byte("not json at all")); err != nil {
-		t.Fatal(err)
-	}
-	if err := ag.Send(Sample{Slice: "s", Metric: "m", Element: "x", Epoch: 1, Value: 2}); err != nil {
-		t.Fatal(err)
-	}
+	publish(t, agent, Sample{Slice: "s", Metric: "m", Element: "x", Epoch: 1, Value: 2})
 
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {

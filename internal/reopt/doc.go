@@ -42,8 +42,8 @@
 // back from the last round, runs Step, resolves the tickets, and plays the
 // epoch's per-(slice, BS) traffic into the controller's store, retiring
 // expired slices' generators only after their last epoch is in. It outlives
-// a crashed process: held re-offers are the World's, and Redeliver hands
-// the last epoch's samples to a restarted one. cmd/loadgen drives every
+// a crashed process: held re-offers are the World's, and so are the last
+// epoch's samples, which the tests' crash rows hand to a restarted one. cmd/loadgen drives every
 // domain through a World, and so does every test that holds the stack to a
 // reference — sim.Run here, an uninterrupted run in
 // internal/wal, the single process in internal/cluster.

@@ -551,18 +551,33 @@ func midStepCrash(t *testing.T, cfg sim.Config, s setup) *trace {
 	return run(t, cfg, s, map[int]hook{4: func(p *stack) *stack {
 		mid := p.state(t)
 		appendGhostPrefix(t, p.wal, 4)
-		lsn := p.wal.LSN()
 		p.kill()
-		q := newStack(t, cfg, s)
+		// Recover the way newStack's wal.Recover does, keeping the replayer
+		// to read where it left the log.
+		q, recovered := build(t, cfg, s)
+		lsn := recovered.Records[len(recovered.Records)-1].LSN + 1 // the dead process's log end
+		replayer, err := wal.NewReplayer(wal.Target{Engine: q.eng, Controller: q.ctrl, Ledger: q.ledger})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replayer.Bootstrap(recovered.Snapshot); err != nil {
+			t.Fatal(err)
+		}
+		if q.rec, err = replayer.Finalize(q.wal, recovered.Records); err != nil {
+			t.Fatalf("recovery: %v", err)
+		}
 		if q.rec.HeldBack != 2 {
 			t.Fatalf("recovery held back %d records, want the 2 uncommitted ones (report %+v)", q.rec.HeldBack, q.rec)
 		}
-		if got := q.wal.LSN(); got != lsn-2 {
+		if got := replayer.SeenLSN(); got != lsn-2 {
 			t.Fatalf("uncommitted tail not truncated: LSN %d, want %d", got, lsn-2)
 		}
 		// The ghost entries must not have leaked into the ledger or trackers.
 		if got := q.state(t); !reflect.DeepEqual(mid, got) {
 			t.Fatalf("state after dropping the uncommitted prefix:\n  want: %+v\n  got:  %+v", mid, got)
+		}
+		if err := q.eng.Start(); err != nil {
+			t.Fatal(err)
 		}
 		return q
 	}})
@@ -658,18 +673,19 @@ func standbyPromotion(t *testing.T, cfg sim.Config, s setup) *trace {
 		if _, err := os.Stat(leader.dir + "/wal-0000000000000000.seg"); !os.IsNotExist(err) {
 			t.Fatalf("base segment still present (stat: %v); the run never compacted under the tailer", err)
 		}
-		lsn := p.wal.LSN()
 		appendGhostPrefix(t, p.wal, kill)
 		p.kill()
 		drain()
-		if replayer.Pending() == 0 {
-			t.Fatal("the dead leader's uncommitted step prefix never reached the replayer; the hold-back path is untested")
-		}
 		tail.Close()
 		ws, recovered, err := wal.Open(wal.Options{Dir: leader.dir, SegmentBytes: 8 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
+		end := recovered.Records[len(recovered.Records)-1].LSN + 1 // the dead leader's log end
+		if got := replayer.SeenLSN(); got != end {
+			t.Fatalf("the replayer tailed to LSN %d of %d: the dead leader's uncommitted step prefix never reached it; the hold-back path is untested", got, end)
+		}
+		lsn := end - 2 // before the two-record prefix
 		sb.wal = ws
 		if err := sb.eng.SetLog(ws); err != nil {
 			t.Fatal(err)
@@ -678,9 +694,9 @@ func standbyPromotion(t *testing.T, cfg sim.Config, s setup) *trace {
 		if sb.rec, err = replayer.Finalize(ws, recovered.Records); err != nil {
 			t.Fatalf("finalize: %v", err)
 		}
-		if sb.rec.HeldBack != 2 || ws.LSN() != lsn {
+		if sb.rec.HeldBack != 2 || replayer.SeenLSN() != lsn {
 			t.Fatalf("finalize held back %d records and left the log at LSN %d, want the 2 uncommitted ones truncated to LSN %d (report %+v)",
-				sb.rec.HeldBack, ws.LSN(), lsn, sb.rec)
+				sb.rec.HeldBack, replayer.SeenLSN(), lsn, sb.rec)
 		}
 		if err := sb.eng.Start(); err != nil {
 			t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // and the data plane's per-(slice, BS) traffic, drawn from the same seeded
 // sim.NewGenerator processes the simulator measures. It is everything that
 // survives a control-plane crash — the re-offers it holds and the last
-// epoch's samples (Redeliver) — so one World can outlive the process it
+// epoch's samples — so one World can outlive the process it
 // drives. A World drives one controller at a time and is not safe for
 // concurrent use.
 type World struct {
@@ -175,13 +175,4 @@ func (w *World) Play(c *Controller) (*Played, error) {
 		delete(w.gens, name)
 	}
 	return p, nil
-}
-
-// Redeliver plays the last epoch's samples into the controller's store
-// again: the monitoring pipeline's hand-off to a restarted process, whose
-// next step settles and observes exactly that epoch.
-func (w *World) Redeliver(c *Controller) {
-	for _, sm := range w.last {
-		c.cfg.Store.Add(sm)
-	}
 }

@@ -43,7 +43,7 @@ func FuzzDecodeTopology(f *testing.F) {
 		_ = n.Paths(2)
 		for b := range n.BSs {
 			for c := range n.CUs {
-				_ = n.ShortestDelay(b, c)
+				_ = shortestDelay(n, b, c)
 			}
 		}
 	})

@@ -2,7 +2,6 @@ package topology
 
 import (
 	"container/heap"
-	"math"
 	"sort"
 )
 
@@ -187,14 +186,4 @@ func containsRoute(rs []route, r route) bool {
 		}
 	}
 	return false
-}
-
-// ShortestDelay returns the minimum BS→CU delay in seconds, or +Inf when
-// unreachable. It is a convenience for delay-feasibility prechecks.
-func (n *Network) ShortestDelay(bsIdx, cuIdx int) float64 {
-	r, ok := n.dijkstra(n.BSs[bsIdx].Node, n.CUs[cuIdx].Node, nil, nil)
-	if !ok {
-		return math.Inf(1)
-	}
-	return r.delay
 }

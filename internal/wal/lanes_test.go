@@ -207,7 +207,7 @@ func recoverLaneLog(t testing.TB, src string, procs int) (rep *Report, end uint6
 	}
 	raw, _ := json.Marshal(led.ExportState())
 	b.Write(raw)
-	return rep, st.LSN(), b.String(), nil
+	return rep, st.next, b.String(), nil
 }
 
 // laneProcs is the processor count the side-by-side recoveries run at: the
@@ -278,7 +278,7 @@ func TestParallelReplayReturnsLowestLSNError(t *testing.T) {
 			}
 		}
 	}
-	firstBad := w.LSN()
+	firstBad := w.next
 	round(domains[1], 99) // behind three real rounds of its lane
 	round(domains[6], 7)  // its lane's first record
 	round(domains[0], 3)
@@ -310,8 +310,8 @@ func TestReplayRefusesUnknownKind(t *testing.T) {
 	if err := w.AppendAdvance(dom); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.AppendHandover(dom, laneDomainNames()[1], "s"); err == nil || w.LSN() != 1 {
-		t.Fatalf("AppendHandover = %v with the log at LSN %d; want a refusal and LSN 1", err, w.LSN())
+	if err := w.AppendHandover(dom, laneDomainNames()[1], "s"); err == nil || w.next != 1 {
+		t.Fatalf("AppendHandover = %v with the log at LSN %d; want a refusal and LSN 1", err, w.next)
 	}
 	if err := w.append(&Record{Kind: "handover", Domain: dom}); err != nil {
 		t.Fatal(err)

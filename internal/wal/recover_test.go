@@ -99,7 +99,7 @@ func TestRecoverRecordSequences(t *testing.T) {
 			if !reflect.DeepEqual(*rep, tc.want) {
 				t.Fatalf("report %+v, want %+v", *rep, tc.want)
 			}
-			if got := s.LSN(); got != tc.wantLSN {
+			if got := s.next; got != tc.wantLSN {
 				t.Fatalf("log ends at LSN %d after recovery, want %d", got, tc.wantLSN)
 			}
 		})

@@ -89,15 +89,6 @@ func (r *Replayer) Bootstrap(snap *Snapshot) error {
 // been ingested or was folded into the bootstrap snapshot).
 func (r *Replayer) SeenLSN() uint64 { return r.seen }
 
-// Pending counts records held back waiting for their step's round.
-func (r *Replayer) Pending() int {
-	n := 0
-	for _, l := range r.lanes {
-		n += len(l.pending)
-	}
-	return n
-}
-
 // Rounds counts the rounds applied so far.
 func (r *Replayer) Rounds() int {
 	n := 0

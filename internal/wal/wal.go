@@ -378,13 +378,6 @@ func (s *Store) Sync() error {
 	return s.syncLocked()
 }
 
-// LSN returns the LSN the next appended record will get.
-func (s *Store) LSN() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
-
 // --- admission.RoundLog ---
 
 // AppendRound implements admission.RoundLog.

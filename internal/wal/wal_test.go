@@ -134,8 +134,8 @@ func TestAppendSyncReopen(t *testing.T) {
 			t.Fatalf("record %d: %+v", i, pr)
 		}
 	}
-	if s2.LSN() != 3 {
-		t.Fatalf("next LSN %d, want 3", s2.LSN())
+	if s2.next != 3 {
+		t.Fatalf("next LSN %d, want 3", s2.next)
 	}
 }
 
@@ -371,7 +371,7 @@ func TestTruncateTailDropsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The store keeps appending seamlessly after the cut.
-	if got := s2.LSN(); got != 4 {
+	if got := s2.next; got != 4 {
 		t.Fatalf("LSN after truncate = %d, want 4", got)
 	}
 	if err := s2.AppendRound("default", 4, nil); err != nil {
@@ -409,13 +409,13 @@ func TestAppendWhileRecoveringIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.setRecovering(false)
-	if got := s.LSN(); got != 0 {
+	if got := s.next; got != 0 {
 		t.Fatalf("recovering append advanced the LSN to %d", got)
 	}
 	if err := s.AppendAdvance("default"); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.LSN(); got != 1 {
+	if got := s.next; got != 1 {
 		t.Fatalf("post-recovery append did not land: LSN %d", got)
 	}
 }
