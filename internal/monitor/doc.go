@@ -8,10 +8,11 @@
 // Per-slice demand series use the canonical (LoadMetric, BSElement)
 // naming, which is what lets the closed-loop controller (internal/reopt)
 // match a sample back to the per-BS reservation it must be scored against.
-// The store's one read, AppendElementEpochSamples, hands back a series'
-// samples of one epoch in a deterministic order; the controller folds the
-// λ(t) = max{λ(θ) | θ ∈ κ(t)} peaks its forecasters consume, and the yield
-// accounting, over exactly that. The store also carries the serving layer's
-// own health (admission round vitals, realized-yield samples), so one
-// backend serves both the paper's feedback loop and operations.
+// The closed loop's read, AppendEpochValues, hands back a series' values of
+// one epoch in a deterministic order; the controller folds the yield
+// accounting and the λ(t) = max{λ(θ) | θ ∈ κ(t)} peaks its forecasters
+// consume over exactly that, in one read per series per epoch. The store
+// also carries the admission engine's round wall times, one sample per
+// round, so one backend serves both the paper's feedback loop and
+// operations; realized yield lives in the yield ledger, not here.
 package monitor

@@ -4,8 +4,8 @@ import "sort"
 
 // Slices lists the slice names present in the store, sorted.
 func (s *Store) Slices() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	set := map[string]bool{}
 	for k := range s.series {
 		set[k.slice] = true
@@ -20,8 +20,8 @@ func (s *Store) Slices() []string {
 
 // Len reports the number of stored samples across all series.
 func (s *Store) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	n := 0
 	for _, r := range s.series {
 		n += len(r.buf)

@@ -30,7 +30,7 @@ const LoadMetric = "load_mbps"
 // BSElement names the monitoring element for radio site b ("bs0", "bs1",
 // …): the convention every in-tree agent uses for per-BS load samples,
 // and the key the closed-loop controller reads a slice's per-BS series
-// back under (ElementEpochSamples) to score them against the reservation
+// back under (AppendEpochValues) to score them against the reservation
 // vector.
 func BSElement(b int) string {
 	if b >= 0 && b < len(bsElements) {
@@ -39,8 +39,8 @@ func BSElement(b int) string {
 	return "bs" + strconv.Itoa(b)
 }
 
-// bsElements holds the first BSElement names ready-made: the settle and
-// observe phases ask for one per slice per BS per epoch.
+// bsElements holds the first BSElement names ready-made: the closed loop
+// asks for one per slice per BS per epoch.
 var bsElements = func() [256]string {
 	var names [256]string
 	for b := range names {
@@ -83,13 +83,65 @@ func (r *series) ordered() bool {
 	return r.lateAt == 0 || r.adds-r.lateAt >= uint64(len(r.buf))
 }
 
+// add appends p to the window, overwriting the oldest point once the window
+// holds retain.
+func (r *series) add(p point, retain int) {
+	n := len(r.buf)
+	r.adds++
+	if n > 0 && p.epoch < r.at(n-1).epoch {
+		r.lateAt = r.adds
+	}
+	if n == retain {
+		r.buf[r.head] = p
+		if r.head++; r.head == n {
+			r.head = 0
+		}
+		return
+	}
+	if n == cap(r.buf) {
+		grown := make([]point, n, min(max(2*n, 4), retain))
+		copy(grown, r.buf)
+		r.buf = grown
+	}
+	r.buf = append(r.buf, p)
+}
+
+// span returns the positions [lo, hi) of the window a read of epoch walks
+// for that epoch's points. On an epoch-ordered window it reads backwards from
+// the newest point and stops at the first one older than the epoch, so a read
+// costs the epoch's points, not the retention window; otherwise the span is
+// the whole window.
+func (r *series) span(epoch int) (lo, hi int) {
+	hi = len(r.buf)
+	if !r.ordered() {
+		return 0, hi
+	}
+	for hi > 0 && r.at(hi-1).epoch > epoch {
+		hi--
+	}
+	for lo = hi; lo > 0 && r.at(lo-1).epoch == epoch; lo-- {
+	}
+	return lo, hi
+}
+
 // Store is the in-memory time-series database. It retains a bounded number
 // of samples per series (ring retention) and supports the per-epoch
 // reads the AC-RR engine needs. Safe for concurrent use.
+//
+// One plain mutex guards it: every caller in the tree either ingests a burst
+// or reads one series at a time, so a reader-writer lock's extra atomics
+// bought no parallelism.
 type Store struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	retain int
 	series map[key]*series
+	// cur is the series the last Add wrote, under curKey: a burst of one
+	// series' slots (every in-tree agent reports θ by θ) skips the map.
+	curKey key
+	cur    *series
+	// sorted is the scratch epochPoints collects and sorts an epoch's
+	// points in.
+	sorted []point
 }
 
 // NewStore creates a store retaining up to retain samples per series
@@ -104,88 +156,101 @@ func NewStore(retain int) *Store {
 // Add ingests a sample.
 func (s *Store) Add(sm Sample) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	k := key{sm.Slice, sm.Metric, sm.Element}
-	r := s.series[k]
-	if r == nil {
-		r = &series{}
-		s.series[k] = r
-	}
-	p := point{sm.Epoch, sm.Theta, sm.Value}
-	n := len(r.buf)
-	r.adds++
-	if n > 0 && p.epoch < r.at(n-1).epoch {
-		r.lateAt = r.adds
-	}
-	if n == s.retain {
-		r.buf[r.head] = p
-		if r.head++; r.head == n {
-			r.head = 0
+	r := s.cur
+	if r == nil || sm.Element != s.curKey.element || sm.Slice != s.curKey.slice || sm.Metric != s.curKey.metric {
+		k := key{sm.Slice, sm.Metric, sm.Element}
+		if r = s.series[k]; r == nil {
+			r = &series{}
+			s.series[k] = r
 		}
-		return
+		s.curKey, s.cur = k, r
 	}
-	if n == cap(r.buf) {
-		grown := make([]point, n, min(max(2*n, 4), s.retain))
-		copy(grown, r.buf)
-		r.buf = grown
-	}
-	r.buf = append(r.buf, p)
+	r.add(point{sm.Epoch, sm.Theta, sm.Value}, s.retain)
+	s.mu.Unlock()
 }
 
-// AppendElementEpochSamples appends to dst the samples one (slice, metric,
-// element) series holds for the given epoch, sorted by (theta, value) so any
-// accounting folded over it is deterministic regardless of ingest
+// AppendEpochValues appends to dst the values one (slice, metric, element)
+// series holds for the given epoch, in (theta, value) order so any
+// accounting folded over them is deterministic regardless of ingest
 // interleaving, and returns the extended slice; a caller that passes the
-// same buffer again (dst[:0]) reads without allocating. It is a single
-// series lookup, and on a window in epoch order it reads backwards from the
-// newest sample and stops at the first one older than the epoch, so the
-// closed loop's per-slice, per-BS accounting costs the epoch's samples, not
-// the retention window. The sort is skipped when the samples arrived in
-// (theta, value) order; every in-tree agent's window is ordered both ways.
-func (s *Store) AppendElementEpochSamples(dst []Sample, slice, metric, element string, epoch int) []Sample {
-	from := len(dst)
-	s.mu.RLock()
+// same buffer again (dst[:0]) reads without allocating. It is the closed
+// loop's read: a single series lookup and the span's walk (series.span),
+// with the order checked on the points as they are copied; the points are
+// sorted, in the store's scratch, only when they arrived out of order.
+// Every in-tree agent's window is ordered both ways.
+func (s *Store) AppendEpochValues(dst []float64, slice, metric, element string, epoch int) []float64 {
+	s.mu.Lock()
 	if r := s.series[key{slice, metric, element}]; r != nil {
-		lo, hi := 0, len(r.buf)
-		if r.ordered() {
-			for hi > 0 && r.at(hi-1).epoch > epoch {
-				hi--
-			}
-			for lo = hi; lo > 0 && r.at(lo-1).epoch == epoch; lo-- {
-			}
-			dst = slices.Grow(dst, hi-lo)
-		}
+		from, inOrder, last := len(dst), true, point{}
+		lo, hi := r.span(epoch)
 		for i := lo; i < hi; i++ {
 			if p := r.at(i); p.epoch == epoch {
-				dst = append(dst, Sample{Slice: slice, Metric: metric, Element: element,
-					Epoch: epoch, Theta: p.theta, Value: p.value})
+				if len(dst) > from && bySlot(p, last) < 0 {
+					inOrder = false
+				}
+				dst, last = append(dst, p.value), p
+			}
+		}
+		if !inOrder {
+			for i, p := range s.epochPoints(r, epoch) {
+				dst[from+i] = p.value
 			}
 		}
 	}
-	s.mu.RUnlock()
-	if out := dst[from:]; !slices.IsSortedFunc(out, bySlot) {
-		slices.SortFunc(out, bySlot)
-	}
+	s.mu.Unlock()
 	return dst
 }
 
-// bySlot orders one series' samples of one epoch by (theta, value).
-func bySlot(a, b Sample) int {
+// epochPoints collects r's points of epoch into the store's scratch, sorted
+// by (theta, value). The caller holds s.mu and reads the result before
+// releasing it.
+func (s *Store) epochPoints(r *series, epoch int) []point {
+	lo, hi := r.span(epoch)
+	pts := s.sorted[:0]
+	for i := lo; i < hi; i++ {
+		if p := r.at(i); p.epoch == epoch {
+			pts = append(pts, p)
+		}
+	}
+	if !slices.IsSortedFunc(pts, bySlot) {
+		slices.SortFunc(pts, bySlot)
+	}
+	s.sorted = pts
+	return pts
+}
+
+// bySlot orders one series' points of one epoch by (theta, value).
+func bySlot(a, b point) int {
 	switch {
-	case a.Theta != b.Theta:
-		return cmp.Compare(a.Theta, b.Theta)
-	case a.Value < b.Value:
+	case a.theta != b.theta:
+		return cmp.Compare(a.theta, b.theta)
+	case a.value < b.value:
 		return -1
-	case b.Value < a.Value:
+	case b.value < a.value:
 		return 1
 	}
 	return 0
 }
 
-// ElementEpochSamples is AppendElementEpochSamples into a fresh slice (nil
-// when the series holds nothing for the epoch).
+// ElementEpochSamples returns the samples one (slice, metric, element)
+// series holds for the given epoch, in a fresh slice (nil when there are
+// none), in the order AppendEpochValues reads their values.
 func (s *Store) ElementEpochSamples(slice, metric, element string, epoch int) []Sample {
-	return s.AppendElementEpochSamples(nil, slice, metric, element, epoch)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.series[key{slice, metric, element}]
+	if r == nil {
+		return nil
+	}
+	pts := s.epochPoints(r, epoch)
+	if len(pts) == 0 {
+		return nil
+	}
+	out := make([]Sample, len(pts))
+	for i, p := range pts {
+		out[i] = Sample{Slice: slice, Metric: metric, Element: element, Epoch: epoch, Theta: p.theta, Value: p.value}
+	}
+	return out
 }
 
 // Collector receives JSON-encoded samples over UDP and ingests them into a

@@ -1,11 +1,14 @@
 package monitor
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -168,9 +171,11 @@ func TestConcurrentIngest(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
+			var dst []float64
 			for i := 0; i < 200; i++ {
 				s.Add(Sample{Slice: "s", Metric: "m", Element: string(rune('a' + g)), Epoch: i, Value: 1})
 				s.ElementEpochSamples("s", "m", string(rune('a'+g)), i)
+				dst = s.AppendEpochValues(dst[:0], "s", "m", string(rune('a'+g)), i)
 			}
 		}(g)
 	}
@@ -256,9 +261,7 @@ func (s *refStore) elementEpochSamples(slice, metric, element string, epoch int)
 // the ring wraps many times and windows straddle its head, late and duplicate
 // samples (which take the full-scan path until they leave the window) — and
 // requires identical reads, nil-ness included, after every epoch's ingest for
-// every epoch in and around the stored range, both through
-// ElementEpochSamples and through a reused dst that still holds the previous
-// read's contents.
+// every epoch in and around the stored range.
 func TestElementEpochSamplesMatchesFullScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	retains := []int{1, 2, 7, 48}
@@ -274,7 +277,6 @@ func TestElementEpochSamplesMatchesFullScan(t *testing.T) {
 		}
 		epochs := 1 + rng.Intn(12)
 		n := 0
-		dst := []Sample{{Slice: "stale"}, {Slice: "stale"}, {Slice: "stale"}}
 		for e := 0; e < epochs; e++ {
 			for k, slots := 0, rng.Intn(9); k < slots; k++ {
 				sm := Sample{Slice: "s", Metric: LoadMetric, Element: BSElement(trial % 2),
@@ -296,20 +298,59 @@ func TestElementEpochSamplesMatchesFullScan(t *testing.T) {
 						t.Fatalf("trial %d (retain %d, late every %d) after epoch %d, %s epoch %d:\n got  %v\n want %v",
 							trial, retain, lateEvery, e, el, q, got, want)
 					}
-					dst = s.AppendElementEpochSamples(dst[:0], "s", LoadMetric, el, q)
-					if len(dst) != len(want) || (len(want) > 0 && !reflect.DeepEqual(dst, want)) {
-						t.Fatalf("trial %d (retain %d) reused dst, %s epoch %d:\n got  %v\n want %v",
-							trial, retain, el, q, dst, want)
-					}
 				}
 			}
 		}
-		// Appending leaves what dst already held alone.
-		pre := []Sample{{Slice: "kept"}}
-		want := append([]Sample{{Slice: "kept"}}, ref.elementEpochSamples("s", LoadMetric, BSElement(trial%2), epochs-1)...)
-		if got := s.AppendElementEpochSamples(pre, "s", LoadMetric, BSElement(trial%2), epochs-1); !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: append after existing contents:\n got  %v\n want %v", trial, got, want)
+	}
+}
+
+// TestAppendEpochValuesMatchesSamples: the closed loop's read is
+// ElementEpochSamples projected onto Value, bit for bit, under random ingest
+// orders (slots shuffled within an epoch, so most reads take the sort path),
+// equal-θ ties between equal values of either sign, late points, rings that
+// wrap, and a destination buffer reused across reads that still holds the
+// previous read and a kept prefix.
+func TestAppendEpochValuesMatchesSamples(t *testing.T) {
+	rng := rand.New(rand.NewSource(48))
+	values := []float64{0, math.Copysign(0, -1), 1, 2}
+	sorted := 0
+	for trial := 0; trial < 120; trial++ {
+		s := NewStore(1 + rng.Intn(60))
+		els := []string{BSElement(0), BSElement(1)}
+		dst := []float64{-7}
+		for e := 0; e < 1+rng.Intn(10); e++ {
+			for _, el := range els {
+				slots := rng.Perm(1 + rng.Intn(8))
+				for _, theta := range slots {
+					sm := Sample{Slice: "s", Metric: LoadMetric, Element: el, Epoch: e, Theta: theta % 3, Value: values[rng.Intn(len(values))]}
+					if rng.Intn(7) == 0 { // a late point
+						sm.Epoch = rng.Intn(e + 1)
+					}
+					s.Add(sm)
+				}
+			}
+			for q := -1; q <= e+1; q++ {
+				for _, el := range els {
+					want := s.ElementEpochSamples("s", LoadMetric, el, q)
+					dst = s.AppendEpochValues(dst[:1], "s", LoadMetric, el, q)
+					if len(dst) != 1+len(want) || math.Float64bits(dst[0]) != math.Float64bits(-7) {
+						t.Fatalf("trial %d, %s epoch %d: read %v after the kept prefix, want %d values", trial, el, q, dst, len(want))
+					}
+					for i, sm := range want {
+						if math.Float64bits(dst[1+i]) != math.Float64bits(sm.Value) {
+							t.Fatalf("trial %d, %s epoch %d: values %v, samples %v", trial, el, q, dst[1:], want)
+						}
+					}
+					if !slices.IsSortedFunc(want, func(a, b Sample) int { return cmp.Compare(a.Theta, b.Theta) }) {
+						t.Fatalf("trial %d, %s epoch %d: samples out of θ order: %v", trial, el, q, want)
+					}
+					sorted += len(want)
+				}
+			}
 		}
+	}
+	if sorted == 0 {
+		t.Fatal("no read returned a value; the property is vacuous")
 	}
 }
 
@@ -379,21 +420,62 @@ func TestStoreAddSteadyStateZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestAppendElementEpochSamplesZeroAllocs: a keyed read into a buffer that
-// has held an epoch before allocates nothing, on either side of the ring's
-// head.
-func TestAppendElementEpochSamplesZeroAllocs(t *testing.T) {
+// TestAppendEpochValuesZeroAllocs: a keyed read into a buffer that has held
+// an epoch before allocates nothing, on either side of the ring's head, and
+// neither does one whose points arrived out of order once the store's
+// scratch has sorted an epoch that size.
+func TestAppendEpochValuesZeroAllocs(t *testing.T) {
 	s, sm := fullStore()
-	dst := s.AppendElementEpochSamples(nil, sm.Slice, sm.Metric, sm.Element, 8)
-	if len(dst) != 12 {
-		t.Fatalf("epoch 8 holds %d samples, want 12", len(dst))
+	for theta := 11; theta >= 0; theta-- { // epoch 9, slots reversed
+		s.Add(Sample{Slice: "r", Metric: sm.Metric, Element: sm.Element, Epoch: 9, Theta: theta, Value: float64(theta)})
 	}
-	epoch := 5
-	if n := testing.AllocsPerRun(200, func() {
-		dst = s.AppendElementEpochSamples(dst[:0], sm.Slice, sm.Metric, sm.Element, epoch)
-		epoch = 5 + (epoch-4)%4
-	}); n != 0 {
-		t.Fatalf("a read into a reused buffer allocates %v times, want 0", n)
+	for _, read := range []struct {
+		slice string
+		epoch int
+	}{{sm.Slice, 5}, {"r", 9}} {
+		epoch := read.epoch
+		dst := s.AppendEpochValues(nil, read.slice, sm.Metric, sm.Element, epoch)
+		if len(dst) != 12 || !slices.IsSorted(dst) {
+			t.Fatalf("%s epoch %d reads %v, want 12 values in θ order", read.slice, epoch, dst)
+		}
+		if n := testing.AllocsPerRun(200, func() {
+			dst = s.AppendEpochValues(dst[:0], read.slice, sm.Metric, sm.Element, epoch)
+			if read.slice == sm.Slice {
+				epoch = 5 + (epoch-4)%4
+			}
+		}); n != 0 {
+			t.Fatalf("%s: a read into a reused buffer allocates %v times, want 0", read.slice, n)
+		}
+	}
+}
+
+// BenchmarkStoreEpoch replays the closed loop's traffic on the store: per
+// epoch, 12 θ of each (slice, BS) series of 6 slices on 4 BSs, ingested
+// series by series as World.Play and the benchmark's feed send them, then
+// one keyed read per series, as a Controller.Step makes. One op is one
+// epoch.
+func BenchmarkStoreEpoch(b *testing.B) {
+	const nSlices, bss, kappa = 6, 4, 12
+	s := NewStore(0)
+	var names [nSlices]string
+	for i := range names {
+		names[i] = fmt.Sprintf("s%d", i)
+	}
+	var dst []float64
+	b.ReportAllocs()
+	for epoch := 0; epoch < b.N; epoch++ {
+		for _, name := range names {
+			for bs := 0; bs < bss; bs++ {
+				for theta := 0; theta < kappa; theta++ {
+					s.Add(Sample{Slice: name, Metric: LoadMetric, Element: BSElement(bs), Epoch: epoch, Theta: theta, Value: float64(theta)})
+				}
+			}
+		}
+		for _, name := range names {
+			for bs := 0; bs < bss; bs++ {
+				dst = s.AppendEpochValues(dst[:0], name, LoadMetric, BSElement(bs), epoch)
+			}
+		}
 	}
 }
 

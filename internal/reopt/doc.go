@@ -10,10 +10,14 @@
 //     round's CommittedDetail snapshot, so slices that expired at the
 //     epoch boundary still settle their final epoch), and the realized
 //     net revenue — reward minus K·(dropped SLA fraction) — is booked
-//     into the shared yield.Ledger and published back through the store;
+//     into the shared yield.Ledger (GET /yield and /metrics serve it);
 //  2. observe — each committed slice's per-epoch peak load (the §2.2.2
 //     max-aggregation) feeds its forecast.Adaptive tracker, so diurnal
-//     ramps and flash crowds move λ̂ and shrink σ̂ online;
+//     ramps and flash crowds move λ̂ and shrink σ̂ online. Settle folds
+//     the peak from the values it scores, so each series of the ended
+//     epoch is read once; observe reads a slice itself only when settle
+//     did not read it over the same BS count (admitted since, or the first
+//     step after RestoreState);
 //  3. reoptimize — the refreshed (λ̂, σ̂) views are installed with one
 //     batched Engine.UpdateForecasts and a warm re-solve round
 //     (Engine.DecideRound) rescales every reservation and decides the
@@ -42,8 +46,9 @@
 // back from the last round, runs Step, resolves the tickets, and plays the
 // epoch's per-(slice, BS) traffic into the controller's store, retiring
 // expired slices' generators only after their last epoch is in. It outlives
-// a crashed process: held re-offers are the World's, and so are the last
-// epoch's samples, which the tests' crash rows hand to a restarted one. cmd/loadgen drives every
+// a crashed process: held re-offers are the World's; the last epoch's
+// samples are the monitoring pipeline's, which the tests' crash rows copy
+// from the dead process's store to its successor's. cmd/loadgen drives every
 // domain through a World, and so does every test that holds the stack to a
 // reference — sim.Run here, an uninterrupted run in
 // internal/wal, the single process in internal/cluster.

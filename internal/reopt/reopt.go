@@ -41,8 +41,7 @@ type Config struct {
 	// Domain names the engine domain; empty means admission.DefaultDomain.
 	Domain string
 	// Store is the monitoring backend observations are read from (the
-	// monitor.LoadMetric series) and yield samples are published into.
-	// Required.
+	// monitor.LoadMetric series). Required.
 	Store *monitor.Store
 	// Ledger receives the realized yield entries; nil creates a private
 	// one. Share a ledger (and hand it to admission.Config.Ledger) to get
@@ -143,7 +142,8 @@ type Controller struct {
 	// Step scratch, cleared and refilled every step. Nothing keeps a
 	// reference past the step: the store read is consumed in place, and
 	// StepLog and Engine.UpdateForecasts encode or copy before they return.
-	samples    []monitor.Sample
+	values     []float64
+	settled    []peakRead // settle's peak of each of prev's members, for observe
 	prevTotals map[string]float64
 	alive      []string
 	aliveSet   map[string]bool
@@ -196,18 +196,21 @@ func (c *Controller) Step() (*StepReport, error) {
 	// reservations that served it, booking realized yield. The entries are
 	// computed first, logged (they derive from the non-durable store, so
 	// replay needs them verbatim), and only then booked.
+	c.settled = c.settled[:0]
 	if c.prev != nil {
 		for _, m := range c.prev.members {
 			as := yield.NewAssessment(m.SLA.RateMbps)
 			// Keyed per-element reads keep settle linear in the slice's own
-			// samples (EpochSamples would rescan every series in the store
-			// for each committed slice).
+			// samples; the same values give the slice's epoch peak.
+			var pk peakRead
 			for b := range m.Reserved {
-				c.samples = c.cfg.Store.AppendElementEpochSamples(c.samples[:0], m.Name, monitor.LoadMetric, monitor.BSElement(b), c.prev.epoch)
-				for _, sm := range c.samples {
-					as.Sample(sm.Value, m.Reserved[b])
+				c.values = c.cfg.Store.AppendEpochValues(c.values[:0], m.Name, monitor.LoadMetric, monitor.BSElement(b), c.prev.epoch)
+				for _, v := range c.values {
+					as.Sample(v, m.Reserved[b])
+					pk.fold(v)
 				}
 			}
+			c.settled = append(c.settled, pk)
 			if as.Samples() == 0 {
 				// Nothing monitored: nothing to settle.
 				continue
@@ -235,25 +238,39 @@ func (c *Controller) Step() (*StepReport, error) {
 		c.prevTotals[m.Name] = totalOf(m.Reserved)
 	}
 	reoptNow := c.cfg.ReoptEvery > 0 && c.epoch%c.cfg.ReoptEvery == 0
+	// Observe wants epoch c.epoch−1's peaks. When that is the epoch settle
+	// just read, a slice settle read over the same BS count has its peak
+	// already: the series are keyed by name, so it is the same read.
+	var read []admission.CommittedSlice
+	if c.prev != nil && c.prev.epoch == c.epoch-1 {
+		read = c.prev.members
+	}
 	alive, peaks := c.alive[:0], c.peaks[:0]
+	j := 0 // both lists are in admission order
 	for _, m := range committed {
 		alive = append(alive, m.Name)
-		if c.epoch > 0 {
-			// The §2.2.2 max-aggregation over the slice's own per-BS
-			// series, via the same keyed reads settle uses — the observe
-			// phase stays linear in the slice's epoch samples too.
-			peak, ok := 0.0, false
+		if c.epoch == 0 {
+			continue
+		}
+		k := j
+		for k < len(read) && read[k].Name != m.Name {
+			k++
+		}
+		var pk peakRead
+		if k < len(read) && len(read[k].Reserved) == len(m.Reserved) {
+			pk, j = c.settled[k], k+1
+		} else {
+			// Not read by settle (admitted since, restored, or over another
+			// BS count): the §2.2.2 max-aggregation over its own series.
 			for b := range m.Reserved {
-				c.samples = c.cfg.Store.AppendElementEpochSamples(c.samples[:0], m.Name, monitor.LoadMetric, monitor.BSElement(b), c.epoch-1)
-				for _, sm := range c.samples {
-					if !ok || sm.Value > peak {
-						peak, ok = sm.Value, true
-					}
+				c.values = c.cfg.Store.AppendEpochValues(c.values[:0], m.Name, monitor.LoadMetric, monitor.BSElement(b), c.epoch-1)
+				for _, v := range c.values {
+					pk.fold(v)
 				}
 			}
-			if ok {
-				peaks = append(peaks, ObservedPeak{Name: m.Name, Peak: peak})
-			}
+		}
+		if pk.ok {
+			peaks = append(peaks, ObservedPeak{Name: m.Name, Peak: pk.peak})
 		}
 	}
 	c.alive, c.peaks = alive, peaks
@@ -345,6 +362,19 @@ func (c *Controller) applyObserve(alive []string, peaks []ObservedPeak) {
 		if !c.aliveSet[name] {
 			delete(c.trackers, name)
 		}
+	}
+}
+
+// peakRead is one slice's epoch peak, max{λ(θ) | θ ∈ κ(t)} over its per-BS
+// series in BS order; ok is false while no value was folded.
+type peakRead struct {
+	peak float64
+	ok   bool
+}
+
+func (p *peakRead) fold(v float64) {
+	if !p.ok || v > p.peak {
+		p.peak, p.ok = v, true
 	}
 }
 

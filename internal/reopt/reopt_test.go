@@ -353,9 +353,9 @@ func (p *stack) state(t testing.TB) endState {
 type hook func(p *stack) *stack
 
 // run plays the whole scenario through a process built by s, calling
-// hooks[e] before epoch e. A successor must resume at epoch e; the world
-// then redelivers the last epoch's samples to it, as the monitoring
-// pipeline hands them to a restarted process.
+// hooks[e] before epoch e. A successor must resume at epoch e; the last
+// epoch's samples are then copied from p's store into its own, as the
+// monitoring pipeline hands them to a restarted process.
 func run(t testing.TB, cfg sim.Config, s setup, hooks map[int]hook) *trace {
 	t.Helper()
 	w, p, tr := reopt.NewWorld(cfg), newStack(t, cfg, s), &trace{}
@@ -365,7 +365,7 @@ func run(t testing.TB, cfg sim.Config, s setup, hooks map[int]hook) *trace {
 				if got := q.ctrl.Epoch(); got != e {
 					t.Fatalf("successor resumed at epoch %d, want %d (recovery %+v)", got, e, q.rec)
 				}
-				w.Redeliver(q.ctrl)
+				reopt.CopyEpoch(q.store, p.store, cfg, e-1)
 				p = q
 			}
 		}
@@ -826,5 +826,123 @@ func TestControllerSettlesExpiringSlices(t *testing.T) {
 	}
 	if s := ctrl.Ledger().Snapshot(); s.Entries != 1 || s.Realized != sla.Reward {
 		t.Fatalf("ledger after settling a violation-free epoch: %+v", s)
+	}
+}
+
+// observeLog is a StepLog that keeps each step's observed peaks.
+type observeLog map[int][]reopt.ObservedPeak
+
+func (observeLog) AppendSettle(string, int, []yield.Entry) error { return nil }
+
+func (l observeLog) AppendObserve(_ string, epoch int, _ []string, peaks []reopt.ObservedPeak) error {
+	l[epoch] = slices.Clone(peaks)
+	return nil
+}
+
+// TestObserveFallbackReads drives each read observe makes itself instead of
+// reusing the peak settle folded: a slice settle did not read (admitted
+// since), a first step after RestoreState whose in-force snapshot served an
+// older epoch than the one just ended, and an in-force entry over fewer BSs
+// than the slice now has. Before epoch k the controller is replaced by one
+// restored, on the same engine and store, from its own state perturbed that
+// way for one slice m, chosen so that a reused peak would be wrong: its
+// epoch-(k−2) peak and its bs0 peak of epoch k−1 both differ from its
+// epoch-(k−1) peak. Every step's observed peaks must still be sim.Run's, bit
+// for bit, one for each slice active in both the ended epoch and the next.
+func TestObserveFallbackReads(t *testing.T) {
+	t.Parallel()
+	spec, cfg := ciScenario(t, "diurnal-drift")
+	res, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	active := func(e int, name string) *sim.TenantEpoch {
+		for i, te := range res.Epochs[e].Tenants {
+			if te.Active && te.Name == name {
+				return &res.Epochs[e].Tenants[i]
+			}
+		}
+		return nil
+	}
+	k, m := 0, ""
+	for e := 2; e < cfg.Epochs && m == ""; e++ {
+		for _, te := range res.Epochs[e-1].Tenants {
+			old := active(e-2, te.Name)
+			if te.Active && active(e, te.Name) != nil && old != nil &&
+				slices.Max(old.Peak) != slices.Max(te.Peak) && te.Peak[0] != slices.Max(te.Peak) {
+				k, m = e, te.Name
+				break
+			}
+		}
+	}
+	if m == "" {
+		t.Fatal("no slice whose reused peak would differ; the test is vacuous")
+	}
+
+	for _, c := range []struct {
+		name    string
+		perturb func(prev *reopt.InForceState)
+	}{
+		{"admitted-since", func(prev *reopt.InForceState) {
+			prev.Members = slices.DeleteFunc(prev.Members, func(cs admission.CommittedSlice) bool { return cs.Name == m })
+		}},
+		{"restored-gap", func(prev *reopt.InForceState) { prev.Epoch-- }},
+		{"bs-count", func(prev *reopt.InForceState) {
+			for i := range prev.Members {
+				if prev.Members[i].Name == m {
+					prev.Members[i].Reserved = prev.Members[i].Reserved[:1]
+				}
+			}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			eng := admission.New(admission.Config{})
+			if err := eng.AddDomain("", admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: spec.Algorithm}); err != nil {
+				t.Fatal(err)
+			}
+			if err := eng.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer eng.Stop()
+			log := observeLog{}
+			loopCfg := reopt.Config{Engine: eng, Store: monitor.NewStore(0), HWPeriod: cfg.HWPeriod, Log: log}
+			ctrl, err := reopt.New(loopCfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := reopt.NewWorld(cfg)
+			for e := 0; e < cfg.Epochs; e++ {
+				if e == k {
+					st := ctrl.ExportState()
+					c.perturb(st.Prev)
+					if ctrl, err = reopt.New(loopCfg); err != nil {
+						t.Fatal(err)
+					}
+					if err := ctrl.RestoreState(st); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := w.Play(ctrl); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for e := 1; e < cfg.Epochs; e++ {
+				want := 0
+				for _, te := range res.Epochs[e-1].Tenants {
+					if te.Active && active(e, te.Name) != nil {
+						want++
+					}
+				}
+				if got := log[e]; len(got) != want {
+					t.Fatalf("step %d observed %d peaks %v, want one for each of the %d slices active in epochs %d and %d", e, len(got), got, want, e-1, e)
+				}
+				for _, p := range log[e] {
+					te := active(e-1, p.Name)
+					if te == nil || math.Float64bits(p.Peak) != math.Float64bits(slices.Max(te.Peak)) {
+						t.Fatalf("step %d observed %s at %v; sim.Run measured %+v in epoch %d", e, p.Name, p.Peak, te, e-1)
+					}
+				}
+			}
+		})
 	}
 }

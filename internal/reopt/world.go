@@ -17,11 +17,11 @@ import (
 // World plays the outside of one compiled scenario against a Controller's
 // closed loop: the tenants and their offers, the capacity-event schedule,
 // and the data plane's per-(slice, BS) traffic, drawn from the same seeded
-// sim.NewGenerator processes the simulator measures. It is everything that
-// survives a control-plane crash — the re-offers it holds and the last
-// epoch's samples — so one World can outlive the process it
-// drives. A World drives one controller at a time and is not safe for
-// concurrent use.
+// sim.NewGenerator processes the simulator measures. It holds what survives
+// a control-plane crash outside the monitoring pipeline — the re-offers and
+// the generators' streams — so one World can outlive the process it drives.
+// A World drives one controller at a time and is not safe for concurrent
+// use.
 type World struct {
 	cfg sim.Config
 	// sched is the compiled capacity schedule; schedErr, when set, is its
@@ -32,7 +32,6 @@ type World struct {
 	// the scenario says so (sim.Config.ReofferPending).
 	held []sim.SliceSpec
 	gens map[string][]traffic.Generator
-	last []monitor.Sample
 }
 
 // NewWorld returns the world of a compiled scenario, before its first
@@ -155,7 +154,6 @@ func (w *World) Play(c *Controller) (*Played, error) {
 	}
 	sort.Strings(names)
 	up := w.sched.BSUpMask(epoch)
-	w.last = w.last[:0]
 	for _, name := range names {
 		for b, g := range w.gens[name] {
 			for theta := 0; theta < w.cfg.SamplesPerEpoch; theta++ {
@@ -167,7 +165,6 @@ func (w *World) Play(c *Controller) (*Played, error) {
 					sm.Value = 0
 				}
 				c.cfg.Store.Add(sm)
-				w.last = append(w.last, sm)
 			}
 		}
 	}

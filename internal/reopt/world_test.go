@@ -45,13 +45,14 @@ func TestCapacityEventsReachTheEngine(t *testing.T) {
 	play := func(kill int) (batches, rejected [][]string) {
 		var eng *admission.Engine
 		var ctrl *Controller
+		var store *monitor.Store
 		var submitted, rounds uint64
 		start := func(dom *admission.DomainState, st *ControllerState) {
-			eng = admission.New(admission.Config{})
+			eng, store = admission.New(admission.Config{}), monitor.NewStore(0)
 			if err := eng.AddDomain("", admission.DomainConfig{Net: cfg.Net, KPaths: cfg.KPaths, Algorithm: spec.Algorithm}); err != nil {
 				t.Fatal(err)
 			}
-			if ctrl, err = New(Config{Engine: eng, Store: monitor.NewStore(0), HWPeriod: cfg.HWPeriod}); err != nil {
+			if ctrl, err = New(Config{Engine: eng, Store: store, HWPeriod: cfg.HWPeriod}); err != nil {
 				t.Fatal(err)
 			}
 			if dom != nil {
@@ -82,10 +83,10 @@ func TestCapacityEventsReachTheEngine(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				st := ctrl.ExportState()
+				st, dead := ctrl.ExportState(), store
 				stop()
 				start(&dom, &st)
-				w.Redeliver(ctrl)
+				CopyEpoch(store, dead, cfg, e-1)
 			}
 			p, err := w.Play(ctrl)
 			if err != nil {
