@@ -14,9 +14,9 @@
 //	             [-log-level info]
 //
 // -connect takes a comma-separated address list: the worker keeps one
-// dial/redial loop per address, so in a replicated deployment (ovnes
-// leader + -standby) it reaches whichever coordinator is alive without
-// reconfiguration. All connections share one fencing-epoch gate — once
+// dial/redial loop per address, so in a replicated deployment (two ovnes
+// on one -lease and -data-dir) it reaches whichever coordinator is alive
+// without reconfiguration. All connections share one fencing-epoch gate — once
 // any coordinator presents a newer leader epoch, dispatches from older
 // epochs are rejected with a fenced reply, no matter which connection
 // they arrive on.

@@ -12,7 +12,7 @@
 //	      [-data-dir ovnes-data] [-snapshot-every 16] \
 //	      [-cluster-listen 127.0.0.1:9090] \
 //	      [-lease ovnes-data/LEASE] [-lease-ttl 3s] [-lease-renew-every 0] \
-//	      [-standby] [-log-level info]
+//	      [-log-level info]
 //
 // Endpoints (orchestrator): POST /requests, POST /epoch, GET /slices,
 // GET /epoch, GET /metrics, GET /yield. The controllers listen on
@@ -46,15 +46,15 @@
 // log. The lease is renewed every -lease-renew-every (default TTL/3);
 // losing it is fatal by design — exactly one ovnes dispatches at a time.
 //
-// With -standby (requires -data-dir and -lease), ovnes is a warm replica:
-// it tails the leader's WAL, continuously replaying every committed
-// decision through the same code paths crash recovery uses, while waiting
-// for the leader's lease to lapse. When it does, the standby takes the
-// lease, finishes replay (truncating the dead leader's uncommitted
-// residue), and starts serving — with a decision state bit-identical to
-// the leader's, under the next fencing epoch. Point workers at both
-// addresses (ovnes-worker -connect addrA,addrB) and failover needs no
-// reconfiguration.
+// With -lease and -data-dir, every ovnes is a warm replica while it waits:
+// it tails the WAL, replaying every committed decision through the same
+// code paths crash recovery uses. A second ovnes started on the same lease
+// and directory therefore stands by behind the leader; when the leader's
+// lease lapses it takes the lease, finishes replay (truncating the dead
+// leader's uncommitted residue), and starts serving — with a decision
+// state bit-identical to the leader's, under the next fencing epoch. Point
+// workers at both addresses (ovnes-worker -connect addrA,addrB) and
+// failover needs no reconfiguration.
 //
 // SIGINT/SIGTERM shut the stack down gracefully: listeners stop accepting,
 // in-flight HTTP requests finish, the admission engine drains its queue,
@@ -99,19 +99,12 @@ func main() {
 		leasePath  = flag.String("lease", "", "leader lease file (conventionally <data-dir>/LEASE); acquire it before serving, fence dispatches and WAL writes with its epoch (empty = no lease)")
 		leaseTTL   = flag.Duration("lease-ttl", 3*time.Second, "lease validity; a standby takes over this long after the leader stops renewing")
 		leaseRenew = flag.Duration("lease-renew-every", 0, "lease renewal cadence (0 = TTL/3)")
-		standby    = flag.Bool("standby", false, "run as a warm replica: tail the leader's WAL in -data-dir, take over when its -lease lapses")
 		logLevel   slog.Level
 	)
 	flag.TextVar(&logLevel, "log-level", slog.LevelInfo, "structured log level: debug | info | warn | error")
 	flag.Parse()
 
 	olog := obslog.New(os.Stderr, logLevel).With("service", "ovnes")
-
-	if *standby {
-		if *dataDir == "" || *leasePath == "" {
-			obslog.Fatal(olog, errors.New("-standby needs -data-dir (the leader's WAL directory) and -lease (the leader's lease file)"))
-		}
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -159,8 +152,8 @@ func main() {
 			}
 		}()
 	}
-	// The domain controllers are stateless; a standby binds them right
-	// away so the southbound is ready the instant it is promoted.
+	// The domain controllers are stateless; a waiting replica binds them
+	// right away so the southbound is ready the instant it is promoted.
 	serve(addrOf(1), "RAN controller", ctrlplane.NewRANController(dp).Handler())
 	serve(addrOf(2), "transport controller", ctrlplane.NewTransportController(dp).Handler())
 	serve(addrOf(3), "cloud controller", ctrlplane.NewCloudController(dp).Handler())
@@ -197,12 +190,18 @@ func main() {
 
 	var (
 		orch  *ctrlplane.Orchestrator
+		sb    *ctrlplane.Standby
 		lease *cluster.Lease
 		coord *cluster.Coordinator
+		exec  admission.Executor
+		fence func() error
+		epoch uint64
 	)
-	if *standby {
-		sb, err := ctrlplane.NewStandby(orchCfg)
-		if err != nil {
+	if *dataDir != "" {
+		// The log is read by its tail alone: recovery at start is a
+		// promotion, and with -lease the tail follows a live leader's log
+		// while this process waits its turn.
+		if sb, err = ctrlplane.NewStandby(orchCfg); err != nil {
 			obslog.Fatal(olog, err)
 		}
 		go func() {
@@ -212,56 +211,42 @@ func main() {
 				errc <- err
 			}
 		}()
-		olog.Info("standby: tailing the leader's WAL, waiting for its lease to lapse", "holder", holder, "data-dir", *dataDir)
+	}
+	if *leasePath != "" {
+		olog.Info("acquiring leader lease", "lease", *leasePath, "holder", holder, "data-dir", *dataDir)
 		lease, err = cluster.WaitAcquire(ctx, leaseCfg)
 		if err != nil {
-			sb.Close()
+			if sb != nil {
+				sb.Close()
+			}
 			if ctx.Err() != nil {
-				olog.Info("signal received while standing by, bye")
+				olog.Info("signal received while waiting for the lease, bye")
 				return
 			}
 			obslog.Fatal(olog, err)
 		}
-		lsn, rounds := sb.Progress()
-		olog.Info("took leadership", "holder", holder, "lease-epoch", lease.Epoch(),
-			"replayed-lsn", lsn, "replayed-rounds", rounds, "snapshot-rebootstraps", sb.Rebuilds())
-		var exec admission.Executor
-		if *clListen != "" {
-			if coord, err = newCoord(lease.Epoch()); err != nil {
-				obslog.Fatal(olog, err)
-			}
-			exec = coord
+		attrs := []any{"holder", holder, "lease-epoch", lease.Epoch()}
+		if sb != nil {
+			lsn, rounds := sb.Progress()
+			attrs = append(attrs, "replayed-lsn", lsn, "replayed-rounds", rounds, "snapshot-rebootstraps", sb.Rebuilds())
 		}
-		if orch, err = sb.Promote(exec, lease.Check); err != nil {
+		olog.Info("took leadership", attrs...)
+		fence, epoch = lease.Check, lease.Epoch()
+	}
+	if *clListen != "" {
+		if coord, err = newCoord(epoch); err != nil {
 			obslog.Fatal(olog, err)
 		}
+		exec = coord
+	}
+	if sb != nil {
+		orch, err = sb.Promote(exec, fence)
 	} else {
-		if *leasePath != "" {
-			olog.Info("acquiring leader lease", "lease", *leasePath, "holder", holder)
-			lease, err = cluster.WaitAcquire(ctx, leaseCfg)
-			if err != nil {
-				if ctx.Err() != nil {
-					olog.Info("signal received while waiting for the lease, bye")
-					return
-				}
-				obslog.Fatal(olog, err)
-			}
-			olog.Info("took leadership", "holder", holder, "lease-epoch", lease.Epoch())
-			orchCfg.WALFence = lease.Check
-		}
-		var epoch uint64
-		if lease != nil {
-			epoch = lease.Epoch()
-		}
-		if *clListen != "" {
-			if coord, err = newCoord(epoch); err != nil {
-				obslog.Fatal(olog, err)
-			}
-			orchCfg.Executor = coord
-		}
-		if orch, err = ctrlplane.NewOrchestrator(orchCfg); err != nil {
-			obslog.Fatal(olog, err)
-		}
+		orchCfg.Executor = exec
+		orch, err = ctrlplane.NewOrchestrator(orchCfg)
+	}
+	if err != nil {
+		obslog.Fatal(olog, err)
 	}
 	if coord != nil {
 		defer coord.Close()

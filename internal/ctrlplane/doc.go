@@ -28,8 +28,10 @@
 //
 // An orchestrator core (engine, closed-loop controller, ledger) is built
 // with no log and no executor, and starts serving through one takeover:
-// install the opened WAL store, let a wal.Replayer finish over it, rebuild
-// the REST registry, install the executor, start the engine. A leader runs
-// it at start with a fresh replayer; a Standby, which has been feeding its
-// replayer from the leader's log all along, runs it at promotion.
+// install the WAL store taken where the tail stopped, let a wal.Replayer
+// finish over it, rebuild the REST registry, install the executor, start
+// the engine. A Standby, which has been feeding its replayer from the
+// leader's log all along, runs it at promotion; a starting leader is a
+// Standby of its own log, promoted at once, so the log is read once, by
+// the tail, either way.
 package ctrlplane

@@ -186,36 +186,21 @@ func (o *Orchestrator) writeSnapshot(cs reopt.ControllerState) error {
 	return o.wal.WriteSnapshot(snap)
 }
 
-// replayer builds the replay path into this (un-started) core, bootstrapped
-// from snap (nil: from empty state).
-func (o *Orchestrator) replayer(snap *wal.Snapshot) (*wal.Replayer, error) {
-	r, err := wal.NewReplayer(wal.Target{Engine: o.eng, Controller: o.loop, Ledger: o.ledger})
-	if err != nil {
-		return nil, err
-	}
-	if err := r.Bootstrap(snap); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// takeover is the one way a built core starts serving — at a leader's start
-// and at a standby's promotion alike. With a store (st, and the records its
-// Open found) it first makes the core the owner of the log: install it on
-// engine and controller, let the replayer ingest whatever it has not seen
-// (everything, for a leader's fresh replayer; normally nothing, for a
-// standby that tailed), truncate the previous writer's uncommitted residue
-// and complete a trailing half-step, then rebuild the REST registry. The
+// takeover is the one way a built core starts serving — a promoted
+// standby's, and so a starting leader's too. With a store (st, taken where
+// the replayer's tail stopped) it first makes the core the owner of the
+// log: install it on engine and controller, let the replayer truncate the
+// previous writer's uncommitted residue and complete a trailing half-step,
+// then rebuild the REST registry. The replay is timed from start. The
 // executor arrives last, so no replayed round ever waits on a worker. On
 // error the caller still owns st.
-func (o *Orchestrator) takeover(st *wal.Store, rec *wal.Recovered, r *wal.Replayer, exec admission.Executor) error {
+func (o *Orchestrator) takeover(st *wal.Store, r *wal.Replayer, exec admission.Executor, start time.Time) error {
 	if st != nil {
 		if err := o.eng.SetLog(st); err != nil {
 			return err
 		}
 		o.loop.SetLog(st)
-		start := time.Now()
-		rep, err := r.Finalize(st, rec.Records)
+		rep, err := r.Finalize(st, nil)
 		if err != nil {
 			return err
 		}
@@ -262,32 +247,30 @@ func (o *Orchestrator) adoptCommitted() error {
 // sets offline exactly as §2.1.2 prescribes, recovers whatever a previous
 // process left in DataDir, starts the admission engine, and binds the
 // closed-loop controller to it. Call Close to release the engine's workers.
+// With a DataDir the orchestrator is a standby of its own log, promoted at
+// once: recovery reads the log through the same tail a standby does.
 func NewOrchestrator(cfg OrchestratorConfig) (*Orchestrator, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
+	if cfg.DataDir != "" {
+		sb, err := NewStandby(cfg)
+		if err != nil {
+			return nil, err
+		}
+		o, err := sb.Promote(cfg.Executor, cfg.WALFence)
+		if err != nil {
+			sb.Close()
+		}
+		return o, err
+	}
 	o, err := buildCore(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.DataDir == "" {
-		if err := o.takeover(nil, nil, nil, cfg.Executor); err != nil {
-			return nil, err
-		}
-		return o, nil
-	}
-	st, rec, err := wal.Open(wal.Options{Dir: cfg.DataDir, Fence: cfg.WALFence})
-	if err != nil {
-		return nil, fmt.Errorf("ctrlplane: %w", err)
-	}
-	r, err := o.replayer(rec.Snapshot)
-	if err == nil {
-		err = o.takeover(st, rec, r, cfg.Executor)
-	}
-	if err != nil {
-		st.Close()
-		return nil, fmt.Errorf("ctrlplane: recovery: %w", err)
+	if err := o.takeover(nil, nil, cfg.Executor, time.Time{}); err != nil {
+		return nil, err
 	}
 	return o, nil
 }
@@ -296,9 +279,9 @@ func NewOrchestrator(cfg OrchestratorConfig) (*Orchestrator, error) {
 // when durability is disabled.
 func (o *Orchestrator) Recovery() *wal.Report { return o.recovery }
 
-// ReplayCost reports how long the takeover spent in log replay (for a
-// promoted standby: only what its tail had not delivered) and how many
-// domains' lanes the replay ran over.
+// ReplayCost reports how long the takeover spent in log replay — for a
+// restarting leader its whole replay, for a promoted standby only what its
+// tail had not delivered — and how many domains' lanes the replay ran over.
 func (o *Orchestrator) ReplayCost() (elapsed time.Duration, domains int) { return o.replay, o.lanes }
 
 // Close drains and stops the admission engine: queued requests are decided
@@ -470,6 +453,9 @@ func (o *Orchestrator) Statuses() []SliceStatus {
 // warm shard (programming the controllers mid-step via programRound), and
 // advances slice lifecycles; the orchestrator then reconciles its REST
 // view and tears down whatever expired, in one more southbound round trip.
+// When programming fails the step still completes; its report is applied
+// all the same before the error is returned, so a retry runs the next
+// epoch rather than settling this one twice.
 func (o *Orchestrator) RunEpoch() (*EpochReport, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -479,9 +465,10 @@ func (o *Orchestrator) RunEpoch() (*EpochReport, error) {
 	o.curRep = rep
 	step, err := o.loop.Step()
 	o.curRep = nil
-	if err != nil {
+	if step == nil {
 		return nil, err
 	}
+	o.epoch++
 
 	// Requests the prefilter fast-rejected never reached the round; their
 	// tickets are already resolved.
@@ -513,15 +500,17 @@ func (o *Orchestrator) RunEpoch() (*EpochReport, error) {
 		rep.Expired = append(rep.Expired, name)
 	}
 	if len(rep.Expired) > 0 {
-		if err := o.push(&southbound{
+		if perr := o.push(&southbound{
 			ran:   EpochDoc[RadioConfig]{Remove: rep.Expired},
 			tn:    EpochDoc[FlowConfig]{Remove: rep.Expired},
 			cloud: EpochDoc[StackConfig]{Remove: rep.Expired},
-		}); err != nil {
-			return nil, fmt.Errorf("ctrlplane: teardown of %v: %w", rep.Expired, err)
+		}); perr != nil && err == nil {
+			err = fmt.Errorf("ctrlplane: teardown of %v: %w", rep.Expired, perr)
 		}
 	}
-	o.epoch++
+	if err != nil {
+		return nil, err
+	}
 	rep.Slices = o.statusesLocked()
 	return rep, nil
 }

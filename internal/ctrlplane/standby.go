@@ -12,12 +12,13 @@ import (
 )
 
 // Standby is a warm replica of a leader orchestrator: it tails the
-// leader's WAL directory read-only and feeds every record to the same
-// wal.Replayer a restarting leader feeds all at once — so its state is
-// bit-identical to what a fresh recovery of that log would build, at every
-// instant. When the leader dies, Promote turns the replica into a serving
-// Orchestrator without replaying the log from scratch: it drains the tail
-// and runs the orchestrator's takeover.
+// leader's WAL directory read-only and feeds every record to a
+// wal.Replayer — so its state is bit-identical to what a fresh recovery of
+// that log would build, at every instant. When the leader dies, Promote
+// turns the replica into a serving Orchestrator without replaying the log
+// from scratch: it drains the tail, takes the log where the tail stopped
+// and runs the orchestrator's takeover. A restarting leader is a standby
+// of its own log, promoted at once (NewOrchestrator).
 //
 // The replica has neither log nor executor while tailing (replay
 // re-describes what is already durable, and must not depend on workers
@@ -64,7 +65,10 @@ func (s *Standby) bootstrapLocked() error {
 	if err != nil {
 		return err
 	}
-	replayer, err := o.replayer(tail.Snapshot())
+	replayer, err := wal.NewReplayer(wal.Target{Engine: o.eng, Controller: o.loop, Ledger: o.ledger})
+	if err == nil {
+		err = replayer.Bootstrap(tail.Snapshot())
+	}
 	if err != nil {
 		tail.Close()
 		return err
@@ -165,9 +169,9 @@ func (s *Standby) Progress() (lsn uint64, rounds int) {
 // after taking the leader lease: the old leader must be dead or fenced
 // (exec should carry the new lease's epoch, fence its Check).
 //
-// It drains the last visible records, opens the directory for writing
-// (repairing any torn tail) and runs the same takeover a starting leader
-// runs, with a replayer that has already seen the log. The returned
+// It drains the last visible records, takes the log for writing where the
+// tail stopped (cutting a torn append off) and runs the same takeover a
+// starting leader runs — the log is read once, by the tail. The returned
 // Orchestrator is bit-identical to one that had served the whole log
 // uninterrupted.
 func (s *Standby) Promote(exec admission.Executor, fence func() error) (*Orchestrator, error) {
@@ -176,18 +180,18 @@ func (s *Standby) Promote(exec admission.Executor, fence func() error) (*Orchest
 	if s.promoted {
 		return nil, fmt.Errorf("ctrlplane: standby already promoted")
 	}
+	start := time.Now()
 	// Final drain: the writer is gone, so one Poll sees everything that
 	// will ever be visible.
 	if _, err := s.pollLocked(); err != nil {
 		return nil, fmt.Errorf("ctrlplane: promote: draining tail: %w", err)
 	}
+	st, err := s.tail.Take(wal.Options{Fence: fence})
 	s.tail.Close()
-
-	st, rec, err := wal.Open(wal.Options{Dir: s.cfg.DataDir, Fence: fence})
 	if err != nil {
 		return nil, fmt.Errorf("ctrlplane: promote: %w", err)
 	}
-	if err := s.o.takeover(st, rec, s.replayer, exec); err != nil {
+	if err := s.o.takeover(st, s.replayer, exec, start); err != nil {
 		st.Close()
 		return nil, fmt.Errorf("ctrlplane: promote: %w", err)
 	}

@@ -18,15 +18,21 @@ import (
 // re-entered every step. The controller's reads, totals, alive set, peaks and
 // forecast updates live in its own scratch, the store overwrites in place and
 // the solver layers rewrite theirs (core's TestWarmSessionSolveAllocs); what a
-// step still allocates is what it hands out, 77 allocations where the tree
+// step still allocates is what it hands out, 69 allocations where the tree
 // before took 487 —
 //
 //	CommittedDetail, twice: 2 × (1 + 2 per slice)        26
 //	the Decision: 5 + 2 per slice                         17
-//	the master's branch-and-bound and its solutions     ≈ 14
-//	Round, its name and outcome slices, the hand-off     ≈ 7
-//	StepReport and its Settled entries                   ≈ 6
+//	the master's branch-and-bound and its solutions      ≈ 7
+//	StepReport, its Settled entries, the in-force record ≈ 6
+//	Round, its name and outcome slices, the hand-off     ≈ 5
 //	forecast views, the pooled copy of the new dual      ≈ 4
+//	tiny ones a heap profile cannot place                ≈ 4
+//
+// (A pointer-free allocation under 16 bytes that the runtime packs into a
+// block it already holds is counted here but never sampled by the memory
+// profiler; the rows above are a MemProfileRate = 1 profile of the
+// measured steps.)
 //
 // One ceiling for both builds: under the race detector sync.Pool drops a Put
 // in four and the borrowed milp.Solver is grown again (≈ 106 a step).

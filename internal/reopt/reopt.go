@@ -60,7 +60,8 @@ type Config struct {
 
 	// OnRound, when set, runs after each step's round is decided and
 	// before lifecycles advance — the ctrlplane programs the data plane
-	// here. A non-nil error aborts the step.
+	// here. A non-nil error does not undo the committed round: the step
+	// still advances, and Step returns its report with the error.
 	OnRound func(*admission.Round) error
 
 	// Log, when set, makes the step's store-derived inputs durable so a
@@ -303,9 +304,13 @@ func (c *Controller) Step() (*StepReport, error) {
 		return nil, err
 	}
 	rep.Round = round
+	// The round is committed (logged, decided, booked): a hook failure must
+	// not leave the epoch half-stepped, or a retry would settle it again.
+	// The step finishes and hands back its report with the hook's error.
+	var hookErr error
 	if c.cfg.OnRound != nil {
 		if err := c.cfg.OnRound(round); err != nil {
-			return nil, fmt.Errorf("reopt: round hook at epoch %d: %w", c.epoch, err)
+			hookErr = fmt.Errorf("reopt: round hook at epoch %d: %w", c.epoch, err)
 		}
 	}
 
@@ -338,7 +343,7 @@ func (c *Controller) Step() (*StepReport, error) {
 			return nil, fmt.Errorf("reopt: snapshot at epoch %d: %w", c.epoch, err)
 		}
 	}
-	return rep, nil
+	return rep, hookErr
 }
 
 // applyObserve is the tracker side of the observe phase, shared verbatim by

@@ -51,9 +51,12 @@
 // absent), rotates the segment, keeps the newest two snapshots, and
 // deletes segments wholly covered by the older kept one.
 //
-// On open, a torn frame in the final segment — the expected residue of a
-// crash mid-write — is truncated away; a torn frame in a sealed segment is
-// corruption and fails the open.
+// One walk reads segments: the Tailer. A torn frame in the newest segment
+// — the expected residue of a crash mid-write, or an append in progress —
+// is held back; a segment with a successor is sealed, so bytes left over
+// in it are corruption and a successor off the next LSN is a gap, both
+// errors. Open is a Tailer drained and then taken (Tailer.Take): the store
+// appends where the tail stopped, with the torn residue cut off.
 //
 // # One replay path
 //
@@ -72,8 +75,9 @@
 // interrupted step re-runs live) and completes a trailing round without its
 // advance, re-logged (the round's outcomes were acked). Recover is
 // Bootstrap + Finalize over what Open found; a standby feeds the same
-// Replayer from a Tailer, a poll's records at a time, and finalizes at
-// promotion. An advance over a pending prefix, and a committed record after
-// another domain's uncommitted prefix, are refused: no correct writer
-// produces either.
+// Replayer from a Tailer, a poll's records at a time, and at promotion
+// takes the store from that tail and finalizes with nothing left to read.
+// An advance over a pending prefix, and a committed record after another
+// domain's uncommitted prefix, are refused: no correct writer produces
+// either.
 package wal

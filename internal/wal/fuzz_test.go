@@ -1,10 +1,12 @@
 package wal
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -62,12 +64,14 @@ func FuzzWALDecode(f *testing.F) {
 	})
 }
 
-// FuzzWALTail points the standby's live tail reader at an arbitrary-bytes
-// segment file. The tailer's contract under garbage mirrors the opener's:
-// never panic, emit records in dense LSN order from 0, and deliver exactly
-// the committed prefix the writer-side Open would recover from the same
-// bytes — a standby and a restarted leader must never disagree about what
-// the log says.
+// FuzzWALTail points the one log reader at two arbitrary-bytes segments: a
+// sealed one at LSN 0 and the newest after it, based where the sealed one's
+// whole records end (skew odd: one LSN further, a gap). The tailer must
+// never panic, emit records in dense LSN order from 0, apply the sealed
+// rule — bytes left over in the sealed segment are corruption, a successor
+// off the next LSN is a gap — and agree with Open on the same bytes: a
+// standby and a restarted leader must never disagree about what the log
+// says.
 func FuzzWALTail(f *testing.F) {
 	var valid []byte
 	for i := 0; i < 3; i++ {
@@ -77,23 +81,46 @@ func FuzzWALTail(f *testing.F) {
 		}
 		valid = append(valid, frame...)
 	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)-3]) // torn in-progress append
-	f.Add(valid[:5])            // torn header
-	f.Add([]byte{})             // empty segment
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
 	flipped := append([]byte(nil), valid...)
 	flipped[11] ^= 0x80
-	f.Add(flipped)
+	f.Add(valid, valid, uint8(0))
+	f.Add(valid, valid[:len(valid)-3], uint8(0)) // torn in-progress append
+	f.Add(valid, []byte{}, uint8(0))             // empty newest segment
+	f.Add(valid, valid, uint8(1))                // missing records between the two
+	f.Add(valid[:len(valid)-3], valid, uint8(0)) // torn sealed segment
+	f.Add(flipped, valid, uint8(0))
+	f.Add([]byte{}, valid[:5], uint8(0))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, valid, uint8(0))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, "wal-0000000000000000.seg"), data, 0o644); err != nil {
-			t.Fatal(err)
+	f.Fuzz(func(t *testing.T, sealed, newest []byte, skew uint8) {
+		whole, rest := 0, sealed
+		for {
+			_, n, err := decodeFrame(rest)
+			if err != nil {
+				break
+			}
+			whole++
+			rest = rest[n:]
 		}
+		base := uint64(whole) + uint64(skew%2)
+		if base == 0 {
+			base = 1 // the successor must sort after the sealed segment
+		}
+		write := func(dir string) {
+			for _, sg := range []struct {
+				base uint64
+				data []byte
+			}{{0, sealed}, {base, newest}} {
+				if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("wal-%016x.seg", sg.base)), sg.data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		dir := t.TempDir()
+		write(dir)
 		tail, err := OpenTailer(dir)
 		if err != nil {
-			t.Fatalf("open over a lone segment: %v", err)
+			t.Fatalf("open over two segments: %v", err)
 		}
 		defer tail.Close()
 		recs, perr := tail.Poll()
@@ -102,20 +129,31 @@ func FuzzWALTail(f *testing.F) {
 				t.Fatalf("record %d carries LSN %d", i, pr.LSN)
 			}
 		}
-		// A second poll over unchanged bytes finds nothing new.
-		more, _ := tail.Poll()
-		if perr == nil && len(more) != 0 {
-			t.Fatalf("idle re-poll produced %d records", len(more))
+		want := ""
+		switch {
+		case len(rest) > 0:
+			want = "corruption"
+		case base != uint64(whole):
+			want = "gap"
+		}
+		if want != "" {
+			if perr == nil || !strings.Contains(perr.Error(), want) {
+				t.Fatalf("poll = %v, want an error naming %q", perr, want)
+			}
+		} else if perr != nil {
+			t.Fatalf("poll over a whole sealed segment and its successor: %v", perr)
+		} else if more, err := tail.Poll(); err != nil || len(more) != 0 {
+			t.Fatalf("idle re-poll produced %d records, err %v", len(more), err)
 		}
 
-		// Cross-check against the writer-side opener on the same bytes.
 		dir2 := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir2, "wal-0000000000000000.seg"), data, 0o644); err != nil {
-			t.Fatal(err)
+		write(dir2)
+		ws, recovered, oerr := Open(Options{Dir: dir2, NoSync: true})
+		if (perr == nil) != (oerr == nil) {
+			t.Fatalf("tailer and opener disagree: poll %v, Open %v", perr, oerr)
 		}
-		ws, recovered, err := Open(Options{Dir: dir2, NoSync: true})
-		if err != nil {
-			return // opener rejects what the tailer merely held back — fine
+		if oerr != nil {
+			return
 		}
 		defer ws.Abort()
 		if !reflect.DeepEqual(recs, recovered.Records) {

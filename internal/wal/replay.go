@@ -25,11 +25,10 @@ import (
 // serial replay itself.
 //
 // Feeding discipline: Bootstrap (optionally) with a snapshot, then Ingest
-// every record in LSN order. Records below the high-water mark are skipped,
-// so at takeover the caller hands Finalize Open's Recovered.Records
-// wholesale without tracking what a tail already delivered. Finalize ends
-// the replay against the now-writable Store: ingest the rest, truncate the
-// pending residue, complete a trailing round-without-advance.
+// every record in LSN order. Records below the high-water mark are skipped
+// (idempotent re-delivery). Finalize ends the replay against the
+// now-writable Store: ingest the rest, truncate the pending residue,
+// complete a trailing round-without-advance.
 //
 // An error is fatal to the replica: the lowest-LSN error is returned — the
 // one the serial replay would have stopped at — but other lanes may have
@@ -216,8 +215,9 @@ func (r *Replayer) Ingest(batch ...PositionedRecord) error {
 }
 
 // Finalize ends the replay and hands the log over for writing: s is the
-// directory opened by the process about to serve, rest what its Open found
-// (for a standby, normally nothing the tail had not delivered). The rest is
+// directory opened by the process about to serve, rest whatever it has not
+// ingested yet (Recover's whole suffix; nothing for a standby, whose store
+// was taken where its tail stopped). The rest is
 // ingested with s's appends suppressed — replay drives the engine and
 // controller through their live paths, whose log hooks must not re-log
 // what is being replayed. Then the pending residue — step prefixes whose

@@ -1,11 +1,14 @@
 package wal
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"slices"
+
+	"repro/internal/frame"
 )
 
 // Tailer is a read-only live reader over another process's log directory:
@@ -16,14 +19,19 @@ import (
 //
 //   - A torn frame at the tail of the newest segment is an in-progress
 //     append (or unsynced crash residue) — Poll stops there and retries
-//     from the same position next time.
-//   - A torn frame in a segment that has a successor is corruption: the
-//     writer seals segments with a sync before rotating.
-//   - A new segment whose base equals the next expected LSN is a
-//     rotation — the tailer advances into it.
+//     from the same position next time; Take cuts it off.
+//   - A segment that has a successor is sealed: the writer syncs a segment
+//     before it creates the next. After one more read, bytes left over in
+//     it are corruption, and a successor that does not start at the next
+//     LSN is a gap. Both are errors, never a stall.
+//   - A successor whose base equals the next expected LSN is a rotation —
+//     the tailer advances into it.
 //   - Segments disappearing below the oldest snapshot are compaction;
 //     harmless while the tailer reads ahead of them, ErrTailGap when it
 //     has fallen behind them.
+//
+// This is the only reader of segments: Open is a Tailer drained and taken,
+// so a restarted leader and a standby read the log by the same rules.
 //
 // Byte visibility tracks the writer's buffered flushes (not its fsyncs),
 // which on one machine is exactly the repo's crash model: a killed
@@ -72,16 +80,11 @@ func (t *Tailer) Snapshot() *Snapshot { return t.snap }
 // NextLSN returns the LSN the next emitted record will carry.
 func (t *Tailer) NextLSN() uint64 { return t.next }
 
-// segments lists the directory's segments, oldest first.
-func (t *Tailer) segments() ([]segInfo, error) {
-	segs, _, err := listDir(t.dir)
-	return segs, err
-}
-
-// open positions the tailer at the segment containing LSN t.next, skipping
-// already-consumed records when the segment starts below it. Returns false
-// when no such segment exists yet (nothing written, or t.next is exactly
-// the base of a rotation that hasn't happened).
+// open positions the tailer at the segment containing LSN t.next, stepping
+// over already-consumed records when the segment starts below it (frame by
+// frame, never decoding a payload). Returns false when no such segment
+// exists yet (nothing written, or t.next is exactly the base of a rotation
+// that hasn't happened).
 func (t *Tailer) open(segs []segInfo) (bool, error) {
 	idx := -1
 	for i := range segs {
@@ -108,25 +111,22 @@ func (t *Tailer) open(segs []segInfo) (bool, error) {
 	t.read = 0
 	t.carry = nil
 
-	// Skip records below t.next (a snapshot bootstrap normally lands on a
-	// segment boundary — the writer rotates on snapshot — so this loop is
-	// usually empty).
-	skip := t.next - t.base
-	for skip > 0 {
+	// A snapshot bootstrap normally lands on a segment boundary — the
+	// writer rotates on snapshot — so this is usually nothing. Every record
+	// below a snapshot was synced before the snapshot was written, so a
+	// segment that breaks off short of it is damaged, not in progress.
+	if skip := t.next - t.base; skip > 0 {
 		if _, err := t.fill(); err != nil {
 			return false, err
 		}
-		n := 0
-		for skip > 0 {
-			_, adv, derr := decodeFrame(t.carry[n:])
-			if derr != nil {
+		for ; skip > 0; skip-- {
+			_, n, err := frame.Decode(t.carry, maxRecordBytes)
+			if err != nil {
 				t.close()
-				return false, fmt.Errorf("wal: tail: segment %s too short to reach LSN %d", segs[idx].path, t.next)
+				return false, fmt.Errorf("wal: tail: segment %s breaks off before LSN %d: gap or corruption", segs[idx].path, t.next)
 			}
-			n += adv
-			skip--
+			t.carry = t.carry[n:]
 		}
-		t.carry = t.carry[n:]
 	}
 	return true, nil
 }
@@ -167,14 +167,14 @@ func (t *Tailer) close() {
 
 // Poll returns every record that has become fully visible since the last
 // call, in LSN order. An empty result means the tail is caught up (or the
-// writer's next frame is still partially written). Errors other than a
-// clean "nothing yet" are permanent: corruption, a compaction gap, or a
-// truncation under the tailer.
+// writer's next frame is still partially written). Errors are permanent:
+// corruption, a gap (compaction outran the tail, or a segment is missing),
+// or a truncation under the tailer.
 func (t *Tailer) Poll() ([]PositionedRecord, error) {
 	var out []PositionedRecord
 	for {
 		if t.f == nil {
-			segs, err := t.segments()
+			segs, _, err := listDir(t.dir)
 			if err != nil {
 				return out, err
 			}
@@ -189,41 +189,102 @@ func (t *Tailer) Poll() ([]PositionedRecord, error) {
 		if _, err := t.fill(); err != nil {
 			return out, err
 		}
-		for {
-			rec, n, err := decodeFrame(t.carry)
-			if err == io.EOF || err == ErrTorn {
-				break
-			}
-			if err != nil {
-				return out, fmt.Errorf("wal: tail: segment at LSN %d: %w", t.next, err)
-			}
-			out = append(out, PositionedRecord{LSN: t.next, Rec: rec})
-			t.next++
-			t.carry = t.carry[n:]
-		}
+		out = t.decode(out)
 
-		// Caught up to this segment's visible bytes. A successor segment
-		// based at t.next means the writer rotated: this segment is sealed,
-		// so leftover carry bytes are corruption, not an in-progress append.
-		segs, err := t.segments()
+		// Caught up to this segment's visible bytes. A successor means the
+		// writer sealed this one: it syncs a segment before it creates the
+		// next, so one more read sees every byte the segment will ever hold.
+		segs, _, err := listDir(t.dir)
 		if err != nil {
 			return out, err
 		}
-		rotated := false
-		for i := range segs {
-			if segs[i].base == t.next && segs[i].base > t.base {
-				rotated = true
-			}
-		}
-		if !rotated {
+		i := slices.IndexFunc(segs, func(sg segInfo) bool { return sg.base > t.base })
+		if i < 0 {
 			return out, nil
 		}
-		if len(t.carry) > 0 {
-			t.close()
-			return out, fmt.Errorf("wal: tail: torn record before LSN %d in a sealed segment: corruption", t.next)
+		if _, err := t.fill(); err != nil {
+			return out, err
 		}
+		out = t.decode(out)
 		t.close()
+		if len(t.carry) > 0 {
+			return out, fmt.Errorf("wal: tail: torn record at LSN %d in a sealed segment: corruption", t.next)
+		}
+		if segs[i].base != t.next {
+			return out, fmt.Errorf("wal: tail: segment %s starts at LSN %d, want %d: gap", segs[i].path, segs[i].base, t.next)
+		}
 	}
+}
+
+// decode appends every whole record at the head of the carry buffer to out
+// and leaves the undecodable rest (an in-progress append, or damage) held.
+func (t *Tailer) decode(out []PositionedRecord) []PositionedRecord {
+	for {
+		rec, n, err := decodeFrame(t.carry)
+		if err != nil {
+			return out
+		}
+		out = append(out, PositionedRecord{LSN: t.next, Rec: rec})
+		t.next++
+		t.carry = t.carry[n:]
+	}
+}
+
+// Take opens the log for appending where the tail stands — the one way a
+// Store is opened (Open is a Tailer drained and taken). Call it once the
+// previous writer is dead or fenced and every record the tail delivered
+// has been consumed. The tail's segment becomes the active one, cut back to
+// the tail's position: what follows there is undecodable residue (a
+// crashed writer's torn append). A tail that has not delivered every whole
+// record in the directory is refused, so the store appends to exactly the
+// log its caller replayed. The store writes the tail's directory (opt.Dir
+// is ignored); the tailer is spent afterwards.
+func (t *Tailer) Take(opt Options) (*Store, error) {
+	opt.Dir = t.dir
+	opt, err := opt.withDefaults()
+	if err != nil {
+		return nil, err
+	}
+	recs, err := t.Poll()
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) > 0 {
+		return nil, fmt.Errorf("wal: take: the tail has not delivered LSN %d", recs[0].LSN)
+	}
+	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	s := &Store{opt: opt, w: bufio.NewWriterSize(nil, writerBytes), next: t.next}
+	if s.segs, s.snaps, err = listDir(opt.Dir); err != nil {
+		return nil, err
+	}
+	if n := len(s.segs); n > 0 && (t.f == nil || s.segs[n-1].base != t.base) {
+		return nil, fmt.Errorf("wal: take: the tail at LSN %d is not on the newest segment", t.next)
+	}
+	if t.f == nil {
+		return s, s.openSegmentLocked(t.next)
+	}
+	active := &s.segs[len(s.segs)-1]
+	active.size = t.read - int64(len(t.carry))
+	f, err := os.OpenFile(active.path, os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	if len(t.carry) > 0 {
+		err = f.Truncate(active.size)
+	}
+	if err == nil {
+		_, err = f.Seek(active.size, 0)
+	}
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: %w", err)
+	}
+	s.f = f
+	s.w.Reset(f)
+	t.close()
+	return s, nil
 }
 
 // Close releases the tailer's file handle. The tailer is not usable

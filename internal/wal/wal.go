@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"repro/internal/admission"
+	"repro/internal/frame"
 	"repro/internal/reopt"
 	"repro/internal/topology"
 	"repro/internal/yield"
@@ -78,10 +79,9 @@ type Recovered struct {
 }
 
 type segInfo struct {
-	path    string
-	base    uint64  // LSN of the segment's first record
-	offsets []int64 // byte offset of each record in the file
-	size    int64
+	path string
+	base uint64 // LSN of the segment's first record
+	size int64  // bytes written (kept for the active segment only)
 }
 
 type snapInfo struct {
@@ -102,110 +102,43 @@ type Store struct {
 	next       uint64 // LSN the next append gets
 	recovering bool
 	closed     bool
-	appended   bool  // any append since Open (freezes the truncation index)
+	appended   bool  // any append since Take (TruncateTail is recovery-only)
 	poisoned   error // first fence failure or log I/O error; permanent
 }
 
 // writerBytes sizes the append buffer. Generously larger than a typical
 // step's records so that, short of a Sync, appended frames stay in user
 // space — which is also what makes Abort a faithful crash simulation. A
-// Store makes its one writer in Open and points it at each new segment
-// with Reset, which drops unflushed bytes: every path that switches the
-// file flushes first (rotateLocked syncs, TruncateTail flushes).
+// Store makes its one writer in Tailer.Take and points it at each new
+// segment with Reset, which drops unflushed bytes: every path that switches
+// the file flushes first (rotateLocked syncs, TruncateTail flushes).
 const writerBytes = 256 << 10
 
 // Open opens (or creates) the log in dir, repairs a torn tail, and returns
 // the store plus everything recovery needs. The store is ready for appends
-// immediately; call Recover first when rebuilding state.
+// immediately; call Recover first when rebuilding state. It reads the log
+// the way a standby does — a Tailer, drained and taken — so a restarted
+// leader and a standby can never disagree about what the log says.
 func Open(opt Options) (*Store, *Recovered, error) {
-	opt, err := opt.withDefaults()
+	tail, err := OpenTailer(opt.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := os.MkdirAll(opt.Dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("wal: %w", err)
-	}
-	s := &Store{opt: opt, w: bufio.NewWriterSize(nil, writerBytes)}
-	rec := &Recovered{}
-
-	if s.segs, s.snaps, err = listDir(opt.Dir); err != nil {
+	defer tail.Close()
+	rec := &Recovered{Snapshot: tail.Snapshot()}
+	if rec.Records, err = tail.Poll(); err != nil {
 		return nil, nil, err
 	}
-	rec.Snapshot = newestSnapshot(s.snaps)
-	snapLSN := uint64(0)
-	if rec.Snapshot != nil {
-		snapLSN = rec.Snapshot.LSN
-	}
-
-	// Scan segments: index every record, repair a torn tail, and collect
-	// the suffix at or after the snapshot.
-	s.next = 0
-	for i := range s.segs {
-		sg := &s.segs[i]
-		if i > 0 && sg.base != s.next {
-			return nil, nil, fmt.Errorf("wal: segment %s starts at LSN %d, want %d (gap or overlap)", sg.path, sg.base, s.next)
-		}
-		if i == 0 {
-			s.next = sg.base
-		}
-		data, rerr := os.ReadFile(sg.path)
-		if rerr != nil {
-			return nil, nil, fmt.Errorf("wal: %w", rerr)
-		}
-		off := int64(0)
-		for {
-			r, n, derr := decodeFrame(data[off:])
-			if derr != nil {
-				if derr == ErrTorn {
-					if i != len(s.segs)-1 {
-						return nil, nil, fmt.Errorf("wal: torn record at %s+%d in a sealed segment: corruption", sg.path, off)
-					}
-					// Expected crash residue: drop the torn tail.
-					if terr := os.Truncate(sg.path, off); terr != nil {
-						return nil, nil, fmt.Errorf("wal: %w", terr)
-					}
-					rec.TornTail = true
-				}
-				break
-			}
-			sg.offsets = append(sg.offsets, off)
-			if s.next >= snapLSN {
-				rec.Records = append(rec.Records, PositionedRecord{LSN: s.next, Rec: r})
-			}
-			s.next++
-			off += int64(n)
-		}
-		sg.size = off
-	}
-	if s.next < snapLSN {
-		// The snapshot syncs the log before it is written, so its LSN can
-		// never outrun the durable record count.
-		return nil, nil, fmt.Errorf("wal: snapshot at LSN %d but log ends at %d", snapLSN, s.next)
-	}
-
-	if len(s.segs) == 0 {
-		if err := s.openSegmentLocked(s.next); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		active := &s.segs[len(s.segs)-1]
-		f, oerr := os.OpenFile(active.path, os.O_WRONLY, 0o644)
-		if oerr != nil {
-			return nil, nil, fmt.Errorf("wal: %w", oerr)
-		}
-		if _, oerr = f.Seek(active.size, 0); oerr != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("wal: %w", oerr)
-		}
-		s.f = f
-		s.w.Reset(f)
+	rec.TornTail = len(tail.carry) > 0
+	s, err := tail.Take(opt)
+	if err != nil {
+		return nil, nil, err
 	}
 	return s, rec, nil
 }
 
-// listDir returns a log directory's segments and snapshots, oldest first —
-// the one reading of the directory the writer (Open) and a read-only tail
-// share. A directory that does not exist yet lists as empty.
+// listDir returns a log directory's segments and snapshots, oldest first.
+// A directory that does not exist yet lists as empty.
 func listDir(dir string) (segs []segInfo, snaps []snapInfo, err error) {
 	names, err := os.ReadDir(dir)
 	if os.IsNotExist(err) {
@@ -254,7 +187,7 @@ func newestSnapshot(snaps []snapInfo) *Snapshot {
 }
 
 // openSegmentLocked creates a fresh segment whose first record will be LSN
-// base and makes it the active one. Caller holds s.mu (or is Open).
+// base and makes it the active one. Caller holds s.mu (or is Take).
 func (s *Store) openSegmentLocked(base uint64) error {
 	path := filepath.Join(s.opt.Dir, fmt.Sprintf("wal-%016x.seg", base))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -297,7 +230,6 @@ func (s *Store) append(rec *Record) error {
 	if _, err := s.w.Write(frame); err != nil {
 		return s.poisonLocked(err)
 	}
-	active.offsets = append(active.offsets, active.size)
 	active.size += int64(len(frame))
 	s.next++
 	s.appended = true
@@ -556,19 +488,24 @@ func (s *Store) TruncateTail(fromLSN uint64) error {
 		}
 		s.segs = s.segs[:last]
 	}
-	// Cut within the now-last segment.
+	// Cut within the now-last segment, after its first fromLSN−base frames.
 	sg := &s.segs[len(s.segs)-1]
-	if i := fromLSN - sg.base; fromLSN > sg.base && i < uint64(len(sg.offsets)) {
-		if err := os.Truncate(sg.path, sg.offsets[i]); err != nil {
+	sg.size = 0
+	if fromLSN > sg.base {
+		data, err := os.ReadFile(sg.path)
+		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
-		sg.size = sg.offsets[i]
-		sg.offsets = sg.offsets[:i]
-	} else if fromLSN <= sg.base {
-		if err := os.Truncate(sg.path, 0); err != nil {
-			return fmt.Errorf("wal: %w", err)
+		for lsn := sg.base; lsn < fromLSN; lsn++ {
+			_, n, err := frame.Decode(data[sg.size:], maxRecordBytes)
+			if err != nil {
+				return fmt.Errorf("wal: truncate: segment %s breaks off before LSN %d", sg.path, lsn)
+			}
+			sg.size += int64(n)
 		}
-		sg.size, sg.offsets = 0, nil
+	}
+	if err := os.Truncate(sg.path, sg.size); err != nil {
+		return fmt.Errorf("wal: %w", err)
 	}
 	f, err := os.OpenFile(sg.path, os.O_WRONLY, 0o644)
 	if err != nil {

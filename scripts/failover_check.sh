@@ -5,7 +5,8 @@
 # processes throughout:
 #
 #   1. Replication: a leader (WAL + lease + cluster coordinator) serves the
-#      first epochs while a standby ovnes tails its log; the leader is
+#      first epochs while a second ovnes on the same -lease and -data-dir
+#      tails its log, waiting for the lease; the leader is
 #      SIGKILLed between epochs, the standby takes the lapsed lease,
 #      promotes, and serves the rest. /yield and /slices must match a plain
 #      single-process run of the same drive byte for byte, and the standby
@@ -74,7 +75,7 @@ wait_log /tmp/failover-check-leader.err 'msg="took leadership"' "leader never to
 
 "$OV" -listen 127.0.0.1:18494 -collector 127.0.0.1:16454 -algo benders \
   -data-dir "$DATA" -snapshot-every 2 \
-  -lease "$DATA/LEASE" -lease-ttl 2s -standby \
+  -lease "$DATA/LEASE" -lease-ttl 2s \
   -cluster-listen 127.0.0.1:19592 -log-level info 2>/tmp/failover-check-standby.err &
 STANDBY=$!
 PIDS+=("$STANDBY")
