@@ -204,15 +204,16 @@ func main() {
 		if sb, err = ctrlplane.NewStandby(orchCfg); err != nil {
 			obslog.Fatal(olog, err)
 		}
-		go func() {
-			// Tail until promoted (returns nil) or the replica diverged
-			// from the log (permanent; die so a supervisor rebuilds us).
-			if err := sb.Run(ctx); err != nil {
-				errc <- err
-			}
-		}()
 	}
 	if *leasePath != "" {
+		if sb != nil {
+			go func() {
+				// Tail until promoted; a replica diverged from the log dies.
+				if err := sb.Run(ctx); err != nil {
+					errc <- err
+				}
+			}()
+		}
 		olog.Info("acquiring leader lease", "lease", *leasePath, "holder", holder, "data-dir", *dataDir)
 		lease, err = cluster.WaitAcquire(ctx, leaseCfg)
 		if err != nil {

@@ -21,8 +21,9 @@
 // The southbound costs two round trips per epoch: each controller has one
 // write route taking an EpochDoc — the round's programming in "set",
 // slices that shrink first, or the expired slices in "remove" — and the
-// orchestrator posts the three documents concurrently, committing its
-// registry only when all three answered 2xx. The registry itself keeps a
+// orchestrator posts the three documents concurrently. Its registry
+// follows the engine's committed round even when a controller refuses:
+// the next round re-sends every reservation. The registry itself keeps a
 // rejected or expired slice for one epoch and then forgets it, which is
 // also all a restarted or promoted orchestrator ever knows.
 //

@@ -494,7 +494,10 @@ func (o *Orchestrator) RunEpoch() (*EpochReport, error) {
 	for _, name := range step.Expired {
 		s := o.slices[name]
 		if s == nil || s.state != "active" {
-			return nil, fmt.Errorf("ctrlplane: engine expired unknown or inactive slice %q", name)
+			if err == nil {
+				err = fmt.Errorf("ctrlplane: engine expired unknown or inactive slice %q", name)
+			}
+			continue
 		}
 		s.state = "expired"
 		rep.Expired = append(rep.Expired, name)
@@ -563,9 +566,9 @@ func (o *Orchestrator) RunLoop(ctx context.Context, every time.Duration) error {
 // solver rejections and pushes accepted reservations southbound as one
 // epoch document per controller, slices that shrink listed first so the
 // controllers' admission checks see freed capacity before grows arrive.
-// The registry commits (pending → active, new reservations) only once all
-// three controllers answered 2xx. Called with o.mu held (RunEpoch → Step →
-// here).
+// The registry commits (pending → active, new reservations) even when a
+// controller refuses, as the engine committed the round: the next round
+// re-sends every reservation. Called with o.mu held (RunEpoch → Step → here).
 func (o *Orchestrator) programRound(round *admission.Round) error {
 	rep := o.curRep
 	if rep == nil {
@@ -637,9 +640,7 @@ func (o *Orchestrator) programRound(round *admission.Round) error {
 			TotalMbps:   total,
 		})
 	}
-	if err := o.push(&sb); err != nil {
-		return fmt.Errorf("ctrlplane: programming epoch %d: %w", o.epoch, err)
-	}
+	err := o.push(&sb)
 	for _, pi := range prog {
 		s := o.slices[pi.name]
 		if s.state == "pending" {
@@ -648,6 +649,9 @@ func (o *Orchestrator) programRound(round *admission.Round) error {
 			rep.Accepted = append(rep.Accepted, pi.name)
 		}
 		s.reserved = append([]float64(nil), dec.Z[pi.ti]...)
+	}
+	if err != nil {
+		return fmt.Errorf("ctrlplane: programming epoch %d: %w", o.epoch, err)
 	}
 	return nil
 }

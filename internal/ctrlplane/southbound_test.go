@@ -616,47 +616,82 @@ func TestDeficitDecisionIsRefusedByDataPlane(t *testing.T) {
 // with the RAN controller refusing the fourth epoch's document; the test
 // feeds epoch e 2·(e+1) samples, so the slice's ledger line tells which
 // epochs were settled — each of 0..4 exactly once is 30 samples over 5
-// epochs, and settling epoch 2 again in place of epoch 4 reads 26.
+// epochs, and settling epoch 2 again in place of epoch 4 reads 26. In the
+// second row a one-epoch slice arrives just before the refused epoch: the
+// engine accepts and expires it in that one step, so the registry must
+// show it expired and the teardown must clear what the transport and cloud
+// controllers did take.
 func TestFailedProgrammingSettlesEachEpochOnce(t *testing.T) {
-	dp := dataplane.NewEmulator(topology.Testbed())
-	ran := NewRANController(dp).Handler()
-	var calls atomic.Int32
-	flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 4 {
-			httpError(w, http.StatusInternalServerError, errors.New("injected RAN failure"))
-			return
-		}
-		ran.ServeHTTP(w, r)
-	})
-	s := newSouthStack(t, OrchestratorConfig{}, flaky, NewTransportController(dp).Handler(), NewCloudController(dp).Handler(), nil)
-	const duration = 20
-	if err := s.orch.Register(SliceRequest{Name: "u1", Type: "eMBB", RateMbps: 10, DurationEpochs: duration, PenaltyFactor: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 6; e++ {
-		_, err := s.orch.RunEpoch()
-		if (e == 3) != (err != nil) || (err != nil && !strings.Contains(err.Error(), "injected RAN failure")) {
-			t.Fatalf("epoch %d: RunEpoch error %v, want the injected refusal exactly at epoch 3", e, err)
-		}
-		for b := 0; b < 2; b++ {
-			for theta := 0; theta <= e; theta++ {
-				s.store.Add(monitor.Sample{Slice: "u1", Metric: monitor.LoadMetric, Element: monitor.BSElement(b), Epoch: e, Theta: theta, Value: 5})
+	for _, row := range []struct {
+		name     string
+		oneEpoch string // registered before epoch 3, for one epoch; "" for none
+	}{
+		{name: "active slice"},
+		{name: "one-epoch slice accepted in the refused round", oneEpoch: "s1"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dp := dataplane.NewEmulator(topology.Testbed())
+			ran := NewRANController(dp).Handler()
+			var calls atomic.Int32
+			flaky := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if calls.Add(1) == 4 {
+					httpError(w, http.StatusInternalServerError, errors.New("injected RAN failure"))
+					return
+				}
+				ran.ServeHTTP(w, r)
+			})
+			s := newSouthStack(t, OrchestratorConfig{}, flaky, NewTransportController(dp).Handler(), NewCloudController(dp).Handler(), nil)
+			const duration = 20
+			if err := s.orch.Register(SliceRequest{Name: "u1", Type: "eMBB", RateMbps: 10, DurationEpochs: duration, PenaltyFactor: 1}); err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if got := s.orch.loop.Epoch(); got != 6 || s.orch.epoch != 6 {
-		t.Fatalf("after 6 epochs the loop is at epoch %d and the orchestrator at %d, want 6", got, s.orch.epoch)
-	}
-	line := s.orch.Yield().PerSlice
-	if len(line) != 1 || line[0].Epochs != 5 || line[0].Samples != 30 {
-		t.Fatalf("ledger %+v, want u1 settled for epochs 0..4 once each (5 epochs, 30 samples)", line)
-	}
-	committed, err := s.orch.eng.CommittedDetail(admission.DefaultDomain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := s.orch.Statuses()
-	if len(committed) != 1 || len(st) != 1 || committed[0].Remaining != duration-6 || st[0].Remaining != duration-6 {
-		t.Fatalf("remaining: engine %+v, registry %+v, want both at %d", committed, st, duration-6)
+			for e := 0; e < 6; e++ {
+				if e == 3 && row.oneEpoch != "" {
+					if err := s.orch.Register(SliceRequest{Name: row.oneEpoch, Type: "eMBB", RateMbps: 10, DurationEpochs: 1, PenaltyFactor: 1}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, err := s.orch.RunEpoch()
+				if (e == 3) != (err != nil) || (err != nil && !strings.Contains(err.Error(), "injected RAN failure")) {
+					t.Fatalf("epoch %d: RunEpoch error %v, want the injected refusal exactly at epoch 3", e, err)
+				}
+				if e == 3 && row.oneEpoch != "" {
+					st := s.orch.Statuses()
+					if len(st) != 2 || st[1].Name != row.oneEpoch || st[1].State != "expired" {
+						t.Fatalf("after the refused epoch the registry reads %+v, want %s expired", st, row.oneEpoch)
+					}
+					left := len(dp.Fabric.Rules(row.oneEpoch)) != 0
+					for _, r := range dp.Radios {
+						left = left || r.Share(row.oneEpoch) != 0
+					}
+					for _, cu := range dp.CUs {
+						left = left || cu.Pinned(row.oneEpoch) != 0
+					}
+					if left {
+						t.Fatalf("expired %s left data-plane state behind", row.oneEpoch)
+					}
+				}
+				for b := 0; b < 2; b++ {
+					for theta := 0; theta <= e; theta++ {
+						s.store.Add(monitor.Sample{Slice: "u1", Metric: monitor.LoadMetric, Element: monitor.BSElement(b), Epoch: e, Theta: theta, Value: 5})
+					}
+				}
+			}
+			if got := s.orch.loop.Epoch(); got != 6 || s.orch.epoch != 6 {
+				t.Fatalf("after 6 epochs the loop is at epoch %d and the orchestrator at %d, want 6", got, s.orch.epoch)
+			}
+			line := s.orch.Yield().PerSlice
+			if len(line) == 0 || line[len(line)-1].Slice != "u1" || line[len(line)-1].Epochs != 5 || line[len(line)-1].Samples != 30 {
+				t.Fatalf("ledger %+v, want u1 settled for epochs 0..4 once each (5 epochs, 30 samples)", line)
+			}
+			committed, err := s.orch.eng.CommittedDetail(admission.DefaultDomain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := s.orch.Statuses()
+			if len(committed) != 1 || len(st) != 1 || committed[0].Remaining != duration-6 || st[0].Remaining != duration-6 {
+				t.Fatalf("remaining: engine %+v, registry %+v, want both at %d", committed, st, duration-6)
+			}
+		})
 	}
 }

@@ -84,7 +84,7 @@ func (t *Tailer) NextLSN() uint64 { return t.next }
 // over already-consumed records when the segment starts below it (frame by
 // frame, never decoding a payload). Returns false when no such segment
 // exists yet (nothing written, or t.next is exactly the base of a rotation
-// that hasn't happened).
+// that hasn't happened). No segment past LSN 0 is a gap (compaction keeps one).
 func (t *Tailer) open(segs []segInfo) (bool, error) {
 	idx := -1
 	for i := range segs {
@@ -95,6 +95,9 @@ func (t *Tailer) open(segs []segInfo) (bool, error) {
 	if idx == -1 {
 		if len(segs) > 0 {
 			return false, fmt.Errorf("%w: need LSN %d, oldest segment starts at %d", ErrTailGap, t.next, segs[0].base)
+		}
+		if t.next > 0 {
+			return false, fmt.Errorf("wal: tail: no segment holds LSN %d: gap", t.next)
 		}
 		return false, nil
 	}
@@ -238,8 +241,11 @@ func (t *Tailer) decode(out []PositionedRecord) []PositionedRecord {
 // crashed writer's torn append). A tail that has not delivered every whole
 // record in the directory is refused, so the store appends to exactly the
 // log its caller replayed. The store writes the tail's directory (opt.Dir
-// is ignored); the tailer is spent afterwards.
+// must be empty or name it); the tailer is spent afterwards.
 func (t *Tailer) Take(opt Options) (*Store, error) {
+	if opt.Dir != "" && opt.Dir != t.dir {
+		return nil, fmt.Errorf("wal: take: options name directory %s, the tail reads %s", opt.Dir, t.dir)
+	}
 	opt.Dir = t.dir
 	opt, err := opt.withDefaults()
 	if err != nil {

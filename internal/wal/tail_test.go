@@ -312,6 +312,14 @@ func TestTailerAndOpenReachOneVerdict(t *testing.T) {
 		{name: "snapshot past the log end", wantErr: "gap", damage: func(t *testing.T, dir string, segs []string) {
 			writeSnapshotFile(t, dir, n+3)
 		}},
+		{name: "every segment missing", wantErr: "gap", damage: func(t *testing.T, dir string, segs []string) {
+			writeSnapshotFile(t, dir, 4)
+			for _, sg := range segs {
+				if err := os.Remove(sg); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -375,6 +383,9 @@ func TestTakeOpensWhereTheTailStopped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
+	if _, err := fresh.Take(Options{Dir: t.TempDir(), NoSync: true}); err == nil || !strings.Contains(err.Error(), "directory") {
+		t.Fatalf("take into another directory = %v, want a refusal naming the directory", err)
+	}
 	if _, err := fresh.Take(Options{NoSync: true}); err == nil || !strings.Contains(err.Error(), "not delivered LSN 0") {
 		t.Fatalf("take by a tail that delivered nothing = %v, want a refusal at LSN 0", err)
 	}
