@@ -226,11 +226,11 @@ failover-check:
 # package must carry a doc.go opening with "// Package <name>", every
 # cmd/* binary a "// Command <name>" comment in main.go. It also caps the
 # two documents that grow with every PR: EXPERIMENTS.md at 287 lines and
-# DESIGN.md at 1,468 (its length when the cap was set), so a PR that adds
+# DESIGN.md at 1,465 (its length when the cap was last set), so a PR that adds
 # a section pays for it by trimming another (ROADMAP item 8(b)).
 docs-check:
 	@fail=0; \
-	for cap in EXPERIMENTS.md:287 DESIGN.md:1468; do \
+	for cap in EXPERIMENTS.md:287 DESIGN.md:1465; do \
 		f=$${cap%%:*}; max=$${cap##*:}; n=$$(wc -l < $$f); \
 		[ $$n -le $$max ] || { echo "$$f: $$n lines, over its $$max-line cap"; fail=1; }; \
 	done; \

@@ -19,8 +19,10 @@
 // consecutive ports after -listen, each with one write route (POST /shares,
 // /flows, /stacks) that takes an epoch document; the orchestrator posts the
 // three concurrently over kept-alive connections, at most twice per epoch.
-// GET /slices lists a rejected or expired slice for one epoch, then forgets
-// it. With -epoch-every > 0 the closed loop
+// GET /slices lists the committed slices in admission order, then what was
+// rejected or expired in the last epoch, then the undecided requests in
+// registration order; a restarted or promoted ovnes lists the same. With
+// -epoch-every > 0 the closed loop
 // (internal/reopt) runs one epoch per period on its own — monitoring
 // feeds forecasts, reservations rescale, realized yield settles — and
 // POST /epoch just inserts extra epochs.

@@ -444,22 +444,32 @@ func (e *Engine) CommittedDetail(domainName string) ([]CommittedSlice, error) {
 	}
 	d.dmu.Lock()
 	defer d.dmu.Unlock()
-	out := make([]CommittedSlice, len(d.committed))
-	for i, m := range d.committed {
-		out[i] = m.detail()
-	}
-	return out, nil
+	return d.committedLocked(), nil
 }
 
-// detail copies the member's state out.
-func (m *member) detail() CommittedSlice {
-	return CommittedSlice{
-		Name: m.name, Tenant: m.tenant, SLA: m.sla,
-		LambdaHat: m.lambdaHat, Sigma: m.sigma,
-		Remaining: m.remaining, CU: m.cu,
-		Reserved: append([]float64(nil), m.reserved...),
-		PathIdx:  append([]int(nil), m.pathIdx...),
+// committedLocked copies the committed slices out in admission order. The
+// reservations and paths are cut from one backing array each, every copy
+// capped so that an append to it cannot reach its neighbour: three
+// allocations per listing, not two per slice. Caller holds dmu.
+func (d *domain) committedLocked() []CommittedSlice {
+	nz, np := 0, 0
+	for _, m := range d.committed {
+		nz, np = nz+len(m.reserved), np+len(m.pathIdx)
 	}
+	zs, ps := make([]float64, 0, nz), make([]int, 0, np)
+	out := make([]CommittedSlice, len(d.committed))
+	for i, m := range d.committed {
+		z, p := len(zs), len(ps)
+		zs, ps = append(zs, m.reserved...), append(ps, m.pathIdx...)
+		out[i] = CommittedSlice{
+			Name: m.name, Tenant: m.tenant, SLA: m.sla,
+			LambdaHat: m.lambdaHat, Sigma: m.sigma,
+			Remaining: m.remaining, CU: m.cu,
+			Reserved: zs[z:len(zs):len(zs)],
+			PathIdx:  ps[p:len(ps):len(ps)],
+		}
+	}
+	return out
 }
 
 // Advance ticks the domain's epoch clock: committed lifetimes decrement and

@@ -41,8 +41,8 @@ func (e *Engine) ExportDomain(domainName string) (DomainState, error) {
 	defer d.dmu.Unlock()
 	st := DomainState{Name: d.name, Rounds: d.rounds,
 		TopoEvents: append([]topology.Event(nil), d.topoEvents...)}
-	for _, m := range d.committed {
-		st.Committed = append(st.Committed, m.detail())
+	if len(d.committed) > 0 {
+		st.Committed = d.committedLocked()
 	}
 	return st, nil
 }

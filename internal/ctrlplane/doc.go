@@ -21,18 +21,18 @@
 // The southbound costs two round trips per epoch: each controller has one
 // write route taking an EpochDoc — the round's programming in "set",
 // slices that shrink first, or the expired slices in "remove" — and the
-// orchestrator posts the three documents concurrently. Its registry
-// follows the engine's committed round even when a controller refuses:
-// the next round re-sends every reservation. The registry itself keeps a
-// rejected or expired slice for one epoch and then forgets it, which is
-// also all a restarted or promoted orchestrator ever knows.
+// orchestrator posts the three documents concurrently. GET /slices is read
+// from the admission engine: its committed slices in admission order, then
+// what terminated in the last epoch (rejected, then expired), then the
+// undecided requests in registration order. Only the last
+// two are the orchestrator's own and neither is durable, so a restarted or
+// promoted orchestrator lists what a serving one lists from its first epoch.
 //
 // An orchestrator core (engine, closed-loop controller, ledger) is built
 // with no log and no executor, and starts serving through one takeover:
 // install the WAL store taken where the tail stopped, let a wal.Replayer
-// finish over it, rebuild the REST registry, install the executor, start
-// the engine. A Standby, which has been feeding its replayer from the
-// leader's log all along, runs it at promotion; a starting leader is a
-// Standby of its own log, promoted at once, so the log is read once, by
-// the tail, either way.
+// finish over it, install the executor, start the engine. A Standby, which
+// has been feeding its replayer from the leader's log all along, runs it at
+// promotion; a starting leader is a Standby of its own log, promoted at
+// once, so the log is read once, by the tail, either way.
 package ctrlplane

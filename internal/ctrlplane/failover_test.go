@@ -90,13 +90,13 @@ func failoverSample(name string, b, epoch, theta int) float64 {
 // slices is serving memory, not durable state — but it forgets them one
 // epoch later anyway, so a promoted or recovered orchestrator (which starts
 // from the committed slices alone) lists what the uninterrupted one lists
-// from its first epoch on. Within an epoch names are offered in sorted
-// order, the order the engine commits them in.
+// from its first epoch on. Epoch 0 offers u2 before u1: the engine commits
+// a batch in name order, and both runs must list it that way.
 func failoverArrivals() map[int][]SliceRequest {
 	return map[int][]SliceRequest{
 		0: {
-			{Name: "u1", Type: "uRLLC", DurationEpochs: 10, PenaltyFactor: 1},
 			{Name: "u2", Type: "eMBB", DurationEpochs: 10, PenaltyFactor: 1},
+			{Name: "u1", Type: "uRLLC", DurationEpochs: 10, PenaltyFactor: 1},
 			{Name: "x1", Type: "mMTC", RateMbps: 2, DurationEpochs: 3, PenaltyFactor: 1},
 		},
 		1: {{Name: "u3", Type: "uRLLC", RateMbps: 5, DurationEpochs: 10, PenaltyFactor: 1}},

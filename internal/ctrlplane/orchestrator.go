@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -80,16 +81,28 @@ func (cfg OrchestratorConfig) withDefaults() (OrchestratorConfig, error) {
 	return cfg, nil
 }
 
-// orchSlice is the orchestrator's lifecycle state for one slice. (The
-// per-slice forecast trackers live in the reopt controller, which owns the
-// monitoring → forecasting half of the epoch.)
-type orchSlice struct {
-	tmpl      slice.Template
-	state     string // "pending" | "active" | "rejected" | "expired"
-	cu        int
-	reserved  []float64
-	remaining int
-	ticket    *admission.Ticket // pending decision handle
+// registration is a slice request the engine has not decided yet.
+type registration struct {
+	name     string
+	tmpl     slice.Template
+	duration int
+	ticket   *admission.Ticket
+}
+
+func (r registration) status(state string) SliceStatus {
+	return SliceStatus{Name: r.name, Type: r.tmpl.Type.String(), State: state, Remaining: r.duration}
+}
+
+// committedStatus is a committed slice's row.
+func committedStatus(m *admission.CommittedSlice, state string, remaining int) SliceStatus {
+	return SliceStatus{Name: m.Name, Type: m.SLA.Type.String(), State: state, CU: m.CU, Reserved: m.Reserved, Remaining: remaining}
+}
+
+// epochRun is what one RunEpoch hands its programRound, and gets back.
+type epochRun struct {
+	rep  *EpochReport
+	pre  []admission.CommittedSlice // committed before the round
+	post []admission.CommittedSlice // committed after it, before the advance
 }
 
 // Orchestrator is the paper's OVNES: admission control, resource
@@ -118,11 +131,13 @@ type Orchestrator struct {
 	replay   time.Duration // how long takeover spent replaying the log ...
 	lanes    int           // ... over how many domains' lanes
 
-	mu     sync.Mutex
-	epoch  int
-	slices map[string]*orchSlice
-	order  []string // insertion order, for deterministic decisions
-	curRep *EpochReport
+	// The REST registry is a view of the engine's committed slices plus
+	// what the engine does not hold: the requests it has not decided and the
+	// rows of the slices that terminated in the last epoch.
+	mu      sync.Mutex
+	pending []registration // in registration order
+	ended   []SliceStatus  // rejected in registration order, then expired
+	cur     *epochRun      // set while RunEpoch steps the loop
 }
 
 // buildCore constructs the orchestrator shell — engine (domain added, NOT
@@ -142,9 +157,8 @@ func buildCore(cfg OrchestratorConfig) (*Orchestrator, error) {
 	}); err != nil {
 		return nil, fmt.Errorf("ctrlplane: %w", err)
 	}
-	// Share the engine's path enumeration: program() must index paths with
-	// the PathIdx values the engine's decisions produced, so using the very
-	// same slice removes both the duplicate Yen run and any drift hazard.
+	// Share the engine's path enumeration: programRound indexes it with the
+	// engine's PathIdx values, so no second Yen run can drift from it.
 	paths, err := eng.Paths(admission.DefaultDomain)
 	if err != nil {
 		return nil, err
@@ -155,7 +169,6 @@ func buildCore(cfg OrchestratorConfig) (*Orchestrator, error) {
 		client: &http.Client{Timeout: 10 * time.Second},
 		eng:    eng,
 		ledger: ledger,
-		slices: map[string]*orchSlice{},
 	}
 	loopCfg := reopt.Config{
 		Engine:  eng,
@@ -189,11 +202,10 @@ func (o *Orchestrator) writeSnapshot(cs reopt.ControllerState) error {
 // takeover is the one way a built core starts serving — a promoted
 // standby's, and so a starting leader's too. With a store (st, taken where
 // the replayer's tail stopped) it first makes the core the owner of the
-// log: install it on engine and controller, let the replayer truncate the
-// previous writer's uncommitted residue and complete a trailing half-step,
-// then rebuild the REST registry. The replay is timed from start. The
-// executor arrives last, so no replayed round ever waits on a worker. On
-// error the caller still owns st.
+// log: install it on engine and controller, and let the replayer truncate
+// the previous writer's uncommitted residue and complete a trailing
+// half-step, timed from start. The executor arrives last, so no replayed
+// round ever waits on a worker. On error the caller still owns st.
 func (o *Orchestrator) takeover(st *wal.Store, r *wal.Replayer, exec admission.Executor, start time.Time) error {
 	if st != nil {
 		if err := o.eng.SetLog(st); err != nil {
@@ -205,10 +217,7 @@ func (o *Orchestrator) takeover(st *wal.Store, r *wal.Replayer, exec admission.E
 			return err
 		}
 		o.replay, o.lanes = time.Since(start), r.Domains()
-		o.wal, o.recovery, o.epoch = st, rep, o.loop.Epoch()
-		if err := o.adoptCommitted(); err != nil {
-			return err
-		}
+		o.wal, o.recovery = st, rep
 	}
 	if exec != nil {
 		if err := o.eng.SetExecutor(admission.DefaultDomain, exec); err != nil {
@@ -216,31 +225,6 @@ func (o *Orchestrator) takeover(st *wal.Store, r *wal.Replayer, exec admission.E
 		}
 	}
 	return o.eng.Start()
-}
-
-// adoptCommitted rebuilds the REST registry from the engine's recovered
-// committed state. The registry of terminated slices (rejected, expired)
-// is serving history, not decision state, and is deliberately not
-// durable — a serving orchestrator forgets it after one epoch too
-// (forgetTerminated). The data plane self-heals on the first epoch:
-// programRound pushes every accepted slice's reservation southbound each
-// round.
-func (o *Orchestrator) adoptCommitted() error {
-	committed, err := o.eng.CommittedDetail(admission.DefaultDomain)
-	if err != nil {
-		return err
-	}
-	for _, m := range committed {
-		o.slices[m.Name] = &orchSlice{
-			tmpl:      m.SLA.Template,
-			state:     "active",
-			cu:        m.CU,
-			reserved:  append([]float64(nil), m.Reserved...),
-			remaining: m.Remaining,
-		}
-		o.order = append(o.order, m.Name)
-	}
-	return nil
 }
 
 // NewOrchestrator builds the orchestrator; it precomputes the P_{b,c} path
@@ -360,10 +344,7 @@ func (o *Orchestrator) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, events)
 	})
 	mux.HandleFunc("GET /epoch", func(w http.ResponseWriter, r *http.Request) {
-		o.mu.Lock()
-		e := o.epoch
-		o.mu.Unlock()
-		writeJSON(w, http.StatusOK, map[string]int{"epoch": e})
+		writeJSON(w, http.StatusOK, map[string]int{"epoch": o.loop.Epoch()})
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, MetricsReport{
@@ -403,7 +384,9 @@ func (o *Orchestrator) Yield() yield.Summary { return o.ledger.Snapshot() }
 // intake. The slice appears as "pending" until the next epoch's round
 // decides it; structurally infeasible requests are fast-rejected by the
 // engine's prefilter without ever costing a solve, and an overloaded
-// engine sheds with admission.ErrOverloaded.
+// engine sheds with admission.ErrOverloaded. A name that is listed is
+// taken: the engine refuses a committed one, the registry a pending one
+// and one that terminated in the last epoch.
 func (o *Orchestrator) Register(req SliceRequest) error {
 	tmpl, err := req.Template()
 	if err != nil {
@@ -411,7 +394,8 @@ func (o *Orchestrator) Register(req SliceRequest) error {
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if _, dup := o.slices[req.Name]; dup {
+	if slices.ContainsFunc(o.pending, func(r registration) bool { return r.name == req.Name }) ||
+		slices.ContainsFunc(o.ended, func(st SliceStatus) bool { return st.Name == req.Name }) {
 		return fmt.Errorf("ctrlplane: slice %q already exists", req.Name)
 	}
 	if req.DurationEpochs <= 0 {
@@ -430,77 +414,86 @@ func (o *Orchestrator) Register(req SliceRequest) error {
 	if err != nil {
 		return err
 	}
-	o.slices[req.Name] = &orchSlice{
-		tmpl:      tmpl,
-		state:     "pending",
-		remaining: req.DurationEpochs,
-		ticket:    ticket,
-	}
-	o.order = append(o.order, req.Name)
+	o.pending = append(o.pending, registration{name: req.Name, tmpl: tmpl, duration: req.DurationEpochs, ticket: ticket})
 	return nil
 }
 
-// Statuses lists all known slices in registration order.
+// Statuses lists every slice the orchestrator knows, in one order whether
+// it served from the start or recovered: the engine's committed slices in
+// admission order, then the slices that terminated in the last epoch (the
+// rejected in registration order, then the expired in admission order),
+// then the pending requests in registration order.
 func (o *Orchestrator) Statuses() []SliceStatus {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.statusesLocked()
 }
 
+func (o *Orchestrator) statusesLocked() []SliceStatus {
+	// The default domain exists from buildCore on, the only error case.
+	committed, _ := o.eng.CommittedDetail(admission.DefaultDomain)
+	out := make([]SliceStatus, 0, len(committed)+len(o.ended)+len(o.pending))
+	for i := range committed {
+		out = append(out, committedStatus(&committed[i], "active", committed[i].Remaining))
+	}
+	out = append(out, o.ended...)
+	for _, r := range o.pending {
+		out = append(out, r.status("pending"))
+	}
+	return out
+}
+
 // RunEpoch executes one decision round by stepping the closed loop: the
 // reopt controller settles the ended epoch's yield, aggregates monitoring
 // into the forecasters, re-solves AC-RR through the admission engine's
 // warm shard (programming the controllers mid-step via programRound), and
-// advances slice lifecycles; the orchestrator then reconciles its REST
-// view and tears down whatever expired, in one more southbound round trip.
-// When programming fails the step still completes; its report is applied
-// all the same before the error is returned, so a retry runs the next
-// epoch rather than settling this one twice.
+// advances slice lifecycles; the orchestrator then lists what terminated
+// and tears down whatever expired, in one more southbound round trip.
+// A slice that terminated in epoch e is listed until RunEpoch(e+1) returns,
+// and its name is free after that. When programming fails the step still
+// completes; its report is applied all the same before the error is
+// returned, so a retry runs the next epoch rather than settling this one
+// twice.
 func (o *Orchestrator) RunEpoch() (*EpochReport, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.forgetTerminated()
+	o.ended = nil
 
-	rep := &EpochReport{Epoch: o.epoch}
-	o.curRep = rep
+	// The shrink-first order needs the totals in force before the round.
+	pre, err := o.eng.CommittedDetail(admission.DefaultDomain)
+	if err != nil {
+		return nil, err
+	}
+	// programRound runs under the controller's lock: the epoch is read here.
+	run := &epochRun{rep: &EpochReport{Epoch: o.loop.Epoch()}, pre: pre}
+	o.cur = run
 	step, err := o.loop.Step()
-	o.curRep = nil
+	o.cur = nil
 	if step == nil {
 		return nil, err
 	}
-	o.epoch++
+	rep := run.rep
 
-	// Requests the prefilter fast-rejected never reached the round; their
-	// tickets are already resolved.
-	for _, name := range o.order {
-		s := o.slices[name]
-		if s.state != "pending" || s.ticket == nil {
-			continue
+	// Decided requests leave the pending list. The report lists the round's
+	// rejections first, in its order; the prefilter's never reached a round.
+	rep.Rejected = append(rep.Rejected, step.Round.Rejected...)
+	o.pending = slices.DeleteFunc(o.pending, func(r registration) bool {
+		out, ok := r.ticket.Outcome()
+		if ok && out.FastRejected {
+			rep.Rejected = append(rep.Rejected, r.name)
 		}
-		if out, ok := s.ticket.Outcome(); ok && out.FastRejected {
-			s.state = "rejected"
-			rep.Rejected = append(rep.Rejected, name)
+		if ok && !out.Admitted {
+			o.ended = append(o.ended, r.status("rejected"))
 		}
-	}
-
-	// Lifecycle: the loop already ticked the engine's clocks; mirror them
-	// and tear expired slices out of every domain.
-	for _, name := range o.order {
-		s := o.slices[name]
-		if s.state == "active" {
-			s.remaining--
+		return ok
+	})
+	// What expired left the engine at the advance; its last row is in the
+	// round's committed state, and the advance ticked its lifetime to 0.
+	rep.Expired = step.Expired
+	for i := range run.post {
+		if m := &run.post[i]; slices.Contains(rep.Expired, m.Name) {
+			o.ended = append(o.ended, committedStatus(m, "expired", m.Remaining-1))
 		}
-	}
-	for _, name := range step.Expired {
-		s := o.slices[name]
-		if s == nil || s.state != "active" {
-			if err == nil {
-				err = fmt.Errorf("ctrlplane: engine expired unknown or inactive slice %q", name)
-			}
-			continue
-		}
-		s.state = "expired"
-		rep.Expired = append(rep.Expired, name)
 	}
 	if len(rep.Expired) > 0 {
 		if perr := o.push(&southbound{
@@ -516,25 +509,6 @@ func (o *Orchestrator) RunEpoch() (*EpochReport, error) {
 	}
 	rep.Slices = o.statusesLocked()
 	return rep, nil
-}
-
-// forgetTerminated drops every rejected or expired slice from the registry.
-// RunEpoch calls it on entry, so a slice that terminated in epoch e is in
-// that epoch's report and in GET /slices until RunEpoch(e+1) returns (both
-// wait on o.mu), and its name is free again after that. What remains is
-// what adoptCommitted rebuilds after a restart or promotion plus the
-// pending requests, so the registry — and the cost of POST /epoch and GET
-// /slices — is bounded by what is live, not by the age of the process.
-func (o *Orchestrator) forgetTerminated() {
-	kept := o.order[:0]
-	for _, name := range o.order {
-		if st := o.slices[name].state; st == "rejected" || st == "expired" {
-			delete(o.slices, name)
-			continue
-		}
-		kept = append(kept, name)
-	}
-	o.order = kept
 }
 
 // RunLoop drives RunEpoch on a wall-clock cadence until the context ends —
@@ -562,53 +536,52 @@ func (o *Orchestrator) RunLoop(ctx context.Context, every time.Duration) error {
 
 // programRound is the reopt controller's OnRound hook, running between the
 // epoch's warm re-solve and the lifecycle advance — exactly where the
-// pre-closed-loop orchestrator programmed the data plane. It marks fresh
-// solver rejections and pushes accepted reservations southbound as one
-// epoch document per controller, slices that shrink listed first so the
-// controllers' admission checks see freed capacity before grows arrive.
-// The registry commits (pending → active, new reservations) even when a
-// controller refuses, as the engine committed the round: the next round
-// re-sends every reservation. Called with o.mu held (RunEpoch → Step → here).
+// pre-closed-loop orchestrator programmed the data plane. It pushes the
+// committed reservations southbound as one epoch document per controller,
+// slices that shrink listed first so the controllers' admission checks see
+// freed capacity before grows arrive, and lists the round's admissions in
+// that order. A refusal leaves the engine's round committed; the next
+// round re-sends every reservation. Called with o.mu held (RunEpoch → Step
+// → here).
 func (o *Orchestrator) programRound(round *admission.Round) error {
-	rep := o.curRep
-	if rep == nil {
-		// The hook mutates o.slices, which is safe only under the o.mu
-		// that RunEpoch holds. The orchestrator's epoch entry points are
-		// RunEpoch and RunLoop; stepping its controller any other way is
-		// refused rather than racing the REST handlers.
+	run := o.cur
+	if run == nil {
+		// The report and the pre-round totals are RunEpoch's: stepping the
+		// controller any other way is refused.
 		return fmt.Errorf("ctrlplane: controller stepped outside RunEpoch")
 	}
-	dec := round.Decision
+	var err error
+	if run.post, err = o.eng.CommittedDetail(admission.DefaultDomain); err != nil {
+		return err
+	}
+	post, dec, rep := run.post, round.Decision, run.rep
 	rep.NetRevenue = dec.Revenue()
 	rep.DeficitCost = core.DefaultBigM * (dec.DeficitRadio + dec.DeficitTransport + dec.DeficitCompute)
 
 	type progItem struct {
-		name  string
-		ti    int
+		m     *admission.CommittedSlice
+		fresh bool // admitted by this round
 		delta float64
 	}
+	// round.Names is the committed slices (run.pre) then the batch; post is
+	// the same committed slices then the batch's admissions, so both are
+	// walked in step with it.
 	var prog []progItem
+	i, j := 0, 0
 	for ti, name := range round.Names {
-		s := o.slices[name]
-		if s == nil {
-			return fmt.Errorf("ctrlplane: engine decided unknown slice %q", name)
+		old, fresh := 0.0, true
+		if i < len(run.pre) && run.pre[i].Name == name {
+			old, fresh = totalOf(run.pre[i].Reserved), false
+			i++
 		}
-		if !dec.Accepted[ti] {
-			if s.state == "pending" {
-				s.state = "rejected"
-				rep.Rejected = append(rep.Rejected, name)
-			}
-			continue
+		if j == len(post) || post[j].Name != name {
+			continue // rejected
 		}
-		newTotal := 0.0
-		for _, z := range dec.Z[ti] {
-			newTotal += z
+		m := &post[j]
+		j++
+		if dec.Accepted[ti] {
+			prog = append(prog, progItem{m: m, fresh: fresh, delta: totalOf(m.Reserved) - old})
 		}
-		oldTotal := 0.0
-		for _, z := range s.reserved {
-			oldTotal += z
-		}
-		prog = append(prog, progItem{name: name, ti: ti, delta: newTotal - oldTotal})
 	}
 	if len(prog) == 0 {
 		return nil
@@ -619,54 +592,41 @@ func (o *Orchestrator) programRound(round *admission.Round) error {
 	// slice at the same index in all three.
 	var sb southbound
 	for _, pi := range prog {
-		s, cu, z := o.slices[pi.name], dec.CU[pi.ti], dec.Z[pi.ti]
-		shares := make([]float64, len(z))
-		rules := make([]FlowSpec, len(z))
-		total := 0.0
-		for b, zb := range z {
+		m := pi.m
+		shares := make([]float64, len(m.Reserved))
+		rules := make([]FlowSpec, len(m.Reserved))
+		for b, zb := range m.Reserved {
 			shares[b] = zb * o.cfg.Net.BSs[b].Eta
 			rules[b] = FlowSpec{
-				LinkIDs:  o.paths[b][cu][dec.PathIdx[pi.ti][b]].LinkIDs,
+				LinkIDs:  o.paths[b][m.CU][m.PathIdx[b]].LinkIDs,
 				RateMbps: zb,
 			}
-			total += zb
 		}
-		sb.ran.Set = append(sb.ran.Set, RadioConfig{Slice: pi.name, ShareMHz: shares})
-		sb.tn.Set = append(sb.tn.Set, FlowConfig{Slice: pi.name, Rules: rules})
+		sb.ran.Set = append(sb.ran.Set, RadioConfig{Slice: m.Name, ShareMHz: shares})
+		sb.tn.Set = append(sb.tn.Set, FlowConfig{Slice: m.Name, Rules: rules})
 		sb.cloud.Set = append(sb.cloud.Set, StackConfig{
-			Slice: pi.name, CU: cu,
-			BaselineCPU: s.tmpl.Compute.BaselineCPU,
-			CPUPerMbps:  s.tmpl.Compute.CPUPerMbps,
-			TotalMbps:   total,
+			Slice: m.Name, CU: m.CU,
+			BaselineCPU: m.SLA.Compute.BaselineCPU,
+			CPUPerMbps:  m.SLA.Compute.CPUPerMbps,
+			TotalMbps:   totalOf(m.Reserved),
 		})
-	}
-	err := o.push(&sb)
-	for _, pi := range prog {
-		s := o.slices[pi.name]
-		if s.state == "pending" {
-			s.state = "active"
-			s.cu = dec.CU[pi.ti]
-			rep.Accepted = append(rep.Accepted, pi.name)
+		if pi.fresh {
+			rep.Accepted = append(rep.Accepted, m.Name)
 		}
-		s.reserved = append([]float64(nil), dec.Z[pi.ti]...)
 	}
-	if err != nil {
-		return fmt.Errorf("ctrlplane: programming epoch %d: %w", o.epoch, err)
+	if err := o.push(&sb); err != nil {
+		return fmt.Errorf("ctrlplane: programming epoch %d: %w", rep.Epoch, err)
 	}
 	return nil
 }
 
-func (o *Orchestrator) statusesLocked() []SliceStatus {
-	out := make([]SliceStatus, 0, len(o.order))
-	for _, name := range o.order {
-		s := o.slices[name]
-		out = append(out, SliceStatus{
-			Name: name, Type: s.tmpl.Type.String(), State: s.state,
-			CU: s.cu, Reserved: append([]float64(nil), s.reserved...),
-			Remaining: s.remaining,
-		})
+// totalOf sums a per-BS reservation in BS order.
+func totalOf(z []float64) float64 {
+	t := 0.0
+	for _, v := range z {
+		t += v
 	}
-	return out
+	return t
 }
 
 // southbound is one round trip's programming: an epoch document for each of

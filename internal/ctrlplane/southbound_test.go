@@ -642,16 +642,13 @@ func TestFailedProgrammingSettlesEachEpochOnce(t *testing.T) {
 			})
 			s := newSouthStack(t, OrchestratorConfig{}, flaky, NewTransportController(dp).Handler(), NewCloudController(dp).Handler(), nil)
 			const duration = 20
-			if err := s.orch.Register(SliceRequest{Name: "u1", Type: "eMBB", RateMbps: 10, DurationEpochs: duration, PenaltyFactor: 1}); err != nil {
-				t.Fatal(err)
-			}
+			var v registryView // the listing is checked after every epoch, the refused one too
+			v.register(t, s.orch, SliceRequest{Name: "u1", Type: "eMBB", RateMbps: 10, DurationEpochs: duration, PenaltyFactor: 1})
 			for e := 0; e < 6; e++ {
 				if e == 3 && row.oneEpoch != "" {
-					if err := s.orch.Register(SliceRequest{Name: row.oneEpoch, Type: "eMBB", RateMbps: 10, DurationEpochs: 1, PenaltyFactor: 1}); err != nil {
-						t.Fatal(err)
-					}
+					v.register(t, s.orch, SliceRequest{Name: row.oneEpoch, Type: "eMBB", RateMbps: 10, DurationEpochs: 1, PenaltyFactor: 1})
 				}
-				_, err := s.orch.RunEpoch()
+				_, err := v.epoch(t, s.orch)
 				if (e == 3) != (err != nil) || (err != nil && !strings.Contains(err.Error(), "injected RAN failure")) {
 					t.Fatalf("epoch %d: RunEpoch error %v, want the injected refusal exactly at epoch 3", e, err)
 				}
@@ -677,8 +674,8 @@ func TestFailedProgrammingSettlesEachEpochOnce(t *testing.T) {
 					}
 				}
 			}
-			if got := s.orch.loop.Epoch(); got != 6 || s.orch.epoch != 6 {
-				t.Fatalf("after 6 epochs the loop is at epoch %d and the orchestrator at %d, want 6", got, s.orch.epoch)
+			if got, served := s.orch.loop.Epoch(), getBytes(t, s.orch, "/epoch"); got != 6 || served != "{\"epoch\":6}\n" {
+				t.Fatalf("after 6 epochs the loop is at epoch %d and GET /epoch serves %s, want 6", got, served)
 			}
 			line := s.orch.Yield().PerSlice
 			if len(line) == 0 || line[len(line)-1].Slice != "u1" || line[len(line)-1].Epochs != 5 || line[len(line)-1].Samples != 30 {

@@ -135,17 +135,21 @@ const rescaleTol = 1e-6
 type Controller struct {
 	cfg Config
 
-	mu       sync.Mutex
-	epoch    int
+	mu    sync.Mutex
+	epoch int
+	// trackers is each committed slice's forecaster state; the engine holds
+	// only the view (λ̂, σ̂) a tracker last gave it.
 	trackers map[string]*forecast.Adaptive
-	prev     *inForce
+	// prev is the reservations in force over the epoch that settles next,
+	// those of the slices that expired at the advance included.
+	prev *inForce
 
 	// Step scratch, cleared and refilled every step. Nothing keeps a
 	// reference past the step: the store read is consumed in place, and
 	// StepLog and Engine.UpdateForecasts encode or copy before they return.
 	values     []float64
-	settled    []peakRead // settle's peak of each of prev's members, for observe
-	prevTotals map[string]float64
+	settled    []peakRead         // settle's peak of each of prev's members, for observe
+	prevTotals map[string]float64 // totals before the round, for Rescaled
 	alive      []string
 	aliveSet   map[string]bool
 	peaks      []ObservedPeak

@@ -48,11 +48,12 @@ wait_log() { # $1 = file, $2 = pattern, $3 = label
   echo "failover-check: $3 (pattern '$2' never appeared in $1)"; return 1
 }
 
-register() { # $1 = port: the two long-lived tenants both runs admit
-  curl -fsS -X POST "127.0.0.1:$1/requests" -d \
-    '{"name":"u1","request":{"name":"u1","type":"uRLLC","duration_epochs":10}}' > /dev/null
+register() { # $1 = port: the two long-lived tenants both runs admit, offered
+  # out of name order so the /slices diff also checks the listing order
   curl -fsS -X POST "127.0.0.1:$1/requests" -d \
     '{"name":"u2","request":{"name":"u2","type":"eMBB","duration_epochs":10}}' > /dev/null
+  curl -fsS -X POST "127.0.0.1:$1/requests" -d \
+    '{"name":"u1","request":{"name":"u1","type":"uRLLC","duration_epochs":10}}' > /dev/null
 }
 
 epochs() { # $1 = port, $2 = count
